@@ -41,7 +41,6 @@ from .errors import (
     IntegrationError,
     ModelCompactnessError,
     ProfileError,
-    QuadratureError,
     RadialGeoError,
 )
 from .gallery import GalleryEntry, entry_by_name, list_gallery
@@ -86,7 +85,6 @@ __all__ = [
     "MomentClass",
     "PowerDecayTail",
     "ProfileError",
-    "QuadratureError",
     "RadialGeoError",
     "Segment",
     "TheoremReport",

@@ -7,12 +7,14 @@ Total curvature splits as c = c_plus + c_minus with
     c_plus  = 2 pi * integral of max(K, 0) * f,
     c_minus = 2 pi * integral of min(K, 0) * f,
 
-each taken over [0, oo).  The finite range [0, T] is handled by adaptive
-quadrature on the dense ODE output; the improper remainder is settled
-analytically from the tail model, using the linear asymptote of f.  A
-negative constant tail, or a negative power tail with exponent <= 2,
-makes c_minus diverge (and symmetrically for the positive side), and the
-classification then short-circuits without quadrature.
+each taken over [0, oo).  On the finite range [0, T] each part is a
+telescoping sum: f'' = -K f, so on every stretch where the part equals K
+its integral is f'(a) - f'(b), read from the dense ODE output at the
+stretch ends (breakpoints and exact sign changes).  The improper
+remainder is settled analytically from the tail model, using the linear
+asymptote of f.  A tail whose first moment diverges (a constant tail, or
+a power tail with exponent <= 2) makes its side diverge, and the
+classification then short-circuits.
 """
 
 from __future__ import annotations
@@ -22,9 +24,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from ._extrapolation import richardson_limit
-from ._quadrature import adaptive_quadrature
 from .curvature_profile import (
-    ConstantTail,
     CurvatureProfile,
     MomentClass,
     PowerDecayTail,
@@ -32,6 +32,7 @@ from .curvature_profile import (
     negative_part,
     positive_part,
     tail_moment_class,
+    tail_moment_finite,
 )
 from .errors import ConfigurationError, ConvergenceError
 from .jacobi import WarpingSolution, solve
@@ -42,6 +43,7 @@ __all__ = [
     "TotalCurvatureResult",
     "total_curvature",
     "slope_limit",
+    "probe_limit",
     "m_prime_limit",
     "DIVERGENCE_THRESHOLD",
     "HORIZON_START",
@@ -111,15 +113,6 @@ class TotalCurvatureResult:
         return self.classification is CurvatureClass.FINITE
 
 
-def _tail_diverges(tail, positive_side: bool) -> bool:
-    if isinstance(tail, ZeroTail):
-        return False
-    if isinstance(tail, ConstantTail):
-        return tail.kappa > 0 if positive_side else tail.kappa < 0
-    relevant = tail.a > 0 if positive_side else tail.a < 0
-    return relevant and tail.p <= 2.0
-
-
 def _tail_integral(tail, f: WarpingSolution, slope: LimitEstimate,
                    T: float) -> tuple[float, float]:
     """Closed-form estimate of the integral of K_tail * f over [T, oo).
@@ -143,35 +136,45 @@ def _tail_integral(tail, f: WarpingSolution, slope: LimitEstimate,
 
 
 def _signed_contribution(part: CurvatureProfile, f: WarpingSolution,
-                         slope: LimitEstimate, T: float,
-                         quad_tol: float) -> tuple[float, float]:
-    """2 pi * integral of part(t) f(t) dt over [0, oo), with error."""
+                         slope: LimitEstimate, T: float) -> tuple[float, float]:
+    """2 pi * integral of part(t) f(t) dt over [0, oo), with error.
+
+    Where the part equals K, the integral of K f over [a, b] is
+    f'(a) - f'(b); elsewhere the part vanishes.  Each f' read carries the
+    solve's own error scale f.tol * (1 + |f'|).
+    """
     if part.is_zero:
         return 0.0, 0.0
-    panels = sorted({0.0, T, *(b for b in part.breakpoints if 0.0 < b < T)})
-    if len(panels) >= 2:
-        integrand = lambda ts: part.evaluate_array(ts) * f.f(ts)
-        q, q_err = adaptive_quadrature(integrand, panels, abs_tol=quad_tol)
-    else:
-        q, q_err = 0.0, 0.0
+    stretches = [(s.t_start, s.t_end) for s in part.segments if not s.is_zero]
+    if not isinstance(part.tail, ZeroTail) and part.t_tail < T:
+        stretches.append((part.t_tail, T))
+    q, q_err = 0.0, 0.0
+    for a, b in stretches:
+        fpa, fpb = f.fp(a), f.fp(b)
+        q += fpa - fpb
+        q_err += f.tol * (2.0 + abs(fpa) + abs(fpb))
     tail_val, tail_err = _tail_integral(part.tail, f, slope, T)
     return _TWO_PI * (q + tail_val), _TWO_PI * (q_err + tail_err)
 
 
-def total_curvature(profile: CurvatureProfile, f: WarpingSolution,
-                    tol: float) -> TotalCurvatureResult:
+def total_curvature(profile: CurvatureProfile,
+                    f: WarpingSolution) -> TotalCurvatureResult:
     """Total curvature of the surface with curvature ``profile`` and
     warping function ``f``.
 
-    ``f`` must be first-zero free and must reach the tail regime
-    (f.t_end >= profile tail start).  ``tol`` is the absolute target for
-    the finite value; half is spent on quadrature, half on the analytic
-    tail estimate.
+    ``f`` must solve the Jacobi equation of ``profile``, be first-zero
+    free and reach the tail regime (f.t_end >= profile tail start).  The
+    error of the finite part is the solve's error scale at each stretch
+    end; the analytic tail remainder adds its own propagated error.
     """
     if f.first_zero is not None:
         raise ValueError(
             "warping function has a zero; total curvature needs a "
             "noncompact model"
+        )
+    if f.profile != profile:
+        raise ValueError(
+            "warping function solves a different curvature profile"
         )
     T = f.t_end
     if T < profile.t_tail:
@@ -181,20 +184,19 @@ def total_curvature(profile: CurvatureProfile, f: WarpingSolution,
         )
     pos = positive_part(profile)
     neg = negative_part(profile)
-    pos_div = _tail_diverges(pos.tail, positive_side=True)
-    neg_div = _tail_diverges(neg.tail, positive_side=False)
+    pos_div = not tail_moment_finite(pos.tail)
+    neg_div = not tail_moment_finite(neg.tail)
 
     slope = slope_limit(f) if not (pos_div and neg_div) else None
-    quad_tol = tol / (8.0 * math.pi)
 
     if pos_div:
         c_plus, e_plus = math.inf, math.inf
     else:
-        c_plus, e_plus = _signed_contribution(pos, f, slope, T, quad_tol)
+        c_plus, e_plus = _signed_contribution(pos, f, slope, T)
     if neg_div:
         c_minus, e_minus = -math.inf, math.inf
     else:
-        c_minus, e_minus = _signed_contribution(neg, f, slope, T, quad_tol)
+        c_minus, e_minus = _signed_contribution(neg, f, slope, T)
 
     if neg_div:
         return TotalCurvatureResult(CurvatureClass.NEGATIVE_DIVERGENT,
@@ -205,6 +207,24 @@ def total_curvature(profile: CurvatureProfile, f: WarpingSolution,
     return TotalCurvatureResult(CurvatureClass.FINITE,
                                 c_plus + c_minus, e_plus + e_minus,
                                 c_plus, c_minus)
+
+
+def probe_limit(probes: list[float],
+                divergence_threshold: float = DIVERGENCE_THRESHOLD) -> LimitEstimate:
+    """Limit of a probe sequence taken on a geometric grid, coarse to fine.
+
+    A non-finite probe, or a sequence still rising past the divergence
+    threshold, is reported divergent, keeping the last finite probe;
+    otherwise the sequence is Richardson-extrapolated.
+    """
+    finite = [p for p in probes if math.isfinite(p)]
+    if len(finite) < len(probes):
+        return LimitEstimate.of_divergent(finite[-1] if finite else math.nan)
+    rising = all(b > a for a, b in zip(probes, probes[1:]))
+    if rising and probes[-1] > divergence_threshold:
+        return LimitEstimate.of_divergent(probes[-1])
+    value, err = richardson_limit(probes, ratio=2.0)
+    return LimitEstimate(value=value, err=err)
 
 
 def slope_limit(f: WarpingSolution,
@@ -219,14 +239,7 @@ def slope_limit(f: WarpingSolution,
     """
     T = f.t_end
     probes = [float(f.fp(T / 2.0 ** k)) for k in range(6, -1, -1)]
-    finite = [p for p in probes if math.isfinite(p)]
-    if len(finite) < len(probes):
-        return LimitEstimate.of_divergent(finite[-1] if finite else math.nan)
-    rising = all(b > a for a, b in zip(probes, probes[1:]))
-    if rising and probes[-1] > divergence_threshold:
-        return LimitEstimate.of_divergent(probes[-1])
-    value, err = richardson_limit(probes, ratio=2.0)
-    return LimitEstimate(value=value, err=err)
+    return probe_limit(probes, divergence_threshold)
 
 
 def m_prime_limit(profile: CurvatureProfile, tol: float,
@@ -238,9 +251,9 @@ def m_prime_limit(profile: CurvatureProfile, tol: float,
     nondecreasing and tends to a finite limit exactly when the first
     moment of min(K, 0) converges.  A divergent moment class is reported
     immediately (with a short finite probe for context).  Otherwise the
-    horizon doubles from ``horizon_start`` until |m'(2T) - m'(T)| < tol;
-    the slope at the final horizon is returned, after a consistency check
-    against 1 - c/(2 pi) computed from the (min(K,0), m) surface.
+    horizon doubles from ``horizon_start`` until |m'(2T) - m'(T)| < tol
+    and the slope at the final horizon is returned.  Its error is that
+    last change, but never below the solve's own error scale.
     """
     neg = negative_part(profile)
     ode_tol = min(max(tol * 1e-2, 1e-13), 1e-3)
@@ -248,8 +261,8 @@ def m_prime_limit(profile: CurvatureProfile, tol: float,
         probe = solve(neg, horizon_start, ode_tol)
         return LimitEstimate.of_divergent(float(probe.fp(probe.t_end)))
 
-    # the closing consistency check integrates out to the horizon, so the
-    # horizon must at least reach the tail regime
+    # m' can only settle for good once the horizon is in the tail regime:
+    # before it, a stretch of zero curvature freezes m' for a while
     start = max(horizon_start, neg.t_tail)
     if 2.0 * start > horizon_max:
         raise ConfigurationError(
@@ -276,13 +289,5 @@ def m_prime_limit(profile: CurvatureProfile, tol: float,
                 last_value=mp_full,
             )
         T *= 2.0
-
-    ct = total_curvature(neg, sol, tol)
-    cross = 1.0 - ct.value / _TWO_PI
-    if abs(mp_full - cross) > 10.0 * tol:
-        raise ConvergenceError(
-            f"m' limit {mp_full:.12g} disagrees with 1 - c/(2 pi) = "
-            f"{cross:.12g} beyond 10*tol",
-            last_value=mp_full,
-        )
-    return LimitEstimate(value=mp_full, err=max(diff, abs(mp_full - cross)))
+    return LimitEstimate(value=mp_full,
+                         err=max(diff, ode_tol * (1.0 + abs(mp_full))))

@@ -33,6 +33,7 @@ __all__ = [
     "negative_part",
     "positive_part",
     "tail_moment_class",
+    "tail_moment_finite",
     "constant_profile",
     "zero_profile",
     "power_tail_profile",
@@ -192,6 +193,21 @@ class PowerDecayTail:
 TailModel = Union[ZeroTail, ConstantTail, PowerDecayTail]
 
 
+def tail_moment_finite(tail: TailModel) -> bool:
+    """Whether the integral of t * |K(t)| over the tail regime converges.
+
+    A zero tail converges, a nonzero constant tail diverges, and a power
+    tail converges exactly when it vanishes or its exponent exceeds 2.
+    Since f grows at most linearly, this also decides whether the tail
+    part of a total curvature integral converges.
+    """
+    if isinstance(tail, ZeroTail):
+        return True
+    if isinstance(tail, ConstantTail):
+        return tail.kappa == 0.0
+    return tail.a == 0.0 or tail.p > 2.0
+
+
 class MomentClass(Enum):
     """Convergence class of the first moment of the negative part."""
 
@@ -329,7 +345,7 @@ def _bisect_sign_change(seg: Segment, lo: float, hi: float) -> float:
 
     Plain bisection, driven to floating point resolution (well below the
     1e-12 continuity tolerance even for steep segments); 64 iterations
-    more than suffice from any bracket our scan produces.
+    more than suffice from any bracket inside a segment.
     """
     flo = seg.evaluate(lo)
     for _ in range(64):
@@ -346,37 +362,46 @@ def _bisect_sign_change(seg: Segment, lo: float, hi: float) -> float:
     return 0.5 * (lo + hi)
 
 
-def _sign_change_points(seg: Segment, samples: int = 129) -> list[float]:
-    """Strict sign changes of a segment, located to float resolution.
+def _sign_pieces(seg: Segment) -> list[tuple[float, float, bool]]:
+    """Split a segment at its strict sign changes, located to float
+    resolution, into (lo, hi, positive) pieces.
 
-    Grid values that are exactly zero are skipped: a crossing through a
-    grid point is still bracketed by its nonzero neighbors, while a
-    tangential touch (no sign change) needs no split for min/max
-    clipping, and an identically zero segment has nothing to split.
+    The denominator has no roots on a segment, so every sign change is a
+    real root of the numerator.  The segment ends and the points midway
+    between consecutive roots are probed; each pair of neighbouring
+    probes of opposite sign brackets one crossing, which bisection then
+    polishes, and a piece takes the sign of the probes inside it.  Probes
+    that evaluate to exactly zero are skipped, so a tangential touch (no
+    sign change) gets no cut.  The real parts of all roots are used: a
+    double root can come back as a complex pair, and without it a probe
+    could land on that touch and hide the crossings on both sides.
     """
     if seg.is_zero:
-        return []
-    ts = np.linspace(seg.t_start, seg.t_end, samples)
-    vs = seg.evaluate_array(ts)
-    cuts: list[float] = []
-    prev_sign = 0
+        return [(seg.t_start, seg.t_end, False)]
+    num = np.trim_zeros(np.asarray(seg.num), trim="b")
+    roots = sorted(float(r) for r in npoly.polyroots(num).real
+                   if seg.t_start < r < seg.t_end) if num.size > 1 else []
+    knots = [seg.t_start, *roots, seg.t_end]
+    probes = [seg.t_start, *(0.5 * (a + b) for a, b in zip(knots, knots[1:])),
+              seg.t_end]
+    pieces: list[tuple[float, float, bool]] = []
+    lo = seg.t_start
+    sign = 0
     prev_t = seg.t_start
-    for t, v in zip(ts, vs):
-        v = float(v)
-        sign = (v > 0.0) - (v < 0.0)
-        if sign == 0:
+    for t in probes:
+        v = seg.evaluate(t)
+        probe_sign = (v > 0.0) - (v < 0.0)
+        if probe_sign == 0:
             continue
-        if prev_sign and sign != prev_sign:
-            cuts.append(_bisect_sign_change(seg, prev_t, float(t)))
-        prev_sign, prev_t = sign, float(t)
-    out: list[float] = []
-    for c in cuts:
-        if c <= seg.t_start or c >= seg.t_end:
-            continue
-        if out and c - out[-1] <= 1e-13 * max(1.0, abs(c)):
-            continue
-        out.append(c)
-    return out
+        if sign and probe_sign != sign:
+            c = _bisect_sign_change(seg, prev_t, t)
+            if (seg.t_start < c < seg.t_end
+                    and not (pieces and c - lo <= 1e-13 * max(1.0, abs(c)))):
+                pieces.append((lo, c, sign > 0))
+                lo = c
+        sign, prev_t = probe_sign, t
+    pieces.append((lo, seg.t_end, sign > 0))
+    return pieces
 
 
 def _clip_tail(tail: TailModel, keep_negative: bool) -> TailModel:
@@ -392,11 +417,8 @@ def _clip_tail(tail: TailModel, keep_negative: bool) -> TailModel:
 def _signed_part(profile: CurvatureProfile, keep_negative: bool) -> CurvatureProfile:
     pieces: list[Segment] = []
     for seg in profile.segments:
-        bounds = [seg.t_start, *_sign_change_points(seg), seg.t_end]
-        for lo, hi in zip(bounds, bounds[1:]):
-            mid_value = seg.evaluate(0.5 * (lo + hi))
-            keep = mid_value < 0 if keep_negative else mid_value > 0
-            if keep:
+        for lo, hi, positive in _sign_pieces(seg):
+            if positive != keep_negative:
                 pieces.append(Segment(lo, hi, seg.num, seg.den))
             else:
                 pieces.append(Segment(lo, hi, _ZERO_NUM))
@@ -416,18 +438,12 @@ def positive_part(profile: CurvatureProfile) -> CurvatureProfile:
 def tail_moment_class(profile: CurvatureProfile) -> MomentClass:
     """Decide convergence of the improper integral of t * min(K, 0).
 
-    The decision is analytic, from the tail model of the negative part:
-    a zero (or clipped-away nonnegative) tail converges, a negative
-    constant tail diverges, and a negative power tail converges exactly
-    when its exponent exceeds 2.  The segments contribute a finite amount
-    regardless, being finite-valued on a bounded interval.
+    The decision is analytic, from the tail model of the negative part
+    (see :func:`tail_moment_finite`).  The segments contribute a finite
+    amount regardless, being finite-valued on a bounded interval.
     """
-    tail = negative_part(profile).tail
-    if isinstance(tail, ZeroTail):
-        return MomentClass.FINITE
-    if isinstance(tail, ConstantTail):
-        return MomentClass.DIVERGENT
-    return MomentClass.FINITE if tail.p > 2 else MomentClass.DIVERGENT
+    tail = _clip_tail(profile.tail, keep_negative=True)
+    return MomentClass.FINITE if tail_moment_finite(tail) else MomentClass.DIVERGENT
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 from .asymptotics import LimitEstimate, m_prime_limit
 from .curvature_profile import CurvatureProfile
+from .model_space import check_dimension
 
 __all__ = ["EndsBound", "angle_bound", "packing_bound", "ends_bound"]
 
@@ -60,8 +61,7 @@ def packing_bound(two_lambda: float, n: int) -> float:
     directions: 2 (pi / 2 lambda)**(n-1)."""
     if not (two_lambda > 0.0):
         raise ValueError(f"separation angle must be positive, got {two_lambda}")
-    if int(n) != n or n < 2:
-        raise ValueError(f"dimension must be an integer >= 2, got {n}")
+    check_dimension(n)
     return 2.0 * (math.pi / two_lambda) ** (n - 1)
 
 
@@ -72,8 +72,7 @@ def ends_bound(profile: CurvatureProfile, n: int, tol: float,
     Composes the limit slope, the angle bound and the packing count.  A
     precomputed slope limit can be passed to avoid re-solving.
     """
-    if int(n) != n or n < 2:
-        raise ValueError(f"dimension must be an integer >= 2, got {n}")
+    check_dimension(n)
     ml = m_prime_inf if m_prime_inf is not None else m_prime_limit(profile, tol)
     if ml.divergent:
         return EndsBound(m_prime_inf=ml, two_lambda=0.0,

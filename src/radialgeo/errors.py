@@ -20,10 +20,6 @@ class IntegrationError(RadialGeoError):
         self.t_reached = t_reached
 
 
-class QuadratureError(RadialGeoError):
-    """Adaptive quadrature exhausted its panel budget."""
-
-
 class ConfigurationError(RadialGeoError):
     """Inputs are individually valid but mutually inconsistent, e.g. a
     solution window that ends before the tail regime starts."""

@@ -101,27 +101,9 @@ class WarpingSolution:
         j = np.clip(np.searchsorted(ts, t_arr, side="right") - 1, 0, len(ts) - 2)
         h = ts[j + 1] - ts[j]
         s = np.clip((t_arr - ts[j]) / h, 0.0, 1.0)
-        y0, y1 = self.fs[j], self.fs[j + 1]
-        d0, d1 = self.fps[j] * h, self.fps[j + 1] * h
-        a0, a1 = self.d2_left[j] * h * h, self.d2_right[j] * h * h
-        s2 = s * s
-        s3 = s2 * s
-        s4 = s3 * s
-        s5 = s4 * s
-        if not derivative:
-            out = (y0 * (1.0 - 10.0 * s3 + 15.0 * s4 - 6.0 * s5)
-                   + d0 * (s - 6.0 * s3 + 8.0 * s4 - 3.0 * s5)
-                   + a0 * 0.5 * (s2 - 3.0 * s3 + 3.0 * s4 - s5)
-                   + y1 * (10.0 * s3 - 15.0 * s4 + 6.0 * s5)
-                   + d1 * (-4.0 * s3 + 7.0 * s4 - 3.0 * s5)
-                   + a1 * 0.5 * (s3 - 2.0 * s4 + s5))
-        else:
-            out = (y0 * (-30.0 * s2 + 60.0 * s3 - 30.0 * s4)
-                   + d0 * (1.0 - 18.0 * s2 + 32.0 * s3 - 15.0 * s4)
-                   + a0 * 0.5 * (2.0 * s - 9.0 * s2 + 12.0 * s3 - 5.0 * s4)
-                   + y1 * (30.0 * s2 - 60.0 * s3 + 30.0 * s4)
-                   + d1 * (-12.0 * s2 + 28.0 * s3 - 15.0 * s4)
-                   + a1 * 0.5 * (3.0 * s2 - 8.0 * s3 + 5.0 * s4)) / h
+        out = _hermite(h, self.fs[j], self.fps[j], self.d2_left[j],
+                       self.fs[j + 1], self.fps[j + 1], self.d2_right[j],
+                       s, derivative)
         return out if isinstance(t, np.ndarray) else float(out)
 
     def f(self, t):
@@ -133,25 +115,32 @@ class WarpingSolution:
         return self._interp(t, derivative=True)
 
 
-def _hermite_pair(h, y0, d0, a0, y1, d1, a1, s):
-    """Quintic Hermite value and derivative at local coordinate s."""
-    d0h, d1h = d0 * h, d1 * h
-    a0h, a1h = a0 * h * h, a1 * h * h
-    s2, s3 = s * s, s * s * s
-    s4, s5 = s3 * s, s3 * s * s
-    val = (y0 * (1.0 - 10.0 * s3 + 15.0 * s4 - 6.0 * s5)
-           + d0h * (s - 6.0 * s3 + 8.0 * s4 - 3.0 * s5)
-           + a0h * 0.5 * (s2 - 3.0 * s3 + 3.0 * s4 - s5)
-           + y1 * (10.0 * s3 - 15.0 * s4 + 6.0 * s5)
-           + d1h * (-4.0 * s3 + 7.0 * s4 - 3.0 * s5)
-           + a1h * 0.5 * (s3 - 2.0 * s4 + s5))
-    der = (y0 * (-30.0 * s2 + 60.0 * s3 - 30.0 * s4)
-           + d0h * (1.0 - 18.0 * s2 + 32.0 * s3 - 15.0 * s4)
-           + a0h * 0.5 * (2.0 * s - 9.0 * s2 + 12.0 * s3 - 5.0 * s4)
-           + y1 * (30.0 * s2 - 60.0 * s3 + 30.0 * s4)
-           + d1h * (-12.0 * s2 + 28.0 * s3 - 15.0 * s4)
-           + a1h * 0.5 * (3.0 * s2 - 8.0 * s3 + 5.0 * s4)) / h
-    return val, der
+def _hermite(h, y0, d0, a0, y1, d1, a1, s, derivative: bool):
+    """Quintic Hermite interpolant of one step, or its derivative, at the
+    local coordinate s in [0, 1].
+
+    The step has length h and carries value y, slope d and second
+    derivative a at both ends; works on scalars and on arrays alike.
+    """
+    d0, d1 = d0 * h, d1 * h
+    a0, a1 = a0 * h * h, a1 * h * h
+    s2 = s * s
+    s3 = s2 * s
+    s4 = s3 * s
+    s5 = s4 * s
+    if not derivative:
+        return (y0 * (1.0 - 10.0 * s3 + 15.0 * s4 - 6.0 * s5)
+                + d0 * (s - 6.0 * s3 + 8.0 * s4 - 3.0 * s5)
+                + a0 * 0.5 * (s2 - 3.0 * s3 + 3.0 * s4 - s5)
+                + y1 * (10.0 * s3 - 15.0 * s4 + 6.0 * s5)
+                + d1 * (-4.0 * s3 + 7.0 * s4 - 3.0 * s5)
+                + a1 * 0.5 * (s3 - 2.0 * s4 + s5))
+    return (y0 * (-30.0 * s2 + 60.0 * s3 - 30.0 * s4)
+            + d0 * (1.0 - 18.0 * s2 + 32.0 * s3 - 15.0 * s4)
+            + a0 * 0.5 * (2.0 * s - 9.0 * s2 + 12.0 * s3 - 5.0 * s4)
+            + y1 * (30.0 * s2 - 60.0 * s3 + 30.0 * s4)
+            + d1 * (-12.0 * s2 + 28.0 * s3 - 15.0 * s4)
+            + a1 * 0.5 * (3.0 * s2 - 8.0 * s3 + 5.0 * s4)) / h
 
 
 def _locate_zero(t0, h, y0, d0, a0, y1, d1, a1):
@@ -162,7 +151,7 @@ def _locate_zero(t0, h, y0, d0, a0, y1, d1, a1):
     flo = y0 if y0 > 0.0 else 1e-300
     while (hi - lo) * h > 1e-12:
         mid = 0.5 * (lo + hi)
-        fmid, _ = _hermite_pair(h, y0, d0, a0, y1, d1, a1, mid)
+        fmid = _hermite(h, y0, d0, a0, y1, d1, a1, mid, False)
         if fmid == 0.0:
             lo = hi = mid
             break
@@ -171,8 +160,8 @@ def _locate_zero(t0, h, y0, d0, a0, y1, d1, a1):
         else:
             hi = mid
     s = 0.5 * (lo + hi)
-    fz, fpz = _hermite_pair(h, y0, d0, a0, y1, d1, a1, s)
-    return t0 + s * h, fz, fpz
+    return (t0 + s * h, _hermite(h, y0, d0, a0, y1, d1, a1, s, False),
+            _hermite(h, y0, d0, a0, y1, d1, a1, s, True))
 
 
 def solve(profile: CurvatureProfile, t_end: float, tol: float,

@@ -53,7 +53,13 @@ from .errors import (
 )
 from .gallery import entry_by_name, list_gallery
 from .jacobi import solve, solve_m
-from .model_space import GrowthCoefficient, ModelSpace, ball_volumes, growth_coefficient
+from .model_space import (
+    GrowthCoefficient,
+    ModelSpace,
+    ball_volumes,
+    check_dimension,
+    growth_coefficient,
+)
 
 __all__ = [
     "AnalysisOptions",
@@ -108,8 +114,7 @@ class VolumeSamples:
             raise ValueError("sample times must be strictly increasing and positive")
         if any(v <= 0 for v in self.vol):
             raise ValueError("sample volumes must be positive")
-        if int(self.n) != self.n or self.n < 2:
-            raise ValueError(f"dimension must be an integer >= 2, got {self.n}")
+        check_dimension(self.n)
 
     def __len__(self) -> int:
         return len(self.t)
@@ -234,8 +239,7 @@ def evaluate_theorem(profile: CurvatureProfile, n: int,
     (the noncompactness hypothesis fails structurally); other hypothesis
     failures are reported, not raised, so the report can still be written.
     """
-    if int(n) != n or n < 2:
-        raise ValueError(f"dimension must be an integer >= 2, got {n}")
+    check_dimension(n)
     opts = opts or AnalysisOptions()
     warnings: list[str] = []
 
@@ -248,7 +252,7 @@ def evaluate_theorem(profile: CurvatureProfile, n: int,
             f"the analysis window was truncated there"
         )
 
-    tc = total_curvature(profile, f, opts.tol)
+    tc = total_curvature(profile, f)
     sl = slope_limit(f)
     try:
         ml = m_prime_limit(profile, opts.tol)
@@ -502,8 +506,10 @@ def _load_config(path: str) -> tuple[CurvatureProfile, int, AnalysisOptions]:
         raise ConfigurationError(f"config {path} needs a 'profile' object")
     profile = profile_from_dict(data["profile"])
     n = data.get("n")
-    if n is None or int(n) != n or n < 2:
-        raise ConfigurationError(f"config {path} needs an integer 'n' >= 2")
+    try:
+        check_dimension(n)
+    except (TypeError, ValueError):
+        raise ConfigurationError(f"config {path} needs an integer 'n' >= 2") from None
     opts = AnalysisOptions(
         tol=_env_tol(float(data.get("tol", DEFAULT_TOL))),
         t_end=float(data.get("t_end", DEFAULT_T_END)),

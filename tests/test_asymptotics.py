@@ -72,7 +72,7 @@ class TestSlopeLimit:
 class TestTotalCurvature:
     def test_flat_zero(self):
         sol = rg.solve(rg.zero_profile(), 100.0, 1e-10)
-        tc = rg.total_curvature(rg.zero_profile(), sol, 1e-8)
+        tc = rg.total_curvature(rg.zero_profile(), sol)
         assert tc.classification is CurvatureClass.FINITE
         assert tc.value == 0.0
         assert tc.c_plus == 0.0 and tc.c_minus == 0.0
@@ -80,7 +80,7 @@ class TestTotalCurvature:
     def test_hyperbolic_negative_divergent(self):
         prof = rg.constant_profile(-1.0)
         sol = rg.solve(prof, 20.0, 1e-10)
-        tc = rg.total_curvature(prof, sol, 1e-8)
+        tc = rg.total_curvature(prof, sol)
         assert tc.classification is CurvatureClass.NEGATIVE_DIVERGENT
         assert tc.value is None
         assert tc.c_minus == -math.inf
@@ -91,12 +91,12 @@ class TestTotalCurvature:
         prof = rg.power_tail_profile(0.1, 2.0)
         sol = rg.solve(prof, 200.0, 1e-10)
         assert sol.first_zero is None
-        tc = rg.total_curvature(prof, sol, 1e-8)
+        tc = rg.total_curvature(prof, sol)
         assert tc.classification is CurvatureClass.POSITIVE_DIVERGENT
         assert tc.c_plus == math.inf
 
     def test_beta_ln2_is_pi(self, beta_ln2_profile, beta_ln2_solution):
-        tc = rg.total_curvature(beta_ln2_profile, beta_ln2_solution, 1e-8)
+        tc = rg.total_curvature(beta_ln2_profile, beta_ln2_solution)
         assert tc.classification is CurvatureClass.FINITE
         assert tc.value == pytest.approx(math.pi, abs=1e-6)
         assert tc.value == tc.c_plus + tc.c_minus
@@ -104,7 +104,7 @@ class TestTotalCurvature:
 
     def test_abresch_matches_closed_form(self, abresch_profile):
         sol = rg.solve(abresch_profile, 4096.0, 1e-10)
-        tc = rg.total_curvature(abresch_profile, sol, 1e-8)
+        tc = rg.total_curvature(abresch_profile, sol)
         assert tc.value == pytest.approx(TWO_PI * (1.0 - SINH_SQRT6_OVER), abs=1e-6)
         assert tc.c_plus == 0.0
 
@@ -112,12 +112,12 @@ class TestTotalCurvature:
         prof = rg.constant_profile(1.0)
         sol = rg.solve(prof, 4.0, 1e-10)
         with pytest.raises(ValueError):
-            rg.total_curvature(prof, sol, 1e-8)
+            rg.total_curvature(prof, sol)
 
     def test_window_before_tail_rejected(self, beta_ln2_profile):
         sol = rg.solve(beta_ln2_profile, 100.0, 1e-8)
         with pytest.raises(ConfigurationError):
-            rg.total_curvature(beta_ln2_profile, sol, 1e-8)
+            rg.total_curvature(beta_ln2_profile, sol)
 
     def test_slope_identity_on_finite_gallery(self):
         # c = 2 pi (1 - lim f'), since the curvature integral telescopes f'
@@ -125,10 +125,60 @@ class TestTotalCurvature:
                      "sign_changing_beta_neg_ln2"):
             prof = entry_by_name(name).profile
             sol = rg.solve(prof, 4096.0, 1e-8)
-            tc = rg.total_curvature(prof, sol, 1e-8)
+            tc = rg.total_curvature(prof, sol)
             sl = rg.slope_limit(sol)
             budget = max(1e-5, 10.0 * (tc.err + TWO_PI * sl.err))
             assert abs(tc.value - TWO_PI * (1.0 - sl.value)) <= budget, name
+
+
+FINITE_GALLERY = ("flat", "abresch_tail", "sign_changing_beta_ln2",
+                  "sign_changing_beta_neg_ln2")
+
+
+def _quad_part(part, f, slope):
+    """2 pi * integral of part * f by scipy quadrature of the dense output:
+    one quad per solver step on each stretch where the part is nonzero,
+    and the tail on [T, oo) against the linear continuation of f."""
+    quad = pytest.importorskip("scipy.integrate").quad
+    T = f.t_end
+    stretches = [(s.t_start, s.t_end, s) for s in part.segments if not s.is_zero]
+    if not isinstance(part.tail, rg.ZeroTail):
+        stretches.append((part.t_tail, T, part.tail))
+    total = 0.0
+    for a, b, piece in stretches:
+        cuts = [a, *(t for t in f.ts if a < t < b), b]
+        for lo, hi in zip(cuts, cuts[1:]):
+            total += quad(lambda t: piece.evaluate(t) * f.f(t), lo, hi,
+                          epsabs=0.0, epsrel=1e-13, limit=200)[0]
+    if not isinstance(part.tail, rg.ZeroTail):
+        fT = f.f(T)
+        total += quad(lambda t: part.tail.evaluate(t) * (fT + slope * (t - T)),
+                      T, math.inf, epsabs=1e-16, epsrel=1e-13, limit=200)[0]
+    return TWO_PI * total
+
+
+class TestTotalCurvatureOracles:
+    @pytest.mark.parametrize("name", FINITE_GALLERY)
+    def test_parts_match_quadrature(self, name):
+        prof = entry_by_name(name).profile
+        sol = rg.solve(prof, 4096.0, 1e-8)
+        tc = rg.total_curvature(prof, sol)
+        slope = rg.slope_limit(sol).value
+        for value, part in ((tc.c_plus, rg.positive_part(prof)),
+                            (tc.c_minus, rg.negative_part(prof))):
+            assert abs(value - _quad_part(part, sol, slope)) <= tc.err, name
+
+    @pytest.mark.parametrize("name", FINITE_GALLERY)
+    def test_error_bar_covers_closed_form(self, name):
+        entry = entry_by_name(name)
+        sol = rg.solve(entry.profile, 4096.0, 1e-8)
+        tc = rg.total_curvature(entry.profile, sol)
+        assert abs(tc.value - entry.oracle["c"]) <= tc.err, name
+
+    def test_needs_the_matching_solution(self, abresch_profile):
+        sol = rg.solve(rg.zero_profile(), 4096.0, 1e-8)
+        with pytest.raises(ValueError):
+            rg.total_curvature(abresch_profile, sol)
 
 
 class TestMPrimeLimit:
@@ -181,7 +231,7 @@ class TestMPrimeLimit:
             ml = rg.m_prime_limit(prof, tol)
             neg = rg.negative_part(prof)
             msol = rg.solve_m(prof, 65536.0, 1e-12)
-            c_star = rg.total_curvature(neg, msol, 1e-10)
+            c_star = rg.total_curvature(neg, msol)
             assert abs(ml.value - (1.0 - c_star.value / TWO_PI)) <= 10.0 * tol
 
     def test_monotone_in_curvature(self):

@@ -137,6 +137,67 @@ class TestSignedParts:
         assert total == pytest.approx(prof.evaluate(t), abs=1e-12)
 
 
+@st.composite
+def roots_and_touches(draw):
+    """A polynomial segment c * prod (t - r)^m with crossings (m = 1) and
+    tangential touches (m = 2), its roots packed into narrow clusters."""
+    base = draw(st.floats(min_value=0.5, max_value=100.0))
+    roots, mults = [], []
+    r = base
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        roots.append(r)
+        mults.append(draw(st.sampled_from((1, 2))))
+        r += base * draw(st.floats(min_value=1e-5, max_value=0.5))
+    c = draw(st.sampled_from((-1.0, 1.0))) * draw(
+        st.floats(min_value=1e-3, max_value=1e3))
+    coeffs = c * np.polynomial.polynomial.polyfromroots(
+        [x for x, m in zip(roots, mults) for _ in range(m)])
+    t_end = roots[-1] + draw(st.floats(min_value=1e-3, max_value=50.0))
+    seg = Segment(0.0, t_end, tuple(coeffs))
+    return seg, roots
+
+
+class TestExactSignSplit:
+    def test_narrow_dip_inside_one_scan_cell(self):
+        # K = 40 (t - 50)(t - 50.5): both roots fall between two points of
+        # a 129-point grid over [0, 128]
+        seg = Segment(0.0, 128.0, (40.0 * 50.0 * 50.5, -40.0 * 100.5, 40.0))
+        prof = rg.CurvatureProfile((seg,), rg.ZeroTail())
+        neg = rg.negative_part(prof)
+        assert [(s.t_start, s.t_end) for s in neg.segments if not s.is_zero] \
+            == [pytest.approx((50.0, 50.5), abs=1e-12)]
+        assert neg.evaluate(50.25) == pytest.approx(-2.5, rel=1e-12)
+        assert rg.positive_part(prof).evaluate(50.25) == 0.0
+
+    def test_touch_at_midpoint_kept(self):
+        # K = (t - 1)^2 on [0, 2] touches zero exactly at the midpoint
+        prof = rg.CurvatureProfile((Segment(0.0, 2.0, (1.0, -2.0, 1.0)),),
+                                   rg.ZeroTail())
+        assert rg.positive_part(prof).evaluate(0.5) == 0.25
+        assert rg.negative_part(prof).evaluate(0.5) == 0.0
+
+    @given(case=roots_and_touches())
+    @settings(max_examples=300, deadline=None)
+    def test_parts_next_to_roots(self, case):
+        seg, roots = case
+        prof = rg.CurvatureProfile((seg,), rg.ZeroTail())
+        pos, neg = rg.positive_part(prof), rg.negative_part(prof)
+        gaps = [b - a for a, b in zip(roots, roots[1:])] or [roots[0]]
+        for r in roots:
+            for d in (0.0, 1e-9 * r, 1e-6 * r, *(g / k for g in gaps
+                                                 for k in (3.0, 4.0))):
+                for t in (r - d, r + d):
+                    if not 0.0 <= t < seg.t_end:
+                        continue
+                    k = prof.evaluate(t)
+                    p, q = pos.evaluate(t), neg.evaluate(t)
+                    assert p + q == k
+                    # K keeps one sign on each piece up to its rounding
+                    noise = 1e-13 * sum(abs(c) * t ** i
+                                        for i, c in enumerate(seg.num))
+                    assert p >= -noise and q <= noise, (t, k, p, q)
+
+
 class TestMomentClass:
     def test_constant_negative_diverges(self):
         assert rg.tail_moment_class(rg.constant_profile(-1.0)) is MomentClass.DIVERGENT

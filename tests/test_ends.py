@@ -107,6 +107,19 @@ class TestEndsBound:
                            m_prime_inf=finite(2.0))
         assert eb.raw_bound == pytest.approx(8.0, rel=1e-12)
 
+    def test_narrow_dip_is_counted(self):
+        # K = 40 (t - 50)(t - 50.5) is negative only on (50, 50.5), where
+        # m goes from slope 1 to lim m'; that stretch alone is the oracle
+        solve_ivp = pytest.importorskip("scipy.integrate").solve_ivp
+        seg = rg.Segment(0.0, 128.0, (40.0 * 50.0 * 50.5, -40.0 * 100.5, 40.0))
+        prof = rg.CurvatureProfile((seg,), rg.ZeroTail())
+        ref = solve_ivp(lambda t, y: [y[1], -seg.evaluate(t) * y[0]],
+                        (50.0, 50.5), [50.0, 1.0], method="DOP853",
+                        rtol=1e-13, atol=1e-13).y[1, -1]
+        eb = rg.ends_bound(prof, 3, 1e-8)
+        assert eb.m_prime_inf.value == pytest.approx(ref, abs=1e-6)
+        assert eb.integer_bound == math.floor(2.0 * ref ** 2) == 4077
+
     def test_dimension_validated(self):
         with pytest.raises(ValueError):
             rg.ends_bound(rg.zero_profile(), 1, 1e-8)

@@ -46,6 +46,26 @@ def flat_sol():
     return rg.solve(rg.zero_profile(), 64.0, 1e-10)
 
 
+class TestBallVolumeOracle:
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("name", ["sign_changing_beta_ln2", "abresch_tail"])
+    def test_matches_quadrature(self, n, name):
+        quad = pytest.importorskip("scipy.integrate").quad
+        sol = rg.solve(rg.entry_by_name(name).profile, 12.0, 1e-8)
+        ms = rg.ModelSpace(n=n, f=sol)
+        ts = sol.ts
+        radii = sorted([0.0, ts[1], ts[3], ts[3], 0.3 * ts[4] + 0.7 * ts[5],
+                        0.5 * (ts[-3] + ts[-2]), ts[-2], sol.t_end, sol.t_end])
+        got = rg.ball_volumes(ms, radii)
+        for r, v in zip(radii, got):
+            cuts = [0.0, *(t for t in ts if 0.0 < t < r), r]
+            ref = ms.omega * sum(
+                quad(lambda t: sol.f(t) ** (n - 1), lo, hi,
+                     epsabs=0.0, epsrel=1e-13)[0]
+                for lo, hi in zip(cuts, cuts[1:]))
+            assert v == pytest.approx(ref, rel=1e-12, abs=1e-300), (n, r)
+
+
 class TestBallVolume:
     def test_flat_disk(self, flat_sol):
         ms = rg.ModelSpace(n=2, f=flat_sol)
@@ -83,7 +103,7 @@ class TestGrowthCoefficient:
     def test_flat_n2(self):
         sol = rg.solve(rg.zero_profile(), 4096.0, 1e-10)
         ms = rg.ModelSpace(n=2, f=sol)
-        tc = rg.total_curvature(rg.zero_profile(), sol, 1e-8)
+        tc = rg.total_curvature(rg.zero_profile(), sol)
         g = rg.growth_coefficient(ms, tc)
         assert g.direct.value == pytest.approx(PI, rel=1e-9)
         assert g.closed_form.value == pytest.approx(PI, rel=1e-12)
@@ -92,13 +112,13 @@ class TestGrowthCoefficient:
     def test_flat_n3(self):
         sol = rg.solve(rg.zero_profile(), 4096.0, 1e-10)
         ms = rg.ModelSpace(n=3, f=sol)
-        tc = rg.total_curvature(rg.zero_profile(), sol, 1e-8)
+        tc = rg.total_curvature(rg.zero_profile(), sol)
         g = rg.growth_coefficient(ms, tc)
         assert g.direct.value == pytest.approx(4 * PI / 3, rel=1e-9)
         assert g.closed_form.value == pytest.approx(4 * PI / 3, rel=1e-12)
 
     def test_beta_ln2_n2(self, beta_ln2_profile, beta_ln2_solution):
-        tc = rg.total_curvature(beta_ln2_profile, beta_ln2_solution, 1e-8)
+        tc = rg.total_curvature(beta_ln2_profile, beta_ln2_solution)
         ms = rg.ModelSpace(n=2, f=beta_ln2_solution)
         g = rg.growth_coefficient(ms, tc)
         assert g.closed_form.value == pytest.approx(PI / 2, abs=1e-5)
@@ -110,7 +130,7 @@ class TestGrowthCoefficient:
                                         beta_ln2_solution):
         # for n = 2 the coefficient is pi (1 - c/(2 pi)), i.e. the direct
         # area quadrature 2 pi int f over t^2
-        tc = rg.total_curvature(beta_ln2_profile, beta_ln2_solution, 1e-8)
+        tc = rg.total_curvature(beta_ln2_profile, beta_ln2_solution)
         ms = rg.ModelSpace(n=2, f=beta_ln2_solution)
         g = rg.growth_coefficient(ms, tc)
         assert g.closed_form.value == pytest.approx(
@@ -118,7 +138,7 @@ class TestGrowthCoefficient:
 
     def test_coefficient_nonnegative_on_gallery(self, abresch_profile):
         sol = rg.solve(abresch_profile, 4096.0, 1e-8)
-        tc = rg.total_curvature(abresch_profile, sol, 1e-8)
+        tc = rg.total_curvature(abresch_profile, sol)
         for n in (2, 3, 5):
             g = rg.growth_coefficient(rg.ModelSpace(n=n, f=sol), tc)
             assert g.direct.value >= 0.0
@@ -127,7 +147,7 @@ class TestGrowthCoefficient:
     def test_divergent_curvature_routes(self):
         prof = rg.constant_profile(-1.0)
         sol = rg.solve(prof, 4096.0, 1e-8)  # guard-truncated
-        tc = rg.total_curvature(prof, sol, 1e-8)
+        tc = rg.total_curvature(prof, sol)
         g = rg.growth_coefficient(rg.ModelSpace(n=2, f=sol), tc)
         assert g.closed_form.divergent
         assert g.direct.divergent  # exponential growth probes keep rising

@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -338,3 +342,15 @@ class TestCli:
         lines = captured.out.strip().split("\n")
         assert lines[0] == "t,f,fp,m,mp"  # no vol_n for a compact model
         assert float(lines[-1].split(",")[0]) <= math.pi + 1e-9
+
+
+def test_module_entry_point_runs_without_warnings():
+    src = str(Path(rg.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "radialgeo", "gallery", "list"],
+        env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("flat:")
