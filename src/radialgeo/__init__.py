@@ -12,7 +12,6 @@ from .asymptotics import (
     CurvatureClass,
     LimitEstimate,
     TotalCurvatureResult,
-    m_prime_limit,
     slope_limit,
     total_curvature,
 )
@@ -35,7 +34,6 @@ from .curvature_profile import (
 from .ends import EndsBound, angle_bound, ends_bound, packing_bound
 from .errors import (
     ConfigurationError,
-    ConvergenceError,
     GalleryLookupError,
     IngestError,
     IntegrationError,
@@ -70,7 +68,6 @@ __all__ = [
     "AnalysisOptions",
     "ConfigurationError",
     "ConstantTail",
-    "ConvergenceError",
     "CurvatureClass",
     "CurvatureProfile",
     "EndsBound",
@@ -104,7 +101,6 @@ __all__ = [
     "growth_coefficient",
     "ingest_samples",
     "list_gallery",
-    "m_prime_limit",
     "negative_part",
     "packing_bound",
     "positive_part",

@@ -6,8 +6,10 @@ to distinct ends; a packing count of disjoint lambda-balls in the unit
 (n-1)-sphere of directions then caps the number of ends by
 2 (pi / 2 lambda)**(n-1) = 2 (lim m')**(n-1).
 
-A divergent m' limit certifies nothing: the bound is reported as
-inconclusive, never as "infinitely many ends".
+The cap is taken at the upper end of the estimate, lim m' + err, so an
+error in lim m' can never count too few ends.  A divergent m' limit, or
+one that did not settle (err = inf), certifies nothing: the bound is
+reported as inconclusive, never as "infinitely many ends".
 """
 
 from __future__ import annotations
@@ -15,8 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .asymptotics import LimitEstimate, m_prime_limit
-from .curvature_profile import CurvatureProfile
+from .asymptotics import LimitEstimate
 from .model_space import check_dimension
 
 __all__ = ["EndsBound", "angle_bound", "packing_bound", "ends_bound"]
@@ -26,10 +27,11 @@ __all__ = ["EndsBound", "angle_bound", "packing_bound", "ends_bound"]
 class EndsBound:
     """Cap on the number of ends, or an inconclusive marker.
 
-    ``raw_bound`` is the real-valued bound 2 (lim m')**(n-1);
-    ``integer_bound`` floors it, which is sound since end counts are
-    integers.  When the slope limit diverges, ``conclusive`` is False,
-    the angle is reported as 0 and no integer bound is given.
+    ``raw_bound`` is the real-valued bound 2 (lim m')**(n-1) at the
+    central estimate; ``integer_bound`` floors the same bound at the
+    upper end lim m' + err, which is sound since end counts are integers.
+    When that upper end is not finite, ``conclusive`` is False and no
+    integer bound is given; a divergent limit also reports the angle as 0.
     """
 
     m_prime_inf: LimitEstimate
@@ -65,20 +67,22 @@ def packing_bound(two_lambda: float, n: int) -> float:
     return 2.0 * (math.pi / two_lambda) ** (n - 1)
 
 
-def ends_bound(profile: CurvatureProfile, n: int, tol: float,
-               *, m_prime_inf: LimitEstimate | None = None) -> EndsBound:
-    """Bound the number of ends from the curvature profile.
+def ends_bound(m_prime_inf: LimitEstimate, n: int) -> EndsBound:
+    """Bound the number of ends from the limit slope of m.
 
-    Composes the limit slope, the angle bound and the packing count.  A
-    precomputed slope limit can be passed to avoid re-solving.
+    Composes the angle bound and the packing count; ``m_prime_inf`` is
+    ``slope_limit(solve_m(profile, t_end, tol))``.
     """
     check_dimension(n)
-    ml = m_prime_inf if m_prime_inf is not None else m_prime_limit(profile, tol)
+    ml = m_prime_inf
     if ml.divergent:
         return EndsBound(m_prime_inf=ml, two_lambda=0.0,
                          raw_bound=math.inf, integer_bound=None,
                          conclusive=False)
     angle = angle_bound(ml)
-    raw = packing_bound(angle, n)
-    return EndsBound(m_prime_inf=ml, two_lambda=angle, raw_bound=raw,
-                     integer_bound=math.floor(raw), conclusive=True)
+    upper = 2.0 * (max(ml.value, 1.0) + ml.err) ** (n - 1)
+    conclusive = math.isfinite(upper)
+    return EndsBound(m_prime_inf=ml, two_lambda=angle,
+                     raw_bound=packing_bound(angle, n),
+                     integer_bound=math.floor(upper) if conclusive else None,
+                     conclusive=conclusive)

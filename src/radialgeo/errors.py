@@ -25,14 +25,6 @@ class ConfigurationError(RadialGeoError):
     solution window that ends before the tail regime starts."""
 
 
-class ConvergenceError(RadialGeoError):
-    """A limit probe did not settle within its horizon budget."""
-
-    def __init__(self, message: str, last_value: float | None = None):
-        super().__init__(message)
-        self.last_value = last_value
-
-
 class ModelCompactnessError(RadialGeoError):
     """The warping function vanished at a positive time, so the comparison
     space is compact and the noncompactness hypothesis fails."""

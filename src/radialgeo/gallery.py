@@ -26,7 +26,9 @@ Families:
   matched at the junction (the exact far tail is -2b/t^4 + O(t^-6), so
   the substitution perturbs the total curvature only at O(4096^-3)).
 * ``moment_boundary``: K = -1/(1+t)^2, the edge case whose negative
-  first moment just diverges; m' grows without bound (like t^0.618).
+  first moment just diverges; f = m = ((1+t)^phi - (1+t)^(1-phi))/sqrt5
+  with phi the golden ratio, so f' and m' grow without bound (like
+  t^0.618).
 """
 
 from __future__ import annotations
@@ -156,7 +158,8 @@ def _entries() -> list[GalleryEntry]:
         GalleryEntry(
             name="moment_boundary",
             profile=power_tail_profile(-1.0, 2.0),
-            oracle={"c": "divergent", "m_prime_inf": "divergent"},
+            oracle={"c": "divergent", "slope_limit": "divergent",
+                    "m_prime_inf": "divergent"},
             notes="f = ((1+t)^phi - (1+t)^(1-phi))/sqrt5 with phi the golden "
                   "ratio; the negative first moment diverges logarithmically",
         ),

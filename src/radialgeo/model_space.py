@@ -23,12 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .asymptotics import (
-    CurvatureClass,
-    LimitEstimate,
-    TotalCurvatureResult,
-    probe_limit,
-)
+from ._extrapolation import richardson_limit
+from .asymptotics import CurvatureClass, LimitEstimate, TotalCurvatureResult
 from .jacobi import WarpingSolution
 
 __all__ = ["ModelSpace", "GrowthCoefficient", "check_dimension",
@@ -136,13 +132,23 @@ class GrowthCoefficient:
 
 def growth_coefficient(ms: ModelSpace,
                        c: TotalCurvatureResult) -> GrowthCoefficient:
-    """Asymptotic volume growth coefficient of the model space."""
+    """Asymptotic volume growth coefficient of the model space.
+
+    The direct route Richardson-extrapolates vol B_t / t^n at t = T/2^k,
+    k = 6..0.  It is divergent when the negative part of c diverges, or
+    when a probe is not finite; it then keeps the last finite probe.
+    """
     T = ms.f.t_end
     radii = [T / 2.0 ** k for k in range(6, -1, -1)]
     volumes = _volumes_at(ms, radii)
     probes = [v / t ** ms.n for v, t in zip(volumes, radii)]
 
-    direct = probe_limit(probes)
+    finite = [p for p in probes if math.isfinite(p)]
+    if (c.classification is CurvatureClass.NEGATIVE_DIVERGENT
+            or len(finite) < len(probes)):
+        direct = LimitEstimate.of_divergent(finite[-1] if finite else math.nan)
+    else:
+        direct = LimitEstimate(*richardson_limit(probes, ratio=2.0))
 
     if c.classification is CurvatureClass.FINITE:
         # Cohn-Vossen keeps c <= 2 pi for genuine model surfaces; clamp

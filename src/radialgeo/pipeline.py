@@ -27,14 +27,13 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 from .asymptotics import (
     CurvatureClass,
     LimitEstimate,
     TotalCurvatureResult,
-    m_prime_limit,
     slope_limit,
     total_curvature,
 )
@@ -46,7 +45,6 @@ from .curvature_profile import (
 from .ends import EndsBound, ends_bound
 from .errors import (
     ConfigurationError,
-    ConvergenceError,
     IngestError,
     ModelCompactnessError,
     RadialGeoError,
@@ -254,16 +252,17 @@ def evaluate_theorem(profile: CurvatureProfile, n: int,
 
     tc = total_curvature(profile, f)
     sl = slope_limit(f)
-    try:
-        ml = m_prime_limit(profile, opts.tol)
-    except ConvergenceError as exc:
-        ml = LimitEstimate.of_divergent(
-            exc.last_value if exc.last_value is not None else math.nan)
-        warnings.append(f"m' limit did not settle: {exc}")
+    m = solve_m(profile, opts.t_end, opts.tol)
+    ml = slope_limit(m)
+    if not (ml.divergent or math.isfinite(ml.err)):
+        warnings.append(
+            f"m' limit did not settle: the tail bracket at t = {m.t_end:.6g} "
+            f"does not bound it"
+        )
 
     ms = ModelSpace(n=n, f=f)
     growth = growth_coefficient(ms, tc)
-    eb = ends_bound(profile, n, opts.tol, m_prime_inf=ml)
+    eb = ends_bound(ml, n)
 
     ratio_limit = None
     bg_ratios = None
@@ -484,14 +483,19 @@ def report_to_json(report: TheoremReport) -> str:
 # CLI
 
 
-def _env_tol(tol: float) -> float:
+def _env_tol(opts: AnalysisOptions) -> tuple[AnalysisOptions, str | None]:
+    """Apply the RADIALGEO_TOL override to ``opts``; also returns the
+    report warning that names it, or None when the variable is unset."""
     raw = os.environ.get("RADIALGEO_TOL")
     if raw is None:
-        return tol
+        return opts, None
     try:
-        return float(raw)
+        tol = float(raw)
     except ValueError as exc:
         raise ConfigurationError(f"RADIALGEO_TOL is not a float: {raw!r}") from exc
+    return (replace(opts, tol=tol),
+            f"tolerance {tol:g} set by the environment variable "
+            f"RADIALGEO_TOL={raw}")
 
 
 def _load_config(path: str) -> tuple[CurvatureProfile, int, AnalysisOptions]:
@@ -511,7 +515,7 @@ def _load_config(path: str) -> tuple[CurvatureProfile, int, AnalysisOptions]:
     except (TypeError, ValueError):
         raise ConfigurationError(f"config {path} needs an integer 'n' >= 2") from None
     opts = AnalysisOptions(
-        tol=_env_tol(float(data.get("tol", DEFAULT_TOL))),
+        tol=float(data.get("tol", DEFAULT_TOL)),
         t_end=float(data.get("t_end", DEFAULT_T_END)),
     )
     return profile, int(n), opts
@@ -527,8 +531,11 @@ def _emit(text: str, out_path: str | None) -> None:
 
 def _run_analysis(profile: CurvatureProfile, n: int, opts: AnalysisOptions,
                   samples_path: str | None, out_path: str | None) -> int:
+    opts, note = _env_tol(opts)
     samples = ingest_samples(samples_path, n) if samples_path else None
     report = evaluate_theorem(profile, n, opts, samples)
+    if note is not None:
+        report.warnings.append(note)
     _emit(report_to_json(report), out_path)
     return 0 if report.hypothesis_ok else 1
 
@@ -540,6 +547,7 @@ def _cmd_analyze(args) -> int:
 
 def _cmd_tabulate(args) -> int:
     profile, n, opts = _load_config(args.config)
+    opts, _ = _env_tol(opts)
     if args.t_max <= 0 or args.step <= 0:
         raise ConfigurationError("--t-max and --step must be positive")
     f = solve(profile, args.t_max, opts.tol)
@@ -585,7 +593,7 @@ def _cmd_gallery_list(_args) -> int:
 
 def _cmd_gallery_analyze(args) -> int:
     entry = entry_by_name(args.name)
-    opts = AnalysisOptions(tol=_env_tol(args.tol), t_end=args.t_end)
+    opts = AnalysisOptions(tol=args.tol, t_end=args.t_end)
     return _run_analysis(entry.profile, args.n, opts, args.samples, args.out)
 
 

@@ -23,6 +23,12 @@ def random_linear_profile(rng: np.random.Generator,
     return rg.CurvatureProfile(tuple(segments), rg.ZeroTail())
 
 
+def m_prime_limit(profile: rg.CurvatureProfile, tol: float) -> rg.LimitEstimate:
+    """lim m' as evaluate_theorem computes it: one solve of m on the
+    default analysis window, then its slope limit."""
+    return rg.slope_limit(rg.solve_m(profile, 4096.0, tol))
+
+
 @pytest.fixture(scope="session")
 def beta_ln2_profile():
     return entry_by_name("sign_changing_beta_ln2").profile

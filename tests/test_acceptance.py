@@ -17,7 +17,7 @@ from radialgeo.curvature_profile import MomentClass
 from radialgeo.gallery import abresch_f, entry_by_name
 from radialgeo.pipeline import VolumeSamples, cli_main, evaluate_theorem
 
-from conftest import random_linear_profile
+from conftest import m_prime_limit, random_linear_profile
 
 PI = math.pi
 TWO_PI = 2.0 * math.pi
@@ -81,7 +81,7 @@ def test_criterion_3_identity_suite():
             budget = max(1e-5, 10.0 * (tc.err + TWO_PI * sl.err))
             assert abs(tc.value - TWO_PI * (1.0 - sl.value)) <= budget, name
 
-            ml = rg.m_prime_limit(profile, tol)
+            ml = m_prime_limit(profile, tol)
             msol = rg.solve_m(profile, 65536.0, 1e-12)
             c_star = rg.total_curvature(rg.negative_part(profile), msol)
             assert abs(ml.value - (1.0 - c_star.value / TWO_PI)) <= 10.0 * tol, name
@@ -115,20 +115,20 @@ def test_criterion_5_divergence_handling(capsys):
         sol = rg.solve(hyper, 4096.0, 1e-8)
         tc = rg.total_curvature(hyper, sol)
         assert tc.classification is rg.CurvatureClass.NEGATIVE_DIVERGENT
-        assert rg.m_prime_limit(hyper, 1e-8).divergent
+        assert m_prime_limit(hyper, 1e-8).divergent
         assert cli_main(["gallery", "analyze", "hyperbolic", "-n", "2"]) == 1
         capsys.readouterr()  # swallow the report the CLI printed
 
         boundary = entry_by_name("moment_boundary").profile
         assert rg.tail_moment_class(boundary) is MomentClass.DIVERGENT
-        assert rg.m_prime_limit(boundary, 1e-8).divergent
+        assert m_prime_limit(boundary, 1e-8).divergent
 
 
 def test_criterion_6_ends_bound():
     with criterion(6, "ends bound: flat value and composition identity"):
         for profile in (rg.zero_profile(), rg.constant_profile(1.0)):
             for n in range(2, 7):
-                eb = rg.ends_bound(profile, n, 1e-8)
+                eb = rg.ends_bound(m_prime_limit(profile, 1e-8), n)
                 assert eb.raw_bound == 2.0
                 assert eb.integer_bound == 2
         for x in (1.0, 1.5, 2.0, 10.0):

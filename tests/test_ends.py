@@ -6,6 +6,8 @@ from hypothesis import given, settings, strategies as st
 import radialgeo as rg
 from radialgeo.asymptotics import LimitEstimate
 
+from conftest import m_prime_limit
+
 PI = math.pi
 
 
@@ -72,39 +74,38 @@ class TestComposition:
 class TestEndsBound:
     def test_flat_every_dimension(self):
         for n in range(2, 7):
-            eb = rg.ends_bound(rg.zero_profile(), n, 1e-8)
+            eb = rg.ends_bound(m_prime_limit(rg.zero_profile(), 1e-8), n)
             assert eb.conclusive
             assert eb.raw_bound == 2.0
             assert eb.integer_bound == 2
             assert eb.two_lambda == pytest.approx(PI, rel=1e-15)
 
     def test_positive_curvature_still_two(self):
-        eb = rg.ends_bound(rg.constant_profile(1.0), 4, 1e-8)
+        eb = rg.ends_bound(m_prime_limit(rg.constant_profile(1.0), 1e-8), 4)
         assert eb.raw_bound == 2.0
 
     def test_divergent_is_inconclusive(self):
-        eb = rg.ends_bound(rg.constant_profile(-1.0), 3, 1e-8)
+        eb = rg.ends_bound(m_prime_limit(rg.constant_profile(-1.0), 1e-8), 3)
         assert not eb.conclusive
         assert eb.two_lambda == 0.0
         assert eb.integer_bound is None
         assert math.isinf(eb.raw_bound)
 
     def test_arithmetic_example(self):
-        eb = rg.ends_bound(rg.power_tail_profile(-6.0, 4.0), 3, 1e-8)
+        eb = rg.ends_bound(m_prime_limit(rg.power_tail_profile(-6.0, 4.0), 1e-8), 3)
         expected = 2.0 * (math.sinh(math.sqrt(6.0)) / math.sqrt(6.0)) ** 2
         assert eb.raw_bound == pytest.approx(expected, rel=1e-6)
         assert eb.integer_bound == math.floor(eb.raw_bound)
         assert eb.integer_bound >= 2
 
     def test_monotone_in_tail_depth(self):
-        deep = rg.ends_bound(rg.power_tail_profile(-6.0, 4.0), 3, 1e-8)
-        shallow = rg.ends_bound(rg.power_tail_profile(-3.0, 4.0), 3, 1e-8)
+        deep = rg.ends_bound(m_prime_limit(rg.power_tail_profile(-6.0, 4.0), 1e-8), 3)
+        shallow = rg.ends_bound(m_prime_limit(rg.power_tail_profile(-3.0, 4.0), 1e-8), 3)
         assert deep.m_prime_inf.value > shallow.m_prime_inf.value
         assert deep.raw_bound > shallow.raw_bound >= 2.0
 
     def test_reuses_precomputed_limit(self):
-        eb = rg.ends_bound(rg.zero_profile(), 3, 1e-8,
-                           m_prime_inf=finite(2.0))
+        eb = rg.ends_bound(finite(2.0), 3)
         assert eb.raw_bound == pytest.approx(8.0, rel=1e-12)
 
     def test_narrow_dip_is_counted(self):
@@ -116,10 +117,23 @@ class TestEndsBound:
         ref = solve_ivp(lambda t, y: [y[1], -seg.evaluate(t) * y[0]],
                         (50.0, 50.5), [50.0, 1.0], method="DOP853",
                         rtol=1e-13, atol=1e-13).y[1, -1]
-        eb = rg.ends_bound(prof, 3, 1e-8)
+        eb = rg.ends_bound(m_prime_limit(prof, 1e-8), 3)
         assert eb.m_prime_inf.value == pytest.approx(ref, abs=1e-6)
         assert eb.integer_bound == math.floor(2.0 * ref ** 2) == 4077
 
     def test_dimension_validated(self):
         with pytest.raises(ValueError):
-            rg.ends_bound(rg.zero_profile(), 1, 1e-8)
+            rg.ends_bound(finite(1.0), 1)
+
+    def test_cap_at_upper_end_of_limit(self):
+        # the true limit may lie anywhere up to value + err; just below
+        # sqrt 2 the central bound 2 (lim m')^2 floors to 3 ends
+        eb = rg.ends_bound(LimitEstimate(math.sqrt(2.0) - 1e-12, 1e-9), 3)
+        assert eb.raw_bound < 4.0
+        assert eb.integer_bound == 4
+
+    def test_unsettled_limit_is_inconclusive(self):
+        eb = rg.ends_bound(LimitEstimate(1.5, math.inf), 3)
+        assert not eb.conclusive
+        assert eb.integer_bound is None
+        assert eb.raw_bound == pytest.approx(4.5, rel=1e-12)

@@ -10,6 +10,7 @@ import pytest
 
 import radialgeo as rg
 from radialgeo.errors import ConfigurationError, IngestError
+from radialgeo.gallery import entry_by_name
 from radialgeo.pipeline import (
     AnalysisOptions,
     VolumeSamples,
@@ -17,6 +18,7 @@ from radialgeo.pipeline import (
     cli_main,
     evaluate_theorem,
     ingest_samples,
+    report_to_dict,
     report_to_json,
 )
 
@@ -205,6 +207,34 @@ class TestEvaluateTheorem:
         with pytest.raises(ValueError):
             evaluate_theorem(rg.zero_profile(), 1)
 
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_moment_boundary_limits_diverge(self, n):
+        rep = evaluate_theorem(entry_by_name("moment_boundary").profile, n)
+        assert rep.slope_limit.divergent
+        assert rep.growth.direct.divergent
+        assert rep.m_prime_limit.divergent
+
+    def test_slow_tail_did_not_settle(self):
+        # K = -1/(1+t)^2.05 has a finite moment, but at T = 4096 the tail
+        # bracket has 1 + a J1 < 0 and cannot bound lim m'
+        rep = evaluate_theorem(rg.power_tail_profile(-1.0, 2.05), 3)
+        data = json.loads(report_to_json(rep))
+        assert data["m_prime_limit"]["divergent"] is False
+        assert data["m_prime_limit"]["value"] > 1.0
+        assert data["m_prime_limit"]["err"] is None
+        assert any("m' limit did not settle" in w for w in rep.warnings)
+        assert data["ends_bound"]["conclusive"] is False
+        assert data["ends_bound"]["integer_bound"] is None
+
+        def floats(obj):
+            if isinstance(obj, dict):
+                obj = list(obj.values())
+            if isinstance(obj, list):
+                return [x for item in obj for x in floats(item)]
+            return [obj] if isinstance(obj, float) else []
+
+        assert not any(math.isnan(x) for x in floats(report_to_dict(rep)))
+
 
 class TestReportJson:
     def test_deterministic_bytes(self):
@@ -313,6 +343,7 @@ class TestCli:
         assert rc == 0
         data = json.loads(capsys.readouterr().out)
         assert data["inputs"]["tol"] == 1e-6
+        assert any("RADIALGEO_TOL=1e-6" in w for w in data["warnings"])
 
     def test_tabulate(self, tmp_path, flat_config):
         out = tmp_path / "table.csv"
