@@ -3,7 +3,7 @@
 A profile is piecewise-analytic data for a radial curvature function
 K(t): polynomial or rational segments on [0, t_tail), then one of three
 analytic tails (zero, constant, power decay).  This demo builds a few,
-splits them into positive and negative parts, and classifies the
+splits them into positive and negative parts, and decides the
 convergence of the negative first moment, which is the quantity that
 decides whether the comparison machinery downstream can say anything.
 """
@@ -44,17 +44,21 @@ for t in ts:
 
 print()
 print("=" * 72)
-print("3. moment classification decides the analysis downstream")
+print("3. the tail decides whether the negative first moment converges")
 print("=" * 72)
 
+# Segments are bounded on a bounded interval, so only the tail of min(K, 0)
+# can make the integral of t * min(K, 0) diverge; tail_moment_finite
+# decides it from the tail model alone, never by probing the integral.
 for name, prof in [
     ("K = -1 (constant)        ", rg.constant_profile(-1.0)),
     ("K = -1/(1+t)^3           ", rg.power_tail_profile(-1.0, 3.0)),
     ("K = -1/(1+t)^2 (boundary)", rg.power_tail_profile(-1.0, 2.0)),
     ("K = +5/(1+t)             ", rg.power_tail_profile(5.0, 1.0)),
 ]:
-    klass = rg.tail_moment_class(prof)
-    print(f"{name} -> first moment of min(K,0): {klass.value}")
+    finite = rg.tail_moment_finite(rg.negative_part(prof).tail)
+    print(f"{name} -> first moment of min(K,0): "
+          f"{'finite' if finite else 'divergent'}")
 
 print()
 print("=" * 72)

@@ -21,7 +21,7 @@ for entry in rg.list_gallery():
     if entry.name == "spherical":
         continue  # compact model, excluded by the noncompactness hypothesis
     sol = rg.solve(entry.profile, 4096.0, 1e-8)
-    tc = rg.total_curvature(entry.profile, sol)
+    tc = rg.total_curvature(sol)
     if tc.is_finite:
         oracle = entry.oracle.get("c")
         extra = f" (oracle {oracle:+.6f})" if isinstance(oracle, float) else ""
@@ -38,7 +38,7 @@ for name in ("flat", "abresch_tail", "sign_changing_beta_ln2",
              "sign_changing_beta_neg_ln2"):
     prof = rg.entry_by_name(name).profile
     sol = rg.solve(prof, 4096.0, 1e-8)
-    tc = rg.total_curvature(prof, sol)
+    tc = rg.total_curvature(sol)
     sl = rg.slope_limit(sol)
     print(f"{name:28s} lim f' = {sl.value:.9f}  "
           f"c - 2pi(1 - lim f') = {tc.value - TWO_PI * (1 - sl.value):+.2e}")
@@ -70,7 +70,7 @@ print("=" * 72)
 prof = rg.entry_by_name("abresch_tail").profile
 ml = rg.slope_limit(rg.solve_m(prof, 4096.0, 1e-8))
 msol = rg.solve_m(prof, 65536.0, 1e-12)
-c_star = rg.total_curvature(rg.negative_part(prof), msol)
+c_star = rg.total_curvature(msol)
 print(f"lim m'            = {ml.value:.12f} +- {ml.err:.1e}")
 print(f"closed form       = {math.sinh(math.sqrt(6)) / math.sqrt(6):.12f}")
 print(f"1 - c*/(2 pi)     = {1.0 - c_star.value / TWO_PI:.12f}")

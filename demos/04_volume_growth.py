@@ -47,7 +47,7 @@ for name, n in (("flat", 2), ("flat", 3), ("abresch_tail", 2),
                 ("sign_changing_beta_ln2", 2), ("sign_changing_beta_ln2", 3)):
     prof = rg.entry_by_name(name).profile
     sol = rg.solve(prof, 4096.0, 1e-8)
-    tc = rg.total_curvature(prof, sol)
+    tc = rg.total_curvature(sol)
     g = rg.growth_coefficient(rg.ModelSpace(n=n, f=sol), tc)
     print(f"{name:28s} {n:2d} {g.direct.value:12.8f} "
           f"{g.closed_form.value:12.8f} {g.discrepancy:9.2e}")

@@ -35,7 +35,7 @@ report = evaluate_theorem(entry.profile, 3, opts, samples)
 print(f"total curvature          c = {report.total_curvature.value:+.6f}")
 print(f"slope limit                = {report.slope_limit.value:.6f}")
 print(f"m' limit                   = {report.m_prime_limit.value:.6f}")
-print(f"model growth coefficient   = {report.growth.direct.value:.6f}")
+print(f"model growth (closed form) = {report.growth.closed_form.value:.6f}")
 print(f"volume ratio limit         = {report.ratio_limit.value:.6f}")
 print(f"manifold growth limit      = {report.manifold_growth_limit.value:.6f}")
 print(f"ends bound                 = {report.ends.integer_bound} "

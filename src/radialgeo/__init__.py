@@ -18,7 +18,6 @@ from .asymptotics import (
 from .curvature_profile import (
     ConstantTail,
     CurvatureProfile,
-    MomentClass,
     PowerDecayTail,
     Segment,
     ZeroTail,
@@ -28,7 +27,7 @@ from .curvature_profile import (
     power_tail_profile,
     profile_from_dict,
     profile_to_dict,
-    tail_moment_class,
+    tail_moment_finite,
     zero_profile,
 )
 from .ends import EndsBound, angle_bound, ends_bound, packing_bound
@@ -79,7 +78,6 @@ __all__ = [
     "LimitEstimate",
     "ModelCompactnessError",
     "ModelSpace",
-    "MomentClass",
     "PowerDecayTail",
     "ProfileError",
     "RadialGeoError",
@@ -111,7 +109,7 @@ __all__ = [
     "slope_limit",
     "solve",
     "solve_m",
-    "tail_moment_class",
+    "tail_moment_finite",
     "total_curvature",
     "unit_sphere_volume",
     "zero_profile",

@@ -7,13 +7,13 @@ from typing import Sequence
 __all__ = ["richardson_limit"]
 
 
-def richardson_limit(values: Sequence[float], ratio: float = 2.0) -> tuple[float, float]:
+def richardson_limit(values: Sequence[float]) -> tuple[float, float]:
     """Accelerate a sequence of probes toward its limit.
 
     ``values`` are ordered coarse to fine: probe k+1 was taken at an
-    effective step ``ratio`` times smaller than probe k (for a limit in
-    1/t, at a time ``ratio`` times larger).  The table eliminates error
-    terms proportional to successive integer powers of the step.
+    effective step half that of probe k (for a limit in 1/t, at twice
+    the time).  The table eliminates error terms proportional to
+    successive integer powers of the step.
 
     Returns (estimate, err) where err is the spread (max minus min) of
     the last three diagonal entries of the table; a sequence that is
@@ -24,7 +24,7 @@ def richardson_limit(values: Sequence[float], ratio: float = 2.0) -> tuple[float
     row = [float(v) for v in values]
     diagonal = [row[-1]]
     for m in range(1, len(values)):
-        factor = ratio ** m
+        factor = 2.0 ** m
         row = [(factor * row[i + 1] - row[i]) / (factor - 1.0)
                for i in range(len(row) - 1)]
         diagonal.append(row[-1])

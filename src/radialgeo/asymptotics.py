@@ -14,13 +14,14 @@ Total curvature splits as c = c_plus + c_minus with
     c_plus  = 2 pi * integral of max(K, 0) * f,
     c_minus = 2 pi * integral of min(K, 0) * f,
 
-each taken over [0, oo).  Each part is a telescoping sum: f'' = -K f, so
-on every stretch where the part equals K its integral is f'(a) - f'(b),
-read from the dense ODE output at the stretch ends (breakpoints and exact
-sign changes), and on the tail regime [t_tail, oo) it is f'(t_tail) - s.
-A tail whose first moment diverges (a constant tail, or a power tail with
-exponent <= 2) makes its side diverge, and the classification then
-short-circuits.
+each taken over [0, oo).  Both are telescoping sums over the sign pieces
+of K, taken in one pass: f'' = -K f, so on a stretch [a, b] where K keeps
+one sign the integral of K f is f'(a) - f'(b), read from the dense ODE
+output at the stretch ends (breakpoints and exact sign changes), and it
+goes to the side of that sign.  The tail regime [t_tail, oo) adds
+f'(t_tail) - s to the side of the tail's own sign, unless its first
+moment diverges (a nonzero constant tail, or a power tail with exponent
+<= 2), which makes that side and the classification divergent.
 """
 
 from __future__ import annotations
@@ -29,14 +30,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .curvature_profile import (
-    CurvatureProfile,
-    PowerDecayTail,
-    ZeroTail,
-    negative_part,
-    positive_part,
-    tail_moment_finite,
-)
+from .curvature_profile import tail_moment_finite
 from .errors import ConfigurationError
 from .jacobi import WarpingSolution
 
@@ -134,10 +128,11 @@ def slope_limit(f: WarpingSolution) -> LimitEstimate:
     if T < f.profile.t_tail:
         return unsettled
     if not tail_moment_finite(tail):
-        return LimitEstimate.of_divergent(x) if tail.evaluate(T) < 0.0 else unsettled
+        return LimitEstimate.of_divergent(x) if tail.sign < 0 else unsettled
     solve_err = f.tol * (1.0 + abs(x))
-    if not isinstance(tail, PowerDecayTail) or tail.a == 0.0:
+    if tail.sign == 0:
         return LimitEstimate(value=x, err=solve_err)
+    # a nonzero tail with a finite moment is a power tail with p > 2
     a, p = tail.a, tail.p
     j0 = (1.0 + T) ** (1.0 - p) / (p - 1.0)
     j1 = (1.0 + T) ** (2.0 - p) / ((p - 1.0) * (p - 2.0))
@@ -149,74 +144,49 @@ def slope_limit(f: WarpingSolution) -> LimitEstimate:
                          err=0.5 * abs(upper - lower) + solve_err)
 
 
-def _signed_contribution(part: CurvatureProfile,
-                         f: WarpingSolution) -> tuple[float, float]:
-    """2 pi * integral of part(t) f(t) dt over [0, oo), with error.
+def total_curvature(f: WarpingSolution) -> TotalCurvatureResult:
+    """Total curvature of the surface whose warping function ``f`` solves
+    the Jacobi equation of ``f.profile``.
 
-    Where the part equals K, the integral of K f over [a, b] is
-    f'(a) - f'(b), and over the tail regime it is f'(t_tail) minus the
-    limit slope; elsewhere the part vanishes.  Each f' read carries the
-    solve's own error scale f.tol * (1 + |f'|), the limit slope its own
-    error.
-    """
-    q, q_err = 0.0, 0.0
-    for seg in part.segments:
-        if not seg.is_zero:
-            fpa, fpb = f.fp(seg.t_start), f.fp(seg.t_end)
-            q += fpa - fpb
-            q_err += f.tol * (2.0 + abs(fpa) + abs(fpb))
-    if not isinstance(part.tail, ZeroTail):
-        fpa, s = f.fp(part.t_tail), slope_limit(f)
-        q += fpa - s.value
-        q_err += f.tol * (1.0 + abs(fpa)) + s.err
-    return _TWO_PI * q, _TWO_PI * q_err
-
-
-def total_curvature(profile: CurvatureProfile,
-                    f: WarpingSolution) -> TotalCurvatureResult:
-    """Total curvature of the surface with curvature ``profile`` and
-    warping function ``f``.
-
-    ``f`` must solve the Jacobi equation of ``profile``, be first-zero
-    free and reach the tail regime (f.t_end >= profile tail start).  The
-    error is the solve's error scale at each stretch end plus the error
-    of the limit slope, which settles the tail regime.
+    ``f`` must be first-zero free and reach the tail regime (f.t_end >=
+    the tail start).  Each sign piece [lo, hi] of K adds f'(lo) - f'(hi)
+    to its side, with the solve's error scale f.tol * (2 + |f'(lo)| +
+    |f'(hi)|); the tail adds f'(t_tail) - lim f' to its side, with the
+    error scale at t_tail plus the error of the limit slope.
     """
     if f.first_zero is not None:
         raise ValueError(
             "warping function has a zero; total curvature needs a "
             "noncompact model"
         )
-    if f.profile != profile:
-        raise ValueError(
-            "warping function solves a different curvature profile"
-        )
+    profile = f.profile
     T = f.t_end
     if T < profile.t_tail:
         raise ConfigurationError(
             f"solution window ends at t = {T:.6g}, before the tail regime "
             f"starting at t = {profile.t_tail:.6g}"
         )
-    pos = positive_part(profile)
-    neg = negative_part(profile)
-    pos_div = not tail_moment_finite(pos.tail)
-    neg_div = not tail_moment_finite(neg.tail)
-
-    if pos_div:
-        c_plus, e_plus = math.inf, math.inf
-    else:
-        c_plus, e_plus = _signed_contribution(pos, f)
-    if neg_div:
-        c_minus, e_minus = -math.inf, math.inf
-    else:
-        c_minus, e_minus = _signed_contribution(neg, f)
-
-    if neg_div:
+    # sums and error sums per side, indexed by "positive": [c_minus, c_plus]
+    q, q_err = [0.0, 0.0], [0.0, 0.0]
+    for seg, lo, hi, positive in profile.sign_pieces():
+        if not seg.is_zero:
+            fpa, fpb = f.fp(lo), f.fp(hi)
+            q[positive] += fpa - fpb
+            q_err[positive] += f.tol * (2.0 + abs(fpa) + abs(fpb))
+    tail = profile.tail
+    finite = tail_moment_finite(tail)
+    if finite and tail.sign:
+        side = tail.sign > 0
+        fpa, s = f.fp(profile.t_tail), slope_limit(f)
+        q[side] += fpa - s.value
+        q_err[side] += f.tol * (1.0 + abs(fpa)) + s.err
+    c_minus, c_plus = _TWO_PI * q[0], _TWO_PI * q[1]
+    if finite:
+        return TotalCurvatureResult(CurvatureClass.FINITE, c_plus + c_minus,
+                                    _TWO_PI * q_err[1] + _TWO_PI * q_err[0],
+                                    c_plus, c_minus)
+    if tail.sign < 0:
         return TotalCurvatureResult(CurvatureClass.NEGATIVE_DIVERGENT,
-                                    None, None, c_plus, c_minus)
-    if pos_div:
-        return TotalCurvatureResult(CurvatureClass.POSITIVE_DIVERGENT,
-                                    None, None, c_plus, c_minus)
-    return TotalCurvatureResult(CurvatureClass.FINITE,
-                                c_plus + c_minus, e_plus + e_minus,
-                                c_plus, c_minus)
+                                    None, None, c_plus, -math.inf)
+    return TotalCurvatureResult(CurvatureClass.POSITIVE_DIVERGENT,
+                                None, None, math.inf, c_minus)

@@ -13,9 +13,8 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass
-from enum import Enum
 from functools import cached_property
-from typing import Union
+from typing import Iterator, Union
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
@@ -29,10 +28,8 @@ __all__ = [
     "PowerDecayTail",
     "TailModel",
     "CurvatureProfile",
-    "MomentClass",
     "negative_part",
     "positive_part",
-    "tail_moment_class",
     "tail_moment_finite",
     "constant_profile",
     "zero_profile",
@@ -43,6 +40,8 @@ __all__ = [
 
 _ZERO_NUM = (0.0,)
 _ONE_DEN = (1.0,)
+# relative (and absolute) gap at which a junction counts as a jump
+_CONTINUITY_TOL = 1e-12
 
 
 def _horner(coeffs: tuple[float, ...], t: float) -> float:
@@ -135,6 +134,8 @@ class Segment:
 class ZeroTail:
     """K(t) = 0 for t >= t_tail."""
 
+    sign = 0
+
     def evaluate(self, t: float) -> float:
         return 0.0
 
@@ -154,6 +155,11 @@ class ConstantTail:
     def __post_init__(self):
         if not math.isfinite(self.kappa):
             raise ProfileError("constant tail value must be finite")
+
+    @property
+    def sign(self) -> int:
+        """Sign of K on the tail: -1, 0 or 1."""
+        return (self.kappa > 0.0) - (self.kappa < 0.0)
 
     def evaluate(self, t: float) -> float:
         return self.kappa
@@ -178,6 +184,11 @@ class PowerDecayTail:
         if self.p <= 0:
             raise ProfileError(f"power tail exponent must be positive, got {self.p}")
 
+    @property
+    def sign(self) -> int:
+        """Sign of K on the tail: -1, 0 or 1."""
+        return (self.a > 0.0) - (self.a < 0.0)
+
     def evaluate(self, t: float) -> float:
         return self.a / (1.0 + t) ** self.p
 
@@ -196,23 +207,12 @@ TailModel = Union[ZeroTail, ConstantTail, PowerDecayTail]
 def tail_moment_finite(tail: TailModel) -> bool:
     """Whether the integral of t * |K(t)| over the tail regime converges.
 
-    A zero tail converges, a nonzero constant tail diverges, and a power
-    tail converges exactly when it vanishes or its exponent exceeds 2.
+    A vanishing tail converges, a nonzero constant tail diverges, and a
+    nonzero power tail converges exactly when its exponent exceeds 2.
     Since f grows at most linearly, this also decides whether the tail
     part of a total curvature integral converges.
     """
-    if isinstance(tail, ZeroTail):
-        return True
-    if isinstance(tail, ConstantTail):
-        return tail.kappa == 0.0
-    return tail.a == 0.0 or tail.p > 2.0
-
-
-class MomentClass(Enum):
-    """Convergence class of the first moment of the negative part."""
-
-    FINITE = "finite"
-    DIVERGENT = "divergent"
+    return tail.sign == 0 or (isinstance(tail, PowerDecayTail) and tail.p > 2.0)
 
 
 @dataclass(frozen=True)
@@ -299,7 +299,18 @@ class CurvatureProfile:
             out[mask] = piece.evaluate_array(ts[mask])
         return out
 
-    def continuity_defects(self, rel_tol: float = 1e-12) -> list[tuple[float, float, float]]:
+    def sign_pieces(self) -> Iterator[tuple[Segment, float, float, bool]]:
+        """The segments split at the strict sign changes of K, in order.
+
+        Yields (segment, lo, hi, positive): K is positive on [lo, hi) when
+        ``positive`` holds, else nonpositive there.  A zero segment is one
+        piece that is not positive.
+        """
+        for seg in self.segments:
+            for lo, hi, positive in _sign_pieces(seg):
+                yield seg, lo, hi, positive
+
+    def continuity_defects(self) -> list[tuple[float, float, float]]:
         """Junctions where left and right values disagree.
 
         Returns (t, left_value, right_value) triples; empty means the
@@ -311,12 +322,13 @@ class CurvatureProfile:
             left = seg.evaluate(t)
             right = (self.segments[i + 1] if i + 1 < len(self.segments)
                      else self.tail).evaluate(t)
-            if not math.isclose(left, right, rel_tol=rel_tol, abs_tol=rel_tol):
+            if not math.isclose(left, right, rel_tol=_CONTINUITY_TOL,
+                                abs_tol=_CONTINUITY_TOL):
                 defects.append((t, left, right))
         return defects
 
-    def is_continuous(self, rel_tol: float = 1e-12) -> bool:
-        return not self.continuity_defects(rel_tol)
+    def is_continuous(self) -> bool:
+        return not self.continuity_defects()
 
 
 def zero_profile() -> CurvatureProfile:
@@ -404,25 +416,13 @@ def _sign_pieces(seg: Segment) -> list[tuple[float, float, bool]]:
     return pieces
 
 
-def _clip_tail(tail: TailModel, keep_negative: bool) -> TailModel:
-    if isinstance(tail, ZeroTail):
-        return tail
-    if isinstance(tail, ConstantTail):
-        keep = tail.kappa < 0 if keep_negative else tail.kappa > 0
-        return tail if keep else ZeroTail()
-    keep = tail.a < 0 if keep_negative else tail.a > 0
-    return tail if keep else ZeroTail()
-
-
 def _signed_part(profile: CurvatureProfile, keep_negative: bool) -> CurvatureProfile:
-    pieces: list[Segment] = []
-    for seg in profile.segments:
-        for lo, hi, positive in _sign_pieces(seg):
-            if positive != keep_negative:
-                pieces.append(Segment(lo, hi, seg.num, seg.den))
-            else:
-                pieces.append(Segment(lo, hi, _ZERO_NUM))
-    return CurvatureProfile(tuple(pieces), _clip_tail(profile.tail, keep_negative))
+    pieces = [Segment(lo, hi, seg.num, seg.den) if positive != keep_negative
+              else Segment(lo, hi, _ZERO_NUM)
+              for seg, lo, hi, positive in profile.sign_pieces()]
+    tail = profile.tail
+    keep_tail = tail.sign == (-1 if keep_negative else 1)
+    return CurvatureProfile(tuple(pieces), tail if keep_tail else ZeroTail())
 
 
 def negative_part(profile: CurvatureProfile) -> CurvatureProfile:
@@ -433,17 +433,6 @@ def negative_part(profile: CurvatureProfile) -> CurvatureProfile:
 def positive_part(profile: CurvatureProfile) -> CurvatureProfile:
     """Pointwise max(K, 0) as a new profile, split at sign changes."""
     return _signed_part(profile, keep_negative=False)
-
-
-def tail_moment_class(profile: CurvatureProfile) -> MomentClass:
-    """Decide convergence of the improper integral of t * min(K, 0).
-
-    The decision is analytic, from the tail model of the negative part
-    (see :func:`tail_moment_finite`).  The segments contribute a finite
-    amount regardless, being finite-valued on a bounded interval.
-    """
-    tail = _clip_tail(profile.tail, keep_negative=True)
-    return MomentClass.FINITE if tail_moment_finite(tail) else MomentClass.DIVERGENT
 
 
 # ---------------------------------------------------------------------------

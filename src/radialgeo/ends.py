@@ -7,9 +7,10 @@ to distinct ends; a packing count of disjoint lambda-balls in the unit
 2 (pi / 2 lambda)**(n-1) = 2 (lim m')**(n-1).
 
 The cap is taken at the upper end of the estimate, lim m' + err, so an
-error in lim m' can never count too few ends.  A divergent m' limit, or
-one that did not settle (err = inf), certifies nothing: the bound is
-reported as inconclusive, never as "infinitely many ends".
+error in lim m' can never count too few ends.  A divergent m' limit, one
+that did not settle (err = inf), or a cap past float range (a large lim
+m' in a high dimension) certifies nothing: the bound is reported as
+inconclusive, never as "infinitely many ends".
 """
 
 from __future__ import annotations
@@ -58,13 +59,21 @@ def angle_bound(m_prime_inf: LimitEstimate) -> float | None:
     return math.pi / max(value, 1.0)
 
 
+def _cap(slope: float, n: int) -> float:
+    """2 slope**(n-1), or inf past float range."""
+    try:
+        return 2.0 * slope ** (n - 1)
+    except OverflowError:
+        return math.inf
+
+
 def packing_bound(two_lambda: float, n: int) -> float:
     """Max number of disjoint lambda-balls in the unit (n-1)-sphere of
-    directions: 2 (pi / 2 lambda)**(n-1)."""
+    directions: 2 (pi / 2 lambda)**(n-1), inf past float range."""
     if not (two_lambda > 0.0):
         raise ValueError(f"separation angle must be positive, got {two_lambda}")
     check_dimension(n)
-    return 2.0 * (math.pi / two_lambda) ** (n - 1)
+    return _cap(math.pi / two_lambda, n)
 
 
 def ends_bound(m_prime_inf: LimitEstimate, n: int) -> EndsBound:
@@ -80,7 +89,7 @@ def ends_bound(m_prime_inf: LimitEstimate, n: int) -> EndsBound:
                          raw_bound=math.inf, integer_bound=None,
                          conclusive=False)
     angle = angle_bound(ml)
-    upper = 2.0 * (max(ml.value, 1.0) + ml.err) ** (n - 1)
+    upper = _cap(max(ml.value, 1.0) + ml.err, n)
     conclusive = math.isfinite(upper)
     return EndsBound(m_prime_inf=ml, two_lambda=angle,
                      raw_bound=packing_bound(angle, n),

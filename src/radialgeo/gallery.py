@@ -82,14 +82,15 @@ class GalleryEntry:
         return ", ".join(parts)
 
 
-def beta_profile(beta: float, segment_end: float = BETA_SEGMENT_END) -> CurvatureProfile:
-    """Exact rational curvature of f = t exp(-beta t^2/(1+t^2))."""
+def beta_profile(beta: float) -> CurvatureProfile:
+    """Exact rational curvature of f = t exp(-beta t^2/(1+t^2)) on
+    [0, BETA_SEGMENT_END), continued by a matched power tail."""
     num = (6.0 * beta, 0.0, 4.0 * beta - 4.0 * beta * beta, 0.0, -2.0 * beta)
     den = (1.0, 0.0, 4.0, 0.0, 6.0, 0.0, 4.0, 0.0, 1.0)  # (1+t^2)^4
-    seg = Segment(0.0, segment_end, num, den)
+    seg = Segment(0.0, BETA_SEGMENT_END, num, den)
     # match the power tail to the segment value at the junction so the
     # profile stays continuous to rounding
-    a = seg.evaluate(segment_end) * (1.0 + segment_end) ** 4
+    a = seg.evaluate(BETA_SEGMENT_END) * (1.0 + BETA_SEGMENT_END) ** 4
     return CurvatureProfile((seg,), PowerDecayTail(a, 4.0))
 
 

@@ -33,8 +33,13 @@ __all__ = ["WarpingSolution", "solve", "solve_m", "GROWTH_GUARD"]
 
 # Reaching this magnitude in f or f' means the model is violently
 # divergent; the window is truncated there instead of overflowing.  The
-# guard leaves room for f**(n-1) in volume integrands up to n = 6.
+# guard leaves room for f**(n-1) in volume integrands up to n = 6.  Beyond
+# that, a volume probe, growth closed form or ends cap can pass float
+# range; each is then reported as not settled (err = inf) or inconclusive.
 GROWTH_GUARD = 1e60
+
+# attempted steps after which a solve gives up
+_MAX_STEPS = 10_000_000
 
 _MIN_TOL, _MAX_TOL = 1e-14, 1e-3
 
@@ -73,7 +78,6 @@ class WarpingSolution:
     """
 
     profile: CurvatureProfile
-    requested_t_end: float
     tol: float
     ts: np.ndarray
     fs: np.ndarray
@@ -164,9 +168,7 @@ def _locate_zero(t0, h, y0, d0, a0, y1, d1, a1):
             _hermite(h, y0, d0, a0, y1, d1, a1, s, True))
 
 
-def solve(profile: CurvatureProfile, t_end: float, tol: float,
-          *, growth_guard: float = GROWTH_GUARD,
-          max_steps: int = 10_000_000) -> WarpingSolution:
+def solve(profile: CurvatureProfile, t_end: float, tol: float) -> WarpingSolution:
     """Integrate f'' + K f = 0 with f(0) = 0, f'(0) = 1 on [0, t_end].
 
     ``tol`` is the requested relative error, used for both the relative
@@ -202,7 +204,7 @@ def solve(profile: CurvatureProfile, t_end: float, tol: float,
     err_prev = 1.0
 
     while t < t_end:
-        if n_steps + n_rejected > max_steps:
+        if n_steps + n_rejected > _MAX_STEPS:
             raise IntegrationError("step budget exhausted", t)
         bound = min(piece_end, t_end)
         # snap to the boundary when the proposal reaches or nearly reaches
@@ -270,7 +272,7 @@ def solve(profile: CurvatureProfile, t_end: float, tol: float,
             break
 
         t, f, fp = t_new, fn, fpn
-        if max(abs(f), abs(fp)) >= growth_guard:
+        if max(abs(f), abs(fp)) >= GROWTH_GUARD:
             truncated = True
             break
 
@@ -290,7 +292,6 @@ def solve(profile: CurvatureProfile, t_end: float, tol: float,
 
     return WarpingSolution(
         profile=profile,
-        requested_t_end=t_end,
         tol=tol,
         ts=np.asarray(ts),
         fs=np.asarray(fs),
@@ -304,15 +305,14 @@ def solve(profile: CurvatureProfile, t_end: float, tol: float,
     )
 
 
-def solve_m(profile: CurvatureProfile, t_end: float, tol: float,
-            **kwargs) -> WarpingSolution:
+def solve_m(profile: CurvatureProfile, t_end: float, tol: float) -> WarpingSolution:
     """Solve m'' + min(K, 0) m = 0, m(0) = 0, m'(0) = 1.
 
     m is convex while positive and starts with slope 1, so it can never
     return to zero; a detected zero would mean the integrator broke and
     is reported as such.
     """
-    sol = solve(negative_part(profile), t_end, tol, **kwargs)
+    sol = solve(negative_part(profile), t_end, tol)
     if sol.first_zero is not None:
         raise IntegrationError(
             "convex comparison function crossed zero; integrator inconsistency",

@@ -9,11 +9,14 @@ with omega_{n-1} the unit (n-1)-sphere volume.  The dense output of f is
 a quintic on each solver step, so the integrand is a polynomial of degree
 5(n-1) there and a Gauss-Legendre rule integrates it exactly, up to
 rounding.  The asymptotic growth
-coefficient lim vol B_t / t^n is computed two independent ways: direct
-extrapolation of ball-volume probes, and the closed form
-(omega_{n-1}/n) (1 - c/(2 pi))**(n-1) from the total curvature c of the
-underlying surface.  Their agreement is a strong end-to-end check and the
-disagreement is reported.
+coefficient lim vol B_t / t^n is computed two independent ways: the
+closed form (omega_{n-1}/n) (1 - c/(2 pi))**(n-1) from the total
+curvature c of the underlying surface, whose error bar comes from the
+closed-form bracket of the tail (see ``asymptotics``) and which is the
+route that certifies; and direct Richardson extrapolation of ball-volume
+probes, an independent check whose disagreement is reported.  A value
+past float range (high dimension, fast growth) did not settle: it has
+err = inf.
 """
 
 from __future__ import annotations
@@ -120,14 +123,34 @@ def ball_volume(ms: ModelSpace, t: float) -> float:
 class GrowthCoefficient:
     """lim vol B_t / t^n by two routes.
 
-    ``direct`` extrapolates ball-volume probes; ``closed_form`` converts
-    the total curvature.  ``discrepancy`` is their absolute difference
-    when both are finite, else None.
+    ``closed_form`` converts the total curvature; ``direct`` extrapolates
+    ball-volume probes.  ``discrepancy`` is their absolute difference
+    when the direct route was extrapolated and the closed form is finite,
+    else None.
     """
 
     direct: LimitEstimate
-    closed_form: LimitEstimate | None
+    closed_form: LimitEstimate
     discrepancy: float | None
+
+
+def _closed_form(ms: ModelSpace, c: TotalCurvatureResult) -> LimitEstimate:
+    """(omega/n) (1 - c/(2 pi))**(n-1), with the error of c carried to
+    first order; a value past float range did not settle."""
+    if not c.is_finite:
+        return LimitEstimate(value=math.inf, err=math.inf, divergent=True)
+    # Cohn-Vossen keeps c <= 2 pi for genuine model surfaces; clamp
+    # numerical overshoot so the base never goes negative
+    base = max(1.0 - c.value / _TWO_PI, 0.0)
+    try:
+        value = ms.omega / ms.n * base ** (ms.n - 1)
+        derr = (ms.omega / ms.n * (ms.n - 1)
+                * base ** (ms.n - 2) * c.err / _TWO_PI)
+    except OverflowError:
+        return LimitEstimate(value=math.inf, err=math.inf)
+    # an unsettled c (err = inf) leaves the value unsettled, also at base 0
+    return LimitEstimate(value=value,
+                         err=derr if math.isfinite(c.err) else math.inf)
 
 
 def growth_coefficient(ms: ModelSpace,
@@ -135,35 +158,31 @@ def growth_coefficient(ms: ModelSpace,
     """Asymptotic volume growth coefficient of the model space.
 
     The direct route Richardson-extrapolates vol B_t / t^n at t = T/2^k,
-    k = 6..0.  It is divergent when the negative part of c diverges, or
-    when a probe is not finite; it then keeps the last finite probe.
+    k = 6..0.  The spread of that extrapolation is no error bound for
+    these probes, so when the closed form is finite the direct error is
+    max(spread, discrepancy + closed-form error).  The direct route is
+    divergent when the negative part of c diverges; when a probe is past
+    float range it did not settle (err = inf).  Either keeps the last
+    finite probe.
     """
     T = ms.f.t_end
     radii = [T / 2.0 ** k for k in range(6, -1, -1)]
     volumes = _volumes_at(ms, radii)
     probes = [v / t ** ms.n for v, t in zip(volumes, radii)]
+    closed = _closed_form(ms, c)
 
     finite = [p for p in probes if math.isfinite(p)]
-    if (c.classification is CurvatureClass.NEGATIVE_DIVERGENT
-            or len(finite) < len(probes)):
-        direct = LimitEstimate.of_divergent(finite[-1] if finite else math.nan)
+    last = finite[-1] if finite else math.inf
+    disc = None
+    if c.classification is CurvatureClass.NEGATIVE_DIVERGENT:
+        direct = LimitEstimate.of_divergent(last)
+    elif len(finite) < len(probes):
+        direct = LimitEstimate(value=last, err=math.inf)
     else:
-        direct = LimitEstimate(*richardson_limit(probes, ratio=2.0))
-
-    if c.classification is CurvatureClass.FINITE:
-        # Cohn-Vossen keeps c <= 2 pi for genuine model surfaces; clamp
-        # numerical overshoot so the base never goes negative
-        base = max(1.0 - c.value / _TWO_PI, 0.0)
-        value = ms.omega / ms.n * base ** (ms.n - 1)
-        derr = 0.0
-        if c.err:
-            derr = (ms.omega / ms.n * (ms.n - 1)
-                    * base ** (ms.n - 2) * c.err / _TWO_PI)
-        closed = LimitEstimate(value=value, err=derr)
-        disc = (abs(direct.value - closed.value)
-                if direct.is_finite else None)
-    else:
-        closed = LimitEstimate(value=math.inf, err=math.inf, divergent=True)
-        disc = None
+        value, err = richardson_limit(probes)
+        if closed.is_finite:
+            disc = abs(value - closed.value)
+            err = max(err, disc + closed.err)
+        direct = LimitEstimate(value=value, err=err)
     return GrowthCoefficient(direct=direct, closed_form=closed,
                              discrepancy=disc)

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import radialgeo as rg
-from radialgeo.curvature_profile import MomentClass
+from radialgeo.curvature_profile import tail_moment_finite
 from radialgeo.gallery import abresch_f, entry_by_name
 from radialgeo.pipeline import VolumeSamples, cli_main, evaluate_theorem
 
@@ -61,7 +61,7 @@ def test_criterion_2_total_curvature_oracle():
             profile = entry_by_name(name).profile
             start = time.perf_counter()
             sol = rg.solve(profile, 4096.0, 1e-8)
-            tc = rg.total_curvature(profile, sol)
+            tc = rg.total_curvature(sol)
             elapsed = time.perf_counter() - start
             assert tc.is_finite
             assert abs(tc.value - expected) <= 1e-5, name
@@ -76,14 +76,14 @@ def test_criterion_3_identity_suite():
                      "sign_changing_beta_neg_ln2"):
             profile = entry_by_name(name).profile
             sol = rg.solve(profile, 4096.0, tol)
-            tc = rg.total_curvature(profile, sol)
+            tc = rg.total_curvature(sol)
             sl = rg.slope_limit(sol)
             budget = max(1e-5, 10.0 * (tc.err + TWO_PI * sl.err))
             assert abs(tc.value - TWO_PI * (1.0 - sl.value)) <= budget, name
 
             ml = m_prime_limit(profile, tol)
             msol = rg.solve_m(profile, 65536.0, 1e-12)
-            c_star = rg.total_curvature(rg.negative_part(profile), msol)
+            c_star = rg.total_curvature(msol)
             assert abs(ml.value - (1.0 - c_star.value / TWO_PI)) <= 10.0 * tol, name
         elapsed = time.perf_counter() - start
         assert elapsed < 5.0, f"identity suite took {elapsed:.2f}s"
@@ -92,7 +92,7 @@ def test_criterion_3_identity_suite():
 def test_criterion_4_growth_routes():
     with criterion(4, "growth coefficient: direct vs closed form"):
         flat_sol = rg.solve(rg.zero_profile(), 4096.0, 1e-8)
-        flat_tc = rg.total_curvature(rg.zero_profile(), flat_sol)
+        flat_tc = rg.total_curvature(flat_sol)
         for n, expected in ((2, PI), (3, 4.0 * PI / 3.0)):
             g = rg.growth_coefficient(rg.ModelSpace(n=n, f=flat_sol), flat_tc)
             assert abs(g.direct.value - expected) <= 1e-9 * expected
@@ -102,7 +102,7 @@ def test_criterion_4_growth_routes():
 
         profile = entry_by_name("sign_changing_beta_ln2").profile
         sol = rg.solve(profile, 4096.0, 1e-8)
-        tc = rg.total_curvature(profile, sol)
+        tc = rg.total_curvature(sol)
         g = rg.growth_coefficient(rg.ModelSpace(n=2, f=sol), tc)
         assert abs(g.closed_form.value - PI / 2.0) <= 1e-4
         rel = abs(g.direct.value - g.closed_form.value) / (PI / 2.0)
@@ -113,14 +113,14 @@ def test_criterion_5_divergence_handling(capsys):
     with criterion(5, "divergent families are classified, never forced"):
         hyper = rg.constant_profile(-1.0)
         sol = rg.solve(hyper, 4096.0, 1e-8)
-        tc = rg.total_curvature(hyper, sol)
+        tc = rg.total_curvature(sol)
         assert tc.classification is rg.CurvatureClass.NEGATIVE_DIVERGENT
         assert m_prime_limit(hyper, 1e-8).divergent
         assert cli_main(["gallery", "analyze", "hyperbolic", "-n", "2"]) == 1
         capsys.readouterr()  # swallow the report the CLI printed
 
         boundary = entry_by_name("moment_boundary").profile
-        assert rg.tail_moment_class(boundary) is MomentClass.DIVERGENT
+        assert not tail_moment_finite(rg.negative_part(boundary).tail)
         assert m_prime_limit(boundary, 1e-8).divergent
 
 

@@ -74,7 +74,7 @@ class TestSlopeLimit:
 class TestTotalCurvature:
     def test_flat_zero(self):
         sol = rg.solve(rg.zero_profile(), 100.0, 1e-10)
-        tc = rg.total_curvature(rg.zero_profile(), sol)
+        tc = rg.total_curvature(sol)
         assert tc.classification is CurvatureClass.FINITE
         assert tc.value == 0.0
         assert tc.c_plus == 0.0 and tc.c_minus == 0.0
@@ -82,7 +82,7 @@ class TestTotalCurvature:
     def test_hyperbolic_negative_divergent(self):
         prof = rg.constant_profile(-1.0)
         sol = rg.solve(prof, 20.0, 1e-10)
-        tc = rg.total_curvature(prof, sol)
+        tc = rg.total_curvature(sol)
         assert tc.classification is CurvatureClass.NEGATIVE_DIVERGENT
         assert tc.value is None
         assert tc.c_minus == -math.inf
@@ -93,12 +93,12 @@ class TestTotalCurvature:
         prof = rg.power_tail_profile(0.1, 2.0)
         sol = rg.solve(prof, 200.0, 1e-10)
         assert sol.first_zero is None
-        tc = rg.total_curvature(prof, sol)
+        tc = rg.total_curvature(sol)
         assert tc.classification is CurvatureClass.POSITIVE_DIVERGENT
         assert tc.c_plus == math.inf
 
     def test_beta_ln2_is_pi(self, beta_ln2_profile, beta_ln2_solution):
-        tc = rg.total_curvature(beta_ln2_profile, beta_ln2_solution)
+        tc = rg.total_curvature(beta_ln2_solution)
         assert tc.classification is CurvatureClass.FINITE
         assert tc.value == pytest.approx(math.pi, abs=1e-6)
         assert tc.value == tc.c_plus + tc.c_minus
@@ -106,7 +106,7 @@ class TestTotalCurvature:
 
     def test_abresch_matches_closed_form(self, abresch_profile):
         sol = rg.solve(abresch_profile, 4096.0, 1e-10)
-        tc = rg.total_curvature(abresch_profile, sol)
+        tc = rg.total_curvature(sol)
         assert tc.value == pytest.approx(TWO_PI * (1.0 - SINH_SQRT6_OVER), abs=1e-6)
         assert tc.c_plus == 0.0
 
@@ -114,12 +114,12 @@ class TestTotalCurvature:
         prof = rg.constant_profile(1.0)
         sol = rg.solve(prof, 4.0, 1e-10)
         with pytest.raises(ValueError):
-            rg.total_curvature(prof, sol)
+            rg.total_curvature(sol)
 
     def test_window_before_tail_rejected(self, beta_ln2_profile):
         sol = rg.solve(beta_ln2_profile, 100.0, 1e-8)
         with pytest.raises(ConfigurationError):
-            rg.total_curvature(beta_ln2_profile, sol)
+            rg.total_curvature(sol)
 
     def test_slope_identity_on_finite_gallery(self):
         # c = 2 pi (1 - lim f'), since the curvature integral telescopes f'
@@ -127,7 +127,7 @@ class TestTotalCurvature:
                      "sign_changing_beta_neg_ln2"):
             prof = entry_by_name(name).profile
             sol = rg.solve(prof, 4096.0, 1e-8)
-            tc = rg.total_curvature(prof, sol)
+            tc = rg.total_curvature(sol)
             sl = rg.slope_limit(sol)
             budget = max(1e-5, 10.0 * (tc.err + TWO_PI * sl.err))
             assert abs(tc.value - TWO_PI * (1.0 - sl.value)) <= budget, name
@@ -164,7 +164,7 @@ class TestTotalCurvatureOracles:
     def test_parts_match_quadrature(self, name):
         prof = entry_by_name(name).profile
         sol = rg.solve(prof, 4096.0, 1e-8)
-        tc = rg.total_curvature(prof, sol)
+        tc = rg.total_curvature(sol)
         slope = rg.slope_limit(sol).value
         for value, part in ((tc.c_plus, rg.positive_part(prof)),
                             (tc.c_minus, rg.negative_part(prof))):
@@ -174,13 +174,8 @@ class TestTotalCurvatureOracles:
     def test_error_bar_covers_closed_form(self, name):
         entry = entry_by_name(name)
         sol = rg.solve(entry.profile, 4096.0, 1e-8)
-        tc = rg.total_curvature(entry.profile, sol)
+        tc = rg.total_curvature(sol)
         assert abs(tc.value - entry.oracle["c"]) <= tc.err, name
-
-    def test_needs_the_matching_solution(self, abresch_profile):
-        sol = rg.solve(rg.zero_profile(), 4096.0, 1e-8)
-        with pytest.raises(ValueError):
-            rg.total_curvature(abresch_profile, sol)
 
 
 class TestMPrimeLimit:
@@ -227,9 +222,8 @@ class TestMPrimeLimit:
         tol = 1e-8
         for prof in (abresch_profile, beta_ln2_profile):
             ml = m_prime_limit(prof, tol)
-            neg = rg.negative_part(prof)
             msol = rg.solve_m(prof, 65536.0, 1e-12)
-            c_star = rg.total_curvature(neg, msol)
+            c_star = rg.total_curvature(msol)
             assert abs(ml.value - (1.0 - c_star.value / TWO_PI)) <= 10.0 * tol
 
     def test_monotone_in_curvature(self):

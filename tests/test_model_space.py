@@ -5,6 +5,7 @@ import pytest
 
 import radialgeo as rg
 from radialgeo.curvature_profile import Segment
+from radialgeo.gallery import entry_by_name
 
 PI = math.pi
 
@@ -103,7 +104,7 @@ class TestGrowthCoefficient:
     def test_flat_n2(self):
         sol = rg.solve(rg.zero_profile(), 4096.0, 1e-10)
         ms = rg.ModelSpace(n=2, f=sol)
-        tc = rg.total_curvature(rg.zero_profile(), sol)
+        tc = rg.total_curvature(sol)
         g = rg.growth_coefficient(ms, tc)
         assert g.direct.value == pytest.approx(PI, rel=1e-9)
         assert g.closed_form.value == pytest.approx(PI, rel=1e-12)
@@ -112,13 +113,13 @@ class TestGrowthCoefficient:
     def test_flat_n3(self):
         sol = rg.solve(rg.zero_profile(), 4096.0, 1e-10)
         ms = rg.ModelSpace(n=3, f=sol)
-        tc = rg.total_curvature(rg.zero_profile(), sol)
+        tc = rg.total_curvature(sol)
         g = rg.growth_coefficient(ms, tc)
         assert g.direct.value == pytest.approx(4 * PI / 3, rel=1e-9)
         assert g.closed_form.value == pytest.approx(4 * PI / 3, rel=1e-12)
 
     def test_beta_ln2_n2(self, beta_ln2_profile, beta_ln2_solution):
-        tc = rg.total_curvature(beta_ln2_profile, beta_ln2_solution)
+        tc = rg.total_curvature(beta_ln2_solution)
         ms = rg.ModelSpace(n=2, f=beta_ln2_solution)
         g = rg.growth_coefficient(ms, tc)
         assert g.closed_form.value == pytest.approx(PI / 2, abs=1e-5)
@@ -130,7 +131,7 @@ class TestGrowthCoefficient:
                                         beta_ln2_solution):
         # for n = 2 the coefficient is pi (1 - c/(2 pi)), i.e. the direct
         # area quadrature 2 pi int f over t^2
-        tc = rg.total_curvature(beta_ln2_profile, beta_ln2_solution)
+        tc = rg.total_curvature(beta_ln2_solution)
         ms = rg.ModelSpace(n=2, f=beta_ln2_solution)
         g = rg.growth_coefficient(ms, tc)
         assert g.closed_form.value == pytest.approx(
@@ -138,7 +139,7 @@ class TestGrowthCoefficient:
 
     def test_coefficient_nonnegative_on_gallery(self, abresch_profile):
         sol = rg.solve(abresch_profile, 4096.0, 1e-8)
-        tc = rg.total_curvature(abresch_profile, sol)
+        tc = rg.total_curvature(sol)
         for n in (2, 3, 5):
             g = rg.growth_coefficient(rg.ModelSpace(n=n, f=sol), tc)
             assert g.direct.value >= 0.0
@@ -147,11 +148,27 @@ class TestGrowthCoefficient:
     def test_divergent_curvature_routes(self):
         prof = rg.constant_profile(-1.0)
         sol = rg.solve(prof, 4096.0, 1e-8)  # guard-truncated
-        tc = rg.total_curvature(prof, sol)
+        tc = rg.total_curvature(sol)
         g = rg.growth_coefficient(rg.ModelSpace(n=2, f=sol), tc)
         assert g.closed_form.divergent
         assert g.direct.divergent  # exponential growth probes keep rising
         assert g.discrepancy is None
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("name", ["flat", "abresch_tail",
+                                      "sign_changing_beta_ln2",
+                                      "sign_changing_beta_neg_ln2"])
+    def test_direct_error_covers_oracle(self, name, n):
+        # the exact coefficient is omega/n (lim f')^(n-1), with the slope
+        # limit from the gallery's closed form
+        entry = entry_by_name(name)
+        sol = rg.solve(entry.profile, 4096.0, 1e-8)
+        g = rg.growth_coefficient(rg.ModelSpace(n=n, f=sol),
+                                  rg.total_curvature(sol))
+        exact = (rg.unit_sphere_volume(n) / n
+                 * entry.oracle["slope_limit"] ** (n - 1))
+        assert abs(g.direct.value - exact) <= g.direct.err
+        assert abs(g.closed_form.value - exact) <= g.closed_form.err
 
 
 class TestBishopDirection:

@@ -25,6 +25,15 @@ from radialgeo.pipeline import (
 PI = math.pi
 
 
+def report_floats(obj):
+    """Every float in a report dict, depth first."""
+    if isinstance(obj, dict):
+        obj = list(obj.values())
+    if isinstance(obj, list):
+        return [x for item in obj for x in report_floats(item)]
+    return [obj] if isinstance(obj, float) else []
+
+
 def write_samples(path, rows):
     with open(path, "w", newline="\n") as fh:
         fh.write("t,vol\n")
@@ -197,7 +206,7 @@ class TestEvaluateTheorem:
         assert rep.hypothesis_ok
         assert rep.ratio_limit.value == pytest.approx(0.8, rel=1e-9)
         assert rep.manifold_growth_limit.value == pytest.approx(
-            0.8 * rep.growth.direct.value, rel=1e-9)
+            0.8 * rep.growth.closed_form.value, rel=1e-9)
         expected_cap = math.floor(2.0 * rep.ends.m_prime_inf.value ** 2)
         assert rep.ends.integer_bound == expected_cap
         statements = [c.statement for c in rep.conclusions]
@@ -225,15 +234,43 @@ class TestEvaluateTheorem:
         assert any("m' limit did not settle" in w for w in rep.warnings)
         assert data["ends_bound"]["conclusive"] is False
         assert data["ends_bound"]["integer_bound"] is None
+        assert not any(math.isnan(x) for x in report_floats(report_to_dict(rep)))
 
-        def floats(obj):
-            if isinstance(obj, dict):
-                obj = list(obj.values())
-            if isinstance(obj, list):
-                return [x for item in obj for x in floats(item)]
-            return [obj] if isinstance(obj, float) else []
 
-        assert not any(math.isnan(x) for x in floats(report_to_dict(rep)))
+# K = -1 on [0, 100), then zero: f' ~ cosh(100) ~ 1.3e43 past t = 100, so
+# the volume probes f**(n-1) pass float range at n = 8, and the growth
+# closed form and the ends cap at n = 9; c itself stays finite.
+DEEP_WELL = rg.CurvatureProfile((rg.Segment(0.0, 100.0, (-1.0,)),),
+                                rg.ZeroTail())
+
+
+class TestHighDimension:
+    @staticmethod
+    def check(data):
+        assert data["total_curvature"]["classification"] == "finite"
+        assert data["growth"]["direct"]["divergent"] is False
+        assert data["growth"]["direct"]["err"] is None  # did not settle
+        assert data["hypothesis_ok"] is True
+        if data["inputs"]["n"] == 9:
+            assert data["growth"]["closed_form"]["err"] is None
+            assert data["ends_bound"]["conclusive"] is False
+
+    @pytest.mark.parametrize("n", [8, 9])
+    def test_evaluate_theorem(self, n):
+        rep = evaluate_theorem(DEEP_WELL, n)
+        assert not any(math.isnan(x) for x in report_floats(report_to_dict(rep)))
+        self.check(json.loads(report_to_json(rep)))
+
+    @pytest.mark.parametrize("n", [8, 9])
+    def test_cli_analyze(self, n, tmp_path):
+        cfg = tmp_path / "deep.json"
+        cfg.write_text(json.dumps({"profile": rg.profile_to_dict(DEEP_WELL),
+                                   "n": n}))
+        out = tmp_path / "report.json"
+        assert cli_main(["analyze", "--config", str(cfg), "--out", str(out)]) == 0
+        text = out.read_text()
+        assert "NaN" not in text and "Infinity" not in text
+        self.check(json.loads(text))
 
 
 class TestReportJson:
