@@ -49,9 +49,9 @@ _TWO_PI = 2.0 * math.pi
 class LimitEstimate:
     """A numerical limit with an error estimate, or a divergence marker.
 
-    A divergent estimate keeps its last finite value (a probe, or the
-    slope at the window end) in ``value`` and has err = inf.  A limit
-    that did not settle also has err = inf but is not marked divergent.
+    A divergent estimate keeps its last value (a probe, or the slope at the
+    window end) and has err = inf.  A limit that did not settle, or whose
+    value or err is not finite, has err = inf but is not marked divergent.
     """
 
     value: float
@@ -61,6 +61,8 @@ class LimitEstimate:
     def __post_init__(self):
         if self.err < 0:
             raise ValueError("error estimate must be nonnegative")
+        if not (math.isfinite(self.value) and math.isfinite(self.err)):
+            object.__setattr__(self, "err", math.inf)
 
     @property
     def is_finite(self) -> bool:

@@ -8,9 +8,9 @@ to distinct ends; a packing count of disjoint lambda-balls in the unit
 
 The cap is taken at the upper end of the estimate, lim m' + err, so an
 error in lim m' can never count too few ends.  A divergent m' limit, one
-that did not settle (err = inf), or a cap past float range (a large lim
-m' in a high dimension) certifies nothing: the bound is reported as
-inconclusive, never as "infinitely many ends".
+that did not settle (err = inf), or a cap past float range (``power``
+saturates to inf in a high dimension) certifies nothing: the bound is
+reported as inconclusive, never as "infinitely many ends".
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 
 from .asymptotics import LimitEstimate
-from .model_space import check_dimension
+from .model_space import check_dimension, power
 
 __all__ = ["EndsBound", "angle_bound", "packing_bound", "ends_bound"]
 
@@ -59,21 +59,12 @@ def angle_bound(m_prime_inf: LimitEstimate) -> float | None:
     return math.pi / max(value, 1.0)
 
 
-def _cap(slope: float, n: int) -> float:
-    """2 slope**(n-1), or inf past float range."""
-    try:
-        return 2.0 * slope ** (n - 1)
-    except OverflowError:
-        return math.inf
-
-
 def packing_bound(two_lambda: float, n: int) -> float:
     """Max number of disjoint lambda-balls in the unit (n-1)-sphere of
     directions: 2 (pi / 2 lambda)**(n-1), inf past float range."""
     if not (two_lambda > 0.0):
         raise ValueError(f"separation angle must be positive, got {two_lambda}")
-    check_dimension(n)
-    return _cap(math.pi / two_lambda, n)
+    return 2.0 * power(math.pi / two_lambda, check_dimension(n) - 1)
 
 
 def ends_bound(m_prime_inf: LimitEstimate, n: int) -> EndsBound:
@@ -82,14 +73,14 @@ def ends_bound(m_prime_inf: LimitEstimate, n: int) -> EndsBound:
     Composes the angle bound and the packing count; ``m_prime_inf`` is
     ``slope_limit(solve_m(profile, t_end, tol))``.
     """
-    check_dimension(n)
+    n = check_dimension(n)
     ml = m_prime_inf
     if ml.divergent:
         return EndsBound(m_prime_inf=ml, two_lambda=0.0,
                          raw_bound=math.inf, integer_bound=None,
                          conclusive=False)
     angle = angle_bound(ml)
-    upper = _cap(max(ml.value, 1.0) + ml.err, n)
+    upper = 2.0 * power(max(ml.value, 1.0) + ml.err, n - 1)
     conclusive = math.isfinite(upper)
     return EndsBound(m_prime_inf=ml, two_lambda=angle,
                      raw_bound=packing_bound(angle, n),

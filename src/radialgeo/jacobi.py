@@ -32,10 +32,9 @@ from .errors import IntegrationError
 __all__ = ["WarpingSolution", "solve", "solve_m", "GROWTH_GUARD"]
 
 # Reaching this magnitude in f or f' means the model is violently
-# divergent; the window is truncated there instead of overflowing.  The
-# guard leaves room for f**(n-1) in volume integrands up to n = 6.  Beyond
-# that, a volume probe, growth closed form or ends cap can pass float
-# range; each is then reported as not settled (err = inf) or inconclusive.
+# divergent; the window is truncated there instead of overflowing.  It
+# keeps f**(n-1) in float range up to n = 6; past that, model_space.power
+# saturates to inf and what is built on it did not settle.
 GROWTH_GUARD = 1e60
 
 # attempted steps after which a solve gives up

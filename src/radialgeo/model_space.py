@@ -8,21 +8,23 @@ its metric balls have volume
 with omega_{n-1} the unit (n-1)-sphere volume.  The dense output of f is
 a quintic on each solver step, so the integrand is a polynomial of degree
 5(n-1) there and a Gauss-Legendre rule integrates it exactly, up to
-rounding.  The asymptotic growth
-coefficient lim vol B_t / t^n is computed two independent ways: the
-closed form (omega_{n-1}/n) (1 - c/(2 pi))**(n-1) from the total
-curvature c of the underlying surface, whose error bar comes from the
-closed-form bracket of the tail (see ``asymptotics``) and which is the
-route that certifies; and direct Richardson extrapolation of ball-volume
-probes, an independent check whose disagreement is reported.  A value
-past float range (high dimension, fast growth) did not settle: it has
-err = inf.
+rounding.  The asymptotic growth coefficient lim vol B_t / t^n is
+computed two independent ways: the closed form
+(omega_{n-1}/n) (1 - c/(2 pi))**(n-1) from the total curvature c of the
+underlying surface, whose error bar comes from the closed-form bracket
+of the tail (see ``asymptotics``) and which is the route that certifies;
+and direct Richardson extrapolation of ball-volume probes, an
+independent check whose disagreement is reported.  Every power of the
+dimension goes through :func:`power`, which saturates to inf past float
+range (high dimension, fast growth); a limit built from such a value did
+not settle (err = inf, see ``LimitEstimate``).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -30,23 +32,42 @@ from ._extrapolation import richardson_limit
 from .asymptotics import CurvatureClass, LimitEstimate, TotalCurvatureResult
 from .jacobi import WarpingSolution
 
-__all__ = ["ModelSpace", "GrowthCoefficient", "check_dimension",
-           "unit_sphere_volume", "ball_volume", "ball_volumes",
-           "growth_coefficient"]
+__all__ = ["ModelSpace", "GrowthCoefficient", "check_dimension", "power",
+           "growth_probe", "unit_sphere_volume", "ball_volume",
+           "ball_volumes", "growth_coefficient"]
 
 _TWO_PI = 2.0 * math.pi
 
 
-def check_dimension(n) -> None:
-    """Raise ValueError unless n is an integer >= 2."""
-    if int(n) != n or n < 2:
+def check_dimension(n) -> int:
+    """n as an int; ValueError unless n is an integer >= 2."""
+    if not (n >= 2 and n % 1 == 0):
         raise ValueError(f"dimension must be an integer >= 2, got {n}")
+    return int(n)
+
+
+def power(x: float, k: int) -> float:
+    """x**k, or inf past float range."""
+    try:
+        return x ** k
+    except OverflowError:
+        return math.inf
+
+
+def growth_probe(volume: float, t: float, n: int) -> float:
+    """volume / t**n; nan (not the 0 of volume / inf) past float range."""
+    scale = power(t, n)
+    return volume / scale if 0.0 < scale < math.inf else math.nan
 
 
 def unit_sphere_volume(n: int) -> float:
     """Volume of the unit (n-1)-sphere, 2 pi^(n/2) / Gamma(n/2), n >= 2."""
-    check_dimension(n)
-    return 2.0 * math.pi ** (n / 2.0) / math.gamma(n / 2.0)
+    n = check_dimension(n)
+    try:
+        return 2.0 * math.pi ** (n / 2.0) / math.gamma(n / 2.0)
+    except OverflowError:
+        # Gamma(n/2) passes float range from n = 344 on
+        return 2.0 * math.exp(n / 2.0 * math.log(math.pi) - math.lgamma(n / 2.0))
 
 
 @dataclass(frozen=True)
@@ -57,13 +78,13 @@ class ModelSpace:
     f: WarpingSolution
 
     def __post_init__(self):
-        check_dimension(self.n)
+        object.__setattr__(self, "n", check_dimension(self.n))
         if self.f.first_zero is not None:
             raise ValueError(
                 "warping function has a zero: the model space is compact"
             )
 
-    @property
+    @cached_property
     def omega(self) -> float:
         return unit_sphere_volume(self.n)
 
@@ -75,7 +96,6 @@ def _volumes_at(ms: ModelSpace, ts: list[float]) -> list[float]:
     integrated with ceil((5n - 4)/2) Gauss-Legendre nodes, which is exact
     for the degree-5(n-1) integrand; the full steps are summed once.
     """
-    power = ms.n - 1
     x, w = np.polynomial.legendre.leggauss(-(-(5 * ms.n - 4) // 2))
     x, w = 0.5 * (x + 1.0), 0.5 * w
     nodes = ms.f.ts
@@ -86,7 +106,7 @@ def _volumes_at(ms: ModelSpace, ts: list[float]) -> list[float]:
         # value per step
         total = np.zeros_like(widths)
         for xk, wk in zip(x, w):
-            total += wk * ms.f.f(starts + widths * xk) ** power
+            total += wk * ms.f.f(starts + widths * xk) ** (ms.n - 1)
         return widths * total
 
     with np.errstate(over="ignore", invalid="ignore"):
@@ -112,11 +132,7 @@ def ball_volumes(ms: ModelSpace, ts) -> list[float]:
 
 def ball_volume(ms: ModelSpace, t: float) -> float:
     """Volume of the metric ball of radius t around the base point."""
-    if not (0.0 <= t <= ms.f.t_end * (1 + 1e-15)):
-        raise ValueError(
-            f"radius {t:.6g} outside the solution window [0, {ms.f.t_end:.6g}]"
-        )
-    return _volumes_at(ms, [min(t, ms.f.t_end)])[0]
+    return ball_volumes(ms, [t])[0]
 
 
 @dataclass(frozen=True)
@@ -125,8 +141,8 @@ class GrowthCoefficient:
 
     ``closed_form`` converts the total curvature; ``direct`` extrapolates
     ball-volume probes.  ``discrepancy`` is their absolute difference
-    when the direct route was extrapolated and the closed form is finite,
-    else None.
+    when the direct route was extrapolated and the closed form is finite
+    (not finite when either is past float range), else None.
     """
 
     direct: LimitEstimate
@@ -136,21 +152,16 @@ class GrowthCoefficient:
 
 def _closed_form(ms: ModelSpace, c: TotalCurvatureResult) -> LimitEstimate:
     """(omega/n) (1 - c/(2 pi))**(n-1), with the error of c carried to
-    first order; a value past float range did not settle."""
+    first order."""
     if not c.is_finite:
         return LimitEstimate(value=math.inf, err=math.inf, divergent=True)
     # Cohn-Vossen keeps c <= 2 pi for genuine model surfaces; clamp
     # numerical overshoot so the base never goes negative
     base = max(1.0 - c.value / _TWO_PI, 0.0)
-    try:
-        value = ms.omega / ms.n * base ** (ms.n - 1)
-        derr = (ms.omega / ms.n * (ms.n - 1)
-                * base ** (ms.n - 2) * c.err / _TWO_PI)
-    except OverflowError:
-        return LimitEstimate(value=math.inf, err=math.inf)
-    # an unsettled c (err = inf) leaves the value unsettled, also at base 0
-    return LimitEstimate(value=value,
-                         err=derr if math.isfinite(c.err) else math.inf)
+    return LimitEstimate(
+        value=ms.omega / ms.n * power(base, ms.n - 1),
+        err=(ms.omega / ms.n * (ms.n - 1)
+             * power(base, ms.n - 2) * c.err / _TWO_PI))
 
 
 def growth_coefficient(ms: ModelSpace,
@@ -161,28 +172,21 @@ def growth_coefficient(ms: ModelSpace,
     k = 6..0.  The spread of that extrapolation is no error bound for
     these probes, so when the closed form is finite the direct error is
     max(spread, discrepancy + closed-form error).  The direct route is
-    divergent when the negative part of c diverges; when a probe is past
-    float range it did not settle (err = inf).  Either keeps the last
-    finite probe.
+    divergent, keeping the last probe, when the negative part of c
+    diverges; a probe past float range leaves it unsettled.
     """
     T = ms.f.t_end
     radii = [T / 2.0 ** k for k in range(6, -1, -1)]
-    volumes = _volumes_at(ms, radii)
-    probes = [v / t ** ms.n for v, t in zip(volumes, radii)]
+    probes = [growth_probe(v, t, ms.n)
+              for v, t in zip(_volumes_at(ms, radii), radii)]
     closed = _closed_form(ms, c)
-
-    finite = [p for p in probes if math.isfinite(p)]
-    last = finite[-1] if finite else math.inf
-    disc = None
     if c.classification is CurvatureClass.NEGATIVE_DIVERGENT:
-        direct = LimitEstimate.of_divergent(last)
-    elif len(finite) < len(probes):
-        direct = LimitEstimate(value=last, err=math.inf)
-    else:
-        value, err = richardson_limit(probes)
-        if closed.is_finite:
-            disc = abs(value - closed.value)
-            err = max(err, disc + closed.err)
-        direct = LimitEstimate(value=value, err=err)
-    return GrowthCoefficient(direct=direct, closed_form=closed,
-                             discrepancy=disc)
+        return GrowthCoefficient(LimitEstimate.of_divergent(probes[-1]),
+                                 closed, None)
+    value, err = richardson_limit(probes)
+    if not closed.is_finite:
+        return GrowthCoefficient(LimitEstimate(value, err), closed, None)
+    # nan first: max keeps it, so a closed form past float range unsettles
+    disc = abs(value - closed.value)
+    return GrowthCoefficient(LimitEstimate(value, max(disc + closed.err, err)),
+                             closed, disc)

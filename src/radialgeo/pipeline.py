@@ -57,6 +57,7 @@ from .model_space import (
     ball_volumes,
     check_dimension,
     growth_coefficient,
+    growth_probe,
 )
 
 __all__ = [
@@ -86,6 +87,9 @@ _FACTORIZATION_WARN = 0.05
 
 _MONOTONE_SLACK = 1e-9
 
+# samples at the end whose ratios or probes average to a tail limit
+_TAIL_WINDOW = 5
+
 
 @dataclass(frozen=True)
 class AnalysisOptions:
@@ -112,7 +116,7 @@ class VolumeSamples:
             raise ValueError("sample times must be strictly increasing and positive")
         if any(v <= 0 for v in self.vol):
             raise ValueError("sample volumes must be positive")
-        check_dimension(self.n)
+        object.__setattr__(self, "n", check_dimension(self.n))
 
     def __len__(self) -> int:
         return len(self.t)
@@ -192,12 +196,15 @@ def bg_ratio_check(samples: VolumeSamples, ms: ModelSpace) -> BGRatioCheck:
             f"[0, {ms.f.t_end:g}]"
         )
     model_vols = ball_volumes(ms, list(samples.t))
+    for t, mv in zip(samples.t, model_vols):
+        if not 0.0 < mv < math.inf:
+            raise ConfigurationError(f"model ball volume at sample radius "
+                                     f"{t:g} is past float range")
     ratios = [v / mv for v, mv in zip(samples.vol, model_vols)]
     monotone = all(b <= a + _MONOTONE_SLACK for a, b in zip(ratios, ratios[1:]))
     bounded = all(r <= 1.0 + _MONOTONE_SLACK for r in ratios)
-    k = min(5, len(ratios))
-    window = ratios[-k:]
-    limit = LimitEstimate(value=sum(window) / k,
+    window = ratios[-_TAIL_WINDOW:]
+    limit = LimitEstimate(value=sum(window) / len(window),
                           err=max(window) - min(window))
     return BGRatioCheck(ratios=ratios, monotone_ok=monotone and bounded,
                         ratio_limit=limit)
@@ -237,7 +244,7 @@ def evaluate_theorem(profile: CurvatureProfile, n: int,
     (the noncompactness hypothesis fails structurally); other hypothesis
     failures are reported, not raised, so the report can still be written.
     """
-    check_dimension(n)
+    n = check_dimension(n)
     opts = opts or AnalysisOptions()
     warnings: list[str] = []
 
@@ -280,17 +287,14 @@ def evaluate_theorem(profile: CurvatureProfile, n: int,
         elif tc.is_finite:
             # the closed form certifies: its error bar bounds the limit
             r, g = ratio_limit, growth.closed_form
-            err = abs(r.value) * g.err + abs(g.value) * r.err + r.err * g.err
             manifold_growth = LimitEstimate(
                 value=r.value * g.value,
-                err=err if math.isfinite(g.err) else math.inf,
+                err=abs(r.value) * g.err + abs(g.value) * r.err + r.err * g.err,
             )
             # direct tail average of vol_i / t_i^n as a cross-check of the
-            # factored estimate
-            k = min(5, len(samples))
-            direct_probes = [v / t ** n for t, v in
-                             zip(samples.t[-k:], samples.vol[-k:])]
-            direct_avg = sum(direct_probes) / k
+            # factored estimate; a probe past float range (nan) skips it
+            tail = list(zip(samples.t[-_TAIL_WINDOW:], samples.vol[-_TAIL_WINDOW:]))
+            direct_avg = sum(growth_probe(v, t, n) for t, v in tail) / len(tail)
             scale = max(abs(manifold_growth.value), abs(direct_avg), 1e-300)
             if abs(direct_avg - manifold_growth.value) > _FACTORIZATION_WARN * scale:
                 warnings.append(
@@ -352,7 +356,7 @@ def evaluate_theorem(profile: CurvatureProfile, n: int,
 
     inputs = {
         "profile": profile_to_dict(profile),
-        "n": int(n),
+        "n": n,
         "tol": opts.tol,
         "t_end": opts.t_end,
         "samples_path": samples.source if samples is not None else None,
@@ -511,16 +515,15 @@ def _load_config(path: str) -> tuple[CurvatureProfile, int, AnalysisOptions]:
     if not isinstance(data, dict) or "profile" not in data:
         raise ConfigurationError(f"config {path} needs a 'profile' object")
     profile = profile_from_dict(data["profile"])
-    n = data.get("n")
     try:
-        check_dimension(n)
+        n = check_dimension(data.get("n"))
     except (TypeError, ValueError):
         raise ConfigurationError(f"config {path} needs an integer 'n' >= 2") from None
     opts = AnalysisOptions(
         tol=float(data.get("tol", DEFAULT_TOL)),
         t_end=float(data.get("t_end", DEFAULT_T_END)),
     )
-    return profile, int(n), opts
+    return profile, n, opts
 
 
 def _emit(text: str, out_path: str | None) -> None:

@@ -28,6 +28,17 @@ class TestUnitSphereVolume:
             rg.unit_sphere_volume(1)
         with pytest.raises(ValueError):
             rg.unit_sphere_volume(2.5)
+        with pytest.raises(ValueError):
+            rg.unit_sphere_volume(math.inf)
+        with pytest.raises(ValueError):
+            rg.unit_sphere_volume(math.nan)
+
+    @pytest.mark.parametrize("n", [343, 344, 400, 1000, 1240, 2000])
+    def test_past_gamma_range(self, n):
+        # Gamma(n/2) overflows from n = 344 on, pi**(n/2) from n = 1240 on
+        log_oracle = math.log(2.0) + n / 2.0 * math.log(PI) - math.lgamma(n / 2.0)
+        assert rg.unit_sphere_volume(n) == pytest.approx(math.exp(log_oracle),
+                                                         rel=1e-9)
 
 
 class TestModelSpace:
@@ -35,6 +46,12 @@ class TestModelSpace:
         sol = rg.solve(rg.constant_profile(1.0), 4.0, 1e-8)
         with pytest.raises(ValueError):
             rg.ModelSpace(n=3, f=sol)
+
+    def test_normalizes_dimension(self):
+        sol = rg.solve(rg.zero_profile(), 4.0, 1e-8)
+        ms = rg.ModelSpace(n=3.0, f=sol)
+        assert type(ms.n) is int and ms.n == 3
+        assert ms.omega == rg.unit_sphere_volume(3)
 
     def test_rejects_low_dimension(self):
         sol = rg.solve(rg.zero_profile(), 4.0, 1e-8)

@@ -1,3 +1,4 @@
+import functools
 import json
 import math
 import os
@@ -216,6 +217,17 @@ class TestEvaluateTheorem:
         with pytest.raises(ValueError):
             evaluate_theorem(rg.zero_profile(), 1)
 
+    def test_integral_float_dimension(self, abresch_profile):
+        ts = (256.0, 512.0, 1024.0)
+        ms = rg.ModelSpace(n=3, f=rg.solve(abresch_profile, 4096.0, 1e-8))
+        vols = tuple(0.8 * v for v in rg.ball_volumes(ms, ts))
+        as_int, as_float = (
+            report_to_json(evaluate_theorem(
+                abresch_profile, n, samples=VolumeSamples(t=ts, vol=vols, n=n)))
+            for n in (3, 3.0))
+        assert as_float == as_int
+        assert type(VolumeSamples(t=ts, vol=vols, n=3.0).n) is int
+
     @pytest.mark.parametrize("n", [2, 3])
     def test_moment_boundary_limits_diverge(self, n):
         rep = evaluate_theorem(entry_by_name("moment_boundary").profile, n)
@@ -243,6 +255,23 @@ class TestEvaluateTheorem:
 DEEP_WELL = rg.CurvatureProfile((rg.Segment(0.0, 100.0, (-1.0,)),),
                                 rg.ZeroTail())
 
+# n = 86 puts 4096**n past float range, n = 344 Gamma(n/2), and from
+# n = 460 on omega_{n-1} underflows to 0
+HIGH_DIMS = [85, 86, 90, 343, 344, 400, 1000]
+HIGH_DIM_PROFILES = {"flat": rg.zero_profile(),
+                     "abresch_tail": entry_by_name("abresch_tail").profile,
+                     "deep_well": DEEP_WELL}
+
+
+@functools.lru_cache(maxsize=None)
+def high_dim_report(name, n):
+    return report_to_json(evaluate_theorem(HIGH_DIM_PROFILES[name], n))
+
+
+def write_config(path, profile, n):
+    path.write_text(json.dumps({"profile": rg.profile_to_dict(profile), "n": n}))
+    return str(path)
+
 
 class TestHighDimension:
     @staticmethod
@@ -263,14 +292,103 @@ class TestHighDimension:
 
     @pytest.mark.parametrize("n", [8, 9])
     def test_cli_analyze(self, n, tmp_path):
-        cfg = tmp_path / "deep.json"
-        cfg.write_text(json.dumps({"profile": rg.profile_to_dict(DEEP_WELL),
-                                   "n": n}))
+        cfg = write_config(tmp_path / "deep.json", DEEP_WELL, n)
         out = tmp_path / "report.json"
-        assert cli_main(["analyze", "--config", str(cfg), "--out", str(out)]) == 0
+        assert cli_main(["analyze", "--config", cfg, "--out", str(out)]) == 0
         text = out.read_text()
         assert "NaN" not in text and "Infinity" not in text
         self.check(json.loads(text))
+
+    @pytest.mark.parametrize("n", HIGH_DIMS)
+    @pytest.mark.parametrize("name", HIGH_DIM_PROFILES)
+    def test_no_dimension_crashes(self, name, n, tmp_path):
+        text = high_dim_report(name, n)
+        assert "NaN" not in text and "Infinity" not in text
+        data = json.loads(text)
+        assert data["inputs"]["n"] == n
+        assert data["hypothesis_ok"] is True
+        for route in ("direct", "closed_form"):
+            limit = data["growth"][route]
+            assert limit["value"] is None or limit["value"] >= 0.0
+        cfg = write_config(tmp_path / "model.json", HIGH_DIM_PROFILES[name], n)
+        out = tmp_path / "report.json"
+        assert cli_main(["analyze", "--config", cfg, "--out", str(out)]) in (0, 1)
+        assert out.read_text() == text
+
+    @pytest.mark.parametrize("n", HIGH_DIMS)
+    def test_flat_closed_form_is_omega_over_n(self, n):
+        data = json.loads(high_dim_report("flat", n))
+        # omega_{n-1}/n from lgamma, which never leaves float range here
+        log_oracle = (math.log(2.0) + n / 2.0 * math.log(PI)
+                      - math.lgamma(n / 2.0) - math.log(n))
+        closed = data["growth"]["closed_form"]
+        assert closed["value"] == pytest.approx(math.exp(log_oracle), rel=1e-9)
+        assert closed["err"] == 0
+
+    def test_module_entry_point_flat_n90(self):
+        src = str(Path(rg.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p)
+        proc = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "radialgeo", "gallery",
+             "analyze", "flat", "-n", "90"],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert "NaN" not in proc.stdout and "Infinity" not in proc.stdout
+        data = json.loads(proc.stdout)
+        assert data["growth"]["direct"]["err"] is None  # 4096**90 overflows
+        assert data["growth"]["closed_form"]["value"] > 0.0
+
+    def test_probe_radius_power_underflows(self):
+        # the first probe radius is 1/64, and (1/64)**200 underflows to 0
+        rep = evaluate_theorem(rg.zero_profile(), 200, AnalysisOptions(t_end=1.0))
+        data = json.loads(report_to_json(rep))
+        assert data["growth"]["direct"] == {"divergent": False, "value": None,
+                                            "err": None}
+        assert data["growth"]["closed_form"]["value"] > 0.0
+
+    def test_bg_ratios_past_float_range_are_refused(self, tmp_path, capsys):
+        # model volumes pass float range from t = 150 on at n = 8; a ratio
+        # against them must not read 0 and pass the monotonicity gate
+        ts = (50.0, 100.0, 150.0, 200.0, 300.0)
+        ms = rg.ModelSpace(n=8, f=rg.solve(DEEP_WELL, 4096.0, 1e-8))
+        vols = [v if math.isfinite(v) else 1e300 for v in rg.ball_volumes(ms, ts)]
+        samples = VolumeSamples(t=ts, vol=tuple(vols), n=8)
+        with pytest.raises(ConfigurationError, match="radius 150 "):
+            bg_ratio_check(samples, ms)
+        with pytest.raises(ConfigurationError, match="radius 150 "):
+            evaluate_theorem(DEEP_WELL, 8, samples=samples)
+        csv_path = tmp_path / "v.csv"
+        write_samples(csv_path, zip(ts, vols))
+        cfg = write_config(tmp_path / "deep.json", DEEP_WELL, 8)
+        assert cli_main(["analyze", "--config", cfg,
+                         "--samples", str(csv_path)]) == 2
+        assert "radius 150 is past float range" in capsys.readouterr().err
+
+    def test_underflowed_model_volumes_are_refused(self):
+        # omega_499 underflows to 0, so every model volume reads 0
+        samples = VolumeSamples(t=(1.0, 2.0), vol=(1.0, 2.0), n=500)
+        with pytest.raises(ConfigurationError, match="radius 1 "):
+            evaluate_theorem(rg.zero_profile(), 500, samples=samples)
+
+    def test_tail_average_past_float_range(self, beta_ln2_profile):
+        # lim f' = 1/2 keeps the model volumes in range at n = 86 while
+        # 4096**86 is not: the direct route and the tail average's last
+        # probe did not settle, and neither may read 0
+        n, ts = 86, (512.0, 1024.0, 2048.0, 4096.0)
+        ms = rg.ModelSpace(n=n, f=rg.solve(beta_ln2_profile, 4096.0, 1e-8))
+        vols = tuple(0.5 * v for v in rg.ball_volumes(ms, ts))
+        rep = evaluate_theorem(beta_ln2_profile, n,
+                               samples=VolumeSamples(t=ts, vol=vols, n=n))
+        assert rep.bg_monotone_ok is True
+        data = json.loads(report_to_json(rep))
+        assert data["growth"]["direct"] == {"divergent": False, "value": None,
+                                            "err": None}
+        assert data["growth"]["discrepancy"] is None
+        assert rep.manifold_growth_limit.value == pytest.approx(
+            0.5 * rep.growth.closed_form.value, rel=1e-12)
+        assert not any("direct tail average" in w for w in rep.warnings)
 
 
 class TestReportJson:
@@ -343,6 +461,12 @@ class TestCli:
         assert cli_main(["analyze", "--config", str(cfg)]) == 2
         cfg.write_text(json.dumps({"profile": {"segments": [], "tail": {"kind": "zero"}}}))
         assert cli_main(["analyze", "--config", str(cfg)]) == 2  # missing n
+
+    def test_non_integral_config_dimension_exits_2(self, tmp_path, capsys):
+        for n in (2.5, math.inf, math.nan):
+            cfg = write_config(tmp_path / "model.json", rg.zero_profile(), n)
+            assert cli_main(["analyze", "--config", cfg]) == 2
+            assert "needs an integer 'n'" in capsys.readouterr().err
 
     def test_unknown_flag_exits_2(self, capsys):
         assert cli_main(["gallery", "analyze", "flat", "-n", "2", "--bogus"]) == 2
