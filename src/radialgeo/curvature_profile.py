@@ -14,7 +14,7 @@ import bisect
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator, Union
+from typing import Callable, Iterator, Union
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
@@ -49,6 +49,26 @@ def _horner(coeffs: tuple[float, ...], t: float) -> float:
     for c in reversed(coeffs):
         acc = acc * t + c
     return acc
+
+
+def _scalar_horner(coeffs: tuple[float, ...]) -> Callable[[float], float]:
+    """t -> _horner(coeffs, t), bit for bit at every finite t.
+
+    Lines, the segments of piecewise-linear sweeps, skip the loop: for
+    finite t, 0.0 * t + c is c unless c is a zero, so a nonzero slope
+    starts the chain itself.
+    """
+    if len(coeffs) == 2 and coeffs[1] != 0.0:
+        c0, c1 = coeffs
+        return lambda t: c1 * t + c0
+    rc = coeffs[::-1]
+
+    def horner(t):
+        acc = 0.0
+        for c in rc:
+            acc = acc * t + c
+        return acc
+    return horner
 
 
 @dataclass(frozen=True)
@@ -95,6 +115,26 @@ class Segment:
             v /= _horner(self.den, t)
         return v
 
+    @cached_property
+    def evaluator(self) -> Callable[[float], float]:
+        """``evaluate`` as one closure, bit for bit at every finite t.
+
+        Built once per segment for the solver's inner loop, which calls
+        it at every stage point.
+        """
+        num = _scalar_horner(self.num)
+        if self.is_polynomial:
+            return num
+        den = _scalar_horner(self.den)
+        return lambda t: num(t) / den(t)
+
+    def __getstate__(self):
+        # the cached evaluator is a closure, which pickle cannot store; it
+        # is rebuilt on first use
+        state = dict(self.__dict__)
+        state.pop("evaluator", None)
+        return state
+
     def evaluate_array(self, ts: np.ndarray) -> np.ndarray:
         v = npoly.polyval(ts, self.num)
         if not self.is_polynomial:
@@ -123,10 +163,11 @@ class Segment:
 
     def max_on(self, a: float, b: float) -> float:
         """Exact maximum of the segment expression over [a, b]."""
-        best = max(self.evaluate(a), self.evaluate(b))
+        ev = self.evaluator
+        best = max(ev(a), ev(b))
         for r in self._critical_points:
             if a < r < b:
-                best = max(best, self.evaluate(r))
+                best = max(best, ev(r))
         return best
 
 

@@ -9,9 +9,16 @@ dependencies.  Three behaviors matter downstream and are guaranteed here:
   so each step sees an analytic right-hand side;
 * when K > 0 somewhere on a step, the step length is capped by
   pi/sqrt(max K on the step); zeros of f are then at least one cap apart
-  (Sturm), so a step can never skip a pair of zeros;
+  (Sturm), so a step can never skip a pair of zeros.  Whether K can be
+  positive on the rest of a piece is decided once, at piece entry, and
+  only such pieces test the cap at every step;
 * the first zero of f, if any, is located by bisection on the dense
   output to 1e-12 in t, and integration stops there.
+
+A step makes five curvature evaluations, one per new stage point: the
+first stage is the last one of the previous step, and K(t + h) serves
+both the sixth and the seventh stage (first same as last, FSAL).  Each
+piece's scalar evaluator is bound once at piece entry.
 
 Dense output stores f, f' and f'' = -K f at the step ends and evaluates a
 quintic Hermite interpolant per step.  Its O(h^6) interpolation error
@@ -107,14 +114,16 @@ class WarpingSolution:
         out = _hermite(h, self.fs[j], self.fps[j], self.d2_left[j],
                        self.fs[j + 1], self.fps[j + 1], self.d2_right[j],
                        s, derivative)
-        return out if isinstance(t, np.ndarray) else float(out)
+        return out if np.ndim(t) > 0 else float(out)
 
     def f(self, t):
-        """f at time t (scalar or array), from the dense output."""
+        """f at time t, from the dense output: a float for a scalar t, an
+        ndarray for an array, list or tuple of times."""
         return self._interp(t, derivative=False)
 
     def fp(self, t):
-        """f' at time t (scalar or array), from the dense output."""
+        """f' at time t, from the dense output: a float for a scalar t, an
+        ndarray for an array, list or tuple of times."""
         return self._interp(t, derivative=True)
 
 
@@ -182,10 +191,21 @@ def solve(profile: CurvatureProfile, t_end: float, tol: float) -> WarpingSolutio
     if not (_MIN_TOL <= tol <= _MAX_TOL):
         raise ValueError(f"tol must lie in [{_MIN_TOL}, {_MAX_TOL}], got {tol}")
 
+    # module constants as locals, read at every step without a global lookup
+    c2, c3, c4, c5 = _C2, _C3, _C4, _C5
+    a21 = _A21
+    a31, a32 = _A31, _A32
+    a41, a42, a43 = _A41, _A42, _A43
+    a51, a52, a53, a54 = _A51, _A52, _A53, _A54
+    a61, a62, a63, a64, a65 = _A61, _A62, _A63, _A64, _A65
+    b1, b3, b4, b5, b6 = _B1, _B3, _B4, _B5, _B6
+    e1, e3, e4, e5, e6, e7 = _E1, _E3, _E4, _E5, _E6, _E7
+    safety, min_factor, max_factor = _SAFETY, _MIN_FACTOR, _MAX_FACTOR
+    pi_alpha, pi_beta = _PI_ALPHA, _PI_BETA
+    guard, pi, sqrt = GROWTH_GUARD, math.pi, math.sqrt
+
     t = 0.0
     f, fp = 0.0, 1.0
-    piece, piece_end = profile.piece_at(t)
-    k1f, k1p = fp, -piece.evaluate(t) * f
 
     ts = [0.0]
     fs = [0.0]
@@ -198,71 +218,85 @@ def solve(profile: CurvatureProfile, t_end: float, tol: float) -> WarpingSolutio
     n_steps = 0
     n_rejected = 0
 
-    bound = min(piece_end, t_end)
-    h = max(min(0.01 * bound, 0.1), 1e-6)
+    h = 0.0  # the first piece entry sets the initial step
     err_prev = 1.0
+    piece_end = 0.0  # the first pass enters the piece at t = 0
 
     while t < t_end:
         if n_steps + n_rejected > _MAX_STEPS:
             raise IntegrationError("step budget exhausted", t)
-        bound = min(piece_end, t_end)
+        if t >= piece_end:
+            # piece entry: what holds up to the next breakpoint is set once
+            piece, piece_end = profile.piece_at(t)
+            # a Segment caches a closure; a tail's evaluate is already one
+            ev = getattr(piece, "evaluator", piece.evaluate)
+            bound = min(piece_end, t_end)
+            # where K <= 0 on the rest of the piece no step needs the cap
+            check_cap = piece.max_on(t, bound) > 0.0
+            k1f, k1p = fp, -ev(t) * f
+            if h == 0.0:
+                h = max(min(0.01 * bound, 0.1), 1e-6)
         # snap to the boundary when the proposal reaches or nearly reaches
         # it, so no unintegrable sliver is left behind
         at_bound = bound - t <= h * (1.0 + 1e-9)
         if at_bound:
             h = bound - t
-        kmax = piece.max_on(t, t + h)
-        if kmax > 0.0:
-            cap = math.pi / math.sqrt(kmax)
-            if h > cap:
-                h = cap
-                at_bound = False
-        if h <= 1e-14 * max(1.0, t):
+        if check_cap:
+            kmax = piece.max_on(t, t + h)
+            if kmax > 0.0:
+                cap = pi / sqrt(kmax)
+                if h > cap:
+                    h = cap
+                    at_bound = False
+        if h <= 1e-14 * (t if t > 1.0 else 1.0):
             raise IntegrationError("step size underflow", t)
 
-        ev = piece.evaluate
-        # six derivative evaluations (k1 carried over, FSAL)
-        y2f = f + h * (_A21 * k1f)
-        y2p = fp + h * (_A21 * k1p)
-        k2f, k2p = y2p, -ev(t + _C2 * h) * y2f
-        y3f = f + h * (_A31 * k1f + _A32 * k2f)
-        y3p = fp + h * (_A31 * k1p + _A32 * k2p)
-        k3f, k3p = y3p, -ev(t + _C3 * h) * y3f
-        y4f = f + h * (_A41 * k1f + _A42 * k2f + _A43 * k3f)
-        y4p = fp + h * (_A41 * k1p + _A42 * k2p + _A43 * k3p)
-        k4f, k4p = y4p, -ev(t + _C4 * h) * y4f
-        y5f = f + h * (_A51 * k1f + _A52 * k2f + _A53 * k3f + _A54 * k4f)
-        y5p = fp + h * (_A51 * k1p + _A52 * k2p + _A53 * k3p + _A54 * k4p)
-        k5f, k5p = y5p, -ev(t + _C5 * h) * y5f
-        y6f = f + h * (_A61 * k1f + _A62 * k2f + _A63 * k3f + _A64 * k4f + _A65 * k5f)
-        y6p = fp + h * (_A61 * k1p + _A62 * k2p + _A63 * k3p + _A64 * k4p + _A65 * k5p)
-        k6f, k6p = y6p, -ev(t + h) * y6f
-        fn = f + h * (_B1 * k1f + _B3 * k3f + _B4 * k4f + _B5 * k5f + _B6 * k6f)
-        fpn = fp + h * (_B1 * k1p + _B3 * k3p + _B4 * k4p + _B5 * k5p + _B6 * k6p)
-        k7p_curv = -ev(t + h) * fn
-        k7f, k7p = fpn, k7p_curv
+        # five curvature evaluations: k1 is carried over, and K(t + h)
+        # serves stage 6 and stage 7 (FSAL)
+        y2f = f + h * (a21 * k1f)
+        y2p = fp + h * (a21 * k1p)
+        k2f, k2p = y2p, -ev(t + c2 * h) * y2f
+        y3f = f + h * (a31 * k1f + a32 * k2f)
+        y3p = fp + h * (a31 * k1p + a32 * k2p)
+        k3f, k3p = y3p, -ev(t + c3 * h) * y3f
+        y4f = f + h * (a41 * k1f + a42 * k2f + a43 * k3f)
+        y4p = fp + h * (a41 * k1p + a42 * k2p + a43 * k3p)
+        k4f, k4p = y4p, -ev(t + c4 * h) * y4f
+        y5f = f + h * (a51 * k1f + a52 * k2f + a53 * k3f + a54 * k4f)
+        y5p = fp + h * (a51 * k1p + a52 * k2p + a53 * k3p + a54 * k4p)
+        k5f, k5p = y5p, -ev(t + c5 * h) * y5f
+        y6f = f + h * (a61 * k1f + a62 * k2f + a63 * k3f + a64 * k4f + a65 * k5f)
+        y6p = fp + h * (a61 * k1p + a62 * k2p + a63 * k3p + a64 * k4p + a65 * k5p)
+        k_end = ev(t + h)
+        k6f, k6p = y6p, -k_end * y6f
+        fn = f + h * (b1 * k1f + b3 * k3f + b4 * k4f + b5 * k5f + b6 * k6f)
+        fpn = fp + h * (b1 * k1p + b3 * k3p + b4 * k4p + b5 * k5p + b6 * k6p)
+        k7f, k7p = fpn, -k_end * fn
 
-        ef = h * (_E1 * k1f + _E3 * k3f + _E4 * k4f + _E5 * k5f + _E6 * k6f + _E7 * k7f)
-        ep = h * (_E1 * k1p + _E3 * k3p + _E4 * k4p + _E5 * k5p + _E6 * k6p + _E7 * k7p)
-        sc_f = tol + tol * max(abs(f), abs(fn))
-        sc_p = tol + tol * max(abs(fp), abs(fpn))
-        err = math.sqrt(0.5 * ((ef / sc_f) ** 2 + (ep / sc_p) ** 2))
+        ef = h * (e1 * k1f + e3 * k3f + e4 * k4f + e5 * k5f + e6 * k6f + e7 * k7f)
+        ep = h * (e1 * k1p + e3 * k3p + e4 * k4p + e5 * k5p + e6 * k6p + e7 * k7p)
+        # max(a, b) is b if b > a else a, NaN included
+        af, afn, afp, afpn = abs(f), abs(fn), abs(fp), abs(fpn)
+        sc_f = tol + tol * (afn if afn > af else af)
+        sc_p = tol + tol * (afpn if afpn > afp else afp)
+        err = sqrt(0.5 * ((ef / sc_f) ** 2 + (ep / sc_p) ** 2))
 
         if err > 1.0:
             n_rejected += 1
-            h *= max(_MIN_FACTOR, _SAFETY * err ** (-0.2))
+            shrink = safety * err ** (-0.2)
+            h *= shrink if shrink > min_factor else min_factor
             continue
 
         n_steps += 1
         t_new = bound if at_bound else t + h
         d2_left.append(k1p)
-        d2_right.append(k7p_curv)
+        d2_right.append(k7p)
         ts.append(t_new)
         fs.append(fn)
         fps.append(fpn)
 
         if fn <= 0.0:
-            tz, fz, fpz = _locate_zero(t, t_new - t, f, fp, k1p, fn, fpn, k7p_curv)
+            tz, fz, fpz = _locate_zero(t, t_new - t, f, fp, k1p, fn, fpn, k7p)
             ts[-1] = tz
             fs[-1] = fz
             fps[-1] = fpz
@@ -271,23 +305,19 @@ def solve(profile: CurvatureProfile, t_end: float, tol: float) -> WarpingSolutio
             break
 
         t, f, fp = t_new, fn, fpn
-        if max(abs(f), abs(fp)) >= GROWTH_GUARD:
+        if (afpn if afpn > afn else afn) >= guard:
             truncated = True
             break
 
         if err == 0.0:
-            factor = _MAX_FACTOR
+            factor = max_factor
         else:
-            factor = _SAFETY * err ** (-_PI_ALPHA) * err_prev ** _PI_BETA
-            factor = min(_MAX_FACTOR, max(_MIN_FACTOR, factor))
+            factor = safety * err ** (-pi_alpha) * err_prev ** pi_beta
+            factor = factor if factor > min_factor else min_factor
+            factor = factor if factor < max_factor else max_factor
         h *= factor
-        err_prev = max(err, 1e-10)
-
-        if t >= piece_end:
-            piece, piece_end = profile.piece_at(t)
-            k1f, k1p = fp, -piece.evaluate(t) * f
-        else:
-            k1f, k1p = k7f, k7p
+        err_prev = 1e-10 if 1e-10 > err else err
+        k1f, k1p = k7f, k7p
 
     return WarpingSolution(
         profile=profile,

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -89,15 +89,28 @@ class ModelSpace:
         return unit_sphere_volume(self.n)
 
 
+@lru_cache(maxsize=16)
+def _gauss_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only Gauss-Legendre nodes and weights on [0, 1] with
+    ceil((5n - 4)/2) nodes, exact for polynomials of degree 5(n-1).
+
+    Built once per dimension: at n = 1000 the rule takes about a second.
+    """
+    x, w = np.polynomial.legendre.leggauss(-(-(5 * n - 4) // 2))
+    x, w = 0.5 * (x + 1.0), 0.5 * w
+    x.flags.writeable = False
+    w.flags.writeable = False
+    return x, w
+
+
 def _volumes_at(ms: ModelSpace, ts: list[float]) -> list[float]:
     """Cumulative ball volumes at an increasing list of radii.
 
     Every solver step, and the partial step up to each radius, is
-    integrated with ceil((5n - 4)/2) Gauss-Legendre nodes, which is exact
-    for the degree-5(n-1) integrand; the full steps are summed once.
+    integrated with the Gauss rule of ``_gauss_rule``, which is exact for
+    the degree-5(n-1) integrand; the full steps are summed once.
     """
-    x, w = np.polynomial.legendre.leggauss(-(-(5 * ms.n - 4) // 2))
-    x, w = 0.5 * (x + 1.0), 0.5 * w
+    x, w = _gauss_rule(ms.n)
     nodes = ms.f.ts
     radii = np.asarray(ts, dtype=float)
 

@@ -1,4 +1,5 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -12,6 +13,57 @@ from radialgeo.errors import ProfileError
 def linear_1mt_profile():
     # K(t) = 1 - t on [0, 2), zero tail
     return rg.CurvatureProfile((Segment(0.0, 2.0, (1.0, -1.0)),), rg.ZeroTail())
+
+
+_COEFF = st.one_of(st.sampled_from([0.0, -0.0]),
+                   st.floats(min_value=-10.0, max_value=10.0,
+                             allow_nan=False, allow_infinity=False))
+# a constant term >= 0.5 and the others zero or in [0.25, 2] keep every
+# real root of the denominator below -0.2, off any segment
+_DEN_HIGHER = st.one_of(st.sampled_from([0.0, -0.0]),
+                        st.floats(min_value=0.25, max_value=2.0))
+
+
+@st.composite
+def segments_and_times(draw):
+    """A polynomial (degree 0 to 6) or rational segment and a time in it."""
+    num = tuple(draw(st.lists(_COEFF, min_size=1, max_size=7)))
+    den = (1.0,)
+    if draw(st.booleans()):
+        den = (draw(st.floats(min_value=0.5, max_value=2.0)),
+               *draw(st.lists(_DEN_HIGHER, max_size=6)))
+    t_start = draw(st.floats(min_value=0.0, max_value=50.0))
+    t_end = t_start + draw(st.floats(min_value=1e-3, max_value=50.0))
+    t = draw(st.floats(min_value=t_start, max_value=t_end))
+    return Segment(t_start, t_end, num, den), t
+
+
+class TestScalarEvaluator:
+    @given(case=segments_and_times())
+    @settings(max_examples=500, deadline=None)
+    def test_bits_equal_evaluate(self, case):
+        # float.hex tells -0.0 from 0.0, which == does not
+        seg, t = case
+        assert seg.evaluator(t).hex() == seg.evaluate(t).hex()
+
+    def test_signed_zero_leading_coefficient(self):
+        # 0.0 * t + (-0.0) is +0.0, not the coefficient itself
+        for num in ((-0.0,), (-0.0, -0.0), (1.0, -0.0), (1.0, 2.0, -0.0),
+                    (0.0, 0.0, 0.0, -0.0)):
+            seg = Segment(0.0, 1.0, num)
+            for t in (0.0, 0.5, 1.0):
+                assert seg.evaluator(t).hex() == seg.evaluate(t).hex()
+
+    def test_built_once(self):
+        seg = Segment(0.0, 1.0, (1.0, 2.0), (1.0, 1.0))
+        assert seg.evaluator is seg.evaluator
+
+    def test_solved_profile_pickles(self):
+        profile = rg.CurvatureProfile((Segment(0.0, 1.0, (1.0, 2.0)),), rg.ZeroTail())
+        rg.solve(profile, 2.0, 1e-8)
+        copy = pickle.loads(pickle.dumps(profile))
+        assert copy == profile
+        assert copy.segments[0].evaluator(0.5) == 2.0
 
 
 class TestEvaluation:

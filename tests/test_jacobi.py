@@ -5,12 +5,34 @@ import pytest
 
 import radialgeo as rg
 from radialgeo.curvature_profile import Segment
-from radialgeo.gallery import abresch_f, abresch_fp, beta_profile
+from radialgeo.gallery import abresch_f, abresch_fp, beta_profile, entry_by_name
+from radialgeo.pipeline import DEFAULT_T_END, DEFAULT_TOL
 
 # Reference integration of the piecewise profile K(t) = 1 - t on [0, 2),
 # zero tail, run with scipy DOP853 at rtol = atol = 1e-13 and frozen here.
 PIECEWISE_F5 = 6.8498035253323408
 PIECEWISE_FP5 = 1.6208328830964513
+
+
+# solve(profile, DEFAULT_T_END, DEFAULT_TOL) on each gallery profile:
+# n_steps, n_rejected, then t_end and f, f' at the last node as float.hex.
+# Any change to the solver's arithmetic or step control moves these.
+GALLERY_TRACE = {
+    "flat": (6, 0, "0x1.0000000000000p+12",
+             "0x1.ffffffffffffep+11", "0x1.0000000000000p+0"),
+    "hyperbolic": (1847, 0, "0x1.15bcb05b9cfe0p+7",
+                   "0x1.45256282f94c9p+199", "0x1.45256282f94c9p+199"),
+    "spherical": (37, 0, "0x1.921fb542c572ep+1",
+                  "-0x1.b1bc68f4fd800p-43", "-0x1.ffffffd90a5b9p-1"),
+    "abresch_tail": (85, 1, "0x1.0000000000000p+12",
+                     "0x1.2c4284e892c88p+13", "0x1.2c5e64cbdd681p+1"),
+    "sign_changing_beta_ln2": (82, 1, "0x1.0000000000000p+12",
+                               "0x1.000000a438d5ep+11", "0x1.fffffe82b31e2p-2"),
+    "sign_changing_beta_neg_ln2": (81, 1, "0x1.0000000000000p+12",
+                                   "0x1.fffffecc0d749p+12", "0x1.000000c8e5e3dp+1"),
+    "moment_boundary": (117, 1, "0x1.0000000000000p+12",
+                        "0x1.31b56b35ed30ep+18", "0x1.ee86baab9de59p+6"),
+}
 
 
 def piecewise_1mt():
@@ -111,6 +133,19 @@ class TestDenseOutput:
         with pytest.raises(ValueError):
             sol.fp(-0.5)
 
+    def test_sequence_and_scalar_times(self):
+        sol = rg.solve(rg.constant_profile(-1.0), 2.0, 1e-10)
+        for fn in (sol.f, sol.fp):
+            ref = fn(np.array([0.5, 1.5]))
+            for times in ([0.5, 1.5], (0.5, 1.5)):
+                out = fn(times)
+                assert isinstance(out, np.ndarray)
+                np.testing.assert_array_equal(out, ref)
+            for t in (np.array(1.5), np.float64(1.5)):
+                out = fn(t)
+                assert type(out) is float
+                assert out == ref[1]
+
     def test_positive_before_first_zero(self):
         sol = rg.solve(rg.constant_profile(1.0), 4.0, 1e-10)
         interior = np.linspace(1e-6, sol.first_zero - 1e-9, 500)
@@ -129,6 +164,60 @@ class TestStepControl:
         assert sol.first_zero is None
         assert sol.t_end < 200.0
         assert max(abs(sol.fs[-1]), abs(sol.fps[-1])) >= rg.jacobi.GROWTH_GUARD
+
+
+def _spike_profile():
+    # K = 1/(1 + 1e6 (t - 10)^2) - 1e-3 on [0, 20): negative at both ends
+    # of its piece and positive only within about 0.03 of t = 10, where
+    # the stage points of a long step can all miss it
+    den = (1.0 + 1e8, -2e7, 1e6)
+    num = (1.0 - 1e-3 * den[0], -1e-3 * den[1], -1e-3 * den[2])
+    return rg.CurvatureProfile((Segment(0.0, 20.0, num, den),), rg.ZeroTail())
+
+
+STURM_CAP_PROFILES = {
+    "negative_then_positive_constant": lambda: rg.CurvatureProfile(
+        (Segment(0.0, 5.0, (-1.0,)),), rg.ConstantTail(4.0)),
+    "positive_inside_negative_ends": lambda: rg.CurvatureProfile(
+        (Segment(0.0, 4.0, (-3.0, 4.0, -1.0)),), rg.ZeroTail()),
+    "positive_power_tail": lambda: rg.power_tail_profile(0.5, 3.0),
+    "narrow_spike": _spike_profile,
+}
+
+
+class TestSturmCap:
+    @staticmethod
+    def cap_ratios(profile, sol):
+        """h sqrt(max K) / pi of each accepted step where max K > 0."""
+        ratios = []
+        for t0, t1 in zip(sol.ts[:-1].tolist(), sol.ts[1:].tolist()):
+            piece, _ = profile.piece_at(t0)
+            kmax = piece.max_on(t0, t1)
+            if kmax > 0.0:
+                ratios.append((t1 - t0) * math.sqrt(kmax) / math.pi)
+        return ratios
+
+    @pytest.mark.parametrize("tol", [1e-3, 1e-8])
+    @pytest.mark.parametrize("name", sorted(STURM_CAP_PROFILES))
+    def test_cap_holds_on_every_positive_step(self, name, tol):
+        profile = STURM_CAP_PROFILES[name]()
+        ratios = self.cap_ratios(profile, rg.solve(profile, 60.0, tol))
+        assert ratios, "no step met positive curvature"
+        assert max(ratios) <= 1.0 + 1e-12
+
+    def test_cap_binds_on_narrow_spike(self):
+        # at tol 1e-3 the step control proposes a step across the spike
+        # longer than the cap, so the cap sets that step: equality
+        profile = _spike_profile()
+        ratios = self.cap_ratios(profile, rg.solve(profile, 60.0, 1e-3))
+        assert max(ratios) == pytest.approx(1.0, rel=1e-12)
+
+
+@pytest.mark.parametrize("name", sorted(GALLERY_TRACE))
+def test_gallery_step_trace_is_pinned(name):
+    sol = rg.solve(entry_by_name(name).profile, DEFAULT_T_END, DEFAULT_TOL)
+    assert (sol.n_steps, sol.n_rejected, sol.t_end.hex(), float(sol.fs[-1]).hex(),
+            float(sol.fps[-1]).hex()) == GALLERY_TRACE[name]
 
 
 class TestConvergence:

@@ -6,6 +6,7 @@ import pytest
 import radialgeo as rg
 from radialgeo.curvature_profile import Segment
 from radialgeo.gallery import entry_by_name
+from radialgeo.model_space import _gauss_rule
 
 PI = math.pi
 
@@ -39,6 +40,15 @@ class TestUnitSphereVolume:
         log_oracle = math.log(2.0) + n / 2.0 * math.log(PI) - math.lgamma(n / 2.0)
         assert rg.unit_sphere_volume(n) == pytest.approx(math.exp(log_oracle),
                                                          rel=1e-9)
+
+
+class TestGaussRule:
+    def test_built_once_per_dimension_and_read_only(self):
+        x, w = _gauss_rule(5)
+        assert _gauss_rule(5)[0] is x
+        assert len(x) == 11 and not x.flags.writeable and not w.flags.writeable
+        # exact for degree 5(n - 1) = 20 on [0, 1]
+        assert float(w @ x ** 20) == pytest.approx(1.0 / 21.0, rel=1e-14)
 
 
 class TestModelSpace:
