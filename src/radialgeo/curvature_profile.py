@@ -44,6 +44,21 @@ _ONE_DEN = (1.0,)
 _CONTINUITY_TOL = 1e-12
 
 
+def _trimmed(coeffs: tuple[float, ...]) -> tuple[float, ...]:
+    """Polynomial coefficients without trailing zeros, as ``polyroots``
+    takes them (the zero polynomial keeps one coefficient: no roots).
+
+    ProfileError, naming the coefficients, when the companion matrix of
+    the polynomial (the coefficients over the leading one) would leave
+    float range.
+    """
+    out = coeffs[:max((i + 1 for i, c in enumerate(coeffs) if c), default=1)]
+    if not all(math.isfinite(c / out[-1]) for c in out[:-1]):
+        raise ProfileError(f"polynomial coefficients {coeffs} put its roots "
+                           f"past float range")
+    return out
+
+
 def _horner(coeffs: tuple[float, ...], t: float) -> float:
     acc = 0.0
     for c in reversed(coeffs):
@@ -100,6 +115,9 @@ class Segment:
                 raise ProfileError(
                     f"segment denominator vanishes at t = {root:.6g}"
                 )
+        # refuses a numerator whose roots leave float range now, not when
+        # its sign pieces are first needed
+        _trimmed(self.num)
 
     @property
     def is_polynomial(self) -> bool:
@@ -143,11 +161,8 @@ class Segment:
 
     @staticmethod
     def _real_roots(coeffs: tuple[float, ...]) -> list[float]:
-        arr = np.trim_zeros(np.asarray(coeffs, dtype=float), trim="b")
-        if arr.size <= 1:
-            return []
-        roots = npoly.polyroots(arr)
-        return [float(r.real) for r in roots if abs(r.imag) <= 1e-9 * (1 + abs(r))]
+        return [float(r.real) for r in npoly.polyroots(_trimmed(coeffs))
+                if abs(r.imag) <= 1e-9 * (1 + abs(r))]
 
     @cached_property
     def _critical_points(self) -> tuple[float, ...]:
@@ -159,7 +174,7 @@ class Segment:
             dden = npoly.polyder(self.den)
             p = npoly.polysub(npoly.polymul(dnum, self.den),
                               npoly.polymul(self.num, dden))
-        return tuple(self._real_roots(tuple(p)))
+        return tuple(self._real_roots(tuple(p.tolist())))
 
     def max_on(self, a: float, b: float) -> float:
         """Exact maximum of the segment expression over [a, b]."""
@@ -431,9 +446,8 @@ def _sign_pieces(seg: Segment) -> list[tuple[float, float, bool]]:
     """
     if seg.is_zero:
         return [(seg.t_start, seg.t_end, False)]
-    num = np.trim_zeros(np.asarray(seg.num), trim="b")
-    roots = sorted(float(r) for r in npoly.polyroots(num).real
-                   if seg.t_start < r < seg.t_end) if num.size > 1 else []
+    roots = sorted(float(r) for r in npoly.polyroots(_trimmed(seg.num)).real
+                   if seg.t_start < r < seg.t_end)
     knots = [seg.t_start, *roots, seg.t_end]
     probes = [seg.t_start, *(0.5 * (a + b) for a, b in zip(knots, knots[1:])),
               seg.t_end]

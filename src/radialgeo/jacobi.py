@@ -39,9 +39,10 @@ from .errors import IntegrationError
 __all__ = ["WarpingSolution", "solve", "solve_m", "GROWTH_GUARD"]
 
 # Reaching this magnitude in f or f' means the model is violently
-# divergent; the window is truncated there instead of overflowing.  It
-# keeps f**(n-1) in float range up to n = 6; past that, model_space.power
-# saturates to inf and what is built on it did not settle.
+# divergent; the window is truncated there instead of overflowing.  Ball
+# volumes are integrated in logs, so f**(n-1) never leaves float range;
+# the closed-form growth coefficient and the ends cap go through
+# model_space.power, which saturates to inf.
 GROWTH_GUARD = 1e60
 
 # attempted steps after which a solve gives up
@@ -99,22 +100,32 @@ class WarpingSolution:
     def t_end(self) -> float:
         return float(self.ts[-1])
 
-    def _interp(self, t, derivative: bool):
+    def _locate(self, t) -> tuple[np.ndarray, np.ndarray]:
+        """Step indices j and local coordinates s in [0, 1] of times t;
+        ValueError where a time is nan or lies outside the solution
+        window."""
         ts = self.ts
         t_arr = np.asarray(t, dtype=float)
         if t_arr.size:
             tmin, tmax = float(t_arr.min()), float(t_arr.max())
-            if tmin < 0.0 or tmax > ts[-1] * (1 + 1e-15) + 1e-300:
+            if not (tmin >= 0.0 and tmax <= ts[-1] * (1 + 1e-15) + 1e-300):
                 raise ValueError(
                     f"evaluation time outside solution window [0, {ts[-1]:.6g}]"
                 )
         j = np.clip(np.searchsorted(ts, t_arr, side="right") - 1, 0, len(ts) - 2)
-        h = ts[j + 1] - ts[j]
-        s = np.clip((t_arr - ts[j]) / h, 0.0, 1.0)
-        out = _hermite(h, self.fs[j], self.fps[j], self.d2_left[j],
-                       self.fs[j + 1], self.fps[j + 1], self.d2_right[j],
-                       s, derivative)
+        return j, np.clip((t_arr - ts[j]) / (ts[j + 1] - ts[j]), 0.0, 1.0)
+
+    def _interp(self, t, derivative: bool):
+        out = self._on_steps(*self._locate(t), derivative)
         return out if np.ndim(t) > 0 else float(out)
+
+    def _on_steps(self, j, s, derivative: bool):
+        """The dense output on steps j (step indices or a slice of them) at
+        local coordinates s in [0, 1]."""
+        ts, fs, fps = self.ts, self.fs, self.fps
+        return _hermite(ts[1:][j] - ts[:-1][j], fs[:-1][j], fps[:-1][j],
+                        self.d2_left[j], fs[1:][j], fps[1:][j],
+                        self.d2_right[j], s, derivative)
 
     def f(self, t):
         """f at time t, from the dense output: a float for a scalar t, an

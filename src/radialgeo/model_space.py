@@ -8,23 +8,29 @@ its metric balls have volume
 with omega_{n-1} the unit (n-1)-sphere volume.  The dense output of f is
 a quintic on each solver step, so the integrand is a polynomial of degree
 5(n-1) there and a Gauss-Legendre rule integrates it exactly, up to
-rounding.  The asymptotic growth coefficient lim vol B_t / t^n is
-computed two independent ways: the closed form
-(omega_{n-1}/n) (1 - c/(2 pi))**(n-1) from the total curvature c of the
-underlying surface, whose error bar comes from the closed-form bracket
-of the tail (see ``asymptotics``) and which is the route that certifies;
-and direct Richardson extrapolation of ball-volume probes, an
-independent check whose disagreement is reported.  Every power of the
-dimension goes through :func:`power`, which saturates to inf past float
-range (high dimension, fast growth); a limit built from such a value did
-not settle (err = inf, see ``LimitEstimate``).
+rounding.  Ball volumes are computed as logarithms, which stay in float
+range in every dimension: each step is integrated as
+F**(n-1) * integral (f/F)**(n-1), with F the step's largest node value,
+and the steps are summed with ``numpy.logaddexp``.  Whatever leaves log
+space (a volume, a probe vol B_t / t^n, a volume ratio) goes through
+:func:`saturating_exp`.
+
+The asymptotic growth coefficient lim vol B_t / t^n is computed two
+independent ways: the closed form (omega_{n-1}/n) (1 - c/(2 pi))**(n-1)
+from the total curvature c of the underlying surface, whose error bar
+comes from the closed-form bracket of the tail (see ``asymptotics``) and
+which is the route that certifies; and direct Richardson extrapolation
+of ball-volume probes, an independent check whose disagreement is
+reported.  The closed form goes through :func:`power`.  Both saturate to
+inf past float range (high dimension, fast growth), and a limit built
+from such a value did not settle (err = inf, see ``LimitEstimate``).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, reduce
 
 import numpy as np
 
@@ -33,10 +39,11 @@ from .asymptotics import CurvatureClass, LimitEstimate, TotalCurvatureResult
 from .jacobi import WarpingSolution
 
 __all__ = ["ModelSpace", "GrowthCoefficient", "check_dimension", "power",
-           "growth_probe", "unit_sphere_volume", "ball_volume",
-           "ball_volumes", "growth_coefficient"]
+           "saturating_exp", "unit_sphere_volume", "log_ball_volumes",
+           "ball_volume", "ball_volumes", "growth_coefficient"]
 
 _TWO_PI = 2.0 * math.pi
+_TINY = np.finfo(float).tiny
 
 
 def check_dimension(n) -> int:
@@ -54,20 +61,22 @@ def power(x: float, k: int) -> float:
         return math.inf
 
 
-def growth_probe(volume: float, t: float, n: int) -> float:
-    """volume / t**n; nan (not the 0 of volume / inf) past float range."""
-    scale = power(t, n)
-    return volume / scale if 0.0 < scale < math.inf else math.nan
+def saturating_exp(x: float) -> float:
+    """exp(x), or inf past float range."""
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
+
+
+def _log_omega(n: int) -> float:
+    """log of the unit (n-1)-sphere volume, log 2 pi^(n/2) / Gamma(n/2)."""
+    return math.log(2.0) + n / 2.0 * math.log(math.pi) - math.lgamma(n / 2.0)
 
 
 def unit_sphere_volume(n: int) -> float:
     """Volume of the unit (n-1)-sphere, 2 pi^(n/2) / Gamma(n/2), n >= 2."""
-    n = check_dimension(n)
-    try:
-        return 2.0 * math.pi ** (n / 2.0) / math.gamma(n / 2.0)
-    except OverflowError:
-        # Gamma(n/2) passes float range from n = 344 on
-        return 2.0 * math.exp(n / 2.0 * math.log(math.pi) - math.lgamma(n / 2.0))
+    return math.exp(_log_omega(check_dimension(n)))
 
 
 @dataclass(frozen=True)
@@ -103,44 +112,43 @@ def _gauss_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
     return x, w
 
 
-def _volumes_at(ms: ModelSpace, ts: list[float]) -> list[float]:
-    """Cumulative ball volumes at an increasing list of radii.
+def _log_integrals(f: WarpingSolution, n: int, j, u) -> np.ndarray:
+    """log of the integral of f**(n-1) over the first fraction u of each
+    of the solver steps j (step indices or a slice of them).
 
-    Every solver step, and the partial step up to each radius, is
-    integrated with the Gauss rule of ``_gauss_rule``, which is exact for
-    the degree-5(n-1) integrand; the full steps are summed once.
+    A step's integral is F**(n-1) * integral (f/F)**(n-1), with F its
+    largest Gauss-node value, so neither factor leaves float range.  One
+    node across all steps at a time keeps temporaries at one value per
+    step.
     """
-    x, w = _gauss_rule(ms.n)
-    nodes = ms.f.ts
-    radii = np.asarray(ts, dtype=float)
-
-    def integrals(starts, widths):
-        # one node across all steps at a time keeps temporaries at one
-        # value per step
-        total = np.zeros_like(widths)
-        for xk, wk in zip(x, w):
-            total += wk * ms.f.f(starts + widths * xk) ** (ms.n - 1)
-        return widths * total
-
-    with np.errstate(over="ignore", invalid="ignore"):
-        steps = integrals(nodes[:-1], np.diff(nodes))
-        cumulative = np.concatenate(([0.0], np.cumsum(steps)))
-        j = np.clip(np.searchsorted(nodes, radii, side="right") - 1,
-                    0, len(nodes) - 2)
-        totals = cumulative[j] + integrals(nodes[j], radii - nodes[j])
-    return [ms.omega * float(v) for v in totals]
+    x, w = _gauss_rule(n)
+    # the floor keeps F positive on a part of width zero at t = 0
+    top = reduce(np.maximum, (f._on_steps(j, u * xk, False) for xk in x),
+                 _TINY)
+    total = sum(wk * (f._on_steps(j, u * xk, False) / top) ** (n - 1)
+                for xk, wk in zip(x, w))
+    with np.errstate(divide="ignore"):  # a part of width zero has log -inf
+        return (np.log(u * (f.ts[1:][j] - f.ts[:-1][j]) * total)
+                + (n - 1) * np.log(top))
 
 
-def ball_volumes(ms: ModelSpace, ts) -> list[float]:
-    """Ball volumes at a nondecreasing sequence of radii (one pass)."""
+def log_ball_volumes(ms: ModelSpace, ts) -> list[float]:
+    """log vol B_t at a nondecreasing sequence of radii in the solution
+    window (one pass); -inf at t = 0."""
     radii = [float(t) for t in ts]
     if any(b < a for a, b in zip(radii, radii[1:])):
         raise ValueError("radii must be nondecreasing")
-    if radii and not (0.0 <= radii[0] and radii[-1] <= ms.f.t_end * (1 + 1e-15)):
-        raise ValueError(
-            f"radii must lie in the solution window [0, {ms.f.t_end:.6g}]"
-        )
-    return _volumes_at(ms, [min(t, ms.f.t_end) for t in radii])
+    full = np.logaddexp.accumulate(
+        np.concatenate(([-np.inf], _log_integrals(ms.f, ms.n, slice(None), 1.0))))
+    j, u = ms.f._locate(radii)
+    return (_log_omega(ms.n)
+            + np.logaddexp(full[j], _log_integrals(ms.f, ms.n, j, u))).tolist()
+
+
+def ball_volumes(ms: ModelSpace, ts) -> list[float]:
+    """Ball volumes at a nondecreasing sequence of radii (one pass), inf
+    past float range."""
+    return [saturating_exp(v) for v in log_ball_volumes(ms, ts)]
 
 
 def ball_volume(ms: ModelSpace, t: float) -> float:
@@ -190,8 +198,8 @@ def growth_coefficient(ms: ModelSpace,
     """
     T = ms.f.t_end
     radii = [T / 2.0 ** k for k in range(6, -1, -1)]
-    probes = [growth_probe(v, t, ms.n)
-              for v, t in zip(_volumes_at(ms, radii), radii)]
+    probes = [saturating_exp(v - ms.n * math.log(t))
+              for v, t in zip(log_ball_volumes(ms, radii), radii)]
     closed = _closed_form(ms, c)
     if c.classification is CurvatureClass.NEGATIVE_DIVERGENT:
         return GrowthCoefficient(LimitEstimate.of_divergent(probes[-1]),

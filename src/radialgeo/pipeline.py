@@ -57,7 +57,8 @@ from .model_space import (
     ball_volumes,
     check_dimension,
     growth_coefficient,
-    growth_probe,
+    log_ball_volumes,
+    saturating_exp,
 )
 
 __all__ = [
@@ -179,6 +180,8 @@ class BGRatioCheck(NamedTuple):
 def bg_ratio_check(samples: VolumeSamples, ms: ModelSpace) -> BGRatioCheck:
     """Bishop-Gromov ratios vol(manifold)/vol(model) at the sample radii.
 
+    The ratios are formed in logs, so a model volume past float range
+    still gives the true ratio; a ratio past float range reads inf.
     Under a true radial curvature lower bound the ratios are nonincreasing
     and at most 1; ``monotone_ok`` reports whether the data respect that
     (with 1e-9 slack).  The ratio limit is estimated by the average of the
@@ -195,12 +198,8 @@ def bg_ratio_check(samples: VolumeSamples, ms: ModelSpace) -> BGRatioCheck:
             f"sample radius {samples.t[-1]:g} exceeds the solution window "
             f"[0, {ms.f.t_end:g}]"
         )
-    model_vols = ball_volumes(ms, list(samples.t))
-    for t, mv in zip(samples.t, model_vols):
-        if not 0.0 < mv < math.inf:
-            raise ConfigurationError(f"model ball volume at sample radius "
-                                     f"{t:g} is past float range")
-    ratios = [v / mv for v, mv in zip(samples.vol, model_vols)]
+    ratios = [saturating_exp(math.log(v) - lm)
+              for v, lm in zip(samples.vol, log_ball_volumes(ms, samples.t))]
     monotone = all(b <= a + _MONOTONE_SLACK for a, b in zip(ratios, ratios[1:]))
     bounded = all(r <= 1.0 + _MONOTONE_SLACK for r in ratios)
     window = ratios[-_TAIL_WINDOW:]
@@ -292,9 +291,10 @@ def evaluate_theorem(profile: CurvatureProfile, n: int,
                 err=abs(r.value) * g.err + abs(g.value) * r.err + r.err * g.err,
             )
             # direct tail average of vol_i / t_i^n as a cross-check of the
-            # factored estimate; a probe past float range (nan) skips it
+            # factored estimate; a probe past float range (inf) skips it
             tail = list(zip(samples.t[-_TAIL_WINDOW:], samples.vol[-_TAIL_WINDOW:]))
-            direct_avg = sum(growth_probe(v, t, n) for t, v in tail) / len(tail)
+            direct_avg = sum(saturating_exp(math.log(v) - n * math.log(t))
+                             for t, v in tail) / len(tail)
             scale = max(abs(manifold_growth.value), abs(direct_avg), 1e-300)
             if abs(direct_avg - manifold_growth.value) > _FACTORIZATION_WARN * scale:
                 warnings.append(

@@ -1,9 +1,11 @@
+import json
 import math
 import pickle
+import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import radialgeo as rg
 from radialgeo.curvature_profile import Segment, tail_moment_finite
@@ -28,6 +30,10 @@ _DEN_HIGHER = st.one_of(st.sampled_from([0.0, -0.0]),
 def segments_and_times(draw):
     """A polynomial (degree 0 to 6) or rational segment and a time in it."""
     num = tuple(draw(st.lists(_COEFF, min_size=1, max_size=7)))
+    # a leading coefficient so small that num's roots leave float range
+    # is refused (see TestValidation)
+    lead = next((c for c in reversed(num) if c), 1.0)
+    assume(all(math.isfinite(c / lead) for c in num))
     den = (1.0,)
     if draw(st.booleans()):
         den = (draw(st.floats(min_value=0.5, max_value=2.0)),
@@ -116,6 +122,25 @@ class TestValidation:
     def test_nonfinite_coefficients_rejected(self):
         with pytest.raises(ProfileError):
             Segment(0.0, 1.0, (math.inf,))
+
+    # a subnormal leading coefficient puts the companion matrix, and so the
+    # roots, past float range (the suite turns any RuntimeWarning into an
+    # error, so none may be emitted on the way)
+    @pytest.mark.parametrize("num, den", [
+        ((1.0,), (1.0, 0.0, 5e-324)),
+        ((1.0, 0.0, 5e-324), (1.0,)),
+        ((1.0, 5e-324), (1.0,)),
+    ])
+    def test_roots_past_float_range_rejected(self, num, den, tmp_path, capsys):
+        coeffs = re.escape(str(den if len(den) > 1 else num))
+        with pytest.raises(ProfileError, match=f"coefficients {coeffs} put its roots"):
+            Segment(0.0, 1.0, num, den)
+        cfg = tmp_path / "model.json"
+        cfg.write_text(json.dumps({"n": 2, "profile": {"segments": [
+            {"t_start": 0.0, "t_end": 1.0, "num": list(num), "den": list(den)}]}}))
+        assert rg.cli_main(["analyze", "--config", str(cfg)]) == 2
+        assert f"coefficients {str(den if len(den) > 1 else num)} put its roots" in (
+            capsys.readouterr().err)
 
 
 class TestSignedParts:

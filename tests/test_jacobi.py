@@ -132,6 +132,8 @@ class TestDenseOutput:
             sol.f(1.5)
         with pytest.raises(ValueError):
             sol.fp(-0.5)
+        with pytest.raises(ValueError):
+            sol.f([0.5, math.nan])
 
     def test_sequence_and_scalar_times(self):
         sol = rg.solve(rg.constant_profile(-1.0), 2.0, 1e-10)

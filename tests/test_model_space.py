@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ import pytest
 import radialgeo as rg
 from radialgeo.curvature_profile import Segment
 from radialgeo.gallery import entry_by_name
-from radialgeo.model_space import _gauss_rule
+from radialgeo.model_space import _gauss_rule, log_ball_volumes
 
 PI = math.pi
 
@@ -115,8 +116,9 @@ class TestBallVolume:
 
     def test_radius_beyond_window(self, flat_sol):
         ms = rg.ModelSpace(n=2, f=flat_sol)
-        with pytest.raises(ValueError):
-            rg.ball_volume(ms, 65.0)
+        for t in (65.0, -1.0, math.nan):
+            with pytest.raises(ValueError):
+                rg.ball_volume(ms, t)
 
     def test_batch_matches_singles(self, flat_sol):
         ms = rg.ModelSpace(n=3, f=flat_sol)
@@ -125,6 +127,56 @@ class TestBallVolume:
         singles = [rg.ball_volume(ms, r) for r in radii]
         np.testing.assert_allclose(batch, singles, rtol=1e-10)
         assert all(b < a for b, a in zip(batch, batch[1:]))
+
+
+def log_omega(n):
+    return math.log(2.0) + n / 2.0 * math.log(PI) - math.lgamma(n / 2.0)
+
+
+@pytest.fixture(scope="module")
+def flat_4096():
+    return rg.solve(rg.zero_profile(), 4096.0, 1e-10)
+
+
+class TestLogBallVolumes:
+    @pytest.mark.parametrize("n", [2, 3, 5, 8, 86, 344, 400, 1000])
+    def test_flat_closed_form(self, flat_4096, n):
+        # vol B_t = omega_{n-1} t^n / n, far past float range at large n
+        radii = np.geomspace(1e-3, 4096.0, 25).tolist()
+        got = log_ball_volumes(rg.ModelSpace(n=n, f=flat_4096), radii)
+        for t, lv in zip(radii, got):
+            exact = log_omega(n) + n * math.log(t) - math.log(n)
+            assert abs(lv - exact) <= 1e-9 * max(1.0, abs(exact)), (n, t)
+
+    @pytest.mark.parametrize("n, log_exact", [
+        # 2 pi (cosh t - 1) = 4 pi sinh(t/2)^2
+        (2, lambda t: math.log(4.0 * PI) + 2.0 * math.log(math.sinh(t / 2.0))),
+        (3, lambda t: math.log(PI) + math.log(math.sinh(2.0 * t) - 2.0 * t)),
+    ])
+    def test_hyperbolic_closed_form(self, n, log_exact):
+        sol = rg.solve(rg.constant_profile(-1.0), 40.0, 1e-10)
+        radii = [1e-3, 0.01, 0.1, 0.5, 1.0, 2.0, 5.0, 10.0, 20.0, 40.0]
+        got = log_ball_volumes(rg.ModelSpace(n=n, f=sol), radii)
+        for t, lv in zip(radii, got):
+            exact = log_exact(t)
+            assert abs(lv - exact) <= 1e-9 * max(1.0, abs(exact)), (n, t)
+
+    def test_zero_radius(self, flat_sol):
+        assert log_ball_volumes(rg.ModelSpace(n=3, f=flat_sol), [0.0]) == [-math.inf]
+
+    def test_volumes_saturate_to_inf_past_float_range(self):
+        # at n = 400 the flat volume leaves float range at t ~ 28.8
+        n = 400
+        sol = rg.solve(rg.zero_profile(), 64.0, 1e-10)
+        radii = [8.0, 28.0, 28.7, 28.9, 29.0, 40.0, 64.0]
+        log_max = math.log(sys.float_info.max)
+        past = [log_omega(n) + n * math.log(t) - math.log(n) > log_max
+                for t in radii]
+        assert past == [False, False, False, True, True, True, True]
+        got = rg.ball_volumes(rg.ModelSpace(n=n, f=sol), radii)
+        assert [v == math.inf for v in got] == past
+        assert all(0.0 < v < math.inf for v, p in zip(got, past) if not p)
+        assert got[0] == pytest.approx(5.876e85, rel=1e-4)
 
 
 class TestGrowthCoefficient:

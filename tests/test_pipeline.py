@@ -250,8 +250,8 @@ class TestEvaluateTheorem:
 
 
 # K = -1 on [0, 100), then zero: f' ~ cosh(100) ~ 1.3e43 past t = 100, so
-# the volume probes f**(n-1) pass float range at n = 8, and the growth
-# closed form and the ends cap at n = 9; c itself stays finite.
+# the growth closed form and the ends cap pass float range at n = 9 and
+# the direct route with them; c itself stays finite.
 DEEP_WELL = rg.CurvatureProfile((rg.Segment(0.0, 100.0, (-1.0,)),),
                                 rg.ZeroTail())
 
@@ -273,14 +273,51 @@ def write_config(path, profile, n):
     return str(path)
 
 
+def log_omega(n):
+    return math.log(2.0) + n / 2.0 * math.log(PI) - math.lgamma(n / 2.0)
+
+
+def log_add(a, b):
+    hi, lo = max(a, b), min(a, b)
+    return hi + math.log1p(math.exp(lo - hi))
+
+
+def deep_well_log_volume8(t):
+    """log vol B_t of DEEP_WELL at n = 8, t >= 50, in closed form: f = sinh
+    on [0, 100], then f = S + C (t - 100) with S = sinh 100, C = cosh 100.
+
+    int_0^t sinh^7 = P(cosh t) + 16/35 with P(c) = c^7/7 - 3c^5/5 + c^3 - c.
+    """
+    c = math.cosh(min(t, 100.0))
+    log_well = (7.0 * math.log(c) - math.log(7.0)
+                + math.log1p(-21.0 / (5.0 * c ** 2) + 7.0 / c ** 4
+                             - 7.0 / c ** 6 + 16.0 / (5.0 * c ** 7)))
+    if t > 100.0:
+        S, C = math.sinh(100.0), math.cosh(100.0)
+        end = S + C * (t - 100.0)
+        log_line = (8.0 * math.log(end) - math.log(8.0 * C)
+                    + math.log1p(-(S / end) ** 8))
+        log_well = log_add(log_well, log_line)
+    return log_omega(8) + log_well
+
+
 class TestHighDimension:
     @staticmethod
     def check(data):
         assert data["total_curvature"]["classification"] == "finite"
         assert data["growth"]["direct"]["divergent"] is False
-        assert data["growth"]["direct"]["err"] is None  # did not settle
         assert data["hypothesis_ok"] is True
-        if data["inputs"]["n"] == 9:
+        if data["inputs"]["n"] == 8:
+            # lim vol B_t / t^8 = (omega_7/8) cosh(100)^7 ~ 3.2e302; the
+            # direct route reaches it in logs
+            exact = math.exp(log_omega(8) - math.log(8.0)
+                             + 7.0 * math.log(math.cosh(100.0)))
+            direct = data["growth"]["direct"]
+            assert direct["value"] == pytest.approx(exact, rel=1e-4)
+            assert abs(direct["value"] - exact) <= direct["err"]
+        else:
+            # (cosh 100)^8 is past float range
+            assert data["growth"]["direct"]["err"] is None  # did not settle
             assert data["growth"]["closed_form"]["err"] is None
             assert data["ends_bound"]["conclusive"] is False
 
@@ -337,55 +374,97 @@ class TestHighDimension:
         assert proc.returncode == 0, proc.stderr
         assert "NaN" not in proc.stdout and "Infinity" not in proc.stdout
         data = json.loads(proc.stdout)
-        assert data["growth"]["direct"]["err"] is None  # 4096**90 overflows
-        assert data["growth"]["closed_form"]["value"] > 0.0
+        # 4096**90 overflows, vol B_t / t^90 in logs does not
+        exact = math.exp(log_omega(90) - math.log(90.0))
+        direct = data["growth"]["direct"]
+        # the report prints 12 digits, so the bar itself is not comparable
+        assert direct["value"] == pytest.approx(exact, rel=1e-12)
+        assert direct["err"] is not None  # settled
+        assert data["growth"]["closed_form"]["value"] == pytest.approx(
+            exact, rel=1e-12)
 
     def test_probe_radius_power_underflows(self):
-        # the first probe radius is 1/64, and (1/64)**200 underflows to 0
+        # the first probe radius is 1/64, and (1/64)**200 underflows to 0,
+        # which vol B_t / t^n in logs never forms
         rep = evaluate_theorem(rg.zero_profile(), 200, AnalysisOptions(t_end=1.0))
         data = json.loads(report_to_json(rep))
-        assert data["growth"]["direct"] == {"divergent": False, "value": None,
-                                            "err": None}
-        assert data["growth"]["closed_form"]["value"] > 0.0
+        exact = math.exp(log_omega(200) - math.log(200.0))
+        direct = data["growth"]["direct"]
+        assert direct["value"] == pytest.approx(exact, rel=1e-10)
+        assert abs(direct["value"] - exact) <= direct["err"] <= 1e-10 * exact
+        assert data["growth"]["closed_form"]["value"] == pytest.approx(
+            exact, rel=1e-12)
 
-    def test_bg_ratios_past_float_range_are_refused(self, tmp_path, capsys):
-        # model volumes pass float range from t = 150 on at n = 8; a ratio
-        # against them must not read 0 and pass the monotonicity gate
+    def test_bg_ratios_past_float_range(self, tmp_path, capsys):
+        # model volumes pass float range from t = 150 on at n = 8; the
+        # ratios against them come from logs and stay true
         ts = (50.0, 100.0, 150.0, 200.0, 300.0)
+        log_model = [deep_well_log_volume8(t) for t in ts]
+        assert [lv > math.log(sys.float_info.max) for lv in log_model] == [
+            False, False, True, True, True]
+        vols = (0.6 * math.exp(log_model[0]), 0.5 * math.exp(log_model[1]),
+                1e300, 1e300, 1e300)
+        expected = [math.exp(math.log(v) - lv) for v, lv in zip(vols, log_model)]
+        samples = VolumeSamples(t=ts, vol=vols, n=8)
         ms = rg.ModelSpace(n=8, f=rg.solve(DEEP_WELL, 4096.0, 1e-8))
-        vols = [v if math.isfinite(v) else 1e300 for v in rg.ball_volumes(ms, ts)]
-        samples = VolumeSamples(t=ts, vol=tuple(vols), n=8)
-        with pytest.raises(ConfigurationError, match="radius 150 "):
-            bg_ratio_check(samples, ms)
-        with pytest.raises(ConfigurationError, match="radius 150 "):
-            evaluate_theorem(DEEP_WELL, 8, samples=samples)
+        bg = bg_ratio_check(samples, ms)
+        assert bg.ratios == pytest.approx(expected, rel=1e-4)
+        assert 0.0 < bg.ratios[-1] < bg.ratios[-2] < bg.ratios[-3] < 1e-16
+        assert bg.monotone_ok is True
+        rep = evaluate_theorem(DEEP_WELL, 8, samples=samples)
+        assert rep.bg_ratios == bg.ratios and rep.bg_monotone_ok is True
         csv_path = tmp_path / "v.csv"
         write_samples(csv_path, zip(ts, vols))
         cfg = write_config(tmp_path / "deep.json", DEEP_WELL, 8)
-        assert cli_main(["analyze", "--config", cfg,
-                         "--samples", str(csv_path)]) == 2
-        assert "radius 150 is past float range" in capsys.readouterr().err
+        out = tmp_path / "report.json"
+        assert cli_main(["analyze", "--config", cfg, "--samples", str(csv_path),
+                         "--out", str(out)]) == 0
+        data = json.loads(out.read_text())
+        assert data["bg_monotone_ok"] is True
+        assert data["bg_ratios"] == pytest.approx(expected, rel=1e-4)
 
-    def test_underflowed_model_volumes_are_refused(self):
-        # omega_499 underflows to 0, so every model volume reads 0
-        samples = VolumeSamples(t=(1.0, 2.0), vol=(1.0, 2.0), n=500)
-        with pytest.raises(ConfigurationError, match="radius 1 "):
-            evaluate_theorem(rg.zero_profile(), 500, samples=samples)
+    def test_underflowed_omega_gives_true_ratios(self):
+        # omega_499 underflows to 0, yet log vol B_t = log omega_499 +
+        # 500 log t - log 500 is exact in logs
+        n = 500
+
+        def log_model(t):
+            return log_omega(n) + n * math.log(t) - math.log(n)
+
+        # volumes 1 and 2 at radii 1 and 2 exceed the model's e^-848 and
+        # e^-500: the true ratios e^848 (past float range) and e^502
+        rep = evaluate_theorem(rg.zero_profile(), n, samples=VolumeSamples(
+            t=(1.0, 2.0), vol=(1.0, 2.0), n=n))
+        assert rep.bg_ratios[0] == math.inf
+        assert rep.bg_ratios[1] == pytest.approx(
+            math.exp(math.log(2.0) - log_model(2.0)), rel=1e-9)
+        assert rep.bg_monotone_ok is False
+        assert any("contradict" in w for w in rep.warnings)
+        assert json.loads(report_to_json(rep))["bg_ratios"][0] is None
+        # half the model volume at radii where it is a normal float
+        ts = (2.0, 4.0)
+        vols = tuple(0.5 * math.exp(log_model(t)) for t in ts)
+        rep = evaluate_theorem(rg.zero_profile(), n, samples=VolumeSamples(
+            t=ts, vol=vols, n=n))
+        assert rep.bg_ratios == pytest.approx([0.5, 0.5], rel=1e-9)
+        assert rep.bg_monotone_ok is True
 
     def test_tail_average_past_float_range(self, beta_ln2_profile):
         # lim f' = 1/2 keeps the model volumes in range at n = 86 while
-        # 4096**86 is not: the direct route and the tail average's last
-        # probe did not settle, and neither may read 0
+        # 4096**86 is not: in logs the direct route and the tail average
+        # of vol_i / t_i^n settle on the exact omega/n (1/2)^85
         n, ts = 86, (512.0, 1024.0, 2048.0, 4096.0)
         ms = rg.ModelSpace(n=n, f=rg.solve(beta_ln2_profile, 4096.0, 1e-8))
         vols = tuple(0.5 * v for v in rg.ball_volumes(ms, ts))
         rep = evaluate_theorem(beta_ln2_profile, n,
                                samples=VolumeSamples(t=ts, vol=vols, n=n))
         assert rep.bg_monotone_ok is True
-        data = json.loads(report_to_json(rep))
-        assert data["growth"]["direct"] == {"divergent": False, "value": None,
-                                            "err": None}
-        assert data["growth"]["discrepancy"] is None
+        exact = math.exp(log_omega(n) - math.log(n) + (n - 1) * math.log(0.5))
+        direct = rep.growth.direct
+        assert direct.value == pytest.approx(exact, rel=1e-5)
+        assert abs(direct.value - exact) <= direct.err
+        assert rep.growth.discrepancy == abs(
+            direct.value - rep.growth.closed_form.value)
         assert rep.manifold_growth_limit.value == pytest.approx(
             0.5 * rep.growth.closed_form.value, rel=1e-12)
         assert not any("direct tail average" in w for w in rep.warnings)
