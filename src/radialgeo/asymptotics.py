@@ -7,7 +7,9 @@ last node of the solve.  While f > 0 past T its slope is monotone there,
 so f lies between its tangent at T and the line of slope s through
 (T, f(T)); integrating K against both lines brackets s in closed form
 (see :func:`slope_limit`).  The m' limit of the ends bound is the same
-rule applied to the solve of the negative part, ``slope_limit(solve_m(...))``.
+rule applied to the solve of the negative part, ``slope_limit(solve_m(...))``;
+where K <= 0, min(K, 0) = K, so that solve is f's own and
+``evaluate_theorem`` reuses the slope limit of f.
 
 Total curvature splits as c = c_plus + c_minus with
 

@@ -106,6 +106,10 @@ class Segment:
             raise ProfileError("segment needs at least one coefficient")
         if not all(math.isfinite(c) for c in self.num + self.den):
             raise ProfileError("segment coefficients must be finite")
+        # the zero polynomial has no roots, so the vanishing test below
+        # cannot catch it
+        if not any(self.den):
+            raise ProfileError(f"segment denominator {self.den} is identically zero")
         if not (0.0 <= self.t_start < self.t_end):
             raise ProfileError(
                 f"segment interval [{self.t_start}, {self.t_end}) is invalid"
@@ -145,6 +149,16 @@ class Segment:
             return num
         den = _scalar_horner(self.den)
         return lambda t: num(t) / den(t)
+
+    @cached_property
+    def sign_pieces(self) -> tuple[tuple[float, float, bool], ...]:
+        """The segment split at its strict sign changes, as (lo, hi,
+        positive) pieces (see ``_sign_pieces``).
+
+        Found once per segment: the total curvature, the negative part
+        and the test whether K <= 0 all read the same split.
+        """
+        return tuple(_sign_pieces(self))
 
     def __getstate__(self):
         # the cached evaluator is a closure, which pickle cannot store; it
@@ -363,7 +377,7 @@ class CurvatureProfile:
         piece that is not positive.
         """
         for seg in self.segments:
-            for lo, hi, positive in _sign_pieces(seg):
+            for lo, hi, positive in seg.sign_pieces:
                 yield seg, lo, hi, positive
 
     def continuity_defects(self) -> list[tuple[float, float, float]]:

@@ -71,7 +71,8 @@ def ends_bound(m_prime_inf: LimitEstimate, n: int) -> EndsBound:
     """Bound the number of ends from the limit slope of m.
 
     Composes the angle bound and the packing count; ``m_prime_inf`` is
-    ``slope_limit(solve_m(profile, t_end, tol))``.
+    ``slope_limit(solve_m(profile, t_end, tol))``, which is the slope
+    limit of f where K <= 0, since m = f there.
     """
     n = check_dimension(n)
     ml = m_prime_inf

@@ -39,6 +39,7 @@ from .asymptotics import (
 )
 from .curvature_profile import (
     CurvatureProfile,
+    negative_part,
     profile_from_dict,
     profile_to_dict,
 )
@@ -50,7 +51,7 @@ from .errors import (
     RadialGeoError,
 )
 from .gallery import entry_by_name, list_gallery
-from .jacobi import solve, solve_m
+from .jacobi import WarpingSolution, solve, solve_m
 from .model_space import (
     GrowthCoefficient,
     ModelSpace,
@@ -234,6 +235,20 @@ class TheoremReport:
     hypothesis_ok: bool
 
 
+def _comparison_solution(f: WarpingSolution, t_end: float) -> WarpingSolution:
+    """m, the solve of m'' + min(K, 0) m = 0 on [0, t_end], given the solve
+    f of K itself on the same window at the same tolerance.
+
+    Where K <= 0 the negative part is the profile itself, so ``solve_m``
+    would integrate the very same pieces: f is returned, bit for bit what
+    that solve gives, truncation included.  Such a model has no first
+    zero, so the zero check of ``solve_m`` could not fire either.
+    """
+    if negative_part(f.profile) == f.profile:
+        return f
+    return solve_m(f.profile, t_end, f.tol)
+
+
 def evaluate_theorem(profile: CurvatureProfile, n: int,
                      opts: AnalysisOptions | None = None,
                      samples: VolumeSamples | None = None) -> TheoremReport:
@@ -258,8 +273,8 @@ def evaluate_theorem(profile: CurvatureProfile, n: int,
 
     tc = total_curvature(f)
     sl = slope_limit(f)
-    m = solve_m(profile, opts.t_end, opts.tol)
-    ml = slope_limit(m)
+    m = _comparison_solution(f, opts.t_end)
+    ml = sl if m is f else slope_limit(m)
     if not (ml.divergent or math.isfinite(ml.err)):
         warnings.append(
             f"m' limit did not settle: the tail bracket at t = {m.t_end:.6g} "
@@ -556,7 +571,7 @@ def _cmd_tabulate(args) -> int:
     if args.t_max <= 0 or args.step <= 0:
         raise ConfigurationError("--t-max and --step must be positive")
     f = solve(profile, args.t_max, opts.tol)
-    m = solve_m(profile, args.t_max, opts.tol)
+    m = _comparison_solution(f, args.t_max)
     t_stop = min(f.t_end, m.t_end)
     if t_stop < args.t_max:
         sys.stderr.write(

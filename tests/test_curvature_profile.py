@@ -8,8 +8,10 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import radialgeo as rg
-from radialgeo.curvature_profile import Segment, tail_moment_finite
+from radialgeo import curvature_profile
+from radialgeo.curvature_profile import Segment, _sign_pieces, tail_moment_finite
 from radialgeo.errors import ProfileError
+from radialgeo.gallery import entry_by_name
 
 
 def linear_1mt_profile():
@@ -141,6 +143,56 @@ class TestValidation:
         assert rg.cli_main(["analyze", "--config", str(cfg)]) == 2
         assert f"coefficients {str(den if len(den) > 1 else num)} put its roots" in (
             capsys.readouterr().err)
+
+
+    # a zero polynomial has no roots, so no root of it lands on the segment
+    @pytest.mark.parametrize("den", [(0.0,), (0.0, -0.0), (-0.0, 0.0, 0.0)])
+    def test_zero_denominator_rejected(self, den, tmp_path, capsys):
+        message = f"segment denominator {den} is identically zero"
+        with pytest.raises(ProfileError, match=re.escape(message)):
+            Segment(0.0, 1.0, (1.0,), den)
+        cfg = tmp_path / "model.json"
+        cfg.write_text(json.dumps({"n": 2, "profile": {"segments": [
+            {"t_start": 0.0, "t_end": 1.0, "num": [1.0], "den": list(den)}]}}))
+        assert rg.cli_main(["analyze", "--config", str(cfg)]) == 2
+        assert message in capsys.readouterr().err
+
+
+class TestSignPiecesCache:
+    SEGMENTS = [
+        Segment(0.0, 2.0, (1.0, -1.0)),
+        Segment(0.0, 2.0, (1.0, -2.0, 1.0)),
+        Segment(0.0, 128.0, (40.0 * 50.0 * 50.5, -40.0 * 100.5, 40.0)),
+        Segment(1.0, 3.0, (0.0, -0.0)),
+        Segment(0.0, 4.0, (-1.0, 0.5), (1.0, 0.0, 1.0)),
+    ]
+
+    @pytest.mark.parametrize("seg", SEGMENTS)
+    def test_equals_fresh_split(self, seg):
+        assert seg.sign_pieces == tuple(_sign_pieces(seg))
+        assert seg.sign_pieces is seg.sign_pieces
+
+    def test_found_once_per_evaluation(self, monkeypatch):
+        # a fresh profile: the session's gallery profiles may hold the
+        # split already
+        profile = entry_by_name("sign_changing_beta_ln2").profile
+        calls = []
+
+        def counting(seg):
+            calls.append(id(seg))
+            return _sign_pieces(seg)
+
+        monkeypatch.setattr(curvature_profile, "_sign_pieces", counting)
+        report = rg.evaluate_theorem(profile, 3)
+        assert report.m_prime_limit.is_finite
+        assert sorted(calls) == sorted(id(s) for s in profile.segments)
+
+    @pytest.mark.parametrize("seg", SEGMENTS)
+    def test_cached_segment_pickles(self, seg):
+        pieces = seg.sign_pieces
+        copy = pickle.loads(pickle.dumps(seg))
+        assert copy == seg
+        assert copy.sign_pieces == pieces
 
 
 class TestSignedParts:

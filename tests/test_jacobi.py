@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 import radialgeo as rg
 from radialgeo.curvature_profile import Segment
@@ -112,6 +113,111 @@ class TestSolveM:
         # cross-checked against a DOP853 run at 1e-13
         m = rg.solve_m(abresch_profile, 100.0, 1e-10)
         assert m.fp(100.0) == pytest.approx(2.3459521948340218, rel=1e-9)
+
+
+# no subnormals: a subnormal leading coefficient puts the roots past
+# float range, which Segment refuses
+_NONPOSITIVE = st.one_of(st.sampled_from([0.0, -0.0]),
+                         st.floats(min_value=-1.0, max_value=0.0,
+                                   allow_subnormal=False))
+
+
+@st.composite
+def nonpositive_segment(draw, lo, hi):
+    """A segment on [lo, hi) whose float evaluation is <= 0 everywhere on
+    it: a zero segment, a touching root, or coefficients all <= 0 over a
+    denominator with positive coefficients."""
+    kind = draw(st.sampled_from(("zero", "touch", "negative")))
+    if kind == "zero":
+        return Segment(lo, hi, draw(st.lists(st.sampled_from([0.0, -0.0]),
+                                             min_size=1, max_size=3)))
+    if kind == "touch":
+        # -2^j (t - r)^2 with r a multiple of 1/8: the coefficients are
+        # exact, and Horner's (2r - t) t is exact near r, so its rounding
+        # never lifts the value above r^2 and the touch is never positive
+        k = draw(st.integers(min_value=math.ceil(8 * lo),
+                             max_value=max(math.floor(8 * hi), math.ceil(8 * lo))))
+        r, c = k / 8.0, -(2.0 ** draw(st.integers(min_value=-3, max_value=1)))
+        return Segment(lo, hi, (c * r * r, -2.0 * c * r, c))
+    # with t >= 0 and every coefficient <= 0, each Horner step stays <= 0
+    num = draw(st.lists(_NONPOSITIVE, min_size=1, max_size=4))
+    den = (1.0,)
+    if draw(st.booleans()):
+        # positive on t >= 0; coefficients within a factor 8 of each other
+        # keep polyroots from reporting a spurious root at t = 0
+        den = (draw(st.floats(min_value=0.5, max_value=2.0)),
+               *draw(st.lists(st.one_of(st.just(0.0),
+                                        st.floats(min_value=0.25, max_value=2.0)),
+                              max_size=3)))
+    return Segment(lo, hi, num, den)
+
+
+@st.composite
+def knots(draw):
+    out = [0.0]
+    for _ in range(draw(st.integers(min_value=0, max_value=3))):
+        out.append(out[-1] + draw(st.floats(min_value=0.1, max_value=5.0)))
+    return out
+
+
+@st.composite
+def nonpositive_profiles(draw):
+    """K <= 0: nonpositive segments, then a zero, negative constant or
+    negative power tail."""
+    ts = draw(knots())
+    segments = tuple(draw(nonpositive_segment(lo, hi))
+                     for lo, hi in zip(ts, ts[1:]))
+    tail = draw(st.one_of(
+        st.just(rg.ZeroTail()),
+        st.builds(rg.ConstantTail, st.floats(min_value=-2.0, max_value=-1e-3)),
+        st.builds(rg.PowerDecayTail, st.floats(min_value=-6.0, max_value=-1e-3),
+                  st.floats(min_value=0.5, max_value=5.0))))
+    return rg.CurvatureProfile(segments, tail)
+
+
+_ANY_COEFF = st.floats(min_value=-2.0, max_value=2.0, allow_subnormal=False)
+
+
+@st.composite
+def profiles_with_positive_part(draw):
+    """A profile that is positive somewhere: on a sign piece of one of its
+    segments, or on its tail."""
+    ts = draw(knots())
+    segments = tuple(
+        Segment(lo, hi, draw(st.lists(_ANY_COEFF, min_size=1, max_size=4)))
+        for lo, hi in zip(ts, ts[1:]))
+    tail = draw(st.one_of(
+        st.just(rg.ZeroTail()),
+        st.builds(rg.ConstantTail, _ANY_COEFF),
+        st.builds(rg.PowerDecayTail, _ANY_COEFF,
+                  st.floats(min_value=0.5, max_value=5.0))))
+    profile = rg.CurvatureProfile(segments, tail)
+    assume(tail.sign > 0
+           or any(positive for *_, positive in profile.sign_pieces()))
+    return profile
+
+
+class TestNonpositiveIdentity:
+    """Where K <= 0, min(K, 0) is K: the negative part is the profile
+    itself and m is f, bit for bit."""
+
+    @given(profile=nonpositive_profiles(),
+           span=st.floats(min_value=0.5, max_value=10.0),
+           tol=st.sampled_from([1e-6, 1e-8, 1e-10]))
+    @settings(max_examples=200, deadline=None)
+    def test_m_is_f(self, profile, span, tol):
+        assert rg.negative_part(profile) == profile
+        t_end = profile.t_tail + span
+        f, m = rg.solve(profile, t_end, tol), rg.solve_m(profile, t_end, tol)
+        for name in ("ts", "fs", "fps", "d2_left", "d2_right"):
+            assert getattr(m, name).tobytes() == getattr(f, name).tobytes(), name
+        assert (m.n_steps, m.n_rejected, m.truncated, m.first_zero) == (
+            f.n_steps, f.n_rejected, f.truncated, f.first_zero)
+
+    @given(profile=profiles_with_positive_part())
+    @settings(max_examples=200, deadline=None)
+    def test_positive_part_changes_negative_part(self, profile):
+        assert rg.negative_part(profile) != profile
 
 
 class TestDenseOutput:

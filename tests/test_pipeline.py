@@ -10,9 +10,12 @@ import numpy as np
 import pytest
 
 import radialgeo as rg
+from radialgeo import jacobi, pipeline
 from radialgeo.errors import ConfigurationError, IngestError
-from radialgeo.gallery import entry_by_name
+from radialgeo.gallery import entry_by_name, list_gallery
 from radialgeo.pipeline import (
+    DEFAULT_T_END,
+    DEFAULT_TOL,
     AnalysisOptions,
     VolumeSamples,
     bg_ratio_check,
@@ -252,6 +255,58 @@ class TestEvaluateTheorem:
 # K = -1 on [0, 100), then zero: f' ~ cosh(100) ~ 1.3e43 past t = 100, so
 # the growth closed form and the ends cap pass float range at n = 9 and
 # the direct route with them; c itself stays finite.
+def count_solves(monkeypatch):
+    """Route every solve, direct or through solve_m, through a counter;
+    returns the list that collects one entry per solve."""
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return rg.solve(*args)
+
+    monkeypatch.setattr(jacobi, "solve", counting)
+    monkeypatch.setattr(pipeline, "solve", counting)
+    return calls
+
+
+# the entries with K <= 0, where min(K, 0) = K and m is f
+NONPOSITIVE_ENTRIES = {"flat", "hyperbolic", "abresch_tail", "moment_boundary"}
+
+
+@functools.lru_cache(maxsize=None)
+def reference_m_prime_limit(name):
+    profile = entry_by_name(name).profile
+    return rg.slope_limit(rg.solve_m(profile, DEFAULT_T_END, DEFAULT_TOL))
+
+
+class TestComparisonSolve:
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("name", sorted(e.name for e in list_gallery()
+                                            if e.name != "spherical"))
+    def test_m_prime_limit_is_solve_m(self, name, n, monkeypatch):
+        expected = reference_m_prime_limit(name)
+        calls = count_solves(monkeypatch)
+        report = evaluate_theorem(entry_by_name(name).profile, n)
+        assert report.m_prime_limit == expected
+        assert len(calls) == (1 if name in NONPOSITIVE_ENTRIES else 2)
+
+    def test_tabulate_nonpositive_matches_solve_m(self, tmp_path, monkeypatch):
+        profile = rg.CurvatureProfile(
+            (rg.Segment(0.0, 2.0, (-0.5, -0.25)),
+             rg.Segment(2.0, 3.0, (-4.5, 3.0, -0.5))),  # touches 0 at t = 3
+            rg.PowerDecayTail(-1.0, 3.0))
+        cfg = write_config(tmp_path / "model.json", profile, 3)
+        args = ["tabulate", "--config", cfg, "--t-max", "20", "--step", "0.25"]
+        calls = count_solves(monkeypatch)
+        assert cli_main([*args, "--out", str(tmp_path / "a.csv")]) == 0
+        assert len(calls) == 1
+        monkeypatch.setattr(pipeline, "_comparison_solution",
+                            lambda f, t_end: rg.solve_m(f.profile, t_end, f.tol))
+        assert cli_main([*args, "--out", str(tmp_path / "b.csv")]) == 0
+        assert len(calls) == 3
+        assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
+
 DEEP_WELL = rg.CurvatureProfile((rg.Segment(0.0, 100.0, (-1.0,)),),
                                 rg.ZeroTail())
 
