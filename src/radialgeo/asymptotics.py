@@ -9,7 +9,7 @@ so f lies between its tangent at T and the line of slope s through
 (see :func:`slope_limit`).  The m' limit of the ends bound is the same
 rule applied to the solve of the negative part, ``slope_limit(solve_m(...))``;
 where K <= 0, min(K, 0) = K, so that solve is f's own and
-``evaluate_theorem`` reuses the slope limit of f.
+``evaluate_theorem`` takes the slope limit of f itself.
 
 Total curvature splits as c = c_plus + c_minus with
 

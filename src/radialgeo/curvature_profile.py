@@ -156,7 +156,7 @@ class Segment:
         positive) pieces (see ``_sign_pieces``).
 
         Found once per segment: the total curvature, the negative part
-        and the test whether K <= 0 all read the same split.
+        and ``CurvatureProfile.is_nonpositive`` all read the same split.
         """
         return tuple(_sign_pieces(self))
 
@@ -369,6 +369,18 @@ class CurvatureProfile:
             out[mask] = piece.evaluate_array(ts[mask])
         return out
 
+    @property
+    def is_nonpositive(self) -> bool:
+        """Whether min(K, 0) is K piece for piece: each segment is one
+        nonpositive sign piece and the tail is negative or a ZeroTail.
+
+        ``negative_part`` then returns the profile itself.  Reads the
+        cached sign split and builds no profile.
+        """
+        return ((self.tail.sign < 0 or self.tail == ZeroTail())
+                and all(len(s.sign_pieces) == 1 and not s.sign_pieces[0][2]
+                        for s in self.segments))
+
     def sign_pieces(self) -> Iterator[tuple[Segment, float, float, bool]]:
         """The segments split at the strict sign changes of K, in order.
 
@@ -486,6 +498,8 @@ def _sign_pieces(seg: Segment) -> list[tuple[float, float, bool]]:
 
 
 def _signed_part(profile: CurvatureProfile, keep_negative: bool) -> CurvatureProfile:
+    if keep_negative and profile.is_nonpositive:
+        return profile
     pieces = [Segment(lo, hi, seg.num, seg.den) if positive != keep_negative
               else Segment(lo, hi, _ZERO_NUM)
               for seg, lo, hi, positive in profile.sign_pieces()]
@@ -495,7 +509,8 @@ def _signed_part(profile: CurvatureProfile, keep_negative: bool) -> CurvaturePro
 
 
 def negative_part(profile: CurvatureProfile) -> CurvatureProfile:
-    """Pointwise min(K, 0) as a new profile, split at sign changes."""
+    """Pointwise min(K, 0) as a profile, split at sign changes; the
+    profile itself where it is nonpositive."""
     return _signed_part(profile, keep_negative=True)
 
 

@@ -39,7 +39,6 @@ from .asymptotics import (
 )
 from .curvature_profile import (
     CurvatureProfile,
-    negative_part,
     profile_from_dict,
     profile_to_dict,
 )
@@ -240,11 +239,11 @@ def _comparison_solution(f: WarpingSolution, t_end: float) -> WarpingSolution:
     f of K itself on the same window at the same tolerance.
 
     Where K <= 0 the negative part is the profile itself, so ``solve_m``
-    would integrate the very same pieces: f is returned, bit for bit what
+    would integrate the very same profile: f is returned, bit for bit what
     that solve gives, truncation included.  Such a model has no first
     zero, so the zero check of ``solve_m`` could not fire either.
     """
-    if negative_part(f.profile) == f.profile:
+    if f.profile.is_nonpositive:
         return f
     return solve_m(f.profile, t_end, f.tol)
 
@@ -274,7 +273,7 @@ def evaluate_theorem(profile: CurvatureProfile, n: int,
     tc = total_curvature(f)
     sl = slope_limit(f)
     m = _comparison_solution(f, opts.t_end)
-    ml = sl if m is f else slope_limit(m)
+    ml = slope_limit(m)
     if not (ml.divergent or math.isfinite(ml.err)):
         warnings.append(
             f"m' limit did not settle: the tail bracket at t = {m.t_end:.6g} "

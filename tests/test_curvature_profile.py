@@ -203,6 +203,24 @@ class TestSignedParts:
             assert neg.evaluate(t) == prof.evaluate(t)
         assert rg.positive_part(prof).evaluate(3.0) == 0.0
 
+    @pytest.mark.parametrize("segments, tail, nonpositive", [
+        ((), rg.ZeroTail(), True),
+        ((Segment(0.0, 1.0, (0.0,)), Segment(1.0, 2.0, (1.0, -1.0))),
+         rg.PowerDecayTail(-1.0, 3.0), True),  # touches 0 at t = 1
+        ((Segment(0.0, 2.0, (-1.0, 1.0)),), rg.ZeroTail(), False),
+        ((), rg.ConstantTail(1.0), False),
+        # a vanishing tail that is not a ZeroTail is swapped for one
+        ((), rg.ConstantTail(0.0), False),
+        ((), rg.PowerDecayTail(0.0, 2.0), False),
+    ])
+    def test_nonpositive_is_own_negative_part(self, segments, tail, nonpositive):
+        prof = rg.CurvatureProfile(segments, tail)
+        neg = rg.negative_part(prof)
+        assert prof.is_nonpositive is nonpositive
+        assert (neg is prof) is nonpositive
+        assert (neg == prof) is nonpositive
+        assert neg.is_nonpositive
+
     def test_constant_positive_clips_to_zero(self):
         prof = rg.constant_profile(1.0)
         assert rg.negative_part(prof).evaluate(3.0) == 0.0

@@ -206,7 +206,8 @@ class TestNonpositiveIdentity:
            tol=st.sampled_from([1e-6, 1e-8, 1e-10]))
     @settings(max_examples=200, deadline=None)
     def test_m_is_f(self, profile, span, tol):
-        assert rg.negative_part(profile) == profile
+        assert profile.is_nonpositive
+        assert rg.negative_part(profile) is profile
         t_end = profile.t_tail + span
         f, m = rg.solve(profile, t_end, tol), rg.solve_m(profile, t_end, tol)
         for name in ("ts", "fs", "fps", "d2_left", "d2_right"):
@@ -217,6 +218,7 @@ class TestNonpositiveIdentity:
     @given(profile=profiles_with_positive_part())
     @settings(max_examples=200, deadline=None)
     def test_positive_part_changes_negative_part(self, profile):
+        assert not profile.is_nonpositive
         assert rg.negative_part(profile) != profile
 
 

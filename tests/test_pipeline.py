@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import radialgeo as rg
-from radialgeo import jacobi, pipeline
+from radialgeo import curvature_profile, jacobi, pipeline
 from radialgeo.errors import ConfigurationError, IngestError
 from radialgeo.gallery import entry_by_name, list_gallery
 from radialgeo.pipeline import (
@@ -252,9 +252,6 @@ class TestEvaluateTheorem:
         assert not any(math.isnan(x) for x in report_floats(report_to_dict(rep)))
 
 
-# K = -1 on [0, 100), then zero: f' ~ cosh(100) ~ 1.3e43 past t = 100, so
-# the growth closed form and the ends cap pass float range at n = 9 and
-# the direct route with them; c itself stays finite.
 def count_solves(monkeypatch):
     """Route every solve, direct or through solve_m, through a counter;
     returns the list that collects one entry per solve."""
@@ -286,9 +283,21 @@ class TestComparisonSolve:
     def test_m_prime_limit_is_solve_m(self, name, n, monkeypatch):
         expected = reference_m_prime_limit(name)
         calls = count_solves(monkeypatch)
+        built = []
+        signed_part = curvature_profile._signed_part
+
+        def counting_signed_part(profile, keep_negative):
+            built.append(profile)
+            return signed_part(profile, keep_negative)
+
+        monkeypatch.setattr(curvature_profile, "_signed_part", counting_signed_part)
         report = evaluate_theorem(entry_by_name(name).profile, n)
         assert report.m_prime_limit == expected
-        assert len(calls) == (1 if name in NONPOSITIVE_ENTRIES else 2)
+        # the K <= 0 test builds no profile: min(K, 0) is built once, by
+        # solve_m, and only where it differs from K
+        nonpositive = name in NONPOSITIVE_ENTRIES
+        assert len(calls) == (1 if nonpositive else 2)
+        assert len(built) == (0 if nonpositive else 1)
 
     def test_tabulate_nonpositive_matches_solve_m(self, tmp_path, monkeypatch):
         profile = rg.CurvatureProfile(
@@ -307,6 +316,9 @@ class TestComparisonSolve:
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
 
+# K = -1 on [0, 100), then zero: f' ~ cosh(100) ~ 1.3e43 past t = 100, so
+# the growth closed form and the ends cap pass float range at n = 9 and
+# the direct route with them; c itself stays finite.
 DEEP_WELL = rg.CurvatureProfile((rg.Segment(0.0, 100.0, (-1.0,)),),
                                 rg.ZeroTail())
 
