@@ -6,7 +6,9 @@ s = lim f' is f'(T) minus the integral of K f over [T, oo), where T is the
 last node of the solve.  While f > 0 past T its slope is monotone there,
 so f lies between its tangent at T and the line of slope s through
 (T, f(T)); integrating K against both lines brackets s in closed form
-(see :func:`slope_limit`).  The m' limit of the ends bound is the same
+(see :func:`slope_limit`).  Every limit is a :class:`LimitEstimate`,
+which holds its enclosure [lo, hi]; consumers map the ends through
+monotone functions.  The m' limit of the ends bound is the same
 rule applied to the solve of the negative part, ``slope_limit(solve_m(...))``;
 where K <= 0, min(K, 0) = K, so that solve is f's own and
 ``evaluate_theorem`` takes the slope limit of f itself.
@@ -29,7 +31,7 @@ moment diverges (a nonzero constant tail, or a power tail with exponent
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 from .curvature_profile import tail_moment_finite
@@ -49,26 +51,51 @@ _TWO_PI = 2.0 * math.pi
 
 @dataclass(frozen=True)
 class LimitEstimate:
-    """A numerical limit with an error estimate, or a divergence marker.
+    """A numerical limit with an enclosure [lo, hi], or a divergence marker.
+
+    ``LimitEstimate(value, err)`` is symmetric: lo and hi are value -+ err.
+    ``LimitEstimate.of_bounds(value, lo, hi)`` is asymmetric: err is the
+    larger distance from value to an end (the keyword fields lo and hi are
+    filled in at construction and given only by ``of_bounds``).  Consumers
+    map the ends through monotone functions (interval arithmetic) and
+    build no bound from value and err by hand; reports serialize value
+    and err.
 
     A divergent estimate keeps its last value (a probe, or the slope at the
     window end) and has err = inf.  A limit that did not settle, or whose
-    value or err is not finite, has err = inf but is not marked divergent.
+    value, err or an end is not finite, has err = inf and the enclosure
+    [-inf, inf], but is not marked divergent.
     """
 
     value: float
     err: float
     divergent: bool = False
+    lo: float | None = field(default=None, kw_only=True)
+    hi: float | None = field(default=None, kw_only=True)
 
     def __post_init__(self):
         if self.err < 0:
             raise ValueError("error estimate must be nonnegative")
-        if not (math.isfinite(self.value) and math.isfinite(self.err)):
+        lo = self.value - self.err if self.lo is None else self.lo
+        hi = self.value + self.err if self.hi is None else self.hi
+        if lo > self.value or hi < self.value:
+            raise ValueError(f"enclosure [{lo}, {hi}] misses the value {self.value}")
+        if not all(map(math.isfinite, (self.value, self.err, lo, hi))):
             object.__setattr__(self, "err", math.inf)
+            lo, hi = -math.inf, math.inf
+        object.__setattr__(self, "lo", lo)
+        object.__setattr__(self, "hi", hi)
 
     @property
     def is_finite(self) -> bool:
         return not self.divergent
+
+    @staticmethod
+    def of_bounds(value: float, lo: float, hi: float) -> "LimitEstimate":
+        """value in the enclosure [lo, hi]; ValueError unless lo <= value
+        <= hi."""
+        return LimitEstimate(value=value, err=max(value - lo, hi - value),
+                             lo=lo, hi=hi)
 
     @staticmethod
     def of_divergent(last_probe: float) -> "LimitEstimate":
@@ -100,6 +127,16 @@ class TotalCurvatureResult:
     def is_finite(self) -> bool:
         return self.classification is CurvatureClass.FINITE
 
+    @property
+    def lo(self) -> float:
+        """Lower end of a finite total curvature's enclosure, value - err."""
+        return self.value - self.err
+
+    @property
+    def hi(self) -> float:
+        """Upper end of a finite total curvature's enclosure, value + err."""
+        return self.value + self.err
+
 
 def slope_limit(f: WarpingSolution) -> LimitEstimate:
     """Limit of f'(t) as t -> oo, from the last node T = f.t_end of the
@@ -116,9 +153,10 @@ def slope_limit(f: WarpingSolution) -> LimitEstimate:
       (t-T)(1+t)**-p over [T, oo), the limit lies between
       A = f'(T) - a (f(T) J0 + f'(T) J1), from K against the tangent at
       T, and B = (f'(T) - a f(T) J0) / (1 + a J1), from K against the
-      line of the limit slope through (T, f(T)).  The midpoint is
-      reported; its error is half the width plus the solve's error scale
-      f.tol * (1 + |f'(T)|).
+      line of the limit slope through (T, f(T)).  The estimate is the
+      midpoint of [A, B] with err half its width plus the solve's error
+      scale f.tol * (1 + |f'(T)|), so its enclosure [lo, hi] is [A, B]
+      widened by that scale.
 
     Anything else did not settle and is reported as f'(T) with err = inf:
     a solve that ended before the tail regime, a positive tail whose

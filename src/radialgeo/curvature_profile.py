@@ -13,7 +13,7 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Callable, Iterator, Union
 
 import numpy as np
@@ -174,9 +174,12 @@ class Segment:
         return v
 
     @staticmethod
-    def _real_roots(coeffs: tuple[float, ...]) -> list[float]:
-        return [float(r.real) for r in npoly.polyroots(_trimmed(coeffs))
-                if abs(r.imag) <= 1e-9 * (1 + abs(r))]
+    @lru_cache(maxsize=256)
+    def _real_roots(coeffs: tuple[float, ...]) -> tuple[float, ...]:
+        # memoized: the pieces that negative_part cuts from a segment
+        # share its denominator, and each new Segment checks it again
+        return tuple(float(r.real) for r in npoly.polyroots(_trimmed(coeffs))
+                     if abs(r.imag) <= 1e-9 * (1 + abs(r)))
 
     @cached_property
     def _critical_points(self) -> tuple[float, ...]:
@@ -188,7 +191,7 @@ class Segment:
             dden = npoly.polyder(self.den)
             p = npoly.polysub(npoly.polymul(dnum, self.den),
                               npoly.polymul(self.num, dden))
-        return tuple(self._real_roots(tuple(p.tolist())))
+        return self._real_roots(tuple(p.tolist()))
 
     def max_on(self, a: float, b: float) -> float:
         """Exact maximum of the segment expression over [a, b]."""

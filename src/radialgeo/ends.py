@@ -6,8 +6,9 @@ to distinct ends; a packing count of disjoint lambda-balls in the unit
 (n-1)-sphere of directions then caps the number of ends by
 2 (pi / 2 lambda)**(n-1) = 2 (lim m')**(n-1).
 
-The cap is taken at the upper end of the estimate, lim m' + err, so an
-error in lim m' can never count too few ends.  A divergent m' limit, one
+The cap is taken at the upper end of the enclosure of lim m',
+2 max(hi, 1)**(n-1) (the limit is never below 1), so an error in lim m'
+can never count too few ends.  A divergent m' limit, one
 that did not settle (err = inf), or a cap past float range (``power``
 saturates to inf in a high dimension) certifies nothing: the bound is
 reported as inconclusive, never as "infinitely many ends".
@@ -30,7 +31,8 @@ class EndsBound:
 
     ``raw_bound`` is the real-valued bound 2 (lim m')**(n-1) at the
     central estimate; ``integer_bound`` floors the same bound at the
-    upper end lim m' + err, which is sound since end counts are integers.
+    upper end max(hi, 1) of lim m', which is sound since end counts are
+    integers.
     When that upper end is not finite, ``conclusive`` is False and no
     integer bound is given; a divergent limit also reports the angle as 0.
     """
@@ -81,7 +83,7 @@ def ends_bound(m_prime_inf: LimitEstimate, n: int) -> EndsBound:
                          raw_bound=math.inf, integer_bound=None,
                          conclusive=False)
     angle = angle_bound(ml)
-    upper = 2.0 * power(max(ml.value, 1.0) + ml.err, n - 1)
+    upper = 2.0 * power(max(ml.hi, 1.0), n - 1)
     conclusive = math.isfinite(upper)
     return EndsBound(m_prime_inf=ml, two_lambda=angle,
                      raw_bound=packing_bound(angle, n),

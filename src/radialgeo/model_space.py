@@ -17,11 +17,12 @@ space (a volume, a probe vol B_t / t^n, a volume ratio) goes through
 
 The asymptotic growth coefficient lim vol B_t / t^n is computed two
 independent ways: the closed form (omega_{n-1}/n) (1 - c/(2 pi))**(n-1)
-from the total curvature c of the underlying surface, whose error bar
-comes from the closed-form bracket of the tail (see ``asymptotics``) and
-which is the route that certifies; and direct Richardson extrapolation
-of ball-volume probes, an independent check whose disagreement is
-reported.  The closed form goes through :func:`power`.  Both saturate to
+from the total curvature c of the underlying surface, which is the route
+that certifies: the map is nonincreasing in c, so the ends of c's
+enclosure (whose tail part comes from the closed-form bracket of the
+tail, see ``asymptotics``) map to the ends of its enclosure; and direct
+Richardson extrapolation of ball-volume probes, an independent check
+whose disagreement is reported.  The closed form goes through :func:`power`.  Both saturate to
 inf past float range (high dimension, fast growth), and a limit built
 from such a value did not settle (err = inf, see ``LimitEstimate``).
 """
@@ -172,17 +173,17 @@ class GrowthCoefficient:
 
 
 def _closed_form(ms: ModelSpace, c: TotalCurvatureResult) -> LimitEstimate:
-    """(omega/n) (1 - c/(2 pi))**(n-1), with the error of c carried to
-    first order."""
+    """(omega/n) (1 - c/(2 pi))**(n-1), at c.value and, for the enclosure,
+    at both ends of c's error bar: the map is nonincreasing in c."""
     if not c.is_finite:
         return LimitEstimate(value=math.inf, err=math.inf, divergent=True)
-    # Cohn-Vossen keeps c <= 2 pi for genuine model surfaces; clamp
-    # numerical overshoot so the base never goes negative
-    base = max(1.0 - c.value / _TWO_PI, 0.0)
-    return LimitEstimate(
-        value=ms.omega / ms.n * power(base, ms.n - 1),
-        err=(ms.omega / ms.n * (ms.n - 1)
-             * power(base, ms.n - 2) * c.err / _TWO_PI))
+
+    def at(ci: float) -> float:
+        # Cohn-Vossen keeps c <= 2 pi for genuine model surfaces; clamp
+        # numerical overshoot so the base never goes negative
+        return ms.omega / ms.n * power(max(1.0 - ci / _TWO_PI, 0.0), ms.n - 1)
+
+    return LimitEstimate.of_bounds(at(c.value), at(c.hi), at(c.lo))
 
 
 def growth_coefficient(ms: ModelSpace,

@@ -187,7 +187,9 @@ def bg_ratio_check(samples: VolumeSamples, ms: ModelSpace) -> BGRatioCheck:
     (with 1e-9 slack).  The ratio limit is estimated by the average of the
     last min(5, count) ratios, with their spread as the error bar: the
     convergence rate carries no a-priori model, so this is an honest
-    smoothing, not an extrapolation.
+    smoothing, not an extrapolation.  Nonincreasing ratios keep the limit
+    below the last one, so the upper end is sound; the lower end assumes
+    the last samples are in their asymptotic regime.
     """
     if samples.n != ms.n:
         raise ValueError(
@@ -298,12 +300,11 @@ def evaluate_theorem(profile: CurvatureProfile, n: int,
                 "lower bound"
             )
         elif tc.is_finite:
-            # the closed form certifies: its error bar bounds the limit
+            # the closed form certifies: its enclosure bounds the limit, and
+            # the product of two nonnegative enclosures is monotone in both
             r, g = ratio_limit, growth.closed_form
-            manifold_growth = LimitEstimate(
-                value=r.value * g.value,
-                err=abs(r.value) * g.err + abs(g.value) * r.err + r.err * g.err,
-            )
+            manifold_growth = LimitEstimate.of_bounds(
+                r.value * g.value, max(r.lo, 0.0) * g.lo, r.hi * g.hi)
             # direct tail average of vol_i / t_i^n as a cross-check of the
             # factored estimate; a probe past float range (inf) skips it
             tail = list(zip(samples.t[-_TAIL_WINDOW:], samples.vol[-_TAIL_WINDOW:]))
@@ -353,7 +354,10 @@ def evaluate_theorem(profile: CurvatureProfile, n: int,
             conclusions.append(Conclusion(
                 statement="M has finite topological type",
                 reason="finite total curvature below 2*pi together with the "
-                       "nonzero volume growth limit",
+                       "nonzero volume growth limit; the lower end of the "
+                       "ratio limit, the mean minus the spread of the last "
+                       f"min({_TAIL_WINDOW}, count) ratios, assumes those "
+                       "samples are in their asymptotic regime",
             ))
             if eb.conclusive:
                 conclusions.append(Conclusion(

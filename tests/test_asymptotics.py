@@ -1,6 +1,8 @@
 import math
+import struct
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import radialgeo as rg
 from radialgeo._extrapolation import richardson_limit
@@ -46,6 +48,40 @@ class TestLimitEstimate:
         assert le.divergent and not le.is_finite
         assert le.value == 123.0
         assert math.isinf(le.err)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.floats(-1e300, 1e300), st.floats(0.0, 1e300))
+    def test_symmetric_enclosure_keeps_err(self, value, err):
+        le = LimitEstimate(value, err)
+        assert le.lo <= value <= le.hi
+        assert (le.lo, le.hi) == (value - err, value + err)
+        assert struct.pack("<d", le.err) == struct.pack("<d", err)
+
+    def test_asymmetric_err_is_larger_distance(self):
+        le = LimitEstimate.of_bounds(1.0, 0.5, 3.0)
+        assert (le.value, le.lo, le.hi, le.err) == (1.0, 0.5, 3.0, 2.0)
+        assert LimitEstimate.of_bounds(2.0, -1.0, 2.0).err == 3.0
+        assert LimitEstimate.of_bounds(2.0, 2.0, 2.0).err == 0.0
+
+    @pytest.mark.parametrize("lo, hi", [(1.5, 2.0), (0.0, 0.5), (2.0, 0.0)])
+    def test_asymmetric_refuses_value_outside(self, lo, hi):
+        with pytest.raises(ValueError):
+            LimitEstimate.of_bounds(1.0, lo, hi)
+
+    @pytest.mark.parametrize("lo, hi", [(-math.inf, 2.0), (0.0, math.inf),
+                                        (math.nan, 2.0), (0.0, math.nan)])
+    def test_non_finite_end_did_not_settle(self, lo, hi):
+        le = LimitEstimate.of_bounds(1.0, lo, hi)
+        assert le.err == math.inf and not le.divergent
+        assert (le.lo, le.hi) == (-math.inf, math.inf)
+
+    @pytest.mark.parametrize("value, err", [(math.inf, 0.0), (math.nan, 1.0),
+                                            (1.0, math.inf), (1.0, math.nan),
+                                            (1e308, 1e308)])
+    def test_non_finite_symmetric_did_not_settle(self, value, err):
+        le = LimitEstimate(value, err)
+        assert le.err == math.inf
+        assert (le.lo, le.hi) == (-math.inf, math.inf)
 
 
 class TestSlopeLimit:

@@ -195,6 +195,34 @@ class TestSignPiecesCache:
         assert copy.sign_pieces == pieces
 
 
+class TestRealRootsCache:
+    def test_negative_part_reuses_denominator_roots(self, monkeypatch):
+        # a fresh beta profile: its segment checked the degree-8
+        # denominator (1 + t^2)^4 when it was built
+        profile = entry_by_name("sign_changing_beta_ln2").profile
+        den = curvature_profile._trimmed(profile.segments[0].den)
+        assert len(den) == 9
+        real = curvature_profile.npoly.polyroots
+        calls = []
+
+        def counting(coeffs):
+            calls.append(tuple(coeffs))
+            return real(coeffs)
+
+        monkeypatch.setattr(curvature_profile.npoly, "polyroots", counting)
+        neg = curvature_profile.negative_part(profile)
+        assert len(neg.segments) > len(profile.segments)
+        assert all(s.den == profile.segments[0].den for s in neg.segments
+                   if not s.is_zero)
+        assert calls.count(den) == 0
+
+    def test_roots_are_a_tuple(self):
+        roots = Segment._real_roots((-1.0, 0.0, 1.0))
+        assert isinstance(roots, tuple)
+        assert sorted(roots) == pytest.approx([-1.0, 1.0])
+        assert Segment._real_roots((-1.0, 0.0, 1.0)) is roots
+
+
 class TestSignedParts:
     def test_constant_negative_is_fixed_point(self):
         prof = rg.constant_profile(-1.0)

@@ -132,6 +132,19 @@ class TestEndsBound:
         assert eb.raw_bound < 4.0
         assert eb.integer_bound == 4
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.floats(1.0 - 1e-9, 6.0), st.floats(0.0, 1.0), st.floats(0.0, 1.0),
+           st.integers(2, 8))
+    def test_cap_floors_upper_end(self, value, below, above, n):
+        ml = LimitEstimate.of_bounds(value, value - below, value + above)
+        eb = rg.ends_bound(ml, n)
+        assert eb.integer_bound == math.floor(2.0 * max(ml.hi, 1.0) ** (n - 1))
+
+    def test_cap_reads_hi_of_asymmetric_limit(self):
+        # err = 0.4 would give 2 (1.4 + 0.4)^2 = 6.48; hi gives 2 (1.42)^2
+        eb = rg.ends_bound(LimitEstimate.of_bounds(1.4, 1.0, 1.42), 3)
+        assert eb.integer_bound == 4
+
     def test_unsettled_limit_is_inconclusive(self):
         eb = rg.ends_bound(LimitEstimate(1.5, math.inf), 3)
         assert not eb.conclusive

@@ -1,5 +1,6 @@
 import math
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -7,7 +8,8 @@ import pytest
 import radialgeo as rg
 from radialgeo.curvature_profile import Segment
 from radialgeo.gallery import entry_by_name
-from radialgeo.model_space import _gauss_rule, log_ball_volumes
+from radialgeo.asymptotics import CurvatureClass, TotalCurvatureResult
+from radialgeo.model_space import _closed_form, _gauss_rule, log_ball_volumes
 
 PI = math.pi
 
@@ -248,6 +250,42 @@ class TestGrowthCoefficient:
                  * entry.oracle["slope_limit"] ** (n - 1))
         assert abs(g.direct.value - exact) <= g.direct.err
         assert abs(g.closed_form.value - exact) <= g.closed_form.err
+
+
+def total_curvature_of(c, err):
+    return TotalCurvatureResult(CurvatureClass.FINITE, c, err,
+                                max(c, 0.0), min(c, 0.0))
+
+
+class TestClosedFormEnclosure:
+    """The closed form's bar covers the exact image of c's bar."""
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 10, 30])
+    @pytest.mark.parametrize("c, err", [(PI, 0.5), (-3.0, 1.0), (1.0, 1e-3),
+                                        (0.0, 0.2)])
+    def test_covers_exact_image_of_c_bar(self, flat_sol, n, c, err):
+        ms = rg.ModelSpace(n=n, f=flat_sol)
+        closed = _closed_form(ms, total_curvature_of(c, err))
+        two_pi = 2 * Fraction(PI)
+        for end in (Fraction(c) - Fraction(err), Fraction(c) + Fraction(err)):
+            # exact rational arithmetic on the float omega and pi
+            exact = Fraction(ms.omega) / n * (1 - end / two_pi) ** (n - 1)
+            # slack for float rounding
+            slack = Fraction(closed.err) / 10 ** 12
+            assert abs(exact - Fraction(closed.value)) <= Fraction(closed.err) + slack
+            assert Fraction(closed.lo) - slack <= exact <= Fraction(closed.hi) + slack
+
+    @pytest.mark.parametrize("n", [2, 3, 10])
+    def test_value_at_central_c(self, flat_sol, n):
+        ms = rg.ModelSpace(n=n, f=flat_sol)
+        closed = _closed_form(ms, total_curvature_of(1.0, 0.5))
+        assert closed.value == ms.omega / n * (1.0 - 1.0 / (2 * PI)) ** (n - 1)
+
+    def test_unsettled_c_did_not_settle(self, flat_sol):
+        closed = _closed_form(rg.ModelSpace(n=3, f=flat_sol),
+                              total_curvature_of(1.0, math.inf))
+        assert closed.err == math.inf and not closed.divergent
+        assert math.isfinite(closed.value)
 
 
 class TestBishopDirection:

@@ -216,6 +216,37 @@ class TestEvaluateTheorem:
         statements = [c.statement for c in rep.conclusions]
         assert any(f"at most {expected_cap}" in s for s in statements)
 
+    @pytest.mark.parametrize("ratios, lo_below_zero", [
+        ((1.0, 0.95, 0.9, 0.88, 0.87, 0.86), False),
+        ((0.9, 0.5, 0.1, 0.05, 0.01), True)])
+    def test_manifold_enclosure_holds_every_corner(self, abresch_profile, ratios,
+                                                   lo_below_zero):
+        ts = tuple(256.0 * k for k in range(1, len(ratios) + 1))
+        ms = rg.ModelSpace(n=3, f=rg.solve(abresch_profile, DEFAULT_T_END, DEFAULT_TOL))
+        vols = tuple(r * v for r, v in zip(ratios, rg.ball_volumes(ms, ts)))
+        rep = evaluate_theorem(abresch_profile, 3,
+                               samples=VolumeSamples(t=ts, vol=vols, n=3))
+        r, g = rep.ratio_limit, rep.growth.closed_form
+        mg = rep.manifold_growth_limit
+        assert g.lo < g.hi
+        # the ratio limit is nonnegative, so its lower end counts from 0
+        assert (r.lo < 0.0) == lo_below_zero
+        for x in (max(r.lo, 0.0), r.value, r.hi):
+            for y in (g.lo, g.value, g.hi):
+                assert mg.lo <= x * y <= mg.hi
+        assert mg.value == r.value * g.value
+
+    def test_topological_type_states_sample_assumption(self):
+        ts = tuple(float(k) for k in range(1, 9))
+        samples = VolumeSamples(t=ts, vol=tuple(PI * t * t for t in ts), n=2)
+        reasons = {c.statement: c.reason for c in evaluate_theorem(
+            rg.zero_profile(), 2, samples=samples).conclusions}
+        reason = reasons["M has finite topological type"]
+        assert "the mean minus the spread of the last min(5, count) ratios" in reason
+        assert "asymptotic regime" in reason
+        for c in evaluate_theorem(rg.zero_profile(), 2).conclusions:
+            assert "asymptotic regime" not in c.reason
+
     def test_dimension_validated(self):
         with pytest.raises(ValueError):
             evaluate_theorem(rg.zero_profile(), 1)
