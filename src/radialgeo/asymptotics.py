@@ -33,6 +33,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import reduce
 
 from .curvature_profile import tail_moment_finite
 from .errors import ConfigurationError
@@ -138,6 +139,16 @@ class TotalCurvatureResult:
         return self.value + self.err
 
 
+def _solve_err(f: WarpingSolution, *slopes: float) -> float:
+    """The error assumed of a solve at nodes with slopes f': f.tol times
+    (1 + |f'|) summed over the nodes, as f.tol * (k + |s1| + ... + |sk|).
+
+    The terms are added left to right: ``sum`` compensates float sums
+    from Python 3.12, which would change the bits.
+    """
+    return f.tol * reduce(lambda err, s: err + abs(s), slopes, float(len(slopes)))
+
+
 def slope_limit(f: WarpingSolution) -> LimitEstimate:
     """Limit of f'(t) as t -> oo, from the last node T = f.t_end of the
     solve and the tail model of ``f.profile``.
@@ -171,7 +182,7 @@ def slope_limit(f: WarpingSolution) -> LimitEstimate:
         return unsettled
     if not tail_moment_finite(tail):
         return LimitEstimate.of_divergent(x) if tail.sign < 0 else unsettled
-    solve_err = f.tol * (1.0 + abs(x))
+    solve_err = _solve_err(f, x)
     if tail.sign == 0:
         return LimitEstimate(value=x, err=solve_err)
     # a nonzero tail with a finite moment is a power tail with p > 2
@@ -214,14 +225,14 @@ def total_curvature(f: WarpingSolution) -> TotalCurvatureResult:
         if not seg.is_zero:
             fpa, fpb = f.fp(lo), f.fp(hi)
             q[positive] += fpa - fpb
-            q_err[positive] += f.tol * (2.0 + abs(fpa) + abs(fpb))
+            q_err[positive] += _solve_err(f, fpa, fpb)
     tail = profile.tail
     finite = tail_moment_finite(tail)
     if finite and tail.sign:
         side = tail.sign > 0
         fpa, s = f.fp(profile.t_tail), slope_limit(f)
         q[side] += fpa - s.value
-        q_err[side] += f.tol * (1.0 + abs(fpa)) + s.err
+        q_err[side] += _solve_err(f, fpa) + s.err
     c_minus, c_plus = _TWO_PI * q[0], _TWO_PI * q[1]
     if finite:
         return TotalCurvatureResult(CurvatureClass.FINITE, c_plus + c_minus,

@@ -42,11 +42,13 @@ _ZERO_NUM = (0.0,)
 _ONE_DEN = (1.0,)
 # relative (and absolute) gap at which a junction counts as a jump
 _CONTINUITY_TOL = 1e-12
+# log of the root-modulus jump at which _roots cuts a polynomial
+_JUMP = math.log(1e8)
 
 
 def _trimmed(coeffs: tuple[float, ...]) -> tuple[float, ...]:
-    """Polynomial coefficients without trailing zeros, as ``polyroots``
-    takes them (the zero polynomial keeps one coefficient: no roots).
+    """Polynomial coefficients without trailing zeros (the zero polynomial
+    keeps one coefficient: no roots).
 
     ProfileError, naming the coefficients, when the companion matrix of
     the polynomial (the coefficients over the leading one) would leave
@@ -59,15 +61,39 @@ def _trimmed(coeffs: tuple[float, ...]) -> tuple[float, ...]:
     return out
 
 
-def _horner(coeffs: tuple[float, ...], t: float) -> float:
-    acc = 0.0
-    for c in reversed(coeffs):
-        acc = acc * t + c
-    return acc
+def _roots(coeffs: tuple[float, ...]) -> Iterator[complex]:
+    """All roots of the polynomial ``coeffs``, found by ``polyroots`` on
+    slices of it between the jumps of its Newton polygon.
+
+    The polygon, the upper convex hull of the points (k, log|c_k|), has
+    an edge from k to l for l - k roots of modulus about
+    (|c_k|/|c_l|)^(1/(l - k)).  Where that modulus jumps more than 1e8
+    times between neighbouring edges, ``polyroots`` on the whole loses
+    the small roots ((1, 1, 1e-17) comes back as [-1e17, 0]); a slice
+    keeps them to about 1e-8, for a Newton polish to finish.  A polynomial
+    without such a jump is one slice.  A slice whose companion matrix
+    leaves float range has far-off roots, the reciprocals of the roots of
+    the reversed slice (a zero root of such a slice is left out).
+    """
+    pts = [(k, math.log(abs(c))) for k, c in enumerate(coeffs) if c]
+    # a point is a vertex where its least chord slope to the left exceeds
+    # its greatest to the right; the difference is the log of the jump
+    cuts = [0, *(k for i, (k, y) in enumerate(pts[1:-1], 1)
+                 if min((y - y0) / (k - k0) for k0, y0 in pts[:i])
+                 - max((y1 - y) / (k1 - k) for k1, y1 in pts[i + 1:]) > _JUMP),
+            pts[-1][0] if pts else 0]
+    for a, b in zip(cuts, cuts[1:]):
+        part = coeffs[a:b + 1]
+        if all(math.isfinite(c / part[-1]) for c in part[:-1]):
+            yield from npoly.polyroots(part)
+        else:
+            yield from (1 / complex(s) for s in npoly.polyroots(part[::-1]) if s)
 
 
-def _scalar_horner(coeffs: tuple[float, ...]) -> Callable[[float], float]:
-    """t -> _horner(coeffs, t), bit for bit at every finite t.
+def _polynomial(coeffs: tuple[float, ...]) -> Callable[[float], float]:
+    """The polynomial with ascending ``coeffs`` as a closure: Horner's
+    rule from acc = 0.0, acc = acc * t + c over the coefficients from the
+    highest.  It also takes an array of times.
 
     Lines, the segments of piecewise-linear sweeps, skip the loop: for
     finite t, 0.0 * t + c is c unless c is a zero, so a nonzero slope
@@ -84,6 +110,26 @@ def _scalar_horner(coeffs: tuple[float, ...]) -> Callable[[float], float]:
             acc = acc * t + c
         return acc
     return horner
+
+
+def _newton_polish(coeffs: tuple[float, ...], r: float) -> float:
+    """Newton steps on the polynomial p with ascending ``coeffs`` from r,
+    each kept only while it strictly reduces |p|.
+
+    They finish a root that ``_roots`` found on a slice, to about 1e-8,
+    and a root that is already accurate keeps its bits.
+    """
+    p = _polynomial(coeffs)
+    dp = _polynomial(tuple(i * c for i, c in enumerate(coeffs))[1:])
+    v = abs(p(r))
+    # 64 steps are far more than a candidate next to a simple root needs
+    for _ in range(64):
+        d = dp(r)
+        s = r - p(r) / d if d else r
+        if not abs(p(s)) < v:
+            break
+        r, v = s, abs(p(s))
+    return r
 
 
 @dataclass(frozen=True)
@@ -114,13 +160,15 @@ class Segment:
             raise ProfileError(
                 f"segment interval [{self.t_start}, {self.t_end}) is invalid"
             )
+        # coefficients whose companion matrix leaves float range are
+        # refused, the numerator's too (see _trimmed); (1,) is in range
+        if not self.is_polynomial:
+            _trimmed(self.den)
         for root in self._real_roots(self.den):
             if self.t_start - 1e-12 <= root <= self.t_end + 1e-12:
                 raise ProfileError(
                     f"segment denominator vanishes at t = {root:.6g}"
                 )
-        # refuses a numerator whose roots leave float range now, not when
-        # its sign pieces are first needed
         _trimmed(self.num)
 
     @property
@@ -131,23 +179,18 @@ class Segment:
     def is_zero(self) -> bool:
         return all(c == 0.0 for c in self.num)
 
-    def evaluate(self, t: float) -> float:
-        v = _horner(self.num, t)
-        if not self.is_polynomial:
-            v /= _horner(self.den, t)
-        return v
-
     @cached_property
-    def evaluator(self) -> Callable[[float], float]:
-        """``evaluate`` as one closure, bit for bit at every finite t.
+    def evaluate(self) -> Callable[[float], float]:
+        """t -> num(t)/den(t) as one closure, for a time or an array of
+        times.
 
-        Built once per segment for the solver's inner loop, which calls
-        it at every stage point.
+        Built once per segment: the solver's inner loop calls it at every
+        stage point.
         """
-        num = _scalar_horner(self.num)
+        num = _polynomial(self.num)
         if self.is_polynomial:
             return num
-        den = _scalar_horner(self.den)
+        den = _polynomial(self.den)
         return lambda t: num(t) / den(t)
 
     @cached_property
@@ -161,24 +204,20 @@ class Segment:
         return tuple(_sign_pieces(self))
 
     def __getstate__(self):
-        # the cached evaluator is a closure, which pickle cannot store; it
+        # the cached evaluate is a closure, which pickle cannot store; it
         # is rebuilt on first use
         state = dict(self.__dict__)
-        state.pop("evaluator", None)
+        state.pop("evaluate", None)
         return state
-
-    def evaluate_array(self, ts: np.ndarray) -> np.ndarray:
-        v = npoly.polyval(ts, self.num)
-        if not self.is_polynomial:
-            v = v / npoly.polyval(ts, self.den)
-        return v
 
     @staticmethod
     @lru_cache(maxsize=256)
     def _real_roots(coeffs: tuple[float, ...]) -> tuple[float, ...]:
-        # memoized: the pieces that negative_part cuts from a segment
-        # share its denominator, and each new Segment checks it again
-        return tuple(float(r.real) for r in npoly.polyroots(_trimmed(coeffs))
+        # the real roots, each polished on the whole polynomial; memoized:
+        # the pieces that negative_part cuts from a segment share its
+        # denominator, and each new Segment checks it again
+        return tuple(_newton_polish(coeffs, float(r.real))
+                     for r in _roots(coeffs)
                      if abs(r.imag) <= 1e-9 * (1 + abs(r)))
 
     @cached_property
@@ -195,7 +234,7 @@ class Segment:
 
     def max_on(self, a: float, b: float) -> float:
         """Exact maximum of the segment expression over [a, b]."""
-        ev = self.evaluator
+        ev = self.evaluate
         best = max(ev(a), ev(b))
         for r in self._critical_points:
             if a < r < b:
@@ -211,9 +250,6 @@ class ZeroTail:
 
     def evaluate(self, t: float) -> float:
         return 0.0
-
-    def evaluate_array(self, ts: np.ndarray) -> np.ndarray:
-        return np.zeros_like(ts)
 
     def max_on(self, a: float, b: float) -> float:
         return 0.0
@@ -236,9 +272,6 @@ class ConstantTail:
 
     def evaluate(self, t: float) -> float:
         return self.kappa
-
-    def evaluate_array(self, ts: np.ndarray) -> np.ndarray:
-        return np.full_like(ts, self.kappa)
 
     def max_on(self, a: float, b: float) -> float:
         return self.kappa
@@ -264,9 +297,6 @@ class PowerDecayTail:
 
     def evaluate(self, t: float) -> float:
         return self.a / (1.0 + t) ** self.p
-
-    def evaluate_array(self, ts: np.ndarray) -> np.ndarray:
-        return self.a / (1.0 + ts) ** self.p
 
     def max_on(self, a: float, b: float) -> float:
         # |a/(1+t)^p| is decreasing, so the max of a positive tail sits at
@@ -364,12 +394,10 @@ class CurvatureProfile:
             raise ValueError("curvature profile is defined on [0, oo)")
         out = np.empty_like(ts)
         idx = np.searchsorted(self._seg_ends, ts, side="right")
-        for i in range(len(self.segments) + 1):
+        for i, piece in enumerate((*self.segments, self.tail)):
             mask = idx == i
-            if not mask.any():
-                continue
-            piece = self.segments[i] if i < len(self.segments) else self.tail
-            out[mask] = piece.evaluate_array(ts[mask])
+            # a tail's scalar value broadcasts over the mask
+            out[mask] = piece.evaluate(ts[mask])
         return out
 
     @property
@@ -401,16 +429,11 @@ class CurvatureProfile:
         Returns (t, left_value, right_value) triples; empty means the
         profile evaluates continuously on [0, oo).
         """
-        defects = []
-        for i, seg in enumerate(self.segments):
-            t = seg.t_end
-            left = seg.evaluate(t)
-            right = (self.segments[i + 1] if i + 1 < len(self.segments)
-                     else self.tail).evaluate(t)
-            if not math.isclose(left, right, rel_tol=_CONTINUITY_TOL,
-                                abs_tol=_CONTINUITY_TOL):
-                defects.append((t, left, right))
-        return defects
+        junctions = ((s.t_end, s.evaluate(s.t_end), self.evaluate(s.t_end))
+                     for s in self.segments)
+        return [(t, left, right) for t, left, right in junctions
+                if not math.isclose(left, right, rel_tol=_CONTINUITY_TOL,
+                                    abs_tol=_CONTINUITY_TOL)]
 
     def is_continuous(self) -> bool:
         return not self.continuity_defects()
@@ -469,14 +492,13 @@ def _sign_pieces(seg: Segment) -> list[tuple[float, float, bool]]:
     probes of opposite sign brackets one crossing, which bisection then
     polishes, and a piece takes the sign of the probes inside it.  Probes
     that evaluate to exactly zero are skipped, so a tangential touch (no
-    sign change) gets no cut.  The real parts of all roots are used: a
-    double root can come back as a complex pair, and without it a probe
-    could land on that touch and hide the crossings on both sides.
+    sign change) gets no cut and a zero segment is one nonpositive piece.
+    The real parts of all roots are used: a double root can come back as
+    a complex pair, and without it a probe could land on that touch and
+    hide the crossings on both sides.
     """
-    if seg.is_zero:
-        return [(seg.t_start, seg.t_end, False)]
-    roots = sorted(float(r) for r in npoly.polyroots(_trimmed(seg.num)).real
-                   if seg.t_start < r < seg.t_end)
+    roots = sorted(float(r.real) for r in _roots(seg.num)
+                   if seg.t_start < r.real < seg.t_end)
     knots = [seg.t_start, *roots, seg.t_end]
     probes = [seg.t_start, *(0.5 * (a + b) for a, b in zip(knots, knots[1:])),
               seg.t_end]

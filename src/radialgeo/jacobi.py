@@ -18,7 +18,8 @@ dependencies.  Three behaviors matter downstream and are guaranteed here:
 A step makes five curvature evaluations, one per new stage point: the
 first stage is the last one of the previous step, and K(t + h) serves
 both the sixth and the seventh stage (first same as last, FSAL).  Each
-piece's scalar evaluator is bound once at piece entry.
+piece's ``evaluate`` is bound once at piece entry; a segment builds it
+once, as a cached closure.
 
 Dense output stores f, f' and f'' = -K f at the step ends and evaluates a
 quintic Hermite interpolant per step.  Its O(h^6) interpolation error
@@ -239,8 +240,7 @@ def solve(profile: CurvatureProfile, t_end: float, tol: float) -> WarpingSolutio
         if t >= piece_end:
             # piece entry: what holds up to the next breakpoint is set once
             piece, piece_end = profile.piece_at(t)
-            # a Segment caches a closure; a tail's evaluate is already one
-            ev = getattr(piece, "evaluator", piece.evaluate)
+            ev = piece.evaluate
             bound = min(piece_end, t_end)
             # where K <= 0 on the rest of the piece no step needs the cap
             check_cap = piece.max_on(t, bound) > 0.0

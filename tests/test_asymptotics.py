@@ -1,12 +1,13 @@
 import math
 import struct
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import radialgeo as rg
 from radialgeo._extrapolation import richardson_limit
-from radialgeo.asymptotics import CurvatureClass, LimitEstimate
+from radialgeo.asymptotics import CurvatureClass, LimitEstimate, _solve_err
 from radialgeo.errors import ConfigurationError
 from radialgeo.gallery import entry_by_name
 
@@ -82,6 +83,20 @@ class TestLimitEstimate:
         le = LimitEstimate(value, err)
         assert le.err == math.inf
         assert (le.lo, le.hi) == (-math.inf, math.inf)
+
+
+_SLOPE = st.floats(min_value=-1e12, max_value=1e12)
+
+
+class TestSolveErr:
+    # the scales slope_limit and total_curvature wrote out before, bit for bit
+    @given(tol=st.floats(min_value=1e-14, max_value=1e-3), a=_SLOPE, b=_SLOPE)
+    @settings(max_examples=300, deadline=None)
+    def test_bits_equal_written_scales(self, tol, a, b):
+        f = SimpleNamespace(tol=tol)
+        assert _solve_err(f, a).hex() == (tol * (1.0 + abs(a))).hex()
+        assert (_solve_err(f, a, b).hex()
+                == (tol * (2.0 + abs(a) + abs(b))).hex())
 
 
 class TestSlopeLimit:

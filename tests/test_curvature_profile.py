@@ -46,13 +46,29 @@ def segments_and_times(draw):
     return Segment(t_start, t_end, num, den), t
 
 
+def _horner(coeffs, t):
+    acc = 0.0
+    for c in reversed(coeffs):
+        acc = acc * t + c
+    return acc
+
+
+def _reference(seg, t):
+    """num(t)/den(t) by the plain Horner loop, the denominator skipped for
+    a polynomial."""
+    v = _horner(seg.num, t)
+    if not seg.is_polynomial:
+        v /= _horner(seg.den, t)
+    return v
+
+
 class TestScalarEvaluator:
     @given(case=segments_and_times())
     @settings(max_examples=500, deadline=None)
     def test_bits_equal_evaluate(self, case):
         # float.hex tells -0.0 from 0.0, which == does not
         seg, t = case
-        assert seg.evaluator(t).hex() == seg.evaluate(t).hex()
+        assert seg.evaluate(t).hex() == _reference(seg, t).hex()
 
     def test_signed_zero_leading_coefficient(self):
         # 0.0 * t + (-0.0) is +0.0, not the coefficient itself
@@ -60,18 +76,18 @@ class TestScalarEvaluator:
                     (0.0, 0.0, 0.0, -0.0)):
             seg = Segment(0.0, 1.0, num)
             for t in (0.0, 0.5, 1.0):
-                assert seg.evaluator(t).hex() == seg.evaluate(t).hex()
+                assert seg.evaluate(t).hex() == _reference(seg, t).hex()
 
     def test_built_once(self):
         seg = Segment(0.0, 1.0, (1.0, 2.0), (1.0, 1.0))
-        assert seg.evaluator is seg.evaluator
+        assert seg.evaluate is seg.evaluate
 
     def test_solved_profile_pickles(self):
         profile = rg.CurvatureProfile((Segment(0.0, 1.0, (1.0, 2.0)),), rg.ZeroTail())
         rg.solve(profile, 2.0, 1e-8)
         copy = pickle.loads(pickle.dumps(profile))
         assert copy == profile
-        assert copy.segments[0].evaluator(0.5) == 2.0
+        assert copy.segments[0].evaluate(0.5) == 2.0
 
 
 class TestEvaluation:
@@ -156,6 +172,113 @@ class TestValidation:
             {"t_start": 0.0, "t_end": 1.0, "num": [1.0], "den": list(den)}]}}))
         assert rg.cli_main(["analyze", "--config", str(cfg)]) == 2
         assert message in capsys.readouterr().err
+
+
+class TestRootPolish:
+    # numpy's polyroots returns [-1/e, 0] for (1, 1, e): one call on the
+    # whole polynomial loses the root near -1
+    @pytest.mark.parametrize("e", [1e-17, 2.4e-109, 1e-20])
+    def test_spread_denominator_accepted(self, e):
+        seg = Segment(0.0, 1.0, (1.0,), (1.0, 1.0, e))
+        for t in (0.0, 0.5, 1.0):
+            assert seg.evaluate(t) == pytest.approx(1.0 / (1.0 + t), rel=1e-15)
+
+    def test_spread_denominator_root_refused(self, tmp_path, capsys):
+        # -0.5 + t + 1e-17 t^2 comes back as [-1e17, 0] too, but its root
+        # at 0.5 is genuine
+        den = (-0.5, 1.0, 1e-17)
+        with pytest.raises(ProfileError, match="vanishes at t = 0.5"):
+            Segment(0.0, 1.0, (1.0,), den)
+        cfg = tmp_path / "model.json"
+        cfg.write_text(json.dumps({"n": 2, "profile": {"segments": [
+            {"t_start": 0.0, "t_end": 1.0, "num": [1.0], "den": list(den)}]}}))
+        assert rg.cli_main(["analyze", "--config", str(cfg)]) == 2
+        assert "vanishes at t = 0.5" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("den", [(1.0, -2.0, 1.0), (-1.0, 3.0, -3.0, 1.0)])
+    def test_multiple_root_refused(self, den):
+        # (t - 1)^2 and (t - 1)^3; the triple root is found to about 2e-6
+        with pytest.raises(ProfileError, match=r"vanishes at t = (1|0\.99999)"):
+            Segment(0.0, 2.0, (1.0,), den)
+
+    def test_spread_double_root_refused(self):
+        # (t - 1/2)^2 (1 + 1e-12 t): one polyroots call loses the double
+        # root and the segment was accepted, with K = 3.6e16 at t = 1/2
+        den = tuple(np.polynomial.polynomial.polymul(
+            (0.25, -1.0, 1.0), (1.0, 1e-12)).tolist())
+        with pytest.raises(ProfileError, match="vanishes at t = 0.5"):
+            Segment(0.0, 1.0, (1.0,), den)
+
+    def test_spread_critical_point_found(self):
+        # K' = 100 - 100 t - 1e-15 t^2 comes back as [-1e17, 0]; the
+        # maximum 50 sits at t = 1
+        seg = Segment(0.0, 2.0, (0.0, 100.0, -50.0, -1e-15 / 3))
+        assert seg.max_on(0.0, 2.0) == pytest.approx(50.0, rel=1e-15)
+
+    # K' of each loses its small roots in one polyroots call; the last
+    # one's companion matrix leaves float range
+    @pytest.mark.parametrize("num, den, t_end, expected", [
+        # t^2/(1 + t^3), largest at t = 2^(1/3)
+        ((0.0, 0.0, 1.0, 0.0, 5.4264396209745885e-185), (1.0, 0.0, 0.0, 1.0),
+         2.0, 2.0 ** (2.0 / 3.0) / 3.0),
+        # t^2 - t^3, largest at t = 2/3
+        ((0.0, 4.782901010898796e-164, 1.0, -1.0, -1e-17), (1.0,), 9.0, 4.0 / 27.0),
+        # a t^2 - 6 t^3 with a = 2^-8, largest at t = a/9
+        ((0.0, 1.1905151101379114e-235, 0.00390625, -6.0, -1e-12), (1.0,), 1.0,
+         (0.00390625 / 9.0) ** 2 * 0.00390625 / 3.0),
+        # t^5/(1 + t^5) is increasing
+        ((0.0, 0.0, 0.0, 0.0, 2.2250738585e-313, 1.0),
+         (1.0, 0.0, 0.0, 0.0, 0.0, 1.0), 1.0, 0.5),
+    ])
+    def test_spread_maximum_found(self, num, den, t_end, expected):
+        seg = Segment(0.0, t_end, num, den)
+        assert seg.max_on(0.0, t_end) == pytest.approx(expected, rel=1e-12)
+
+    def test_newton_polygon_slices(self):
+        roots = sorted(r.real for r in curvature_profile._roots((1.0, 1.0, 1e-17)))
+        assert roots == pytest.approx([-1e17, -1.0], rel=1e-15)
+
+    def test_slice_root_polished(self):
+        # the slice (1, 1) gives -1; the root of 1 + t + 1e-9 t^2 near it
+        # is -1 - 1e-9 - 2e-18 - ...
+        roots = Segment._real_roots((1.0, 1.0, 1e-9))
+        assert min(roots, key=abs) == pytest.approx(-1.000000001000000002, rel=1e-15)
+
+    def test_accurate_roots_keep_their_bits(self):
+        assert Segment._real_roots((-2.0, 0.0, 1.0)) == tuple(
+            float(r) for r in curvature_profile.npoly.polyroots((-2.0, 0.0, 1.0)))
+
+
+@st.composite
+def spread_segments_and_times(draw):
+    """A polynomial segment whose leading coefficient is 1e-12 to 1e-20
+    times its others, and a time in it."""
+    num = draw(st.lists(st.floats(min_value=-10.0, max_value=10.0),
+                        min_size=2, max_size=4))
+    lead = draw(st.sampled_from([-1.0, 1.0])) * 10.0 ** -draw(
+        st.integers(min_value=12, max_value=20))
+    t_start = draw(st.floats(min_value=0.0, max_value=50.0))
+    t_end = t_start + draw(st.floats(min_value=1e-3, max_value=50.0))
+    t = draw(st.floats(min_value=t_start, max_value=t_end))
+    return Segment(t_start, t_end, (*num, lead)), t
+
+
+class TestMaxOn:
+    """``max_on`` caps the solver's step where K > 0, so it must reach the
+    true maximum: it is checked against a dense grid, up to rounding."""
+
+    @given(case=st.one_of(segments_and_times(), spread_segments_and_times()))
+    @settings(max_examples=500, deadline=None)
+    def test_at_least_grid_max(self, case):
+        seg, t = case
+        for a, b in ((seg.t_start, seg.t_end), (seg.t_start, t), (t, seg.t_end)):
+            if not a < b:
+                continue
+            grid = seg.evaluate(np.linspace(a, b, 4001))
+            # a bound on |num(t)/den(t)|, for the rounding: den >= 0.5 on
+            # t >= 0 (see segments_and_times)
+            scale = 2.0 * _horner([abs(c) for c in seg.num], b)
+            assert seg.max_on(a, b) >= float(grid.max()) - 1e-12 * scale
 
 
 class TestSignPiecesCache:
