@@ -117,16 +117,17 @@ class WarpingSolution:
         return j, np.clip((t_arr - ts[j]) / (ts[j + 1] - ts[j]), 0.0, 1.0)
 
     def _interp(self, t, derivative: bool):
-        out = self._on_steps(*self._locate(t), derivative)
+        j, s = self._locate(t)
+        out = _hermite(*self._steps(j), s, derivative)
         return out if np.ndim(t) > 0 else float(out)
 
-    def _on_steps(self, j, s, derivative: bool):
-        """The dense output on steps j (step indices or a slice of them) at
-        local coordinates s in [0, 1]."""
+    def _steps(self, j) -> tuple[np.ndarray, ...]:
+        """The arguments of ``_hermite`` before s for the steps j (step
+        indices or a slice of them): length h, then f, f' and f'' at the
+        left end and at the right end."""
         ts, fs, fps = self.ts, self.fs, self.fps
-        return _hermite(ts[1:][j] - ts[:-1][j], fs[:-1][j], fps[:-1][j],
-                        self.d2_left[j], fs[1:][j], fps[1:][j],
-                        self.d2_right[j], s, derivative)
+        return (ts[1:][j] - ts[:-1][j], fs[:-1][j], fps[:-1][j],
+                self.d2_left[j], fs[1:][j], fps[1:][j], self.d2_right[j])
 
     def f(self, t):
         """f at time t, from the dense output: a float for a scalar t, an

@@ -11,7 +11,12 @@ a quintic on each solver step, so the integrand is a polynomial of degree
 rounding.  Ball volumes are computed as logarithms, which stay in float
 range in every dimension: each step is integrated as
 F**(n-1) * integral (f/F)**(n-1), with F the step's largest node value,
-and the steps are summed with ``numpy.logaddexp``.  Whatever leaves log
+and the steps are summed with ``numpy.logaddexp``.  The whole steps
+are summed once per model space, into a table of prefix sums that every
+set of radii shares; a radius adds the part of its own step.  Each
+integral evaluates the dense output at a block of Gauss nodes across all
+steps at once; blocks are bounded in size, so memory does not grow with
+the dimension, which sets the number of nodes.  Whatever leaves log
 space (a volume, a probe vol B_t / t^n, a volume ratio) goes through
 :func:`saturating_exp`.
 
@@ -31,13 +36,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache, reduce
+from functools import cached_property, lru_cache
 
 import numpy as np
 
 from ._extrapolation import richardson_limit
 from .asymptotics import CurvatureClass, LimitEstimate, TotalCurvatureResult
-from .jacobi import WarpingSolution
+from .jacobi import WarpingSolution, _hermite
 
 __all__ = ["ModelSpace", "GrowthCoefficient", "check_dimension", "power",
            "saturating_exp", "unit_sphere_volume", "log_ball_volumes",
@@ -45,6 +50,10 @@ __all__ = ["ModelSpace", "GrowthCoefficient", "check_dimension", "power",
 
 _TWO_PI = 2.0 * math.pi
 _TINY = np.finfo(float).tiny
+# values (Gauss nodes x steps) that _log_integrals evaluates at once, or
+# one node's worth when there are more steps: its memory stays flat in
+# the dimension n, which sets the node count ceil((5n - 4)/2)
+_BLOCK_VALUES = 1 << 16
 
 
 def check_dimension(n) -> int:
@@ -98,6 +107,14 @@ class ModelSpace:
     def omega(self) -> float:
         return unit_sphere_volume(self.n)
 
+    @cached_property
+    def _log_prefix(self) -> np.ndarray:
+        """log of the integral of f**(n-1) over [0, t_i] at every solver
+        node t_i (-inf at t = 0), built once and shared by every call of
+        ``log_ball_volumes`` on this model space."""
+        return np.logaddexp.accumulate(np.concatenate(
+            ([-np.inf], _log_integrals(self.f, self.n, slice(None), 1.0))))
+
 
 @lru_cache(maxsize=16)
 def _gauss_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -118,19 +135,34 @@ def _log_integrals(f: WarpingSolution, n: int, j, u) -> np.ndarray:
     of the solver steps j (step indices or a slice of them).
 
     A step's integral is F**(n-1) * integral (f/F)**(n-1), with F its
-    largest Gauss-node value, so neither factor leaves float range.  One
-    node across all steps at a time keeps temporaries at one value per
-    step.
+    largest Gauss-node value, so neither factor leaves float range.  The
+    steps' data are gathered once; the dense quintic is evaluated at a
+    block of nodes across all steps at a time, in two passes (F, then the
+    weighted sum).  The sum adds its terms in node order, as Python's
+    ``sum`` adds them, so the result does not depend on the blocking.
     """
     x, w = _gauss_rule(n)
-    # the floor keeps F positive on a part of width zero at t = 0
-    top = reduce(np.maximum, (f._on_steps(j, u * xk, False) for xk in x),
-                 _TINY)
-    total = sum(wk * (f._on_steps(j, u * xk, False) / top) ** (n - 1)
-                for xk, wk in zip(x, w))
+    steps = f._steps(j)
+    h = steps[0]
+    rows = max(1, _BLOCK_VALUES // max(1, h.size))
+    blocks = [slice(k, k + rows) for k in range(0, len(x), rows)]
+
+    def on_nodes(b):
+        return _hermite(*steps, u * x[b, None], False)
+
+    # the max is exact in any order: taking the blocks last first leaves
+    # the first block's values for the sum, which must run first to last
+    top = _TINY  # the floor keeps F positive on a part of width zero at t = 0
+    for b in reversed(blocks):
+        values = on_nodes(b)
+        top = np.maximum(top, values.max(axis=0))
+    total = 0
+    for b in blocks:
+        if b is not blocks[0]:
+            values = on_nodes(b)
+        total = sum(w[b, None] * (values / top) ** (n - 1), total)
     with np.errstate(divide="ignore"):  # a part of width zero has log -inf
-        return (np.log(u * (f.ts[1:][j] - f.ts[:-1][j]) * total)
-                + (n - 1) * np.log(top))
+        return np.log(u * h * total) + (n - 1) * np.log(top)
 
 
 def log_ball_volumes(ms: ModelSpace, ts) -> list[float]:
@@ -139,11 +171,10 @@ def log_ball_volumes(ms: ModelSpace, ts) -> list[float]:
     radii = [float(t) for t in ts]
     if any(b < a for a, b in zip(radii, radii[1:])):
         raise ValueError("radii must be nondecreasing")
-    full = np.logaddexp.accumulate(
-        np.concatenate(([-np.inf], _log_integrals(ms.f, ms.n, slice(None), 1.0))))
     j, u = ms.f._locate(radii)
     return (_log_omega(ms.n)
-            + np.logaddexp(full[j], _log_integrals(ms.f, ms.n, j, u))).tolist()
+            + np.logaddexp(ms._log_prefix[j], _log_integrals(ms.f, ms.n, j, u))
+            ).tolist()
 
 
 def ball_volumes(ms: ModelSpace, ts) -> list[float]:

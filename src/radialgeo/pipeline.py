@@ -30,6 +30,8 @@ import sys
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
+import numpy as np
+
 from .asymptotics import (
     CurvatureClass,
     LimitEstimate,
@@ -100,10 +102,36 @@ class AnalysisOptions:
     t_end: float = DEFAULT_T_END
 
 
+def _sample_fault(t, vol) -> tuple[int, str] | None:
+    """The index of the first sample that fails a check, in order, and why;
+    None when every sample passes.
+
+    A sample must be finite, have t above the previous sample's t, and
+    have t and vol positive; a sample failing several checks is reported
+    by the first of them in that order.  One numpy pass over all samples.
+    """
+    t, vol = np.asarray(t, dtype=float), np.asarray(vol, dtype=float)
+    with np.errstate(invalid="ignore"):  # nan compares false, and fails first
+        bad = ~(np.isfinite(t) & np.isfinite(vol)) | (t <= 0.0) | (vol <= 0.0)
+        bad[1:] |= t[1:] <= t[:-1]
+    if not bad.any():
+        return None
+    i = int(bad.argmax())
+    ti, vi = float(t[i]), float(vol[i])
+    if not (math.isfinite(ti) and math.isfinite(vi)):
+        return i, "values must be finite"
+    if i and ti <= t[i - 1]:
+        return i, f"t = {ti:g} does not increase past {float(t[i - 1]):g}"
+    if ti <= 0:
+        return i, "t must be positive"
+    return i, "vol must be positive"
+
+
 @dataclass(frozen=True)
 class VolumeSamples:
-    """Measured ball volumes (t_i, vol_i) of a manifold, t strictly
-    increasing and positive, volumes positive, with declared dimension."""
+    """Measured ball volumes (t_i, vol_i) of a manifold, all finite, t
+    strictly increasing and positive, volumes positive, with declared
+    dimension."""
 
     t: tuple[float, ...]
     vol: tuple[float, ...]
@@ -113,10 +141,9 @@ class VolumeSamples:
     def __post_init__(self):
         if len(self.t) != len(self.vol) or not self.t:
             raise ValueError("need equally many times and volumes, at least one")
-        if self.t[0] <= 0 or any(b <= a for a, b in zip(self.t, self.t[1:])):
-            raise ValueError("sample times must be strictly increasing and positive")
-        if any(v <= 0 for v in self.vol):
-            raise ValueError("sample volumes must be positive")
+        fault = _sample_fault(self.t, self.vol)
+        if fault is not None:
+            raise ValueError(f"sample {fault[0] + 1}: {fault[1]}")
         object.__setattr__(self, "n", check_dimension(self.n))
 
     def __len__(self) -> int:
@@ -127,7 +154,10 @@ def ingest_samples(path: str, n: int) -> VolumeSamples:
     """Read volume samples from a CSV file with header ``t,vol``.
 
     Every validation failure names the offending row (1-based, counting
-    the header as row 1).
+    the header as row 1).  Blank rows are skipped.  When several rows are
+    faulty, the first in file order is named, whether its fault is in
+    parsing (a short row, a malformed number) or in the values (see
+    ``VolumeSamples``); rows after a parse fault are not read.
     """
     try:
         fh = open(path, newline="", encoding="utf-8")
@@ -145,27 +175,27 @@ def ingest_samples(path: str, n: int) -> VolumeSamples:
             )
         ts: list[float] = []
         vols: list[float] = []
+        rows: list[int] = []
+
+        def check_values():
+            fault = _sample_fault(ts, vols)
+            if fault is not None:
+                k, reason = fault
+                raise IngestError(f"{path}: row {rows[k]}: {reason}") from None
+
         for i, row in enumerate(reader, start=2):
-            if not row or all(not c.strip() for c in row):
-                continue
-            if len(row) < 2:
-                raise IngestError(f"{path}: row {i}: expected two columns")
             try:
                 t, vol = float(row[0]), float(row[1])
-            except ValueError as exc:
-                raise IngestError(f"{path}: row {i}: {exc}") from exc
-            if not (math.isfinite(t) and math.isfinite(vol)):
-                raise IngestError(f"{path}: row {i}: values must be finite")
-            if ts and t <= ts[-1]:
-                raise IngestError(
-                    f"{path}: row {i}: t = {t:g} does not increase past {ts[-1]:g}"
-                )
-            if t <= 0:
-                raise IngestError(f"{path}: row {i}: t must be positive")
-            if vol <= 0:
-                raise IngestError(f"{path}: row {i}: vol must be positive")
+            except (IndexError, ValueError) as exc:
+                if not "".join(row).strip():  # a blank row parses as neither
+                    continue
+                check_values()  # an earlier row's fault comes first
+                reason = "expected two columns" if len(row) < 2 else exc
+                raise IngestError(f"{path}: row {i}: {reason}") from exc
             ts.append(t)
             vols.append(vol)
+            rows.append(i)
+    check_values()
     if not ts:
         raise IngestError(f"{path}: no data rows")
     return VolumeSamples(t=tuple(ts), vol=tuple(vols), n=n, source=path)
@@ -452,6 +482,16 @@ def report_to_dict(report: TheoremReport) -> dict:
     }
 
 
+def _float_text(x: float) -> str:
+    """A float as JSON: 12 significant digits, 0 for either zero, null
+    when not finite."""
+    if not math.isfinite(x):
+        return "null"
+    if x == 0.0:
+        return "0"
+    return format(x, ".12g")
+
+
 def _write_json(obj, out: list[str]) -> None:
     if obj is None:
         out.append("null")
@@ -462,12 +502,7 @@ def _write_json(obj, out: list[str]) -> None:
     elif isinstance(obj, int):
         out.append(str(obj))
     elif isinstance(obj, float):
-        if not math.isfinite(obj):
-            out.append("null")
-        elif obj == 0.0:
-            out.append("0")
-        else:
-            out.append(format(obj, ".12g"))
+        out.append(_float_text(obj))
     elif isinstance(obj, str):
         out.append(json.dumps(obj, ensure_ascii=False))
     elif isinstance(obj, dict):
@@ -479,6 +514,8 @@ def _write_json(obj, out: list[str]) -> None:
             out.append(": ")
             _write_json(v, out)
         out.append("}")
+    elif isinstance(obj, (list, tuple)) and all(type(v) is float for v in obj):
+        out.append("[" + ", ".join(map(_float_text, obj)) + "]")
     elif isinstance(obj, (list, tuple)):
         out.append("[")
         for i, v in enumerate(obj):
@@ -593,14 +630,11 @@ def _cmd_tabulate(args) -> int:
     buf = io.StringIO()
     header = "t,f,fp,m,mp" + (",vol_n" if with_vol else "")
     buf.write(header + "\n")
-    vols = None
+    columns = [grid, f.f(grid).tolist(), f.fp(grid).tolist(),
+               m.f(grid).tolist(), m.fp(grid).tolist()]
     if with_vol:
-        ms = ModelSpace(n=n, f=f)
-        vols = ball_volumes(ms, grid)
-    for i, t in enumerate(grid):
-        row = [t, float(f.f(t)), float(f.fp(t)), float(m.f(t)), float(m.fp(t))]
-        if with_vol:
-            row.append(vols[i])
+        columns.append(ball_volumes(ModelSpace(n=n, f=f), grid))
+    for row in zip(*columns):
         buf.write(",".join(format(x, ".12g") for x in row) + "\n")
     _emit(buf.getvalue(), args.out)
     return 0

@@ -1,15 +1,26 @@
 import math
 import sys
 from fractions import Fraction
+from functools import lru_cache, reduce
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import radialgeo as rg
+from radialgeo import model_space
 from radialgeo.curvature_profile import Segment
-from radialgeo.gallery import entry_by_name
+from radialgeo.gallery import entry_by_name, list_gallery
+from radialgeo.jacobi import _hermite
 from radialgeo.asymptotics import CurvatureClass, TotalCurvatureResult
-from radialgeo.model_space import _closed_form, _gauss_rule, log_ball_volumes
+from radialgeo.model_space import (
+    _BLOCK_VALUES,
+    _closed_form,
+    _gauss_rule,
+    _log_omega,
+    log_ball_volumes,
+)
+from radialgeo.pipeline import VolumeSamples, evaluate_theorem
 
 PI = math.pi
 
@@ -179,6 +190,102 @@ class TestLogBallVolumes:
         assert [v == math.inf for v in got] == past
         assert all(0.0 < v < math.inf for v, p in zip(got, past) if not p)
         assert got[0] == pytest.approx(5.876e85, rel=1e-4)
+
+
+def log_integrals_by_node(f, n, j, u):
+    """Reference for model_space._log_integrals: one Gauss node across all
+    steps at a time, each node a dense-output call of its own, the terms
+    added by Python's sum."""
+    x, w = _gauss_rule(n)
+
+    def on_steps(s):
+        return _hermite(*f._steps(j), s, False)
+
+    top = reduce(np.maximum, (on_steps(u * xk) for xk in x),
+                 np.finfo(float).tiny)
+    total = sum(wk * (on_steps(u * xk) / top) ** (n - 1)
+                for xk, wk in zip(x, w))
+    with np.errstate(divide="ignore"):
+        return (np.log(u * (f.ts[1:][j] - f.ts[:-1][j]) * total)
+                + (n - 1) * np.log(top))
+
+
+def log_ball_volumes_by_node(ms, radii):
+    """Reference for log_ball_volumes on log_integrals_by_node, with the
+    prefix table built on every call."""
+    full = np.logaddexp.accumulate(np.concatenate(
+        ([-np.inf], log_integrals_by_node(ms.f, ms.n, slice(None), 1.0))))
+    j, u = ms.f._locate(radii)
+    return (_log_omega(ms.n)
+            + np.logaddexp(full[j], log_integrals_by_node(ms.f, ms.n, j, u))
+            ).tolist()
+
+
+NONCOMPACT = [e.name for e in list_gallery() if "first_zero" not in e.oracle]
+
+
+@lru_cache(maxsize=None)
+def gallery_solution(name):
+    return rg.solve(entry_by_name(name).profile, 4096.0, 1e-8)
+
+
+def hexes(values):
+    return [float(v).hex() for v in values]
+
+
+class TestLogBallVolumesBitIdentity:
+    """The blocked evaluation gives the bits of the node-by-node one."""
+
+    @pytest.mark.parametrize("n", [2, 3, 8, 40, 1000])
+    @pytest.mark.parametrize("name", NONCOMPACT)
+    def test_gallery(self, name, n):
+        sol = gallery_solution(name)
+        ms = rg.ModelSpace(n=n, f=sol)
+        radii = sorted([0.0, *np.linspace(0.0, sol.t_end, 41).tolist(),
+                        *sol.ts[::7].tolist(), sol.t_end])
+        assert (hexes(log_ball_volumes(ms, radii))
+                == hexes(log_ball_volumes_by_node(ms, radii)))
+
+    def test_hyperbolic_n40_spans_blocks(self):
+        # the whole-step pass of this case runs in more than one block
+        steps = len(gallery_solution("hyperbolic").ts) - 1
+        assert len(_gauss_rule(40)[0]) * steps > 2 * _BLOCK_VALUES
+
+    @settings(max_examples=60, deadline=None)
+    @given(name=st.sampled_from(NONCOMPACT), n=st.sampled_from([2, 3, 8, 40]),
+           fractions=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=30),
+           nodes=st.lists(st.integers(min_value=0), max_size=5))
+    def test_drawn_radii(self, name, n, fractions, nodes):
+        sol = gallery_solution(name)
+        radii = sorted([*(x * sol.t_end for x in fractions),
+                        *(float(sol.ts[i % len(sol.ts)]) for i in nodes)])
+        ms = rg.ModelSpace(n=n, f=sol)
+        assert (hexes(log_ball_volumes(ms, radii))
+                == hexes(log_ball_volumes_by_node(ms, radii)))
+
+    def test_prefix_table_built_once_per_model_space(self, monkeypatch):
+        whole_steps = []
+        log_integrals = model_space._log_integrals
+
+        def counting(f, n, j, u):
+            whole_steps.append(isinstance(j, slice))
+            return log_integrals(f, n, j, u)
+
+        monkeypatch.setattr(model_space, "_log_integrals", counting)
+        sol = gallery_solution("abresch_tail")
+        ms = rg.ModelSpace(n=3, f=sol)
+        first = log_ball_volumes(ms, [1.0, 2.0])
+        assert log_ball_volumes(ms, [1.0, 2.0]) == first
+        rg.growth_coefficient(ms, rg.total_curvature(sol))
+        assert whole_steps == [True, False, False, False]
+        log_ball_volumes(rg.ModelSpace(n=3, f=sol), [1.0])
+        assert whole_steps.count(True) == 2
+        # growth_coefficient and bg_ratio_check share one table
+        whole_steps.clear()
+        ts = (1.0, 2.0, 3.0)
+        evaluate_theorem(rg.zero_profile(), 2, samples=VolumeSamples(
+            t=ts, vol=tuple(math.pi * t * t for t in ts), n=2))
+        assert whole_steps == [True, False, False]
 
 
 class TestGrowthCoefficient:

@@ -1,4 +1,6 @@
+import csv
 import functools
+import itertools
 import json
 import math
 import os
@@ -8,6 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import radialgeo as rg
 from radialgeo import curvature_profile, jacobi, pipeline
@@ -106,16 +109,105 @@ class TestIngest:
             ingest_samples(str(tmp_path / "none.csv"), 2)
 
 
+def ingest_row_by_row(path):
+    """Reference for ingest_samples: every check made row by row, in file
+    order; returns the times and volumes, or raises IngestError."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        next(reader)  # the header, valid in the files given here
+        ts: list[float] = []
+        vols: list[float] = []
+        for i, row in enumerate(reader, start=2):
+            if not row or all(not c.strip() for c in row):
+                continue
+            if len(row) < 2:
+                raise IngestError(f"{path}: row {i}: expected two columns")
+            try:
+                t, vol = float(row[0]), float(row[1])
+            except ValueError as exc:
+                raise IngestError(f"{path}: row {i}: {exc}") from exc
+            if not (math.isfinite(t) and math.isfinite(vol)):
+                raise IngestError(f"{path}: row {i}: values must be finite")
+            if ts and t <= ts[-1]:
+                raise IngestError(
+                    f"{path}: row {i}: t = {t:g} does not increase past {ts[-1]:g}"
+                )
+            if t <= 0:
+                raise IngestError(f"{path}: row {i}: t must be positive")
+            if vol <= 0:
+                raise IngestError(f"{path}: row {i}: vol must be positive")
+            ts.append(t)
+            vols.append(vol)
+    if not ts:
+        raise IngestError(f"{path}: no data rows")
+    return tuple(ts), tuple(vols)
+
+
+@st.composite
+def faulty_rows(draw):
+    """Data rows of a samples CSV, valid but for faults at random rows:
+    non-finite values, t that repeats, falls or is <= 0, vol <= 0,
+    malformed floats, short rows, and blank or whitespace-only rows."""
+    count = draw(st.integers(0, 12))
+    ts = list(itertools.accumulate(draw(st.lists(
+        st.floats(1e-3, 10.0), min_size=count, max_size=count))))
+    vols = draw(st.lists(st.floats(1e-3, 1e3), min_size=count, max_size=count))
+    rows = [f"{t!r},{v!r}" for t, v in zip(ts, vols)]
+    for _ in range(draw(st.integers(0, 3)) if rows else 0):
+        i = draw(st.integers(0, len(rows) - 1))
+        t, v = repr(ts[i]), repr(vols[i])
+        before = ts[i - 1] if i else ts[i]
+        rows[i] = draw(st.sampled_from([
+            f"nan,{v}", f"{t},inf", f"-inf,{v}", f"{t},nan",
+            f"{before!r},{v}", f"{before - 0.5!r},{v}", f"{before - 20.0!r},{v}",
+            f"0,{v}", f"-1.5,{v}", f"{t},0", f"{t},-2.5", f"0,-1",
+            f"abc,{v}", f"{t},1..2", f",{v}", f"{t},", t,
+            "", "  ,  ", " ", f"{t},{v},extra",
+        ]))
+    return rows
+
+
+class TestIngestMatchesRowByRow:
+    @settings(max_examples=400, deadline=None)
+    @given(rows=faulty_rows())
+    def test_first_faulty_row_wins(self, rows, tmp_path_factory):
+        path = tmp_path_factory.getbasetemp() / "faulty.csv"
+        path.write_text("t,vol\n" + "".join(r + "\n" for r in rows),
+                        encoding="utf-8")
+        try:
+            expected = ingest_row_by_row(str(path))
+        except IngestError as exc:
+            with pytest.raises(IngestError) as got:
+                ingest_samples(str(path), 2)
+            assert str(got.value) == str(exc)
+        else:
+            samples = ingest_samples(str(path), 2)
+            assert (samples.t, samples.vol) == expected
+
+    def test_value_fault_before_parse_fault(self, tmp_path):
+        path = tmp_path / "v.csv"
+        path.write_text("t,vol\n1,1\n2,-1\n3,abc\n")
+        with pytest.raises(IngestError, match="row 3: vol must be positive"):
+            ingest_samples(str(path), 2)
+        path.write_text("t,vol\n1,1\n2,abc\n1,-1\n")
+        with pytest.raises(IngestError, match="row 3: could not convert"):
+            ingest_samples(str(path), 2)
+
+
 class TestVolumeSamples:
     def test_validation(self):
         with pytest.raises(ValueError):
             VolumeSamples(t=(), vol=(), n=2)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="sample 2: t = 1 does not increase"):
             VolumeSamples(t=(1.0, 1.0), vol=(1.0, 1.0), n=2)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="sample 1: t must be positive"):
             VolumeSamples(t=(0.0, 1.0), vol=(1.0, 1.0), n=2)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="sample 1: vol must be positive"):
             VolumeSamples(t=(1.0,), vol=(-1.0,), n=2)
+        with pytest.raises(ValueError, match="sample 2: values must be finite"):
+            VolumeSamples(t=(1.0, math.inf), vol=(1.0, 1.0), n=2)
+        with pytest.raises(ValueError, match="sample 1: values must be finite"):
+            VolumeSamples(t=(1.0,), vol=(math.nan,), n=2)
         with pytest.raises(ValueError):
             VolumeSamples(t=(1.0,), vol=(1.0,), n=1)
 
@@ -600,7 +692,82 @@ class TestReportJson:
         assert data["ends_bound"]["integer_bound"] is None
 
 
+def json_text(obj):
+    out = []
+    pipeline._write_json(obj, out)
+    return "".join(out)
+
+
+def json_text_by_element(values):
+    """A list written element by element, as the general path does."""
+    return "[" + ", ".join(json_text(v) for v in values) + "]"
+
+
+class TestJsonFloatList:
+    def test_special_values(self):
+        values = [math.inf, -math.inf, math.nan, 0.0, -0.0, 5e-324,
+                  2.2250738585072014e-308 / 3, 1e300, -1e300, 1.0 / 3.0]
+        text = json_text(values)
+        assert text == json_text_by_element(values)
+        assert text == ("[null, null, null, 0, 0, 4.94065645841e-324, "
+                        "7.41691286169e-309, 1e+300, -1e+300, 0.333333333333]")
+        assert json_text(tuple(values)) == text
+        assert json_text([]) == "[]"
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.floats(allow_nan=True, allow_infinity=True)))
+    def test_same_text_as_general_path(self, values):
+        assert json_text(values) == json_text_by_element(values)
+
+    @pytest.mark.parametrize("values, text", [
+        ([True, 1.0], "[true, 1]"),
+        ([1, 2.5], "[1, 2.5]"),
+        ([None, 1.0], "[null, 1]"),
+        ([[1.0], 2.0], "[[1], 2]"),
+        ([np.float64(0.5), 1.0], "[0.5, 1]"),
+    ])
+    def test_mixed_lists_keep_general_path(self, values, text):
+        assert json_text(values) == text == json_text_by_element(values)
+
+
+def tabulate_by_row(profile, n, tol, t_max, step):
+    """Reference for the tabulate table: f, f', m and m' evaluated row by
+    row, as scalars."""
+    f = rg.solve(profile, t_max, tol)
+    m = pipeline._comparison_solution(f, t_max)
+    t_stop = min(f.t_end, m.t_end)
+    grid = []
+    k = 0
+    while k * step <= t_stop * (1 + 1e-12):
+        grid.append(min(k * step, t_stop))
+        k += 1
+    with_vol = f.first_zero is None
+    lines = ["t,f,fp,m,mp" + (",vol_n" if with_vol else "")]
+    vols = rg.ball_volumes(rg.ModelSpace(n=n, f=f), grid) if with_vol else None
+    for i, t in enumerate(grid):
+        row = [t, float(f.f(t)), float(f.fp(t)), float(m.f(t)), float(m.fp(t))]
+        if with_vol:
+            row.append(vols[i])
+        lines.append(",".join(format(x, ".12g") for x in row))
+    return "".join(line + "\n" for line in lines)
+
+
 class TestCli:
+    @pytest.mark.parametrize("name, t_max, step", [
+        ("sign_changing_beta_ln2", 30.0, 0.37),
+        ("abresch_tail", 200.0, 1.5),
+        ("hyperbolic", 300.0, 0.7),
+        ("spherical", 6.0, 0.1),
+    ])
+    def test_tabulate_matches_row_by_row(self, tmp_path, name, t_max, step):
+        profile = entry_by_name(name).profile
+        cfg = write_config(tmp_path / "model.json", profile, 3)
+        out = tmp_path / "table.csv"
+        assert cli_main(["tabulate", "--config", cfg, "--t-max", repr(t_max),
+                         "--step", repr(step), "--out", str(out)]) == 0
+        assert out.read_text(encoding="utf-8") == tabulate_by_row(
+            profile, 3, DEFAULT_TOL, t_max, step)
+
     def test_gallery_list(self, capsys):
         assert cli_main(["gallery", "list"]) == 0
         out = capsys.readouterr().out
