@@ -42,52 +42,91 @@ _ZERO_NUM = (0.0,)
 _ONE_DEN = (1.0,)
 # relative (and absolute) gap at which a junction counts as a jump
 _CONTINUITY_TOL = 1e-12
-# log of the root-modulus jump at which _roots cuts a polynomial
-_JUMP = math.log(1e8)
 
 
-def _trimmed(coeffs: tuple[float, ...]) -> tuple[float, ...]:
-    """Polynomial coefficients without trailing zeros (the zero polynomial
-    keeps one coefficient: no roots).
+def _bernstein(coeffs: tuple[float, ...], a: float,
+               b: float) -> tuple[list[float], list[float]]:
+    """Bernstein coefficients of the polynomial ``coeffs`` on [a, b], with
+    0 <= a < b, and a bound on the rounding error of each.
 
-    ProfileError, naming the coefficients, when the companion matrix of
-    the polynomial (the coefficients over the leading one) would leave
-    float range.
+    Horner's Taylor shift to a, a scale by w^j/C(d, j) with w = b - a,
+    then b_i = sum_j C(i, j) v_j as d passes of v_j += v_(j-1), all in a
+    fixed order, so the result does not depend on the Python version.  A
+    path through these steps rounds at most 5d + 3 times, w's own rounding
+    included, so the same steps on |c| bound the error of b_i by 8(d + 1)
+    units of 2^-53 times their result; each |c_k| is raised by
+    (d + 1) 2^-1022 so that the bound also covers underflow.  ProfileError,
+    naming the coefficients, when they leave float range on [a, b].
     """
-    out = coeffs[:max((i + 1 for i, c in enumerate(coeffs) if c), default=1)]
-    if not all(math.isfinite(c / out[-1]) for c in out[:-1]):
-        raise ProfileError(f"polynomial coefficients {coeffs} put its roots "
-                           f"past float range")
-    return out
+    d = len(coeffs) - 1
+    c, m = list(coeffs), [abs(x) + (d + 1) * 2.0 ** -1022 for x in coeffs]
+    for i in range(d if a else 0):  # at a = 0 the shift is the identity
+        for j in range(d - 1, i - 1, -1):
+            c[j] += a * c[j + 1]
+            m[j] += a * m[j + 1]
+    w, power = b - a, 1.0
+    for j in range(d + 1):
+        c[j] *= power / math.comb(d, j)
+        m[j] *= power / math.comb(d, j)
+        power *= w
+    for i in range(d):
+        for j in range(d, i, -1):
+            c[j] += c[j - 1]
+            m[j] += m[j - 1]
+    if not all(map(math.isfinite, m)):
+        raise ProfileError(f"polynomial coefficients {coeffs} leave float "
+                           f"range on [{a}, {b}]")
+    return c, [(d + 1) * 2.0 ** -50 * x for x in m]
 
 
-def _roots(coeffs: tuple[float, ...]) -> Iterator[complex]:
-    """All roots of the polynomial ``coeffs``, found by ``polyroots`` on
-    slices of it between the jumps of its Newton polygon.
+@lru_cache(maxsize=256)
+def _root_intervals(coeffs: tuple[float, ...], a: float,
+                    b: float) -> tuple[tuple[float, float], ...]:
+    """Disjoint ordered intervals [lo, hi] that hold every root of the
+    polynomial ``coeffs`` on [a, b], with 0 <= a < b.  Off them the sign of
+    the polynomial is certified, and its Horner value, whose rounding the
+    same bound covers, has that sign or underflows to zero.
 
-    The polygon, the upper convex hull of the points (k, log|c_k|), has
-    an edge from k to l for l - k roots of modulus about
-    (|c_k|/|c_l|)^(1/(l - k)).  Where that modulus jumps more than 1e8
-    times between neighbouring edges, ``polyroots`` on the whole loses
-    the small roots ((1, 1, 1e-17) comes back as [-1e17, 0]); a slice
-    keeps them to about 1e-8, for a Newton polish to finish.  A polynomial
-    without such a jump is one slice.  A slice whose companion matrix
-    leaves float range has far-off roots, the reciprocals of the roots of
-    the reversed slice (a zero root of such a slice is left out).
+    Descartes' rule in Bernstein form (Collins and Akritas, 1976): on an
+    interval where every coefficient of ``_bernstein`` lies beyond its
+    error bound, no sign change means no root and exactly one means one
+    simple root, which is kept as a leaf.  Other intervals are halved,
+    except that one is a leaf too when its coefficients all lie within
+    twice their bounds (the polynomial is at rounding level there) or its
+    width is down to 2^-52 b or to float resolution.  Touching leaves of
+    that kind are merged; a simple leaf stays apart, so its crossing is not
+    lost next to a cluster.  An exact root at t = 0 is split off first
+    (with c_0 = 0 the polynomial is t times c_1 + c_2 t + ...), since
+    halving would otherwise chase it to the width floor; a simple leaf must
+    then start past 0, so that its root lies between points where the
+    polynomial is nonzero.  The zero polynomial gives [a, b].
+
+    Memoized by (coeffs, a, b): the pieces that ``negative_part`` cuts
+    from a segment share its denominator, and a fresh piece checks it
+    again.
     """
-    pts = [(k, math.log(abs(c))) for k, c in enumerate(coeffs) if c]
-    # a point is a vertex where its least chord slope to the left exceeds
-    # its greatest to the right; the difference is the log of the jump
-    cuts = [0, *(k for i, (k, y) in enumerate(pts[1:-1], 1)
-                 if min((y - y0) / (k - k0) for k0, y0 in pts[:i])
-                 - max((y1 - y) / (k1 - k) for k1, y1 in pts[i + 1:]) > _JUMP),
-            pts[-1][0] if pts else 0]
-    for a, b in zip(cuts, cuts[1:]):
-        part = coeffs[a:b + 1]
-        if all(math.isfinite(c / part[-1]) for c in part[:-1]):
-            yield from npoly.polyroots(part)
+    # c_0 = ... = c_(k-1) = 0 at a = 0: the root at 0 is one leaf, and the
+    # rest of the search runs on c_k + c_(k+1) t + ...
+    k = next((i for i, c in enumerate(coeffs) if c), 0) if a == 0.0 else 0
+    coeffs, leaves = coeffs[k:], ([(0.0, 0.0, False)] if k else [])  # (lo, hi, simple)
+    todo = [(a, b)]
+    while todo:
+        lo, hi = todo.pop()
+        bern, err = _bernstein(coeffs, lo, hi)
+        decided = all(abs(x) > e for x, e in zip(bern, err))
+        changes = sum((x < 0) != (y < 0) for x, y in zip(bern, bern[1:]))
+        simple = decided and changes == 1 and not (k and lo == 0.0)
+        if decided and changes == 0:
+            continue
+        mid = 0.5 * (lo + hi)
+        if not (simple or hi - lo <= 2.0 ** -52 * b or not lo < mid < hi
+                or all(abs(x) <= 2.0 * e for x, e in zip(bern, err))):
+            todo += [(mid, hi), (lo, mid)]
+        elif leaves and not (simple or leaves[-1][2]) and lo <= leaves[-1][1]:
+            leaves[-1] = (leaves[-1][0], hi, False)
         else:
-            yield from (1 / complex(s) for s in npoly.polyroots(part[::-1]) if s)
+            leaves.append((lo, hi, simple))
+    return tuple((lo, hi) for lo, hi, _ in leaves)
 
 
 def _polynomial(coeffs: tuple[float, ...]) -> Callable[[float], float]:
@@ -112,26 +151,6 @@ def _polynomial(coeffs: tuple[float, ...]) -> Callable[[float], float]:
     return horner
 
 
-def _newton_polish(coeffs: tuple[float, ...], r: float) -> float:
-    """Newton steps on the polynomial p with ascending ``coeffs`` from r,
-    each kept only while it strictly reduces |p|.
-
-    They finish a root that ``_roots`` found on a slice, to about 1e-8,
-    and a root that is already accurate keeps its bits.
-    """
-    p = _polynomial(coeffs)
-    dp = _polynomial(tuple(i * c for i, c in enumerate(coeffs))[1:])
-    v = abs(p(r))
-    # 64 steps are far more than a candidate next to a simple root needs
-    for _ in range(64):
-        d = dp(r)
-        s = r - p(r) / d if d else r
-        if not abs(p(s)) < v:
-            break
-        r, v = s, abs(p(s))
-    return r
-
-
 @dataclass(frozen=True)
 class Segment:
     """One piece of a profile: num(t)/den(t) on [t_start, t_end).
@@ -150,26 +169,22 @@ class Segment:
         object.__setattr__(self, "den", tuple(float(c) for c in self.den))
         if not self.num or not self.den:
             raise ProfileError("segment needs at least one coefficient")
-        if not all(math.isfinite(c) for c in self.num + self.den):
-            raise ProfileError("segment coefficients must be finite")
-        # the zero polynomial has no roots, so the vanishing test below
-        # cannot catch it
+        # named apart from the vanishing test below, which would report a
+        # point of the segment
         if not any(self.den):
             raise ProfileError(f"segment denominator {self.den} is identically zero")
         if not (0.0 <= self.t_start < self.t_end):
             raise ProfileError(
                 f"segment interval [{self.t_start}, {self.t_end}) is invalid"
             )
-        # coefficients whose companion matrix leaves float range are
-        # refused, the numerator's too (see _trimmed); (1,) is in range
+        # refused when either polynomial leaves float range on the segment,
+        # nonfinite coefficients among them
+        _bernstein(self.num, self.t_start, self.t_end)
         if not self.is_polynomial:
-            _trimmed(self.den)
-        for root in self._real_roots(self.den):
-            if self.t_start - 1e-12 <= root <= self.t_end + 1e-12:
-                raise ProfileError(
-                    f"segment denominator vanishes at t = {root:.6g}"
-                )
-        _trimmed(self.num)
+            roots = _root_intervals(self.den, self.t_start, self.t_end)
+            if roots:
+                root = _bisect(_polynomial(self.den), *roots[0])
+                raise ProfileError(f"segment denominator vanishes at t = {root:.6g}")
 
     @property
     def is_polynomial(self) -> bool:
@@ -210,30 +225,27 @@ class Segment:
         state.pop("evaluate", None)
         return state
 
-    @staticmethod
-    @lru_cache(maxsize=256)
-    def _real_roots(coeffs: tuple[float, ...]) -> tuple[float, ...]:
-        # the real roots, each polished on the whole polynomial; memoized:
-        # the pieces that negative_part cuts from a segment share its
-        # denominator, and each new Segment checks it again
-        return tuple(_newton_polish(coeffs, float(r.real))
-                     for r in _roots(coeffs)
-                     if abs(r.imag) <= 1e-9 * (1 + abs(r)))
-
     @cached_property
     def _critical_points(self) -> tuple[float, ...]:
-        # stationary points of num/den: roots of num'*den - num*den'
-        dnum = npoly.polyder(self.num)
-        if self.is_polynomial:
-            p = dnum
-        else:
-            dden = npoly.polyder(self.den)
-            p = npoly.polysub(npoly.polymul(dnum, self.den),
-                              npoly.polymul(self.num, dden))
-        return self._real_roots(tuple(p.tolist()))
+        # stationary points of num/den on the segment: roots of
+        # num'*den - num*den', one bisected from each of its root intervals
+        p = npoly.polyder(self.num)
+        if not self.is_polynomial:
+            p = npoly.polysub(npoly.polymul(p, self.den),
+                              npoly.polymul(self.num, npoly.polyder(self.den)))
+        coeffs = tuple(p.tolist())
+        return tuple(_bisect(_polynomial(coeffs), lo, hi)
+                     for lo, hi in _root_intervals(coeffs, self.t_start, self.t_end))
 
     def max_on(self, a: float, b: float) -> float:
-        """Exact maximum of the segment expression over [a, b]."""
+        """Exact maximum of the segment expression over [a, b], a
+        subinterval of the segment: the largest value at its ends and at
+        the critical points inside it.
+
+        The critical points come from the root intervals of the
+        derivative's numerator on the whole segment (``_root_intervals``),
+        so none is missed, whatever the spread of the coefficients.
+        """
         ev = self.evaluate
         best = max(ev(a), ev(b))
         for r in self._critical_points:
@@ -460,65 +472,50 @@ def power_tail_profile(a: float, p: float) -> CurvatureProfile:
 # sign splitting
 
 
-def _bisect_sign_change(seg: Segment, lo: float, hi: float) -> float:
-    """Locate a sign change of the segment inside a bracketing interval.
-
-    Plain bisection, driven to floating point resolution (well below the
-    1e-12 continuity tolerance even for steep segments); 64 iterations
-    more than suffice from any bracket inside a segment.
+def _bisect(p: Callable[[float], float], lo: float, hi: float) -> float:
+    """A point of [lo, hi] where p changes sign, or a zero of p met on the
+    way, found by plain bisection to floating point resolution.  Without a
+    sign change it ends next to hi.
     """
-    flo = seg.evaluate(lo)
-    for _ in range(64):
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            break
-        fmid = seg.evaluate(mid)
-        if fmid == 0.0:
+    plo = p(lo)
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        pmid = p(mid)
+        if pmid == 0.0:
             return mid
-        if (flo < 0) == (fmid < 0):
-            lo, flo = mid, fmid
+        if (plo < 0) == (pmid < 0):
+            lo, plo = mid, pmid
         else:
             hi = mid
-    return 0.5 * (lo + hi)
+    return mid
 
 
 def _sign_pieces(seg: Segment) -> list[tuple[float, float, bool]]:
     """Split a segment at its strict sign changes, located to float
     resolution, into (lo, hi, positive) pieces.
 
-    The denominator has no roots on a segment, so every sign change is a
-    real root of the numerator.  The segment ends and the points midway
-    between consecutive roots are probed; each pair of neighbouring
-    probes of opposite sign brackets one crossing, which bisection then
-    polishes, and a piece takes the sign of the probes inside it.  Probes
-    that evaluate to exactly zero are skipped, so a tangential touch (no
-    sign change) gets no cut and a zero segment is one nonpositive piece.
-    The real parts of all roots are used: a double root can come back as
-    a complex pair, and without it a probe could land on that touch and
-    hide the crossings on both sides.
+    The denominator has no roots on a segment, so every sign change lies
+    in a root interval of the numerator (``_root_intervals``), and between
+    those intervals the sign is certified.  The midpoints of the gaps
+    between intervals are probed; each pair of neighbouring probes of
+    opposite sign brackets one crossing, which bisection then locates, and
+    a piece takes the sign of the probes inside it.  Probes that evaluate
+    to exactly zero are skipped, so a tangential touch (no sign change)
+    gets no cut and a zero segment is one nonpositive piece.
     """
-    roots = sorted(float(r.real) for r in _roots(seg.num)
-                   if seg.t_start < r.real < seg.t_end)
-    knots = [seg.t_start, *roots, seg.t_end]
-    probes = [seg.t_start, *(0.5 * (a + b) for a, b in zip(knots, knots[1:])),
-              seg.t_end]
+    roots = _root_intervals(seg.num, seg.t_start, seg.t_end)
+    knots = [seg.t_start, *(t for iv in roots for t in iv), seg.t_end]
+    mids = (0.5 * (a + b) for a, b in zip(knots[::2], knots[1::2]))
+    probes = [(t, v > 0.0) for t, v in ((t, seg.evaluate(t)) for t in mids) if v != 0.0]
     pieces: list[tuple[float, float, bool]] = []
     lo = seg.t_start
-    sign = 0
-    prev_t = seg.t_start
-    for t in probes:
-        v = seg.evaluate(t)
-        probe_sign = (v > 0.0) - (v < 0.0)
-        if probe_sign == 0:
-            continue
-        if sign and probe_sign != sign:
-            c = _bisect_sign_change(seg, prev_t, t)
+    for (t0, positive), (t1, next_positive) in zip(probes, probes[1:]):
+        if positive != next_positive:
+            c = _bisect(seg.evaluate, t0, t1)
             if (seg.t_start < c < seg.t_end
                     and not (pieces and c - lo <= 1e-13 * max(1.0, abs(c)))):
-                pieces.append((lo, c, sign > 0))
+                pieces.append((lo, c, positive))
                 lo = c
-        sign, prev_t = probe_sign, t
-    pieces.append((lo, seg.t_end, sign > 0))
+    pieces.append((lo, seg.t_end, bool(probes) and probes[-1][1]))
     return pieces
 
 
@@ -582,6 +579,8 @@ def profile_from_dict(data: dict) -> CurvatureProfile:
     """
     if not isinstance(data, dict):
         raise ProfileError("profile must be a JSON object")
+    if not isinstance(data.get("segments", []), (list, tuple)):
+        raise ProfileError(f"'segments' must be a list, got {data['segments']!r}")
     segments = []
     for i, raw in enumerate(data.get("segments", [])):
         try:
@@ -594,7 +593,7 @@ def profile_from_dict(data: dict) -> CurvatureProfile:
                         f"segment {i}: need [t_start, t_end, coefficients...]"
                     )
                 seg = Segment(float(raw[0]), float(raw[1]), tuple(raw[2:]))
-        except (TypeError, KeyError) as exc:
+        except (TypeError, KeyError, ValueError) as exc:
             raise ProfileError(f"segment {i} is malformed: {exc}") from exc
         segments.append(seg)
     tail_obj = data.get("tail", {"kind": "zero"})
@@ -608,6 +607,6 @@ def profile_from_dict(data: dict) -> CurvatureProfile:
             tail = PowerDecayTail(float(tail_obj["a"]), float(tail_obj["p"]))
         else:
             raise ProfileError(f"unknown tail kind: {kind!r}")
-    except (TypeError, KeyError) as exc:
+    except (TypeError, KeyError, ValueError) as exc:
         raise ProfileError(f"tail is malformed: {exc}") from exc
     return CurvatureProfile(tuple(segments), tail)

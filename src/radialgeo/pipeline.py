@@ -574,11 +574,14 @@ def _load_config(path: str) -> tuple[CurvatureProfile, int, AnalysisOptions]:
         n = check_dimension(data.get("n"))
     except (TypeError, ValueError):
         raise ConfigurationError(f"config {path} needs an integer 'n' >= 2") from None
-    opts = AnalysisOptions(
-        tol=float(data.get("tol", DEFAULT_TOL)),
-        t_end=float(data.get("t_end", DEFAULT_T_END)),
-    )
-    return profile, n, opts
+    opts = {}
+    for key, default in (("tol", DEFAULT_TOL), ("t_end", DEFAULT_T_END)):
+        try:
+            opts[key] = float(data.get(key, default))
+        except (TypeError, ValueError):
+            raise ConfigurationError(f"config {path} needs a number for "
+                                     f"'{key}', got {data[key]!r}") from None
+    return profile, n, AnalysisOptions(**opts)
 
 
 def _emit(text: str, out_path: str | None) -> None:

@@ -2,10 +2,12 @@ import json
 import math
 import pickle
 import re
+import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import radialgeo as rg
 from radialgeo import curvature_profile
@@ -141,27 +143,43 @@ class TestValidation:
         with pytest.raises(ProfileError):
             Segment(0.0, 1.0, (math.inf,))
 
-    # a subnormal leading coefficient puts the companion matrix, and so the
-    # roots, past float range (the suite turns any RuntimeWarning into an
-    # error, so none may be emitted on the way)
+    # a subnormal leading coefficient is an ordinary polynomial on the
+    # segment (the suite turns any RuntimeWarning into an error, so none may
+    # be emitted on the way)
     @pytest.mark.parametrize("num, den", [
         ((1.0,), (1.0, 0.0, 5e-324)),
         ((1.0, 0.0, 5e-324), (1.0,)),
         ((1.0, 5e-324), (1.0,)),
     ])
-    def test_roots_past_float_range_rejected(self, num, den, tmp_path, capsys):
-        coeffs = re.escape(str(den if len(den) > 1 else num))
-        with pytest.raises(ProfileError, match=f"coefficients {coeffs} put its roots"):
-            Segment(0.0, 1.0, num, den)
+    def test_subnormal_leading_coefficient_accepted(self, num, den):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            seg = Segment(0.0, 1.0, num, den)
+            for t in (0.0, 0.5, 1.0):
+                assert seg.evaluate(t) == 1.0
+            assert seg.sign_pieces == ((0.0, 1.0, True),)
+            assert seg.max_on(0.0, 1.0) == 1.0
+
+    # a polynomial whose values leave float range on its segment is refused,
+    # the numerator's as well as the denominator's
+    @pytest.mark.parametrize("num, den", [
+        ((1.0, 1e300), (1.0,)),
+        ((1.0,), (1.0, 1e300)),
+        ((1.0, 0.0, 0.0, -1e300), (1.0,)),
+    ])
+    def test_coefficients_past_float_range_rejected(self, num, den, tmp_path, capsys):
+        coeffs = str(den if len(den) > 1 else num)
+        message = f"polynomial coefficients {coeffs} leave float range on [0.0, 1e+20]"
+        with pytest.raises(ProfileError, match=re.escape(message)):
+            Segment(0.0, 1e20, num, den)
         cfg = tmp_path / "model.json"
         cfg.write_text(json.dumps({"n": 2, "profile": {"segments": [
-            {"t_start": 0.0, "t_end": 1.0, "num": list(num), "den": list(den)}]}}))
+            {"t_start": 0.0, "t_end": 1e20, "num": list(num), "den": list(den)}]}}))
         assert rg.cli_main(["analyze", "--config", str(cfg)]) == 2
-        assert f"coefficients {str(den if len(den) > 1 else num)} put its roots" in (
-            capsys.readouterr().err)
+        assert message in capsys.readouterr().err
 
-
-    # a zero polynomial has no roots, so no root of it lands on the segment
+    # an identically zero denominator is named as such, not as a vanishing
+    # at one point
     @pytest.mark.parametrize("den", [(0.0,), (0.0, -0.0), (-0.0, 0.0, 0.0)])
     def test_zero_denominator_rejected(self, den, tmp_path, capsys):
         message = f"segment denominator {den} is identically zero"
@@ -175,8 +193,8 @@ class TestValidation:
 
 
 class TestRootPolish:
-    # numpy's polyroots returns [-1/e, 0] for (1, 1, e): one call on the
-    # whole polynomial loses the root near -1
+    # (1, 1, e) has one root near -1 and one near -1/e; companion-matrix
+    # roots of the whole polynomial came back as [-1/e, 0]
     @pytest.mark.parametrize("e", [1e-17, 2.4e-109, 1e-20])
     def test_spread_denominator_accepted(self, e):
         seg = Segment(0.0, 1.0, (1.0,), (1.0, 1.0, e))
@@ -184,8 +202,8 @@ class TestRootPolish:
             assert seg.evaluate(t) == pytest.approx(1.0 / (1.0 + t), rel=1e-15)
 
     def test_spread_denominator_root_refused(self, tmp_path, capsys):
-        # -0.5 + t + 1e-17 t^2 comes back as [-1e17, 0] too, but its root
-        # at 0.5 is genuine
+        # -0.5 + t + 1e-17 t^2 spreads its roots too, and its root at 0.5
+        # is genuine
         den = (-0.5, 1.0, 1e-17)
         with pytest.raises(ProfileError, match="vanishes at t = 0.5"):
             Segment(0.0, 1.0, (1.0,), den)
@@ -197,26 +215,27 @@ class TestRootPolish:
 
     @pytest.mark.parametrize("den", [(1.0, -2.0, 1.0), (-1.0, 3.0, -3.0, 1.0)])
     def test_multiple_root_refused(self, den):
-        # (t - 1)^2 and (t - 1)^3; the triple root is found to about 2e-6
+        # (t - 1)^2 and (t - 1)^3; the triple root's value is at rounding
+        # level for about 3e-5 around 1
         with pytest.raises(ProfileError, match=r"vanishes at t = (1|0\.99999)"):
             Segment(0.0, 2.0, (1.0,), den)
 
     def test_spread_double_root_refused(self):
-        # (t - 1/2)^2 (1 + 1e-12 t): one polyroots call loses the double
-        # root and the segment was accepted, with K = 3.6e16 at t = 1/2
+        # (t - 1/2)^2 (1 + 1e-12 t): companion-matrix roots of the whole
+        # lost the double root, and K read 3.6e16 at t = 1/2
         den = tuple(np.polynomial.polynomial.polymul(
             (0.25, -1.0, 1.0), (1.0, 1e-12)).tolist())
         with pytest.raises(ProfileError, match="vanishes at t = 0.5"):
             Segment(0.0, 1.0, (1.0,), den)
 
     def test_spread_critical_point_found(self):
-        # K' = 100 - 100 t - 1e-15 t^2 comes back as [-1e17, 0]; the
+        # K' = 100 - 100 t - 1e-15 t^2 has roots near 1 and -1e17; the
         # maximum 50 sits at t = 1
         seg = Segment(0.0, 2.0, (0.0, 100.0, -50.0, -1e-15 / 3))
         assert seg.max_on(0.0, 2.0) == pytest.approx(50.0, rel=1e-15)
 
-    # K' of each loses its small roots in one polyroots call; the last
-    # one's companion matrix leaves float range
+    # K' of each spreads its coefficients over hundreds of decades; the
+    # last one's companion matrix leaves float range
     @pytest.mark.parametrize("num, den, t_end, expected", [
         # t^2/(1 + t^3), largest at t = 2^(1/3)
         ((0.0, 0.0, 1.0, 0.0, 5.4264396209745885e-185), (1.0, 0.0, 0.0, 1.0),
@@ -234,19 +253,209 @@ class TestRootPolish:
         seg = Segment(0.0, t_end, num, den)
         assert seg.max_on(0.0, t_end) == pytest.approx(expected, rel=1e-12)
 
-    def test_newton_polygon_slices(self):
-        roots = sorted(r.real for r in curvature_profile._roots((1.0, 1.0, 1e-17)))
-        assert roots == pytest.approx([-1e17, -1.0], rel=1e-15)
 
-    def test_slice_root_polished(self):
-        # the slice (1, 1) gives -1; the root of 1 + t + 1e-9 t^2 near it
-        # is -1 - 1e-9 - 2e-18 - ...
-        roots = Segment._real_roots((1.0, 1.0, 1e-9))
-        assert min(roots, key=abs) == pytest.approx(-1.000000001000000002, rel=1e-15)
+def _exact_poly(coeffs):
+    """The float coefficients as exact rationals, without trailing zeros."""
+    c = [Fraction(x) for x in coeffs]
+    while len(c) > 1 and c[-1] == 0:
+        c.pop()
+    return c
 
-    def test_accurate_roots_keep_their_bits(self):
-        assert Segment._real_roots((-2.0, 0.0, 1.0)) == tuple(
-            float(r) for r in curvature_profile.npoly.polyroots((-2.0, 0.0, 1.0)))
+
+def _exact_value(c, t):
+    acc = Fraction(0)
+    for x in reversed(c):
+        acc = acc * t + x
+    return acc
+
+
+def _divmod(u, v):
+    """Quotient and remainder of the polynomials u / v over the rationals."""
+    u, q = list(u), [Fraction(0)] * max(len(u) - len(v) + 1, 1)
+    while len(u) >= len(v) and any(u):
+        k = len(u) - len(v)
+        q[k] = u[-1] / v[-1]
+        u = [x - q[k] * v[i - k] if i >= k else x for i, x in enumerate(u)][:-1]
+    while len(u) > 1 and u[-1] == 0:
+        u.pop()
+    return q, u or [Fraction(0)]
+
+
+def _sturm(c):
+    """The Sturm sequence p, p', -rem(p, p'), ... over the rationals of the
+    square-free part p of c, whose roots are those of c."""
+    def sequence(p):
+        seq = [p, [i * x for i, x in enumerate(p)][1:] or [Fraction(0)]]
+        while any(seq[-1]):
+            r = _divmod(seq[-2], seq[-1])[1]
+            if not any(r):
+                break
+            seq.append([-x for x in r])
+        return seq
+    seq = sequence(c)
+    if len(seq[-1]) > 1:  # c / gcd(c, c') is square-free
+        seq = sequence(_divmod(c, seq[-1])[0])
+    return seq
+
+
+def _distinct_roots(seq, lo, hi):
+    """Distinct real roots in the closed [lo, hi] (Sturm's theorem counts
+    those in (lo, hi])."""
+    def variations(t):
+        signs = [v > 0 for v in (_exact_value(p, t) for p in seq) if v != 0]
+        return sum(x != y for x, y in zip(signs, signs[1:]))
+    lo, hi = Fraction(lo), Fraction(hi)
+    return variations(lo) - variations(hi) + (_exact_value(seq[0], lo) == 0)
+
+
+@st.composite
+def polynomials_on_intervals(draw):
+    """A nonzero polynomial of degree <= 8 and an interval [a, b] in
+    [0, 100]: random coefficients, products of roots of multiplicity 1 to
+    3 (in [0, 100], in [a, b] or at its ends, scaled down to subnormal
+    size), or coefficients spread by a leading one 1e-12 to 1e-20 times
+    the others."""
+    a = draw(st.floats(min_value=0.0, max_value=99.0))
+    if draw(st.booleans()):
+        a = 0.0
+    b = draw(st.floats(min_value=a, max_value=100.0).filter(lambda x: x > a))
+    kind = draw(st.sampled_from(("random", "roots", "spread")))
+    if kind == "roots":
+        roots = []
+        while len(roots) < 6:
+            r = draw(st.one_of(st.floats(min_value=0.0, max_value=100.0),
+                               st.floats(min_value=a, max_value=b),
+                               st.sampled_from((a, b))))
+            roots += [r] * draw(st.integers(min_value=1, max_value=3))
+            if draw(st.booleans()):
+                break
+        scale = draw(st.sampled_from((-1.0, 1.0))) * draw(st.one_of(
+            st.floats(min_value=1e-3, max_value=1e3),
+            st.sampled_from((1e-150, 1e-300, 1e-310, 1e-320))))
+        coeffs = scale * np.polynomial.polynomial.polyfromroots(roots)
+    else:
+        coeffs = draw(st.lists(
+            st.one_of(st.just(0.0), st.floats(min_value=-10.0, max_value=10.0)),
+            min_size=1, max_size=9 - (kind == "spread")))
+        if kind == "spread":
+            coeffs.append(draw(st.sampled_from([-1.0, 1.0])) * 10.0 ** -draw(
+                st.integers(min_value=12, max_value=20)))
+    coeffs = tuple(float(x) for x in coeffs)
+    assume(any(coeffs))
+    return coeffs, a, b
+
+
+class TestRootIntervals:
+    """``_root_intervals`` against an exact Sturm count over the rationals
+    of the float coefficients."""
+
+    @given(case=polynomials_on_intervals())
+    # a subnormal interval: 2^-52 b underflows below the float spacing there
+    @example(case=((-1.3030363133252084e-308, 585.6148587353217), 0.0,
+                   2.225073858507e-311))
+    # subnormal coefficients, whose rounding is absolute, not relative
+    @example(case=((1e-320, -4e-320, 6e-320, -4e-320, 1e-320), 0.0, 1.0))
+    @example(case=((-1e-323, 4.64e-322, -8.25e-321, 5.707e-320, -1.0562e-319,
+                    1e-320), 0.0, 0.375))
+    @settings(max_examples=300, deadline=None)
+    def test_against_sturm(self, case):
+        coeffs, a, b = case
+        intervals = curvature_profile._root_intervals(coeffs, a, b)
+        exact = _exact_poly(coeffs)
+        seq = _sturm(exact)
+        ends = [a, *(t for iv in intervals for t in iv), b]
+        assert ends == sorted(ends)
+        # every root lies in an interval: the open gaps between them hold none
+        gaps = list(zip(ends[::2], ends[1::2]))
+        for k, (g0, g1) in enumerate(gaps):
+            if g0 < g1:
+                # a gap is open at the ends it shares with an interval
+                inside = _distinct_roots(seq, g0, g1)
+                if k > 0:
+                    inside -= _exact_value(exact, Fraction(g0)) == 0
+                if k < len(gaps) - 1:
+                    inside -= _exact_value(exact, Fraction(g1)) == 0
+                assert inside == 0, (g0, g1)
+                # and the float value between them has the exact sign, or is
+                # zero where t times the rest underflows past a root at 0
+                t = 0.5 * (g0 + g1)
+                if g0 < t < g1:
+                    v, w = curvature_profile._polynomial(coeffs)(t), _exact_value(
+                        exact, Fraction(t))
+                    assert w != 0 and (v == 0 or (v > 0) == (w > 0)), (t, v, w)
+                    assert v != 0 or exact[0] == 0
+        for lo, hi in intervals:
+            bern, err = curvature_profile._bernstein(coeffs, lo, hi)
+            signs = [x > 0 for x in bern]
+            if (all(abs(x) > e for x, e in zip(bern, err))
+                    and sum(x != y for x, y in zip(signs, signs[1:])) == 1):
+                assert _distinct_roots(seq, lo, hi) == 1, (lo, hi)
+
+    @pytest.mark.parametrize("coeffs, a, b, expected", [
+        # an exact root at 0 is split off, and the simple leaf after it
+        # starts past 0
+        ((0.0, -0.3, 1.0), 0.0, 1.0, ((0.0, 0.0), (0.25, 0.5))),
+        ((0.0, 0.0, -0.3, 1.0), 0.0, 1.0, ((0.0, 0.0), (0.25, 0.5))),
+        # simple leaves that touch stay apart
+        ((-3.0, 4.0, -1.0), 0.0, 4.0, ((0.0, 2.0), (2.0, 4.0))),
+    ])
+    def test_leaves(self, coeffs, a, b, expected):
+        assert curvature_profile._root_intervals(coeffs, a, b) == expected
+
+    @staticmethod
+    def count_conversions(monkeypatch):
+        calls = []
+        real = curvature_profile._bernstein
+
+        def counting(coeffs, a, b):
+            calls.append((a, b))
+            return real(coeffs, a, b)
+        monkeypatch.setattr(curvature_profile, "_bernstein", counting)
+        return calls
+
+    @pytest.mark.parametrize("coeffs", [(1.0, -2.0, 1.0), (-1.0, 3.0, -3.0, 1.0)])
+    def test_rounding_level_leaves_merge(self, coeffs, monkeypatch):
+        # (t - 1)^2 and (t - 1)^3 on [0, 2]: halving stops where the
+        # polynomial is at rounding level, so the search stays short
+        calls = self.count_conversions(monkeypatch)
+        (lo, hi), = curvature_profile._root_intervals(coeffs, 0.0, 2.0)
+        assert lo < 1.0 < hi and hi - lo < 1e-4
+        assert len(calls) <= 100
+
+    @pytest.mark.parametrize("name", ["sign_changing_beta_ln2",
+                                      "sign_changing_beta_neg_ln2"])
+    def test_critical_points_past_a_root_at_zero(self, name, monkeypatch):
+        # K' of the beta entries is odd, so its numerator vanishes at t = 0
+        seg = entry_by_name(name).profile.segments[0]
+        curvature_profile._root_intervals.cache_clear()
+        calls = self.count_conversions(monkeypatch)
+        points = seg._critical_points
+        assert points[0] == 0.0 and len(points) == 2
+        assert 0 < len(calls) <= 30
+
+    @pytest.mark.parametrize("c", [1.999 + 0.001 * k / 200 for k in range(200)])
+    def test_triple_denominator_roots_near_the_end_refused(self, c):
+        den = tuple(np.polynomial.polynomial.polyfromroots([c, c, c]).tolist())
+        with pytest.raises(ProfileError, match="vanishes at t = (1.99|2)"):
+            Segment(0.0, 2.0, (1.0,), den)
+
+    @pytest.mark.parametrize("mult", [2, 3])
+    @pytest.mark.parametrize("t_start, t_end, root", [
+        (0.0, 1.5, 0.0), (0.5, 2.0, 0.5), (0.3, 1.0, 0.3), (1.0, 2.0, 1.0),
+        (0.0, 2.0, 2.0), (0.0, 0.3, 0.3), (0.5, 1.999995, 1.999995),
+        (10.0, 100.0, 100.0),
+    ])
+    def test_multiple_denominator_roots_at_the_ends_refused(self, t_start, t_end,
+                                                             root, mult):
+        den = tuple(np.polynomial.polynomial.polyfromroots([root] * mult).tolist())
+        with pytest.raises(ProfileError, match="vanishes"):
+            Segment(t_start, t_end, (1.0,), den)
+
+    def test_denominator_root_just_past_the_end_accepted(self):
+        # t - 1 - 1e-13 is certified nonzero on the closed [0, 1]: no
+        # window around the segment refuses it
+        seg = Segment(0.0, 1.0, (1.0,), (-1.0 - 1e-13, 1.0))
+        assert seg.evaluate(1.0) == pytest.approx(-1e13, rel=1e-3)
 
 
 @st.composite
@@ -320,30 +529,33 @@ class TestSignPiecesCache:
 
 class TestRealRootsCache:
     def test_negative_part_reuses_denominator_roots(self, monkeypatch):
-        # a fresh beta profile: its segment checked the degree-8
-        # denominator (1 + t^2)^4 when it was built
+        # a fresh beta profile: the pieces of its first negative part check
+        # the degree-8 denominator (1 + t^2)^4 on their own intervals
         profile = entry_by_name("sign_changing_beta_ln2").profile
-        den = curvature_profile._trimmed(profile.segments[0].den)
+        den = profile.segments[0].den
         assert len(den) == 9
-        real = curvature_profile.npoly.polyroots
+        first = curvature_profile.negative_part(profile)
+        real = curvature_profile._bernstein
         calls = []
 
-        def counting(coeffs):
-            calls.append(tuple(coeffs))
-            return real(coeffs)
+        def counting(coeffs, a, b):
+            calls.append(coeffs)
+            return real(coeffs, a, b)
 
-        monkeypatch.setattr(curvature_profile.npoly, "polyroots", counting)
+        monkeypatch.setattr(curvature_profile, "_bernstein", counting)
         neg = curvature_profile.negative_part(profile)
+        assert neg == first
         assert len(neg.segments) > len(profile.segments)
-        assert all(s.den == profile.segments[0].den for s in neg.segments
-                   if not s.is_zero)
+        assert all(s.den == den for s in neg.segments if not s.is_zero)
         assert calls.count(den) == 0
 
     def test_roots_are_a_tuple(self):
-        roots = Segment._real_roots((-1.0, 0.0, 1.0))
+        roots = curvature_profile._root_intervals((-1.0, 0.0, 1.0), 0.0, 2.0)
         assert isinstance(roots, tuple)
-        assert sorted(roots) == pytest.approx([-1.0, 1.0])
-        assert Segment._real_roots((-1.0, 0.0, 1.0)) is roots
+        assert len(roots) == 1 and roots[0][0] <= 1.0 <= roots[0][1]
+        assert curvature_profile._root_intervals((-1.0, 0.0, 1.0), 0.0, 2.0) is roots
+        # the interval is part of the key
+        assert curvature_profile._root_intervals((-1.0, 0.0, 1.0), 0.0, 0.5) == ()
 
 
 class TestSignedParts:

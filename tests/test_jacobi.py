@@ -143,8 +143,8 @@ def nonpositive_segment(draw, lo, hi):
     num = draw(st.lists(_NONPOSITIVE, min_size=1, max_size=4))
     den = (1.0,)
     if draw(st.booleans()):
-        # positive on t >= 0; coefficients within a factor 8 of each other
-        # keep polyroots from reporting a spurious root at t = 0
+        # positive on t >= 0: a constant term >= 0.5 and no negative
+        # coefficient
         den = (draw(st.floats(min_value=0.5, max_value=2.0)),
                *draw(st.lists(st.one_of(st.just(0.0),
                                         st.floats(min_value=0.25, max_value=2.0)),

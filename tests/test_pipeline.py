@@ -812,6 +812,24 @@ class TestCli:
             assert cli_main(["analyze", "--config", cfg]) == 2
             assert "needs an integer 'n'" in capsys.readouterr().err
 
+    # a value float() cannot take, or a non-list of segments, is an input
+    # error that names its field, not a TypeError traceback
+    @pytest.mark.parametrize("config, field", [
+        ({"tol": None}, "'tol', got None"),
+        ({"t_end": None}, "'t_end', got None"),
+        ({"tol": [1e-8]}, "'tol', got [1e-08]"),
+        ({"t_end": [64.0]}, "'t_end', got [64.0]"),
+        ({"t_end": "far"}, "'t_end', got 'far'"),
+        ({"profile": {"segments": 5}}, "'segments' must be a list, got 5"),
+        ({"profile": {"segments": [[0.0, 1.0, "x"]]}}, "segment 0 is malformed"),
+    ])
+    def test_config_field_of_wrong_type_exits_2(self, tmp_path, capsys, config, field):
+        cfg = tmp_path / "model.json"
+        cfg.write_text(json.dumps({"n": 2, "profile": {"segments": []}, **config}))
+        for command in (["analyze"], ["tabulate", "--t-max", "1", "--step", "1"]):
+            assert cli_main([command[0], "--config", str(cfg), *command[1:]]) == 2
+            assert field in capsys.readouterr().err
+
     def test_unknown_flag_exits_2(self, capsys):
         assert cli_main(["gallery", "analyze", "flat", "-n", "2", "--bogus"]) == 2
 
