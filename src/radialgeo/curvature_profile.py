@@ -54,9 +54,13 @@ def _bernstein(coeffs: tuple[float, ...], a: float,
     fixed order, so the result does not depend on the Python version.  A
     path through these steps rounds at most 5d + 3 times, w's own rounding
     included, so the same steps on |c| bound the error of b_i by 8(d + 1)
-    units of 2^-53 times their result; each |c_k| is raised by
-    (d + 1) 2^-1022 so that the bound also covers underflow.  ProfileError,
-    naming the coefficients, when they leave float range on [a, b].
+    units of 2^-53 times their result.  Underflow is covered too: each
+    |c_k| is raised by (d + 1) 2^-1022 for the shift, and every bound by
+    one term for the scale, whose factors w^j/C(d, j) underflow on a tiny
+    interval, where only their absolute error is bounded.  That term is
+    the same for every b_i, so where the polynomial is at underflow level
+    all of its coefficients are.  ProfileError, naming the coefficients,
+    when they leave float range on [a, b].
     """
     d = len(coeffs) - 1
     c, m = list(coeffs), [abs(x) + (d + 1) * 2.0 ** -1022 for x in coeffs]
@@ -64,6 +68,8 @@ def _bernstein(coeffs: tuple[float, ...], a: float,
         for j in range(d - 1, i - 1, -1):
             c[j] += a * c[j + 1]
             m[j] += a * m[j + 1]
+    # sum_j C(i, j) (d + 1) 2^-1075 (|c_j| + 1), with room for rounding
+    tiny = (d + 2) * 2.0 ** (d - 1073) * (1.0 + max(m))
     w, power = b - a, 1.0
     for j in range(d + 1):
         c[j] *= power / math.comb(d, j)
@@ -76,7 +82,7 @@ def _bernstein(coeffs: tuple[float, ...], a: float,
     if not all(map(math.isfinite, m)):
         raise ProfileError(f"polynomial coefficients {coeffs} leave float "
                            f"range on [{a}, {b}]")
-    return c, [(d + 1) * 2.0 ** -50 * x for x in m]
+    return c, [(d + 1) * 2.0 ** -50 * x + tiny for x in m]
 
 
 @lru_cache(maxsize=256)
@@ -93,7 +99,9 @@ def _root_intervals(coeffs: tuple[float, ...], a: float,
     simple root, which is kept as a leaf.  Other intervals are halved,
     except that one is a leaf too when its coefficients all lie within
     twice their bounds (the polynomial is at rounding level there) or its
-    width is down to 2^-52 b or to float resolution.  Touching leaves of
+    width is down to 2^-52 of its upper end or to float resolution.  So two
+    roots share a leaf only where the polynomial between them is at
+    rounding level, wherever they lie on [a, b].  Touching leaves of
     that kind are merged; a simple leaf stays apart, so its crossing is not
     lost next to a cluster.  An exact root at t = 0 is split off first
     (with c_0 = 0 the polynomial is t times c_1 + c_2 t + ...), since
@@ -119,7 +127,7 @@ def _root_intervals(coeffs: tuple[float, ...], a: float,
         if decided and changes == 0:
             continue
         mid = 0.5 * (lo + hi)
-        if not (simple or hi - lo <= 2.0 ** -52 * b or not lo < mid < hi
+        if not (simple or hi - lo <= 2.0 ** -52 * hi or not lo < mid < hi
                 or all(abs(x) <= 2.0 * e for x, e in zip(bern, err))):
             todo += [(mid, hi), (lo, mid)]
         elif leaves and not (simple or leaves[-1][2]) and lo <= leaves[-1][1]:
@@ -244,7 +252,10 @@ class Segment:
 
         The critical points come from the root intervals of the
         derivative's numerator on the whole segment (``_root_intervals``),
-        so none is missed, whatever the spread of the coefficients.
+        one bisected from each, whatever the spread of the coefficients.
+        An interval holds several of them only where that numerator is at
+        rounding level, so K is flat there up to rounding and one point
+        stands for them.
         """
         ev = self.evaluate
         best = max(ev(a), ev(b))

@@ -193,8 +193,8 @@ class TestValidation:
 
 
 class TestRootPolish:
-    # (1, 1, e) has one root near -1 and one near -1/e; companion-matrix
-    # roots of the whole polynomial came back as [-1/e, 0]
+    # (1, 1, e) has one root near -1 and one near -1/e: coefficients
+    # spread over up to 109 decades, positive on the whole segment
     @pytest.mark.parametrize("e", [1e-17, 2.4e-109, 1e-20])
     def test_spread_denominator_accepted(self, e):
         seg = Segment(0.0, 1.0, (1.0,), (1.0, 1.0, e))
@@ -221,8 +221,8 @@ class TestRootPolish:
             Segment(0.0, 2.0, (1.0,), den)
 
     def test_spread_double_root_refused(self):
-        # (t - 1/2)^2 (1 + 1e-12 t): companion-matrix roots of the whole
-        # lost the double root, and K read 3.6e16 at t = 1/2
+        # (t - 1/2)^2 (1 + 1e-12 t): a double root whose value around 1/2
+        # is at rounding level, next to a far root at -1e12
         den = tuple(np.polynomial.polynomial.polymul(
             (0.25, -1.0, 1.0), (1.0, 1e-12)).tolist())
         with pytest.raises(ProfileError, match="vanishes at t = 0.5"):
@@ -234,8 +234,8 @@ class TestRootPolish:
         seg = Segment(0.0, 2.0, (0.0, 100.0, -50.0, -1e-15 / 3))
         assert seg.max_on(0.0, 2.0) == pytest.approx(50.0, rel=1e-15)
 
-    # K' of each spreads its coefficients over hundreds of decades; the
-    # last one's companion matrix leaves float range
+    # K' of each spreads its coefficients over hundreds of decades, down
+    # to subnormal ones
     @pytest.mark.parametrize("num, den, t_end, expected", [
         # t^2/(1 + t^3), largest at t = 2^(1/3)
         ((0.0, 0.0, 1.0, 0.0, 5.4264396209745885e-185), (1.0, 0.0, 0.0, 1.0),
@@ -308,17 +308,36 @@ def _distinct_roots(seq, lo, hi):
     return variations(lo) - variations(hi) + (_exact_value(seq[0], lo) == 0)
 
 
+def _rounding_bound(coeffs, hi):
+    """A bound on |p| over a cell [lo, hi] that ``_root_intervals`` leaves
+    undecided without halving it.  With A = |c| + (d + 1) 2^-1022, the
+    error bounds of ``_bernstein`` there are at most (d + 1) 2^-50 A(hi),
+    plus the underflow term (d + 2) 2^(d-1073) (1 + A(hi + 1)), where
+    A(hi + 1) sums A's Taylor coefficients at hi.  A cell at rounding level
+    keeps |p| within a few such bounds, and a narrow one (2^-52 of its end,
+    or two subnormal steps) adds the slope across it."""
+    d = len(coeffs) - 1
+    u = (d + 1) * Fraction(2) ** -1022
+    size = [abs(Fraction(x)) + u for x in coeffs]
+    slope = [k * x for k, x in enumerate(size)][1:] or [Fraction(0)]
+    hi = Fraction(hi)
+    return (8 * (d + 1) * Fraction(2) ** -50 * _exact_value(size, hi)
+            + 4 * (d + 2) * Fraction(2) ** (d - 1073) * (1 + _exact_value(size, hi + 1))
+            + Fraction(2) ** -1073 * _exact_value(slope, hi))
+
+
 @st.composite
 def polynomials_on_intervals(draw):
-    """A nonzero polynomial of degree <= 8 and an interval [a, b] in
-    [0, 100]: random coefficients, products of roots of multiplicity 1 to
-    3 (in [0, 100], in [a, b] or at its ends, scaled down to subnormal
-    size), or coefficients spread by a leading one 1e-12 to 1e-20 times
-    the others."""
+    """A nonzero polynomial of degree <= 8 and an interval [a, b] with a
+    in [0, 99] and b up to 100 or up to 1e20: random coefficients, products
+    of roots of multiplicity 1 to 3 (in [0, 100], in [a, b] or at its ends,
+    scaled down to subnormal size), or coefficients spread by a leading one
+    1e-12 to 1e-20 times the others."""
     a = draw(st.floats(min_value=0.0, max_value=99.0))
     if draw(st.booleans()):
         a = 0.0
-    b = draw(st.floats(min_value=a, max_value=100.0).filter(lambda x: x > a))
+    b = draw(st.one_of(st.floats(min_value=a, max_value=100.0),
+                       st.floats(min_value=a, max_value=1e20)).filter(lambda x: x > a))
     kind = draw(st.sampled_from(("random", "roots", "spread")))
     if kind == "roots":
         roots = []
@@ -357,6 +376,21 @@ class TestRootIntervals:
     @example(case=((1e-320, -4e-320, 6e-320, -4e-320, 1e-320), 0.0, 1.0))
     @example(case=((-1e-323, 4.64e-322, -8.25e-321, 5.707e-320, -1.0562e-319,
                     1e-320), 0.0, 0.375))
+    # roots at 1 and 3 far below the end of a long interval: halving must
+    # go on down to them, not stop at a width set by the end
+    @example(case=((-3.0, 4.0, -1.0), 0.0, 1e20))
+    @example(case=((0.0, -3.0, 4.0, -1.0), 0.0, 1e20))
+    @example(case=((-3.0, 4.0, -1.0), 0.5, 1e20))
+    # a root at 1e-110 on an interval so short that w^3 underflows to zero:
+    # the lost t^3 term must leave the sign undecided
+    @example(case=((-1e-320, 0.0, 0.0, 1e10), 0.0, 2e-110))
+    # a cell so small that w^3 / C(6, 3) underflows to zero
+    @example(case=((-0.0, -0.0, -0.0, 216.0, -216.0, 72.0, -8.0),
+                   4.3274400632703003e-159, 1.0))
+    # a band where the polynomial is at underflow level far from its root
+    # at 0: every coefficient there must be, or halving runs to the floor
+    @example(case=((0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 5.0, 0.0, -1e-12),
+                   6.442263153241927e-195, 1.0))
     @settings(max_examples=300, deadline=None)
     def test_against_sturm(self, case):
         coeffs, a, b = case
@@ -390,6 +424,15 @@ class TestRootIntervals:
             if (all(abs(x) > e for x, e in zip(bern, err))
                     and sum(x != y for x, y in zip(signs, signs[1:])) == 1):
                 assert _distinct_roots(seq, lo, hi) == 1, (lo, hi)
+                continue
+            # any other interval is made of cells where the polynomial is
+            # at rounding level or too narrow to halve, so its exact values
+            # stay within a few rounding bounds: distinct roots far apart
+            # cannot share it
+            bound = _rounding_bound(coeffs, hi)
+            for k in range(33):
+                t = Fraction(lo) + (Fraction(hi) - Fraction(lo)) * k / 32
+                assert abs(_exact_value(exact, t)) <= bound, (lo, hi, t)
 
     @pytest.mark.parametrize("coeffs, a, b, expected", [
         # an exact root at 0 is split off, and the simple leaf after it
@@ -489,6 +532,13 @@ class TestMaxOn:
             scale = 2.0 * _horner([abs(c) for c in seg.num], b)
             assert seg.max_on(a, b) >= float(grid.max()) - 1e-12 * scale
 
+    def test_critical_points_far_below_a_long_segment_end(self):
+        # K = -t^3/3 + 2 t^2 - 3 t has K' = -(t - 1)(t - 3): on [1/2, 1e20)
+        # its maximum 0 sits at t = 3, where no end of the interval is
+        seg = Segment(0.0, 1e20, (0.0, -3.0, 2.0, -1.0 / 3.0))
+        assert seg._critical_points == pytest.approx((1.0, 3.0), rel=1e-15)
+        assert seg.max_on(0.5, 1e20) == pytest.approx(0.0, abs=1e-14)
+
 
 class TestSignPiecesCache:
     SEGMENTS = [
@@ -583,6 +633,18 @@ class TestSignedParts:
         assert (neg is prof) is nonpositive
         assert (neg == prof) is nonpositive
         assert neg.is_nonpositive
+
+    def test_bump_far_below_a_long_segment_end(self):
+        # K = -(t - 1)(t - 3) is positive on (1, 3) only, a bump twenty
+        # decades below the end of its segment
+        prof = rg.CurvatureProfile((Segment(0.0, 1e20, (-3.0, 4.0, -1.0)),),
+                                   rg.ZeroTail())
+        assert prof.segments[0].sign_pieces == (
+            (0.0, 1.0, False), (1.0, 3.0, True), (3.0, 1e20, False))
+        assert not prof.is_nonpositive
+        neg, pos = rg.negative_part(prof), rg.positive_part(prof)
+        assert neg.evaluate(2.0) == 0.0 and pos.evaluate(2.0) == 1.0
+        assert neg.evaluate(5.0) == -8.0 and pos.evaluate(5.0) == 0.0
 
     def test_constant_positive_clips_to_zero(self):
         prof = rg.constant_profile(1.0)
