@@ -175,7 +175,7 @@ def slope_limit(f: WarpingSolution) -> LimitEstimate:
     (f'(T) <= 0, A <= 0 or 1 + a J1 <= 0).
     """
     T = f.t_end
-    x, y = float(f.fp(T)), float(f.f(T))
+    x, y = f.fp(T), f.f(T)
     tail = f.profile.tail
     unsettled = LimitEstimate(value=x, err=math.inf)
     if T < f.profile.t_tail:

@@ -99,7 +99,14 @@ class WarpingSolution:
 
     @property
     def t_end(self) -> float:
-        return float(self.ts[-1])
+        return self.ts.item(-1)
+
+    def _check_window(self, tmin: float, tmax: float) -> None:
+        """ValueError unless [tmin, tmax] lies in the solution window (a
+        nan fails too)."""
+        end = self.t_end
+        if not (tmin >= 0.0 and tmax <= end * (1 + 1e-15) + 1e-300):
+            raise ValueError(f"evaluation time outside solution window [0, {end:.6g}]")
 
     def _locate(self, t) -> tuple[np.ndarray, np.ndarray]:
         """Step indices j and local coordinates s in [0, 1] of times t;
@@ -108,18 +115,28 @@ class WarpingSolution:
         ts = self.ts
         t_arr = np.asarray(t, dtype=float)
         if t_arr.size:
-            tmin, tmax = float(t_arr.min()), float(t_arr.max())
-            if not (tmin >= 0.0 and tmax <= ts[-1] * (1 + 1e-15) + 1e-300):
-                raise ValueError(
-                    f"evaluation time outside solution window [0, {ts[-1]:.6g}]"
-                )
+            self._check_window(float(t_arr.min()), float(t_arr.max()))
         j = np.clip(np.searchsorted(ts, t_arr, side="right") - 1, 0, len(ts) - 2)
         return j, np.clip((t_arr - ts[j]) / (ts[j + 1] - ts[j]), 0.0, 1.0)
 
     def _interp(self, t, derivative: bool):
-        j, s = self._locate(t)
-        out = _hermite(*self._steps(j), s, derivative)
-        return out if np.ndim(t) > 0 else float(out)
+        # np.ndim builds an array from a float: a quarter of a scalar read
+        if not isinstance(t, float) and np.ndim(t) > 0:
+            j, s = self._locate(t)
+            return _hermite(*self._steps(j), s, derivative)
+        # one time: the steps of _locate in Python floats, which round as
+        # numpy's do, so the result has the bits of the array path
+        t = float(t)
+        self._check_window(t, t)
+        ts = self.ts
+        j = min(max(int(ts.searchsorted(t, side="right")) - 1, 0), len(ts) - 2)
+        t0, t1 = ts.item(j), ts.item(j + 1)
+        s = (t - t0) / (t1 - t0)
+        s = 0.0 if s < 0.0 else 1.0 if s > 1.0 else s
+        fs, fps = self.fs, self.fps
+        return _hermite(t1 - t0, fs.item(j), fps.item(j), self.d2_left.item(j),
+                        fs.item(j + 1), fps.item(j + 1), self.d2_right.item(j),
+                        s, derivative)
 
     def _steps(self, j) -> tuple[np.ndarray, ...]:
         """The arguments of ``_hermite`` before s for the steps j (step
@@ -131,12 +148,14 @@ class WarpingSolution:
 
     def f(self, t):
         """f at time t, from the dense output: a float for a scalar t, an
-        ndarray for an array, list or tuple of times."""
+        ndarray for an array, list or tuple of times.  A scalar t is
+        evaluated in Python floats, with the bits of the array path."""
         return self._interp(t, derivative=False)
 
     def fp(self, t):
         """f' at time t, from the dense output: a float for a scalar t, an
-        ndarray for an array, list or tuple of times."""
+        ndarray for an array, list or tuple of times.  A scalar t is
+        evaluated in Python floats, with the bits of the array path."""
         return self._interp(t, derivative=True)
 
 

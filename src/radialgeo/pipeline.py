@@ -28,6 +28,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass, replace
+from json.encoder import encode_basestring
 from typing import NamedTuple
 
 import numpy as np
@@ -493,6 +494,8 @@ def _float_text(x: float) -> str:
 
 
 def _write_json(obj, out: list[str]) -> None:
+    # encode_basestring(x) is json.dumps(x, ensure_ascii=False) for a str,
+    # without a new JSONEncoder per call
     if obj is None:
         out.append("null")
     elif obj is True:
@@ -504,13 +507,13 @@ def _write_json(obj, out: list[str]) -> None:
     elif isinstance(obj, float):
         out.append(_float_text(obj))
     elif isinstance(obj, str):
-        out.append(json.dumps(obj, ensure_ascii=False))
+        out.append(encode_basestring(obj))
     elif isinstance(obj, dict):
         out.append("{")
         for i, (k, v) in enumerate(obj.items()):
             if i:
                 out.append(", ")
-            out.append(json.dumps(str(k), ensure_ascii=False))
+            out.append(encode_basestring(str(k)))
             out.append(": ")
             _write_json(v, out)
         out.append("}")

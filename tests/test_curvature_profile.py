@@ -391,6 +391,11 @@ class TestRootIntervals:
     # at 0: every coefficient there must be, or halving runs to the floor
     @example(case=((0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 5.0, 0.0, -1e-12),
                    6.442263153241927e-195, 1.0))
+    # a root at 0 split off: the leaves past it are certified on the rest
+    # of the polynomial, whose Bernstein coefficients differ from the whole's
+    @example(case=((-0.0, 3.75e-320, -1e-320), 0.0, 11.0))
+    @example(case=((-0.0, -0.0, 2.49997e-319, -3.49996e-319, 1.1e-319, -1e-320),
+                   0.0, 3.0))
     @settings(max_examples=300, deadline=None)
     def test_against_sturm(self, case):
         coeffs, a, b = case
@@ -418,8 +423,13 @@ class TestRootIntervals:
                         exact, Fraction(t))
                     assert w != 0 and (v == 0 or (v > 0) == (w > 0)), (t, v, w)
                     assert v != 0 or exact[0] == 0
+        # past a root at 0 split off, the isolator certifies the rest
+        # c_k + c_(k+1) t + ... of the polynomial, whose roots are the
+        # whole's where t > 0
+        zeros = next((i for i, c in enumerate(coeffs) if c), 0) if a == 0.0 else 0
         for lo, hi in intervals:
-            bern, err = curvature_profile._bernstein(coeffs, lo, hi)
+            bern, err = curvature_profile._bernstein(
+                coeffs[zeros:] if lo > 0.0 else coeffs, lo, hi)
             signs = [x > 0 for x in bern]
             if (all(abs(x) > e for x, e in zip(bern, err))
                     and sum(x != y for x, y in zip(signs, signs[1:])) == 1):

@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -260,6 +261,61 @@ class TestDenseOutput:
         sol = rg.solve(rg.constant_profile(1.0), 4.0, 1e-10)
         interior = np.linspace(1e-6, sol.first_zero - 1e-9, 500)
         assert (sol.f(interior) > 0).all()
+
+
+@functools.lru_cache(maxsize=None)
+def _gallery_solution(name, comparison):
+    solver = rg.solve_m if comparison else rg.solve
+    return solver(entry_by_name(name).profile, DEFAULT_T_END, DEFAULT_TOL)
+
+
+@st.composite
+def solutions(draw):
+    """f or m of a gallery entry, or f of a random criterion-7 profile."""
+    if draw(st.booleans()):
+        return _gallery_solution(draw(st.sampled_from(sorted(GALLERY_TRACE))),
+                                 draw(st.booleans()))
+    from conftest import random_linear_profile
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2 ** 32 - 1)))
+    return rg.solve(random_linear_profile(rng), 50.0, 1e-8)
+
+
+class TestScalarPath:
+    """A single time is evaluated in Python floats; it must give the bits
+    of the array path."""
+
+    @given(sol=solutions(), data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_bits_of_array_path(self, sol, data):
+        end = sol.t_end
+        t = data.draw(st.one_of(
+            st.floats(min_value=0.0, max_value=end),
+            st.sampled_from(sol.ts.tolist()),
+            st.integers(min_value=0, max_value=math.floor(end)).map(float),
+            st.sampled_from([0.0, -0.0, end, end * (1 + 1e-15)])))
+        forms = [t, np.float64(t), np.array(t)] + ([int(t)] if t.is_integer() else [])
+        for fn in (sol.f, sol.fp):
+            expected = float.hex(fn(np.array([t]))[0])
+            for x in forms:
+                out = fn(x)
+                assert type(out) is float, type(x)
+                assert float.hex(out) == expected, (t, type(x))
+
+    @given(sol=solutions(), data=st.data())
+    @settings(max_examples=50, deadline=None)
+    def test_same_error_as_array_path(self, sol, data):
+        end = sol.t_end
+        t = data.draw(st.one_of(
+            st.just(math.nan),
+            st.floats(max_value=0.0, exclude_max=True),
+            st.floats(min_value=end * (1 + 1e-15) + 1e-300, exclude_min=True)))
+        for fn in (sol.f, sol.fp):
+            with pytest.raises(ValueError) as array:
+                fn(np.array([t]))
+            for x in (t, np.float64(t), np.array(t)):
+                with pytest.raises(ValueError) as scalar:
+                    fn(x)
+                assert str(scalar.value) == str(array.value)
 
 
 class TestStepControl:

@@ -730,6 +730,22 @@ class TestJsonFloatList:
         assert json_text(values) == text == json_text_by_element(values)
 
 
+# any code point, lone surrogates included, and the ones JSON escapes or a
+# careless encoder would
+_JSON_TEXT = st.text(st.one_of(
+    st.characters(exclude_categories=()),
+    st.sampled_from(['"', "\\", "/", "\x00", "\x1f", "\x7f", "\u2028", "\u2029",
+                     "\ud800", "\udfff", "\xe9", "\U0001f600"])), max_size=12)
+
+
+class TestJsonStrings:
+    @settings(max_examples=100, deadline=None)
+    @given(st.dictionaries(_JSON_TEXT, st.one_of(_JSON_TEXT, st.lists(_JSON_TEXT, max_size=4)),
+                           max_size=6))
+    def test_same_text_as_json_dumps(self, obj):
+        assert json_text(obj) == json.dumps(obj, ensure_ascii=False)
+
+
 def tabulate_by_row(profile, n, tol, t_max, step):
     """Reference for the tabulate table: f, f', m and m' evaluated row by
     row, as scalars."""

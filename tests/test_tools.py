@@ -1,12 +1,21 @@
 import importlib.util
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-_PATH = Path(__file__).resolve().parents[1] / "tools" / "code_lines.py"
-_spec = importlib.util.spec_from_file_location("code_lines", _PATH)
-code_lines = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(code_lines)
+_TOOLS = Path(__file__).resolve().parents[1] / "tools"
+
+
+def _load(name):
+    spec = importlib.util.spec_from_file_location(name, _TOOLS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+code_lines = _load("code_lines")
 
 
 @pytest.mark.parametrize("source, expected", [
@@ -24,3 +33,13 @@ _spec.loader.exec_module(code_lines)
 def test_counted_lines(source, expected):
     assert code_lines.code_lines(source) == expected
 
+
+def test_report_digest_is_stable():
+    # one line per gallery entry and n in {2, 3, 5}; a second run, in a
+    # fresh process, prints the same
+    lines = _load("report_digest").digest_lines()
+    assert len(lines) == 21
+    assert all(len(line.split()[0]) == 64 for line in lines)
+    out = subprocess.run([sys.executable, str(_TOOLS / "report_digest.py")],
+                         capture_output=True, text=True, check=True).stdout
+    assert out.splitlines() == lines
