@@ -167,9 +167,14 @@ def _log_integrals(f: WarpingSolution, n: int, j, u) -> np.ndarray:
 
 def log_ball_volumes(ms: ModelSpace, ts) -> list[float]:
     """log vol B_t at a nondecreasing sequence of radii in the solution
-    window (one pass); -inf at t = 0."""
-    radii = [float(t) for t in ts]
-    if any(b < a for a, b in zip(radii, radii[1:])):
+    window (one pass); -inf at t = 0.
+
+    The radii are read into one float array, whose order is checked with
+    one array comparison; a list, a tuple or an array gives the same
+    values.
+    """
+    radii = np.asarray(ts, dtype=float)
+    if (radii[1:] < radii[:-1]).any():
         raise ValueError("radii must be nondecreasing")
     j, u = ms.f._locate(radii)
     return (_log_omega(ms.n)

@@ -23,6 +23,7 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import itertools
 import json
 import math
 import os
@@ -94,6 +95,10 @@ _MONOTONE_SLACK = 1e-9
 # samples at the end whose ratios or probes average to a tail limit
 _TAIL_WINDOW = 5
 
+# a samples file holding any of these is read by the csv row reader alone
+# (see ingest_samples)
+_ROW_READER_ONLY = '"\x1c\x1d\x1e\x1f'
+
 
 @dataclass(frozen=True)
 class AnalysisOptions:
@@ -151,55 +156,107 @@ class VolumeSamples:
         return len(self.t)
 
 
-def ingest_samples(path: str, n: int) -> VolumeSamples:
-    """Read volume samples from a CSV file with header ``t,vol``.
-
-    Every validation failure names the offending row (1-based, counting
-    the header as row 1).  Blank rows are skipped.  When several rows are
-    faulty, the first in file order is named, whether its fault is in
-    parsing (a short row, a malformed number) or in the values (see
-    ``VolumeSamples``); rows after a parse fault are not read.
-    """
+def _open_samples(path: str, errors: str = "strict"):
     try:
-        fh = open(path, newline="", encoding="utf-8")
+        return open(path, newline="", encoding="utf-8-sig", errors=errors)
     except OSError as exc:
         raise IngestError(f"{path}: cannot open: {exc}") from exc
-    with fh:
+
+
+def _is_header(row: list[str]) -> bool:
+    return [h.strip().lower() for h in row[:2]] == ["t", "vol"]
+
+
+def _read_rows(path: str) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """The times and volumes of a samples file, read row by row with
+    ``csv`` and float(); IngestError naming the first faulty row, as
+    ``ingest_samples`` describes."""
+    ts: list[float] = []
+    vols: list[float] = []
+    rows: list[int] = []
+
+    def check_values():
+        fault = _sample_fault(ts, vols)
+        if fault is not None:
+            k, reason = fault
+            raise IngestError(f"{path}: row {rows[k]}: {reason}")
+
+    def fail(i, reason):
+        check_values()  # an earlier row's fault comes first
+        raise IngestError(f"{path}: row {i}: {reason}")
+
+    # surrogateescape reads each byte that is not UTF-8 as a lone surrogate
+    # U+DC80..U+DCFF, which no decoded UTF-8 holds and encode() refuses
+    with _open_samples(path, errors="surrogateescape") as fh:
         reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise IngestError(f"{path}: empty file") from None
-        if [h.strip().lower() for h in header[:2]] != ["t", "vol"]:
-            raise IngestError(
-                f"{path}: row 1: expected header 't,vol', got {','.join(header)!r}"
-            )
-        ts: list[float] = []
-        vols: list[float] = []
-        rows: list[int] = []
-
-        def check_values():
-            fault = _sample_fault(ts, vols)
-            if fault is not None:
-                k, reason = fault
-                raise IngestError(f"{path}: row {rows[k]}: {reason}") from None
-
-        for i, row in enumerate(reader, start=2):
+        for i in itertools.count(1):
+            try:
+                row = next(reader)
+            except StopIteration:
+                if i == 1:
+                    raise IngestError(f"{path}: empty file") from None
+                break
+            except csv.Error as exc:  # a NUL byte before Python 3.11, a huge field
+                fail(i, exc)
+            text = "".join(row)
+            try:
+                text.encode()
+            except UnicodeEncodeError as exc:
+                fail(i, f"byte 0x{ord(text[exc.start]) - 0xDC00:02x} is not valid UTF-8")
+            if i == 1:
+                if not _is_header(row):
+                    fail(i, f"expected header 't,vol', got {','.join(row)!r}")
+                continue
             try:
                 t, vol = float(row[0]), float(row[1])
             except (IndexError, ValueError) as exc:
-                if not "".join(row).strip():  # a blank row parses as neither
+                if not text.strip():  # a blank row parses as neither
                     continue
-                check_values()  # an earlier row's fault comes first
-                reason = "expected two columns" if len(row) < 2 else exc
-                raise IngestError(f"{path}: row {i}: {reason}") from exc
+                fail(i, "expected two columns" if len(row) < 2 else exc)
             ts.append(t)
             vols.append(vol)
             rows.append(i)
     check_values()
     if not ts:
         raise IngestError(f"{path}: no data rows")
-    return VolumeSamples(t=tuple(ts), vol=tuple(vols), n=n, source=path)
+    return tuple(ts), tuple(vols)
+
+
+def ingest_samples(path: str, n: int) -> VolumeSamples:
+    """Read volume samples from a CSV file with header ``t,vol``.
+
+    The file is UTF-8, with or without a byte-order mark.  Values are
+    parsed as float() parses them.  Every fault names the offending row
+    (1-based, counting the header as row 1), a byte that is not UTF-8
+    included.  Blank rows are skipped.  When several rows are faulty, the
+    first in file order is named, whether its fault is in parsing (a
+    short row, a malformed number, an undecodable byte) or in the values
+    (see ``VolumeSamples``); rows after a parse fault are not read.
+
+    The data rows are parsed in one pass of numpy's C tokenizer, which
+    rounds as float() does, and validated once, by ``VolumeSamples``.
+    Only a file that this pass refuses, or whose values fail that
+    validation, is read again row by row with ``csv``, which names the
+    row at fault.  A quote, or a separator U+001C..U+001F that numpy
+    strips as whitespace and float() refuses, sends a file to the row
+    reader before the C pass, since there the two could read different
+    values.
+    """
+    try:
+        with _open_samples(path) as fh:
+            header = next(csv.reader(fh), None)
+            body = fh.read()
+        # a body with no data rows goes to the row reader: numpy warns on it
+        if (header is not None and _is_header(header) and body.strip()
+                and not any(c in body for c in _ROW_READER_ONLY)):
+            data = np.loadtxt(io.StringIO(body), delimiter=",", usecols=(0, 1),
+                              comments=None, ndmin=2)
+            return VolumeSamples(t=tuple(data[:, 0].tolist()),
+                                 vol=tuple(data[:, 1].tolist()), n=n, source=path)
+    except (ValueError, csv.Error):
+        pass  # not UTF-8, or refused by the C pass or by VolumeSamples
+    ts, vols = _read_rows(path)
+    return VolumeSamples(t=ts, vol=vols, n=n, source=path)
 
 
 class BGRatioCheck(NamedTuple):
@@ -221,6 +278,12 @@ def bg_ratio_check(samples: VolumeSamples, ms: ModelSpace) -> BGRatioCheck:
     smoothing, not an extrapolation.  Nonincreasing ratios keep the limit
     below the last one, so the upper end is sound; the lower end assumes
     the last samples are in their asymptotic regime.
+
+    Each step is one pass over all samples: ``math.log`` of the volumes,
+    one subtraction of the model's log volumes, ``math.exp`` (numpy's
+    exp rounds differently in the last bits), and the two order checks
+    as array comparisons.  The ratios are those of
+    ``saturating_exp(math.log(v) - log_model_volume)`` bit for bit.
     """
     if samples.n != ms.n:
         raise ValueError(
@@ -231,14 +294,20 @@ def bg_ratio_check(samples: VolumeSamples, ms: ModelSpace) -> BGRatioCheck:
             f"sample radius {samples.t[-1]:g} exceeds the solution window "
             f"[0, {ms.f.t_end:g}]"
         )
-    ratios = [saturating_exp(math.log(v) - lm)
-              for v, lm in zip(samples.vol, log_ball_volumes(ms, samples.t))]
-    monotone = all(b <= a + _MONOTONE_SLACK for a, b in zip(ratios, ratios[1:]))
-    bounded = all(r <= 1.0 + _MONOTONE_SLACK for r in ratios)
+    log_ratios = np.subtract(list(map(math.log, samples.vol)),
+                             log_ball_volumes(ms, samples.t))
+    # exp stays in float range below 709 on any libm; saturating_exp
+    # takes the rare log ratio above
+    ratios = list(map(math.exp, np.minimum(log_ratios, 709.0).tolist()))
+    for i in np.flatnonzero(log_ratios > 709.0).tolist():
+        ratios[i] = saturating_exp(log_ratios.item(i))
+    r = np.array(ratios)
+    monotone_ok = bool((r[1:] <= r[:-1] + _MONOTONE_SLACK).all()
+                       and (r <= 1.0 + _MONOTONE_SLACK).all())
     window = ratios[-_TAIL_WINDOW:]
     limit = LimitEstimate(value=sum(window) / len(window),
                           err=max(window) - min(window))
-    return BGRatioCheck(ratios=ratios, monotone_ok=monotone and bounded,
+    return BGRatioCheck(ratios=ratios, monotone_ok=monotone_ok,
                         ratio_limit=limit)
 
 
@@ -494,8 +563,15 @@ def _float_text(x: float) -> str:
 
 
 def _write_json(obj, out: list[str]) -> None:
-    # encode_basestring(x) is json.dumps(x, ensure_ascii=False) for a str,
-    # without a new JSONEncoder per call
+    """Append the JSON text of ``obj`` to ``out``.
+
+    Strings go through ``encode_basestring``, which is
+    ``json.dumps(x, ensure_ascii=False)`` for a str without a new
+    JSONEncoder per call.  A list of floats is written in one pass: by a
+    single ``"%.12g"`` format call when every element is finite and
+    nonzero (``"%.12g" % x`` is ``format(x, ".12g")``), else element by
+    element through ``_float_text``.
+    """
     if obj is None:
         out.append("null")
     elif obj is True:
@@ -517,8 +593,11 @@ def _write_json(obj, out: list[str]) -> None:
             out.append(": ")
             _write_json(v, out)
         out.append("}")
-    elif isinstance(obj, (list, tuple)) and all(type(v) is float for v in obj):
-        out.append("[" + ", ".join(map(_float_text, obj)) + "]")
+    elif isinstance(obj, (list, tuple)) and set(map(type, obj)) <= {float}:
+        if all(map(math.isfinite, obj)) and 0.0 not in obj:
+            out.append("[" + ", ".join(["%.12g"] * len(obj)) % tuple(obj) + "]")
+        else:
+            out.append("[" + ", ".join(map(_float_text, obj)) + "]")
     elif isinstance(obj, (list, tuple)):
         out.append("[")
         for i, v in enumerate(obj):

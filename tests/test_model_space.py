@@ -177,6 +177,18 @@ class TestLogBallVolumes:
     def test_zero_radius(self, flat_sol):
         assert log_ball_volumes(rg.ModelSpace(n=3, f=flat_sol), [0.0]) == [-math.inf]
 
+    def test_radii_validated(self, flat_sol):
+        ms = rg.ModelSpace(n=3, f=flat_sol)
+        got = log_ball_volumes(ms, [1.0, 2, 2.0, 3.0])
+        assert got[1] == got[2] and all(type(v) is float for v in got)
+        for radii in ((1.0, 2, 2.0, 3.0), np.array([1.0, 2.0, 2.0, 3.0])):
+            assert log_ball_volumes(ms, radii) == got
+        assert log_ball_volumes(ms, []) == []
+        with pytest.raises(ValueError, match="radii must be nondecreasing"):
+            log_ball_volumes(ms, [1.0, 3.0, 2.0])
+        with pytest.raises(ValueError, match="outside solution window"):
+            log_ball_volumes(ms, [1.0, math.nan])
+
     def test_volumes_saturate_to_inf_past_float_range(self):
         # at n = 400 the flat volume leaves float range at t ~ 28.8
         n = 400

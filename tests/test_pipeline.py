@@ -16,6 +16,7 @@ import radialgeo as rg
 from radialgeo import curvature_profile, jacobi, pipeline
 from radialgeo.errors import ConfigurationError, IngestError
 from radialgeo.gallery import entry_by_name, list_gallery
+from radialgeo.model_space import log_ball_volumes, saturating_exp
 from radialgeo.pipeline import (
     DEFAULT_T_END,
     DEFAULT_TOL,
@@ -95,14 +96,82 @@ class TestIngest:
     def test_empty_file(self, tmp_path):
         path = tmp_path / "v.csv"
         path.write_text("")
-        with pytest.raises(IngestError):
+        with pytest.raises(IngestError, match="empty file"):
             ingest_samples(str(path), 2)
 
-    def test_header_only(self, tmp_path):
+    # numpy's loadtxt warns on input with no data; under the suite's
+    # filterwarnings = error that warning would fail these cases
+    @pytest.mark.parametrize("text", ["t,vol\n", "t,vol", "t,vol\n\n\r\n", "t,vol\n \n,\n"])
+    def test_header_only(self, tmp_path, text):
         path = tmp_path / "v.csv"
-        path.write_text("t,vol\n")
+        path.write_bytes(text.encode())
         with pytest.raises(IngestError, match="no data rows"):
             ingest_samples(str(path), 2)
+
+    @pytest.mark.parametrize("text", ["t,vol\n1.5,2.5\n", "t,vol\n1.5,2.5", "t,vol\r\n1.5,2.5\r\n"])
+    def test_single_data_row(self, tmp_path, text):
+        path = tmp_path / "v.csv"
+        path.write_bytes(text.encode())
+        samples = ingest_samples(str(path), 2)
+        assert (samples.t, samples.vol) == ((1.5,), (2.5,))
+
+    # the second file has a quoted field, so the row reader reads it
+    @pytest.mark.parametrize("body", ["1,2\r\n3,4\r\n", '1,2\r\n"3","4"\r\n'])
+    def test_byte_order_mark(self, tmp_path, body):
+        path = tmp_path / "v.csv"
+        path.write_bytes(b"\xef\xbb\xbf" + f"t,vol\r\n{body}".encode())
+        samples = ingest_samples(str(path), 2)
+        assert (samples.t, samples.vol) == ((1.0, 3.0), (2.0, 4.0))
+
+    @pytest.mark.parametrize("data, message", [
+        (b"t,vol\n1.0,2.0\n\xff\xfe,3\n", "row 3: byte 0xff is not valid UTF-8"),
+        (b"t,vol\n1.0,2.0\n2.0,3.0,\xc3\n", "row 3: byte 0xc3 is not valid UTF-8"),
+        (b"t,vol\xe9\n1.0,2.0\n", "row 1: byte 0xe9 is not valid UTF-8"),
+        # an encoded surrogate is not UTF-8 either
+        (b"t,vol\n1,2\n3,4\xed\xb2\x80\n", "row 3: byte 0xed is not valid UTF-8"),
+        # an earlier row's value fault comes first
+        (b"t,vol\n1.0,-2.0\n\xff,3\n", "row 2: vol must be positive"),
+    ])
+    def test_undecodable_byte_names_row(self, tmp_path, capsys, data, message):
+        path = tmp_path / "v.csv"
+        path.write_bytes(data)
+        with pytest.raises(IngestError) as got:
+            ingest_samples(str(path), 2)
+        assert str(got.value) == f"{path}: {message}"
+        assert cli_main(["gallery", "analyze", "flat", "-n", "2",
+                         "--samples", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: {path}: {message}\n"
+
+    @pytest.mark.parametrize("body, samples", [
+        # csv joins the quoted lines into row 2's third field, while the
+        # C parser would read 3,4 as a sample of its own
+        ('1,2,"x\n3,4,"\n5,6\n', ((1.0, 5.0), (2.0, 6.0))),
+        ('"1.0","2.0"\n', ((1.0,), (2.0,))),
+        ("1_0,2\n١٢,5\n", ((10.0, 12.0), (2.0, 5.0))),
+        ("1,2\r3,4\n", ((1.0, 3.0), (2.0, 4.0))),
+    ])
+    def test_row_reader_values(self, tmp_path, body, samples):
+        path = tmp_path / "v.csv"
+        path.write_bytes(f"t,vol\n{body}".encode())
+        got = ingest_samples(str(path), 2)
+        assert (got.t, got.vol) == samples
+
+    def test_field_past_csv_limit_names_row(self, tmp_path):
+        path = tmp_path / "v.csv"
+        path.write_text("t,vol\n1,2\n2," + "9" * 200_000 + "\n")
+        with pytest.raises(IngestError) as got:
+            ingest_samples(str(path), 2)
+        assert str(got.value) == (f"{path}: row 3: field larger than field "
+                                  f"limit ({csv.field_size_limit()})")
+
+    def test_separator_float_refuses(self, tmp_path):
+        # numpy strips U+001C..U+001F as whitespace, float() does not
+        path = tmp_path / "v.csv"
+        path.write_bytes("t,vol\n1,2\n2\x1c,3\n".encode())
+        with pytest.raises(IngestError) as got:
+            ingest_samples(str(path), 2)
+        assert str(got.value) == (f"{path}: row 3: could not convert string "
+                                  f"to float: '2\\x1c'")
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(IngestError):
@@ -112,12 +181,22 @@ class TestIngest:
 def ingest_row_by_row(path):
     """Reference for ingest_samples: every check made row by row, in file
     order; returns the times and volumes, or raises IngestError."""
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig", errors="surrogateescape") as fh:
         reader = csv.reader(fh)
         next(reader)  # the header, valid in the files given here
         ts: list[float] = []
         vols: list[float] = []
-        for i, row in enumerate(reader, start=2):
+        for i in itertools.count(2):
+            try:
+                row = next(reader)
+            except StopIteration:
+                break
+            except csv.Error as exc:  # a NUL byte before Python 3.11
+                raise IngestError(f"{path}: row {i}: {exc}") from exc
+            for c in "".join(row):
+                if "\udc80" <= c <= "\udcff":
+                    raise IngestError(f"{path}: row {i}: byte 0x{ord(c) - 0xdc00:02x} "
+                                      f"is not valid UTF-8")
             if not row or all(not c.strip() for c in row):
                 continue
             if len(row) < 2:
@@ -143,11 +222,19 @@ def ingest_row_by_row(path):
     return tuple(ts), tuple(vols)
 
 
+# digits that float() reads, numpy's C parser does not
+_ARABIC_INDIC = str.maketrans("0123456789", "٠١٢٣٤٥٦٧٨٩")
+
+
 @st.composite
 def faulty_rows(draw):
-    """Data rows of a samples CSV, valid but for faults at random rows:
-    non-finite values, t that repeats, falls or is <= 0, vol <= 0,
-    malformed floats, short rows, and blank or whitespace-only rows."""
+    """Data rows of a samples CSV, each with its line end, valid but for
+    faults at random rows: non-finite values, t that repeats, falls or is
+    <= 0, vol <= 0, malformed floats, short rows, blank or
+    whitespace-only rows, and rows that numpy's C parser reads otherwise
+    than csv and float() (underscores, non-ASCII digits, quotes, a lone
+    CR, '#', NUL, tabs, a trailing comma, the separators U+001C..U+001F),
+    or text drawn from their characters."""
     count = draw(st.integers(0, 12))
     ts = list(itertools.accumulate(draw(st.lists(
         st.floats(1e-3, 10.0), min_size=count, max_size=count))))
@@ -163,8 +250,17 @@ def faulty_rows(draw):
             f"0,{v}", f"-1.5,{v}", f"{t},0", f"{t},-2.5", f"0,-1",
             f"abc,{v}", f"{t},1..2", f",{v}", f"{t},", t,
             "", "  ,  ", " ", f"{t},{v},extra",
-        ]))
-    return rows
+            f"{t}_0,{v}", f"{t.translate(_ARABIC_INDIC)},{v}", f'"{t}","{v}"',
+            f'{t},{v},"', f"{t},{v}\r{t}", ",", "\t", "\t ,", f"#{t},{v}",
+            f"{t}\x00,{v}", f"\t{t},\t{v}", f"{t},{v},", f"{t}\x1c,{v}",
+            f"{t},\x1f{v}",
+        ]) | st.text(st.sampled_from('0123456789.,e-_"# \t\r\n\x00\x1d\xa0٣'),
+                     max_size=8))
+    ends = [draw(st.sampled_from(["\n", "\r\n"]))] * len(rows)
+    lone_cr = draw(st.integers(0, 3 * len(rows)))
+    if lone_cr < len(rows):
+        ends[lone_cr] = "\r"
+    return [row + end for row, end in zip(rows, ends)]
 
 
 class TestIngestMatchesRowByRow:
@@ -172,8 +268,7 @@ class TestIngestMatchesRowByRow:
     @given(rows=faulty_rows())
     def test_first_faulty_row_wins(self, rows, tmp_path_factory):
         path = tmp_path_factory.getbasetemp() / "faulty.csv"
-        path.write_text("t,vol\n" + "".join(r + "\n" for r in rows),
-                        encoding="utf-8")
+        path.write_bytes(("t,vol\n" + "".join(rows)).encode())
         try:
             expected = ingest_row_by_row(str(path))
         except IngestError as exc:
@@ -210,6 +305,11 @@ class TestVolumeSamples:
             VolumeSamples(t=(1.0,), vol=(math.nan,), n=2)
         with pytest.raises(ValueError):
             VolumeSamples(t=(1.0,), vol=(1.0,), n=1)
+
+
+def bg_ratios_by_sample(vols, log_model_volumes):
+    """Reference for the ratios of bg_ratio_check: one sample at a time."""
+    return [saturating_exp(math.log(v) - lm) for v, lm in zip(vols, log_model_volumes)]
 
 
 @pytest.fixture(scope="module")
@@ -254,6 +354,34 @@ class TestBGRatioCheck:
         samples = VolumeSamples(t=(100.0,), vol=(1.0,), n=2)
         with pytest.raises(ConfigurationError):
             bg_ratio_check(samples, flat_ms)
+
+    # steps between radii, and log ratios: ordinary ones, ones near 709,
+    # where exp leaves float range (at about 709.78), and ones past it
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.tuples(st.floats(1e-6, 2.0),
+                              st.floats(-40.0, 1.0) | st.floats(708.0, 712.0)
+                              | st.sampled_from([709.0, 709.78, 709.7827, 709.79, 800.0])),
+                    min_size=1, max_size=40))
+    def test_bits_equal_per_sample_reference(self, flat_ms, draws):
+        ts = tuple(itertools.accumulate(step for step, _ in draws))
+        lms = log_ball_volumes(flat_ms, ts)
+        vols = tuple(min(saturating_exp(d + lm), sys.float_info.max)
+                     for (_, d), lm in zip(draws, lms))
+        res = bg_ratio_check(VolumeSamples(t=ts, vol=vols, n=2), flat_ms)
+        ratios = bg_ratios_by_sample(vols, lms)
+        assert [r.hex() for r in res.ratios] == [r.hex() for r in ratios]
+        assert all(type(r) is float for r in res.ratios)
+        assert res.monotone_ok == (
+            all(b <= a + 1e-9 for a, b in zip(ratios, ratios[1:]))
+            and all(r <= 1.0 + 1e-9 for r in ratios))
+
+    def test_ratio_past_float_range(self, flat_ms):
+        # the model volume of the tiny ball is about 3e-18
+        res = bg_ratio_check(VolumeSamples(t=(1e-9, 1.0), vol=(1e300, 1.0), n=2),
+                             flat_ms)
+        assert res.ratios[0] == math.inf
+        assert res.ratios[1] == pytest.approx(1.0 / PI)
+        assert not res.monotone_ok
 
 
 class TestEvaluateTheorem:
@@ -717,6 +845,19 @@ class TestJsonFloatList:
     @settings(max_examples=300, deadline=None)
     @given(st.lists(st.floats(allow_nan=True, allow_infinity=True)))
     def test_same_text_as_general_path(self, values):
+        assert json_text(values) == json_text_by_element(values)
+
+    # long lists of finite nonzero floats, some with a zero, an infinity
+    # or a nan among them
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False).filter(bool),
+                    min_size=1, max_size=2000),
+           st.lists(st.tuples(st.integers(0, 1999),
+                              st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan])),
+                    max_size=3))
+    def test_long_lists(self, values, specials):
+        for i, x in specials:
+            values[i % len(values)] = x
         assert json_text(values) == json_text_by_element(values)
 
     @pytest.mark.parametrize("values, text", [

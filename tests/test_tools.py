@@ -35,10 +35,12 @@ def test_counted_lines(source, expected):
 
 
 def test_report_digest_is_stable():
-    # one line per gallery entry and n in {2, 3, 5}; a second run, in a
-    # fresh process, prints the same
+    # one line per gallery entry and n in {2, 3, 5}, then three reports
+    # with samples; a second run, in a fresh process, prints the same
     lines = _load("report_digest").digest_lines()
-    assert len(lines) == 21
+    assert len(lines) == 24
+    assert [line.split(None, 1)[1] for line in lines[21:]] == [
+        f"{name} n=3 samples" for name in ("flat", "abresch_tail", "sign_changing_beta_ln2")]
     assert all(len(line.split()[0]) == 64 for line in lines)
     out = subprocess.run([sys.executable, str(_TOOLS / "report_digest.py")],
                          capture_output=True, text=True, check=True).stdout
