@@ -508,25 +508,33 @@ def _sign_pieces(seg: Segment) -> list[tuple[float, float, bool]]:
     in a root interval of the numerator (``_root_intervals``), and between
     those intervals the sign is certified.  The midpoints of the gaps
     between intervals are probed; each pair of neighbouring probes of
-    opposite sign brackets one crossing, which bisection then locates, and
-    a piece takes the sign of the probes inside it.  Probes that evaluate
-    to exactly zero are skipped, so a tangential touch (no sign change)
-    gets no cut and a zero segment is one nonpositive piece.
+    opposite sign brackets one crossing, which bisection then locates.
+    Probes that evaluate to exactly zero are skipped, so a tangential
+    touch (no sign change) gets no cut and a zero segment is one
+    nonpositive piece.
+
+    Cuts are exact, with no minimum width: a cut stands wherever bisection
+    puts it strictly inside (previous cut, t_end), however close to its
+    neighbours, and the solver takes every piece.  The sign is tracked
+    across the crossings, and each piece carries the sign it had before
+    its end.  A crossing that lands on t_start or on the previous cut
+    makes no cut but sets the sign of the piece that starts there; a
+    crossing that lands on t_end changes no sign, so a probe at t_end
+    that reads rounding noise decides nothing.
     """
     roots = _root_intervals(seg.num, seg.t_start, seg.t_end)
     knots = [seg.t_start, *(t for iv in roots for t in iv), seg.t_end]
     mids = (0.5 * (a + b) for a, b in zip(knots[::2], knots[1::2]))
     probes = [(t, v > 0.0) for t, v in ((t, seg.evaluate(t)) for t in mids) if v != 0.0]
     pieces: list[tuple[float, float, bool]] = []
-    lo = seg.t_start
+    lo, sign = seg.t_start, bool(probes) and probes[0][1]
     for (t0, positive), (t1, next_positive) in zip(probes, probes[1:]):
-        if positive != next_positive:
-            c = _bisect(seg.evaluate, t0, t1)
-            if (seg.t_start < c < seg.t_end
-                    and not (pieces and c - lo <= 1e-13 * max(1.0, abs(c)))):
-                pieces.append((lo, c, positive))
+        if positive != next_positive and (c := _bisect(seg.evaluate, t0, t1)) < seg.t_end:
+            if lo < c:
+                pieces.append((lo, c, sign))
                 lo = c
-    pieces.append((lo, seg.t_end, bool(probes) and probes[-1][1]))
+            sign = next_positive
+    pieces.append((lo, seg.t_end, sign))
     return pieces
 
 

@@ -43,4 +43,8 @@ class IngestError(RadialGeoError):
 
 
 class GalleryLookupError(RadialGeoError, KeyError):
-    """Unknown gallery entry name."""
+    """Unknown gallery entry name.  A KeyError, so ``except KeyError``
+    catches it, but printed as its message: KeyError's own ``__str__``
+    would quote it."""
+
+    __str__ = Exception.__str__

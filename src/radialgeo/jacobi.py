@@ -6,7 +6,8 @@ moderate-order pair is plenty and keeps the package free of solver
 dependencies.  Three behaviors matter downstream and are guaranteed here:
 
 * steps never straddle a profile breakpoint (integration restarts there),
-  so each step sees an analytic right-hand side;
+  so each step sees an analytic right-hand side; a step that ends on a
+  breakpoint is taken at any length, so a piece of any width is solved;
 * when K > 0 somewhere on a step, the step length is capped by
   pi/sqrt(max K on the step); zeros of f are then at least one cap apart
   (Sturm), so a step can never skip a pair of zeros.  Whether K can be
@@ -217,6 +218,13 @@ def solve(profile: CurvatureProfile, t_end: float, tol: float) -> WarpingSolutio
     (recorded in ``first_zero``) or when |f| or |f'| passes the growth
     guard (recorded in ``truncated``); step-size underflow raises
     IntegrationError.
+
+    A step that ends on its bound, the next breakpoint or t_end, is taken
+    at any length, so pieces far narrower than the underflow floor of
+    1e-14 max(t, 1) are each one step; only a step that stops short of
+    its bound can underflow.  At each piece entry a step size at or below
+    that floor (0 before the first piece) starts over from the
+    initial-step rule: 1 % of the bound, clipped to [1e-6, 0.1].
     """
     if not (t_end > 0.0):
         raise ValueError(f"t_end must be positive, got {t_end}")
@@ -265,10 +273,12 @@ def solve(profile: CurvatureProfile, t_end: float, tol: float) -> WarpingSolutio
             # where K <= 0 on the rest of the piece no step needs the cap
             check_cap = piece.max_on(t, bound) > 0.0
             k1f, k1p = fp, -ev(t) * f
-            if h == 0.0:
+            # the first piece, and a step grown from a sliver piece, start
+            # over from the initial-step rule
+            if h <= 1e-14 * (t if t > 1.0 else 1.0):
                 h = max(min(0.01 * bound, 0.1), 1e-6)
         # snap to the boundary when the proposal reaches or nearly reaches
-        # it, so no unintegrable sliver is left behind
+        # it, so no sliver is left behind for a step of its own
         at_bound = bound - t <= h * (1.0 + 1e-9)
         if at_bound:
             h = bound - t
@@ -279,7 +289,8 @@ def solve(profile: CurvatureProfile, t_end: float, tol: float) -> WarpingSolutio
                 if h > cap:
                     h = cap
                     at_bound = False
-        if h <= 1e-14 * (t if t > 1.0 else 1.0):
+        # a step that ends on the bound is taken at any length
+        if not at_bound and h <= 1e-14 * (t if t > 1.0 else 1.0):
             raise IntegrationError("step size underflow", t)
 
         # five curvature evaluations: k1 is carried over, and K(t + h)

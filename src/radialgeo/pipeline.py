@@ -693,8 +693,11 @@ def _cmd_analyze(args) -> int:
 def _cmd_tabulate(args) -> int:
     profile, n, opts = _load_config(args.config)
     opts, _ = _env_tol(opts)
-    if args.t_max <= 0 or args.step <= 0:
-        raise ConfigurationError("--t-max and --step must be positive")
+    # written to refuse nan too: with a nan step or an infinite t_max the
+    # grid below would never end
+    if not (0 < args.t_max < math.inf and args.step > 0):
+        raise ConfigurationError("--t-max must be positive and finite, "
+                                 "--step positive")
     f = solve(profile, args.t_max, opts.tol)
     m = _comparison_solution(f, args.t_max)
     t_stop = min(f.t_end, m.t_end)

@@ -758,6 +758,36 @@ class TestExactSignSplit:
         assert rg.positive_part(prof).evaluate(0.5) == 0.25
         assert rg.negative_part(prof).evaluate(0.5) == 0.0
 
+    def test_crossing_at_a_segment_end(self):
+        # K = k0 - (k0/t1) t on [0, t1): its root lands on t1 itself, where
+        # K reads rounding noise below zero; the segment stays positive
+        t1, k0 = 1.1554683150798821, 0.8552431612418072
+        seg = Segment(0.0, t1, (k0, -(k0 / t1)))
+        assert seg.evaluate(t1) < 0.0
+        assert seg.sign_pieces == ((0.0, t1, True),)
+        prof = rg.CurvatureProfile((seg, Segment(t1, 3.0, (-0.5,))), rg.ZeroTail())
+        assert not prof.is_nonpositive
+        assert rg.negative_part(prof).segments[0].is_zero
+        # the mirror case: the same kind of line on [t1, t1 + 2), whose
+        # root bisects to t1 itself, where K reads rounding noise above
+        # zero; no cut is made, and the segment is nonpositive
+        t1, k0 = 2.597433036397459, 0.21053794576073193
+        seg = Segment(t1, t1 + 2.0, (k0, -(k0 / t1)))
+        assert seg.evaluate(t1) > 0.0
+        assert seg.sign_pieces == ((t1, t1 + 2.0, False),)
+
+    def test_cuts_closer_than_any_width(self):
+        # K = (t - 1e-20)(t - 2e-20) dips below zero on a piece 1e-20 wide,
+        # and its value there, -2.5e-41, is far above its rounding
+        seg = Segment(0.0, 1.0, (2e-40, -3e-20, 1.0))
+        (a, b, p), (c, d, q), (e, f, r) = seg.sign_pieces
+        assert (a, c, e, f) == (0.0, b, d, 1.0)
+        assert (p, q, r) == (True, False, True)
+        assert b == pytest.approx(1e-20, rel=1e-15)
+        assert d == pytest.approx(2e-20, rel=1e-15)
+        neg = rg.negative_part(rg.CurvatureProfile((seg,), rg.ZeroTail()))
+        assert neg.evaluate(1.5e-20) == seg.evaluate(1.5e-20) < 0.0
+
     @given(case=roots_and_touches())
     @settings(max_examples=300, deadline=None)
     def test_parts_next_to_roots(self, case):

@@ -1,7 +1,7 @@
 import math
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import radialgeo as rg
 from radialgeo.asymptotics import LimitEstimate
@@ -150,3 +150,71 @@ class TestEndsBound:
         assert not eb.conclusive
         assert eb.integer_bound is None
         assert eb.raw_bound == pytest.approx(4.5, rel=1e-12)
+
+
+def wedge_then_well(t1, k0, k2, t2, k3=0.0):
+    """K = k0 - (k0/t1) t on [0, t1), its coefficients formed in floats so
+    that the root lands within ulps of t1; then K = k2 + k3 t on [t1, t2)
+    and a zero tail."""
+    return rg.CurvatureProfile((rg.Segment(0.0, t1, (k0, -(k0 / t1))),
+                                rg.Segment(t1, t2, (k2, k3))), rg.ZeroTail())
+
+
+def well_m_prime(t1, kneg, t2):
+    """lim m' for ``wedge_then_well`` with a constant kneg < 0: m = t up to
+    t1, then t1 cosh(w s) + sinh(w s)/w with s = t - t1 and
+    w = sqrt(-kneg)."""
+    w, d = math.sqrt(-kneg), t2 - t1
+    return t1 * w * math.sinh(w * d) + math.cosh(w * d)
+
+
+class TestCrossingAtSegmentEnd:
+    """A sign crossing that lands on a segment end, so the split cuts
+    there or within ulps of it: m' must see the whole well, and c_plus the
+    whole wedge."""
+
+    T1, T2, KNEG = 1.1554683150798821, 3.8152184344605047, -0.5209805983941052
+
+    def test_ends_cap(self):
+        prof = wedge_then_well(self.T1, 0.8552431612418072, self.KNEG, self.T2)
+        report = rg.evaluate_theorem(prof, 3)
+        assert not prof.is_nonpositive
+        assert report.total_curvature.c_plus > 0.0
+        assert report.m_prime_limit.value == pytest.approx(
+            well_m_prime(self.T1, self.KNEG, self.T2), rel=1e-6)
+        assert report.ends.integer_bound == 78
+
+    @pytest.mark.parametrize("t1, k0, k2, k3, t2", [
+        # the well starts at its own root; a split that took the wedge for
+        # nonpositive gave lim m' < 1, which the ends bound refuses
+        (2.7075427365733864, 1.6136671285007003, 2.130364492378996,
+         -0.7868258046686066, 5.0598852761744055),
+        # a sign piece two ulps wide before t1
+        (1.7047624714818537, 1.7363176760315095, 0.03645164558158571,
+         -0.021382243093315136, 9.466113555949862),
+    ])
+    def test_linear_well_against_scipy(self, t1, k0, k2, k3, t2):
+        solve_ivp = pytest.importorskip("scipy.integrate").solve_ivp
+        prof = wedge_then_well(t1, k0, k2, t2, k3)
+        # min(K, 0) is 0 on the wedge, so m = t there
+        ref = solve_ivp(lambda t, y: [y[1], -min(k2 + k3 * t, 0.0) * y[0]],
+                        (t1, t2), [t1, 1.0], method="DOP853",
+                        rtol=1e-13, atol=1e-13).y[1, -1]
+        report = rg.evaluate_theorem(prof, 3)
+        assert report.total_curvature.c_plus > 0.0
+        assert report.m_prime_limit.value == pytest.approx(ref, rel=1e-6)
+        assert report.ends.integer_bound >= math.floor(2.0 * ref ** 2)
+
+    @settings(max_examples=150, deadline=None)
+    @given(t1=st.floats(0.3, 1.5), k0=st.floats(0.05, 1.0),
+           kneg=st.floats(-1.0, -0.2), width=st.floats(1.0, 4.0))
+    @example(t1=T1, k0=0.8552431612418072, kneg=KNEG, width=T2 - T1)
+    def test_closed_form(self, t1, k0, kneg, width):
+        t2 = t1 + width
+        try:
+            report = rg.evaluate_theorem(wedge_then_well(t1, k0, kneg, t2), 3)
+        except rg.ModelCompactnessError:
+            return
+        assert report.total_curvature.c_plus > 0.0
+        assert report.m_prime_limit.value == pytest.approx(
+            well_m_prime(t1, kneg, t2), rel=1e-6)

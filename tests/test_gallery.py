@@ -23,8 +23,10 @@ class TestListing:
     def test_unknown_name(self):
         with pytest.raises(GalleryLookupError):
             entry_by_name("nope")
-        with pytest.raises(KeyError):
+        with pytest.raises(KeyError) as info:
             entry_by_name("nope")
+        # the message itself, not KeyError's quoted repr of it
+        assert str(info.value).startswith("unknown gallery entry 'nope'; known: flat")
 
     def test_oracle_summaries_render(self):
         for entry in list_gallery():

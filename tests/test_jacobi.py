@@ -331,6 +331,27 @@ class TestStepControl:
         assert sol.t_end < 200.0
         assert max(abs(sol.fs[-1]), abs(sol.fps[-1])) >= rg.jacobi.GROWTH_GUARD
 
+    def test_sliver_segment_taken(self):
+        # K = -1 on [0, 1), [1, 1 + 4e-16) and [1 + 4e-16, 3): the middle
+        # segment is two ulps wide, one step that lands on its end
+        prof = rg.CurvatureProfile(tuple(
+            Segment(a, b, (-1.0,)) for a, b in ((0.0, 1.0), (1.0, 1.0 + 4e-16),
+                                                 (1.0 + 4e-16, 3.0))), rg.ZeroTail())
+        sol = rg.solve(prof, 10.0, 1e-8)
+        assert 1.0 + 4e-16 in sol.ts.tolist()
+        assert sol.f(3.0) == pytest.approx(math.sinh(3.0), rel=1e-7)
+        assert sol.fp(10.0) == pytest.approx(math.cosh(3.0), rel=1e-7)
+
+    def test_sliver_sign_pieces_solved(self):
+        # K = (t - 1e-20)(t - 2e-20) is split at 1e-20 and 2e-20; m is
+        # solved across both pieces, and its slope stays 1 to rounding
+        prof = rg.CurvatureProfile((Segment(0.0, 1.0, (2e-40, -3e-20, 1.0)),),
+                                   rg.ZeroTail())
+        m = rg.solve_m(prof, 10.0, 1e-8)
+        assert m.ts[1] == pytest.approx(1e-20, rel=1e-15)
+        assert m.f(10.0) == pytest.approx(10.0, rel=1e-12)
+        assert m.n_steps < 20
+
 
 def _spike_profile():
     # K = 1/(1 + 1e6 (t - 10)^2) - 1e-3 on [0, 20): negative at both ends

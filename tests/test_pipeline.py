@@ -591,6 +591,16 @@ def write_config(path, profile, n):
     return str(path)
 
 
+def module_env():
+    """The environment for ``python -m radialgeo`` in a child process, with
+    this checkout's package first on its path."""
+    src = str(Path(rg.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    return env
+
+
 def log_omega(n):
     return math.log(2.0) + n / 2.0 * math.log(PI) - math.lgamma(n / 2.0)
 
@@ -681,14 +691,10 @@ class TestHighDimension:
         assert closed["err"] == 0
 
     def test_module_entry_point_flat_n90(self):
-        src = str(Path(rg.__file__).resolve().parents[1])
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (src, env.get("PYTHONPATH")) if p)
         proc = subprocess.run(
             [sys.executable, "-W", "error", "-m", "radialgeo", "gallery",
              "analyze", "flat", "-n", "90"],
-            env=env, capture_output=True, text=True, timeout=120)
+            env=module_env(), capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
         assert "NaN" not in proc.stdout and "Infinity" not in proc.stdout
         data = json.loads(proc.stdout)
@@ -952,6 +958,8 @@ class TestCli:
 
     def test_unknown_gallery_name_exits_2(self, capsys):
         assert cli_main(["gallery", "analyze", "nope", "-n", "2"]) == 2
+        assert capsys.readouterr().err.startswith(
+            "error: unknown gallery entry 'nope'; known: flat, ")
 
     def test_missing_config_exits_2(self, capsys):
         assert cli_main(["analyze", "--config", "/nonexistent.json"]) == 2
@@ -1039,6 +1047,35 @@ class TestCli:
         assert float(row[3]) == pytest.approx(4.0, rel=1e-10)   # m = t
         assert float(row[5]) == pytest.approx(16 * PI, rel=1e-9)
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--t-max", "nan"), ("--step", "nan"), ("--t-max", "inf")])
+    def test_tabulate_refuses_endless_grid(self, flat_config, flag, value):
+        # a nan step or an infinite t_max would grow the grid without end:
+        # run it in a child process under a timeout, so a regression fails
+        # instead of hanging
+        args = {"--t-max": "4", "--step": "0.5", flag: value}
+        proc = subprocess.run(
+            [sys.executable, "-m", "radialgeo", "tabulate", "--config", flat_config,
+             *(x for item in args.items() for x in item)],
+            env=module_env(), capture_output=True, text=True, timeout=10)
+        assert proc.returncode == 2
+        assert proc.stderr == ("error: --t-max must be positive and finite, "
+                               "--step positive\n")
+
+    def test_analyze_crossing_at_segment_end(self, tmp_path, capsys):
+        # K = k0 - (k0/t1) t crosses zero at t1 itself, then a well: the
+        # wedge is no part of min(K, 0), the well all of it
+        t1, k0 = 1.1554683150798821, 0.8552431612418072
+        profile = rg.CurvatureProfile(
+            (rg.Segment(0.0, t1, (k0, -(k0 / t1))),
+             rg.Segment(t1, 3.8152184344605047, (-0.5209805983941052,))),
+            rg.ZeroTail())
+        assert cli_main(["analyze", "--config",
+                         write_config(tmp_path / "model.json", profile, 3)]) == 0
+        data = json.loads(capsys.readouterr().out)
+        assert data["total_curvature"]["c_plus"] > 0.0
+        assert data["ends_bound"]["integer_bound"] == 78
+
     def test_tabulate_truncates_at_first_zero(self, tmp_path, capsys):
         cfg = tmp_path / "sph.json"
         cfg.write_text(json.dumps({
@@ -1056,12 +1093,8 @@ class TestCli:
 
 
 def test_module_entry_point_runs_without_warnings():
-    src = str(Path(rg.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (src, env.get("PYTHONPATH")) if p)
     proc = subprocess.run(
         [sys.executable, "-W", "error", "-m", "radialgeo", "gallery", "list"],
-        env=env, capture_output=True, text=True, timeout=60)
+        env=module_env(), capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("flat:")

@@ -1,5 +1,6 @@
-"""Print the sha256 of every gallery report, and of three reports with
-volume samples, to tell whether report bytes moved between two checkouts.
+"""Print the sha256 of every gallery report, of three reports with volume
+samples and of a sweep's sign split, to tell whether report bytes or sign
+pieces moved between two checkouts.
 
     python3 tools/report_digest.py
 
@@ -10,9 +11,12 @@ ModelCompactnessError, then the entry and n.  Then one line for each of
 flat, abresch_tail and sign_changing_beta_ln2 at n = 3 with samples: 1000
 ball volumes per entry from ``bench/inputs.certify_samples`` at a fixed
 seed, written as a CSV to a temporary directory and read back with
-``ingest_samples``.  It imports radialgeo from the ``src`` directory of
-its own checkout, and the sample inputs from its ``bench`` directory, so
-running a copy of it in another checkout digests that checkout's reports.
+``ingest_samples``.  Last, one line for the sign split: the sha256 of
+``repr(seg.sign_pieces)``, one line per segment, over every segment of
+``bench/inputs.sweep_profiles`` at a fixed seed.  It imports radialgeo
+from the ``src`` directory of its own checkout, and the inputs from its
+``bench`` directory, so running a copy of it in another checkout digests
+that checkout's reports and sign pieces.
 """
 
 from __future__ import annotations
@@ -31,6 +35,7 @@ sys.path[:0] = [str(_ROOT / "src"), str(_ROOT / "bench")]
 import inputs  # noqa: E402  (numpy only)
 from radialgeo import (  # noqa: E402
     ModelCompactnessError,
+    Segment,
     entry_by_name,
     evaluate_theorem,
     ingest_samples,
@@ -44,6 +49,9 @@ SAMPLE_ENTRIES = ("flat", "abresch_tail", "sign_changing_beta_ln2")
 SAMPLE_N = 3
 SAMPLE_COUNT = 1000
 SAMPLE_SEED = 1
+SWEEP_SEED = 1
+SWEEP_COUNT = 2000
+SWEEP_BLOCK = 100
 
 
 def _sha(text: str) -> str:
@@ -75,6 +83,11 @@ def digest_lines() -> list[str]:
             text = report_to_json(evaluate_theorem(entry_by_name(name).profile,
                                                    SAMPLE_N, samples=samples))
             lines.append(f"{_sha(text)}  {name} n={SAMPLE_N} samples")
+    profiles = inputs.sweep_profiles(np.random.default_rng(SWEEP_SEED),
+                                     SWEEP_COUNT, SWEEP_BLOCK)
+    text = "".join(f"{Segment(lo, hi, (c0, c1)).sign_pieces!r}\n"
+                   for segments in profiles for lo, hi, c0, c1 in segments)
+    lines.append(f"{_sha(text)}  sweep sign pieces seed={SWEEP_SEED}")
     return lines
 
 
