@@ -159,6 +159,53 @@ def _polynomial(coeffs: tuple[float, ...]) -> Callable[[float], float]:
     return horner
 
 
+def _stage_evaluator(num: tuple[float, ...], den: tuple[float, ...]):
+    """num/den at five times in one call, as a closure of (x2, x3, x4, x5,
+    x6) that returns the five values, each with the bits of
+    ``_polynomial(num)(x) / _polynomial(den)(x)``.
+
+    A line over the unit denominator computes c1 x + c0; any other
+    polynomial runs five Horner chains, each from 0.0, in one loop over
+    its coefficients.  For finite x the chains give a line's bits too: its
+    first step, 0.0 * x + c1, is c1 when c1 is nonzero.
+    """
+    if den == _ONE_DEN and len(num) == 2 and num[1] != 0.0:
+        c0, c1 = num
+        return lambda x2, x3, x4, x5, x6: (c1 * x2 + c0, c1 * x3 + c0, c1 * x4 + c0,
+                                           c1 * x5 + c0, c1 * x6 + c0)
+    rn = num[::-1]
+    if den == _ONE_DEN:
+        def polynomial(x2, x3, x4, x5, x6):
+            a2 = a3 = a4 = a5 = a6 = 0.0
+            for c in rn:
+                a2 = a2 * x2 + c
+                a3 = a3 * x3 + c
+                a4 = a4 * x4 + c
+                a5 = a5 * x5 + c
+                a6 = a6 * x6 + c
+            return a2, a3, a4, a5, a6
+        return polynomial
+    rd = den[::-1]
+
+    def rational(x2, x3, x4, x5, x6):
+        a2 = a3 = a4 = a5 = a6 = 0.0
+        for c in rn:
+            a2 = a2 * x2 + c
+            a3 = a3 * x3 + c
+            a4 = a4 * x4 + c
+            a5 = a5 * x5 + c
+            a6 = a6 * x6 + c
+        b2 = b3 = b4 = b5 = b6 = 0.0
+        for c in rd:
+            b2 = b2 * x2 + c
+            b3 = b3 * x3 + c
+            b4 = b4 * x4 + c
+            b5 = b5 * x5 + c
+            b6 = b6 * x6 + c
+        return a2 / b2, a3 / b3, a4 / b4, a5 / b5, a6 / b6
+    return rational
+
+
 @dataclass(frozen=True)
 class Segment:
     """One piece of a profile: num(t)/den(t) on [t_start, t_end).
@@ -207,14 +254,29 @@ class Segment:
         """t -> num(t)/den(t) as one closure, for a time or an array of
         times.
 
-        Built once per segment: the solver's inner loop calls it at every
-        stage point.
+        Built once per segment.  The solver calls it at piece entry, and
+        reads its stage values from ``_stages``, which rounds as it does.
         """
         num = _polynomial(self.num)
         if self.is_polynomial:
             return num
         den = _polynomial(self.den)
         return lambda t: num(t) / den(t)
+
+    @property
+    def _stages(self):
+        """K at the five new stage points of a solver step, with the bits
+        of ``evaluate``: the five values as a tuple when num and den are
+        constants (for t >= 0, 0.0 * t + c is c + 0.0), else the closure
+        of ``_stage_evaluator``, which takes the five times.
+
+        Built at each solver entry to the segment and not cached: a
+        closure kept on every segment of every profile solved costs more
+        memory than the build costs time.
+        """
+        if len(self.num) == len(self.den) == 1:
+            return (self.evaluate(self.t_end),) * 5
+        return _stage_evaluator(self.num, self.den)
 
     @cached_property
     def sign_pieces(self) -> tuple[tuple[float, float, bool], ...]:
@@ -236,7 +298,10 @@ class Segment:
     @cached_property
     def _critical_points(self) -> tuple[float, ...]:
         # stationary points of num/den on the segment: roots of
-        # num'*den - num*den', one bisected from each of its root intervals
+        # num'*den - num*den', one bisected from each of its root intervals;
+        # a constant has the same value everywhere, so it needs none
+        if len(self.num) == len(self.den) == 1:
+            return ()
         p = npoly.polyder(self.num)
         if not self.is_polynomial:
             p = npoly.polysub(npoly.polymul(p, self.den),
@@ -270,6 +335,8 @@ class ZeroTail:
     """K(t) = 0 for t >= t_tail."""
 
     sign = 0
+    # K at a solver step's five new stage points
+    _stages = (0.0,) * 5
 
     def evaluate(self, t: float) -> float:
         return 0.0
@@ -296,6 +363,11 @@ class ConstantTail:
     def evaluate(self, t: float) -> float:
         return self.kappa
 
+    @property
+    def _stages(self) -> tuple[float, ...]:
+        """K at a solver step's five new stage points."""
+        return (self.kappa,) * 5
+
     def max_on(self, a: float, b: float) -> float:
         return self.kappa
 
@@ -320,6 +392,13 @@ class PowerDecayTail:
 
     def evaluate(self, t: float) -> float:
         return self.a / (1.0 + t) ** self.p
+
+    def _stages(self, x2: float, x3: float, x4: float, x5: float,
+                x6: float) -> tuple[float, ...]:
+        """``evaluate`` at a solver step's five new stage points."""
+        a, p = self.a, self.p
+        return (a / (1.0 + x2) ** p, a / (1.0 + x3) ** p, a / (1.0 + x4) ** p,
+                a / (1.0 + x5) ** p, a / (1.0 + x6) ** p)
 
     def max_on(self, a: float, b: float) -> float:
         # |a/(1+t)^p| is decreasing, so the max of a positive tail sits at
@@ -538,10 +617,23 @@ def _sign_pieces(seg: Segment) -> list[tuple[float, float, bool]]:
     return pieces
 
 
+def _cut(seg: Segment, lo: float, hi: float) -> Segment:
+    """seg's expression on [lo, hi): seg itself when that is all of it,
+    else a new segment that shares seg's ``evaluate`` and critical points
+    (a critical point outside [lo, hi) is never inside a step), so a
+    fresh signed part builds no evaluator and isolates no root."""
+    if lo == seg.t_start and hi == seg.t_end:
+        return seg
+    piece = Segment(lo, hi, seg.num, seg.den)
+    for name in ("evaluate", "_critical_points"):
+        piece.__dict__[name] = getattr(seg, name)
+    return piece
+
+
 def _signed_part(profile: CurvatureProfile, keep_negative: bool) -> CurvatureProfile:
     if keep_negative and profile.is_nonpositive:
         return profile
-    pieces = [Segment(lo, hi, seg.num, seg.den) if positive != keep_negative
+    pieces = [_cut(seg, lo, hi) if positive != keep_negative
               else Segment(lo, hi, _ZERO_NUM)
               for seg, lo, hi, positive in profile.sign_pieces()]
     tail = profile.tail

@@ -16,11 +16,16 @@ dependencies.  Three behaviors matter downstream and are guaranteed here:
 * the first zero of f, if any, is located by bisection on the dense
   output to 1e-12 in t, and integration stops there.
 
-A step makes five curvature evaluations, one per new stage point: the
-first stage is the last one of the previous step, and K(t + h) serves
-both the sixth and the seventh stage (first same as last, FSAL).  Each
-piece's ``evaluate`` is bound once at piece entry; a segment builds it
-once, as a cached closure.
+A step needs K at five new stage points, t + c_i h for i = 2..5 and t + h:
+the first stage is the last one of the previous step, and K(t + h)
+serves both the sixth and the seventh stage (first same as last, FSAL).
+It reads the five in one call of the piece's stage evaluator, which is
+built at piece entry and rounds as the piece's ``evaluate`` does; a
+constant piece gives its values once, with no call per step.  The Sturm
+cap reuses those values: K(t) is the previous step's K(t + h) (or is
+computed at piece entry), K(t + h) is the new one, and K is evaluated
+only at a segment's critical points inside the step.  A step whose cap
+binds reads its stage values again at the capped length.
 
 Dense output stores f, f' and f'' = -K f at the step ends and evaluates a
 quintic Hermite interpolant per step.  Its O(h^6) interpolation error
@@ -35,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curvature_profile import CurvatureProfile, negative_part
+from .curvature_profile import CurvatureProfile, Segment, negative_part
 from .errors import IntegrationError
 
 __all__ = ["WarpingSolution", "solve", "solve_m", "GROWTH_GUARD"]
@@ -269,10 +274,19 @@ def solve(profile: CurvatureProfile, t_end: float, tol: float) -> WarpingSolutio
             # piece entry: what holds up to the next breakpoint is set once
             piece, piece_end = profile.piece_at(t)
             ev = piece.evaluate
+            # K at a step's stage points: fixed on a constant piece, else
+            # one call per step
+            stages = piece._stages
+            fixed = stages if type(stages) is tuple else None
             bound = min(piece_end, t_end)
             # where K <= 0 on the rest of the piece no step needs the cap
             check_cap = piece.max_on(t, bound) > 0.0
-            k1f, k1p = fp, -ev(t) * f
+            # the cap takes max_on(t, t + h) from values the step has: on a
+            # segment, K at both ends and at the critical points inside; a
+            # positive tail is constant or decreasing, so its max is K(t)
+            crit = piece._critical_points if isinstance(piece, Segment) else None
+            k_t = ev(t)
+            k1f, k1p = fp, -k_t * f
             # the first piece, and a step grown from a sliver piece, start
             # over from the initial-step rule
             if h <= 1e-14 * (t if t > 1.0 else 1.0):
@@ -282,34 +296,45 @@ def solve(profile: CurvatureProfile, t_end: float, tol: float) -> WarpingSolutio
         at_bound = bound - t <= h * (1.0 + 1e-9)
         if at_bound:
             h = bound - t
+        # one curvature call per step: k1 is carried over, and K(t + h)
+        # serves stage 6 and stage 7 (FSAL)
+        k2, k3, k4, k5, k_end = fixed or stages(t + c2 * h, t + c3 * h, t + c4 * h,
+                                                t + c5 * h, t + h)
         if check_cap:
-            kmax = piece.max_on(t, t + h)
+            kmax = k_t
+            if crit is not None:
+                # as max_on's max(): b if b > a else a, NaN included
+                kmax = k_end if k_end > kmax else kmax
+                b = t + h
+                for r in crit:
+                    if t < r < b:
+                        kr = ev(r)
+                        kmax = kr if kr > kmax else kmax
             if kmax > 0.0:
                 cap = pi / sqrt(kmax)
                 if h > cap:
                     h = cap
                     at_bound = False
+                    k2, k3, k4, k5, k_end = fixed or stages(
+                        t + c2 * h, t + c3 * h, t + c4 * h, t + c5 * h, t + h)
         # a step that ends on the bound is taken at any length
         if not at_bound and h <= 1e-14 * (t if t > 1.0 else 1.0):
             raise IntegrationError("step size underflow", t)
 
-        # five curvature evaluations: k1 is carried over, and K(t + h)
-        # serves stage 6 and stage 7 (FSAL)
         y2f = f + h * (a21 * k1f)
         y2p = fp + h * (a21 * k1p)
-        k2f, k2p = y2p, -ev(t + c2 * h) * y2f
+        k2f, k2p = y2p, -k2 * y2f
         y3f = f + h * (a31 * k1f + a32 * k2f)
         y3p = fp + h * (a31 * k1p + a32 * k2p)
-        k3f, k3p = y3p, -ev(t + c3 * h) * y3f
+        k3f, k3p = y3p, -k3 * y3f
         y4f = f + h * (a41 * k1f + a42 * k2f + a43 * k3f)
         y4p = fp + h * (a41 * k1p + a42 * k2p + a43 * k3p)
-        k4f, k4p = y4p, -ev(t + c4 * h) * y4f
+        k4f, k4p = y4p, -k4 * y4f
         y5f = f + h * (a51 * k1f + a52 * k2f + a53 * k3f + a54 * k4f)
         y5p = fp + h * (a51 * k1p + a52 * k2p + a53 * k3p + a54 * k4p)
-        k5f, k5p = y5p, -ev(t + c5 * h) * y5f
+        k5f, k5p = y5p, -k5 * y5f
         y6f = f + h * (a61 * k1f + a62 * k2f + a63 * k3f + a64 * k4f + a65 * k5f)
         y6p = fp + h * (a61 * k1p + a62 * k2p + a63 * k3p + a64 * k4p + a65 * k5p)
-        k_end = ev(t + h)
         k6f, k6p = y6p, -k_end * y6f
         fn = f + h * (b1 * k1f + b3 * k3f + b4 * k4f + b5 * k5f + b6 * k6f)
         fpn = fp + h * (b1 * k1p + b3 * k3p + b4 * k4p + b5 * k5p + b6 * k6p)
@@ -321,6 +346,8 @@ def solve(profile: CurvatureProfile, t_end: float, tol: float) -> WarpingSolutio
         af, afn, afp, afpn = abs(f), abs(fn), abs(fp), abs(fpn)
         sc_f = tol + tol * (afn if afn > af else af)
         sc_p = tol + tol * (afpn if afpn > afp else afp)
+        # ** 2, not x * x: libm's pow rounds some squares differently, and
+        # every accepted step, so every node, depends on these bits
         err = sqrt(0.5 * ((ef / sc_f) ** 2 + (ep / sc_p) ** 2))
 
         if err > 1.0:
@@ -359,7 +386,7 @@ def solve(profile: CurvatureProfile, t_end: float, tol: float) -> WarpingSolutio
             factor = factor if factor < max_factor else max_factor
         h *= factor
         err_prev = 1e-10 if 1e-10 > err else err
-        k1f, k1p = k7f, k7p
+        k1f, k1p, k_t = k7f, k7p, k_end
 
     return WarpingSolution(
         profile=profile,

@@ -13,9 +13,11 @@ range in every dimension: each step is integrated as
 F**(n-1) * integral (f/F)**(n-1), with F the step's largest node value,
 and the steps are summed with ``numpy.logaddexp``.  The whole steps
 are summed once per model space, into a table of prefix sums that every
-set of radii shares; a radius adds the part of its own step.  Each
-integral evaluates the dense output at a block of Gauss nodes across all
-steps at once; blocks are bounded in size, so memory does not grow with
+set of radii shares; a radius adds the part of its own step.  The first
+set of radii on a model space builds the table in the same pass as its
+own partial steps, so every call makes one pass.  Each integral
+evaluates the dense output at a block of Gauss nodes across all steps at
+once; blocks are bounded in size, so memory does not grow with
 the dimension, which sets the number of nodes.  Whatever leaves log
 space (a volume, a probe vol B_t / t^n, a volume ratio) goes through
 :func:`saturating_exp`.
@@ -107,13 +109,25 @@ class ModelSpace:
     def omega(self) -> float:
         return unit_sphere_volume(self.n)
 
-    @cached_property
-    def _log_prefix(self) -> np.ndarray:
-        """log of the integral of f**(n-1) over [0, t_i] at every solver
-        node t_i (-inf at t = 0), built once and shared by every call of
-        ``log_ball_volumes`` on this model space."""
-        return np.logaddexp.accumulate(np.concatenate(
-            ([-np.inf], _log_integrals(self.f, self.n, slice(None), 1.0))))
+    def _log_volumes(self, j, u) -> np.ndarray:
+        """log of the integral of f**(n-1) over [0, t] at the times t in
+        step j at fraction u (as ``WarpingSolution._locate`` gives them):
+        a prefix-table entry plus the part of t's own step, in one
+        ``_log_integrals`` pass.
+
+        The table holds the integral over [0, t_i] at every solver node t_i
+        (-inf at t = 0).  The first call builds it from the whole steps,
+        in the same pass as its own partial steps, and keeps it for every
+        later call on this model space.
+        """
+        prefix = getattr(self, "_log_prefix", None)
+        if prefix is not None:
+            return np.logaddexp(prefix[j], _log_integrals(self.f, self.n, [(j, u)]))
+        steps = len(self.f.ts) - 1
+        logs = _log_integrals(self.f, self.n, [(slice(None), 1.0), (j, u)])
+        prefix = np.logaddexp.accumulate(np.concatenate(([-np.inf], logs[:steps])))
+        object.__setattr__(self, "_log_prefix", prefix)
+        return np.logaddexp(prefix[j], logs[steps:])
 
 
 @lru_cache(maxsize=16)
@@ -130,25 +144,29 @@ def _gauss_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
     return x, w
 
 
-def _log_integrals(f: WarpingSolution, n: int, j, u) -> np.ndarray:
+def _log_integrals(f: WarpingSolution, n: int, parts) -> np.ndarray:
     """log of the integral of f**(n-1) over the first fraction u of each
-    of the solver steps j (step indices or a slice of them).
+    solver step j, for each (j, u) of ``parts`` (step indices or a slice
+    of them, and a fraction or an array of them), concatenated in order.
 
     A step's integral is F**(n-1) * integral (f/F)**(n-1), with F its
     largest Gauss-node value, so neither factor leaves float range.  The
     steps' data are gathered once; the dense quintic is evaluated at a
     block of nodes across all steps at a time, in two passes (F, then the
-    weighted sum).  The sum adds its terms in node order, as Python's
-    ``sum`` adds them, so the result does not depend on the blocking.
+    weighted sum).  A scalar u keeps the local coordinates of its part in
+    one column.  Each step's value depends on its own column alone: the
+    max is exact, and the sum adds its terms in node order, as Python's
+    ``sum`` adds them, so the result does not depend on the blocking or
+    on the other parts, and a fraction of 1.0 scales exactly.
     """
     x, w = _gauss_rule(n)
-    steps = f._steps(j)
-    h = steps[0]
-    rows = max(1, _BLOCK_VALUES // max(1, h.size))
+    steps = [(f._steps(j), u) for j, u in parts]
+    uh = _joined([u * st[0] for st, u in steps])  # the parts' widths
+    rows = max(1, _BLOCK_VALUES // max(1, uh.size))
     blocks = [slice(k, k + rows) for k in range(0, len(x), rows)]
 
     def on_nodes(b):
-        return _hermite(*steps, u * x[b, None], False)
+        return _joined([_hermite(*st, u * x[b, None], False) for st, u in steps])
 
     # the max is exact in any order: taking the blocks last first leaves
     # the first block's values for the sum, which must run first to last
@@ -162,7 +180,12 @@ def _log_integrals(f: WarpingSolution, n: int, j, u) -> np.ndarray:
             values = on_nodes(b)
         total = sum(w[b, None] * (values / top) ** (n - 1), total)
     with np.errstate(divide="ignore"):  # a part of width zero has log -inf
-        return np.log(u * h * total) + (n - 1) * np.log(top)
+        return np.log(uh * total) + (n - 1) * np.log(top)
+
+
+def _joined(arrays: list[np.ndarray]) -> np.ndarray:
+    """The arrays side by side along their last axis; one array as it is."""
+    return arrays[0] if len(arrays) == 1 else np.concatenate(arrays, axis=-1)
 
 
 def log_ball_volumes(ms: ModelSpace, ts) -> list[float]:
@@ -176,10 +199,7 @@ def log_ball_volumes(ms: ModelSpace, ts) -> list[float]:
     radii = np.asarray(ts, dtype=float)
     if (radii[1:] < radii[:-1]).any():
         raise ValueError("radii must be nondecreasing")
-    j, u = ms.f._locate(radii)
-    return (_log_omega(ms.n)
-            + np.logaddexp(ms._log_prefix[j], _log_integrals(ms.f, ms.n, j, u))
-            ).tolist()
+    return (_log_omega(ms.n) + ms._log_volumes(*ms.f._locate(radii))).tolist()
 
 
 def ball_volumes(ms: ModelSpace, ts) -> list[float]:

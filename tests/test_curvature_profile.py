@@ -92,6 +92,94 @@ class TestScalarEvaluator:
         assert copy.segments[0].evaluate(0.5) == 2.0
 
 
+def _stage_values(piece, xs):
+    """K at five times from the piece's five-point evaluator: its fixed
+    values on a constant piece, else one call."""
+    stages = piece._stages
+    return stages if type(stages) is tuple else stages(*xs)
+
+
+def _hexes(values):
+    return [v.hex() for v in values]
+
+
+# spread magnitudes, and both zeros, for degree 0 to 8
+_SPREAD_COEFF = st.one_of(
+    st.sampled_from([0.0, -0.0]),
+    st.builds(lambda m, e: m * 10.0 ** e, st.floats(min_value=-2.0, max_value=2.0),
+              st.integers(min_value=-12, max_value=4)))
+
+
+class TestStageEvaluator:
+    """A piece's five-point evaluator gives the bits of five ``evaluate``
+    calls at times t >= 0."""
+
+    @given(case=segments_and_times(), data=st.data())
+    @settings(max_examples=400, deadline=None)
+    def test_segment_bits_equal_evaluate(self, case, data):
+        seg, t = case
+        others = data.draw(st.lists(st.floats(min_value=seg.t_start, max_value=seg.t_end),
+                                    min_size=4, max_size=4))
+        xs = data.draw(st.permutations([t, *others]))
+        assert _hexes(_stage_values(seg, xs)) == _hexes(map(seg.evaluate, xs))
+
+    @given(num=st.lists(_SPREAD_COEFF, min_size=1, max_size=9),
+           den=st.one_of(st.just([1.0]), st.lists(_DEN_HIGHER, max_size=8).map(
+               lambda rest: [1.0, *rest])),
+           xs=st.lists(st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=20.0)),
+                       min_size=5, max_size=5))
+    @settings(max_examples=400, deadline=None)
+    def test_spread_coefficients_degree_0_to_8(self, num, den, xs):
+        seg = Segment(0.0, 20.0, num, den)
+        assert _hexes(_stage_values(seg, xs)) == _hexes(map(seg.evaluate, xs))
+
+    def test_signed_zeros_and_t_zero(self):
+        # 0.0 * t + (-0.0) is +0.0: every chain starts from 0.0, not from
+        # the leading coefficient
+        times = [0.0, 0.0, 0.5, 1.0, 5e-324]
+        for num in ((-0.0,), (0.0,), (-0.0, -0.0), (1.0, -0.0), (-0.0, 1.0),
+                    (1.0, 2.0, -0.0), (0.0, 0.0, 0.0, -0.0), (-1.0,), (-0.0, -0.0, -0.0)):
+            for den in ((1.0,), (2.0,), (1.0, -0.0), (1.0, 0.5, -0.0)):
+                seg = Segment(0.0, 1.0, num, den)
+                assert _hexes(_stage_values(seg, times)) == _hexes(map(seg.evaluate, times)), (num, den)
+
+    def test_constant_pieces_fixed(self):
+        # no call per step where num and den are constants, and on the
+        # zero and constant tails
+        for piece in (Segment(0.0, 1.0, (0.0,)), Segment(2.0, 3.0, (-1.5,), (3.0,)),
+                      rg.ZeroTail(), rg.ConstantTail(-2.0), rg.ConstantTail(0.25),
+                      rg.ConstantTail(-0.0)):
+            assert type(piece._stages) is tuple and len(piece._stages) == 5
+            xs = [0.0, 2.0, 2.5, 3.0, 7.0]
+            assert _hexes(piece._stages) == _hexes(map(piece.evaluate, xs))
+        assert callable(Segment(0.0, 1.0, (0.0, 1.0))._stages)
+        assert callable(rg.PowerDecayTail(1.0, 2.0)._stages)
+
+    @given(a=st.one_of(st.just(0.0), st.floats(min_value=-10.0, max_value=10.0)),
+           p=st.one_of(st.sampled_from([2.0, 2.2, 4.0]),
+                       st.floats(min_value=0.1, max_value=8.0)),
+           xs=st.lists(st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=1e6)),
+                       min_size=5, max_size=5))
+    @settings(max_examples=200, deadline=None)
+    def test_power_tail_bits_equal_evaluate(self, a, p, xs):
+        tail = rg.PowerDecayTail(a, p)
+        assert _hexes(_stage_values(tail, xs)) == _hexes(map(tail.evaluate, xs))
+
+    def test_cut_pieces_share_evaluate(self):
+        # the negative part's pieces cut from a segment share its
+        # evaluate and critical points; a segment kept whole is reused
+        profile = entry_by_name("sign_changing_beta_ln2").profile
+        seg = profile.segments[0]
+        neg = rg.negative_part(profile)
+        zero, kept = neg.segments
+        assert zero.is_zero and kept.num == seg.num and kept.den == seg.den
+        assert kept.evaluate is seg.evaluate
+        assert kept._critical_points is seg._critical_points
+        whole = rg.CurvatureProfile((Segment(0.0, 1.0, (-1.0, 0.5)),
+                                     Segment(1.0, 2.0, (1.0,))), rg.ZeroTail())
+        assert rg.negative_part(whole).segments[0] is whole.segments[0]
+
+
 class TestEvaluation:
     def test_zero_profile(self):
         assert rg.zero_profile().evaluate(5.0) == 0.0

@@ -6,7 +6,9 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import radialgeo as rg
+import reference_stepper
 from radialgeo.curvature_profile import Segment
+from radialgeo.errors import IntegrationError, ProfileError
 from radialgeo.gallery import abresch_f, abresch_fp, beta_profile, entry_by_name
 from radialgeo.pipeline import DEFAULT_T_END, DEFAULT_TOL
 
@@ -318,6 +320,20 @@ class TestScalarPath:
                 assert str(scalar.value) == str(array.value)
 
 
+def _sliver_segments():
+    # K = -1 on [0, 1), [1, 1 + 4e-16) and [1 + 4e-16, 3): the middle
+    # segment is two ulps wide
+    return rg.CurvatureProfile(tuple(
+        Segment(a, b, (-1.0,)) for a, b in ((0.0, 1.0), (1.0, 1.0 + 4e-16),
+                                             (1.0 + 4e-16, 3.0))), rg.ZeroTail())
+
+
+def _sliver_sign_pieces():
+    # K = (t - 1e-20)(t - 2e-20), split at 1e-20 and 2e-20
+    return rg.CurvatureProfile((Segment(0.0, 1.0, (2e-40, -3e-20, 1.0)),),
+                               rg.ZeroTail())
+
+
 class TestStepControl:
     def test_positive_cap_limits_steps(self):
         sol = rg.solve(rg.constant_profile(4.0), 1.5, 1e-8)
@@ -332,22 +348,15 @@ class TestStepControl:
         assert max(abs(sol.fs[-1]), abs(sol.fps[-1])) >= rg.jacobi.GROWTH_GUARD
 
     def test_sliver_segment_taken(self):
-        # K = -1 on [0, 1), [1, 1 + 4e-16) and [1 + 4e-16, 3): the middle
-        # segment is two ulps wide, one step that lands on its end
-        prof = rg.CurvatureProfile(tuple(
-            Segment(a, b, (-1.0,)) for a, b in ((0.0, 1.0), (1.0, 1.0 + 4e-16),
-                                                 (1.0 + 4e-16, 3.0))), rg.ZeroTail())
-        sol = rg.solve(prof, 10.0, 1e-8)
+        # the two-ulp segment is one step that lands on its end
+        sol = rg.solve(_sliver_segments(), 10.0, 1e-8)
         assert 1.0 + 4e-16 in sol.ts.tolist()
         assert sol.f(3.0) == pytest.approx(math.sinh(3.0), rel=1e-7)
         assert sol.fp(10.0) == pytest.approx(math.cosh(3.0), rel=1e-7)
 
     def test_sliver_sign_pieces_solved(self):
-        # K = (t - 1e-20)(t - 2e-20) is split at 1e-20 and 2e-20; m is
-        # solved across both pieces, and its slope stays 1 to rounding
-        prof = rg.CurvatureProfile((Segment(0.0, 1.0, (2e-40, -3e-20, 1.0)),),
-                                   rg.ZeroTail())
-        m = rg.solve_m(prof, 10.0, 1e-8)
+        # m is solved across both pieces, and its slope stays 1 to rounding
+        m = rg.solve_m(_sliver_sign_pieces(), 10.0, 1e-8)
         assert m.ts[1] == pytest.approx(1e-20, rel=1e-15)
         assert m.f(10.0) == pytest.approx(10.0, rel=1e-12)
         assert m.n_steps < 20
@@ -405,6 +414,171 @@ def test_gallery_step_trace_is_pinned(name):
     sol = rg.solve(entry_by_name(name).profile, DEFAULT_T_END, DEFAULT_TOL)
     assert (sol.n_steps, sol.n_rejected, sol.t_end.hex(), float(sol.fs[-1]).hex(),
             float(sol.fps[-1]).hex()) == GALLERY_TRACE[name]
+
+
+def _outcome(solver, profile, t_end, tol):
+    """Every bit a solve hands on: the node arrays and f'' values as
+    float.hex, the counts, the first zero and the truncation flag; or the
+    IntegrationError it raised."""
+    try:
+        sol = solver(profile, t_end, tol)
+    except IntegrationError as exc:
+        return "IntegrationError", str(exc)
+    arrays = [list(map(float.hex, getattr(sol, name).tolist()))
+              for name in ("ts", "fs", "fps", "d2_left", "d2_right")]
+    return (arrays, sol.n_steps, sol.n_rejected,
+            None if sol.first_zero is None else sol.first_zero.hex(), sol.truncated)
+
+
+def assert_bits_of_reference(profile, t_end, tol):
+    for new, old in ((rg.solve, reference_stepper.solve),
+                     (rg.solve_m, reference_stepper.solve_m)):
+        assert _outcome(new, profile, t_end, tol) == _outcome(old, profile, t_end, tol), \
+            new.__name__
+
+
+# tol drawn log-uniformly over the supported range, ends included
+_TOLS = st.one_of(st.sampled_from([1e-14, 1e-3]),
+                  st.floats(min_value=-14.0, max_value=-3.0).map(
+                      lambda e: min(max(10.0 ** e, 1e-14), 1e-3)))
+
+
+@st.composite
+def _widths(draw):
+    """A segment width: ordinary, or a sliver of a few ulps."""
+    if draw(st.integers(min_value=0, max_value=5)) == 0:
+        return None  # a sliver, sized from its start
+    return draw(st.floats(min_value=0.05, max_value=4.0))
+
+
+@st.composite
+def _any_segment(draw, lo, hi, kind=None):
+    """A segment of any kind on [lo, hi), with |K| kept moderate so that
+    solves at tol 1e-14 stay short."""
+    kind = kind or draw(st.sampled_from(("zero", "polynomial", "roots", "beta", "spike",
+                                         "rational")))
+    scale = max(1.0, hi)
+    if kind == "zero":
+        num = draw(st.lists(st.sampled_from([0.0, -0.0]), min_size=1, max_size=3))
+        return Segment(lo, hi, num)
+    if kind == "polynomial":
+        # degree 0 to 8, each term at most 2 * 10^e on the segment
+        degree = draw(st.integers(min_value=0, max_value=8))
+        num = [0.0 if draw(st.integers(0, 6)) == 0 else
+               draw(st.floats(min_value=-2.0, max_value=2.0))
+               * 10.0 ** draw(st.integers(min_value=-12, max_value=0)) / scale ** k
+               for k in range(degree + 1)]
+        return Segment(lo, hi, num)
+    if kind == "roots":
+        # c (t - r_1) ... (t - r_k) with its roots inside: sign changes
+        roots = draw(st.lists(st.floats(min_value=lo, max_value=hi), min_size=1, max_size=3))
+        num = np.array([draw(st.floats(min_value=-2.0, max_value=2.0))])
+        for r in roots:
+            num = np.polynomial.polynomial.polymul(num, [-r, 1.0]) / scale
+        return Segment(lo, hi, num.tolist())
+    if kind == "beta":
+        # the beta family's K, rescaled as K_lam(t) = lam^2 K(lam t)
+        b = draw(st.floats(min_value=-1.5, max_value=1.5))
+        lam = draw(st.floats(min_value=0.25, max_value=2.0))
+        seg = beta_profile(b).segments[0]
+        return Segment(lo, hi, [c * lam ** (2 + i) for i, c in enumerate(seg.num)],
+                       [c * lam ** j for j, c in enumerate(seg.den)])
+    if kind == "spike":
+        # a/(1 + w (t - c)^2) - eps: positive only near c, where a long
+        # step can miss it, so the Sturm cap may set the step
+        c = draw(st.floats(min_value=lo, max_value=hi))
+        w = 10.0 ** draw(st.floats(min_value=2.0, max_value=8.0))
+        a = 10.0 ** draw(st.floats(min_value=-1.0, max_value=3.0))
+        eps = draw(st.floats(min_value=0.0, max_value=0.1))
+        den = (1.0 + w * c * c, -2.0 * w * c, w)
+        return Segment(lo, hi, (a - eps * den[0], -eps * den[1], -eps * den[2]), den)
+    # a denominator with a constant term >= 0.5 and no negative coefficient
+    num = draw(st.lists(st.floats(min_value=-2.0, max_value=2.0), min_size=1, max_size=4))
+    den = [draw(st.floats(min_value=0.5, max_value=2.0)),
+           *draw(st.lists(st.one_of(st.sampled_from([0.0, -0.0]),
+                                    st.floats(min_value=0.25, max_value=2.0)),
+                          max_size=4))]
+    return Segment(lo, hi, num, den)
+
+
+@st.composite
+def any_profiles(draw):
+    """Profiles over every piece kind: zero, polynomial (degree 0 to 8,
+    spread coefficients), sign-changing, beta-like, narrow-spike and other
+    rational segments, with slivers and discontinuous junctions; then a
+    zero, a constant or a power tail of either sign."""
+    if draw(st.integers(min_value=0, max_value=9)) == 0:
+        return draw(st.sampled_from([_sliver_segments, _sliver_sign_pieces]))()
+    knots = [0.0]
+    for _ in range(draw(st.integers(min_value=0, max_value=4))):
+        width = draw(_widths())
+        if width is None:
+            ulps = draw(st.integers(min_value=1, max_value=4))
+            width = ulps * math.ulp(max(knots[-1], 1.0))
+        knots.append(knots[-1] + width)
+    try:
+        segments = tuple(draw(_any_segment(lo, hi)) for lo, hi in zip(knots, knots[1:]))
+    except ProfileError:
+        assume(False)
+    value = st.floats(min_value=-2.0, max_value=2.0)
+    tail = draw(st.one_of(
+        st.just(rg.ZeroTail()),
+        st.builds(rg.ConstantTail, st.one_of(st.sampled_from([-1.0, -0.0, 0.25]), value)),
+        st.builds(rg.PowerDecayTail, st.floats(min_value=-6.0, max_value=6.0),
+                  st.one_of(st.sampled_from([2.0, 2.2, 4.0]),
+                            st.floats(min_value=0.5, max_value=5.0)))))
+    return rg.CurvatureProfile(segments, tail)
+
+
+@st.composite
+def spike_profiles(draw):
+    """One to three narrow spikes of positive curvature over a small
+    negative K, where the Sturm cap sets many steps at coarse tol."""
+    knots = [0.0]
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        knots.append(knots[-1] + draw(st.floats(min_value=1.0, max_value=20.0)))
+    return rg.CurvatureProfile(tuple(draw(_any_segment(lo, hi, "spike"))
+                                     for lo, hi in zip(knots, knots[1:])), rg.ZeroTail())
+
+
+class TestBitsOfReferenceStepper:
+    """solve and solve_m read each step's curvature in one call; they give
+    the bits of the stepper that called ``evaluate`` at every stage point
+    and ``max_on`` at every step of a piece where K can be positive, on
+    the negative part built of fresh segments (``reference_stepper``)."""
+
+    @pytest.mark.parametrize("name", sorted(GALLERY_TRACE))
+    def test_gallery(self, name):
+        assert_bits_of_reference(entry_by_name(name).profile, DEFAULT_T_END, DEFAULT_TOL)
+
+    @pytest.mark.parametrize("tol", [1e-3, 1e-8])
+    @pytest.mark.parametrize("name", sorted(STURM_CAP_PROFILES))
+    def test_sturm_cap_profiles(self, name, tol):
+        assert_bits_of_reference(STURM_CAP_PROFILES[name](), 60.0, tol)
+
+    def test_spike_where_cap_binds(self):
+        # the cap sets a step here (TestSturmCap), so the stage values are
+        # read again at the capped length
+        profile = _spike_profile()
+        ratios = TestSturmCap.cap_ratios(profile, rg.solve(profile, 60.0, 1e-3))
+        assert max(ratios) == pytest.approx(1.0, rel=1e-12)
+        assert_bits_of_reference(profile, 60.0, 1e-3)
+
+    @pytest.mark.parametrize("profile", [_sliver_segments, _sliver_sign_pieces])
+    def test_slivers(self, profile):
+        assert_bits_of_reference(profile(), 10.0, 1e-8)
+
+    @given(profile=any_profiles(), span=st.floats(min_value=0.1, max_value=8.0),
+           tol=_TOLS)
+    @settings(max_examples=150, deadline=None)
+    def test_drawn_profiles(self, profile, span, tol):
+        assert_bits_of_reference(profile, profile.t_tail + span, tol)
+
+    @given(profile=spike_profiles(),
+           tol=st.floats(min_value=-6.0, max_value=-3.0).map(lambda e: min(10.0 ** e, 1e-3)))
+    @settings(max_examples=60, deadline=None)
+    def test_drawn_spikes(self, profile, tol):
+        assert_bits_of_reference(profile, profile.t_tail + 5.0, tol)
 
 
 class TestConvergence:

@@ -276,28 +276,38 @@ class TestLogBallVolumesBitIdentity:
                 == hexes(log_ball_volumes_by_node(ms, radii)))
 
     def test_prefix_table_built_once_per_model_space(self, monkeypatch):
-        whole_steps = []
+        # one _log_integrals call per log_ball_volumes call, recorded as
+        # which of its parts are whole steps
+        calls = []
         log_integrals = model_space._log_integrals
 
-        def counting(f, n, j, u):
-            whole_steps.append(isinstance(j, slice))
-            return log_integrals(f, n, j, u)
+        def counting(f, n, parts):
+            calls.append(tuple(isinstance(j, slice) for j, _ in parts))
+            return log_integrals(f, n, parts)
 
         monkeypatch.setattr(model_space, "_log_integrals", counting)
         sol = gallery_solution("abresch_tail")
         ms = rg.ModelSpace(n=3, f=sol)
         first = log_ball_volumes(ms, [1.0, 2.0])
+        table = ms._log_prefix
         assert log_ball_volumes(ms, [1.0, 2.0]) == first
         rg.growth_coefficient(ms, rg.total_curvature(sol))
-        assert whole_steps == [True, False, False, False]
-        log_ball_volumes(rg.ModelSpace(n=3, f=sol), [1.0])
-        assert whole_steps.count(True) == 2
+        # the first call sums the whole steps in the pass of its own radii
+        assert calls == [(True, False), (False,), (False,)]
+        assert ms._log_prefix is table
+        # a fresh model space builds its own table, with the same bits,
+        # whatever radii come first
+        other = rg.ModelSpace(n=3, f=sol)
+        radii = [0.0, 0.5, 3.0, sol.t_end]
+        assert hexes(log_ball_volumes(other, radii)) == hexes(log_ball_volumes(ms, radii))
+        assert other._log_prefix.tobytes() == table.tobytes()
+        assert calls[3:] == [(True, False), (False,)]
         # growth_coefficient and bg_ratio_check share one table
-        whole_steps.clear()
+        calls.clear()
         ts = (1.0, 2.0, 3.0)
         evaluate_theorem(rg.zero_profile(), 2, samples=VolumeSamples(
             t=ts, vol=tuple(math.pi * t * t for t in ts), n=2))
-        assert whole_steps == [True, False, False]
+        assert calls == [(True, False), (False,)]
 
 
 class TestGrowthCoefficient:

@@ -13,10 +13,13 @@ ball volumes per entry from ``bench/inputs.certify_samples`` at a fixed
 seed, written as a CSV to a temporary directory and read back with
 ``ingest_samples``.  Last, one line for the sign split: the sha256 of
 ``repr(seg.sign_pieces)``, one line per segment, over every segment of
-``bench/inputs.sweep_profiles`` at a fixed seed.  It imports radialgeo
-from the ``src`` directory of its own checkout, and the inputs from its
-``bench`` directory, so running a copy of it in another checkout digests
-that checkout's reports and sign pieces.
+``bench/inputs.sweep_profiles`` at a fixed seed.  Last, one line for the
+solver: the sha256 of the nodes, f'' values and counts of ``solve`` and
+``solve_m`` at tol 1e-8 on [0, 50], every float as ``float.hex``, over the
+first 200 of those sweep profiles.  It imports radialgeo from the ``src``
+directory of its own checkout, and the inputs from its ``bench``
+directory, so running a copy of it in another checkout digests that
+checkout's reports, sign pieces and solver bits.
 """
 
 from __future__ import annotations
@@ -34,13 +37,17 @@ sys.path[:0] = [str(_ROOT / "src"), str(_ROOT / "bench")]
 
 import inputs  # noqa: E402  (numpy only)
 from radialgeo import (  # noqa: E402
+    CurvatureProfile,
     ModelCompactnessError,
     Segment,
+    ZeroTail,
     entry_by_name,
     evaluate_theorem,
     ingest_samples,
     list_gallery,
     report_to_json,
+    solve,
+    solve_m,
 )
 from radialgeo.pipeline import DEFAULT_T_END  # noqa: E402
 
@@ -52,10 +59,20 @@ SAMPLE_SEED = 1
 SWEEP_SEED = 1
 SWEEP_COUNT = 2000
 SWEEP_BLOCK = 100
+SOLVE_COUNT = 200
+SOLVE_T_END = 50.0
+SOLVE_TOL = 1e-8
 
 
 def _sha(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def _solution_text(sol) -> str:
+    arrays = (sol.ts, sol.fs, sol.fps, sol.d2_left, sol.d2_right)
+    zero = "none" if sol.first_zero is None else sol.first_zero.hex()
+    return "".join(" ".join(map(float.hex, a.tolist())) + "\n" for a in arrays) + (
+        f"{sol.n_steps} {sol.n_rejected} {zero} {sol.truncated}\n")
 
 
 def digest_lines() -> list[str]:
@@ -88,6 +105,14 @@ def digest_lines() -> list[str]:
     text = "".join(f"{Segment(lo, hi, (c0, c1)).sign_pieces!r}\n"
                    for segments in profiles for lo, hi, c0, c1 in segments)
     lines.append(f"{_sha(text)}  sweep sign pieces seed={SWEEP_SEED}")
+    text = ""
+    for segments in profiles[:SOLVE_COUNT]:
+        profile = CurvatureProfile(tuple(Segment(lo, hi, (c0, c1))
+                                         for lo, hi, c0, c1 in segments), ZeroTail())
+        text += "".join(_solution_text(solver(profile, SOLVE_T_END, SOLVE_TOL))
+                        for solver in (solve, solve_m))
+    lines.append(f"{_sha(text)}  sweep solves seed={SWEEP_SEED} "
+                 f"count={SOLVE_COUNT} tol={SOLVE_TOL:g}")
     return lines
 
 
