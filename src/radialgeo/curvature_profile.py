@@ -264,18 +264,23 @@ class Segment:
         return lambda t: num(t) / den(t)
 
     @property
+    def _constant(self) -> bool:
+        """Whether num and den are constants, every coefficient past the
+        first zero: ``evaluate`` then gives one value at every finite
+        t >= 0 (0.0 * t is 0.0), and the solver takes the segment in
+        closed form."""
+        return not (any(self.num[1:]) or any(self.den[1:]))
+
+    @property
     def _stages(self):
         """K at the five new stage points of a solver step, with the bits
-        of ``evaluate``: the five values as a tuple when num and den are
-        constants (for t >= 0, 0.0 * t + c is c + 0.0), else the closure
-        of ``_stage_evaluator``, which takes the five times.
+        of ``evaluate``: the closure of ``_stage_evaluator``, which takes
+        the five times.
 
         Built at each solver entry to the segment and not cached: a
         closure kept on every segment of every profile solved costs more
         memory than the build costs time.
         """
-        if len(self.num) == len(self.den) == 1:
-            return (self.evaluate(self.t_end),) * 5
         return _stage_evaluator(self.num, self.den)
 
     @cached_property
@@ -335,8 +340,8 @@ class ZeroTail:
     """K(t) = 0 for t >= t_tail."""
 
     sign = 0
-    # K at a solver step's five new stage points
-    _stages = (0.0,) * 5
+    # the solver takes the tail in closed form
+    _constant = True
 
     def evaluate(self, t: float) -> float:
         return 0.0
@@ -360,13 +365,11 @@ class ConstantTail:
         """Sign of K on the tail: -1, 0 or 1."""
         return (self.kappa > 0.0) - (self.kappa < 0.0)
 
+    # the solver takes the tail in closed form
+    _constant = True
+
     def evaluate(self, t: float) -> float:
         return self.kappa
-
-    @property
-    def _stages(self) -> tuple[float, ...]:
-        """K at a solver step's five new stage points."""
-        return (self.kappa,) * 5
 
     def max_on(self, a: float, b: float) -> float:
         return self.kappa
@@ -389,6 +392,12 @@ class PowerDecayTail:
     def sign(self) -> int:
         """Sign of K on the tail: -1, 0 or 1."""
         return (self.a > 0.0) - (self.a < 0.0)
+
+    @property
+    def _constant(self) -> bool:
+        """Whether K is 0 on the tail, which the solver then takes in
+        closed form."""
+        return self.a == 0.0
 
     def evaluate(self, t: float) -> float:
         return self.a / (1.0 + t) ** self.p

@@ -1,9 +1,29 @@
 """Jacobi initial value problems f'' + K(t) f = 0, f(0) = 0, f'(0) = 1.
 
-The solver is an explicit Dormand-Prince 5(4) embedded pair with PI step
-control.  The equation is linear and smooth on every profile piece, so a
-moderate-order pair is plenty and keeps the package free of solver
-dependencies.  Three behaviors matter downstream and are guaranteed here:
+A piece where K is a constant kappa (a zero or constant tail, a segment
+whose numerator and denominator are constants, the zero pieces of the
+negative part) is solved in closed form from its entry state (t0, f0,
+f0'): with omega = sqrt|kappa| and tau = t - t0,
+
+    f = f0 C + f0' S,    f' = f0' C - kappa f0 S,
+
+where C is cosh(omega tau), cos(omega tau) or 1 and S is tau sinh(x)/x,
+tau sin(x)/x or tau with x = omega tau, so nothing cancels as kappa -> 0.
+A zero piece is one step.  Elsewhere the nodes lie on a uniform grid of
+spacing at most u/omega, all evaluated from the entry state in one array
+pass.  u follows from tol alone (``_grid_u``): the quintic Hermite
+remainder, with |f^(6)| = omega^6 |f| and |f^(7)| = omega^6 |f'| on the
+piece and the growth e^u within a step counted, holds the dense output's
+error below tol a at f and below tol omega a at f', where
+a = |f| + |f'|/omega at the step's left node.  The first zero comes from
+the phase (kappa > 0), from the sign change of the exponential pair
+(kappa < 0) or from -f0/f0' (kappa = 0).
+
+Every other piece is integrated by an explicit Dormand-Prince 5(4)
+embedded pair with PI step control.  The equation is linear and smooth on
+every profile piece, so a moderate-order pair is plenty and keeps the
+package free of solver dependencies.  Three behaviors matter downstream
+and are guaranteed here:
 
 * steps never straddle a profile breakpoint (integration restarts there),
   so each step sees an analytic right-hand side; a step that ends on a
@@ -12,7 +32,8 @@ dependencies.  Three behaviors matter downstream and are guaranteed here:
   pi/sqrt(max K on the step); zeros of f are then at least one cap apart
   (Sturm), so a step can never skip a pair of zeros.  Whether K can be
   positive on the rest of a piece is decided once, at piece entry, and
-  only such pieces test the cap at every step;
+  only such pieces (a segment or a positive power tail) test the cap at
+  every step;
 * the first zero of f, if any, is located by bisection on the dense
   output to 1e-12 in t, and integration stops there.
 
@@ -20,10 +41,9 @@ A step needs K at five new stage points, t + c_i h for i = 2..5 and t + h:
 the first stage is the last one of the previous step, and K(t + h)
 serves both the sixth and the seventh stage (first same as last, FSAL).
 It reads the five in one call of the piece's stage evaluator, which is
-built at piece entry and rounds as the piece's ``evaluate`` does; a
-constant piece gives its values once, with no call per step.  The Sturm
-cap reuses those values: K(t) is the previous step's K(t + h) (or is
-computed at piece entry), K(t + h) is the new one, and K is evaluated
+built at piece entry and rounds as the piece's ``evaluate`` does.  The
+Sturm cap reuses those values: K(t) is the previous step's K(t + h) (or
+is computed at piece entry), K(t + h) is the new one, and K is evaluated
 only at a segment's critical points inside the step.  A step whose cap
 binds reads its stage values again at the capped length.
 
@@ -46,9 +66,12 @@ from .errors import IntegrationError
 __all__ = ["WarpingSolution", "solve", "solve_m", "GROWTH_GUARD"]
 
 # Reaching this magnitude in f or f' means the model is violently
-# divergent; the window is truncated there instead of overflowing.  Ball
-# volumes are integrated in logs, so f**(n-1) never leaves float range;
-# the closed-form growth coefficient and the ends cap go through
+# divergent; the window is truncated at the first node past it instead of
+# overflowing: a step of the stepper, or a grid node of a constant piece,
+# whose pass is bounded beforehand so that no node overflows (a zero
+# piece ends where f reaches twice the guard).  Ball volumes are
+# integrated in logs, so f**(n-1) never leaves float range; the
+# closed-form growth coefficient and the ends cap go through
 # model_space.power, which saturates to inf.
 GROWTH_GUARD = 1e60
 
@@ -214,25 +237,146 @@ def _locate_zero(t0, h, y0, d0, a0, y1, d1, a1):
             _hermite(h, y0, d0, a0, y1, d1, a1, s, True))
 
 
+def _grid_u(tol: float) -> float:
+    """omega h of a constant piece's grid: u with
+    e^u (u^5/13416 + u^6/322560) <= tol, to within rounding.
+
+    On a step of length h the quintic Hermite interpolant errs at x by
+    f[0,0,0,h,h,h,x] w(x), with w = x^3 (x - h)^3, and its derivative by
+    f[0,0,0,h,h,h,x,x] w(x) + f[0,0,0,h,h,h,x] w'(x).  With
+    max|w| = h^6/64 and max|w'| < h^5 720/13416 that is
+    |e| <= max|f^(6)| h^6/46080 and
+    |e'| <= max|f^(7)| h^6/322560 + max|f^(6)| h^5/13416.  On the piece
+    |f^(6)| = omega^6 |f| and |f^(7)| = omega^6 |f'|, and over the step
+    |f| <= a e^u and |f'| <= omega a e^u, with a = |f| + |f'|/omega at its
+    left node.  So |e'| <= tol omega a and |e| < tol a u/3.  Three
+    steps of the fixed point u = (tol/(e^u (1/13416 + u/322560)))^(1/5)
+    from (13416 tol)^(1/5) end below the root: the map decreases, so its
+    odd iterates from above stay below it.
+    """
+    u = (13416.0 * tol) ** 0.2
+    for _ in range(3):
+        u = (tol / (math.exp(u) * (1.0 / 13416.0 + u / 322560.0))) ** 0.2
+    return u
+
+
+def _two_product(a: float, b: float) -> tuple[float, float]:
+    """a b as p + e with p = fl(a b) and e its rounding error, exact for
+    |a|, |b| below 1e290 with no underflow (Dekker's product)."""
+    p = a * b
+    a_hi = a * 134217729.0  # 2^27 + 1: Veltkamp's split
+    a_hi -= a_hi - a
+    b_hi = b * 134217729.0
+    b_hi -= b_hi - b
+    a_lo, b_lo = a - a_hi, b - b_hi
+    return p, ((a_hi * b_hi - p) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
+
+
+def _hyperbolic_zero(f: float, fp: float, kappa: float, omega: float) -> float:
+    """Time from entry to the first zero of f on a piece with kappa < 0,
+    or inf when f has none there; f >= 0 at entry, and f' > 0 where f = 0.
+
+    f = A e^x + B e^-x with x = omega tau, 2A = f + f'/omega and
+    2B = f - f'/omega, changes sign exactly when A < 0, that is when
+    d = -f' - f omega > 0, at tau = log1p(2 f omega/d)/(2 omega).  d
+    cancels where the zero lies far out, so the rounding of omega and of
+    f omega is recovered and taken out of it.
+    """
+    if fp >= 0.0:
+        return math.inf
+    p, p_err = _two_product(f, omega)
+    w2, w2_err = _two_product(omega, omega)
+    omega_lo = ((-kappa - w2) - w2_err) / (2.0 * omega)
+    d = ((-fp - p) - p_err) - f * omega_lo
+    return math.log1p(2.0 * p / d) / (2.0 * omega) if d > 0.0 else math.inf
+
+
+def _constant_piece(t: float, f: float, fp: float, kappa: float, bound: float,
+                    tol: float) -> tuple[list[float], ...]:
+    """One pass of the closed form on a piece with constant K = kappa,
+    from the entry state (t, f, f') toward ``bound``: the node times, f,
+    f' and f'' = -kappa f after the entry, and whether the last node is the
+    first zero (where f is set to 0).
+
+    A zero piece is one step, in Python floats: to the bound, to the zero,
+    or to where f reaches twice the growth guard.  Otherwise the pass
+    stops at the first zero, at the first node where |f| or |f'| reaches
+    the guard, or, for kappa < 0, where the bound a e^x on |f| and |f'|
+    (see ``_grid_u``) passes e^8 times the guard or x passes 700; the
+    caller enters the piece again from there.  So no node overflows.  A
+    grid of more than one step whose spacing is at or below the stepper's
+    underflow floor raises IntegrationError.
+    """
+    width = bound - t
+    if kappa == 0.0:
+        t_new, zero = bound, fp < 0.0 and -f / fp <= width
+        if zero:
+            t_new = min(t - f / fp, bound)
+        elif fp * width > 2.0 * GROWTH_GUARD:
+            t_new = t + 2.0 * GROWTH_GUARD / fp
+        f_new = 0.0 if zero else f + fp * (t_new - t)
+        return [t_new], [f_new], [fp], [-kappa * f_new], zero
+    omega = math.sqrt(abs(kappa))
+    if kappa > 0.0:
+        # f = R sin(omega tau + phi) with phi in (0, pi]: the first zero
+        # is at omega tau = pi - phi
+        tau_z = math.atan2(f, -fp / omega) / omega
+        x_max = math.inf
+    else:
+        tau_z = _hyperbolic_zero(f, fp, kappa, omega)
+        a = max(f + abs(fp) / omega, omega * f + abs(fp))
+        x_max = min(max(math.log(GROWTH_GUARD / a), 0.0) + 8.0, 700.0)
+    zero = tau_z <= width and tau_z * omega <= x_max
+    end = tau_z if zero else min(width, x_max / omega)
+    n = max(math.ceil(omega * end / _grid_u(tol)), 1)
+    spacing = end / n
+    t_last = bound if end == width else min(t + end, bound)
+    if n > 1 and spacing <= 1e-14 * max(t_last, 1.0):
+        raise IntegrationError("step size underflow", t)
+    ts = t + spacing * np.arange(1.0, n + 1.0)
+    ts[-1] = t_last
+    # every node from the entry state, at the offset of its stored time
+    tau = ts - t
+    x = omega * tau
+    if kappa > 0.0:
+        c, s = np.cos(x), np.sin(x)
+    else:
+        c, s = np.cosh(x), np.sinh(x)
+    # s/x is 1 where x underflows to 0
+    s = tau * np.divide(s, x, out=np.ones_like(x), where=x > 0.0)
+    fs = f * c + fp * s
+    fps = fp * c - kappa * f * s
+    if zero:
+        fs[-1] = 0.0
+    past = np.flatnonzero(np.maximum(np.abs(fs), np.abs(fps)) >= GROWTH_GUARD)
+    # a zero node past the guard ends the solve as a zero, as a step would
+    if past.size and not (zero and past[0] == n - 1):
+        n, zero = past[0] + 1, False
+    return (ts[:n].tolist(), fs[:n].tolist(), fps[:n].tolist(),
+            (-kappa * fs[:n]).tolist(), zero)
+
+
 def solve(profile: CurvatureProfile, t_end: float, tol: float) -> WarpingSolution:
     """Integrate f'' + K f = 0 with f(0) = 0, f'(0) = 1 on [0, t_end].
 
-    ``tol`` is the requested relative error, used for both the relative
-    and absolute components of the local error test; it must lie in
-    [1e-14, 1e-3].  Integration stops early at the first zero of f
-    (recorded in ``first_zero``) or when |f| or |f'| passes the growth
-    guard (recorded in ``truncated``); step-size underflow raises
+    ``t_end`` must be finite.  ``tol`` is the requested relative error,
+    used for both the relative and absolute components of the local error
+    test and for the grid of a constant piece (see the module docstring);
+    it must lie in [1e-14, 1e-3].  Integration stops early at the first
+    zero of f (recorded in ``first_zero``) or when |f| or |f'| passes the
+    growth guard (recorded in ``truncated``); step-size underflow raises
     IntegrationError.
 
     A step that ends on its bound, the next breakpoint or t_end, is taken
     at any length, so pieces far narrower than the underflow floor of
     1e-14 max(t, 1) are each one step; only a step that stops short of
-    its bound can underflow.  At each piece entry a step size at or below
-    that floor (0 before the first piece) starts over from the
-    initial-step rule: 1 % of the bound, clipped to [1e-6, 0.1].
+    its bound, or a constant piece's grid finer than the floor, can
+    underflow.  At each piece entry a step size at or below that floor (0
+    before the first piece) starts over from the initial-step rule: 1 % of
+    the bound, clipped to [1e-6, 0.1].
     """
-    if not (t_end > 0.0):
-        raise ValueError(f"t_end must be positive, got {t_end}")
+    if not (0.0 < t_end < math.inf):
+        raise ValueError(f"t_end must be positive and finite, got {t_end}")
     if not (_MIN_TOL <= tol <= _MAX_TOL):
         raise ValueError(f"tol must lie in [{_MIN_TOL}, {_MAX_TOL}], got {tol}")
 
@@ -274,18 +418,37 @@ def solve(profile: CurvatureProfile, t_end: float, tol: float) -> WarpingSolutio
             # piece entry: what holds up to the next breakpoint is set once
             piece, piece_end = profile.piece_at(t)
             ev = piece.evaluate
-            # K at a step's stage points: fixed on a constant piece, else
-            # one call per step
-            stages = piece._stages
-            fixed = stages if type(stages) is tuple else None
             bound = min(piece_end, t_end)
+            k_t = ev(t)
+            if piece._constant:
+                new_ts, new_fs, new_fps, new_d2, zero = _constant_piece(
+                    t, f, fp, k_t, bound, tol)
+                n_steps += len(new_ts)
+                d2_left.append(-k_t * f)
+                d2_left += new_d2[:-1]
+                d2_right += new_d2
+                ts += new_ts
+                fs += new_fs
+                fps += new_fps
+                t, f, fp = ts[-1], fs[-1], fps[-1]
+                if zero:
+                    first_zero = t
+                    break
+                if max(abs(f), abs(fp)) >= guard:
+                    truncated = True
+                    break
+                if t < bound:
+                    # the pass stopped short of its bound: enter again
+                    piece_end = t
+                continue
+            # K at a step's stage points: one call per step
+            stages = piece._stages
             # where K <= 0 on the rest of the piece no step needs the cap
             check_cap = piece.max_on(t, bound) > 0.0
             # the cap takes max_on(t, t + h) from values the step has: on a
             # segment, K at both ends and at the critical points inside; a
-            # positive tail is constant or decreasing, so its max is K(t)
+            # positive power tail is decreasing, so its max is K(t)
             crit = piece._critical_points if isinstance(piece, Segment) else None
-            k_t = ev(t)
             k1f, k1p = fp, -k_t * f
             # the first piece, and a step grown from a sliver piece, start
             # over from the initial-step rule
@@ -298,8 +461,8 @@ def solve(profile: CurvatureProfile, t_end: float, tol: float) -> WarpingSolutio
             h = bound - t
         # one curvature call per step: k1 is carried over, and K(t + h)
         # serves stage 6 and stage 7 (FSAL)
-        k2, k3, k4, k5, k_end = fixed or stages(t + c2 * h, t + c3 * h, t + c4 * h,
-                                                t + c5 * h, t + h)
+        k2, k3, k4, k5, k_end = stages(t + c2 * h, t + c3 * h, t + c4 * h,
+                                       t + c5 * h, t + h)
         if check_cap:
             kmax = k_t
             if crit is not None:
@@ -315,7 +478,7 @@ def solve(profile: CurvatureProfile, t_end: float, tol: float) -> WarpingSolutio
                 if h > cap:
                     h = cap
                     at_bound = False
-                    k2, k3, k4, k5, k_end = fixed or stages(
+                    k2, k3, k4, k5, k_end = stages(
                         t + c2 * h, t + c3 * h, t + c4 * h, t + c5 * h, t + h)
         # a step that ends on the bound is taken at any length
         if not at_bound and h <= 1e-14 * (t if t > 1.0 else 1.0):

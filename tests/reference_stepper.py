@@ -4,8 +4,10 @@ reference of the bit-identity tests in ``test_jacobi.py``.
 Each step calls ``evaluate`` once per new stage point, and a piece where K
 can be positive calls ``max_on`` for the Sturm cap at every step.  The
 negative part builds every piece as a fresh ``Segment``.  The solver that
-reads a step's curvature in one call must give the same bits: every node,
-every f'' value and every count.
+reads a step's curvature in one call must give the same bits: every node
+and every f'' value up to the first piece of constant K that it enters,
+which it takes in closed form, and every count of a solve that enters
+none.
 """
 
 from __future__ import annotations

@@ -93,10 +93,8 @@ class TestScalarEvaluator:
 
 
 def _stage_values(piece, xs):
-    """K at five times from the piece's five-point evaluator: its fixed
-    values on a constant piece, else one call."""
-    stages = piece._stages
-    return stages if type(stages) is tuple else stages(*xs)
+    """K at five times from one call of the piece's five-point evaluator."""
+    return piece._stages(*xs)
 
 
 def _hexes(values):
@@ -143,17 +141,24 @@ class TestStageEvaluator:
                 seg = Segment(0.0, 1.0, num, den)
                 assert _hexes(_stage_values(seg, times)) == _hexes(map(seg.evaluate, times)), (num, den)
 
-    def test_constant_pieces_fixed(self):
-        # no call per step where num and den are constants, and on the
-        # zero and constant tails
+    def test_constant_pieces_marked(self):
+        # the solver takes these pieces in closed form and never reads
+        # their stage values: zero and constant tails have no evaluator,
+        # and each marked piece gives one value at every t >= 0
+        xs = [0.0, 2.0, 2.5, 3.0, 7.0]
         for piece in (Segment(0.0, 1.0, (0.0,)), Segment(2.0, 3.0, (-1.5,), (3.0,)),
+                      Segment(0.0, 1.0, (-1.0, 0.0, -0.0), (2.0, 0.0)),
+                      Segment(0.0, 1.0, (0.0, -0.0)), rg.PowerDecayTail(0.0, 2.0),
                       rg.ZeroTail(), rg.ConstantTail(-2.0), rg.ConstantTail(0.25),
                       rg.ConstantTail(-0.0)):
-            assert type(piece._stages) is tuple and len(piece._stages) == 5
-            xs = [0.0, 2.0, 2.5, 3.0, 7.0]
-            assert _hexes(piece._stages) == _hexes(map(piece.evaluate, xs))
-        assert callable(Segment(0.0, 1.0, (0.0, 1.0))._stages)
-        assert callable(rg.PowerDecayTail(1.0, 2.0)._stages)
+            assert piece._constant, piece
+            assert len(set(_hexes(map(piece.evaluate, xs)))) == 1, piece
+        for tail in (rg.ZeroTail(), rg.ConstantTail(1.0)):
+            assert not hasattr(tail, "_stages")
+        for piece in (Segment(0.0, 1.0, (0.0, 1.0)), Segment(0.0, 1.0, (1.0,), (1.0, 1e-300)),
+                      rg.PowerDecayTail(1.0, 2.0)):
+            assert not piece._constant, piece
+            assert callable(piece._stages)
 
     @given(a=st.one_of(st.just(0.0), st.floats(min_value=-10.0, max_value=10.0)),
            p=st.one_of(st.sampled_from([2.0, 2.2, 4.0]),

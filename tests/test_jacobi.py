@@ -1,9 +1,10 @@
 import functools
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import radialgeo as rg
 import reference_stepper
@@ -20,14 +21,17 @@ PIECEWISE_FP5 = 1.6208328830964513
 
 # solve(profile, DEFAULT_T_END, DEFAULT_TOL) on each gallery profile:
 # n_steps, n_rejected, then t_end and f, f' at the last node as float.hex.
-# Any change to the solver's arithmetic or step control moves these.
+# Any change to the solver's arithmetic or step control moves these.  The
+# first three are constant pieces, solved in closed form on the grid of
+# spacing _grid_u(tol)/omega: flat is one step to T, hyperbolic stops at
+# the first grid node past the growth guard, spherical at its first zero.
 GALLERY_TRACE = {
-    "flat": (6, 0, "0x1.0000000000000p+12",
-             "0x1.ffffffffffffep+11", "0x1.0000000000000p+0"),
-    "hyperbolic": (1847, 0, "0x1.15bcb05b9cfe0p+7",
-                   "0x1.45256282f94c9p+199", "0x1.45256282f94c9p+199"),
-    "spherical": (37, 0, "0x1.921fb542c572ep+1",
-                  "-0x1.b1bc68f4fd800p-43", "-0x1.ffffffd90a5b9p-1"),
+    "flat": (1, 0, "0x1.0000000000000p+12",
+             "0x1.0000000000000p+12", "0x1.0000000000000p+0"),
+    "hyperbolic": (856, 0, "0x1.1604fd4752c26p+7",
+                   "0x1.7675e02c88e3ap+199", "0x1.7675e02c88e3ap+199"),
+    "spherical": (20, 0, "0x1.921fb54442d18p+1",
+                  "0x0.0p+0", "-0x1.0000000000000p+0"),
     "abresch_tail": (85, 1, "0x1.0000000000000p+12",
                      "0x1.2c4284e892c88p+13", "0x1.2c5e64cbdd681p+1"),
     "sign_changing_beta_ln2": (82, 1, "0x1.0000000000000p+12",
@@ -43,27 +47,44 @@ def piecewise_1mt():
     return rg.CurvatureProfile((Segment(0.0, 2.0, (1.0, -1.0)),), rg.ZeroTail())
 
 
+def _ulps(x, exact):
+    """|x - exact| in units of the last place of exact."""
+    return abs(x - exact) / math.ulp(exact)
+
+
 class TestClosedForms:
     def test_flat(self):
         sol = rg.solve(rg.zero_profile(), 10.0, 1e-10)
-        assert sol.f(10.0) == pytest.approx(10.0, rel=1e-12)
-        assert sol.fp(10.0) == pytest.approx(1.0, rel=1e-12)
+        assert sol.ts.tolist() == sol.fs.tolist() == [0.0, 10.0]
+        assert sol.fps.tolist() == [1.0, 1.0]
+        assert sol.f(7.5) == 7.5 and sol.fp(7.5) == 1.0
         assert sol.first_zero is None
 
     def test_hyperbolic(self):
+        # every node is sinh and cosh to rounding, the dense output in
+        # between within tol
         sol = rg.solve(rg.constant_profile(-1.0), 2.0, 1e-10)
-        assert sol.f(2.0) == pytest.approx(math.sinh(2.0), rel=1e-9)
-        assert sol.fp(2.0) == pytest.approx(math.cosh(2.0), rel=1e-9)
+        for t, f, fp in zip(sol.ts.tolist(), sol.fs.tolist(), sol.fps.tolist()):
+            assert f == math.sinh(t) if t == 0.0 else _ulps(f, math.sinh(t)) <= 4
+            assert _ulps(fp, math.cosh(t)) <= 4
+        for t in np.linspace(0.0, 2.0, 101).tolist():
+            assert sol.f(t) == pytest.approx(math.sinh(t), rel=1e-10, abs=1e-10)
+            assert sol.fp(t) == pytest.approx(math.cosh(t), rel=1e-10)
 
     def test_spherical_first_zero(self):
         sol = rg.solve(rg.constant_profile(1.0), 4.0, 1e-10)
-        assert sol.first_zero == pytest.approx(math.pi, abs=1e-9)
+        assert sol.first_zero == math.pi
         assert sol.t_end == sol.first_zero
-        assert sol.f(2.0) == pytest.approx(math.sin(2.0), rel=1e-9)
+        assert sol.fs[-1] == 0.0 and sol.fps[-1] == -1.0
+        for t, f, fp in zip(sol.ts[1:-1].tolist(), sol.fs[1:-1].tolist(),
+                            sol.fps[1:-1].tolist()):
+            assert _ulps(f, math.sin(t)) <= 4
+            assert abs(fp - math.cos(t)) <= 4 * math.ulp(1.0)
+        assert sol.f(2.0) == pytest.approx(math.sin(2.0), rel=1e-10)
 
     def test_scaled_spherical_first_zero(self):
         sol = rg.solve(rg.constant_profile(4.0), 4.0, 1e-10)
-        assert sol.first_zero == pytest.approx(math.pi / 2.0, abs=1e-9)
+        assert _ulps(sol.first_zero, math.pi / 2.0) <= 4
 
     def test_initial_node_exact(self):
         sol = rg.solve(rg.constant_profile(-1.0), 1.0, 1e-8)
@@ -92,6 +113,12 @@ class TestPreconditions:
     def test_t_end_positive(self):
         with pytest.raises(ValueError):
             rg.solve(rg.zero_profile(), 0.0, 1e-8)
+
+    @pytest.mark.parametrize("t_end", [math.inf, math.nan, -math.inf])
+    def test_t_end_finite(self, t_end):
+        for solver in (rg.solve, rg.solve_m):
+            with pytest.raises(ValueError, match="t_end must be positive and finite"):
+                solver(rg.zero_profile(), t_end, 1e-8)
 
     def test_tol_range(self):
         with pytest.raises(ValueError):
@@ -414,27 +441,106 @@ def test_gallery_step_trace_is_pinned(name):
     sol = rg.solve(entry_by_name(name).profile, DEFAULT_T_END, DEFAULT_TOL)
     assert (sol.n_steps, sol.n_rejected, sol.t_end.hex(), float(sol.fs[-1]).hex(),
             float(sol.fps[-1]).hex()) == GALLERY_TRACE[name]
+    # the closed form at the last node
+    T = sol.t_end
+    if name == "flat":
+        assert sol.fs[-1] == T and sol.fps[-1] == 1.0
+    elif name == "hyperbolic":
+        assert sol.truncated and sol.fps[-2] < rg.jacobi.GROWTH_GUARD <= sol.fps[-1]
+        assert _ulps(sol.fps[-1], math.cosh(T)) <= 4
+        assert _ulps(sol.fs[-1], math.sinh(T)) <= 4
+    elif name == "spherical":
+        assert sol.first_zero == T and _ulps(T, math.pi) <= 4
 
 
-def _outcome(solver, profile, t_end, tol):
+def _run(solver, profile, t_end, tol):
+    """The solution, or the IntegrationError the solve raised."""
+    try:
+        return solver(profile, t_end, tol)
+    except IntegrationError as exc:
+        return exc
+
+
+def _outcome(sol):
     """Every bit a solve hands on: the node arrays and f'' values as
     float.hex, the counts, the first zero and the truncation flag; or the
     IntegrationError it raised."""
-    try:
-        sol = solver(profile, t_end, tol)
-    except IntegrationError as exc:
-        return "IntegrationError", str(exc)
+    if isinstance(sol, IntegrationError):
+        return "IntegrationError", str(sol)
     arrays = [list(map(float.hex, getattr(sol, name).tolist()))
               for name in ("ts", "fs", "fps", "d2_left", "d2_right")]
     return (arrays, sol.n_steps, sol.n_rejected,
             None if sol.first_zero is None else sol.first_zero.hex(), sol.truncated)
 
 
+def _first_constant_start(profile):
+    """Start of the first piece of ``profile`` that the solver takes in
+    closed form, or None."""
+    for seg in profile.segments:
+        if seg._constant:
+            return seg.t_start
+    return profile.t_tail if profile.tail._constant else None
+
+
+def _prefix_bits(sol, k):
+    """float.hex of nodes 0..k and of f'' on the steps before node k."""
+    return [list(map(float.hex, a.tolist()))
+            for a in (sol.ts[:k + 1], sol.fs[:k + 1], sol.fps[:k + 1],
+                      sol.d2_left[:k], sol.d2_right[:k])]
+
+
+def dop853_state(profile, t0, y0, t1):
+    """(f, f') at t1 from (f, f') = y0 at t0, by scipy's DOP853 at
+    rtol = atol = 1e-13, restarted at every breakpoint with the piece that
+    holds on the interval, so no step sees the next piece's K."""
+    from scipy.integrate import solve_ivp
+    y = np.array(y0, dtype=float)
+    stops = [b for b in profile.breakpoints if t0 < b < t1]
+    for lo, hi in zip([t0, *stops], [*stops, t1]):
+        ev = profile.piece_at(lo)[0].evaluate
+        res = solve_ivp(lambda t, y: [y[1], -ev(t) * y[0]], (lo, hi), y,
+                        method="DOP853", rtol=1e-13, atol=1e-13)
+        assert res.success
+        y = res.y[:, -1]
+    return y
+
+
+# The solve's error scale past a constant piece: the accepted local
+# errors summed over its steps there, each at most tol (1e-13 at least,
+# DOP853's own) times 1 + the largest |f| or |f'| past the piece entry,
+# and amplified by the flow after it.  Over about 14000 drawn profiles
+# the error reached 36 times that scale per step; the bound keeps a margin.
+_GLOBAL_ERROR_PER_STEP = 100.0
+
+
 def assert_bits_of_reference(profile, t_end, tol):
-    for new, old in ((rg.solve, reference_stepper.solve),
-                     (rg.solve_m, reference_stepper.solve_m)):
-        assert _outcome(new, profile, t_end, tol) == _outcome(old, profile, t_end, tol), \
-            new.__name__
+    """solve and solve_m give the bits of ``reference_stepper`` on every
+    node before the first constant piece that they enter (and every bit of
+    the solve when they enter none).  Past that node, where they take the
+    piece in closed form and the stepper's step sequence moves, their last
+    node agrees with DOP853 from the entry node within the solve's error
+    scale."""
+    for new, old, pieces in ((rg.solve, reference_stepper.solve, profile),
+                             (rg.solve_m, reference_stepper.solve_m,
+                              rg.negative_part(profile))):
+        ref, sol = _run(old, profile, t_end, tol), _run(new, profile, t_end, tol)
+        failed = isinstance(ref, IntegrationError)
+        t_c = _first_constant_start(pieces)
+        if t_c is None or t_c >= (ref.t_reached if failed else ref.t_end):
+            assert _outcome(sol) == _outcome(ref), new.__name__
+            continue
+        if isinstance(sol, IntegrationError):
+            # only where the stepper also failed past the entry
+            assert failed, new.__name__
+            continue
+        k = sol.ts.tolist().index(t_c)
+        if not failed:
+            assert _prefix_bits(sol, k) == _prefix_bits(ref, k), new.__name__
+        f_ref, fp_ref = dop853_state(pieces, t_c, (sol.fs[k], sol.fps[k]), sol.t_end)
+        scale = (_GLOBAL_ERROR_PER_STEP * (len(sol.ts) - k) * max(tol, 1e-13)
+                 * (1.0 + max(np.abs(sol.fs[k:]).max(), np.abs(sol.fps[k:]).max())))
+        assert abs(sol.fs[-1] - f_ref) <= scale, new.__name__
+        assert abs(sol.fps[-1] - fp_ref) <= scale, new.__name__
 
 
 # tol drawn log-uniformly over the supported range, ends included
@@ -542,10 +648,11 @@ def spike_profiles(draw):
 
 
 class TestBitsOfReferenceStepper:
-    """solve and solve_m read each step's curvature in one call; they give
-    the bits of the stepper that called ``evaluate`` at every stage point
-    and ``max_on`` at every step of a piece where K can be positive, on
-    the negative part built of fresh segments (``reference_stepper``)."""
+    """solve and solve_m read each step's curvature in one call; up to the
+    first constant piece they enter they give the bits of the stepper that
+    called ``evaluate`` at every stage point and ``max_on`` at every step of
+    a piece where K can be positive, on the negative part built of fresh
+    segments (``reference_stepper``).  Past it they agree with DOP853."""
 
     @pytest.mark.parametrize("name", sorted(GALLERY_TRACE))
     def test_gallery(self, name):
@@ -581,18 +688,174 @@ class TestBitsOfReferenceStepper:
         assert_bits_of_reference(profile, profile.t_tail + 5.0, tol)
 
 
+_EPS = 2.0 ** -53
+
+# K = kappa: both zeros, and either sign over [1e-300, 1e4] log-uniform
+_KAPPAS = st.one_of(
+    st.sampled_from([0.0, -0.0]),
+    st.builds(lambda sign, e: sign * 10.0 ** e, st.sampled_from([-1.0, 1.0]),
+              st.floats(min_value=-300.0, max_value=4.0)))
+
+
+@st.composite
+def constant_piece_cases(draw):
+    """(profile, piece start, piece end, t_end, tol): a piece K = kappa
+    entered at t = 0 or after a drawn line segment, as a segment of drawn
+    width (few-ulp slivers included) or as the tail, with t_end finite or
+    1e300."""
+    kappa = draw(_KAPPAS)
+    segments, start = [], 0.0
+    if draw(st.booleans()):
+        start = draw(st.floats(min_value=0.05, max_value=4.0))
+        segments.append(Segment(0.0, start, (draw(st.floats(min_value=-2.0, max_value=2.0)),
+                                             draw(st.floats(min_value=-2.0, max_value=2.0)))))
+    end, tail = math.inf, rg.ConstantTail(kappa)
+    if draw(st.booleans()):
+        width = draw(_widths())
+        if width is None:
+            width = draw(st.integers(min_value=1, max_value=4)) * math.ulp(max(start, 1.0))
+        end, tail = start + width, rg.ZeroTail()
+        segments.append(Segment(start, end, (kappa,)))
+    t_end = draw(st.one_of(st.just(1e300), st.floats(min_value=0.1, max_value=50.0).map(
+        lambda span: start + span)))
+    return rg.CurvatureProfile(tuple(segments), tail), start, end, t_end, draw(_TOLS)
+
+
+def _after_sine(kappa):
+    """K = 1 on [0, 2), then the tail K = kappa."""
+    return rg.CurvatureProfile((Segment(0.0, 2.0, (1.0,)),), rg.ConstantTail(kappa))
+
+
+def _closed_form(kappa, f0, g0, tau):
+    """f, f' at offset tau from (f0, f0') on K = kappa, with math's
+    functions, and the condition scales |f0 C| + |f0' S| and
+    |f0' C| + |kappa f0 S| of their rounding."""
+    omega = math.sqrt(abs(kappa))
+    x = omega * tau
+    if kappa > 0.0:
+        c, s = math.cos(x), math.sin(x)
+    elif kappa < 0.0:
+        c, s = math.cosh(x), math.sinh(x)
+    else:
+        c, s = 1.0, x
+    s = tau * (s / x) if x > 0.0 else tau
+    return (f0 * c + g0 * s, g0 * c - kappa * f0 * s,
+            abs(f0 * c) + abs(g0 * s), abs(g0 * c) + abs(kappa * f0 * s))
+
+
+def _exact_f(kappa, t0, f0, g0, t):
+    """f at t from (t0, f0, f0') on K = kappa, in 80-digit decimal
+    arithmetic from the exact float inputs."""
+    with localcontext() as ctx:
+        ctx.prec = 80
+        tau, f0, g0 = Decimal(t) - Decimal(t0), Decimal(f0), Decimal(g0)
+        if kappa == 0.0:
+            return f0 + g0 * tau
+        omega = Decimal(abs(kappa)).sqrt()
+        x = omega * tau
+        if kappa < 0.0 and x > 1:
+            e = x.exp()
+            c, s = (e + 1 / e) / 2, (e - 1 / e) / 2
+        else:
+            # Taylor series of cos and sin, or of cosh and sinh where they
+            # would cancel; x stays below 4 here
+            sign = -1 if kappa > 0.0 else 1
+            c = s = Decimal(0)
+            term = Decimal(1)
+            for k in range(100):
+                if k % 2 == 0:
+                    c += term
+                else:
+                    s += term
+                    term *= sign
+                term = term * x / (k + 1)
+        return f0 * c + g0 * s / omega
+
+
+class TestConstantPieceClosedForm:
+    """A constant piece against its closed form: every node, the dense
+    output on a 2001-point grid, the first zero and the truncation."""
+
+    @given(case=constant_piece_cases())
+    # after K = 1 on [0, 2), f' < 0: a zero far out on kappa < 0, where d
+    # cancels, and one close by on a small kappa > 0, where pi - phi would
+    @example(case=(_after_sine(-0.2094), 2.0, math.inf, 60.0, 1e-8))
+    @example(case=(_after_sine(1e-6), 2.0, math.inf, 60.0, 1e-8))
+    @settings(max_examples=150, deadline=None)
+    def test_against_closed_form(self, case):
+        profile, start, end, t_end, tol = case
+        sol = rg.solve(profile, t_end, tol)
+        assume(start < sol.t_end)  # a zero on the line segment ends the solve first
+        kappa = profile.piece_at(start)[0].evaluate(start)
+        omega = math.sqrt(abs(kappa))
+        ts, fs, fps = sol.ts.tolist(), sol.fs.tolist(), sol.fps.tolist()
+        k0 = ts.index(start)
+        k1 = max(k for k in range(k0, len(ts)) if ts[k] <= end)
+        f0, g0 = fs[k0], fps[k0]
+        zero = sol.first_zero is not None and k1 == len(ts) - 1
+        # nodes: math's functions at the offset of each stored time, within
+        # 8 ulp of the condition scale (the node at a zero is set to 0 and
+        # checked below; past x = 700 math.cosh leaves float range)
+        for k in range(k0 + 1, k1 + 1 - zero):
+            tau = ts[k] - start
+            if omega * tau > 700.0:
+                break
+            f, fp, cf, cfp = _closed_form(kappa, f0, g0, tau)
+            assert abs(fs[k] - f) <= 16 * _EPS * cf, k
+            assert abs(fps[k] - fp) <= 16 * _EPS * cfp, k
+        # the dense output: the grid's interpolation bound, tol a at f and
+        # tol omega a at f' with a = |f| + |f'|/omega at the step's left
+        # node, plus rounding: of the oracle, and of the nodes and the
+        # interpolant, whose basis coefficients sum to 32 (f) and 120 (f',
+        # divided by h) on the values, so that a tight grid at tol 1e-14
+        # loses digits to (f1 - f0)/h
+        grid = np.linspace(ts[k0], ts[k1], 2001)
+        grid = grid[omega * (grid - start) <= 700.0]
+        dense_f, dense_fp = sol.f(grid).tolist(), sol.fp(grid).tolist()
+        steps = np.clip(np.searchsorted(sol.ts, grid, side="right") - 1, k0, k1 - 1).tolist()
+        for t, df, dfp, j in zip(grid.tolist(), dense_f, dense_fp, steps):
+            f, fp, cf, cfp = _closed_form(kappa, f0, g0, t - start)
+            h = ts[j + 1] - ts[j]
+            ends = [_closed_form(kappa, f0, g0, ts[i] - start) for i in (j, j + 1)]
+            r_f = sum(abs(fs[i]) + e[2] for i, e in zip((j, j + 1), ends))
+            r_fp = sum(abs(fps[i]) + e[3] for i, e in zip((j, j + 1), ends))
+            rounding = 512 * _EPS * (r_f + h * r_fp + h * h * abs(kappa) * r_f)
+            a = abs(fs[j]) + abs(fps[j]) / omega if omega else 0.0
+            assert abs(df - f) <= tol * (1.0 + a) + rounding + 16 * _EPS * cf, t
+            assert abs(dfp - fp) <= tol * (1.0 + omega * a) + rounding / h + 16 * _EPS * cfp, t
+        if zero:
+            # the first zero, within 4 ulp of the exact one: the exact f
+            # changes sign between the two ends of that window
+            tz = sol.first_zero
+            assert fs[-1] == 0.0 and all(x > 0.0 for x in fs[k0 + 1:-1])
+            lo, hi = max(tz - 4 * math.ulp(tz), start), tz + 4 * math.ulp(tz)
+            assert _exact_f(kappa, start, f0, g0, lo) > 0
+            assert _exact_f(kappa, start, f0, g0, hi) < 0
+        if sol.truncated and k1 == len(ts) - 1:
+            # at the first node past the guard
+            guard = rg.jacobi.GROWTH_GUARD
+            assert max(abs(fs[-1]), abs(fps[-1])) >= guard
+            assert all(max(abs(x), abs(y)) < guard for x, y in zip(fs[:-1], fps[:-1]))
+
+
 class TestConvergence:
     @pytest.mark.parametrize("profile_factory,t_end,reference", [
-        (lambda: rg.power_tail_profile(-6.0, 4.0), 100.0, abresch_f(100.0)),
-        (lambda: rg.constant_profile(-1.0), 10.0, math.sinh(10.0)),
+        (lambda: rg.power_tail_profile(-6.0, 4.0), 100.0, abresch_f),
+        (lambda: rg.constant_profile(-1.0), 10.0, math.sinh),
     ])
     def test_error_scales_with_tol(self, profile_factory, t_end, reference):
         # average rate over 8 tol halvings: at least a factor 2 for every
-        # 2 halvings (single halvings fluctuate around the trend)
+        # 2 halvings (single halvings fluctuate around the trend).  The
+        # error is the largest on a grid of the dense output: on a constant
+        # piece the nodes are the closed form to rounding at every tol, and
+        # tol sets the grid
         profile = profile_factory()
-        coarse = abs(rg.solve(profile, t_end, 1e-6).f(t_end) - reference)
-        fine = abs(rg.solve(profile, t_end, 1e-6 / 256.0).f(t_end) - reference)
-        assert fine < coarse / 64.0
+        grid = np.linspace(0.0, t_end, 201)[1:].tolist()
+
+        def error(tol):
+            sol = rg.solve(profile, t_end, tol)
+            return max(abs(sol.f(t) - reference(t)) for t in grid)
+        assert error(1e-6 / 256.0) < error(1e-6) / 64.0
 
 
 class TestScalingCovariance:

@@ -258,10 +258,10 @@ class TestLogBallVolumesBitIdentity:
         assert (hexes(log_ball_volumes(ms, radii))
                 == hexes(log_ball_volumes_by_node(ms, radii)))
 
-    def test_hyperbolic_n40_spans_blocks(self):
+    def test_hyperbolic_n1000_spans_blocks(self):
         # the whole-step pass of this case runs in more than one block
         steps = len(gallery_solution("hyperbolic").ts) - 1
-        assert len(_gauss_rule(40)[0]) * steps > 2 * _BLOCK_VALUES
+        assert len(_gauss_rule(1000)[0]) * steps > 2 * _BLOCK_VALUES
 
     @settings(max_examples=60, deadline=None)
     @given(name=st.sampled_from(NONCOMPACT), n=st.sampled_from([2, 3, 8, 40]),

@@ -715,7 +715,10 @@ class TestHighDimension:
         exact = math.exp(log_omega(200) - math.log(200.0))
         direct = data["growth"]["direct"]
         assert direct["value"] == pytest.approx(exact, rel=1e-10)
-        assert abs(direct["value"] - exact) <= direct["err"] <= 1e-10 * exact
+        # err bounds the estimate; the report rounds both to 12 digits
+        estimate = rep.growth.direct
+        assert abs(estimate.value - exact) <= estimate.err <= 1e-10 * exact
+        assert direct["err"] == float(f"{estimate.err:.12g}")
         assert data["growth"]["closed_form"]["value"] == pytest.approx(
             exact, rel=1e-12)
 
@@ -994,6 +997,17 @@ class TestCli:
         for command in (["analyze"], ["tabulate", "--t-max", "1", "--step", "1"]):
             assert cli_main([command[0], "--config", str(cfg), *command[1:]]) == 2
             assert field in capsys.readouterr().err
+
+    def test_infinite_t_end_exits_2(self, tmp_path, capsys):
+        # the window would otherwise end wherever the growth guard falls
+        with pytest.raises(ValueError, match="t_end must be positive and finite"):
+            evaluate_theorem(rg.zero_profile(), 2, AnalysisOptions(t_end=math.inf))
+        assert cli_main(["gallery", "analyze", "flat", "-n", "2", "--t-end", "inf"]) == 2
+        assert "t_end must be positive and finite, got inf" in capsys.readouterr().err
+        cfg = tmp_path / "model.json"
+        cfg.write_text('{"n": 2, "t_end": Infinity, "profile": {"segments": []}}')
+        assert cli_main(["analyze", "--config", str(cfg)]) == 2
+        assert "t_end must be positive and finite, got inf" in capsys.readouterr().err
 
     def test_unknown_flag_exits_2(self, capsys):
         assert cli_main(["gallery", "analyze", "flat", "-n", "2", "--bogus"]) == 2

@@ -16,7 +16,10 @@ seed, written as a CSV to a temporary directory and read back with
 ``bench/inputs.sweep_profiles`` at a fixed seed.  Last, one line for the
 solver: the sha256 of the nodes, f'' values and counts of ``solve`` and
 ``solve_m`` at tol 1e-8 on [0, 50], every float as ``float.hex``, over the
-first 200 of those sweep profiles.  It imports radialgeo from the ``src``
+first 200 of those sweep profiles.  Last, one line for the closed form of
+constant pieces: the sha256 of the same text of ``solve`` on
+``constant_profile(kappa)`` on [0, DEFAULT_T_END] for kappa in {-4, -1,
+-1e-6, 0, 1e-6, 1, 4}, at tol 1e-8 and 1e-12.  It imports radialgeo from the ``src``
 directory of its own checkout, and the inputs from its ``bench``
 directory, so running a copy of it in another checkout digests that
 checkout's reports, sign pieces and solver bits.
@@ -41,6 +44,7 @@ from radialgeo import (  # noqa: E402
     ModelCompactnessError,
     Segment,
     ZeroTail,
+    constant_profile,
     entry_by_name,
     evaluate_theorem,
     ingest_samples,
@@ -62,6 +66,8 @@ SWEEP_BLOCK = 100
 SOLVE_COUNT = 200
 SOLVE_T_END = 50.0
 SOLVE_TOL = 1e-8
+CONSTANT_KAPPAS = (-4.0, -1.0, -1e-6, 0.0, 1e-6, 1.0, 4.0)
+CONSTANT_TOLS = (1e-8, 1e-12)
 
 
 def _sha(text: str) -> str:
@@ -113,6 +119,10 @@ def digest_lines() -> list[str]:
                         for solver in (solve, solve_m))
     lines.append(f"{_sha(text)}  sweep solves seed={SWEEP_SEED} "
                  f"count={SOLVE_COUNT} tol={SOLVE_TOL:g}")
+    text = "".join(_solution_text(solve(constant_profile(kappa), DEFAULT_T_END, tol))
+                   for kappa in CONSTANT_KAPPAS for tol in CONSTANT_TOLS)
+    lines.append(f"{_sha(text)}  constant pieces kappa={','.join(map(format, CONSTANT_KAPPAS))} "
+                 f"tol={','.join(map(format, CONSTANT_TOLS))}")
     return lines
 
 
