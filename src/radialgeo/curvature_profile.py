@@ -109,9 +109,9 @@ def _root_intervals(coeffs: tuple[float, ...], a: float,
     then start past 0, so that its root lies between points where the
     polynomial is nonzero.  The zero polynomial gives [a, b].
 
-    Memoized by (coeffs, a, b): the pieces that ``negative_part`` cuts
-    from a segment share its denominator, and a fresh piece checks it
-    again.
+    Memoized by (coeffs, a, b): a profile built again from the same data
+    (a config read twice, a copy) checks its denominators and splits its
+    signs without a second search.
     """
     # c_0 = ... = c_(k-1) = 0 at a = 0: the root at 0 is one leaf, and the
     # rest of the search runs on c_k + c_(k+1) t + ...
@@ -164,28 +164,13 @@ def _stage_evaluator(num: tuple[float, ...], den: tuple[float, ...]):
     x6) that returns the five values, each with the bits of
     ``_polynomial(num)(x) / _polynomial(den)(x)``.
 
-    A line over the unit denominator computes c1 x + c0; any other
-    polynomial runs five Horner chains, each from 0.0, in one loop over
-    its coefficients.  For finite x the chains give a line's bits too: its
-    first step, 0.0 * x + c1, is c1 when c1 is nonzero.
+    Two sets of five Horner chains, each from 0.0, in one loop over the
+    coefficients of num and of den.  For finite x the chains give a line's
+    bits too: its first step, 0.0 * x + c1, is c1 when c1 is nonzero.  A
+    polynomial's unit denominator gives 1.0, and the division by it is
+    exact, though the solver steps no polynomial segment.
     """
-    if den == _ONE_DEN and len(num) == 2 and num[1] != 0.0:
-        c0, c1 = num
-        return lambda x2, x3, x4, x5, x6: (c1 * x2 + c0, c1 * x3 + c0, c1 * x4 + c0,
-                                           c1 * x5 + c0, c1 * x6 + c0)
-    rn = num[::-1]
-    if den == _ONE_DEN:
-        def polynomial(x2, x3, x4, x5, x6):
-            a2 = a3 = a4 = a5 = a6 = 0.0
-            for c in rn:
-                a2 = a2 * x2 + c
-                a3 = a3 * x3 + c
-                a4 = a4 * x4 + c
-                a5 = a5 * x5 + c
-                a6 = a6 * x6 + c
-            return a2, a3, a4, a5, a6
-        return polynomial
-    rd = den[::-1]
+    rn, rd = num[::-1], den[::-1]
 
     def rational(x2, x3, x4, x5, x6):
         a2 = a3 = a4 = a5 = a6 = 0.0
@@ -254,8 +239,10 @@ class Segment:
         """t -> num(t)/den(t) as one closure, for a time or an array of
         times.
 
-        Built once per segment.  The solver calls it at piece entry, and
-        reads its stage values from ``_stages``, which rounds as it does.
+        Built once per segment.  The solver calls it at piece entry and at
+        the nodes of a polynomial segment, and the stepper reads a
+        rational segment's stage values from ``_stages``, which rounds as
+        it does.
         """
         num = _polynomial(self.num)
         if self.is_polynomial:
@@ -273,9 +260,10 @@ class Segment:
 
     @property
     def _stages(self):
-        """K at the five new stage points of a solver step, with the bits
+        """K at the five new stage points of a stepper step, with the bits
         of ``evaluate``: the closure of ``_stage_evaluator``, which takes
-        the five times.
+        the five times.  The stepper takes rational segments only; a
+        polynomial one gives the same bits through its unit denominator.
 
         Built at each solver entry to the segment and not cached: a
         closure kept on every segment of every profile solved costs more
@@ -626,24 +614,39 @@ def _sign_pieces(seg: Segment) -> list[tuple[float, float, bool]]:
     return pieces
 
 
-def _cut(seg: Segment, lo: float, hi: float) -> Segment:
-    """seg's expression on [lo, hi): seg itself when that is all of it,
-    else a new segment that shares seg's ``evaluate`` and critical points
-    (a critical point outside [lo, hi) is never inside a step), so a
-    fresh signed part builds no evaluator and isolates no root."""
+def _cut(seg: Segment, lo: float, hi: float, positive: bool) -> Segment:
+    """seg's expression on its sign piece [lo, hi) (positive or not): seg
+    itself when that is all of it, else a piece that holds its one sign
+    piece and shares seg's ``evaluate`` and, on a rational segment (which
+    the stepper takes), its critical points; a critical point outside
+    [lo, hi) is never inside a step.  So a fresh signed part builds no
+    evaluator and isolates no root."""
     if lo == seg.t_start and hi == seg.t_end:
         return seg
-    piece = Segment(lo, hi, seg.num, seg.den)
-    for name in ("evaluate", "_critical_points"):
-        piece.__dict__[name] = getattr(seg, name)
+    shared = {"evaluate": seg.evaluate}
+    if not seg.is_polynomial:
+        shared["_critical_points"] = seg._critical_points
+    return _subsegment(lo, hi, seg.num, seg.den, positive, shared)
+
+
+def _subsegment(lo: float, hi: float, num: tuple[float, ...], den: tuple[float, ...],
+                positive: bool, shared: dict) -> Segment:
+    """A segment on [lo, hi), within a segment of the same num and den (or
+    num = (0.0,)), built without ``Segment.__post_init__``: the enclosing
+    segment passed the range and denominator checks, which hold on any
+    subinterval.  It holds [lo, hi) as its one sign piece, and the cached
+    values in ``shared``."""
+    piece = object.__new__(Segment)
+    piece.__dict__.update(t_start=lo, t_end=hi, num=num, den=den,
+                          sign_pieces=((lo, hi, positive),), **shared)
     return piece
 
 
 def _signed_part(profile: CurvatureProfile, keep_negative: bool) -> CurvatureProfile:
     if keep_negative and profile.is_nonpositive:
         return profile
-    pieces = [_cut(seg, lo, hi) if positive != keep_negative
-              else Segment(lo, hi, _ZERO_NUM)
+    pieces = [_cut(seg, lo, hi, positive) if positive != keep_negative
+              else _subsegment(lo, hi, _ZERO_NUM, _ONE_DEN, False, {})
               for seg, lo, hi, positive in profile.sign_pieces()]
     tail = profile.tail
     keep_tail = tail.sign == (-1 if keep_negative else 1)

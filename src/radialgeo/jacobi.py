@@ -19,11 +19,34 @@ a = |f| + |f'|/omega at the step's left node.  The first zero comes from
 the phase (kappa > 0), from the sign change of the exponential pair
 (kappa < 0) or from -f0/f0' (kappa = 0).
 
-Every other piece is integrated by an explicit Dormand-Prince 5(4)
-embedded pair with PI step control.  The equation is linear and smooth on
-every profile piece, so a moderate-order pair is plenty and keeps the
-package free of solver dependencies.  Three behaviors matter downstream
-and are guaranteed here:
+A segment whose K is a non-constant polynomial (any degree) is taken by
+Taylor transfer matrices, from its entry state.  f is entire there, and
+its Taylor coefficients at a node follow the recurrence
+b_(k+2) = -sum_j K_j b_(k-j)/((k+2)(k+1)) with K's own Taylor
+coefficients K_j; the equation is linear, so a step's 2 x 2 transfer
+matrix depends on K alone, and one array pass builds every matrix of a
+span of nodes (``_taylor_steps``).  The state is carried node to node in
+Python floats.  Each sign piece of the segment gets its own grid: cells
+of a local scale omega = max over j of (max |K_j|)^(1/(j+2)), bounded
+with Bernstein coefficients on the cell (``_local_scales``), each with a
+uniform grid of omega h <= x.  x follows from tol and the degree alone
+(``_taylor_rule``): the quintic Hermite remainder of ``_grid_u``, with
+f^(6) and f^(7) bounded by the majorant series that |K_j| <= omega^(j+2)
+gives, holds the dense output's error below tol a at f and tol omega a
+at f', with a = |f| + |f'|/omega at the step's left node.  So the nodes
+depend on the sign piece, the entry time and tol, never on the state:
+where f and m enter a nonpositive sign piece they get the same nodes and
+the same matrices, and m - f is carried by the same linear maps.  Since
+x < pi and omega >= sqrt(max K), every step meets the Sturm cap below
+without a test.  The walk stops at the first node where f <= 0, whose
+zero is located as the stepper's is, and at the first node past the
+growth guard.
+
+Every other piece, a rational segment or a power tail, is integrated by
+an explicit Dormand-Prince 5(4) embedded pair with PI step control.  The
+equation is linear and smooth on every profile piece, so a moderate-order
+pair is plenty and keeps the package free of solver dependencies.  Three
+behaviors matter downstream and are guaranteed here:
 
 * steps never straddle a profile breakpoint (integration restarts there),
   so each step sees an analytic right-hand side; a step that ends on a
@@ -32,8 +55,8 @@ and are guaranteed here:
   pi/sqrt(max K on the step); zeros of f are then at least one cap apart
   (Sturm), so a step can never skip a pair of zeros.  Whether K can be
   positive on the rest of a piece is decided once, at piece entry, and
-  only such pieces (a segment or a positive power tail) test the cap at
-  every step;
+  only such pieces (a rational segment or a positive power tail) test
+  the cap at every step;
 * the first zero of f, if any, is located by bisection on the dense
   output to 1e-12 in t, and integration stops there.
 
@@ -44,8 +67,8 @@ It reads the five in one call of the piece's stage evaluator, which is
 built at piece entry and rounds as the piece's ``evaluate`` does.  The
 Sturm cap reuses those values: K(t) is the previous step's K(t + h) (or
 is computed at piece entry), K(t + h) is the new one, and K is evaluated
-only at a segment's critical points inside the step.  A step whose cap
-binds reads its stage values again at the capped length.
+only at a rational segment's critical points inside the step.  A step
+whose cap binds reads its stage values again at the capped length.
 
 Dense output stores f, f' and f'' = -K f at the step ends and evaluates a
 quintic Hermite interpolant per step.  Its O(h^6) interpolation error
@@ -55,6 +78,7 @@ range, which a cubic on (f, f') alone would not.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -67,9 +91,10 @@ __all__ = ["WarpingSolution", "solve", "solve_m", "GROWTH_GUARD"]
 
 # Reaching this magnitude in f or f' means the model is violently
 # divergent; the window is truncated at the first node past it instead of
-# overflowing: a step of the stepper, or a grid node of a constant piece,
-# whose pass is bounded beforehand so that no node overflows (a zero
-# piece ends where f reaches twice the guard).  Ball volumes are
+# overflowing: a step of the stepper, a node of a polynomial piece, whose
+# one step from below the guard stays in float range, or a grid node of a
+# constant piece, whose pass is bounded beforehand so that no node
+# overflows (a zero piece ends where f reaches twice the guard).  Ball volumes are
 # integrated in logs, so f**(n-1) never leaves float range; the
 # closed-form growth coefficient and the ends cap go through
 # model_space.power, which saturates to inf.
@@ -79,6 +104,14 @@ GROWTH_GUARD = 1e60
 _MAX_STEPS = 10_000_000
 
 _MIN_TOL, _MAX_TOL = 1e-14, 1e-3
+
+# polynomial pieces: a span allows at most _SPAN_NODES nodes at its own scale and is
+# split into cells of about _CELL_NODES nodes; omega never falls below
+# _OMEGA_FLOOR, so no step is longer than 1e180 and one step from below
+# the growth guard stays in float range
+_SPAN_NODES = 4096
+_CELL_NODES = 16
+_OMEGA_FLOOR = 2.0 ** -600
 
 # Dormand-Prince 5(4) tableau
 _C2, _C3, _C4, _C5 = 0.2, 0.3, 0.8, 8.0 / 9.0
@@ -356,24 +389,250 @@ def _constant_piece(t: float, f: float, fp: float, kappa: float, bound: float,
             (-kappa * fs[:n]).tolist(), zero)
 
 
+def _majorant(x: float, degree: int, first: float) -> list[float]:
+    """Scaled Taylor coefficients B_k of a majorant of f on a step of
+    x = omega h on a polynomial piece of the given degree: B_0 = 1,
+    B_1 = ``first`` and B_(k+2) = sum_(j <= degree) x^(j+2) B_(k-j)/((k+2)(k+1)),
+    up to the first term below 1e-40 past k = 8.
+
+    Where |K^(j)/j!| <= omega^(j+2) on the step (``_local_scales``), the
+    scaled coefficients b_(k+2) = -sum_j K_j h^(j+2) b_(k-j)/((k+2)(k+1))
+    of f(t + s h) are at most B_k times |f| + |f'|/omega (B_1 = x) or,
+    for both basis solutions of a transfer matrix, times 1 (B_1 = 1).
+    """
+    b = [1.0, first]
+    while len(b) < 10 or b[-1] > 1e-40:
+        k = len(b) - 2
+        b.append(sum(x ** (j + 2) * b[k - j] for j in range(min(k, degree) + 1))
+                 / ((k + 2) * (k + 1)))
+    return b
+
+
+@functools.lru_cache(maxsize=64)
+def _taylor_rule(tol: float, degree: int) -> tuple[float, int]:
+    """(x, P) for a polynomial piece of the given degree at tol: steps of
+    omega h <= x, and P Taylor terms per step.
+
+    x is the root of (D7/322560 + D6/13416)/x = tol, found by bisection to
+    2^-40 u, where D6 = sum_k k!/(k-6)! B_k and D7 = sum_k k!/(k-7)! B_k
+    bound max|f^(6)| h^6 and max|f^(7)| h^7 over the step in units of
+    a = |f| + |f'|/omega (``_majorant`` with B_1 = x).  By the quintic
+    Hermite remainder of ``_grid_u`` the dense output then errs by at most
+    tol omega a at f' and by less than tol a at f.  At degree 0 the
+    majorant is the exponential pair and this is ``_grid_u``'s equation;
+    lines get about 0.6 u and degree 4 and above about 0.4 u, from the
+    sixth coefficient's worst case, where every K_j is at its bound at
+    once.
+
+    P is the first order whose tail sum_(k >= P) k B_k (B_1 = 1) is at most
+    tol 2^-16: the error of f(t + h) and of h f'(t + h) relative to the
+    step amplitude, so that thousands of steps still sum to a small part
+    of tol.
+    """
+    def excess(x):
+        b = _majorant(x, degree, x)
+        d6 = sum(math.perm(k, 6) * c for k, c in enumerate(b))
+        d7 = sum(math.perm(k, 7) * c for k, c in enumerate(b))
+        return (d7 / 322560.0 + d6 / 13416.0) / x > tol
+    lo, hi = 0.0, _grid_u(tol)
+    for _ in range(40):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (lo, mid) if excess(mid) else (mid, hi)
+    b = _majorant(lo, degree, 1.0)
+    tail, order = 0.0, len(b)
+    while order > 2 and tail + (order - 1) * b[order - 1] <= 2.0 ** -16 * tol:
+        order -= 1
+        tail += order * b[order]
+    return lo, order
+
+
+def _taylor_shift(num: tuple[float, ...], t) -> list:
+    """K^(j)(t)/j! for j = 0..d of the polynomial K = num, at a time or an
+    array of times: Horner's Taylor shift, d passes of c_j += t c_(j+1)."""
+    d = len(num) - 1
+    taylor: list = list(num)
+    for i in range(d):
+        for j in range(d - 1, i - 1, -1):
+            taylor[j] = taylor[j] + t * taylor[j + 1]
+    return taylor
+
+
+def _local_scales(num: tuple[float, ...], a: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """omega on each cell [a, a + w] of a polynomial piece: the largest of
+    (max |K^(j)/j!|)^(1/(j + 2)) over j, floored at _OMEGA_FLOOR.
+
+    Each max is bounded by the largest Bernstein coefficient on the cell
+    (as in ``curvature_profile._bernstein``): the Taylor shift to a gives
+    every K^(j)(a)/j! at once, and K^(j)/j! on the cell has
+    coefficients C(i + j, j) K^(i+j)(a)/(i + j)! s^i, which are scaled by
+    w^i/C(d - j, i) and summed in d - j passes.  Subdivision only shrinks
+    Bernstein bounds, so a cell's omega is at most its span's.
+    """
+    d = len(num) - 1
+    taylor = _taylor_shift(num, a)
+    omega = np.full(np.shape(a), _OMEGA_FLOOR)
+    for j in range(d + 1):
+        m = d - j
+        power = 1.0
+        g = []
+        for i in range(m + 1):
+            g.append(taylor[i + j] * (power * (math.comb(i + j, j) / math.comb(m, i))))
+            power = power * w
+        for r in range(m):
+            for k in range(m, r, -1):
+                g[k] = g[k] + g[k - 1]
+        bound = np.abs(g[0])
+        for x in g[1:]:
+            bound = np.maximum(bound, np.abs(x))
+        omega = np.maximum(omega, bound ** (1.0 / (j + 2)))
+    return omega
+
+
+def _taylor_steps(num: tuple[float, ...], left: np.ndarray, h: np.ndarray,
+                  order: int) -> tuple[list[float], ...]:
+    """The transfer matrices of steps of length h from the nodes ``left``
+    on the polynomial K = num: (f, f') at the right end is
+    (m00 f + m01 f', m10 f + m11 f') of the state at the left end.
+
+    K's Taylor coefficients at each left node, scaled to
+    kappa_j = K_j h^(j+2), drive the recurrence
+    b_(k+2) = -sum_j kappa_j b_(k-j)/((k+2)(k+1)) for the scaled Taylor
+    coefficients of both basis solutions at once (f = 1, h f' = 0 and
+    f = 0, h f' = 1, as the rows of a (2, n) array), over ``order`` terms.
+    """
+    d = len(num) - 1
+    kappa, power = [], h * h
+    for c in _taylor_shift(num, left):
+        kappa.append(c * power)
+        power = power * h
+    n = len(h)
+    b = [np.zeros((2, n)), np.zeros((2, n))]
+    b[0][0] = 1.0
+    b[1][1] = 1.0
+    value, slope = b[0] + b[1], b[1].copy()
+    for k in range(order - 2):
+        acc = kappa[0] * b[k]
+        for j in range(1, min(d, k) + 1):
+            acc = acc + kappa[j] * b[k - j]
+        new = acc * (-1.0 / ((k + 2) * (k + 1)))
+        b.append(new)
+        value += new
+        slope += (k + 2) * new
+    return (value[0].tolist(), (h * value[1]).tolist(), (slope[0] / h).tolist(),
+            slope[1].tolist())
+
+
+def _polynomial_piece(seg: Segment, t: float, f: float, fp: float, bound: float,
+                      tol: float, budget: int) -> tuple[list[float], ...]:
+    """The nodes of a non-constant polynomial segment from the entry state
+    (t, f, f') toward ``bound``: the node times, f, f' and f'' = -K f after
+    the entry, and whether the last node is the first zero.
+
+    Each sign piece of the segment is walked on its own grid, so the nodes
+    depend on the sign piece, the entry time and tol alone, never on the
+    state.  A span whose scale allows more than _SPAN_NODES nodes is
+    halved; a span is split into uniform cells of about _CELL_NODES nodes
+    at its own scale, and each cell gets a uniform grid of spacing at most
+    x/omega, with x from ``_taylor_rule`` and the cell's omega from
+    ``_local_scales``.  Every step's transfer matrix comes from one array
+    pass per span (``_taylor_steps``), and the state is carried node to
+    node in Python floats.  The walk stops at the first node where f <= 0,
+    whose zero ``_locate_zero`` finds on the dense quintic, and at the
+    first node where |f| or |f'| reaches the growth guard.  A step grows |f| and |f'| by at
+    most e^x (1 + max(h, omega)), which the omega floor keeps below 1e180,
+    so no node overflows.  A grid of more than one step whose spacing is
+    at or below the stepper's underflow floor raises IntegrationError, and
+    so does a span whose nodes would take the solve past ``budget``.
+    """
+    num, ev = seg.num, seg.evaluate
+    xu, order = _taylor_rule(tol, len(num) - 1)
+    guard = GROWTH_GUARD
+    # the entry node leads each list, for the zero's bracket, and is
+    # dropped on return
+    ts, fs, fps, d2 = [t], [f], [fp], [-ev(t) * f]
+    for lo, hi, _ in seg.sign_pieces:
+        if hi <= t:
+            continue
+        if lo >= bound:
+            break
+        spans = [(max(lo, t), min(hi, bound))]
+        while spans:
+            a, b = spans.pop()
+            w = b - a
+            nodes = w * _local_scales(num, a, w).item() / xu
+            if nodes > _SPAN_NODES and a < 0.5 * (a + b) < b:
+                spans += [(0.5 * (a + b), b), (a, 0.5 * (a + b))]
+                continue
+            # a span too narrow to halve gets at most _SPAN_NODES/_CELL_NODES cells
+            cells = math.ceil(min(max(nodes, 1.0), _SPAN_NODES) / _CELL_NODES)
+            # linspace ends on b exactly
+            edges = np.linspace(a, b, cells + 1)
+            if cells == 1:
+                counts = np.array([max(math.ceil(nodes), 1.0)])
+            else:
+                width = np.diff(edges)
+                counts = np.maximum(np.ceil(width * _local_scales(num, edges[:-1], width)
+                                            / xu), 1.0)
+            spacing = np.diff(edges) / counts
+            under = (counts > 1.0) & (spacing <= 1e-14 * np.maximum(edges[1:], 1.0))
+            if under.any():
+                raise IntegrationError("step size underflow", edges[:-1][under].item(0))
+            if counts.sum() > budget - (len(ts) - 1):
+                raise IntegrationError("step budget exhausted", a)
+            counts = counts.astype(np.int64)
+            total = int(counts.sum())
+            ends = np.cumsum(counts)
+            offset = np.arange(1.0, total + 1.0) - np.repeat(ends - counts, counts)
+            grid = np.repeat(edges[:-1], counts) + np.repeat(spacing, counts) * offset
+            grid[ends - 1] = edges[1:]
+            left = np.concatenate(([a], grid[:-1]))
+            m00, m01, m10, m11 = _taylor_steps(num, left, grid - left, order)
+            new_fs, new_fps = [], []
+            for c00, c01, c10, c11 in zip(m00, m01, m10, m11):
+                f, fp = c00 * f + c01 * fp, c10 * f + c11 * fp
+                new_fs.append(f)
+                new_fps.append(fp)
+                if not (0.0 < f < guard and -guard < fp < guard):
+                    break
+            n = len(new_fs)
+            ts += grid[:n].tolist()
+            fs += new_fs
+            fps += new_fps
+            # Python floats past the guard may overflow K f, as the stepper's do
+            with np.errstate(over="ignore"):
+                d2 += (-ev(grid[:n]) * np.array(new_fs)).tolist()
+            if f <= 0.0:
+                tz, fz, fpz = _locate_zero(ts[-2], ts[-1] - ts[-2], fs[-2], fps[-2],
+                                           d2[-2], f, fp, d2[-1])
+                ts[-1], fs[-1], fps[-1], d2[-1] = tz, fz, fpz, -ev(tz) * fz
+                return ts[1:], fs[1:], fps[1:], d2[1:], True
+            if not (f < guard and -guard < fp < guard):
+                return ts[1:], fs[1:], fps[1:], d2[1:], False
+    return ts[1:], fs[1:], fps[1:], d2[1:], False
+
+
 def solve(profile: CurvatureProfile, t_end: float, tol: float) -> WarpingSolution:
     """Integrate f'' + K f = 0 with f(0) = 0, f'(0) = 1 on [0, t_end].
 
     ``t_end`` must be finite.  ``tol`` is the requested relative error,
-    used for both the relative and absolute components of the local error
-    test and for the grid of a constant piece (see the module docstring);
-    it must lie in [1e-14, 1e-3].  Integration stops early at the first
-    zero of f (recorded in ``first_zero``) or when |f| or |f'| passes the
-    growth guard (recorded in ``truncated``); step-size underflow raises
-    IntegrationError.
+    used for both the relative and absolute components of the stepper's
+    local error test and for the grids of constant and polynomial pieces
+    (see the module docstring); it must lie in [1e-14, 1e-3].  Constant
+    pieces are taken in closed form, non-constant polynomial segments by
+    Taylor transfer matrices on a grid per sign piece, and only rational
+    segments and power tails by the stepper and its Sturm cap.
+    Integration stops early at the first zero of f (recorded in
+    ``first_zero``) or when |f| or |f'| passes the growth guard (recorded
+    in ``truncated``); step-size underflow raises IntegrationError.
 
     A step that ends on its bound, the next breakpoint or t_end, is taken
     at any length, so pieces far narrower than the underflow floor of
     1e-14 max(t, 1) are each one step; only a step that stops short of
-    its bound, or a constant piece's grid finer than the floor, can
-    underflow.  At each piece entry a step size at or below that floor (0
-    before the first piece) starts over from the initial-step rule: 1 % of
-    the bound, clipped to [1e-6, 0.1].
+    its bound, or a constant or polynomial piece's grid finer than the
+    floor, can underflow.  A polynomial piece checks the step budget
+    before it builds the nodes of a span.  At each piece entry a step size
+    at or below that floor (0 before the first piece) starts over from the
+    initial-step rule: 1 % of the bound, clipped to [1e-6, 0.1].
     """
     if not (0.0 < t_end < math.inf):
         raise ValueError(f"t_end must be positive and finite, got {t_end}")
@@ -420,9 +679,14 @@ def solve(profile: CurvatureProfile, t_end: float, tol: float) -> WarpingSolutio
             ev = piece.evaluate
             bound = min(piece_end, t_end)
             k_t = ev(t)
-            if piece._constant:
-                new_ts, new_fs, new_fps, new_d2, zero = _constant_piece(
-                    t, f, fp, k_t, bound, tol)
+            polynomial = isinstance(piece, Segment) and piece.is_polynomial
+            if piece._constant or polynomial:
+                if piece._constant:
+                    new_ts, new_fs, new_fps, new_d2, zero = _constant_piece(
+                        t, f, fp, k_t, bound, tol)
+                else:
+                    new_ts, new_fs, new_fps, new_d2, zero = _polynomial_piece(
+                        piece, t, f, fp, bound, tol, _MAX_STEPS - n_steps - n_rejected)
                 n_steps += len(new_ts)
                 d2_left.append(-k_t * f)
                 d2_left += new_d2[:-1]
@@ -438,7 +702,7 @@ def solve(profile: CurvatureProfile, t_end: float, tol: float) -> WarpingSolutio
                     truncated = True
                     break
                 if t < bound:
-                    # the pass stopped short of its bound: enter again
+                    # a constant pass stopped short of its bound: enter again
                     piece_end = t
                 continue
             # K at a step's stage points: one call per step
@@ -446,8 +710,8 @@ def solve(profile: CurvatureProfile, t_end: float, tol: float) -> WarpingSolutio
             # where K <= 0 on the rest of the piece no step needs the cap
             check_cap = piece.max_on(t, bound) > 0.0
             # the cap takes max_on(t, t + h) from values the step has: on a
-            # segment, K at both ends and at the critical points inside; a
-            # positive power tail is decreasing, so its max is K(t)
+            # rational segment, K at both ends and at the critical points
+            # inside; a positive power tail is decreasing, so its max is K(t)
             crit = piece._critical_points if isinstance(piece, Segment) else None
             k1f, k1p = fp, -k_t * f
             # the first piece, and a step grown from a sliver piece, start

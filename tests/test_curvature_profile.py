@@ -110,7 +110,9 @@ _SPREAD_COEFF = st.one_of(
 
 class TestStageEvaluator:
     """A piece's five-point evaluator gives the bits of five ``evaluate``
-    calls at times t >= 0."""
+    calls at times t >= 0.  The stepper reads it on rational segments and
+    power tails only; a polynomial segment's evaluator runs the same chains
+    over its unit denominator, whose division is exact."""
 
     @given(case=segments_and_times(), data=st.data())
     @settings(max_examples=400, deadline=None)
@@ -128,6 +130,8 @@ class TestStageEvaluator:
                        min_size=5, max_size=5))
     @settings(max_examples=400, deadline=None)
     def test_spread_coefficients_degree_0_to_8(self, num, den, xs):
+        # den = [1.0] is a polynomial: the unit denominator's chain gives
+        # 1.0 and the division leaves the numerator's bits
         seg = Segment(0.0, 20.0, num, den)
         assert _hexes(_stage_values(seg, xs)) == _hexes(map(seg.evaluate, xs))
 
@@ -155,10 +159,38 @@ class TestStageEvaluator:
             assert len(set(_hexes(map(piece.evaluate, xs)))) == 1, piece
         for tail in (rg.ZeroTail(), rg.ConstantTail(1.0)):
             assert not hasattr(tail, "_stages")
-        for piece in (Segment(0.0, 1.0, (0.0, 1.0)), Segment(0.0, 1.0, (1.0,), (1.0, 1e-300)),
-                      rg.PowerDecayTail(1.0, 2.0)):
+        for piece in (Segment(0.0, 1.0, (1.0,), (1.0, 1e-300)), rg.PowerDecayTail(1.0, 2.0)):
             assert not piece._constant, piece
             assert callable(piece._stages)
+        # a non-constant polynomial is not constant either, and the solver
+        # takes it by Taylor transfer matrices (test_stepper_sees_no_polynomial)
+        assert not Segment(0.0, 1.0, (0.0, 1.0))._constant
+
+    @given(num=st.lists(_SPREAD_COEFF, min_size=2, max_size=9).filter(lambda c: any(c[1:])),
+           tol=st.sampled_from([1e-3, 1e-8, 1e-14]))
+    @settings(max_examples=50, deadline=None)
+    def test_stepper_sees_no_polynomial(self, num, tol):
+        # solve and solve_m never read a polynomial segment's stage values
+        # or its critical points, on the segment or on the negative part's
+        # pieces cut from it
+        try:
+            seg = Segment(0.0, 2.0, num)
+        except ProfileError:
+            assume(False)
+        profile = rg.CurvatureProfile((seg, Segment(2.0, 3.0, (1.0,), (1.0, 1.0))),
+                                      rg.ConstantTail(-1.0))
+        stages, critical = Segment._stages, Segment.__dict__["_critical_points"].func
+
+        def rational_only(method):
+            def read(self):
+                assert not self.is_polynomial, self
+                return method(self)
+            return read
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(Segment, "_stages", property(rational_only(stages.fget)))
+            patch.setattr(Segment, "_critical_points", property(rational_only(critical)))
+            for solver in (rg.solve, rg.solve_m):
+                solver(profile, 4.0, tol)
 
     @given(a=st.one_of(st.just(0.0), st.floats(min_value=-10.0, max_value=10.0)),
            p=st.one_of(st.sampled_from([2.0, 2.2, 4.0]),
@@ -183,6 +215,31 @@ class TestStageEvaluator:
         whole = rg.CurvatureProfile((Segment(0.0, 1.0, (-1.0, 0.5)),
                                      Segment(1.0, 2.0, (1.0,))), rg.ZeroTail())
         assert rg.negative_part(whole).segments[0] is whole.segments[0]
+
+    def test_signed_parts_validate_and_isolate_nothing(self, monkeypatch):
+        # a cut piece and a zero piece are built without Segment's checks,
+        # which the enclosing segment passed, and hold their one sign piece,
+        # so neither signed part, nor solve_m on it, bounds a polynomial or
+        # isolates a root once the profile's own sign split is known
+        profile = rg.CurvatureProfile(
+            (Segment(0.0, 2.0, (0.5, -1.0)), Segment(2.0, 6.0, (8.0, -6.0, 1.0)),
+             Segment(6.0, 9.0, (1.0, -0.3), (1.0, 0.5))), rg.ZeroTail())
+        split = list(profile.sign_pieces())
+        for seg in profile.segments:
+            seg._critical_points  # noqa: B018  (cached, as a solve leaves it)
+
+        def refuse(*args):
+            raise AssertionError("validated or isolated again")
+        monkeypatch.setattr(curvature_profile, "_bernstein", refuse)
+        monkeypatch.setattr(curvature_profile, "_sign_pieces", refuse)
+        for part, keep_positive in ((rg.negative_part, False), (rg.positive_part, True)):
+            pieces = part(profile).segments
+            assert [(p.t_start, p.t_end) for p in pieces] == [(lo, hi) for _, lo, hi, _ in split]
+            for piece, (seg, lo, hi, positive) in zip(pieces, split):
+                kept = positive == keep_positive
+                assert piece.num == (seg.num if kept else (0.0,))
+                assert piece.sign_pieces == ((lo, hi, positive if kept else False),)
+        rg.solve_m(profile, 10.0, 1e-8)
 
 
 class TestEvaluation:

@@ -8,6 +8,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 import radialgeo as rg
 import reference_stepper
+from radialgeo import jacobi
 from radialgeo.curvature_profile import Segment
 from radialgeo.errors import IntegrationError, ProfileError
 from radialgeo.gallery import abresch_f, abresch_fp, beta_profile, entry_by_name
@@ -473,11 +474,12 @@ def _outcome(sol):
             None if sol.first_zero is None else sol.first_zero.hex(), sol.truncated)
 
 
-def _first_constant_start(profile):
-    """Start of the first piece of ``profile`` that the solver takes in
-    closed form, or None."""
+def _first_stepless_start(profile):
+    """Start of the first piece of ``profile`` that the solver takes
+    without the stepper, in closed form (constant K) or by Taylor transfer
+    matrices (a polynomial segment), or None."""
     for seg in profile.segments:
-        if seg._constant:
+        if seg._constant or seg.is_polynomial:
             return seg.t_start
     return profile.t_tail if profile.tail._constant else None
 
@@ -505,27 +507,27 @@ def dop853_state(profile, t0, y0, t1):
     return y
 
 
-# The solve's error scale past a constant piece: the accepted local
-# errors summed over its steps there, each at most tol (1e-13 at least,
-# DOP853's own) times 1 + the largest |f| or |f'| past the piece entry,
-# and amplified by the flow after it.  Over about 14000 drawn profiles
+# The solve's error scale past a constant or polynomial piece: the
+# accepted local errors summed over its steps there, each at most tol
+# (1e-13 at least, DOP853's own) times 1 + the largest |f| or |f'| past the
+# piece entry, and amplified by the flow after it.  Over about 14000 drawn profiles
 # the error reached 36 times that scale per step; the bound keeps a margin.
 _GLOBAL_ERROR_PER_STEP = 100.0
 
 
 def assert_bits_of_reference(profile, t_end, tol):
     """solve and solve_m give the bits of ``reference_stepper`` on every
-    node before the first constant piece that they enter (and every bit of
-    the solve when they enter none).  Past that node, where they take the
-    piece in closed form and the stepper's step sequence moves, their last
-    node agrees with DOP853 from the entry node within the solve's error
-    scale."""
+    node before the first constant or polynomial piece that they enter (and
+    every bit of the solve when they enter none).  Past that node, where
+    they take the piece in closed form or by Taylor transfer matrices and
+    the stepper's step sequence moves, their last node agrees with DOP853
+    from the entry node within the solve's error scale."""
     for new, old, pieces in ((rg.solve, reference_stepper.solve, profile),
                              (rg.solve_m, reference_stepper.solve_m,
                               rg.negative_part(profile))):
         ref, sol = _run(old, profile, t_end, tol), _run(new, profile, t_end, tol)
         failed = isinstance(ref, IntegrationError)
-        t_c = _first_constant_start(pieces)
+        t_c = _first_stepless_start(pieces)
         if t_c is None or t_c >= (ref.t_reached if failed else ref.t_end):
             assert _outcome(sol) == _outcome(ref), new.__name__
             continue
@@ -649,10 +651,13 @@ def spike_profiles(draw):
 
 class TestBitsOfReferenceStepper:
     """solve and solve_m read each step's curvature in one call; up to the
-    first constant piece they enter they give the bits of the stepper that
-    called ``evaluate`` at every stage point and ``max_on`` at every step of
-    a piece where K can be positive, on the negative part built of fresh
-    segments (``reference_stepper``).  Past it they agree with DOP853."""
+    first constant or polynomial piece they enter they give the bits of the
+    stepper that called ``evaluate`` at every stage point and ``max_on`` at
+    every step of a piece where K can be positive, on the negative part
+    built of fresh segments (``reference_stepper``).  Past it they agree
+    with DOP853.  Rational segments and power tails stay on the stepper, so
+    the spike profiles, where the Sturm cap binds, are compared bit for
+    bit."""
 
     @pytest.mark.parametrize("name", sorted(GALLERY_TRACE))
     def test_gallery(self, name):
@@ -836,6 +841,219 @@ class TestConstantPieceClosedForm:
             guard = rg.jacobi.GROWTH_GUARD
             assert max(abs(fs[-1]), abs(fps[-1])) >= guard
             assert all(max(abs(x), abs(y)) < guard for x, y in zip(fs[:-1], fps[:-1]))
+
+
+@st.composite
+def polynomial_piece_cases(draw):
+    """(profile, piece start, piece end, t_end, tol): a polynomial segment
+    of degree 0 to 8 with coefficients spread over 13 decades, or a
+    sign-changing product of roots, of drawn width (few-ulp slivers
+    included), entered at t = 0 or after a drawn line segment, then a zero
+    tail; t_end inside the piece or past it."""
+    segments, start = [], 0.0
+    if draw(st.booleans()):
+        start = draw(st.floats(min_value=0.05, max_value=4.0))
+        segments.append(Segment(0.0, start, (draw(st.floats(min_value=-2.0, max_value=2.0)),
+                                             draw(st.floats(min_value=-2.0, max_value=2.0)))))
+    width = draw(_widths())
+    if width is None:
+        width = draw(st.integers(min_value=1, max_value=4)) * math.ulp(max(start, 1.0))
+    end = start + width
+    try:
+        segments.append(draw(_any_segment(start, end, draw(st.sampled_from(
+            ("polynomial", "roots"))))))
+    except ProfileError:
+        assume(False)
+    t_end = draw(st.one_of(st.just(end + 1.0),
+                           st.floats(min_value=0.0, max_value=1.0).map(
+                               lambda s: max(start + s * width, math.nextafter(start, math.inf)))))
+    return rg.CurvatureProfile(tuple(segments), rg.ZeroTail()), start, end, t_end, draw(_TOLS)
+
+
+def _airy_state(seg, t0, f0, g0, times):
+    """(f, f') at ``times`` from (f, f') = (f0, g0) at t0 on a line
+    K = c0 + c1 t, by Airy's functions, or None where they would cancel:
+    with s = alpha (t + c0/c1) and alpha = -c1^(1/3), f = A Ai(s) + B Bi(s)
+    (the Wronskian of Ai and Bi is 1/pi); used where |c1| lies in
+    [1e-2, 1e2] and s within [-6, 3], so that neither the pair nor
+    f'/alpha loses digits."""
+    from scipy.special import airy
+    c0, c1 = seg.num
+    alpha = -np.cbrt(c1)
+    s = alpha * (np.concatenate(([t0], times)) + c0 / c1)
+    if not (1e-2 <= abs(c1) <= 1e2 and s.min() >= -6.0 and s.max() <= 3.0):
+        return None
+    ai, aip, bi, bip = airy(s)
+    g = g0 / alpha
+    a = math.pi * (f0 * bip[0] - g * bi[0])
+    b = math.pi * (g * ai[0] - f0 * aip[0])
+    return a * ai[1:] + b * bi[1:], alpha * (a * aip[1:] + b * bip[1:])
+
+
+def _local_state(seg, t0, y0, t1):
+    """(f, f') at t1 from y0 at t0 on the segment's K, by ``dop853_state``:
+    over one step, whose omega h is far below 1, DOP853 errs by rounding."""
+    return dop853_state(rg.CurvatureProfile((seg,), rg.ZeroTail()) if seg.t_start == 0.0
+                        else rg.CurvatureProfile((Segment(0.0, seg.t_start, (0.0,)), seg),
+                                                 rg.ZeroTail()), t0, y0, t1)
+
+
+class TestPolynomialPieces:
+    """A non-constant polynomial segment is taken by Taylor transfer
+    matrices on a grid per sign piece: each step against DOP853, a line's
+    nodes against Airy's functions, the dense output against the quintic
+    Hermite bound, the first zero, the Sturm cap, truncation at the growth
+    guard and the errors it raises."""
+
+    @given(case=polynomial_piece_cases())
+    @settings(max_examples=150, deadline=None)
+    def test_against_reference(self, case):
+        profile, start, end, t_end, tol = case
+        sol = rg.solve(profile, t_end, tol)
+        assume(start < sol.t_end)  # a zero on the line segment ends the solve first
+        seg = profile.piece_at(start)[0]
+        ts, fs, fps = sol.ts.tolist(), sol.fs.tolist(), sol.fps.tolist()
+        k0 = ts.index(start)
+        k1 = max(k for k in range(k0, len(ts)) if ts[k] <= end)
+        zero = sol.first_zero is not None and k1 == len(ts) - 1
+        # each step keeps omega h below pi, omega >= sqrt(max K), so it
+        # holds at most one zero (Sturm)
+        for j in range(k0, k1):
+            kmax = seg.max_on(ts[j], ts[j + 1])
+            assert kmax <= 0.0 or (ts[j + 1] - ts[j]) * math.sqrt(kmax) < math.pi
+        # steps, at most 40 of them, against DOP853 from the step's left
+        # node: the Taylor tail is at most tol 2^-16 (|f| + h |f'|) at f and
+        # at h f', and rounding and DOP853 add some ulps
+        last = k1 - 1 if zero else k1
+        sampled = np.linspace(k0, last - 1, 40).astype(int).tolist() if last > k0 else []
+        for j in sorted(set(sampled)):
+            h = ts[j + 1] - ts[j]
+            f_ref, fp_ref = _local_state(seg, ts[j], (fs[j], fps[j]), ts[j + 1])
+            bound = (2.0 ** -16 * tol + 256 * _EPS) * (abs(fs[j]) + h * abs(fps[j]) + abs(f_ref))
+            assert abs(fs[j + 1] - f_ref) <= bound, j
+            assert abs(fps[j + 1] - fp_ref) <= bound / h + 256 * _EPS * abs(fp_ref), j
+        # a line's nodes against Airy's functions from the entry
+        f0, g0 = fs[k0], fps[k0]
+        reach = np.maximum.accumulate(np.maximum(np.abs(fs[k0:k1 + 1]),
+                                                 np.abs(fps[k0:k1 + 1])))
+        if len(seg.num) == 2 and seg.num[1] != 0.0 and last > k0:
+            airy_nodes = _airy_state(seg, start, f0, g0, np.array(ts[k0 + 1:last + 1]))
+            if airy_nodes is not None:
+                for k, rf, rfp in zip(range(k0 + 1, last + 1), *airy_nodes):
+                    allowed = (1e-3 * tol + 1e-12) * (1.0 + reach[k - k0])
+                    assert abs(fs[k] - rf) <= allowed and abs(fps[k] - rfp) <= allowed, k
+        # the dense output on 201 points against DOP853 from each point's
+        # left node: tol a at f and tol omega a at f', a = |f| + |f'|/omega
+        # at the left node with the step's own omega, plus rounding: of the
+        # interpolant, whose basis coefficients sum to 32 (f) and 120 (f',
+        # divided by h) on the values, so that a tight grid at tol 1e-14
+        # loses digits to (f1 - f0)/h (the FOUND on ``_hermite``)
+        if k1 > k0:
+            grid = np.linspace(ts[k0], ts[k1], 201)[1:]
+            dense_f, dense_fp = sol.f(grid).tolist(), sol.fp(grid).tolist()
+            steps = np.clip(np.searchsorted(sol.ts, grid, side="right") - 1,
+                            k0, k1 - 1).tolist()
+            kv = seg.evaluate(np.asarray(ts))
+            for t, df, dfp, j in zip(grid.tolist(), dense_f, dense_fp, steps):
+                if zero and j == k1 - 1:
+                    break  # the zero node holds the dense value, checked below
+                h = ts[j + 1] - ts[j]
+                rf, rfp = _local_state(seg, ts[j], (fs[j], fps[j]), t)
+                omega = jacobi._local_scales(seg.num, ts[j], h).item()
+                a = abs(fs[j]) + abs(fps[j]) / omega
+                r_f = abs(fs[j]) + abs(fs[j + 1])
+                r_fp = abs(fps[j]) + abs(fps[j + 1])
+                r_d2 = abs(kv[j] * fs[j]) + abs(kv[j + 1] * fs[j + 1])
+                rounding = 512 * _EPS * (r_f + h * r_fp + h * h * r_d2)
+                assert abs(df - rf) <= tol * a + rounding, t
+                assert abs(dfp - rfp) <= tol * omega * a + rounding / h, t
+        if zero:
+            # the exact f, from the zero step's left node, is within the
+            # dense bound of 0 at the first zero, and every node before it
+            # is positive
+            tz, j = sol.first_zero, len(ts) - 2
+            assert abs(fs[-1]) <= 1e-12 * abs(fps[-1]) + 1e-300
+            assert all(x > 0.0 for x in fs[k0 + 1:-1])
+            h = ts[-1] - ts[j]
+            omega = jacobi._local_scales(seg.num, ts[j], h).item()
+            rz = _local_state(seg, ts[j], (fs[j], fps[j]), tz)[0]
+            assert abs(rz) <= (tol * (abs(fs[j]) + abs(fps[j]) / omega) + 1e-12 * abs(fps[-1])
+                               + 512 * _EPS * (abs(fs[j]) + h * abs(fps[j])))
+
+    @pytest.mark.parametrize("tol", [1e-3, 1e-8, 1e-14])
+    def test_sign_pieces_share_nodes_with_m(self, tol):
+        # K = (t - 1)(t - 2)(t - 3)/2 on [0, 4): m takes the nonpositive
+        # pieces [0, 1) and [2, 3) on the very nodes of f, and the zero
+        # pieces [1, 2) and [3, 4) in one step each
+        seg = Segment(0.0, 4.0, tuple(0.5 * c for c in (-6.0, 11.0, -6.0, 1.0)))
+        profile = rg.CurvatureProfile((seg,), rg.ZeroTail())
+        f, m = rg.solve(profile, 4.0, tol), rg.solve_m(profile, 4.0, tol)
+        assert f.first_zero is None
+        (_, c1, p1), (_, c2, p2), (_, c3, p3), (_, _, p4) = seg.sign_pieces
+        assert (p1, p2, p3, p4) == (False, True, False, True)
+        for lo, hi in ((0.0, c1), (c2, c3)):
+            on_f = [t for t in f.ts.tolist() if lo <= t <= hi]
+            assert on_f == [t for t in m.ts.tolist() if lo <= t <= hi] and len(on_f) > 2
+        for lo, hi in ((c1, c2), (c3, 4.0)):
+            assert [t for t in m.ts.tolist() if lo < t < hi] == []
+        grid = np.linspace(0.0, 4.0, 2001)
+        fv, mv = f.f(grid), m.f(grid)
+        assert (fv <= mv + 1e-9 * np.maximum(1.0, np.abs(mv))).all()
+
+    def test_guard_truncates_at_first_node_past_it(self):
+        # K = -(100 + t): f grows like e^(10 t), past the guard near t = 14
+        profile = rg.CurvatureProfile((Segment(0.0, 20.0, (-100.0, -1.0)),), rg.ZeroTail())
+        sol = rg.solve(profile, 20.0, 1e-8)
+        guard = rg.jacobi.GROWTH_GUARD
+        assert sol.truncated and sol.first_zero is None
+        assert max(abs(sol.fs[-1]), abs(sol.fps[-1])) >= guard
+        assert (np.maximum(np.abs(sol.fs[:-1]), np.abs(sol.fps[:-1])) < guard).all()
+        f_ref, fp_ref = dop853_state(profile, 0.0, (0.0, 1.0), sol.t_end)
+        assert sol.fs[-1] == pytest.approx(f_ref, rel=1e-9)
+        assert sol.fps[-1] == pytest.approx(fp_ref, rel=1e-9)
+
+    def test_first_zero_of_airy(self):
+        # K = t: f = pi (Bi(0) Ai(-t) - Ai(0) Bi(-t)) from f(0) = 0 and
+        # f'(0) = 1, whose first zero lies between 2 and 3
+        from scipy.optimize import brentq
+        from scipy.special import airy
+        ai0, _, bi0, _ = airy(0.0)
+
+        def exact(t):
+            ai, _, bi, _ = airy(-t)
+            return math.pi * (bi0 * ai - ai0 * bi)
+        tz = brentq(exact, 2.0, 3.0, xtol=1e-15)
+        profile = rg.CurvatureProfile((Segment(0.0, 10.0, (0.0, 1.0)),), rg.ZeroTail())
+        for tol in (1e-3, 1e-8, 1e-14):
+            # dense f errs by at most tol (|f| + |f'|/omega) < 2 tol |f'|
+            # there, and the bisection stops at 1e-12
+            sol = rg.solve(profile, 10.0, tol)
+            assert sol.first_zero == pytest.approx(tz, abs=2.0 * tol + 2e-12)
+
+    def test_budget_exhausted(self, monkeypatch):
+        monkeypatch.setattr(jacobi, "_MAX_STEPS", 100)
+        profile = rg.CurvatureProfile((Segment(0.0, 50.0, (-1.0, -1.0)),), rg.ZeroTail())
+        with pytest.raises(IntegrationError, match="step budget exhausted"):
+            rg.solve(profile, 50.0, 1e-8)
+
+    def test_step_size_underflow(self):
+        # K about 1e16 at t = 1e6: a spacing of 1e-9 is below 1e-14 t
+        profile = rg.CurvatureProfile((Segment(0.0, 1e6, (0.0,)),
+                                       Segment(1e6, 1e6 + 1.0, (1e16, 1.0))), rg.ZeroTail())
+        with pytest.raises(IntegrationError, match="step size underflow"):
+            rg.solve(profile, 2e6, 1e-8)
+
+    @pytest.mark.parametrize("tol", [1e-6, 1e-8])
+    @given(seed=st.integers(min_value=0, max_value=2 ** 32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_f_below_m_on_criterion_7_profiles(self, tol, seed):
+        # criterion 7's Sturm comparison with its own slack, on a dense grid
+        from conftest import random_linear_profile
+        profile = random_linear_profile(np.random.default_rng(seed))
+        f, m = rg.solve(profile, 50.0, tol), rg.solve_m(profile, 50.0, tol)
+        grid = np.linspace(0.0, min(f.t_end, m.t_end), 2001)
+        fv, mv = f.f(grid), m.f(grid)
+        assert (fv <= mv + 1e-9 * np.maximum(1.0, np.abs(mv))).all()
 
 
 class TestConvergence:

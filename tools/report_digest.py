@@ -1,6 +1,6 @@
 """Print the sha256 of every gallery report, of three reports with volume
-samples and of a sweep's sign split, to tell whether report bytes or sign
-pieces moved between two checkouts.
+samples, of a sweep's sign split and of solver nodes, to tell whether
+report bytes, sign pieces or solver bits moved between two checkouts.
 
     python3 tools/report_digest.py
 
@@ -19,8 +19,11 @@ solver: the sha256 of the nodes, f'' values and counts of ``solve`` and
 first 200 of those sweep profiles.  Last, one line for the closed form of
 constant pieces: the sha256 of the same text of ``solve`` on
 ``constant_profile(kappa)`` on [0, DEFAULT_T_END] for kappa in {-4, -1,
--1e-6, 0, 1e-6, 1, 4}, at tol 1e-8 and 1e-12.  It imports radialgeo from the ``src``
-directory of its own checkout, and the inputs from its ``bench``
+-1e-6, 0, 1e-6, 1, 4}, at tol 1e-8 and 1e-12.  Last, one line for
+polynomial pieces: the same text of ``solve`` and ``solve_m`` on
+[0, 20] on three fixed profiles with sign-changing polynomial segments of
+degree 1, 2 and 5, at tol 1e-6, 1e-8 and 1e-12.  It imports radialgeo from
+the ``src`` directory of its own checkout, and the inputs from its ``bench``
 directory, so running a copy of it in another checkout digests that
 checkout's reports, sign pieces and solver bits.
 """
@@ -40,6 +43,7 @@ sys.path[:0] = [str(_ROOT / "src"), str(_ROOT / "bench")]
 
 import inputs  # noqa: E402  (numpy only)
 from radialgeo import (  # noqa: E402
+    ConstantTail,
     CurvatureProfile,
     ModelCompactnessError,
     Segment,
@@ -68,6 +72,14 @@ SOLVE_T_END = 50.0
 SOLVE_TOL = 1e-8
 CONSTANT_KAPPAS = (-4.0, -1.0, -1e-6, 0.0, 1e-6, 1.0, 4.0)
 CONSTANT_TOLS = (1e-8, 1e-12)
+# (degree, segments, tail): each K changes sign on its polynomial segment
+POLYNOMIAL_PROFILES = (
+    (1, ((0.0, 10.0, (0.5, -0.2)),), ZeroTail()),
+    (2, ((0.0, 6.0, (-1.0, 1.5, -0.3)),), ConstantTail(-0.1)),
+    (5, ((0.0, 1.0, (0.2,)), (1.0, 5.0, (0.3, -1.0, 0.8, -0.2, 0.02, -0.001))), ZeroTail()),
+)
+POLYNOMIAL_T_END = 20.0
+POLYNOMIAL_TOLS = (1e-6, 1e-8, 1e-12)
 
 
 def _sha(text: str) -> str:
@@ -123,6 +135,14 @@ def digest_lines() -> list[str]:
                    for kappa in CONSTANT_KAPPAS for tol in CONSTANT_TOLS)
     lines.append(f"{_sha(text)}  constant pieces kappa={','.join(map(format, CONSTANT_KAPPAS))} "
                  f"tol={','.join(map(format, CONSTANT_TOLS))}")
+    text = ""
+    for _, segments, tail in POLYNOMIAL_PROFILES:
+        profile = CurvatureProfile(tuple(Segment(lo, hi, num) for lo, hi, num in segments), tail)
+        text += "".join(_solution_text(solver(profile, POLYNOMIAL_T_END, tol))
+                        for tol in POLYNOMIAL_TOLS for solver in (solve, solve_m))
+    degrees = ",".join(str(degree) for degree, *_ in POLYNOMIAL_PROFILES)
+    lines.append(f"{_sha(text)}  polynomial pieces degree={degrees} "
+                 f"tol={','.join(map(format, POLYNOMIAL_TOLS))}")
     return lines
 
 
