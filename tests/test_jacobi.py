@@ -1042,6 +1042,17 @@ class TestPolynomialPieces:
                                        Segment(1e6, 1e6 + 1.0, (1e16, 1.0))), rg.ZeroTail())
         with pytest.raises(IntegrationError, match="step size underflow"):
             rg.solve(profile, 2e6, 1e-8)
+        # K about -1e197 on a sliver at t = 51.3: omega h is about 1e85, so
+        # the grid is far below the floor; one stepper step there returned
+        # nodes that were not finite
+        start = 51.29526924936907
+        sliver = rg.CurvatureProfile((Segment(0.0, start, (0.0,)), Segment(
+            start, start + 2.1316282072803006e-14,
+            (1.249482490166951e-215, -0.0, -5.126898674439344e+193, -0.0, -0.0,
+             -7.610737520257498e-285, -0.0, -0.0, 0.001))), rg.ConstantTail(-0.5))
+        for solver in (rg.solve, rg.solve_m):
+            with pytest.raises(IntegrationError, match="step size underflow"):
+                solver(sliver, start + 4e-14, 1.3863385413778344e-13)
 
     @pytest.mark.parametrize("tol", [1e-6, 1e-8])
     @given(seed=st.integers(min_value=0, max_value=2 ** 32 - 1))
