@@ -393,18 +393,19 @@ def _majorant(x: float, degree: int, first: float) -> list[float]:
     """Scaled Taylor coefficients B_k of a majorant of f on a step of
     x = omega h on a polynomial piece of the given degree: B_0 = 1,
     B_1 = ``first`` and B_(k+2) = sum_(j <= degree) x^(j+2) B_(k-j)/((k+2)(k+1)),
-    up to the first term below 1e-40 past k = 8.
+    up to the first term below 1e-25 past k = 8, far below the tail that
+    ``_taylor_rule`` asks for at tol 1e-14.
 
     Where |K^(j)/j!| <= omega^(j+2) on the step (``_local_scales``), the
     scaled coefficients b_(k+2) = -sum_j K_j h^(j+2) b_(k-j)/((k+2)(k+1))
     of f(t + s h) are at most B_k times |f| + |f'|/omega (B_1 = x) or,
     for both basis solutions of a transfer matrix, times 1 (B_1 = 1).
     """
+    powers = [x ** (j + 2) for j in range(degree + 1)]
     b = [1.0, first]
-    while len(b) < 10 or b[-1] > 1e-40:
+    while len(b) < 10 or b[-1] > 1e-25:
         k = len(b) - 2
-        b.append(sum(x ** (j + 2) * b[k - j] for j in range(min(k, degree) + 1))
-                 / ((k + 2) * (k + 1)))
+        b.append(sum(p * c for p, c in zip(powers, b[k::-1])) / ((k + 2) * (k + 1)))
     return b
 
 
@@ -414,7 +415,7 @@ def _taylor_rule(tol: float, degree: int) -> tuple[float, int]:
     omega h <= x, and P Taylor terms per step.
 
     x is the root of (D7/322560 + D6/13416)/x = tol, found by bisection to
-    2^-40 u, where D6 = sum_k k!/(k-6)! B_k and D7 = sum_k k!/(k-7)! B_k
+    2^-32 u from below, where D6 = sum_k k!/(k-6)! B_k and D7 = sum_k k!/(k-7)! B_k
     bound max|f^(6)| h^6 and max|f^(7)| h^7 over the step in units of
     a = |f| + |f'|/omega (``_majorant`` with B_1 = x).  By the quintic
     Hermite remainder of ``_grid_u`` the dense output then errs by at most
@@ -435,7 +436,7 @@ def _taylor_rule(tol: float, degree: int) -> tuple[float, int]:
         d7 = sum(math.perm(k, 7) * c for k, c in enumerate(b))
         return (d7 / 322560.0 + d6 / 13416.0) / x > tol
     lo, hi = 0.0, _grid_u(tol)
-    for _ in range(40):
+    for _ in range(32):
         mid = 0.5 * (lo + hi)
         lo, hi = (lo, mid) if excess(mid) else (mid, hi)
     b = _majorant(lo, degree, 1.0)
@@ -511,13 +512,17 @@ def _taylor_steps(num: tuple[float, ...], left: np.ndarray, h: np.ndarray,
     b[1][1] = 1.0
     value, slope = b[0] + b[1], b[1].copy()
     for k in range(order - 2):
-        acc = kappa[0] * b[k]
+        # b holds the last d + 2 coefficients, b_(k+1) at its end, so
+        # b_(k-j) is b[-2 - j]
+        acc = kappa[0] * b[-2]
         for j in range(1, min(d, k) + 1):
-            acc = acc + kappa[j] * b[k - j]
+            acc = acc + kappa[j] * b[-2 - j]
         new = acc * (-1.0 / ((k + 2) * (k + 1)))
-        b.append(new)
         value += new
         slope += (k + 2) * new
+        b.append(new)
+        if len(b) > d + 2:
+            del b[0]
     return (value[0].tolist(), (h * value[1]).tolist(), (slope[0] / h).tolist(),
             slope[1].tolist())
 
