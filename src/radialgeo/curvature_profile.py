@@ -303,6 +303,15 @@ class Segment:
         return tuple(_bisect(_polynomial(coeffs), lo, hi)
                      for lo, hi in _root_intervals(coeffs, self.t_start, self.t_end))
 
+    @cached_property
+    def _poles(self) -> tuple[tuple[float, float], ...]:
+        """The roots of the denominator, off the segment, as (real part,
+        |imaginary part|) pairs from ``numpy.roots``; none on a polynomial
+        segment.  The stepper keeps its steps short beside them."""
+        if self.is_polynomial:
+            return ()
+        return tuple((z.real, abs(z.imag)) for z in np.roots(self.den[::-1]).tolist())
+
     def max_on(self, a: float, b: float) -> float:
         """Exact maximum of the segment expression over [a, b], a
         subinterval of the segment: the largest value at its ends and at
@@ -618,14 +627,15 @@ def _cut(seg: Segment, lo: float, hi: float, positive: bool) -> Segment:
     """seg's expression on its sign piece [lo, hi) (positive or not): seg
     itself when that is all of it, else a piece that holds its one sign
     piece and shares seg's ``evaluate`` and, on a rational segment (which
-    the stepper takes), its critical points; a critical point outside
-    [lo, hi) is never inside a step.  So a fresh signed part builds no
-    evaluator and isolates no root."""
+    the stepper takes), its critical points and poles; a critical point
+    outside [lo, hi) is never inside a step.  So a fresh signed part builds
+    no evaluator and isolates no root."""
     if lo == seg.t_start and hi == seg.t_end:
         return seg
     shared = {"evaluate": seg.evaluate}
     if not seg.is_polynomial:
         shared["_critical_points"] = seg._critical_points
+        shared["_poles"] = seg._poles
     return _subsegment(lo, hi, seg.num, seg.den, positive, shared)
 
 

@@ -45,7 +45,7 @@ growth guard.
 Every other piece, a rational segment or a power tail, is integrated by
 an explicit Dormand-Prince 5(4) embedded pair with PI step control.  The
 equation is linear and smooth on every profile piece, so a moderate-order
-pair is plenty and keeps the package free of solver dependencies.  Three
+pair is plenty and keeps the package free of solver dependencies.  Four
 behaviors matter downstream and are guaranteed here:
 
 * steps never straddle a profile breakpoint (integration restarts there),
@@ -57,6 +57,14 @@ behaviors matter downstream and are guaranteed here:
   positive on the rest of a piece is decided once, at piece entry, and
   only such pieces (a rational segment or a positive power tail) test
   the cap at every step;
+* on a rational segment a step is at most _POLE_RATIO times the distance
+  from its start to each pole ahead of it (a root of the denominator, all
+  off the segment), so the steps that lead up to a narrow spike of K,
+  whose poles lie close to the real axis, shrink with the distance to it,
+  and the stage points cannot pass over it unseen.  A pole behind the
+  step's start needs no cap: the first stage, at the start, sees K there.
+  The test runs only while a pole lies ahead and the step exceeds a floor
+  set at piece entry;
 * the first zero of f, if any, is located by bisection on the dense
   output to 1e-12 in t, and integration stops there.
 
@@ -133,6 +141,10 @@ _MIN_FACTOR = 0.2
 _MAX_FACTOR = 10.0
 _PI_ALPHA = 0.14  # ~0.7/order
 _PI_BETA = 0.08   # ~0.4/order
+
+# a stepper step on a rational segment is at most this times its start's
+# distance to each pole ahead of it (``_pole_cap``)
+_POLE_RATIO = 0.5
 
 
 @dataclass
@@ -291,6 +303,31 @@ def _grid_u(tol: float) -> float:
     for _ in range(3):
         u = (tol / (math.exp(u) * (1.0 / 13416.0 + u / 322560.0))) ** 0.2
     return u
+
+
+def _poles_ahead(piece, t: float, bound: float) -> tuple[list, float, float]:
+    """The poles of a rational segment that lie ahead of its entry at t,
+    as (real part, squared imaginary part) pairs, the largest real part
+    among them (-inf when there is none), and a floor below which
+    ``_pole_cap`` binds at no t in [t, bound]: _POLE_RATIO times the
+    least distance from such a pole to [t, bound]."""
+    poles = [(re, im * im) for re, im in getattr(piece, "_poles", ()) if re > t]
+    if not poles:
+        return poles, -math.inf, math.inf
+    gap = min(math.hypot(re - bound, math.sqrt(im2)) if re > bound else math.sqrt(im2)
+              for re, im2 in poles)
+    return poles, max(re for re, _ in poles), _POLE_RATIO * gap
+
+
+def _pole_cap(poles: list, t: float, h: float) -> float:
+    """h, shortened to _POLE_RATIO times the distance from t to each pole
+    ahead of t."""
+    for re, im2 in poles:
+        if re > t:
+            d = re - t
+            cap = _POLE_RATIO * math.sqrt(d * d + im2)
+            h = cap if h > cap else h
+    return h
 
 
 def _two_product(a: float, b: float) -> tuple[float, float]:
@@ -625,7 +662,8 @@ def solve(profile: CurvatureProfile, t_end: float, tol: float) -> WarpingSolutio
     (see the module docstring); it must lie in [1e-14, 1e-3].  Constant
     pieces are taken in closed form, non-constant polynomial segments by
     Taylor transfer matrices on a grid per sign piece, and only rational
-    segments and power tails by the stepper and its Sturm cap.
+    segments and power tails by the stepper, its Sturm cap and, on
+    rational segments, its pole cap.
     Integration stops early at the first zero of f (recorded in
     ``first_zero``) or when |f| or |f'| passes the growth guard (recorded
     in ``truncated``); step-size underflow raises IntegrationError.
@@ -718,6 +756,7 @@ def solve(profile: CurvatureProfile, t_end: float, tol: float) -> WarpingSolutio
             # rational segment, K at both ends and at the critical points
             # inside; a positive power tail is decreasing, so its max is K(t)
             crit = piece._critical_points if isinstance(piece, Segment) else None
+            poles, pole_end, pole_floor = _poles_ahead(piece, t, bound)
             k1f, k1p = fp, -k_t * f
             # the first piece, and a step grown from a sliver piece, start
             # over from the initial-step rule
@@ -728,6 +767,10 @@ def solve(profile: CurvatureProfile, t_end: float, tol: float) -> WarpingSolutio
         at_bound = bound - t <= h * (1.0 + 1e-9)
         if at_bound:
             h = bound - t
+        if t < pole_end and h > pole_floor:
+            capped = _pole_cap(poles, t, h)
+            if capped < h:
+                h, at_bound = capped, False
         # one curvature call per step: k1 is carried over, and K(t + h)
         # serves stage 6 and stage 7 (FSAL)
         k2, k3, k4, k5, k_end = stages(t + c2 * h, t + c3 * h, t + c4 * h,

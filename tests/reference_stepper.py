@@ -1,5 +1,7 @@
-"""The Jacobi solver as it stood at commit 1a8798a, kept verbatim as the
-reference of the bit-identity tests in ``test_jacobi.py``.
+"""The Jacobi solver as it stood at commit 1a8798a, kept as the reference
+of the bit-identity tests in ``test_jacobi.py``.  Its one change since is
+the pole cap on rational segments (``jacobi._pole_cap``), which both
+solvers apply through the same functions, before the Sturm cap.
 
 Each step calls ``evaluate`` once per new stage point, and a piece where K
 can be positive calls ``max_on`` for the Sturm cap at every step.  The
@@ -28,7 +30,7 @@ from radialgeo.jacobi import (  # noqa: F401  (the names the copy reads)
     _A63, _A64, _A65, _B1, _B3, _B4, _B5, _B6, _C2, _C3, _C4, _C5, _E1, _E3,
     _E4, _E5, _E6, _E7, _MAX_FACTOR, _MAX_STEPS, _MAX_TOL, _MIN_FACTOR,
     _MIN_TOL, _PI_ALPHA, _PI_BETA, _SAFETY, GROWTH_GUARD, WarpingSolution,
-    _locate_zero,
+    _locate_zero, _pole_cap, _poles_ahead,
 )
 
 
@@ -95,6 +97,7 @@ def solve(profile: CurvatureProfile, t_end: float, tol: float) -> WarpingSolutio
             bound = min(piece_end, t_end)
             # where K <= 0 on the rest of the piece no step needs the cap
             check_cap = piece.max_on(t, bound) > 0.0
+            poles, pole_end, pole_floor = _poles_ahead(piece, t, bound)
             k1f, k1p = fp, -ev(t) * f
             # the first piece, and a step grown from a sliver piece, start
             # over from the initial-step rule
@@ -105,6 +108,10 @@ def solve(profile: CurvatureProfile, t_end: float, tol: float) -> WarpingSolutio
         at_bound = bound - t <= h * (1.0 + 1e-9)
         if at_bound:
             h = bound - t
+        if t < pole_end and h > pole_floor:
+            capped = _pole_cap(poles, t, h)
+            if capped < h:
+                h, at_bound = capped, False
         if check_cap:
             kmax = piece.max_on(t, t + h)
             if kmax > 0.0:

@@ -393,10 +393,38 @@ class TestStepControl:
 def _spike_profile():
     # K = 1/(1 + 1e6 (t - 10)^2) - 1e-3 on [0, 20): negative at both ends
     # of its piece and positive only within about 0.03 of t = 10, where
-    # the stage points of a long step can all miss it
+    # the stage points of a long step could all miss it; its poles
+    # 10 +- 1e-3 i cap the steps that lead up to it
     den = (1.0 + 1e8, -2e7, 1e6)
     num = (1.0 - 1e-3 * den[0], -1e-3 * den[1], -1e-3 * den[2])
     return rg.CurvatureProfile((Segment(0.0, 20.0, num, den),), rg.ZeroTail())
+
+
+def _entry_spike_profile():
+    # K = -1e-4/(1 + 1e-4 t^2) on [0, 20), where the steps grow long, then
+    # the spike 1/(1 + 1e6 (t - 20)^2) on [20, 60), whose peak is the
+    # segment's start: no pole lies ahead of the stepper there, and the
+    # Sturm cap pi/sqrt(K(20)) sets the first attempt
+    den = (1.0 + 4e8, -4e7, 1e6)
+    return rg.CurvatureProfile((Segment(0.0, 20.0, (-1e-4,), (1.0, 0.0, 1e-4)),
+                                Segment(20.0, 60.0, (1.0,), den)), rg.ZeroTail())
+
+
+def _stage_calls(monkeypatch):
+    """A list that gets the five times of every stage evaluator call of
+    the solves that follow."""
+    calls = []
+    build = Segment._stages.fget
+
+    def logged(seg):
+        stages = build(seg)
+
+        def call(*xs):
+            calls.append(xs)
+            return stages(*xs)
+        return call
+    monkeypatch.setattr(Segment, "_stages", property(logged))
+    return calls
 
 
 STURM_CAP_PROFILES = {
@@ -406,6 +434,7 @@ STURM_CAP_PROFILES = {
         (Segment(0.0, 4.0, (-3.0, 4.0, -1.0)),), rg.ZeroTail()),
     "positive_power_tail": lambda: rg.power_tail_profile(0.5, 3.0),
     "narrow_spike": _spike_profile,
+    "entry_spike": _entry_spike_profile,
 }
 
 
@@ -429,12 +458,47 @@ class TestSturmCap:
         assert ratios, "no step met positive curvature"
         assert max(ratios) <= 1.0 + 1e-12
 
-    def test_cap_binds_on_narrow_spike(self):
-        # at tol 1e-3 the step control proposes a step across the spike
-        # longer than the cap, so the cap sets that step: equality
+    def test_cap_binds_on_narrow_spike(self, monkeypatch):
+        # the stepper enters the spike at its peak with a step longer than
+        # the cap, so the cap sets the first attempt there: its stages end
+        # at 20 + pi/sqrt(K(20)) exactly
+        profile = _entry_spike_profile()
+        calls = _stage_calls(monkeypatch)
+        rg.solve(profile, 60.0, 1e-3)
+        capped = 20.0 + math.pi / math.sqrt(profile.evaluate(20.0))
+        assert capped in [xs[-1] for xs in calls]
+
+
+class TestPoleCap:
+    """A stepper step on a rational segment is at most _POLE_RATIO times
+    its start's distance to each pole ahead of it, so the steps that lead
+    up to a narrow spike shrink with the distance, and the stage points
+    cannot pass over it."""
+
+    @pytest.mark.parametrize("tol", [1e-3, 1e-8])
+    def test_steps_on_narrow_spike(self, tol):
         profile = _spike_profile()
-        ratios = self.cap_ratios(profile, rg.solve(profile, 60.0, 1e-3))
+        sol = rg.solve(profile, 60.0, tol)
+        poles = profile.segments[0]._poles
+        ratios = []
+        for t0, t1 in zip(sol.ts[:-1].tolist(), sol.ts[1:].tolist()):
+            ahead = [math.hypot(re - t0, im) for re, im in poles if re > t0 and t1 <= 20.0]
+            if ahead:
+                ratios.append((t1 - t0) / (jacobi._POLE_RATIO * min(ahead)))
         assert max(ratios) == pytest.approx(1.0, rel=1e-12)
+        # the spike is resolved: f at t = 60 agrees with DOP853
+        f_ref, fp_ref = dop853_state(profile, 0.0, (0.0, 1.0), 60.0)
+        scale = _GLOBAL_ERROR_PER_STEP * len(sol.ts) * tol * (1.0 + np.abs(sol.fs).max())
+        assert abs(sol.fs[-1] - f_ref) <= scale
+        assert abs(sol.fps[-1] - fp_ref) <= scale
+
+    def test_poles_of_rational_segments_only(self):
+        assert Segment(0.0, 1.0, (1.0, 2.0))._poles == ()
+        assert Segment(0.0, 1.0, (1.0,), (2.0,))._poles == ()
+        # den (t - 3)(t^2 + 1)
+        poles = sorted(Segment(0.0, 1.0, (1.0,), (-3.0, 1.0, -3.0, 1.0))._poles)
+        assert [re for re, _ in poles] == pytest.approx([0.0, 0.0, 3.0], abs=1e-12)
+        assert [im for _, im in poles] == pytest.approx([1.0, 1.0, 0.0], abs=1e-12)
 
 
 @pytest.mark.parametrize("name", sorted(GALLERY_TRACE))
@@ -592,8 +656,9 @@ def _any_segment(draw, lo, hi, kind=None):
         return Segment(lo, hi, [c * lam ** (2 + i) for i, c in enumerate(seg.num)],
                        [c * lam ** j for j, c in enumerate(seg.den)])
     if kind == "spike":
-        # a/(1 + w (t - c)^2) - eps: positive only near c, where a long
-        # step can miss it, so the Sturm cap may set the step
+        # a/(1 + w (t - c)^2) - eps: positive only near c, whose poles
+        # c +- i/sqrt(w) cap the steps that lead up to it, and where the
+        # Sturm cap may set the step
         c = draw(st.floats(min_value=lo, max_value=hi))
         w = 10.0 ** draw(st.floats(min_value=2.0, max_value=8.0))
         a = 10.0 ** draw(st.floats(min_value=-1.0, max_value=3.0))
@@ -641,7 +706,7 @@ def any_profiles(draw):
 @st.composite
 def spike_profiles(draw):
     """One to three narrow spikes of positive curvature over a small
-    negative K, where the Sturm cap sets many steps at coarse tol."""
+    negative K, where the pole cap sets many steps."""
     knots = [0.0]
     for _ in range(draw(st.integers(min_value=1, max_value=3))):
         knots.append(knots[-1] + draw(st.floats(min_value=1.0, max_value=20.0)))
@@ -656,8 +721,8 @@ class TestBitsOfReferenceStepper:
     every step of a piece where K can be positive, on the negative part
     built of fresh segments (``reference_stepper``).  Past it they agree
     with DOP853.  Rational segments and power tails stay on the stepper, so
-    the spike profiles, where the Sturm cap binds, are compared bit for
-    bit."""
+    the spike profiles, where the pole cap and the Sturm cap bind, are
+    compared bit for bit."""
 
     @pytest.mark.parametrize("name", sorted(GALLERY_TRACE))
     def test_gallery(self, name):
@@ -668,13 +733,16 @@ class TestBitsOfReferenceStepper:
     def test_sturm_cap_profiles(self, name, tol):
         assert_bits_of_reference(STURM_CAP_PROFILES[name](), 60.0, tol)
 
-    def test_spike_where_cap_binds(self):
-        # the cap sets a step here (TestSturmCap), so the stage values are
-        # read again at the capped length
-        profile = _spike_profile()
-        ratios = TestSturmCap.cap_ratios(profile, rg.solve(profile, 60.0, 1e-3))
-        assert max(ratios) == pytest.approx(1.0, rel=1e-12)
+    def test_spike_where_cap_binds(self, monkeypatch):
+        # the Sturm cap sets an attempt here (TestSturmCap), so the stage
+        # values are read again at the capped length
+        profile = _entry_spike_profile()
+        calls = _stage_calls(monkeypatch)
+        rg.solve(profile, 60.0, 1e-3)
+        assert 20.0 + math.pi / math.sqrt(profile.evaluate(20.0)) in [xs[-1] for xs in calls]
         assert_bits_of_reference(profile, 60.0, 1e-3)
+        # the pole cap sets steps on the spike inside its segment
+        assert_bits_of_reference(_spike_profile(), 60.0, 1e-3)
 
     @pytest.mark.parametrize("profile", [_sliver_segments, _sliver_sign_pieces])
     def test_slivers(self, profile):
@@ -682,6 +750,13 @@ class TestBitsOfReferenceStepper:
 
     @given(profile=any_profiles(), span=st.floats(min_value=0.1, max_value=8.0),
            tol=_TOLS)
+    # two zero slivers, then the spike 1/(1 + 1e7 (t - 1)^2), which the
+    # stepper passed over before steps were capped at its poles
+    @example(profile=rg.CurvatureProfile(
+        (Segment(0.0, 2.0 ** -52, (0.0,)), Segment(2.0 ** -52, 2.0 ** -51, (0.0,)),
+         Segment(2.0 ** -51, 2.0 + 2.0 ** -51, (1.0, 0.0, -0.0),
+                 (10000001.0, -20000000.0, 10000000.0))), rg.ZeroTail()),
+        span=1.0, tol=1e-7)
     @settings(max_examples=150, deadline=None)
     def test_drawn_profiles(self, profile, span, tol):
         assert_bits_of_reference(profile, profile.t_tail + span, tol)
@@ -786,6 +861,10 @@ class TestConstantPieceClosedForm:
     # cancels, and one close by on a small kappa > 0, where pi - phi would
     @example(case=(_after_sine(-0.2094), 2.0, math.inf, 60.0, 1e-8))
     @example(case=(_after_sine(1e-6), 2.0, math.inf, 60.0, 1e-8))
+    # a zero after 157 grid steps of kappa = 1e4 at tol 1e-14, where the
+    # zero node's rounded time moves the last step's f' by about 40 tol
+    @example(case=(rg.CurvatureProfile((Segment(0.0, 1.0, (0.0, 0.0)),), rg.ConstantTail(1e4)),
+                   1.0, math.inf, 1e300, 1e-14))
     @settings(max_examples=150, deadline=None)
     def test_against_closed_form(self, case):
         profile, start, end, t_end, tol = case
@@ -826,8 +905,14 @@ class TestConstantPieceClosedForm:
             r_fp = sum(abs(fps[i]) + e[3] for i, e in zip((j, j + 1), ends))
             rounding = 512 * _EPS * (r_f + h * r_fp + h * h * abs(kappa) * r_f)
             a = abs(fs[j]) + abs(fps[j]) / omega if omega else 0.0
-            assert abs(df - f) <= tol * (1.0 + a) + rounding + 16 * _EPS * cf, t
-            assert abs(dfp - fp) <= tol * (1.0 + omega * a) + rounding / h + 16 * _EPS * cfp, t
+            # the node at a zero holds f = 0 at its time rounded to a float,
+            # where the exact f is |ends[1][0]| (the zero is within 4 ulp,
+            # checked below); the interpolant's basis function of that
+            # value is at most 1, and its derivative at most 30/16 over h
+            gap = abs(ends[1][0]) if zero and j + 1 == len(ts) - 1 else 0.0
+            assert abs(df - f) <= tol * (1.0 + a) + rounding + gap + 16 * _EPS * cf, t
+            assert abs(dfp - fp) <= (tol * (1.0 + omega * a) + (rounding + 1.875 * gap) / h
+                                     + 16 * _EPS * cfp), t
         if zero:
             # the first zero, within 4 ulp of the exact one: the exact f
             # changes sign between the two ends of that window
