@@ -44,6 +44,34 @@ _ONE_DEN = (1.0,)
 _CONTINUITY_TOL = 1e-12
 
 
+def _taylor_shift(coeffs, a) -> list:
+    """The coefficients of the polynomial ``coeffs`` in powers of t - a,
+    for a float a or an array of them: Horner's Taylor shift, d passes of
+    c_j += a c_(j+1)."""
+    d = len(coeffs) - 1
+    c = list(coeffs)
+    for i in range(d):
+        for j in range(d - 1, i - 1, -1):
+            c[j] = c[j] + a * c[j + 1]
+    return c
+
+
+def _shifted_to_bernstein(c: list, w) -> list:
+    """Bernstein coefficients on [a, a + w] of the polynomial with
+    coefficients c in powers of t - a, for a float w or an array of them:
+    a scale by w^j/C(d, j), then b_i = sum_j C(i, j) v_j as d passes of
+    v_j += v_(j-1)."""
+    d = len(c) - 1
+    c, power = list(c), 1.0
+    for j in range(d + 1):
+        c[j] = c[j] * (power / math.comb(d, j))
+        power = power * w
+    for i in range(d):
+        for j in range(d, i, -1):
+            c[j] = c[j] + c[j - 1]
+    return c
+
+
 def _bernstein(coeffs: tuple[float, ...], a: float,
                b: float) -> tuple[list[float], list[float]]:
     """Bernstein coefficients of the polynomial ``coeffs`` on [a, b], with
@@ -64,21 +92,11 @@ def _bernstein(coeffs: tuple[float, ...], a: float,
     """
     d = len(coeffs) - 1
     c, m = list(coeffs), [abs(x) + (d + 1) * 2.0 ** -1022 for x in coeffs]
-    for i in range(d if a else 0):  # at a = 0 the shift is the identity
-        for j in range(d - 1, i - 1, -1):
-            c[j] += a * c[j + 1]
-            m[j] += a * m[j + 1]
+    if a:  # at a = 0 the shift is the identity
+        c, m = _taylor_shift(c, a), _taylor_shift(m, a)
     # sum_j C(i, j) (d + 1) 2^-1075 (|c_j| + 1), with room for rounding
     tiny = (d + 2) * 2.0 ** (d - 1073) * (1.0 + max(m))
-    w, power = b - a, 1.0
-    for j in range(d + 1):
-        c[j] *= power / math.comb(d, j)
-        m[j] *= power / math.comb(d, j)
-        power *= w
-    for i in range(d):
-        for j in range(d, i, -1):
-            c[j] += c[j - 1]
-            m[j] += m[j - 1]
+    c, m = _shifted_to_bernstein(c, b - a), _shifted_to_bernstein(m, b - a)
     if not all(map(math.isfinite, m)):
         raise ProfileError(f"polynomial coefficients {coeffs} leave float "
                            f"range on [{a}, {b}]")

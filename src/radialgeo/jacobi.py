@@ -64,7 +64,8 @@ behaviors matter downstream and are guaranteed here:
   and the stage points cannot pass over it unseen.  A pole behind the
   step's start needs no cap: the first stage, at the start, sees K there.
   The test runs only while a pole lies ahead and the step exceeds a floor
-  set at piece entry;
+  set at piece entry, and the cap never goes below 4 times the underflow
+  floor, so a pole that rounding puts on the segment cannot stall a solve;
 * the first zero of f, if any, is located by bisection on the dense
   output to 1e-12 in t, and integration stops there.
 
@@ -92,7 +93,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curvature_profile import CurvatureProfile, Segment, negative_part
+from .curvature_profile import (
+    CurvatureProfile,
+    Segment,
+    _shifted_to_bernstein,
+    _taylor_shift,
+    negative_part,
+)
 from .errors import IntegrationError
 
 __all__ = ["WarpingSolution", "solve", "solve_m", "GROWTH_GUARD"]
@@ -321,13 +328,20 @@ def _poles_ahead(piece, t: float, bound: float) -> tuple[list, float, float]:
 
 def _pole_cap(poles: list, t: float, h: float) -> float:
     """h, shortened to _POLE_RATIO times the distance from t to each pole
-    ahead of t."""
+    ahead of t, but not below 4 times the underflow floor 1e-14 max(t, 1).
+    ``numpy.roots`` can round a close pair of poles onto the real axis
+    inside the segment, where the cap alone would halve the steps toward
+    it until they underflow; the floor lets them pass."""
+    capped = h
     for re, im2 in poles:
         if re > t:
             d = re - t
             cap = _POLE_RATIO * math.sqrt(d * d + im2)
-            h = cap if h > cap else h
-    return h
+            capped = cap if capped > cap else capped
+    floor = 4e-14 * (t if t > 1.0 else 1.0)
+    if capped >= floor:
+        return capped
+    return h if h < floor else floor
 
 
 def _two_product(a: float, b: float) -> tuple[float, float]:
@@ -366,7 +380,10 @@ def _constant_piece(t: float, f: float, fp: float, kappa: float, bound: float,
     """One pass of the closed form on a piece with constant K = kappa,
     from the entry state (t, f, f') toward ``bound``: the node times, f,
     f' and f'' = -kappa f after the entry, and whether the last node is the
-    first zero (where f is set to 0).
+    first zero.  Every node, the zero's included, holds the closed form at
+    its stored time: at the zero's time, rounded to a float, f is within
+    rounding of 0, and storing 0 there instead would move the dense f' of
+    a short last step by up to 30/16 of that rounding over h.
 
     A zero piece is one step, in Python floats: to the bound, to the zero,
     or to where f reaches twice the growth guard.  Otherwise the pass
@@ -384,7 +401,7 @@ def _constant_piece(t: float, f: float, fp: float, kappa: float, bound: float,
             t_new = min(t - f / fp, bound)
         elif fp * width > 2.0 * GROWTH_GUARD:
             t_new = t + 2.0 * GROWTH_GUARD / fp
-        f_new = 0.0 if zero else f + fp * (t_new - t)
+        f_new = f + fp * (t_new - t)
         return [t_new], [f_new], [fp], [-kappa * f_new], zero
     omega = math.sqrt(abs(kappa))
     if kappa > 0.0:
@@ -416,8 +433,6 @@ def _constant_piece(t: float, f: float, fp: float, kappa: float, bound: float,
     s = tau * np.divide(s, x, out=np.ones_like(x), where=x > 0.0)
     fs = f * c + fp * s
     fps = fp * c - kappa * f * s
-    if zero:
-        fs[-1] = 0.0
     past = np.flatnonzero(np.maximum(np.abs(fs), np.abs(fps)) >= GROWTH_GUARD)
     # a zero node past the guard ends the solve as a zero, as a step would
     if past.size and not (zero and past[0] == n - 1):
@@ -484,43 +499,25 @@ def _taylor_rule(tol: float, degree: int) -> tuple[float, int]:
     return lo, order
 
 
-def _taylor_shift(num: tuple[float, ...], t) -> list:
-    """K^(j)(t)/j! for j = 0..d of the polynomial K = num, at a time or an
-    array of times: Horner's Taylor shift, d passes of c_j += t c_(j+1)."""
-    d = len(num) - 1
-    taylor: list = list(num)
-    for i in range(d):
-        for j in range(d - 1, i - 1, -1):
-            taylor[j] = taylor[j] + t * taylor[j + 1]
-    return taylor
-
-
 def _local_scales(num: tuple[float, ...], a: np.ndarray, w: np.ndarray) -> np.ndarray:
     """omega on each cell [a, a + w] of a polynomial piece: the largest of
     (max |K^(j)/j!|)^(1/(j + 2)) over j, floored at _OMEGA_FLOOR.
 
-    Each max is bounded by the largest Bernstein coefficient on the cell
-    (as in ``curvature_profile._bernstein``): the Taylor shift to a gives
-    every K^(j)(a)/j! at once, and K^(j)/j! on the cell has
-    coefficients C(i + j, j) K^(i+j)(a)/(i + j)! s^i, which are scaled by
-    w^i/C(d - j, i) and summed in d - j passes.  Subdivision only shrinks
-    Bernstein bounds, so a cell's omega is at most its span's.
+    Each max is bounded by the largest Bernstein coefficient on the cell,
+    with the steps of ``curvature_profile._bernstein`` on arrays: the
+    Taylor shift to a gives every K^(j)(a)/j! at once, and K^(j)/j! has
+    the coefficients C(i + j, j) K^(i+j)(a)/(i + j)! in powers of t - a.
+    Subdivision only shrinks Bernstein bounds, so a cell's omega is at
+    most its span's.
     """
     d = len(num) - 1
     taylor = _taylor_shift(num, a)
     omega = np.full(np.shape(a), _OMEGA_FLOOR)
     for j in range(d + 1):
-        m = d - j
-        power = 1.0
-        g = []
-        for i in range(m + 1):
-            g.append(taylor[i + j] * (power * (math.comb(i + j, j) / math.comb(m, i))))
-            power = power * w
-        for r in range(m):
-            for k in range(m, r, -1):
-                g[k] = g[k] + g[k - 1]
-        bound = np.abs(g[0])
-        for x in g[1:]:
+        bern = _shifted_to_bernstein([math.comb(i + j, j) * taylor[i + j]
+                                      for i in range(d - j + 1)], w)
+        bound = np.abs(bern[0])
+        for x in bern[1:]:
             bound = np.maximum(bound, np.abs(x))
         omega = np.maximum(omega, bound ** (1.0 / (j + 2)))
     return omega

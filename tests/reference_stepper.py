@@ -1,7 +1,7 @@
 """The Jacobi solver as it stood at commit 1a8798a, kept as the reference
 of the bit-identity tests in ``test_jacobi.py``.  Its one change since is
-the pole cap on rational segments (``jacobi._pole_cap``), which both
-solvers apply through the same functions, before the Sturm cap.
+the pole cap on rational segments, written out here in full from the
+roots of each segment's denominator and applied before the Sturm cap.
 
 Each step calls ``evaluate`` once per new stage point, and a piece where K
 can be positive calls ``max_on`` for the Sturm cap at every step.  The
@@ -30,8 +30,38 @@ from radialgeo.jacobi import (  # noqa: F401  (the names the copy reads)
     _A63, _A64, _A65, _B1, _B3, _B4, _B5, _B6, _C2, _C3, _C4, _C5, _E1, _E3,
     _E4, _E5, _E6, _E7, _MAX_FACTOR, _MAX_STEPS, _MAX_TOL, _MIN_FACTOR,
     _MIN_TOL, _PI_ALPHA, _PI_BETA, _SAFETY, GROWTH_GUARD, WarpingSolution,
-    _locate_zero, _pole_cap, _poles_ahead,
+    _locate_zero,
 )
+
+# a step on a rational segment is at most this times its start's distance
+# to each pole ahead of it
+_POLE_RATIO = 0.5
+
+
+def _poles_ahead(piece, t: float, bound: float) -> tuple[list, float, float]:
+    """The roots of a rational segment's denominator whose real part lies
+    past t, as (real part, squared imaginary part) pairs, the largest such
+    real part (-inf when there is none), and _POLE_RATIO times their least
+    distance to [t, bound], below which the cap binds nowhere there."""
+    den = getattr(piece, "den", (1.0,))
+    poles = [(z.real, z.imag * z.imag) for z in np.roots(den[::-1]).tolist()
+             if z.real > t]
+    if not poles:
+        return poles, -math.inf, math.inf
+    gap = min(math.hypot(re - bound, math.sqrt(im2)) if re > bound else math.sqrt(im2)
+              for re, im2 in poles)
+    return poles, max(re for re, _ in poles), _POLE_RATIO * gap
+
+
+def _pole_cap(poles: list, t: float, h: float) -> float:
+    """h, shortened to _POLE_RATIO times the distance from t to each pole
+    ahead of t, but not below 4e-14 max(t, 1) unless h already is."""
+    capped = h
+    for re, im2 in poles:
+        if re > t:
+            d = re - t
+            capped = min(capped, _POLE_RATIO * math.sqrt(d * d + im2))
+    return max(capped, min(h, 4e-14 * max(t, 1.0)))
 
 
 def solve(profile: CurvatureProfile, t_end: float, tol: float) -> WarpingSolution:

@@ -32,7 +32,7 @@ GALLERY_TRACE = {
     "hyperbolic": (856, 0, "0x1.1604fd4752c26p+7",
                    "0x1.7675e02c88e3ap+199", "0x1.7675e02c88e3ap+199"),
     "spherical": (20, 0, "0x1.921fb54442d18p+1",
-                  "0x0.0p+0", "-0x1.0000000000000p+0"),
+                  "0x1.1a62633145c07p-53", "-0x1.0000000000000p+0"),
     "abresch_tail": (85, 1, "0x1.0000000000000p+12",
                      "0x1.2c4284e892c88p+13", "0x1.2c5e64cbdd681p+1"),
     "sign_changing_beta_ln2": (82, 1, "0x1.0000000000000p+12",
@@ -76,7 +76,8 @@ class TestClosedForms:
         sol = rg.solve(rg.constant_profile(1.0), 4.0, 1e-10)
         assert sol.first_zero == math.pi
         assert sol.t_end == sol.first_zero
-        assert sol.fs[-1] == 0.0 and sol.fps[-1] == -1.0
+        # the closed form at the stored zero time: sin(fl(pi))
+        assert sol.fs[-1] == math.sin(math.pi) and sol.fps[-1] == -1.0
         for t, f, fp in zip(sol.ts[1:-1].tolist(), sol.fs[1:-1].tolist(),
                             sol.fps[1:-1].tolist()):
             assert _ulps(f, math.sin(t)) <= 4
@@ -400,31 +401,12 @@ def _spike_profile():
     return rg.CurvatureProfile((Segment(0.0, 20.0, num, den),), rg.ZeroTail())
 
 
-def _entry_spike_profile():
-    # K = -1e-4/(1 + 1e-4 t^2) on [0, 20), where the steps grow long, then
-    # the spike 1/(1 + 1e6 (t - 20)^2) on [20, 60), whose peak is the
-    # segment's start: no pole lies ahead of the stepper there, and the
-    # Sturm cap pi/sqrt(K(20)) sets the first attempt
-    den = (1.0 + 4e8, -4e7, 1e6)
-    return rg.CurvatureProfile((Segment(0.0, 20.0, (-1e-4,), (1.0, 0.0, 1e-4)),
-                                Segment(20.0, 60.0, (1.0,), den)), rg.ZeroTail())
-
-
-def _stage_calls(monkeypatch):
-    """A list that gets the five times of every stage evaluator call of
-    the solves that follow."""
-    calls = []
-    build = Segment._stages.fget
-
-    def logged(seg):
-        stages = build(seg)
-
-        def call(*xs):
-            calls.append(xs)
-            return stages(*xs)
-        return call
-    monkeypatch.setattr(Segment, "_stages", property(logged))
-    return calls
+def _origin_spike_profile():
+    # K = 1e4/(1 + 1e8 t^2) on [0, 10): its peak is at t = 0, where f = 0,
+    # so the first step's stages see little of it and the Sturm cap
+    # pi/sqrt(K(0)) sets an accepted step; its poles +-1e-4 i lie behind
+    # every step's start, so the pole cap never binds
+    return rg.CurvatureProfile((Segment(0.0, 10.0, (1e4,), (1.0, 0.0, 1e8)),), rg.ZeroTail())
 
 
 STURM_CAP_PROFILES = {
@@ -434,7 +416,7 @@ STURM_CAP_PROFILES = {
         (Segment(0.0, 4.0, (-3.0, 4.0, -1.0)),), rg.ZeroTail()),
     "positive_power_tail": lambda: rg.power_tail_profile(0.5, 3.0),
     "narrow_spike": _spike_profile,
-    "entry_spike": _entry_spike_profile,
+    "origin_spike": _origin_spike_profile,
 }
 
 
@@ -458,15 +440,13 @@ class TestSturmCap:
         assert ratios, "no step met positive curvature"
         assert max(ratios) <= 1.0 + 1e-12
 
-    def test_cap_binds_on_narrow_spike(self, monkeypatch):
-        # the stepper enters the spike at its peak with a step longer than
-        # the cap, so the cap sets the first attempt there: its stages end
-        # at 20 + pi/sqrt(K(20)) exactly
-        profile = _entry_spike_profile()
-        calls = _stage_calls(monkeypatch)
-        rg.solve(profile, 60.0, 1e-3)
-        capped = 20.0 + math.pi / math.sqrt(profile.evaluate(20.0))
-        assert capped in [xs[-1] for xs in calls]
+    def test_cap_binds_on_narrow_spike(self):
+        # at tol 1e-3 the step control proposes a first step across the
+        # spike longer than the cap, so the cap sets that accepted step:
+        # equality
+        profile = _origin_spike_profile()
+        ratios = self.cap_ratios(profile, rg.solve(profile, 60.0, 1e-3))
+        assert max(ratios) == pytest.approx(1.0, rel=1e-12)
 
 
 class TestPoleCap:
@@ -491,6 +471,30 @@ class TestPoleCap:
         scale = _GLOBAL_ERROR_PER_STEP * len(sol.ts) * tol * (1.0 + np.abs(sol.fs).max())
         assert abs(sol.fs[-1] - f_ref) <= scale
         assert abs(sol.fps[-1] - fp_ref) <= scale
+
+    def test_floor_passes_a_real_pole(self):
+        # a pole on the real axis inside the segment, as rounding can give:
+        # the capped steps toward it shrink to the floor 4e-14 max(t, 1)
+        # and then pass it instead of halving until they underflow
+        t, steps = 0.0, 0
+        while t <= 1.3:
+            h = jacobi._pole_cap([(1.3, 0.0)], t, 1.0)
+            assert h >= min(4e-14 * max(t, 1.0), 1.0)
+            t, steps = t + h, steps + 1
+        assert steps < 60
+        # a proposal below the floor is kept
+        assert jacobi._pole_cap([(1.3, 0.0)], 1.3 - 1e-15, 1e-16) == 1e-16
+
+    def test_close_pole_pair_does_not_stall(self):
+        # den ((t - 1.3)^2 + d^2)(t + 1e8) with d about 1.8e-7: numpy.roots
+        # can put the close pair on the real axis inside [0, 2); the solve
+        # passes the spike
+        den = (169000000.00000316, -259999998.31, 99999997.4, 1.0)
+        profile = rg.CurvatureProfile((Segment(0.0, 2.0, (1.0,), den),), rg.ZeroTail())
+        for solver in (rg.solve, rg.solve_m):
+            sol = solver(profile, 3.0, 1e-8)
+            assert sol.ts[-1] == 3.0 and sol.first_zero is None and not sol.truncated
+        assert_bits_of_reference(profile, 3.0, 1e-8)
 
     def test_poles_of_rational_segments_only(self):
         assert Segment(0.0, 1.0, (1.0, 2.0))._poles == ()
@@ -733,13 +737,12 @@ class TestBitsOfReferenceStepper:
     def test_sturm_cap_profiles(self, name, tol):
         assert_bits_of_reference(STURM_CAP_PROFILES[name](), 60.0, tol)
 
-    def test_spike_where_cap_binds(self, monkeypatch):
-        # the Sturm cap sets an attempt here (TestSturmCap), so the stage
-        # values are read again at the capped length
-        profile = _entry_spike_profile()
-        calls = _stage_calls(monkeypatch)
-        rg.solve(profile, 60.0, 1e-3)
-        assert 20.0 + math.pi / math.sqrt(profile.evaluate(20.0)) in [xs[-1] for xs in calls]
+    def test_spike_where_cap_binds(self):
+        # the Sturm cap sets an accepted step here (TestSturmCap), so the
+        # stage values are read again at the capped length
+        profile = _origin_spike_profile()
+        ratios = TestSturmCap.cap_ratios(profile, rg.solve(profile, 60.0, 1e-3))
+        assert max(ratios) == pytest.approx(1.0, rel=1e-12)
         assert_bits_of_reference(profile, 60.0, 1e-3)
         # the pole cap sets steps on the spike inside its segment
         assert_bits_of_reference(_spike_profile(), 60.0, 1e-3)
@@ -861,10 +864,6 @@ class TestConstantPieceClosedForm:
     # cancels, and one close by on a small kappa > 0, where pi - phi would
     @example(case=(_after_sine(-0.2094), 2.0, math.inf, 60.0, 1e-8))
     @example(case=(_after_sine(1e-6), 2.0, math.inf, 60.0, 1e-8))
-    # a zero after 157 grid steps of kappa = 1e4 at tol 1e-14, where the
-    # zero node's rounded time moves the last step's f' by about 40 tol
-    @example(case=(rg.CurvatureProfile((Segment(0.0, 1.0, (0.0, 0.0)),), rg.ConstantTail(1e4)),
-                   1.0, math.inf, 1e300, 1e-14))
     @settings(max_examples=150, deadline=None)
     def test_against_closed_form(self, case):
         profile, start, end, t_end, tol = case
@@ -877,10 +876,10 @@ class TestConstantPieceClosedForm:
         k1 = max(k for k in range(k0, len(ts)) if ts[k] <= end)
         f0, g0 = fs[k0], fps[k0]
         zero = sol.first_zero is not None and k1 == len(ts) - 1
-        # nodes: math's functions at the offset of each stored time, within
-        # 8 ulp of the condition scale (the node at a zero is set to 0 and
-        # checked below; past x = 700 math.cosh leaves float range)
-        for k in range(k0 + 1, k1 + 1 - zero):
+        # nodes, the one at a zero included: math's functions at the offset
+        # of each stored time, within 8 ulp of the condition scale (past
+        # x = 700 math.cosh leaves float range)
+        for k in range(k0 + 1, k1 + 1):
             tau = ts[k] - start
             if omega * tau > 700.0:
                 break
@@ -905,19 +904,13 @@ class TestConstantPieceClosedForm:
             r_fp = sum(abs(fps[i]) + e[3] for i, e in zip((j, j + 1), ends))
             rounding = 512 * _EPS * (r_f + h * r_fp + h * h * abs(kappa) * r_f)
             a = abs(fs[j]) + abs(fps[j]) / omega if omega else 0.0
-            # the node at a zero holds f = 0 at its time rounded to a float,
-            # where the exact f is |ends[1][0]| (the zero is within 4 ulp,
-            # checked below); the interpolant's basis function of that
-            # value is at most 1, and its derivative at most 30/16 over h
-            gap = abs(ends[1][0]) if zero and j + 1 == len(ts) - 1 else 0.0
-            assert abs(df - f) <= tol * (1.0 + a) + rounding + gap + 16 * _EPS * cf, t
-            assert abs(dfp - fp) <= (tol * (1.0 + omega * a) + (rounding + 1.875 * gap) / h
-                                     + 16 * _EPS * cfp), t
+            assert abs(df - f) <= tol * (1.0 + a) + rounding + 16 * _EPS * cf, t
+            assert abs(dfp - fp) <= tol * (1.0 + omega * a) + rounding / h + 16 * _EPS * cfp, t
         if zero:
             # the first zero, within 4 ulp of the exact one: the exact f
             # changes sign between the two ends of that window
             tz = sol.first_zero
-            assert fs[-1] == 0.0 and all(x > 0.0 for x in fs[k0 + 1:-1])
+            assert all(x > 0.0 for x in fs[k0 + 1:-1])
             lo, hi = max(tz - 4 * math.ulp(tz), start), tz + 4 * math.ulp(tz)
             assert _exact_f(kappa, start, f0, g0, lo) > 0
             assert _exact_f(kappa, start, f0, g0, hi) < 0
