@@ -864,6 +864,11 @@ class TestConstantPieceClosedForm:
     # cancels, and one close by on a small kappa > 0, where pi - phi would
     @example(case=(_after_sine(-0.2094), 2.0, math.inf, 60.0, 1e-8))
     @example(case=(_after_sine(1e-6), 2.0, math.inf, 60.0, 1e-8))
+    # a zero after 157 grid steps of kappa = 1e4 at tol 1e-14, where 0 at
+    # the zero node, instead of the closed form at its stored time, moved
+    # the last step's f' by about 40 tol
+    @example(case=(rg.CurvatureProfile((Segment(0.0, 1.0, (0.0, 0.0)),), rg.ConstantTail(1e4)),
+                   1.0, math.inf, 1e300, 1e-14))
     @settings(max_examples=150, deadline=None)
     def test_against_closed_form(self, case):
         profile, start, end, t_end, tol = case
