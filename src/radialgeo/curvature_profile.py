@@ -62,10 +62,12 @@ def _shifted_to_bernstein(c: list, w) -> list:
     a scale by w^j/C(d, j), then b_i = sum_j C(i, j) v_j as d passes of
     v_j += v_(j-1)."""
     d = len(c) - 1
-    c, power = list(c), 1.0
-    for j in range(d + 1):
+    # the scale of v_0 is 1, and w^j is w^(j-1) w
+    c, power = list(c), w
+    for j in range(1, d + 1):
         c[j] = c[j] * (power / math.comb(d, j))
-        power = power * w
+        if j < d:
+            power = power * w
     for i in range(d):
         for j in range(d, i, -1):
             c[j] = c[j] + c[j - 1]

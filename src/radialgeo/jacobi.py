@@ -24,8 +24,8 @@ Taylor transfer matrices, from its entry state.  f is entire there, and
 its Taylor coefficients at a node follow the recurrence
 b_(k+2) = -sum_j K_j b_(k-j)/((k+2)(k+1)) with K's own Taylor
 coefficients K_j; the equation is linear, so a step's 2 x 2 transfer
-matrix depends on K alone, and one array pass builds every matrix of a
-span of nodes (``_taylor_steps``).  The state is carried node to node in
+matrix depends on K alone, and one array pass builds the matrices of any
+set of nodes (``_taylor_steps``).  The state is carried node to node in
 Python floats.  Each sign piece of the segment gets its own grid: cells
 of a local scale omega = max over j of (max |K_j|)^(1/(j+2)), bounded
 with Bernstein coefficients on the cell (``_local_scales``), each with a
@@ -41,6 +41,19 @@ x < pi and omega >= sqrt(max K), every step meets the Sturm cap below
 without a test.  The walk stops at the first node where f <= 0, whose
 zero is located as the stepper's is, and at the first node past the
 growth guard.
+
+Since nothing of the grid or the matrices depends on the state, they
+form a plan per profile, t_end and tol (``_Plan``), held in a one-entry
+memo that ``solve`` and ``solve_m`` share (the Taylor methods of Corliss
+and Chang, ACM TOMS 8, 1982, and of Jorba and Zou, Exp. Math. 14, 2005,
+rest on the same fact).  The plan finds the grids of all the profile's
+polynomial sign pieces together, in batched array passes, and builds
+their matrices as the walks reach them: every nonpositive piece of a
+degree in one pass, which f and m both walk, and a positive piece in
+chunks that double in size, so a solve that stops at its first zero
+does not pay for the rest of the piece.  The chain over them keeps the
+bits of a grid built span by span, and an underflowing grid or an
+exhausted step budget is raised where the walk meets it.
 
 Every other piece, a rational segment or a power tail, is integrated by
 an explicit Dormand-Prince 5(4) embedded pair with PI step control.  The
@@ -87,6 +100,7 @@ range, which a cubic on (f, f') alone would not.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import math
 from dataclasses import dataclass
@@ -127,6 +141,12 @@ _MIN_TOL, _MAX_TOL = 1e-14, 1e-3
 _SPAN_NODES = 4096
 _CELL_NODES = 16
 _OMEGA_FLOOR = 2.0 ** -600
+# a plan's round builds at most _ROUND_NODES nodes, far more than a span
+# holds (about _SPAN_NODES + _SPAN_NODES/_CELL_NODES); a positive sign
+# piece's first chunk of transfer matrices has _CHUNK_NODES nodes, and each
+# next one twice as many
+_ROUND_NODES = 16384
+_CHUNK_NODES = 256
 
 # Dormand-Prince 5(4) tableau
 _C2, _C3, _C4, _C5 = 0.2, 0.3, 0.8, 8.0 / 9.0
@@ -376,14 +396,15 @@ def _hyperbolic_zero(f: float, fp: float, kappa: float, omega: float) -> float:
 
 
 def _constant_piece(t: float, f: float, fp: float, kappa: float, bound: float,
-                    tol: float) -> tuple[list[float], ...]:
+                    tol: float) -> tuple:
     """One pass of the closed form on a piece with constant K = kappa,
     from the entry state (t, f, f') toward ``bound``: the node times, f,
-    f' and f'' = -kappa f after the entry, and whether the last node is the
-    first zero.  Every node, the zero's included, holds the closed form at
-    its stored time: at the zero's time, rounded to a float, f is within
-    rounding of 0, and storing 0 there instead would move the dense f' of
-    a short last step by up to 30/16 of that rounding over h.
+    f' and f'' = -kappa f after the entry, as arrays (a zero piece's one
+    step as lists), and whether the last node is the first zero.  Every
+    node, the zero's included, holds the closed form at its stored time:
+    at the zero's time, rounded to a float, f is within rounding of 0, and
+    storing 0 there instead would move the dense f' of a short last step
+    by up to 30/16 of that rounding over h.
 
     A zero piece is one step, in Python floats: to the bound, to the zero,
     or to where f reaches twice the growth guard.  Otherwise the pass
@@ -437,8 +458,7 @@ def _constant_piece(t: float, f: float, fp: float, kappa: float, bound: float,
     # a zero node past the guard ends the solve as a zero, as a step would
     if past.size and not (zero and past[0] == n - 1):
         n, zero = past[0] + 1, False
-    return (ts[:n].tolist(), fs[:n].tolist(), fps[:n].tolist(),
-            (-kappa * fs[:n]).tolist(), zero)
+    return ts[:n], fs[:n], fps[:n], -kappa * fs[:n], zero
 
 
 def _majorant(x: float, degree: int, first: float) -> list[float]:
@@ -499,73 +519,344 @@ def _taylor_rule(tol: float, degree: int) -> tuple[float, int]:
     return lo, order
 
 
-def _local_scales(num: tuple[float, ...], a: np.ndarray, w: np.ndarray) -> np.ndarray:
+def _local_scales(num, a, w, scalar_roots: bool = False) -> np.ndarray:
     """omega on each cell [a, a + w] of a polynomial piece: the largest of
-    (max |K^(j)/j!|)^(1/(j + 2)) over j, floored at _OMEGA_FLOOR.
+    (max |K^(j)/j!|)^(1/(j + 2)) over j, floored at _OMEGA_FLOOR.  ``num``
+    holds K's coefficients, as floats or as arrays with one entry per cell.
 
     Each max is bounded by the largest Bernstein coefficient on the cell,
     with the steps of ``curvature_profile._bernstein`` on arrays: the
     Taylor shift to a gives every K^(j)(a)/j! at once, and K^(j)/j! has
     the coefficients C(i + j, j) K^(i+j)(a)/(i + j)! in powers of t - a.
     Subdivision only shrinks Bernstein bounds, so a cell's omega is at
-    most its span's.
+    most its span's.  With ``scalar_roots`` each root is a float's ``**``
+    (libm's pow), as a float a and w give it; numpy's array power rounds
+    some of them differently.
     """
     d = len(num) - 1
     taylor = _taylor_shift(num, a)
     omega = np.full(np.shape(a), _OMEGA_FLOOR)
     for j in range(d + 1):
-        bern = _shifted_to_bernstein([math.comb(i + j, j) * taylor[i + j]
-                                      for i in range(d - j + 1)], w)
+        # C(i + j, j) is 1 at i = 0 and at j = 0
+        bern = _shifted_to_bernstein([math.comb(i + j, j) * taylor[i + j] if i and j
+                                      else taylor[i + j] for i in range(d - j + 1)], w)
         bound = np.abs(bern[0])
         for x in bern[1:]:
             bound = np.maximum(bound, np.abs(x))
-        omega = np.maximum(omega, bound ** (1.0 / (j + 2)))
+        root = 1.0 / (j + 2)
+        if scalar_roots:
+            omega = np.maximum(omega, [x ** root for x in bound.tolist()])
+        else:
+            omega = np.maximum(omega, bound ** root)
     return omega
 
 
-def _taylor_steps(num: tuple[float, ...], left: np.ndarray, h: np.ndarray,
-                  order: int) -> tuple[list[float], ...]:
+def _taylor_steps(num, left: np.ndarray, h: np.ndarray, order: int) -> np.ndarray:
     """The transfer matrices of steps of length h from the nodes ``left``
-    on the polynomial K = num: (f, f') at the right end is
-    (m00 f + m01 f', m10 f + m11 f') of the state at the left end.
+    on the polynomial K = num (floats, or arrays with one entry per step),
+    as the rows m00, m01, m10, m11 of a (4, n) array: (f, f') at the right
+    end is (m00 f + m01 f', m10 f + m11 f') of the state at the left end.
 
     K's Taylor coefficients at each left node, scaled to
     kappa_j = K_j h^(j+2), drive the recurrence
     b_(k+2) = -sum_j kappa_j b_(k-j)/((k+2)(k+1)) for the scaled Taylor
     coefficients of both basis solutions at once (f = 1, h f' = 0 and
     f = 0, h f' = 1, as the rows of a (2, n) array), over ``order`` terms.
+    Each term is written in place into a stack of them, and one sum over
+    the stack, term after term, gives the value sum_k b_k and the slope
+    sum_k k b_k at the right end.
     """
     d = len(num) - 1
     kappa, power = [], h * h
     for c in _taylor_shift(num, left):
         kappa.append(c * power)
         power = power * h
-    n = len(h)
-    b = [np.zeros((2, n)), np.zeros((2, n))]
-    b[0][0] = 1.0
-    b[1][1] = 1.0
-    value, slope = b[0] + b[1], b[1].copy()
+    # terms[k, 0] is b_k; terms[k, 1] becomes k b_k
+    terms = np.empty((order, 2, 2, len(h)))
+    b = terms[:, 0]
+    b[:2] = 0.0
+    b[0, 0] = 1.0
+    b[1, 1] = 1.0
     for k in range(order - 2):
-        # b holds the last d + 2 coefficients, b_(k+1) at its end, so
-        # b_(k-j) is b[-2 - j]
-        acc = kappa[0] * b[-2]
+        new = b[k + 2]
+        np.multiply(kappa[0], b[k], out=new)
         for j in range(1, min(d, k) + 1):
-            acc = acc + kappa[j] * b[-2 - j]
-        new = acc * (-1.0 / ((k + 2) * (k + 1)))
-        value += new
-        slope += (k + 2) * new
-        b.append(new)
-        if len(b) > d + 2:
-            del b[0]
-    return (value[0].tolist(), (h * value[1]).tolist(), (slope[0] / h).tolist(),
-            slope[1].tolist())
+            new += kappa[j] * b[k - j]
+        new *= -1.0 / ((k + 2) * (k + 1))
+    np.multiply(b, np.arange(float(order)).reshape(-1, 1, 1), out=terms[:, 1])
+    value, slope = np.add.reduce(terms, axis=0)
+    return np.stack((value[0], h * value[1], slope[0] / h, slope[1]))
+
+
+# the nodes of a piece whose grid no round has built yet
+_NO_NODES = np.empty(0)
+_NO_NODES.flags.writeable = False
+
+
+def _cells(nodes: float) -> int:
+    """The number of cells of a span whose scale allows ``nodes`` nodes."""
+    # a span too narrow to halve gets at most _SPAN_NODES/_CELL_NODES cells
+    return math.ceil(min(max(nodes, 1.0), _SPAN_NODES) / _CELL_NODES)
+
+
+class _Piece:
+    """One sign piece [lo, hi) of a polynomial segment in a plan, hi cut
+    at the plan's t_end: its grid, resolved in rounds, and its transfer
+    matrices, built in chunks.
+
+    ``todo`` holds the spans a round has yet to resolve, in order.  The
+    built leaves (spans of at most _SPAN_NODES nodes at their own scale)
+    are ``leaves``, as (left end, first node, end node) over the node
+    times ``t`` and -K at them, ``negk``.  Past them comes the first leaf
+    whose grid underflows (``underflow``, the left end of its first
+    underflowing cell), or a leaf that a round resolved but did not build
+    (``next_leaf``, its left end and node count), or the spans of
+    ``todo``, or nothing.  ``chunks`` are read-only (4, n) arrays of
+    transfer matrices from node ``chunk_starts[i]`` on, over the first
+    ``built`` nodes.
+    """
+
+    def __init__(self, seg: Segment, lo: float, hi: float, positive: bool):
+        self.lo, self.positive = lo, positive
+        self.num, self.evaluate, self.degree = seg.num, seg.evaluate, len(seg.num) - 1
+        self.todo = [(lo, hi)]
+        self.t = self.negk = _NO_NODES
+        self.leaves: list[tuple[float, int, int]] = []
+        self.underflow: float | None = None
+        self.next_leaf: tuple[float, int] | None = None
+        self.chunk_starts: list[int] = []
+        self.chunks: list[np.ndarray] = []
+        self.built = 0
+
+
+class _Plan:
+    """The state-independent part of the polynomial segments of a profile
+    on [0, t_end) at tol: every sign piece's grid and transfer matrices,
+    filled as far as the walks over them go.
+
+    ``resolve`` finds the grids in rounds, each over the pieces of one
+    degree, by batched array passes: one ``_local_scales`` pass per
+    halving step of all the pieces at once, and one for all cells.  A
+    round stops at the leaf where its nodes would pass its limit, so no
+    round builds more nodes than the remaining budget of the walk that
+    asks for it.  ``chunk`` builds the
+    transfer matrices: all the nonpositive pieces of a degree in one
+    ``_taylor_steps`` pass, which f and m share, and a positive piece in
+    chunks of _CHUNK_NODES nodes, doubling, as f reaches them.
+    """
+
+    def __init__(self, profile: CurvatureProfile, t_end: float, tol: float):
+        self.profile, self.t_end, self.tol = profile, t_end, tol
+        # the negative part of the profile, whose polynomial sign pieces
+        # are the profile's nonpositive ones
+        self.negative: CurvatureProfile | None = None
+        self.pieces = [_Piece(seg, lo, min(hi, t_end), positive)
+                       for seg in profile.segments
+                       if seg.t_start < t_end and seg.is_polynomial and not seg._constant
+                       for lo, hi, positive in seg.sign_pieces if lo < t_end]
+        # each piece by its start, which the negative part's cut shares
+        self.at = {piece.lo: piece for piece in self.pieces}
+
+    def resolve(self, piece: _Piece, budget: int) -> None:
+        """Resolve the spans left from ``piece`` on, a round per degree,
+        each of at most _ROUND_NODES and ``budget`` nodes; a first leaf of
+        at most ``budget`` nodes is always built."""
+        later = [p for p in self.pieces[self.pieces.index(piece):] if p.todo]
+        for degree in sorted({p.degree for p in later}):
+            self._round([p for p in later if p.degree == degree], degree, budget)
+
+    def _round(self, pieces: list[_Piece], degree: int, budget: int) -> None:
+        """Resolve the spans left in ``pieces``, of one degree and in
+        order, then build the leaves (``_build_leaves``).  Each piece is
+        halved depth first, leftmost span first, as far as a walk can reach
+        within the limit: a span whose scale allows more than _SPAN_NODES
+        nodes is halved, else it is a leaf.  A pass takes the leftmost span
+        of every piece at once, in one ``_local_scales`` call."""
+        xu = _taylor_rule(self.tol, degree)[0]
+        limit = min(_ROUND_NODES, budget)
+        # each piece's spans as a stack, leftmost on top, its leaves in
+        # order as [piece, a, b, w omega/x], and their least node count,
+        # one per cell
+        stacks = [p.todo[::-1] for p in pieces]
+        leaves: list[list] = [[] for _ in pieces]
+        least = [0] * len(pieces)
+        for p in pieces:
+            p.todo, p.next_leaf = [], None
+        while True:
+            # the pieces that a walk reaches within the limit; the first
+            # leaf of the first piece is always found
+            tops, low = [], 0
+            for k, stack in enumerate(stacks):
+                low += least[k]
+                if low > limit:
+                    break
+                if stack:
+                    tops.append(k)
+            if not tops:
+                break
+            spans = [stacks[k].pop() for k in tops]
+            a = np.array([span[0] for span in spans])
+            w = np.array([span[1] for span in spans]) - a
+            num = tuple(np.array([pieces[k].num[i] for k in tops]) for i in range(degree + 1))
+            # as the Python floats of a single span's scale, which never warn
+            with np.errstate(all="ignore"):
+                nodes = (w * _local_scales(num, a, w, scalar_roots=True) / xu).tolist()
+            for k, (lo, hi), n in zip(tops, spans, nodes):
+                mid = 0.5 * (lo + hi)
+                if n > _SPAN_NODES and lo < mid < hi:
+                    stacks[k] += [(mid, hi), (lo, mid)]
+                else:
+                    leaves[k].append([pieces[k], lo, hi, n])
+                    least[k] += _cells(n)
+        closed = self._build_leaves([leaf for group in leaves for leaf in group],
+                                    degree, xu, limit, budget)
+        for p, stack in zip(pieces, stacks):
+            if p not in closed:
+                p.todo += stack[::-1]
+
+    def _build_leaves(self, leaves: list, degree: int, xu: float, limit: int,
+                      budget: int) -> set:
+        """The cells, node counts and underflow test of resolved leaves, in
+        one pass, and the grids of those a walk reaches within the limit,
+        each as ``np.linspace`` and ``np.repeat`` would build it alone; the
+        leaves past the limit go back to their pieces' spans.  Returns the
+        pieces that end at a leaf whose grid underflows."""
+        cells = [_cells(it[3]) for it in leaves]
+        n = np.array(cells)
+        first = np.cumsum(n) - n
+        a, b, nodes = np.array([it[1:] for it in leaves]).T
+        # cell i of a leaf spans edges i and i + 1 of linspace(a, b, cells + 1),
+        # i (b - a)/cells + a, the last one b; the cells take their leaf's
+        # a, step, first cell and coefficients
+        base, step, start, *num = np.repeat(
+            [a, (b - a) / n, first, *([it[0].num[i] for it in leaves]
+                                      for i in range(degree + 1))], n, axis=1)
+        index = np.arange(float(len(base))) - start
+        left = index * step + base
+        right = (index + 1.0) * step + base
+        right[first + n - 1] = b
+        width = right - left
+        # a one-cell leaf takes its count from its span's scale
+        counts = np.repeat(np.maximum(np.ceil(nodes), 1.0), n)
+        multi = np.repeat(n > 1, n)
+        if multi.any():
+            counts[multi] = np.maximum(np.ceil(width[multi] * _local_scales(
+                tuple(c[multi] for c in num), left[multi], width[multi]) / xu), 1.0)
+        spacing = width / counts
+        under = (counts > 1.0) & (spacing <= 1e-14 * np.maximum(right, 1.0))
+        leaf_counts = np.add.reduceat(counts, first).tolist()
+        leaf_under = np.logical_or.reduceat(under, first).tolist()
+        # the leaves to build, in order, until one passes the limit: it and
+        # every later leaf go back to the spans
+        keep, done, cut, closed = [], 0, False, set()
+        for (p, a_k, b_k, _), count, i, under_k in zip(leaves, leaf_counts, first.tolist(),
+                                                       leaf_under):
+            kept = False
+            if p in closed:
+                pass
+            elif cut:
+                p.todo.append((a_k, b_k))
+            elif under_k:
+                p.underflow = left[i:][under[i:]].item(0)
+                p.todo = []
+                closed.add(p)
+            elif done + count <= limit or (done == 0 and count <= budget):
+                done += count
+                kept = True
+            else:
+                cut = True
+                p.next_leaf = (a_k, int(count))
+                p.todo.append((a_k, b_k))
+            keep.append(kept)
+        if not done:
+            return closed
+        keep_cells = np.repeat(keep, n)
+        counts = counts[keep_cells].astype(np.int64)
+        ends = np.cumsum(counts)
+        cell_left, cell_step, cell_start = np.repeat(
+            [left[keep_cells], spacing[keep_cells], ends - counts], counts, axis=1)
+        grid = cell_left + cell_step * (np.arange(1.0, ends[-1] + 1.0) - cell_start)
+        grid[ends - 1] = right[keep_cells]
+        grid.flags.writeable = False
+        start = 0
+        for (p, a_k, _, _), count, kept in zip(leaves, leaf_counts, keep):
+            if kept:
+                count = int(count)
+                nodes = grid[start:start + count]
+                start += count
+                i = len(p.t)
+                p.leaves.append((a_k, i, i + count))
+                negk = -p.evaluate(nodes)
+                if i:
+                    nodes, negk = np.concatenate((p.t, nodes)), np.concatenate((p.negk, negk))
+                p.t, p.negk = nodes, negk
+                p.t.flags.writeable = p.negk.flags.writeable = False
+        return closed
+
+    def chunk(self, piece: _Piece, i: int) -> tuple[int, np.ndarray]:
+        """The first node and the (4, n) transfer matrices of the chunk
+        that holds node i of ``piece``, built first if it is not yet."""
+        if i >= piece.built:
+            # with the nonpositive pieces of its degree not built yet
+            ranges = [(p, len(p.t)) for p in self.pieces if not p.positive
+                      and p.degree == piece.degree and p.built < len(p.t)]
+            if piece.positive:
+                size = _CHUNK_NODES << len(piece.chunks)
+                ranges.append((piece, min(piece.built + size, len(piece.t))))
+            self._build_matrices(ranges)
+        k = bisect.bisect_right(piece.chunk_starts, i) - 1
+        return piece.chunk_starts[k], piece.chunks[k]
+
+    def _build_matrices(self, ranges: list[tuple[_Piece, int]]) -> None:
+        """The transfer matrices of each piece's nodes from ``built`` up to
+        the given end, in one ``_taylor_steps`` pass."""
+        lefts, rights = [], []
+        for p, end in ranges:
+            i = p.built
+            rights.append(p.t[i:end])
+            lefts.append(p.t[i - 1:end - 1] if i else np.concatenate(([p.lo], p.t[:end - 1])))
+        sizes = [len(r) for r in rights]
+        left = np.concatenate(lefts)
+        if len(ranges) == 1:
+            num = ranges[0][0].num
+        else:
+            num = tuple(np.repeat([p.num[i] for p, _ in ranges], sizes)
+                        for i in range(ranges[0][0].degree + 1))
+        order = _taylor_rule(self.tol, ranges[0][0].degree)[1]
+        mats = _taylor_steps(num, left, np.concatenate(rights) - left, order)
+        mats.flags.writeable = False
+        start = 0
+        for (p, end), size in zip(ranges, sizes):
+            p.chunk_starts.append(p.built)
+            p.chunks.append(mats[:, start:start + size])
+            p.built = end
+            start += size
+
+
+# the plan of the last profile solved (``_plan``)
+_memo: _Plan | None = None
+
+
+def _plan(profile: CurvatureProfile, t_end: float, tol: float) -> _Plan:
+    """The plan of ``profile`` on [0, t_end) at tol, from a one-entry memo
+    keyed on the profile object's identity, t_end and tol; a new plan
+    replaces the memo's.  The plan of a profile also serves its negative
+    part, once ``solve_m`` has named it (``_Plan.negative``)."""
+    global _memo
+    plan = _memo
+    if (plan is None or plan.t_end != t_end or plan.tol != tol
+            or (plan.profile is not profile and plan.negative is not profile)):
+        plan = _memo = _Plan(profile, t_end, tol)
+    return plan
 
 
 def _polynomial_piece(seg: Segment, t: float, f: float, fp: float, bound: float,
-                      tol: float, budget: int) -> tuple[list[float], ...]:
+                      steps: int, plan: _Plan) -> tuple:
     """The nodes of a non-constant polynomial segment from the entry state
     (t, f, f') toward ``bound``: the node times, f, f' and f'' = -K f after
-    the entry, and whether the last node is the first zero.
+    the entry, as arrays, and whether the last node is the first zero.  ``steps`` is
+    the solve's count of steps so far, and ``plan`` holds the grid and
+    matrices of the segment's sign pieces (``_Plan``).
 
     Each sign piece of the segment is walked on its own grid, so the nodes
     depend on the sign piece, the entry time and tol alone, never on the
@@ -573,81 +864,78 @@ def _polynomial_piece(seg: Segment, t: float, f: float, fp: float, bound: float,
     halved; a span is split into uniform cells of about _CELL_NODES nodes
     at its own scale, and each cell gets a uniform grid of spacing at most
     x/omega, with x from ``_taylor_rule`` and the cell's omega from
-    ``_local_scales``.  Every step's transfer matrix comes from one array
-    pass per span (``_taylor_steps``), and the state is carried node to
-    node in Python floats.  The walk stops at the first node where f <= 0,
-    whose zero ``_locate_zero`` finds on the dense quintic, and at the
-    first node where |f| or |f'| reaches the growth guard.  A step grows |f| and |f'| by at
-    most e^x (1 + max(h, omega)), which the omega floor keeps below 1e180,
-    so no node overflows.  A grid of more than one step whose spacing is
-    at or below the stepper's underflow floor raises IntegrationError, and
-    so does a span whose nodes would take the solve past ``budget``.
+    ``_local_scales``.  The state is carried node to node in Python floats
+    over the plan's matrices.  The walk stops at the first node where
+    f <= 0, whose zero ``_locate_zero`` finds on the dense quintic, and at
+    the first node where |f| or |f'| reaches the growth guard.  A step
+    grows |f| and |f'| by at most e^x (1 + max(h, omega)), which the omega
+    floor keeps below 1e180, so no node overflows.  Where the walk reaches
+    a span whose grid has more than one step at or below the stepper's
+    underflow floor, or whose nodes would take the solve past _MAX_STEPS
+    steps, it raises IntegrationError; the plan records both and builds
+    neither, so only a walk that reaches them raises.
     """
-    num, ev = seg.num, seg.evaluate
-    xu, order = _taylor_rule(tol, len(num) - 1)
-    guard = GROWTH_GUARD
-    # the entry node leads each list, for the zero's bracket, and is
-    # dropped on return
-    ts, fs, fps, d2 = [t], [f], [fp], [-ev(t) * f]
-    for lo, hi, _ in seg.sign_pieces:
-        if hi <= t:
-            continue
+    ev = seg.evaluate
+    guard, max_steps = GROWTH_GUARD, _MAX_STEPS
+    walked = steps
+    # the nodes walked, as arrays per chunk: times, f, f' and f''; ``last``
+    # is the node before the next chunk, the entry at first, which
+    # brackets a zero at the chunk's first node
+    parts = []
+    last = (t, f, fp, -ev(t) * f)
+    for lo, _, _ in seg.sign_pieces:
         if lo >= bound:
             break
-        spans = [(max(lo, t), min(hi, bound))]
-        while spans:
-            a, b = spans.pop()
-            w = b - a
-            nodes = w * _local_scales(num, a, w).item() / xu
-            if nodes > _SPAN_NODES and a < 0.5 * (a + b) < b:
-                spans += [(0.5 * (a + b), b), (a, 0.5 * (a + b))]
-                continue
-            # a span too narrow to halve gets at most _SPAN_NODES/_CELL_NODES cells
-            cells = math.ceil(min(max(nodes, 1.0), _SPAN_NODES) / _CELL_NODES)
-            # linspace ends on b exactly
-            edges = np.linspace(a, b, cells + 1)
-            if cells == 1:
-                counts = np.array([max(math.ceil(nodes), 1.0)])
-            else:
-                width = np.diff(edges)
-                counts = np.maximum(np.ceil(width * _local_scales(num, edges[:-1], width)
-                                            / xu), 1.0)
-            spacing = np.diff(edges) / counts
-            under = (counts > 1.0) & (spacing <= 1e-14 * np.maximum(edges[1:], 1.0))
-            if under.any():
-                raise IntegrationError("step size underflow", edges[:-1][under].item(0))
-            if counts.sum() > budget - (len(ts) - 1):
-                raise IntegrationError("step budget exhausted", a)
-            counts = counts.astype(np.int64)
-            total = int(counts.sum())
-            ends = np.cumsum(counts)
-            offset = np.arange(1.0, total + 1.0) - np.repeat(ends - counts, counts)
-            grid = np.repeat(edges[:-1], counts) + np.repeat(spacing, counts) * offset
-            grid[ends - 1] = edges[1:]
-            left = np.concatenate(([a], grid[:-1]))
-            m00, m01, m10, m11 = _taylor_steps(num, left, grid - left, order)
-            new_fs, new_fps = [], []
-            for c00, c01, c10, c11 in zip(m00, m01, m10, m11):
-                f, fp = c00 * f + c01 * fp, c10 * f + c11 * fp
-                new_fs.append(f)
-                new_fps.append(fp)
-                if not (0.0 < f < guard and -guard < fp < guard):
+        piece = plan.at[lo]
+        k = 0
+        while True:
+            if k == len(piece.leaves):
+                if piece.underflow is not None:
+                    raise IntegrationError("step size underflow", piece.underflow)
+                if not piece.todo:
                     break
-            n = len(new_fs)
-            ts += grid[:n].tolist()
-            fs += new_fs
-            fps += new_fps
-            # Python floats past the guard may overflow K f, as the stepper's do
-            with np.errstate(over="ignore"):
-                d2 += (-ev(grid[:n]) * np.array(new_fs)).tolist()
-            if f <= 0.0:
-                tz, fz, fpz = _locate_zero(ts[-2], ts[-1] - ts[-2], fs[-2], fps[-2],
-                                           d2[-2], f, fp, d2[-1])
-                ts[-1], fs[-1], fps[-1], d2[-1] = tz, fz, fpz, -ev(tz) * fz
-                return ts[1:], fs[1:], fps[1:], d2[1:], True
-            if not (f < guard and -guard < fp < guard):
-                return ts[1:], fs[1:], fps[1:], d2[1:], False
-    return ts[1:], fs[1:], fps[1:], d2[1:], False
+                if piece.next_leaf and walked + piece.next_leaf[1] > max_steps:
+                    raise IntegrationError("step budget exhausted", piece.next_leaf[0])
+                plan.resolve(piece, max_steps - walked)
+                continue
+            a, i, end = piece.leaves[k]
+            k += 1
+            if walked + (end - i) > max_steps:
+                raise IntegrationError("step budget exhausted", a)
+            while i < end:
+                first, mats = plan.chunk(piece, i)
+                j = min(end, first + mats.shape[1])
+                m00, m01, m10, m11 = mats[:, i - first:j - first].tolist()
+                new_fs, new_fps = [], []
+                push_f, push_fp = new_fs.append, new_fps.append
+                for c00, c01, c10, c11 in zip(m00, m01, m10, m11):
+                    f, fp = c00 * f + c01 * fp, c10 * f + c11 * fp
+                    push_f(f)
+                    push_fp(fp)
+                    if not (0.0 < f < guard and -guard < fp < guard):
+                        break
+                n = len(new_fs)
+                walked += n
+                node_f = np.array(new_fs)
+                # Python floats past the guard may overflow K f, as the stepper's do
+                with np.errstate(over="ignore"):
+                    part = (piece.t[i:i + n], node_f, np.array(new_fps),
+                            piece.negk[i:i + n] * node_f)
+                parts.append(part)
+                if f <= 0.0:
+                    if n > 1:
+                        last = (part[0][-2].item(), new_fs[-2], new_fps[-2], part[3][-2].item())
+                    t0, f0, fp0, d0 = last
+                    tz, fz, fpz = _locate_zero(t0, part[0][-1].item() - t0, f0, fp0, d0,
+                                               f, fp, part[3][-1].item())
+                    ts, fs, fps, d2 = (np.concatenate(x) for x in zip(*parts))
+                    ts[-1], fs[-1], fps[-1], d2[-1] = tz, fz, fpz, -ev(tz) * fz
+                    return ts, fs, fps, d2, True
+                if not (f < guard and -guard < fp < guard):
+                    return (*(np.concatenate(x) for x in zip(*parts)), False)
+                last = (part[0][-1].item(), f, fp, part[3][-1].item())
+                i = j
+    return (*(np.concatenate(x) for x in zip(*parts)), False)
 
 
 def solve(profile: CurvatureProfile, t_end: float, tol: float) -> WarpingSolution:
@@ -670,9 +958,17 @@ def solve(profile: CurvatureProfile, t_end: float, tol: float) -> WarpingSolutio
     1e-14 max(t, 1) are each one step; only a step that stops short of
     its bound, or a constant or polynomial piece's grid finer than the
     floor, can underflow.  A polynomial piece checks the step budget
-    before it builds the nodes of a span.  At each piece entry a step size
+    before it walks the nodes of a span.  At each piece entry a step size
     at or below that floor (0 before the first piece) starts over from the
     initial-step rule: 1 % of the bound, clipped to [1e-6, 0.1].
+
+    The polynomial segments are walked over the plan of ``profile`` on
+    [0, t_end) at tol (``_Plan``), from a one-entry memo: the first
+    polynomial piece fetches it, and a solve of another profile object,
+    t_end or tol replaces it.  The plan finds grids and builds transfer
+    matrices only as far as the walks over it go, and a span whose grid
+    underflows or would pass the step budget raises only when a walk
+    reaches it, as the walk over a fresh grid would.
     """
     if not (0.0 < t_end < math.inf):
         raise ValueError(f"t_end must be positive and finite, got {t_end}")
@@ -695,17 +991,21 @@ def solve(profile: CurvatureProfile, t_end: float, tol: float) -> WarpingSolutio
     t = 0.0
     f, fp = 0.0, 1.0
 
+    # the stepper's nodes since the last closed-form or polynomial piece,
+    # whose nodes come as arrays: both go to ``blocks`` in order
     ts = [0.0]
     fs = [0.0]
     fps = [1.0]
     d2_left: list[float] = []
     d2_right: list[float] = []
+    blocks: list[tuple] = []
 
     first_zero: float | None = None
     truncated = False
     n_steps = 0
     n_rejected = 0
 
+    plan = None  # the first polynomial piece fetches it
     h = 0.0  # the first piece entry sets the initial step
     err_prev = 1.0
     piece_end = 0.0  # the first pass enters the piece at t = 0
@@ -725,16 +1025,24 @@ def solve(profile: CurvatureProfile, t_end: float, tol: float) -> WarpingSolutio
                     new_ts, new_fs, new_fps, new_d2, zero = _constant_piece(
                         t, f, fp, k_t, bound, tol)
                 else:
+                    if plan is None:
+                        plan = _plan(profile, t_end, tol)
                     new_ts, new_fs, new_fps, new_d2, zero = _polynomial_piece(
-                        piece, t, f, fp, bound, tol, _MAX_STEPS - n_steps - n_rejected)
+                        piece, t, f, fp, bound, n_steps + n_rejected, plan)
                 n_steps += len(new_ts)
                 d2_left.append(-k_t * f)
-                d2_left += new_d2[:-1]
-                d2_right += new_d2
-                ts += new_ts
-                fs += new_fs
-                fps += new_fps
-                t, f, fp = ts[-1], fs[-1], fps[-1]
+                if isinstance(new_ts, list):
+                    # a zero piece's one step, in Python floats
+                    d2_left += new_d2[:-1]
+                    d2_right += new_d2
+                    ts += new_ts
+                    fs += new_fs
+                    fps += new_fps
+                else:
+                    blocks += [(ts, fs, fps, d2_left, d2_right),
+                               (new_ts, new_fs, new_fps, new_d2[:-1], new_d2)]
+                    ts, fs, fps, d2_left, d2_right = [], [], [], [], []
+                t, f, fp = float(new_ts[-1]), float(new_fs[-1]), float(new_fps[-1])
                 if zero:
                     first_zero = t
                     break
@@ -860,14 +1168,17 @@ def solve(profile: CurvatureProfile, t_end: float, tol: float) -> WarpingSolutio
         err_prev = 1e-10 if 1e-10 > err else err
         k1f, k1p, k_t = k7f, k7p, k_end
 
+    blocks.append((ts, fs, fps, d2_left, d2_right))
+    ts, fs, fps, d2_left, d2_right = (np.concatenate(field) if len(field) > 1
+                                      else np.asarray(field[0]) for field in zip(*blocks))
     return WarpingSolution(
         profile=profile,
         tol=tol,
-        ts=np.asarray(ts),
-        fs=np.asarray(fs),
-        fps=np.asarray(fps),
-        d2_left=np.asarray(d2_left),
-        d2_right=np.asarray(d2_right),
+        ts=ts,
+        fs=fs,
+        fps=fps,
+        d2_left=d2_left,
+        d2_right=d2_right,
         first_zero=first_zero,
         truncated=truncated,
         n_steps=n_steps,
@@ -881,8 +1192,17 @@ def solve_m(profile: CurvatureProfile, t_end: float, tol: float) -> WarpingSolut
     m is convex while positive and starts with slope 1, so it can never
     return to zero; a detected zero would mean the integrator broke and
     is reported as such.
+
+    ``solve`` walks ``negative_part(profile)``, which the solution
+    carries, over the plan of ``profile`` itself: its nonpositive
+    polynomial sign pieces are the negative part's, with the same nodes
+    and matrices.  After ``solve(profile, t_end, tol)`` the memo holds that
+    plan, so m builds no matrix that f built; either way the nodes are the
+    same bits.  Errors are raised where m's walk meets them.
     """
-    sol = solve(negative_part(profile), t_end, tol)
+    negative = negative_part(profile)
+    _plan(profile, t_end, tol).negative = negative
+    sol = solve(negative, t_end, tol)
     if sol.first_zero is not None:
         raise IntegrationError(
             "convex comparison function crossed zero; integrator inconsistency",

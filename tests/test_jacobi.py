@@ -1,6 +1,8 @@
 import functools
+import importlib.util
 import math
 from decimal import Decimal, localcontext
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -1115,9 +1117,43 @@ class TestPolynomialPieces:
 
     def test_budget_exhausted(self, monkeypatch):
         monkeypatch.setattr(jacobi, "_MAX_STEPS", 100)
+        sizes = spy_taylor_steps(monkeypatch)
         profile = rg.CurvatureProfile((Segment(0.0, 50.0, (-1.0, -1.0)),), rg.ZeroTail())
         with pytest.raises(IntegrationError, match="step budget exhausted"):
             rg.solve(profile, 50.0, 1e-8)
+        # no pass builds more nodes than the budget allows
+        assert all(len(left) <= 100 for left in sizes)
+
+    def test_budget_exhausted_past_built_nodes(self, monkeypatch):
+        # the first segment's 12 nodes are built and walked; the first span
+        # of the second would take the solve past the budget, and both f
+        # and m stop at its start, as the walk reaches it
+        monkeypatch.setattr(jacobi, "_MAX_STEPS", 100)
+        sizes = spy_taylor_steps(monkeypatch)
+        profile = rg.CurvatureProfile((Segment(0.0, 5.0, (0.0, -0.01)),
+                                       Segment(5.0, 50.0, (-1.0, -1.0))), rg.ZeroTail())
+        for solver in (rg.solve, rg.solve_m):
+            with pytest.raises(IntegrationError, match="step budget exhausted") as exc:
+                solver(profile, 50.0, 1e-8)
+            assert exc.value.t_reached == 5.0
+        assert [len(left) for left in sizes] == [12]
+
+    def test_plan_errors_raise_where_the_walk_meets_them(self):
+        # f's first zero lies on the positive line, long before the piece
+        # K about -1e16 at t = 1e6, whose grid underflows as in
+        # test_step_size_underflow.  The plan finds that grid with the
+        # line's, and f returns its zero, with the nodes of a window that
+        # ends before that piece; m, whose K is 0 up to it, raises there
+        profile = rg.CurvatureProfile((Segment(0.0, 10.0, (1.0, 0.1)),
+                                       Segment(10.0, 1e6, (0.0,)),
+                                       Segment(1e6, 1e6 + 1.0, (-1e16, -1.0))), rg.ZeroTail())
+        f = rg.solve(profile, 2e6, 1e-8)
+        assert jacobi._memo.pieces[-1].underflow == 1e6
+        assert f.first_zero is not None
+        assert _outcome(f) == _outcome(rg.solve(profile, 20.0, 1e-8))
+        with pytest.raises(IntegrationError, match="step size underflow") as exc:
+            rg.solve_m(profile, 2e6, 1e-8)
+        assert exc.value.t_reached == 1e6
 
     def test_step_size_underflow(self):
         # K about 1e16 at t = 1e6: a spacing of 1e-9 is below 1e-14 t
@@ -1148,6 +1184,111 @@ class TestPolynomialPieces:
         grid = np.linspace(0.0, min(f.t_end, m.t_end), 2001)
         fv, mv = f.f(grid), m.f(grid)
         assert (fv <= mv + 1e-9 * np.maximum(1.0, np.abs(mv))).all()
+
+
+def _report_digest():
+    """tools/report_digest.py as a module: its polynomial profiles, and the
+    bench inputs (``inputs``) that it imports."""
+    path = Path(__file__).resolve().parents[1] / "tools" / "report_digest.py"
+    spec = importlib.util.spec_from_file_location("report_digest", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@functools.lru_cache(maxsize=None)
+def plan_profiles():
+    """(profile, t_end): the three polynomial profiles of
+    tools/report_digest.py on [0, 20], then the first 50 of its sweep
+    profiles on [0, 50]."""
+    digest = _report_digest()
+    cases = [(rg.CurvatureProfile(tuple(Segment(lo, hi, num) for lo, hi, num in segments),
+                                  tail), digest.POLYNOMIAL_T_END)
+             for _, segments, tail in digest.POLYNOMIAL_PROFILES]
+    sweep = digest.inputs.sweep_profiles(np.random.default_rng(digest.SWEEP_SEED),
+                                         digest.SWEEP_COUNT, digest.SWEEP_BLOCK)[:50]
+    return cases + [(rg.CurvatureProfile(tuple(Segment(lo, hi, (c0, c1))
+                                               for lo, hi, c0, c1 in segments),
+                                         rg.ZeroTail()), digest.SOLVE_T_END)
+                    for segments in sweep]
+
+
+def spy_taylor_steps(monkeypatch):
+    """Route ``jacobi._taylor_steps`` through a spy; returns the list that
+    collects the left nodes of each pass."""
+    passes = []
+    taylor_steps = jacobi._taylor_steps
+
+    def spy(num, left, h, order):
+        passes.append(left.tolist())
+        return taylor_steps(num, left, h, order)
+    monkeypatch.setattr(jacobi, "_taylor_steps", spy)
+    return passes
+
+
+class TestPolynomialPlan:
+    """f and m walk the transfer matrices of one plan per profile, t_end
+    and tol: m's nodes after f's solve are those of a cold plan, m builds
+    no matrix that f built, f builds none past the chunk that holds its
+    first zero, and the plan's arrays are read-only."""
+
+    @pytest.mark.parametrize("tol", [1e-3, 1e-8, 1e-14])
+    def test_sharing_changes_no_bits(self, tol, monkeypatch):
+        for profile, t_end in plan_profiles():
+            monkeypatch.setattr(jacobi, "_memo", None)
+            m_cold = _outcome(_run(rg.solve_m, profile, t_end, tol))
+            f_after_m = _outcome(_run(rg.solve, profile, t_end, tol))
+            monkeypatch.setattr(jacobi, "_memo", None)
+            assert _outcome(_run(rg.solve, profile, t_end, tol)) == f_after_m
+            assert _outcome(_run(rg.solve_m, profile, t_end, tol)) == m_cold
+
+    def test_memo_keys_on_t_end_and_tol(self, monkeypatch):
+        # the same profile object over another window or at another tol
+        # gets its own plan: its solves equal cold ones
+        for profile, t_end in plan_profiles()[:6]:
+            for window, tol in ((t_end, 1e-6), (0.6 * t_end, 1e-6), (0.6 * t_end, 1e-9)):
+                monkeypatch.setattr(jacobi, "_memo", None)
+                cold = [_outcome(_run(solver, profile, window, tol))
+                        for solver in (rg.solve, rg.solve_m)]
+                monkeypatch.setattr(jacobi, "_memo", None)
+                rg.solve(profile, t_end, 1e-8)
+                rg.solve_m(profile, t_end, 1e-8)
+                assert [_outcome(_run(solver, profile, window, tol))
+                        for solver in (rg.solve, rg.solve_m)] == cold
+
+    @pytest.mark.parametrize("tol", [1e-3, 1e-8, 1e-14])
+    def test_matrices_built_once_and_as_far_as_f_goes(self, tol, monkeypatch):
+        passes = spy_taylor_steps(monkeypatch)
+        zeros = 0
+        for profile, t_end in plan_profiles():
+            monkeypatch.setattr(jacobi, "_memo", None)
+            passes.clear()
+            f = rg.solve(profile, t_end, tol)
+            by_f = list(passes)
+            passes.clear()
+            rg.solve_m(profile, t_end, tol)
+            by_m = {t for left in passes for t in left}
+            assert not by_m & {t for left in by_f for t in left}
+            if f.first_zero is not None:
+                zeros += 1
+                # a pass holds at most one chunk of a positive piece, and
+                # each such chunk starts before the zero
+                positive = [(lo, hi) for _, lo, hi, up in profile.sign_pieces() if up]
+                for left in by_f:
+                    on_positive = [t for t in left if any(lo <= t < hi for lo, hi in positive)]
+                    assert not on_positive or on_positive[0] < f.first_zero
+                # chunks double from _CHUNK_NODES nodes, so on the piece of
+                # the zero f built fewer than twice the nodes it walked
+                # there, plus the first chunk
+                for lo, hi in positive:
+                    if lo < f.first_zero <= hi:
+                        built = sum(lo <= t < hi for left in by_f for t in left)
+                        walked = int(((f.ts >= lo) & (f.ts <= f.first_zero)).sum())
+                        assert built <= 2 * walked + jacobi._CHUNK_NODES
+            for piece in jacobi._memo.pieces:
+                for array in (piece.t, piece.negk, *piece.chunks):
+                    assert not array.flags.writeable
+        assert zeros > 10
 
 
 class TestConvergence:
