@@ -179,38 +179,6 @@ def _polynomial(coeffs: tuple[float, ...]) -> Callable[[float], float]:
     return horner
 
 
-def _stage_evaluator(num: tuple[float, ...], den: tuple[float, ...]):
-    """num/den at five times in one call, as a closure of (x2, x3, x4, x5,
-    x6) that returns the five values, each with the bits of
-    ``_polynomial(num)(x) / _polynomial(den)(x)``.
-
-    Two sets of five Horner chains, each from 0.0, in one loop over the
-    coefficients of num and of den.  For finite x the chains give a line's
-    bits too: its first step, 0.0 * x + c1, is c1 when c1 is nonzero.  A
-    polynomial's unit denominator gives 1.0, and the division by it is
-    exact, though the solver steps no polynomial segment.
-    """
-    rn, rd = num[::-1], den[::-1]
-
-    def rational(x2, x3, x4, x5, x6):
-        a2 = a3 = a4 = a5 = a6 = 0.0
-        for c in rn:
-            a2 = a2 * x2 + c
-            a3 = a3 * x3 + c
-            a4 = a4 * x4 + c
-            a5 = a5 * x5 + c
-            a6 = a6 * x6 + c
-        b2 = b3 = b4 = b5 = b6 = 0.0
-        for c in rd:
-            b2 = b2 * x2 + c
-            b3 = b3 * x3 + c
-            b4 = b4 * x4 + c
-            b5 = b5 * x5 + c
-            b6 = b6 * x6 + c
-        return a2 / b2, a3 / b3, a4 / b4, a5 / b5, a6 / b6
-    return rational
-
-
 @dataclass(frozen=True)
 class Segment:
     """One piece of a profile: num(t)/den(t) on [t_start, t_end).
@@ -260,9 +228,7 @@ class Segment:
         times.
 
         Built once per segment.  The solver calls it at piece entry and at
-        the nodes of a polynomial segment, and the stepper reads a
-        rational segment's stage values from ``_stages``, which rounds as
-        it does.
+        the nodes of the segment's grid.
         """
         num = _polynomial(self.num)
         if self.is_polynomial:
@@ -277,19 +243,6 @@ class Segment:
         t >= 0 (0.0 * t is 0.0), and the solver takes the segment in
         closed form."""
         return not (any(self.num[1:]) or any(self.den[1:]))
-
-    @property
-    def _stages(self):
-        """K at the five new stage points of a stepper step, with the bits
-        of ``evaluate``: the closure of ``_stage_evaluator``, which takes
-        the five times.  The stepper takes rational segments only; a
-        polynomial one gives the same bits through its unit denominator.
-
-        Built at each solver entry to the segment and not cached: a
-        closure kept on every segment of every profile solved costs more
-        memory than the build costs time.
-        """
-        return _stage_evaluator(self.num, self.den)
 
     @cached_property
     def sign_pieces(self) -> tuple[tuple[float, float, bool], ...]:
@@ -324,13 +277,51 @@ class Segment:
                      for lo, hi in _root_intervals(coeffs, self.t_start, self.t_end))
 
     @cached_property
-    def _poles(self) -> tuple[tuple[float, float], ...]:
-        """The roots of the denominator, off the segment, as (real part,
-        |imaginary part|) pairs from ``numpy.roots``; none on a polynomial
-        segment.  The stepper keeps its steps short beside them."""
-        if self.is_polynomial:
+    def _poles(self) -> tuple[tuple[complex, float, int], ...]:
+        """Discs that hold every root of the denominator, as (center,
+        radius, count) triples, each disc with as many roots as its count;
+        none on a polynomial segment.  The solver's grid on a rational
+        segment keeps its steps short beside them.
+
+        Each root z_k that ``numpy.roots`` gives gets Smith's radius
+        n |D(z_k)|/|a_n prod_(j != k) (z_k - z_j)| (B. T. Smith, J. ACM 17,
+        1970): the union of these discs holds every root, and each of its
+        connected parts as many roots as it has discs.  |D(z_k)| is bounded
+        by Horner's value plus 8 units of 2^-53 times its running error
+        sum, which covers the rounding of complex Horner steps.  A value
+        that repeats an earlier one is moved by 2^-26 of its magnitude
+        first, since the radii need distinct centers.  Each connected part
+        is returned as one disc that covers it, with its count of discs.
+        """
+        n = max(i for i, c in enumerate(self.den) if c)
+        if n == 0:
             return ()
-        return tuple((z.real, abs(z.imag)) for z in np.roots(self.den[::-1]).tolist())
+        coeffs = self.den[n::-1]
+        roots: list[complex] = []
+        for z in np.roots(coeffs).tolist():
+            while z in roots:
+                z += max(abs(z), 1.0) * 2.0 ** -26
+            roots.append(complex(z))
+        discs = []
+        for k, z in enumerate(roots):
+            y, run, size = 0j, 0.0, abs(z)
+            for c in coeffs:
+                y = y * z + c
+                run = run * size + abs(y)
+            bound = abs(y) + 8.0 * 2.0 ** -53 * run
+            gap = abs(coeffs[0]) * math.prod(abs(z - w) for w in roots[:k] + roots[k + 1:])
+            radius = n * bound / gap * (1.0 + 2.0 ** -40) if gap else math.inf
+            discs.append([z, radius if math.isfinite(radius) else math.inf, 1])
+        # merge discs that touch into one that covers both, until none do
+        merged: list[list] = []
+        for disc in discs:
+            while touching := [m for m in merged if abs(m[0] - disc[0]) <= m[1] + disc[1]]:
+                for other in touching:
+                    merged.remove(other)
+                    reach = max(other[1] + abs(other[0] - disc[0]), disc[1])
+                    disc = [disc[0], reach, disc[2] + other[2]]
+            merged.append(disc)
+        return tuple((z, r, count) for z, r, count in merged)
 
     def max_on(self, a: float, b: float) -> float:
         """Exact maximum of the segment expression over [a, b], a
@@ -418,13 +409,6 @@ class PowerDecayTail:
 
     def evaluate(self, t: float) -> float:
         return self.a / (1.0 + t) ** self.p
-
-    def _stages(self, x2: float, x3: float, x4: float, x5: float,
-                x6: float) -> tuple[float, ...]:
-        """``evaluate`` at a solver step's five new stage points."""
-        a, p = self.a, self.p
-        return (a / (1.0 + x2) ** p, a / (1.0 + x3) ** p, a / (1.0 + x4) ** p,
-                a / (1.0 + x5) ** p, a / (1.0 + x6) ** p)
 
     def max_on(self, a: float, b: float) -> float:
         # |a/(1+t)^p| is decreasing, so the max of a positive tail sits at
@@ -646,17 +630,12 @@ def _sign_pieces(seg: Segment) -> list[tuple[float, float, bool]]:
 def _cut(seg: Segment, lo: float, hi: float, positive: bool) -> Segment:
     """seg's expression on its sign piece [lo, hi) (positive or not): seg
     itself when that is all of it, else a piece that holds its one sign
-    piece and shares seg's ``evaluate`` and, on a rational segment (which
-    the stepper takes), its critical points and poles; a critical point
-    outside [lo, hi) is never inside a step.  So a fresh signed part builds
-    no evaluator and isolates no root."""
+    piece and shares seg's ``evaluate``.  So a fresh signed part builds no
+    evaluator and isolates no root; the solver walks its nodes over the
+    plan of seg's own sign piece."""
     if lo == seg.t_start and hi == seg.t_end:
         return seg
-    shared = {"evaluate": seg.evaluate}
-    if not seg.is_polynomial:
-        shared["_critical_points"] = seg._critical_points
-        shared["_poles"] = seg._poles
-    return _subsegment(lo, hi, seg.num, seg.den, positive, shared)
+    return _subsegment(lo, hi, seg.num, seg.den, positive, {"evaluate": seg.evaluate})
 
 
 def _subsegment(lo: float, hi: float, num: tuple[float, ...], den: tuple[float, ...],

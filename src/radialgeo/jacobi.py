@@ -19,83 +19,62 @@ a = |f| + |f'|/omega at the step's left node.  The first zero comes from
 the phase (kappa > 0), from the sign change of the exponential pair
 (kappa < 0) or from -f0/f0' (kappa = 0).
 
-A segment whose K is a non-constant polynomial (any degree) is taken by
-Taylor transfer matrices, from its entry state.  f is entire there, and
-its Taylor coefficients at a node follow the recurrence
+Every other piece, a polynomial or rational segment or a power tail
+a/(1 + t)^p with a != 0, is taken by Taylor transfer matrices from its
+entry state (the Taylor method of Corliss and Chang, ACM TOMS 8, 1982;
+Jorba and Zou, Exp. Math. 14, 2005).  f is analytic there, and its
+Taylor coefficients at a node follow the recurrence
 b_(k+2) = -sum_j K_j b_(k-j)/((k+2)(k+1)) with K's own Taylor
-coefficients K_j; the equation is linear, so a step's 2 x 2 transfer
-matrix depends on K alone, and one array pass builds the matrices of any
-set of nodes (``_taylor_steps``).  The state is carried node to node in
-Python floats.  Each sign piece of the segment gets its own grid: cells
-of a local scale omega = max over j of (max |K_j|)^(1/(j+2)), bounded
-with Bernstein coefficients on the cell (``_local_scales``), each with a
-uniform grid of omega h <= x.  x follows from tol and the degree alone
-(``_taylor_rule``): the quintic Hermite remainder of ``_grid_u``, with
-f^(6) and f^(7) bounded by the majorant series that |K_j| <= omega^(j+2)
-gives, holds the dense output's error below tol a at f and tol omega a
-at f', with a = |f| + |f'|/omega at the step's left node.  So the nodes
-depend on the sign piece, the entry time and tol, never on the state:
-where f and m enter a nonpositive sign piece they get the same nodes and
-the same matrices, and m - f is carried by the same linear maps.  Since
-x < pi and omega >= sqrt(max K), every step meets the Sturm cap below
-without a test.  The walk stops at the first node where f <= 0, whose
-zero is located as the stepper's is, and at the first node past the
-growth guard.
+coefficients K_j at the node: a polynomial's by a Taylor shift, a
+rational segment's by dividing the shifted numerator by the shifted
+denominator as a series, a power tail's from K_0 = a x^-p and
+K_(j+1) = -K_j (p + j)/((j + 1) x) with x = 1 + t.  The equation is
+linear, so a step's 2 x 2 transfer matrix depends on K alone, and one
+array pass builds the matrices of any set of nodes (``_taylor_steps``).
+The state is carried node to node in Python floats.
+
+Each sign piece gets its own grid: cells with a local scale omega such
+that |K_j| <= omega^(j+2) for every j on the cell, each with a uniform
+grid of omega h <= x.
+
+* Polynomial: omega is the largest (max |K_j|)^(1/(j+2)), bounded with
+  Bernstein coefficients on the cell (``_local_scales``).
+* Rational: Cauchy's estimate |K_j| <= M rho^-j, with rho below the
+  cell's distance to the discs that hold the denominator's roots
+  (``Segment._poles``, widened by Smith's radii) and M a bound on
+  |num/den| within rho of the cell, gives omega = max(sqrt M, 1/rho)
+  (``_rational_scales``).
+* Power tail: |K_j| <= |a| C(p + j - 1, j) x^(-p-j) falls with x, so its
+  value at the cell's left end holds on the cell; omega is its sup over
+  every j, whose limit is 1/x (``_tail_scales``).
+
+x follows from tol and a polynomial's degree, or any degree for the other
+pieces (``_taylor_rule``): the quintic Hermite remainder of ``_grid_u``,
+with f^(6) and f^(7) bounded by the majorant series that
+|K_j| <= omega^(j+2) gives, holds the dense output's error below tol a at
+f and tol omega a at f', with a = |f| + |f'|/omega at the step's left
+node.  So the nodes depend on the sign piece, the entry time and tol,
+never on the state: where f and m enter a nonpositive sign piece they get
+the same nodes and the same matrices, and m - f is carried by the same
+linear maps.  Since x < pi and omega >= sqrt(max K), no step holds two
+zeros of f (Sturm), without a test.  The walk stops at the first node
+where f <= 0, whose zero is located by bisection on the dense output to
+1e-12 in t, and at the first node past the growth guard.
 
 Since nothing of the grid or the matrices depends on the state, they
 form a plan per profile, t_end and tol (``_Plan``), held in a one-entry
-memo that ``solve`` and ``solve_m`` share (the Taylor methods of Corliss
-and Chang, ACM TOMS 8, 1982, and of Jorba and Zou, Exp. Math. 14, 2005,
-rest on the same fact).  The plan finds the grids of all the profile's
-polynomial sign pieces together, in batched array passes, and builds
+memo that ``solve`` and ``solve_m`` share.  The plan finds the grids of
+the profile's sign pieces together, in batched array passes, and builds
 their matrices as the walks reach them: every nonpositive piece of a
-degree in one pass, which f and m both walk, and a positive piece in
-chunks that double in size, so a solve that stops at its first zero
+kind in one pass, which f and m both walk, and a positive polynomial
+piece in chunks that double in size, so a solve that stops at its first zero
 does not pay for the rest of the piece.  The chain over them keeps the
 bits of a grid built span by span, and an underflowing grid or an
 exhausted step budget is raised where the walk meets it.
 
-Every other piece, a rational segment or a power tail, is integrated by
-an explicit Dormand-Prince 5(4) embedded pair with PI step control.  The
-equation is linear and smooth on every profile piece, so a moderate-order
-pair is plenty and keeps the package free of solver dependencies.  Four
-behaviors matter downstream and are guaranteed here:
-
-* steps never straddle a profile breakpoint (integration restarts there),
-  so each step sees an analytic right-hand side; a step that ends on a
-  breakpoint is taken at any length, so a piece of any width is solved;
-* when K > 0 somewhere on a step, the step length is capped by
-  pi/sqrt(max K on the step); zeros of f are then at least one cap apart
-  (Sturm), so a step can never skip a pair of zeros.  Whether K can be
-  positive on the rest of a piece is decided once, at piece entry, and
-  only such pieces (a rational segment or a positive power tail) test
-  the cap at every step;
-* on a rational segment a step is at most _POLE_RATIO times the distance
-  from its start to each pole ahead of it (a root of the denominator, all
-  off the segment), so the steps that lead up to a narrow spike of K,
-  whose poles lie close to the real axis, shrink with the distance to it,
-  and the stage points cannot pass over it unseen.  A pole behind the
-  step's start needs no cap: the first stage, at the start, sees K there.
-  The test runs only while a pole lies ahead and the step exceeds a floor
-  set at piece entry, and the cap never goes below 4 times the underflow
-  floor, so a pole that rounding puts on the segment cannot stall a solve;
-* the first zero of f, if any, is located by bisection on the dense
-  output to 1e-12 in t, and integration stops there.
-
-A step needs K at five new stage points, t + c_i h for i = 2..5 and t + h:
-the first stage is the last one of the previous step, and K(t + h)
-serves both the sixth and the seventh stage (first same as last, FSAL).
-It reads the five in one call of the piece's stage evaluator, which is
-built at piece entry and rounds as the piece's ``evaluate`` does.  The
-Sturm cap reuses those values: K(t) is the previous step's K(t + h) (or
-is computed at piece entry), K(t + h) is the new one, and K is evaluated
-only at a rational segment's critical points inside the step.  A step
-whose cap binds reads its stage values again at the capped length.
-
-Dense output stores f, f' and f'' = -K f at the step ends and evaluates a
-quintic Hermite interpolant per step.  Its O(h^6) interpolation error
-stays below the accepted local error at every tolerance in the supported
-range, which a cubic on (f, f') alone would not.
+Dense output stores f, f' and f'' = -K f at the nodes and evaluates a
+quintic Hermite interpolant per step, with the error bounds above; a
+cubic on (f, f') alone would need far more nodes.
 """
 
 from __future__ import annotations
@@ -109,6 +88,7 @@ import numpy as np
 
 from .curvature_profile import (
     CurvatureProfile,
+    PowerDecayTail,
     Segment,
     _shifted_to_bernstein,
     _taylor_shift,
@@ -120,24 +100,24 @@ __all__ = ["WarpingSolution", "solve", "solve_m", "GROWTH_GUARD"]
 
 # Reaching this magnitude in f or f' means the model is violently
 # divergent; the window is truncated at the first node past it instead of
-# overflowing: a step of the stepper, a node of a polynomial piece, whose
-# one step from below the guard stays in float range, or a grid node of a
-# constant piece, whose pass is bounded beforehand so that no node
-# overflows (a zero piece ends where f reaches twice the guard).  Ball volumes are
-# integrated in logs, so f**(n-1) never leaves float range; the
-# closed-form growth coefficient and the ends cap go through
-# model_space.power, which saturates to inf.
+# overflowing: a node of a Taylor piece, whose one step from below the
+# guard stays in float range, or a grid node of a constant piece, whose
+# pass is bounded beforehand so that no node overflows (a zero piece ends
+# where f reaches twice the guard).  Ball volumes are integrated in logs,
+# so f**(n-1) never leaves float range; the closed-form growth
+# coefficient and the ends cap go through model_space.power, which
+# saturates to inf.
 GROWTH_GUARD = 1e60
 
-# attempted steps after which a solve gives up
+# nodes after which a solve gives up
 _MAX_STEPS = 10_000_000
 
 _MIN_TOL, _MAX_TOL = 1e-14, 1e-3
 
-# polynomial pieces: a span allows at most _SPAN_NODES nodes at its own scale and is
-# split into cells of about _CELL_NODES nodes; omega never falls below
-# _OMEGA_FLOOR, so no step is longer than 1e180 and one step from below
-# the growth guard stays in float range
+# Taylor pieces: a span allows at most _SPAN_NODES nodes at its own scale
+# and is split into cells of about _CELL_NODES nodes; omega never falls
+# below _OMEGA_FLOOR, so no step is longer than 1e180 and one step from
+# below the growth guard stays in float range
 _SPAN_NODES = 4096
 _CELL_NODES = 16
 _OMEGA_FLOOR = 2.0 ** -600
@@ -147,43 +127,31 @@ _OMEGA_FLOOR = 2.0 ** -600
 # next one twice as many
 _ROUND_NODES = 16384
 _CHUNK_NODES = 256
-
-# Dormand-Prince 5(4) tableau
-_C2, _C3, _C4, _C5 = 0.2, 0.3, 0.8, 8.0 / 9.0
-_A21 = 0.2
-_A31, _A32 = 3.0 / 40.0, 9.0 / 40.0
-_A41, _A42, _A43 = 44.0 / 45.0, -56.0 / 15.0, 32.0 / 9.0
-_A51, _A52, _A53, _A54 = (19372.0 / 6561.0, -25360.0 / 2187.0,
-                          64448.0 / 6561.0, -212.0 / 729.0)
-_A61, _A62, _A63, _A64, _A65 = (9017.0 / 3168.0, -355.0 / 33.0,
-                                46732.0 / 5247.0, 49.0 / 176.0,
-                                -5103.0 / 18656.0)
-_B1, _B3, _B4, _B5, _B6 = (35.0 / 384.0, 500.0 / 1113.0, 125.0 / 192.0,
-                           -2187.0 / 6784.0, 11.0 / 84.0)
-_E1, _E3, _E4, _E5, _E6, _E7 = (71.0 / 57600.0, -71.0 / 16695.0, 71.0 / 1920.0,
-                                -17253.0 / 339200.0, 22.0 / 525.0, -1.0 / 40.0)
-
-_SAFETY = 0.9
-_MIN_FACTOR = 0.2
-_MAX_FACTOR = 10.0
-_PI_ALPHA = 0.14  # ~0.7/order
-_PI_BETA = 0.08   # ~0.4/order
-
-# a stepper step on a rational segment is at most this times its start's
-# distance to each pole ahead of it (``_pole_cap``)
-_POLE_RATIO = 0.5
+# rational pieces: the radii rho of Cauchy's estimate tried on a cell, as
+# fractions of its distance to the nearest pole disc and of its width
+_POLE_FRACTIONS = np.array([0.25, 0.4, 0.5, 0.6, 0.7, 0.78, 0.85, 0.92]).reshape(-1, 1)
+_WIDTH_FRACTIONS = np.array([0.25]).reshape(-1, 1)
+# the most spans a rational sign piece or a tail starts with
+_SPAN_CUTS = 256
+# power tails: the terms j < _TAIL_TERMS of the sup over j taken one by
+# one, the rest by a bound on all of them
+_TAIL_TERMS = 8
+# a computed scale is raised by this factor, for its own rounding
+_SCALE_MARGIN = 1.0 + 2.0 ** -40
 
 
 @dataclass
 class WarpingSolution:
     """Dense-output solution of a Jacobi initial value problem.
 
-    ``ts, fs, fps`` are the accepted nodes (f(0) = 0 and f'(0) = 1 hold
-    exactly at the first node).  ``d2_left[i]`` and ``d2_right[i]`` are
+    ``ts, fs, fps`` are the nodes (f(0) = 0 and f'(0) = 1 hold exactly at
+    the first node).  ``d2_left[i]`` and ``d2_right[i]`` are
     f'' at the two ends of step i, both evaluated with the profile piece
     that governed that step, which keeps the interpolant correct across
     discontinuous breakpoints.  ``t_end`` is the reached end: the
     requested end, the first zero, or the growth-guard truncation point.
+    ``n_steps`` counts the steps; ``n_rejected`` is always 0, since no
+    step is ever rejected, and stays for the readers of solver statistics.
     """
 
     profile: CurvatureProfile
@@ -332,38 +300,6 @@ def _grid_u(tol: float) -> float:
     return u
 
 
-def _poles_ahead(piece, t: float, bound: float) -> tuple[list, float, float]:
-    """The poles of a rational segment that lie ahead of its entry at t,
-    as (real part, squared imaginary part) pairs, the largest real part
-    among them (-inf when there is none), and a floor below which
-    ``_pole_cap`` binds at no t in [t, bound]: _POLE_RATIO times the
-    least distance from such a pole to [t, bound]."""
-    poles = [(re, im * im) for re, im in getattr(piece, "_poles", ()) if re > t]
-    if not poles:
-        return poles, -math.inf, math.inf
-    gap = min(math.hypot(re - bound, math.sqrt(im2)) if re > bound else math.sqrt(im2)
-              for re, im2 in poles)
-    return poles, max(re for re, _ in poles), _POLE_RATIO * gap
-
-
-def _pole_cap(poles: list, t: float, h: float) -> float:
-    """h, shortened to _POLE_RATIO times the distance from t to each pole
-    ahead of t, but not below 4 times the underflow floor 1e-14 max(t, 1).
-    ``numpy.roots`` can round a close pair of poles onto the real axis
-    inside the segment, where the cap alone would halve the steps toward
-    it until they underflow; the floor lets them pass."""
-    capped = h
-    for re, im2 in poles:
-        if re > t:
-            d = re - t
-            cap = _POLE_RATIO * math.sqrt(d * d + im2)
-            capped = cap if capped > cap else capped
-    floor = 4e-14 * (t if t > 1.0 else 1.0)
-    if capped >= floor:
-        return capped
-    return h if h < floor else floor
-
-
 def _two_product(a: float, b: float) -> tuple[float, float]:
     """a b as p + e with p = fl(a b) and e its rounding error, exact for
     |a|, |b| below 1e290 with no underflow (Dekker's product)."""
@@ -412,8 +348,8 @@ def _constant_piece(t: float, f: float, fp: float, kappa: float, bound: float,
     the guard, or, for kappa < 0, where the bound a e^x on |f| and |f'|
     (see ``_grid_u``) passes e^8 times the guard or x passes 700; the
     caller enters the piece again from there.  So no node overflows.  A
-    grid of more than one step whose spacing is at or below the stepper's
-    underflow floor raises IntegrationError.
+    grid of more than one step whose spacing is at or below the underflow
+    floor 1e-14 max(t, 1) raises IntegrationError.
     """
     width = bound - t
     if kappa == 0.0:
@@ -461,30 +397,33 @@ def _constant_piece(t: float, f: float, fp: float, kappa: float, bound: float,
     return ts[:n], fs[:n], fps[:n], -kappa * fs[:n], zero
 
 
-def _majorant(x: float, degree: int, first: float) -> list[float]:
+def _majorant(x: float, degree: int | None, first: float) -> list[float]:
     """Scaled Taylor coefficients B_k of a majorant of f on a step of
-    x = omega h on a polynomial piece of the given degree: B_0 = 1,
-    B_1 = ``first`` and B_(k+2) = sum_(j <= degree) x^(j+2) B_(k-j)/((k+2)(k+1)),
-    up to the first term below 1e-25 past k = 8, far below the tail that
-    ``_taylor_rule`` asks for at tol 1e-14.
+    x = omega h on a piece whose K is a polynomial of the given degree, or
+    of any degree (None): B_0 = 1, B_1 = ``first`` and
+    B_(k+2) = sum_(j <= min(k, degree)) x^(j+2) B_(k-j)/((k+2)(k+1)), up to
+    the first term below 1e-25 past k = 8, far below the tail that
+    ``_taylor_rule`` asks for at tol 1e-14.  Any degree needs x < 1.
 
-    Where |K^(j)/j!| <= omega^(j+2) on the step (``_local_scales``), the
-    scaled coefficients b_(k+2) = -sum_j K_j h^(j+2) b_(k-j)/((k+2)(k+1))
-    of f(t + s h) are at most B_k times |f| + |f'|/omega (B_1 = x) or,
-    for both basis solutions of a transfer matrix, times 1 (B_1 = 1).
+    Where |K_j| <= omega^(j+2) on the step, the scaled coefficients
+    b_(k+2) = -sum_j K_j h^(j+2) b_(k-j)/((k+2)(k+1)) of f(t + s h) are at
+    most B_k times |f| + |f'|/omega (B_1 = x) or, for both basis solutions
+    of a transfer matrix, times 1 (B_1 = 1).
     """
-    powers = [x ** (j + 2) for j in range(degree + 1)]
-    b = [1.0, first]
+    powers, b = [], [1.0, first]
     while len(b) < 10 or b[-1] > 1e-25:
         k = len(b) - 2
+        if degree is None or k <= degree:
+            powers.append(x ** (k + 2))
         b.append(sum(p * c for p, c in zip(powers, b[k::-1])) / ((k + 2) * (k + 1)))
     return b
 
 
 @functools.lru_cache(maxsize=64)
-def _taylor_rule(tol: float, degree: int) -> tuple[float, int]:
-    """(x, P) for a polynomial piece of the given degree at tol: steps of
-    omega h <= x, and P Taylor terms per step.
+def _taylor_rule(tol: float, degree: int | None) -> tuple[float, int]:
+    """(x, P) for a Taylor piece whose K is a polynomial of the given
+    degree, or of any degree (None), at tol: steps of omega h <= x, and P
+    Taylor terms per step.
 
     x is the root of (D7/322560 + D6/13416)/x = tol, found by bisection to
     2^-32 u from below, where D6 = sum_k k!/(k-6)! B_k and D7 = sum_k k!/(k-7)! B_k
@@ -495,7 +434,8 @@ def _taylor_rule(tol: float, degree: int) -> tuple[float, int]:
     majorant is the exponential pair and this is ``_grid_u``'s equation;
     lines get about 0.6 u and degree 4 and above about 0.4 u, from the
     sixth coefficient's worst case, where every K_j is at its bound at
-    once.
+    once.  Any degree has the geometric majorant omega^2/(1 - omega tau) of
+    K, and its bisection starts below 1, where that converges.
 
     P is the first order whose tail sum_(k >= P) k B_k (B_1 = 1) is at most
     tol 2^-16: the error of f(t + h) and of h f'(t + h) relative to the
@@ -508,6 +448,8 @@ def _taylor_rule(tol: float, degree: int) -> tuple[float, int]:
         d7 = sum(math.perm(k, 7) * c for k, c in enumerate(b))
         return (d7 / 322560.0 + d6 / 13416.0) / x > tol
     lo, hi = 0.0, _grid_u(tol)
+    if degree is None:
+        hi = min(hi, 1.0)
     for _ in range(32):
         mid = 0.5 * (lo + hi)
         lo, hi = (lo, mid) if excess(mid) else (mid, hi)
@@ -551,14 +493,89 @@ def _local_scales(num, a, w, scalar_roots: bool = False) -> np.ndarray:
     return omega
 
 
-def _taylor_steps(num, left: np.ndarray, h: np.ndarray, order: int) -> np.ndarray:
-    """The transfer matrices of steps of length h from the nodes ``left``
-    on the polynomial K = num (floats, or arrays with one entry per step),
-    as the rows m00, m01, m10, m11 of a (4, n) array: (f, f') at the right
-    end is (m00 f + m01 f', m10 f + m11 f') of the state at the left end.
+def _rational_scales(kind: _Rational, a, w) -> np.ndarray:
+    """omega on each cell [a, a + w] of a rational piece K = num/den, so
+    that |K_j| <= omega^(j+2) at every point of the cell and for every j,
+    floored at _OMEGA_FLOOR.
 
-    K's Taylor coefficients at each left node, scaled to
-    kappa_j = K_j h^(j+2), drive the recurrence
+    K is analytic within rho of the cell when rho lies below the cell's
+    distance to each disc that holds roots of den (``Segment._poles``).
+    With M a bound on |K| there, Cauchy's estimate |K_j| <= M rho^-j gives
+    omega = max(sqrt M, 1/rho).  |num| is bounded on the disc of radius
+    R = w/2 + rho about the cell's middle c by sum_j |num_j| R^j over its
+    coefficients in powers of t - c, and |den| from below by |a_n| times
+    each disc's distance less rho, to the power of its root count, or else
+    by |den_0| - sum_(j >= 1) |den_j| R^j, whichever is larger.  The
+    rounding of the shifted coefficients is at
+    most (d + 1) 2^-50 sum_i |a_i| (c + R)^i, as in
+    ``curvature_profile._bernstein``.  Each cell takes the least omega
+    over rho at the fractions _POLE_FRACTIONS of its distance to the
+    nearest disc and _WIDTH_FRACTIONS of its width; a cell where no rho
+    is certified gets inf.
+    """
+    dx = np.maximum(np.maximum(a - kind.pole_re, kind.pole_re - (a + w)), 0.0)
+    dist = np.maximum(np.hypot(dx, kind.pole_im) - kind.pole_r, 0.0)
+    rho = np.concatenate((_POLE_FRACTIONS * dist.min(axis=0), _WIDTH_FRACTIONS * w))
+    radius = 0.5 * w + rho
+    c = a + 0.5 * w
+    shifted = np.abs(kind.shifted(c))
+    # sum_j |p_j| R^j of num and of den, and their rounding bounds
+    sums = np.einsum("pjn,jkn->pkn", shifted, _powers(radius.ravel(), kind.terms)
+                     .reshape(-1, *radius.shape))
+    err = kind.terms * 2.0 ** -50 * kind.magnitudes(c + radius.max(axis=0))
+    upper, low = sums[0] + err[0], 2.0 * shifted[1, 0] - sums[1] - err[1]
+    with np.errstate(divide="ignore", over="ignore"):
+        # in logs, where every factor stays in range
+        smith = kind.log_lead + (kind.counts * np.log(np.maximum(dist[:, None] - rho, 0.0))).sum(0)
+        log_m = np.log(upper) - np.maximum(smith, np.log(np.maximum(low, 0.0)))
+        omega = np.maximum(np.exp(0.5 * log_m), 1.0 / rho)
+    return np.maximum(omega.min(axis=0), _OMEGA_FLOOR) * _SCALE_MARGIN
+
+
+def _tail_scales(coef: float, p: float, a) -> np.ndarray:
+    """omega on each cell of a power tail coef/(1 + t)^p that starts at a,
+    so that |K_j| <= omega^(j+2) on the cell for every j, floored at
+    _OMEGA_FLOOR.
+
+    With x = 1 + t, |K_j| <= |coef| C(p + j - 1, j) x^(-p-j), which falls
+    with x, so its value at x = 1 + a holds on the cell.  omega is the sup
+    over j of its (j + 2)th root r_j.  r_j = exp(-log x + D_j/(j + 2)) with
+    D_j = log|coef| + (2 - p) log x + log C(p + j - 1, j), whose limit is
+    1/x.  The terms j < _TAIL_TERMS are taken one by one.  Past them,
+    log C(p + j - 1, j) <= (p - 1) log(j + p) - log Gamma(p) for p > 1 (the
+    mean value theorem on log Gamma, with digamma(v) < log v), and <= 0
+    for p <= 1.  So for p > 1, with v = j + p and j + 2 >= kappa v,
+    D_j/(j + 2) is at most the positive part of
+    sup_(v >= v0) (c + (p - 1) log v)/v over kappa, a sup found in closed
+    form; for p <= 1 it is at most the positive part of D/(_TAIL_TERMS + 2).
+    """
+    log_x = np.log1p(a)
+    j = np.arange(float(_TAIL_TERMS)).reshape(-1, 1)
+    log_a = math.log(abs(coef))
+    log_c = np.concatenate(([0.0], np.cumsum(np.log1p((p - 1.0) / j[1:, 0]))))
+    head = ((log_a + log_c.reshape(-1, 1) - (p + j) * log_x) / (j + 2.0)).max(axis=0)
+    if p > 1.0:
+        b = p - 1.0
+        c = log_a + (2.0 - p) * log_x - math.lgamma(p)
+        v0 = _TAIL_TERMS + p
+        v = np.exp(np.minimum(1.0 - c / b, 700.0))  # where (c + b log v)/v peaks
+        sup = np.where(v >= v0, b / v, (c + b * math.log(v0)) / v0)
+        tail = np.maximum(sup, 0.0) / min(1.0, 1.0 + (2.0 - p) / v0)
+    else:
+        tail = np.maximum(log_a + (2.0 - p) * log_x, 0.0) / (_TAIL_TERMS + 2.0)
+    omega = np.exp(np.maximum(head, tail - log_x))
+    return np.maximum(omega, _OMEGA_FLOOR) * _SCALE_MARGIN
+
+
+def _taylor_steps(kappa: list | np.ndarray, h: np.ndarray, order: int) -> np.ndarray:
+    """The transfer matrices of steps of length h, as the rows m00, m01,
+    m10, m11 of a (4, n) array: (f, f') at the right end is
+    (m00 f + m01 f', m10 f + m11 f') of the state at the left end.
+
+    ``kappa`` holds K's Taylor coefficients at each left node, scaled to
+    kappa_j = K_j h^(j+2): a polynomial's d + 1 of them as a list, or the
+    ``order - 2`` that the terms read as an (order - 2, n) array.  They
+    drive the recurrence
     b_(k+2) = -sum_j kappa_j b_(k-j)/((k+2)(k+1)) for the scaled Taylor
     coefficients of both basis solutions at once (f = 1, h f' = 0 and
     f = 0, h f' = 1, as the rows of a (2, n) array), over ``order`` terms.
@@ -566,11 +583,7 @@ def _taylor_steps(num, left: np.ndarray, h: np.ndarray, order: int) -> np.ndarra
     the stack, term after term, gives the value sum_k b_k and the slope
     sum_k k b_k at the right end.
     """
-    d = len(num) - 1
-    kappa, power = [], h * h
-    for c in _taylor_shift(num, left):
-        kappa.append(c * power)
-        power = power * h
+    d = len(kappa) - 1
     # terms[k, 0] is b_k; terms[k, 1] becomes k b_k
     terms = np.empty((order, 2, 2, len(h)))
     b = terms[:, 0]
@@ -579,13 +592,164 @@ def _taylor_steps(num, left: np.ndarray, h: np.ndarray, order: int) -> np.ndarra
     b[1, 1] = 1.0
     for k in range(order - 2):
         new = b[k + 2]
-        np.multiply(kappa[0], b[k], out=new)
-        for j in range(1, min(d, k) + 1):
-            new += kappa[j] * b[k - j]
+        if isinstance(kappa, list):
+            # a polynomial's d + 1 terms, summed in order
+            np.multiply(kappa[0], b[k], out=new)
+            for j in range(1, min(d, k) + 1):
+                new += kappa[j] * b[k - j]
+        else:
+            # all k + 1 terms of a series, in one contraction
+            np.einsum("jn,jrn->rn", kappa[:k + 1], b[k::-1], out=new)
         new *= -1.0 / ((k + 2) * (k + 1))
     np.multiply(b, np.arange(float(order)).reshape(-1, 1, 1), out=terms[:, 1])
     value, slope = np.add.reduce(terms, axis=0)
     return np.stack((value[0], h * value[1], slope[0] / h, slope[1]))
+
+
+class _Polynomial:
+    """The kind of a polynomial piece of one degree: its params are K's
+    coefficients, and the pieces of a degree share a round."""
+
+    def __init__(self, degree: int):
+        self.key = self.degree = degree
+
+    @staticmethod
+    def spans(lo: float, hi: float) -> tuple:
+        return ((lo, hi),)
+
+    @staticmethod
+    def scales(params, a, w, scalar_roots: bool = False) -> np.ndarray:
+        return _local_scales(params, a, w, scalar_roots)
+
+    @staticmethod
+    def kappa(params, left, h, terms: int) -> list:
+        """kappa_j of the shifted coefficients: all d + 1 of them."""
+        kappa, power = [], h * h
+        for c in _taylor_shift(params, left):
+            kappa.append(c * power)
+            power = power * h
+        return kappa
+
+
+def _powers(x: np.ndarray, n: int) -> np.ndarray:
+    """x^0, ..., x^(n-1) as the rows of an (n, len(x)) array."""
+    return np.vander(x, n, increasing=True).T
+
+
+def _spans(lo: float, hi: float, near, fraction: float) -> list:
+    """[lo, hi) cut into spans each ``fraction`` of its left end's distance
+    ``near(t)`` to K's nearest singularity wide, and at least 2^-20 of
+    [lo, hi), the last of at most _SPAN_CUTS taking the rest."""
+    out, t, least = [], lo, (hi - lo) * 2.0 ** -20
+    while t < hi:
+        end = t + max(fraction * near(t), least)
+        if not t < end < hi or len(out) == _SPAN_CUTS - 1:
+            end = hi
+        out.append((t, end))
+        t = end
+    return out
+
+
+class _Rational:
+    """The kind of the sign pieces of a rational segment, whose
+    denominator is not a constant; they share a round."""
+
+    def __init__(self, seg: Segment):
+        self.key, self.degree = self, None
+        # without their trailing zeros, the first coefficient kept
+        num, den = (c[:max((i for i, x in enumerate(c) if x), default=0) + 1]
+                    for c in (seg.num, seg.den))
+        d = max(len(num), len(den)) - 1
+        rows = [[*c, *[0.0] * (d + 1 - len(c))] for c in (num, den)]
+        # row j of a polynomial's block takes the powers c^m to its jth
+        # coefficient in powers of t - c
+        self.shift = np.array([[row[j + m] * math.comb(j + m, j) if j + m <= d else 0.0
+                                for m in range(d + 1)] for row in rows for j in range(d + 1)])
+        self.columns = [np.array(col).reshape(2, 1) for col in zip(*rows)]
+        self.mags = np.abs(np.array(rows))
+        self.terms = d + 1
+        # where c^d could leave float range, Horner's shift instead
+        self.wide = d * math.log2(max(seg.t_end, 1.0)) > 900.0
+        self.sizes, self.log_lead, self.poles = (len(num), len(den)), math.log(abs(den[-1])), seg._poles
+        self.pole_re, self.pole_im, self.pole_r = (np.array([[z.real, abs(z.imag), r]
+                                                             for z, r, _ in self.poles]).T
+                                                   .reshape(3, -1, 1))
+        self.counts = np.array([count for *_, count in self.poles], dtype=float).reshape(-1, 1, 1)
+
+    @functools.lru_cache(maxsize=64)
+    def spans(self, lo: float, hi: float) -> tuple:
+        """Spans a quarter as wide as their distance to the nearest pole
+        disc, found once per sign piece."""
+        return tuple(_spans(lo, hi, lambda t: min(math.hypot(t - z.real, z.imag) - r
+                                                  for z, r, _ in self.poles), 0.25))
+
+    def shifted(self, c) -> np.ndarray:
+        """num's and den's coefficients in powers of t - c, for an array of
+        c, as a (2, d + 1, n) array."""
+        if self.wide:
+            return np.array(np.broadcast_arrays(*_taylor_shift(self.columns, c))).swapaxes(0, 1)
+        return (self.shift @ _powers(c, self.terms)).reshape(2, -1, len(c))
+
+    def magnitudes(self, x) -> np.ndarray:
+        """sum_i |a_i| x^i of num and of den, for an array of x >= 0."""
+        return self.mags @ _powers(x, self.terms)
+
+    def scales(self, params, a, w, scalar_roots: bool = False) -> np.ndarray:
+        return _rational_scales(self, a, w)
+
+    def kappa(self, params, left, h, terms: int) -> np.ndarray:
+        """kappa_j for j < terms: h^2 times the series num/den in s of
+        K(t + s h), from the shifted coefficients scaled by h^i."""
+        num, den = self.shifted(left) * _powers(h, self.terms)
+        num, den = num[:self.sizes[0]], den[:self.sizes[1]]
+        q = np.empty((terms, len(h)))
+        for j in range(terms):
+            m = min(j, len(den) - 1)
+            q[j] = ((num[j] if j < len(num) else 0.0)
+                    - np.einsum("in,in->n", den[1:m + 1], q[j - 1::-1][:m])) / den[0]
+        return q * (h * h)
+
+
+class _Tail:
+    """The kind of a power tail a/(1 + t)^p with a != 0."""
+
+    def __init__(self, tail: PowerDecayTail):
+        self.key, self.degree, self.a, self.p = self, None, tail.a, tail.p
+
+    @staticmethod
+    @functools.lru_cache(maxsize=64)
+    def spans(lo: float, hi: float) -> tuple:
+        """Spans each a quarter of 1 + t at their left end wide."""
+        return tuple(_spans(lo, hi, lambda t: 1.0 + t, 0.25))
+
+    def scales(self, params, a, w, scalar_roots: bool = False) -> np.ndarray:
+        return _tail_scales(self.a, self.p, a)
+
+    def kappa(self, params, left, h, terms: int) -> np.ndarray:
+        """kappa_j for j < terms, from kappa_0 = a x^-p h^2 and
+        kappa_(j+1) = -kappa_j (p + j) (h/x)/(j + 1)."""
+        x = 1.0 + left
+        ratio = h / x
+        kappa = np.empty((terms, len(h)))
+        kappa[0] = self.a / x ** self.p * (h * h)
+        for j in range(terms - 1):
+            kappa[j + 1] = kappa[j] * ratio * (-(self.p + j) / (j + 1))
+        return kappa
+
+
+@functools.lru_cache(maxsize=64)
+def _kind(seg: Segment | PowerDecayTail) -> tuple:
+    """The kind of a non-constant segment's pieces or of a power tail, and
+    their params: a polynomial's coefficients, divided by a constant
+    denominator (a zero numerator over any denominator is the zero
+    polynomial).  Memoized by the segment's or the tail's fields, so a
+    profile solved again builds no kind twice."""
+    if isinstance(seg, PowerDecayTail):
+        return _Tail(seg), ()
+    if any(seg.den[1:]) and any(seg.num):
+        return _Rational(seg), ()
+    num = seg.num if seg.is_polynomial else tuple(c / seg.den[0] for c in seg.num)
+    return _Polynomial(len(num) - 1), num
 
 
 # the nodes of a piece whose grid no round has built yet
@@ -600,26 +764,28 @@ def _cells(nodes: float) -> int:
 
 
 class _Piece:
-    """One sign piece [lo, hi) of a polynomial segment in a plan, hi cut
-    at the plan's t_end: its grid, resolved in rounds, and its transfer
+    """One sign piece [lo, hi) of a segment, or a power tail, in a plan, hi
+    cut at the plan's t_end: its grid, resolved in rounds, and its transfer
     matrices, built in chunks.
 
-    ``todo`` holds the spans a round has yet to resolve, in order.  The
-    built leaves (spans of at most _SPAN_NODES nodes at their own scale)
-    are ``leaves``, as (left end, first node, end node) over the node
-    times ``t`` and -K at them, ``negk``.  Past them comes the first leaf
-    whose grid underflows (``underflow``, the left end of its first
-    underflowing cell), or a leaf that a round resolved but did not build
-    (``next_leaf``, its left end and node count), or the spans of
-    ``todo``, or nothing.  ``chunks`` are read-only (4, n) arrays of
-    transfer matrices from node ``chunk_starts[i]`` on, over the first
-    ``built`` nodes.
+    ``kind`` (``_Polynomial``, ``_Rational`` or ``_Tail``) gives its first
+    spans, its scales and K's Taylor coefficients, with ``params``; the
+    pieces of one ``key`` share rounds and passes.  ``todo`` holds the
+    spans a round has yet to resolve, in order.  The built leaves (spans
+    of at most _SPAN_NODES nodes at their own scale) are ``leaves``, as
+    (left end, first node, end node) over the node times ``t`` and -K at
+    them, ``negk``.  Past them comes the first leaf whose grid underflows
+    (``underflow``, the left end of its first underflowing cell), or a
+    leaf that a round resolved but did not build (``next_leaf``, its left
+    end and node count), or the spans of ``todo``, or nothing.  ``chunks``
+    are read-only (4, n) arrays of transfer matrices from node
+    ``chunk_starts[i]`` on, over the first ``built`` nodes.
     """
 
-    def __init__(self, seg: Segment, lo: float, hi: float, positive: bool):
-        self.lo, self.positive = lo, positive
-        self.num, self.evaluate, self.degree = seg.num, seg.evaluate, len(seg.num) - 1
-        self.todo = [(lo, hi)]
+    def __init__(self, kind, params: tuple, evaluate, lo: float, hi: float, positive: bool):
+        self.lo, self.hi, self.positive = lo, hi, positive
+        self.kind, self.key, self.params, self.evaluate = kind, kind.key, params, evaluate
+        self.todo = list(kind.spans(lo, hi))
         self.t = self.negk = _NO_NODES
         self.leaves: list[tuple[float, int, int]] = []
         self.underflow: float | None = None
@@ -630,49 +796,61 @@ class _Piece:
 
 
 class _Plan:
-    """The state-independent part of the polynomial segments of a profile
+    """The state-independent part of the non-constant pieces of a profile
     on [0, t_end) at tol: every sign piece's grid and transfer matrices,
     filled as far as the walks over them go.
 
-    ``resolve`` finds the grids in rounds, each over the pieces of one
-    degree, by batched array passes: one ``_local_scales`` pass per
-    halving step of all the pieces at once, and one for all cells.  A
-    round stops at the leaf where its nodes would pass its limit, so no
-    round builds more nodes than the remaining budget of the walk that
-    asks for it.  ``chunk`` builds the
-    transfer matrices: all the nonpositive pieces of a degree in one
-    ``_taylor_steps`` pass, which f and m share, and a positive piece in
-    chunks of _CHUNK_NODES nodes, doubling, as f reaches them.
+    ``resolve`` finds the grids in rounds, each over the pieces of one key
+    (a polynomial degree, a rational segment or the tail), by batched
+    array passes: one scale pass per halving step of all the pieces at
+    once, and one for all the cells of polynomial leaves; a rational or
+    tail leaf is one cell, since its spans already follow K's
+    singularities.  A round stops at the leaf where its nodes
+    would pass its limit, so no round builds more nodes than the remaining
+    budget of the walk that asks for it.  ``chunk`` builds the transfer
+    matrices: all the pieces of a key in one ``_taylor_steps`` pass, which
+    f and m share where they are nonpositive, except that a positive
+    polynomial piece comes in chunks of _CHUNK_NODES nodes, doubling, as f
+    reaches them.
     """
 
     def __init__(self, profile: CurvatureProfile, t_end: float, tol: float):
         self.profile, self.t_end, self.tol = profile, t_end, tol
-        # the negative part of the profile, whose polynomial sign pieces
+        # the negative part of the profile, whose non-constant sign pieces
         # are the profile's nonpositive ones
         self.negative: CurvatureProfile | None = None
-        self.pieces = [_Piece(seg, lo, min(hi, t_end), positive)
-                       for seg in profile.segments
-                       if seg.t_start < t_end and seg.is_polynomial and not seg._constant
-                       for lo, hi, positive in seg.sign_pieces if lo < t_end]
+        self.pieces = []
+        for seg in profile.segments:
+            if seg.t_start < t_end and not seg._constant:
+                kind, params = _kind(seg)
+                self.pieces += [_Piece(kind, params, seg.evaluate, lo, min(hi, t_end), positive)
+                                for lo, hi, positive in seg.sign_pieces if lo < t_end]
+        tail = profile.tail
+        if profile.t_tail < t_end and not tail._constant:
+            self.pieces.append(_Piece(_kind(tail)[0], (), tail.evaluate, profile.t_tail, t_end,
+                                      tail.a > 0.0))
         # each piece by its start, which the negative part's cut shares
         self.at = {piece.lo: piece for piece in self.pieces}
 
     def resolve(self, piece: _Piece, budget: int) -> None:
-        """Resolve the spans left from ``piece`` on, a round per degree,
-        each of at most _ROUND_NODES and ``budget`` nodes; a first leaf of
-        at most ``budget`` nodes is always built."""
+        """Resolve the spans left from ``piece`` on, a round per key, each
+        of at most _ROUND_NODES and ``budget`` nodes; a first leaf of at
+        most ``budget`` nodes is always built."""
         later = [p for p in self.pieces[self.pieces.index(piece):] if p.todo]
-        for degree in sorted({p.degree for p in later}):
-            self._round([p for p in later if p.degree == degree], degree, budget)
+        for key in dict.fromkeys(p.key for p in later):
+            self._round([p for p in later if p.key == key], budget)
 
-    def _round(self, pieces: list[_Piece], degree: int, budget: int) -> None:
-        """Resolve the spans left in ``pieces``, of one degree and in
-        order, then build the leaves (``_build_leaves``).  Each piece is
-        halved depth first, leftmost span first, as far as a walk can reach
-        within the limit: a span whose scale allows more than _SPAN_NODES
-        nodes is halved, else it is a leaf.  A pass takes the leftmost span
-        of every piece at once, in one ``_local_scales`` call."""
-        xu = _taylor_rule(self.tol, degree)[0]
+    def _round(self, pieces: list[_Piece], budget: int) -> None:
+        """Resolve the spans left in ``pieces``, of one key and in order,
+        then build the leaves (``_build_leaves``).  Each piece is halved
+        depth first, leftmost span first, as far as a walk can reach within
+        the limit: a span whose scale allows more than _SPAN_NODES nodes is
+        halved, else it is a leaf.  A pass takes every span of every piece
+        at once, in one scale call, and keeps each piece's leaves up to its
+        first span to halve, whose halves and later spans wait for the next
+        pass."""
+        kind = pieces[0].kind
+        xu = _taylor_rule(self.tol, kind.degree)[0]
         limit = min(_ROUND_NODES, budget)
         # each piece's spans as a stack, leftmost on top, its leaves in
         # order as [piece, a, b, w omega/x], and their least node count,
@@ -694,43 +872,50 @@ class _Plan:
                     tops.append(k)
             if not tops:
                 break
-            spans = [stacks[k].pop() for k in tops]
-            a = np.array([span[0] for span in spans])
-            w = np.array([span[1] for span in spans]) - a
-            num = tuple(np.array([pieces[k].num[i] for k in tops]) for i in range(degree + 1))
+            spans = [(k, span) for k in tops for span in stacks[k][::-1]]
+            a = np.array([span[0] for _, span in spans])
+            w = np.array([span[1] for _, span in spans]) - a
+            params = tuple(np.array([pieces[k].params[i] for k, _ in spans])
+                           for i in range(len(pieces[0].params)))
             # as the Python floats of a single span's scale, which never warn
             with np.errstate(all="ignore"):
-                nodes = (w * _local_scales(num, a, w, scalar_roots=True) / xu).tolist()
-            for k, (lo, hi), n in zip(tops, spans, nodes):
-                mid = 0.5 * (lo + hi)
-                if n > _SPAN_NODES and lo < mid < hi:
-                    stacks[k] += [(mid, hi), (lo, mid)]
-                else:
+                nodes = (w * kind.scales(params, a, w, scalar_roots=True) / xu).tolist()
+            start = 0
+            for k in tops:
+                stack = stacks[k]
+                for n in nodes[start:start + len(stack)]:
+                    lo, hi = stack.pop()
+                    mid = 0.5 * (lo + hi)
+                    if n > _SPAN_NODES and lo < mid < hi:
+                        start += len(stack) + 1
+                        stack += [(mid, hi), (lo, mid)]
+                        break
                     leaves[k].append([pieces[k], lo, hi, n])
-                    least[k] += _cells(n)
+                    least[k] += _cells(n) if kind.degree is not None else 1
+                    start += 1
         closed = self._build_leaves([leaf for group in leaves for leaf in group],
-                                    degree, xu, limit, budget)
+                                    xu, limit, budget)
         for p, stack in zip(pieces, stacks):
             if p not in closed:
                 p.todo += stack[::-1]
 
-    def _build_leaves(self, leaves: list, degree: int, xu: float, limit: int,
-                      budget: int) -> set:
+    def _build_leaves(self, leaves: list, xu: float, limit: int, budget: int) -> set:
         """The cells, node counts and underflow test of resolved leaves, in
         one pass, and the grids of those a walk reaches within the limit,
         each as ``np.linspace`` and ``np.repeat`` would build it alone; the
         leaves past the limit go back to their pieces' spans.  Returns the
         pieces that end at a leaf whose grid underflows."""
-        cells = [_cells(it[3]) for it in leaves]
+        kind = leaves[0][0].kind
+        cells = [_cells(it[3]) if kind.degree is not None else 1 for it in leaves]
         n = np.array(cells)
         first = np.cumsum(n) - n
         a, b, nodes = np.array([it[1:] for it in leaves]).T
         # cell i of a leaf spans edges i and i + 1 of linspace(a, b, cells + 1),
         # i (b - a)/cells + a, the last one b; the cells take their leaf's
-        # a, step, first cell and coefficients
-        base, step, start, *num = np.repeat(
-            [a, (b - a) / n, first, *([it[0].num[i] for it in leaves]
-                                      for i in range(degree + 1))], n, axis=1)
+        # a, step, first cell and params
+        base, step, start, *params = np.repeat(
+            [a, (b - a) / n, first, *([it[0].params[i] for it in leaves]
+                                      for i in range(len(leaves[0][0].params)))], n, axis=1)
         index = np.arange(float(len(base))) - start
         left = index * step + base
         right = (index + 1.0) * step + base
@@ -740,8 +925,8 @@ class _Plan:
         counts = np.repeat(np.maximum(np.ceil(nodes), 1.0), n)
         multi = np.repeat(n > 1, n)
         if multi.any():
-            counts[multi] = np.maximum(np.ceil(width[multi] * _local_scales(
-                tuple(c[multi] for c in num), left[multi], width[multi]) / xu), 1.0)
+            counts[multi] = np.maximum(np.ceil(width[multi] * kind.scales(
+                tuple(c[multi] for c in params), left[multi], width[multi]) / xu), 1.0)
         spacing = width / counts
         under = (counts > 1.0) & (spacing <= 1e-14 * np.maximum(right, 1.0))
         leaf_counts = np.add.reduceat(counts, first).tolist()
@@ -778,29 +963,34 @@ class _Plan:
         grid = cell_left + cell_step * (np.arange(1.0, ends[-1] + 1.0) - cell_start)
         grid[ends - 1] = right[keep_cells]
         grid.flags.writeable = False
+        # each piece's kept leaves are one run of the grid: K in one call
+        runs: dict[_Piece, list] = {}
         start = 0
         for (p, a_k, _, _), count, kept in zip(leaves, leaf_counts, keep):
             if kept:
                 count = int(count)
-                nodes = grid[start:start + count]
-                start += count
-                i = len(p.t)
+                run = runs.setdefault(p, [start, start])
+                i = len(p.t) + run[1] - run[0]
                 p.leaves.append((a_k, i, i + count))
-                negk = -p.evaluate(nodes)
-                if i:
-                    nodes, negk = np.concatenate((p.t, nodes)), np.concatenate((p.negk, negk))
-                p.t, p.negk = nodes, negk
-                p.t.flags.writeable = p.negk.flags.writeable = False
+                start = run[1] = start + count
+        for p, (lo, hi) in runs.items():
+            nodes = grid[lo:hi]
+            negk = -p.evaluate(nodes)
+            if len(p.t):
+                nodes, negk = np.concatenate((p.t, nodes)), np.concatenate((p.negk, negk))
+            p.t, p.negk = nodes, negk
+            p.t.flags.writeable = p.negk.flags.writeable = False
         return closed
 
     def chunk(self, piece: _Piece, i: int) -> tuple[int, np.ndarray]:
         """The first node and the (4, n) transfer matrices of the chunk
         that holds node i of ``piece``, built first if it is not yet."""
         if i >= piece.built:
-            # with the nonpositive pieces of its degree not built yet
-            ranges = [(p, len(p.t)) for p in self.pieces if not p.positive
-                      and p.degree == piece.degree and p.built < len(p.t)]
-            if piece.positive:
+            # with the pieces of its key not built yet, but a positive
+            # polynomial piece only as far as f walks, in chunks
+            ranges = [(p, len(p.t)) for p in self.pieces if p.key == piece.key
+                      and p.built < len(p.t) and not (p.positive and p.kind.degree is not None)]
+            if piece.positive and piece.kind.degree is not None:
                 size = _CHUNK_NODES << len(piece.chunks)
                 ranges.append((piece, min(piece.built + size, len(piece.t))))
             self._build_matrices(ranges)
@@ -817,13 +1007,15 @@ class _Plan:
             lefts.append(p.t[i - 1:end - 1] if i else np.concatenate(([p.lo], p.t[:end - 1])))
         sizes = [len(r) for r in rights]
         left = np.concatenate(lefts)
+        first = ranges[0][0]
         if len(ranges) == 1:
-            num = ranges[0][0].num
+            params = first.params
         else:
-            num = tuple(np.repeat([p.num[i] for p, _ in ranges], sizes)
-                        for i in range(ranges[0][0].degree + 1))
-        order = _taylor_rule(self.tol, ranges[0][0].degree)[1]
-        mats = _taylor_steps(num, left, np.concatenate(rights) - left, order)
+            params = tuple(np.repeat([p.params[i] for p, _ in ranges], sizes)
+                           for i in range(len(first.params)))
+        order = _taylor_rule(self.tol, first.kind.degree)[1]
+        h = np.concatenate(rights) - left
+        mats = _taylor_steps(first.kind.kappa(params, left, h, order - 2), h, order)
         mats.flags.writeable = False
         start = 0
         for (p, end), size in zip(ranges, sizes):
@@ -850,32 +1042,32 @@ def _plan(profile: CurvatureProfile, t_end: float, tol: float) -> _Plan:
     return plan
 
 
-def _polynomial_piece(seg: Segment, t: float, f: float, fp: float, bound: float,
-                      steps: int, plan: _Plan) -> tuple:
-    """The nodes of a non-constant polynomial segment from the entry state
-    (t, f, f') toward ``bound``: the node times, f, f' and f'' = -K f after
-    the entry, as arrays, and whether the last node is the first zero.  ``steps`` is
-    the solve's count of steps so far, and ``plan`` holds the grid and
-    matrices of the segment's sign pieces (``_Plan``).
+def _taylor_piece(source, t: float, f: float, fp: float, bound: float,
+                  steps: int, plan: _Plan) -> tuple:
+    """The nodes of a non-constant segment or power tail ``source`` from
+    the entry state (t, f, f') toward ``bound``: the node times, f, f' and
+    f'' = -K f after the entry, as arrays, and whether the last node is the
+    first zero.  ``steps`` is the solve's count of steps so far, and
+    ``plan`` holds the grid and matrices of its sign pieces (``_Plan``).
 
-    Each sign piece of the segment is walked on its own grid, so the nodes
-    depend on the sign piece, the entry time and tol alone, never on the
-    state.  A span whose scale allows more than _SPAN_NODES nodes is
-    halved; a span is split into uniform cells of about _CELL_NODES nodes
-    at its own scale, and each cell gets a uniform grid of spacing at most
-    x/omega, with x from ``_taylor_rule`` and the cell's omega from
-    ``_local_scales``.  The state is carried node to node in Python floats
-    over the plan's matrices.  The walk stops at the first node where
-    f <= 0, whose zero ``_locate_zero`` finds on the dense quintic, and at
-    the first node where |f| or |f'| reaches the growth guard.  A step
-    grows |f| and |f'| by at most e^x (1 + max(h, omega)), which the omega
-    floor keeps below 1e180, so no node overflows.  Where the walk reaches
-    a span whose grid has more than one step at or below the stepper's
-    underflow floor, or whose nodes would take the solve past _MAX_STEPS
+    Each sign piece is walked on its own grid, so the nodes depend on the
+    sign piece, the entry time and tol alone, never on the state.  A span
+    whose scale allows more than _SPAN_NODES nodes is halved; a span is
+    split into uniform cells of about _CELL_NODES nodes at its own scale,
+    and each cell gets a uniform grid of spacing at most x/omega, with x
+    from ``_taylor_rule`` and the cell's omega from its kind's scales.
+    The state is carried node to node in Python floats over the plan's
+    matrices.  The walk stops at the first node where f <= 0, whose zero
+    ``_locate_zero`` finds on the dense quintic, and at the first node
+    where |f| or |f'| reaches the growth guard.  A step grows |f| and |f'|
+    by at most e^x (1 + max(h, omega)), which the omega floor keeps below
+    1e180, so no node overflows.  Where the walk reaches a span whose grid
+    has more than one step at or below the underflow floor
+    1e-14 max(t, 1), or whose nodes would take the solve past _MAX_STEPS
     steps, it raises IntegrationError; the plan records both and builds
     neither, so only a walk that reaches them raises.
     """
-    ev = seg.evaluate
+    ev = source.evaluate
     guard, max_steps = GROWTH_GUARD, _MAX_STEPS
     walked = steps
     # the nodes walked, as arrays per chunk: times, f, f' and f''; ``last``
@@ -883,10 +1075,10 @@ def _polynomial_piece(seg: Segment, t: float, f: float, fp: float, bound: float,
     # brackets a zero at the chunk's first node
     parts = []
     last = (t, f, fp, -ev(t) * f)
-    for lo, _, _ in seg.sign_pieces:
-        if lo >= bound:
-            break
+    lo = t
+    while lo < bound:
         piece = plan.at[lo]
+        lo = piece.hi
         k = 0
         while True:
             if k == len(piece.leaves):
@@ -899,9 +1091,13 @@ def _polynomial_piece(seg: Segment, t: float, f: float, fp: float, bound: float,
                 plan.resolve(piece, max_steps - walked)
                 continue
             a, i, end = piece.leaves[k]
-            k += 1
             if walked + (end - i) > max_steps:
                 raise IntegrationError("step budget exhausted", a)
+            # and the built leaves after it, as far as the budget allows
+            k += 1
+            while k < len(piece.leaves) and walked + (piece.leaves[k][2] - i) <= max_steps:
+                end = piece.leaves[k][2]
+                k += 1
             while i < end:
                 first, mats = plan.chunk(piece, i)
                 j = min(end, first + mats.shape[1])
@@ -917,7 +1113,7 @@ def _polynomial_piece(seg: Segment, t: float, f: float, fp: float, bound: float,
                 n = len(new_fs)
                 walked += n
                 node_f = np.array(new_fs)
-                # Python floats past the guard may overflow K f, as the stepper's do
+                # Python floats past the guard may overflow K f
                 with np.errstate(over="ignore"):
                     part = (piece.t[i:i + n], node_f, np.array(new_fps),
                             piece.negk[i:i + n] * node_f)
@@ -941,30 +1137,22 @@ def _polynomial_piece(seg: Segment, t: float, f: float, fp: float, bound: float,
 def solve(profile: CurvatureProfile, t_end: float, tol: float) -> WarpingSolution:
     """Integrate f'' + K f = 0 with f(0) = 0, f'(0) = 1 on [0, t_end].
 
-    ``t_end`` must be finite.  ``tol`` is the requested relative error,
-    used for both the relative and absolute components of the stepper's
-    local error test and for the grids of constant and polynomial pieces
-    (see the module docstring); it must lie in [1e-14, 1e-3].  Constant
-    pieces are taken in closed form, non-constant polynomial segments by
-    Taylor transfer matrices on a grid per sign piece, and only rational
-    segments and power tails by the stepper, its Sturm cap and, on
-    rational segments, its pole cap.
-    Integration stops early at the first zero of f (recorded in
-    ``first_zero``) or when |f| or |f'| passes the growth guard (recorded
-    in ``truncated``); step-size underflow raises IntegrationError.
+    ``t_end`` must be finite.  ``tol`` is the requested relative error of
+    the dense output, which sets the grids (see the module docstring); it
+    must lie in [1e-14, 1e-3].  Constant pieces are taken in closed form,
+    every other piece, a polynomial or rational segment or a power tail,
+    by Taylor transfer matrices on a grid per sign piece.  Integration
+    stops early at the first zero of f (recorded in ``first_zero``) or when
+    |f| or |f'| passes the growth guard (recorded in ``truncated``).
 
-    A step that ends on its bound, the next breakpoint or t_end, is taken
-    at any length, so pieces far narrower than the underflow floor of
-    1e-14 max(t, 1) are each one step; only a step that stops short of
-    its bound, or a constant or polynomial piece's grid finer than the
-    floor, can underflow.  A polynomial piece checks the step budget
-    before it walks the nodes of a span.  At each piece entry a step size
-    at or below that floor (0 before the first piece) starts over from the
-    initial-step rule: 1 % of the bound, clipped to [1e-6, 0.1].
+    Every piece ends on a node, so pieces far narrower than the underflow
+    floor of 1e-14 max(t, 1) are each one step; only a grid of more than
+    one step finer than that floor raises IntegrationError.  A Taylor
+    piece checks the step budget before it walks the nodes of a span.
 
-    The polynomial segments are walked over the plan of ``profile`` on
+    The Taylor pieces are walked over the plan of ``profile`` on
     [0, t_end) at tol (``_Plan``), from a one-entry memo: the first
-    polynomial piece fetches it, and a solve of another profile object,
+    Taylor piece fetches it, and a solve of another profile object,
     t_end or tol replaces it.  The plan finds grids and builds transfer
     matrices only as far as the walks over it go, and a span whose grid
     underflows or would pass the step budget raises only when a walk
@@ -975,198 +1163,53 @@ def solve(profile: CurvatureProfile, t_end: float, tol: float) -> WarpingSolutio
     if not (_MIN_TOL <= tol <= _MAX_TOL):
         raise ValueError(f"tol must lie in [{_MIN_TOL}, {_MAX_TOL}], got {tol}")
 
-    # module constants as locals, read at every step without a global lookup
-    c2, c3, c4, c5 = _C2, _C3, _C4, _C5
-    a21 = _A21
-    a31, a32 = _A31, _A32
-    a41, a42, a43 = _A41, _A42, _A43
-    a51, a52, a53, a54 = _A51, _A52, _A53, _A54
-    a61, a62, a63, a64, a65 = _A61, _A62, _A63, _A64, _A65
-    b1, b3, b4, b5, b6 = _B1, _B3, _B4, _B5, _B6
-    e1, e3, e4, e5, e6, e7 = _E1, _E3, _E4, _E5, _E6, _E7
-    safety, min_factor, max_factor = _SAFETY, _MIN_FACTOR, _MAX_FACTOR
-    pi_alpha, pi_beta = _PI_ALPHA, _PI_BETA
-    guard, pi, sqrt = GROWTH_GUARD, math.pi, math.sqrt
-
-    t = 0.0
-    f, fp = 0.0, 1.0
-
-    # the stepper's nodes since the last closed-form or polynomial piece,
+    t, f, fp = 0.0, 0.0, 1.0
+    # the nodes of zero pieces, in Python floats, since the last piece
     # whose nodes come as arrays: both go to ``blocks`` in order
-    ts = [0.0]
-    fs = [0.0]
-    fps = [1.0]
+    ts, fs, fps = [0.0], [0.0], [1.0]
     d2_left: list[float] = []
     d2_right: list[float] = []
     blocks: list[tuple] = []
-
     first_zero: float | None = None
     truncated = False
     n_steps = 0
-    n_rejected = 0
-
-    plan = None  # the first polynomial piece fetches it
-    h = 0.0  # the first piece entry sets the initial step
-    err_prev = 1.0
-    piece_end = 0.0  # the first pass enters the piece at t = 0
+    plan = None  # the first Taylor piece fetches it
 
     while t < t_end:
-        if n_steps + n_rejected > _MAX_STEPS:
+        if n_steps > _MAX_STEPS:
             raise IntegrationError("step budget exhausted", t)
-        if t >= piece_end:
-            # piece entry: what holds up to the next breakpoint is set once
-            piece, piece_end = profile.piece_at(t)
-            ev = piece.evaluate
-            bound = min(piece_end, t_end)
-            k_t = ev(t)
-            polynomial = isinstance(piece, Segment) and piece.is_polynomial
-            if piece._constant or polynomial:
-                if piece._constant:
-                    new_ts, new_fs, new_fps, new_d2, zero = _constant_piece(
-                        t, f, fp, k_t, bound, tol)
-                else:
-                    if plan is None:
-                        plan = _plan(profile, t_end, tol)
-                    new_ts, new_fs, new_fps, new_d2, zero = _polynomial_piece(
-                        piece, t, f, fp, bound, n_steps + n_rejected, plan)
-                n_steps += len(new_ts)
-                d2_left.append(-k_t * f)
-                if isinstance(new_ts, list):
-                    # a zero piece's one step, in Python floats
-                    d2_left += new_d2[:-1]
-                    d2_right += new_d2
-                    ts += new_ts
-                    fs += new_fs
-                    fps += new_fps
-                else:
-                    blocks += [(ts, fs, fps, d2_left, d2_right),
-                               (new_ts, new_fs, new_fps, new_d2[:-1], new_d2)]
-                    ts, fs, fps, d2_left, d2_right = [], [], [], [], []
-                t, f, fp = float(new_ts[-1]), float(new_fs[-1]), float(new_fps[-1])
-                if zero:
-                    first_zero = t
-                    break
-                if max(abs(f), abs(fp)) >= guard:
-                    truncated = True
-                    break
-                if t < bound:
-                    # a constant pass stopped short of its bound: enter again
-                    piece_end = t
-                continue
-            # K at a step's stage points: one call per step
-            stages = piece._stages
-            # where K <= 0 on the rest of the piece no step needs the cap
-            check_cap = piece.max_on(t, bound) > 0.0
-            # the cap takes max_on(t, t + h) from values the step has: on a
-            # rational segment, K at both ends and at the critical points
-            # inside; a positive power tail is decreasing, so its max is K(t)
-            crit = piece._critical_points if isinstance(piece, Segment) else None
-            poles, pole_end, pole_floor = _poles_ahead(piece, t, bound)
-            k1f, k1p = fp, -k_t * f
-            # the first piece, and a step grown from a sliver piece, start
-            # over from the initial-step rule
-            if h <= 1e-14 * (t if t > 1.0 else 1.0):
-                h = max(min(0.01 * bound, 0.1), 1e-6)
-        # snap to the boundary when the proposal reaches or nearly reaches
-        # it, so no sliver is left behind for a step of its own
-        at_bound = bound - t <= h * (1.0 + 1e-9)
-        if at_bound:
-            h = bound - t
-        if t < pole_end and h > pole_floor:
-            capped = _pole_cap(poles, t, h)
-            if capped < h:
-                h, at_bound = capped, False
-        # one curvature call per step: k1 is carried over, and K(t + h)
-        # serves stage 6 and stage 7 (FSAL)
-        k2, k3, k4, k5, k_end = stages(t + c2 * h, t + c3 * h, t + c4 * h,
-                                       t + c5 * h, t + h)
-        if check_cap:
-            kmax = k_t
-            if crit is not None:
-                # as max_on's max(): b if b > a else a, NaN included
-                kmax = k_end if k_end > kmax else kmax
-                b = t + h
-                for r in crit:
-                    if t < r < b:
-                        kr = ev(r)
-                        kmax = kr if kr > kmax else kmax
-            if kmax > 0.0:
-                cap = pi / sqrt(kmax)
-                if h > cap:
-                    h = cap
-                    at_bound = False
-                    k2, k3, k4, k5, k_end = stages(
-                        t + c2 * h, t + c3 * h, t + c4 * h, t + c5 * h, t + h)
-        # a step that ends on the bound is taken at any length
-        if not at_bound and h <= 1e-14 * (t if t > 1.0 else 1.0):
-            raise IntegrationError("step size underflow", t)
-
-        y2f = f + h * (a21 * k1f)
-        y2p = fp + h * (a21 * k1p)
-        k2f, k2p = y2p, -k2 * y2f
-        y3f = f + h * (a31 * k1f + a32 * k2f)
-        y3p = fp + h * (a31 * k1p + a32 * k2p)
-        k3f, k3p = y3p, -k3 * y3f
-        y4f = f + h * (a41 * k1f + a42 * k2f + a43 * k3f)
-        y4p = fp + h * (a41 * k1p + a42 * k2p + a43 * k3p)
-        k4f, k4p = y4p, -k4 * y4f
-        y5f = f + h * (a51 * k1f + a52 * k2f + a53 * k3f + a54 * k4f)
-        y5p = fp + h * (a51 * k1p + a52 * k2p + a53 * k3p + a54 * k4p)
-        k5f, k5p = y5p, -k5 * y5f
-        y6f = f + h * (a61 * k1f + a62 * k2f + a63 * k3f + a64 * k4f + a65 * k5f)
-        y6p = fp + h * (a61 * k1p + a62 * k2p + a63 * k3p + a64 * k4p + a65 * k5p)
-        k6f, k6p = y6p, -k_end * y6f
-        fn = f + h * (b1 * k1f + b3 * k3f + b4 * k4f + b5 * k5f + b6 * k6f)
-        fpn = fp + h * (b1 * k1p + b3 * k3p + b4 * k4p + b5 * k5p + b6 * k6p)
-        k7f, k7p = fpn, -k_end * fn
-
-        ef = h * (e1 * k1f + e3 * k3f + e4 * k4f + e5 * k5f + e6 * k6f + e7 * k7f)
-        ep = h * (e1 * k1p + e3 * k3p + e4 * k4p + e5 * k5p + e6 * k6p + e7 * k7p)
-        # max(a, b) is b if b > a else a, NaN included
-        af, afn, afp, afpn = abs(f), abs(fn), abs(fp), abs(fpn)
-        sc_f = tol + tol * (afn if afn > af else af)
-        sc_p = tol + tol * (afpn if afpn > afp else afp)
-        # ** 2, not x * x: libm's pow rounds some squares differently, and
-        # every accepted step, so every node, depends on these bits
-        err = sqrt(0.5 * ((ef / sc_f) ** 2 + (ep / sc_p) ** 2))
-
-        if err > 1.0:
-            n_rejected += 1
-            shrink = safety * err ** (-0.2)
-            h *= shrink if shrink > min_factor else min_factor
-            continue
-
-        n_steps += 1
-        t_new = bound if at_bound else t + h
-        d2_left.append(k1p)
-        d2_right.append(k7p)
-        ts.append(t_new)
-        fs.append(fn)
-        fps.append(fpn)
-
-        if fn <= 0.0:
-            tz, fz, fpz = _locate_zero(t, t_new - t, f, fp, k1p, fn, fpn, k7p)
-            ts[-1] = tz
-            fs[-1] = fz
-            fps[-1] = fpz
-            d2_right[-1] = -ev(tz) * fz
-            first_zero = tz
+        piece, piece_end = profile.piece_at(t)
+        bound = min(piece_end, t_end)
+        k_t = piece.evaluate(t)
+        if piece._constant:
+            # a constant pass may stop short of its bound: the next pass
+            # enters the piece again there
+            new_ts, new_fs, new_fps, new_d2, zero = _constant_piece(t, f, fp, k_t, bound, tol)
+        else:
+            if plan is None:
+                plan = _plan(profile, t_end, tol)
+            new_ts, new_fs, new_fps, new_d2, zero = _taylor_piece(
+                piece, t, f, fp, bound, n_steps, plan)
+        n_steps += len(new_ts)
+        d2_left.append(-k_t * f)
+        if isinstance(new_ts, list):
+            # a zero piece's one step, in Python floats
+            d2_left += new_d2[:-1]
+            d2_right += new_d2
+            ts += new_ts
+            fs += new_fs
+            fps += new_fps
+        else:
+            blocks += [(ts, fs, fps, d2_left, d2_right),
+                       (new_ts, new_fs, new_fps, new_d2[:-1], new_d2)]
+            ts, fs, fps, d2_left, d2_right = [], [], [], [], []
+        t, f, fp = float(new_ts[-1]), float(new_fs[-1]), float(new_fps[-1])
+        if zero:
+            first_zero = t
             break
-
-        t, f, fp = t_new, fn, fpn
-        if (afpn if afpn > afn else afn) >= guard:
+        if max(abs(f), abs(fp)) >= GROWTH_GUARD:
             truncated = True
             break
-
-        if err == 0.0:
-            factor = max_factor
-        else:
-            factor = safety * err ** (-pi_alpha) * err_prev ** pi_beta
-            factor = factor if factor > min_factor else min_factor
-            factor = factor if factor < max_factor else max_factor
-        h *= factor
-        err_prev = 1e-10 if 1e-10 > err else err
-        k1f, k1p, k_t = k7f, k7p, k_end
 
     blocks.append((ts, fs, fps, d2_left, d2_right))
     ts, fs, fps, d2_left, d2_right = (np.concatenate(field) if len(field) > 1
@@ -1182,7 +1225,6 @@ def solve(profile: CurvatureProfile, t_end: float, tol: float) -> WarpingSolutio
         first_zero=first_zero,
         truncated=truncated,
         n_steps=n_steps,
-        n_rejected=n_rejected,
     )
 
 
@@ -1195,10 +1237,11 @@ def solve_m(profile: CurvatureProfile, t_end: float, tol: float) -> WarpingSolut
 
     ``solve`` walks ``negative_part(profile)``, which the solution
     carries, over the plan of ``profile`` itself: its nonpositive
-    polynomial sign pieces are the negative part's, with the same nodes
-    and matrices.  After ``solve(profile, t_end, tol)`` the memo holds that
-    plan, so m builds no matrix that f built; either way the nodes are the
-    same bits.  Errors are raised where m's walk meets them.
+    non-constant sign pieces, and a negative power tail, are the negative
+    part's, with the same nodes and matrices.  After
+    ``solve(profile, t_end, tol)`` the memo holds that plan, so m builds no
+    matrix that f built; either way the nodes are the same bits.  Errors
+    are raised where m's walk meets them.
     """
     negative = negative_part(profile)
     _plan(profile, t_end, tol).negative = negative

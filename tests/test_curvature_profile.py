@@ -92,63 +92,17 @@ class TestScalarEvaluator:
         assert copy.segments[0].evaluate(0.5) == 2.0
 
 
-def _stage_values(piece, xs):
-    """K at five times from one call of the piece's five-point evaluator."""
-    return piece._stages(*xs)
-
-
 def _hexes(values):
     return [v.hex() for v in values]
 
 
-# spread magnitudes, and both zeros, for degree 0 to 8
-_SPREAD_COEFF = st.one_of(
-    st.sampled_from([0.0, -0.0]),
-    st.builds(lambda m, e: m * 10.0 ** e, st.floats(min_value=-2.0, max_value=2.0),
-              st.integers(min_value=-12, max_value=4)))
-
-
-class TestStageEvaluator:
-    """A piece's five-point evaluator gives the bits of five ``evaluate``
-    calls at times t >= 0.  The stepper reads it on rational segments and
-    power tails only; a polynomial segment's evaluator runs the same chains
-    over its unit denominator, whose division is exact."""
-
-    @given(case=segments_and_times(), data=st.data())
-    @settings(max_examples=400, deadline=None)
-    def test_segment_bits_equal_evaluate(self, case, data):
-        seg, t = case
-        others = data.draw(st.lists(st.floats(min_value=seg.t_start, max_value=seg.t_end),
-                                    min_size=4, max_size=4))
-        xs = data.draw(st.permutations([t, *others]))
-        assert _hexes(_stage_values(seg, xs)) == _hexes(map(seg.evaluate, xs))
-
-    @given(num=st.lists(_SPREAD_COEFF, min_size=1, max_size=9),
-           den=st.one_of(st.just([1.0]), st.lists(_DEN_HIGHER, max_size=8).map(
-               lambda rest: [1.0, *rest])),
-           xs=st.lists(st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=20.0)),
-                       min_size=5, max_size=5))
-    @settings(max_examples=400, deadline=None)
-    def test_spread_coefficients_degree_0_to_8(self, num, den, xs):
-        # den = [1.0] is a polynomial: the unit denominator's chain gives
-        # 1.0 and the division leaves the numerator's bits
-        seg = Segment(0.0, 20.0, num, den)
-        assert _hexes(_stage_values(seg, xs)) == _hexes(map(seg.evaluate, xs))
-
-    def test_signed_zeros_and_t_zero(self):
-        # 0.0 * t + (-0.0) is +0.0: every chain starts from 0.0, not from
-        # the leading coefficient
-        times = [0.0, 0.0, 0.5, 1.0, 5e-324]
-        for num in ((-0.0,), (0.0,), (-0.0, -0.0), (1.0, -0.0), (-0.0, 1.0),
-                    (1.0, 2.0, -0.0), (0.0, 0.0, 0.0, -0.0), (-1.0,), (-0.0, -0.0, -0.0)):
-            for den in ((1.0,), (2.0,), (1.0, -0.0), (1.0, 0.5, -0.0)):
-                seg = Segment(0.0, 1.0, num, den)
-                assert _hexes(_stage_values(seg, times)) == _hexes(map(seg.evaluate, times)), (num, den)
+class TestPieceKinds:
+    """Which pieces the solver takes in closed form, and the negative
+    part's pieces, which share their segment's ``evaluate``."""
 
     def test_constant_pieces_marked(self):
-        # the solver takes these pieces in closed form and never reads
-        # their stage values: zero and constant tails have no evaluator,
-        # and each marked piece gives one value at every t >= 0
+        # the solver takes these pieces in closed form: each marked piece
+        # gives one value at every t >= 0
         xs = [0.0, 2.0, 2.5, 3.0, 7.0]
         for piece in (Segment(0.0, 1.0, (0.0,)), Segment(2.0, 3.0, (-1.5,), (3.0,)),
                       Segment(0.0, 1.0, (-1.0, 0.0, -0.0), (2.0, 0.0)),
@@ -157,61 +111,20 @@ class TestStageEvaluator:
                       rg.ConstantTail(-0.0)):
             assert piece._constant, piece
             assert len(set(_hexes(map(piece.evaluate, xs)))) == 1, piece
-        for tail in (rg.ZeroTail(), rg.ConstantTail(1.0)):
-            assert not hasattr(tail, "_stages")
-        for piece in (Segment(0.0, 1.0, (1.0,), (1.0, 1e-300)), rg.PowerDecayTail(1.0, 2.0)):
+        # the solver takes these by Taylor transfer matrices
+        for piece in (Segment(0.0, 1.0, (1.0,), (1.0, 1e-300)), rg.PowerDecayTail(1.0, 2.0),
+                      Segment(0.0, 1.0, (0.0, 1.0))):
             assert not piece._constant, piece
-            assert callable(piece._stages)
-        # a non-constant polynomial is not constant either, and the solver
-        # takes it by Taylor transfer matrices (test_stepper_sees_no_polynomial)
-        assert not Segment(0.0, 1.0, (0.0, 1.0))._constant
-
-    @given(num=st.lists(_SPREAD_COEFF, min_size=2, max_size=9).filter(lambda c: any(c[1:])),
-           tol=st.sampled_from([1e-3, 1e-8, 1e-14]))
-    @settings(max_examples=50, deadline=None)
-    def test_stepper_sees_no_polynomial(self, num, tol):
-        # solve and solve_m never read a polynomial segment's stage values
-        # or its critical points, on the segment or on the negative part's
-        # pieces cut from it
-        try:
-            seg = Segment(0.0, 2.0, num)
-        except ProfileError:
-            assume(False)
-        profile = rg.CurvatureProfile((seg, Segment(2.0, 3.0, (1.0,), (1.0, 1.0))),
-                                      rg.ConstantTail(-1.0))
-        stages, critical = Segment._stages, Segment.__dict__["_critical_points"].func
-
-        def rational_only(method):
-            def read(self):
-                assert not self.is_polynomial, self
-                return method(self)
-            return read
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(Segment, "_stages", property(rational_only(stages.fget)))
-            patch.setattr(Segment, "_critical_points", property(rational_only(critical)))
-            for solver in (rg.solve, rg.solve_m):
-                solver(profile, 4.0, tol)
-
-    @given(a=st.one_of(st.just(0.0), st.floats(min_value=-10.0, max_value=10.0)),
-           p=st.one_of(st.sampled_from([2.0, 2.2, 4.0]),
-                       st.floats(min_value=0.1, max_value=8.0)),
-           xs=st.lists(st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=1e6)),
-                       min_size=5, max_size=5))
-    @settings(max_examples=200, deadline=None)
-    def test_power_tail_bits_equal_evaluate(self, a, p, xs):
-        tail = rg.PowerDecayTail(a, p)
-        assert _hexes(_stage_values(tail, xs)) == _hexes(map(tail.evaluate, xs))
 
     def test_cut_pieces_share_evaluate(self):
         # the negative part's pieces cut from a segment share its
-        # evaluate and critical points; a segment kept whole is reused
+        # evaluate; a segment kept whole is reused
         profile = entry_by_name("sign_changing_beta_ln2").profile
         seg = profile.segments[0]
         neg = rg.negative_part(profile)
         zero, kept = neg.segments
         assert zero.is_zero and kept.num == seg.num and kept.den == seg.den
         assert kept.evaluate is seg.evaluate
-        assert kept._critical_points is seg._critical_points
         whole = rg.CurvatureProfile((Segment(0.0, 1.0, (-1.0, 0.5)),
                                      Segment(1.0, 2.0, (1.0,))), rg.ZeroTail())
         assert rg.negative_part(whole).segments[0] is whole.segments[0]
@@ -225,8 +138,6 @@ class TestStageEvaluator:
             (Segment(0.0, 2.0, (0.5, -1.0)), Segment(2.0, 6.0, (8.0, -6.0, 1.0)),
              Segment(6.0, 9.0, (1.0, -0.3), (1.0, 0.5))), rg.ZeroTail())
         split = list(profile.sign_pieces())
-        for seg in profile.segments:
-            seg._critical_points  # noqa: B018  (cached, as a solve leaves it)
 
         def refuse(*args):
             raise AssertionError("validated or isolated again")

@@ -9,9 +9,9 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 import radialgeo as rg
-import reference_stepper
+import taylor_oracle
 from radialgeo import jacobi
-from radialgeo.curvature_profile import Segment
+from radialgeo.curvature_profile import Segment, _taylor_shift
 from radialgeo.errors import IntegrationError, ProfileError
 from radialgeo.gallery import abresch_f, abresch_fp, beta_profile, entry_by_name
 from radialgeo.pipeline import DEFAULT_T_END, DEFAULT_TOL
@@ -24,10 +24,12 @@ PIECEWISE_FP5 = 1.6208328830964513
 
 # solve(profile, DEFAULT_T_END, DEFAULT_TOL) on each gallery profile:
 # n_steps, n_rejected, then t_end and f, f' at the last node as float.hex.
-# Any change to the solver's arithmetic or step control moves these.  The
-# first three are constant pieces, solved in closed form on the grid of
-# spacing _grid_u(tol)/omega: flat is one step to T, hyperbolic stops at
-# the first grid node past the growth guard, spherical at its first zero.
+# Any change to the solver's arithmetic or grids moves these.  The first
+# three are constant pieces, solved in closed form on the grid of spacing
+# _grid_u(tol)/omega: flat is one step to T, hyperbolic stops at the first
+# grid node past the growth guard, spherical at its first zero.  The
+# others are a power tail or a rational segment, taken by Taylor transfer
+# matrices.
 GALLERY_TRACE = {
     "flat": (1, 0, "0x1.0000000000000p+12",
              "0x1.0000000000000p+12", "0x1.0000000000000p+0"),
@@ -35,14 +37,14 @@ GALLERY_TRACE = {
                    "0x1.7675e02c88e3ap+199", "0x1.7675e02c88e3ap+199"),
     "spherical": (20, 0, "0x1.921fb54442d18p+1",
                   "0x1.1a62633145c07p-53", "-0x1.0000000000000p+0"),
-    "abresch_tail": (85, 1, "0x1.0000000000000p+12",
-                     "0x1.2c4284e892c88p+13", "0x1.2c5e64cbdd681p+1"),
-    "sign_changing_beta_ln2": (82, 1, "0x1.0000000000000p+12",
-                               "0x1.000000a438d5ep+11", "0x1.fffffe82b31e2p-2"),
-    "sign_changing_beta_neg_ln2": (81, 1, "0x1.0000000000000p+12",
-                                   "0x1.fffffecc0d749p+12", "0x1.000000c8e5e3dp+1"),
-    "moment_boundary": (117, 1, "0x1.0000000000000p+12",
-                        "0x1.31b56b35ed30ep+18", "0x1.ee86baab9de59p+6"),
+    "abresch_tail": (199, 0, "0x1.0000000000000p+12",
+                     "0x1.2c4284e9d4459p+13", "0x1.2c5e64cd15c04p+1"),
+    "sign_changing_beta_ln2": (420, 0, "0x1.0000000000000p+12",
+                               "0x1.000000b1721a3p+11", "0x1.fffffe9d1bd7ap-2"),
+    "sign_changing_beta_neg_ln2": (435, 0, "0x1.0000000000000p+12",
+                                   "0x1.fffffe9d1bd36p+12", "0x1.000000b17215dp+1"),
+    "moment_boundary": (187, 0, "0x1.0000000000000p+12",
+                        "0x1.31b56b2846190p+18", "0x1.ee86ba95a6610p+6"),
 }
 
 
@@ -395,9 +397,8 @@ class TestStepControl:
 
 def _spike_profile():
     # K = 1/(1 + 1e6 (t - 10)^2) - 1e-3 on [0, 20): negative at both ends
-    # of its piece and positive only within about 0.03 of t = 10, where
-    # the stage points of a long step could all miss it; its poles
-    # 10 +- 1e-3 i cap the steps that lead up to it
+    # of its piece and positive only within about 0.03 of t = 10; its
+    # poles 10 +- 1e-3 i set the steps that lead up to it
     den = (1.0 + 1e8, -2e7, 1e6)
     num = (1.0 - 1e-3 * den[0], -1e-3 * den[1], -1e-3 * den[2])
     return rg.CurvatureProfile((Segment(0.0, 20.0, num, den),), rg.ZeroTail())
@@ -405,10 +406,16 @@ def _spike_profile():
 
 def _origin_spike_profile():
     # K = 1e4/(1 + 1e8 t^2) on [0, 10): its peak is at t = 0, where f = 0,
-    # so the first step's stages see little of it and the Sturm cap
-    # pi/sqrt(K(0)) sets an accepted step; its poles +-1e-4 i lie behind
-    # every step's start, so the pole cap never binds
+    # and its poles +-1e-4 i set the first steps
     return rg.CurvatureProfile((Segment(0.0, 10.0, (1e4,), (1.0, 0.0, 1e8)),), rg.ZeroTail())
+
+
+def _close_pole_profile():
+    # den ((t - 1.3)^2 + d^2)(t + 1e8) with d about 1.8e-7: numpy.roots
+    # puts the close pair on the real axis inside [0, 2), and K's float
+    # value there is mostly rounding
+    den = (169000000.00000316, -259999998.31, 99999997.4, 1.0)
+    return rg.CurvatureProfile((Segment(0.0, 2.0, (1.0,), den),), rg.ZeroTail())
 
 
 STURM_CAP_PROFILES = {
@@ -425,7 +432,7 @@ STURM_CAP_PROFILES = {
 class TestSturmCap:
     @staticmethod
     def cap_ratios(profile, sol):
-        """h sqrt(max K) / pi of each accepted step where max K > 0."""
+        """h sqrt(max K) / pi of each step where max K > 0."""
         ratios = []
         for t0, t1 in zip(sol.ts[:-1].tolist(), sol.ts[1:].tolist()):
             piece, _ = profile.piece_at(t0)
@@ -441,70 +448,6 @@ class TestSturmCap:
         ratios = self.cap_ratios(profile, rg.solve(profile, 60.0, tol))
         assert ratios, "no step met positive curvature"
         assert max(ratios) <= 1.0 + 1e-12
-
-    def test_cap_binds_on_narrow_spike(self):
-        # at tol 1e-3 the step control proposes a first step across the
-        # spike longer than the cap, so the cap sets that accepted step:
-        # equality
-        profile = _origin_spike_profile()
-        ratios = self.cap_ratios(profile, rg.solve(profile, 60.0, 1e-3))
-        assert max(ratios) == pytest.approx(1.0, rel=1e-12)
-
-
-class TestPoleCap:
-    """A stepper step on a rational segment is at most _POLE_RATIO times
-    its start's distance to each pole ahead of it, so the steps that lead
-    up to a narrow spike shrink with the distance, and the stage points
-    cannot pass over it."""
-
-    @pytest.mark.parametrize("tol", [1e-3, 1e-8])
-    def test_steps_on_narrow_spike(self, tol):
-        profile = _spike_profile()
-        sol = rg.solve(profile, 60.0, tol)
-        poles = profile.segments[0]._poles
-        ratios = []
-        for t0, t1 in zip(sol.ts[:-1].tolist(), sol.ts[1:].tolist()):
-            ahead = [math.hypot(re - t0, im) for re, im in poles if re > t0 and t1 <= 20.0]
-            if ahead:
-                ratios.append((t1 - t0) / (jacobi._POLE_RATIO * min(ahead)))
-        assert max(ratios) == pytest.approx(1.0, rel=1e-12)
-        # the spike is resolved: f at t = 60 agrees with DOP853
-        f_ref, fp_ref = dop853_state(profile, 0.0, (0.0, 1.0), 60.0)
-        scale = _GLOBAL_ERROR_PER_STEP * len(sol.ts) * tol * (1.0 + np.abs(sol.fs).max())
-        assert abs(sol.fs[-1] - f_ref) <= scale
-        assert abs(sol.fps[-1] - fp_ref) <= scale
-
-    def test_floor_passes_a_real_pole(self):
-        # a pole on the real axis inside the segment, as rounding can give:
-        # the capped steps toward it shrink to the floor 4e-14 max(t, 1)
-        # and then pass it instead of halving until they underflow
-        t, steps = 0.0, 0
-        while t <= 1.3:
-            h = jacobi._pole_cap([(1.3, 0.0)], t, 1.0)
-            assert h >= min(4e-14 * max(t, 1.0), 1.0)
-            t, steps = t + h, steps + 1
-        assert steps < 60
-        # a proposal below the floor is kept
-        assert jacobi._pole_cap([(1.3, 0.0)], 1.3 - 1e-15, 1e-16) == 1e-16
-
-    def test_close_pole_pair_does_not_stall(self):
-        # den ((t - 1.3)^2 + d^2)(t + 1e8) with d about 1.8e-7: numpy.roots
-        # can put the close pair on the real axis inside [0, 2); the solve
-        # passes the spike
-        den = (169000000.00000316, -259999998.31, 99999997.4, 1.0)
-        profile = rg.CurvatureProfile((Segment(0.0, 2.0, (1.0,), den),), rg.ZeroTail())
-        for solver in (rg.solve, rg.solve_m):
-            sol = solver(profile, 3.0, 1e-8)
-            assert sol.ts[-1] == 3.0 and sol.first_zero is None and not sol.truncated
-        assert_bits_of_reference(profile, 3.0, 1e-8)
-
-    def test_poles_of_rational_segments_only(self):
-        assert Segment(0.0, 1.0, (1.0, 2.0))._poles == ()
-        assert Segment(0.0, 1.0, (1.0,), (2.0,))._poles == ()
-        # den (t - 3)(t^2 + 1)
-        poles = sorted(Segment(0.0, 1.0, (1.0,), (-3.0, 1.0, -3.0, 1.0))._poles)
-        assert [re for re, _ in poles] == pytest.approx([0.0, 0.0, 3.0], abs=1e-12)
-        assert [im for _, im in poles] == pytest.approx([1.0, 1.0, 0.0], abs=1e-12)
 
 
 @pytest.mark.parametrize("name", sorted(GALLERY_TRACE))
@@ -522,6 +465,10 @@ def test_gallery_step_trace_is_pinned(name):
         assert _ulps(sol.fs[-1], math.sinh(T)) <= 4
     elif name == "spherical":
         assert sol.first_zero == T and _ulps(T, math.pi) <= 4
+    elif name == "abresch_tail":
+        # ten times closer than the tol 1e-8 that sets the grid asks
+        assert abs(sol.fps[-1] / abresch_fp(T) - 1.0) <= 2.4e-11
+        assert abs(sol.fs[-1] / abresch_f(T) - 1.0) <= 2.4e-11
 
 
 def _run(solver, profile, t_end, tol):
@@ -544,23 +491,6 @@ def _outcome(sol):
             None if sol.first_zero is None else sol.first_zero.hex(), sol.truncated)
 
 
-def _first_stepless_start(profile):
-    """Start of the first piece of ``profile`` that the solver takes
-    without the stepper, in closed form (constant K) or by Taylor transfer
-    matrices (a polynomial segment), or None."""
-    for seg in profile.segments:
-        if seg._constant or seg.is_polynomial:
-            return seg.t_start
-    return profile.t_tail if profile.tail._constant else None
-
-
-def _prefix_bits(sol, k):
-    """float.hex of nodes 0..k and of f'' on the steps before node k."""
-    return [list(map(float.hex, a.tolist()))
-            for a in (sol.ts[:k + 1], sol.fs[:k + 1], sol.fps[:k + 1],
-                      sol.d2_left[:k], sol.d2_right[:k])]
-
-
 def dop853_state(profile, t0, y0, t1):
     """(f, f') at t1 from (f, f') = y0 at t0, by scipy's DOP853 at
     rtol = atol = 1e-13, restarted at every breakpoint with the piece that
@@ -577,42 +507,194 @@ def dop853_state(profile, t0, y0, t1):
     return y
 
 
-# The solve's error scale past a constant or polynomial piece: the
-# accepted local errors summed over its steps there, each at most tol
-# (1e-13 at least, DOP853's own) times 1 + the largest |f| or |f'| past the
-# piece entry, and amplified by the flow after it.  Over about 14000 drawn profiles
-# the error reached 36 times that scale per step; the bound keeps a margin.
-_GLOBAL_ERROR_PER_STEP = 100.0
+def _rounding_of_k(profile, ts):
+    """A bound on the rounding of K at the times ts, the nodes of a solve:
+    on a rational segment 64 units of 2^-53 per degree times
+    (sum |num_i| t^i + |K| sum |den_i| t^i)/|den|, where K's float value
+    is partly rounding when den cancels; 64 units of K elsewhere."""
+    ts = np.asarray(ts)
+    bound = np.zeros_like(ts)
+    for i, piece in enumerate((*profile.segments, profile.tail)):
+        lo = profile.breakpoints[i] if i < len(profile.segments) else profile.t_tail
+        hi = piece.t_end if i < len(profile.segments) else math.inf
+        at = (ts >= lo) & (ts <= hi)
+        t = ts[at]
+        k = np.abs(np.asarray(piece.evaluate(t), dtype=float)) * np.ones_like(t)
+        if isinstance(piece, Segment) and not piece.is_polynomial:
+            mag = lambda c: sum(abs(x) * t ** j for j, x in enumerate(c))  # noqa: E731
+            den = np.abs(np.polynomial.polynomial.polyval(t, piece.den))
+            spread = (mag(piece.num) + k * mag(piece.den)) / den
+            bound[at] = np.maximum(bound[at], 64 * _EPS * len(piece.den) * spread)
+        bound[at] = np.maximum(bound[at], 64 * _EPS * k)
+    return bound
 
 
-def assert_bits_of_reference(profile, t_end, tol):
-    """solve and solve_m give the bits of ``reference_stepper`` on every
-    node before the first constant or polynomial piece that they enter (and
-    every bit of the solve when they enter none).  Past that node, where
-    they take the piece in closed form or by Taylor transfer matrices and
-    the stepper's step sequence moves, their last node agrees with DOP853
-    from the entry node within the solve's error scale."""
-    for new, old, pieces in ((rg.solve, reference_stepper.solve, profile),
-                             (rg.solve_m, reference_stepper.solve_m,
-                              rg.negative_part(profile))):
-        ref, sol = _run(old, profile, t_end, tol), _run(new, profile, t_end, tol)
-        failed = isinstance(ref, IntegrationError)
-        t_c = _first_stepless_start(pieces)
-        if t_c is None or t_c >= (ref.t_reached if failed else ref.t_end):
-            assert _outcome(sol) == _outcome(ref), new.__name__
-            continue
-        if isinstance(sol, IntegrationError):
-            # only where the stepper also failed past the entry
-            assert failed, new.__name__
-            continue
-        k = sol.ts.tolist().index(t_c)
-        if not failed:
-            assert _prefix_bits(sol, k) == _prefix_bits(ref, k), new.__name__
-        f_ref, fp_ref = dop853_state(pieces, t_c, (sol.fs[k], sol.fps[k]), sol.t_end)
-        scale = (_GLOBAL_ERROR_PER_STEP * (len(sol.ts) - k) * max(tol, 1e-13)
-                 * (1.0 + max(np.abs(sol.fs[k:]).max(), np.abs(sol.fps[k:]).max())))
-        assert abs(sol.fs[-1] - f_ref) <= scale, new.__name__
-        assert abs(sol.fps[-1] - fp_ref) <= scale, new.__name__
+def assert_matches_oracle(profile, t_end, tol):
+    """solve and solve_m reach their end and agree there with the 50-digit
+    Taylor oracle (``taylor_oracle``) on the profile and on its negative
+    part, within the solve's error scale: per node the Taylor tail of at
+    most 2^-16 tol of the state and some ulps of rounding, and the effect
+    of K's own rounding over the step, summed over the nodes and amplified
+    by the flow, which the largest |f| and |f'| stand for; at a first zero
+    also the dense output's error."""
+    for solver, pieces in ((rg.solve, profile), (rg.solve_m, rg.negative_part(profile))):
+        sol = solver(profile, t_end, tol)
+        assert sol.t_end == t_end or sol.first_zero is not None or sol.truncated
+        f_ref, fp_ref = taylor_oracle.state(pieces, sol.t_end)
+        ts = sol.ts
+        amp = 1.0 + max(np.abs(sol.fs).max(), np.abs(sol.fps).max())
+        h = np.diff(ts)
+        noise = float((h * (1.0 + h) * _rounding_of_k(pieces, ts[1:])).sum())
+        scale = amp * (len(ts) * (2.0 ** -16 * tol + 2.0 ** -40) + 64.0 * (1.0 + ts[-1]) * noise)
+        if sol.first_zero is not None:
+            # a zero's node is the dense output's, within tol a at f and
+            # tol omega a at f', with omega h at most 1 on its step
+            scale += tol * amp * (1.0 + 1.0 / h[-1])
+        assert abs(sol.fs[-1] - f_ref) <= scale, (solver.__name__, sol.fs[-1], f_ref, scale)
+        assert abs(sol.fps[-1] - fp_ref) <= scale, (solver.__name__, sol.fps[-1], fp_ref, scale)
+
+
+class TestOracle:
+    """``taylor_oracle`` against closed forms in exact arithmetic, to 30
+    digits: abresch_tail's power tail, moment_boundary's, and the beta
+    family's rational K with b = ln 2 in 50 digits."""
+
+    @staticmethod
+    def closed_forms(t):
+        d = Decimal
+        x, s5, s6 = 1 + t, d(5).sqrt(), d(6).sqrt()
+        u = s6 * t / x
+        sinh, cosh = (u.exp() - (-u).exp()) / 2, (u.exp() + (-u).exp()) / 2
+        phi, b = (1 + s5) / 2, d(2).ln()
+        q = t * t / (1 + t * t)
+        return {
+            "abresch": ((d(-6), d(4)), x * sinh / s6, sinh / s6 + cosh / x),
+            "moment": ((d(-1), d(2)), ((phi * x.ln()).exp() - ((1 - phi) * x.ln()).exp()) / s5,
+                       (phi * ((phi - 1) * x.ln()).exp() + (phi - 1) * (-phi * x.ln()).exp()) / s5),
+            "beta": (((6 * b, d(0), 4 * b - 4 * b * b, d(0), -2 * b),
+                      tuple(map(d, (1, 0, 4, 0, 6, 0, 4, 0, 1)))),
+                     t * (-b * q).exp(), (-b * q).exp() * (1 - 2 * b * q / (1 + t * t))),
+        }
+
+    @pytest.mark.parametrize("name", ["abresch", "moment", "beta"])
+    @pytest.mark.parametrize("t", [10, 100])
+    def test_closed_forms_to_30_digits(self, name, t):
+        with localcontext() as ctx:
+            ctx.prec = taylor_oracle.DIGITS
+            data, f, fp = self.closed_forms(Decimal(t))[name]
+            kind = "rational" if name == "beta" else "power"
+            pieces = [(Decimal(0), taylor_oracle._INF, kind, data)]
+            got_f, got_fp = taylor_oracle.integrate(pieces, Decimal(0), Decimal(0), Decimal(1),
+                                                     Decimal(t))
+            assert abs(got_f - f) <= Decimal("1e-30") * abs(f)
+            assert abs(got_fp - fp) <= Decimal("1e-30") * abs(fp)
+
+
+class TestRationalPieces:
+    """Rational segments are taken by Taylor transfer matrices on a grid
+    whose scale comes from the poles of K: narrow spikes, close poles and
+    the beta family against the oracle, the pole discs, f <= m with m's
+    nodes on f's, and the slope bar of a solve through them."""
+
+    @pytest.mark.parametrize("tol", [1e-3, 1e-8])
+    def test_narrow_spike(self, tol):
+        assert_matches_oracle(_spike_profile(), 60.0, tol)
+
+    def test_spike_past_slivers(self):
+        # two zero slivers, then the spike 1/(1 + 1e7 (t - 1)^2)
+        profile = rg.CurvatureProfile(
+            (Segment(0.0, 2.0 ** -52, (0.0,)), Segment(2.0 ** -52, 2.0 ** -51, (0.0,)),
+             Segment(2.0 ** -51, 2.0 + 2.0 ** -51, (1.0, 0.0, -0.0),
+                     (10000001.0, -20000000.0, 10000000.0))), rg.ZeroTail())
+        for tol in (1e-7, 1e-12):
+            assert_matches_oracle(profile, profile.t_tail + 1.0, tol)
+
+    def test_close_pole_pair_does_not_stall(self):
+        profile = _close_pole_profile()
+        for solver in (rg.solve, rg.solve_m):
+            sol = solver(profile, 3.0, 1e-8)
+            assert sol.ts[-1] == 3.0 and sol.first_zero is None and not sol.truncated
+        assert_matches_oracle(profile, 3.0, 1e-8)
+
+    def test_pole_discs_hold_the_roots(self):
+        assert Segment(0.0, 1.0, (1.0, 2.0))._poles == ()
+        assert Segment(0.0, 1.0, (1.0,), (2.0,))._poles == ()
+        # den (t - 3)(t^2 + 1): three discs of one root each
+        discs = sorted(Segment(0.0, 1.0, (1.0,), (-3.0, 1.0, -3.0, 1.0))._poles,
+                       key=lambda d: (d[0].real, d[0].imag))
+        for (z, r, count), root in zip(discs, (-1j, 1j, 3.0)):
+            assert count == 1 and abs(z - root) <= r < 1e-12
+        # (1 + t)^2, whose double root numpy.roots gives twice: one disc
+        # with both
+        (z, r, count), = Segment(0.0, 1.0, (1.0,), (1.0, 2.0, 1.0))._poles
+        assert count == 2 and abs(z + 1.0) <= r < 1e-6
+        # (1 + t^2)^4 of the beta family: a disc of four roots about each
+        # of +-i
+        discs = entry_by_name("sign_changing_beta_ln2").profile.segments[0]._poles
+        assert sorted(count for *_, count in discs) == [4, 4]
+        for z, r, _ in discs:
+            assert abs(z - (1j if z.imag > 0 else -1j)) <= r < 0.01
+        # the close pair: its disc reaches the real axis, so the cells near
+        # it take their scale from den itself
+        close = _close_pole_profile().segments[0]._poles
+        assert any(abs(z.imag) <= r and 1.29 < z.real < 1.31 for z, r, _ in close)
+
+    @pytest.mark.parametrize("tol", [1e-6, 1e-8])
+    def test_f_below_m_by_the_same_maps(self, tol):
+        # ROADMAP item 10's family, K = (k0 - c t)/(1 + d t^2) on [0, t1),
+        # then -k2/(1 + d t^2) up to t2, then a zero tail: criterion 7's
+        # slack of 1e-9 on a 2001-point grid, with m's nodes on the
+        # nonpositive pieces those of f
+        rng = np.random.default_rng(3)
+        for _ in range(300):
+            k0, c, d = 10.0 ** rng.uniform(-5, -3), rng.uniform(0.3, 1.0), 10.0 ** rng.uniform(-3, -1)
+            t1, k2 = rng.uniform(5, 20), rng.uniform(0.05, 1.0)
+            t2 = t1 + rng.uniform(1, 30)
+            den = (1.0, 0.0, d)
+            profile = rg.CurvatureProfile((Segment(0.0, t1, (k0, -c), den),
+                                           Segment(t1, t2, (-k2,), den)), rg.ZeroTail())
+            f, m = rg.solve(profile, 50.0, tol), rg.solve_m(profile, 50.0, tol)
+            grid = np.linspace(0.0, min(f.t_end, m.t_end), 2001)
+            fv, mv = f.f(grid), m.f(grid)
+            assert (fv <= mv + 1e-9 * np.maximum(1.0, np.abs(mv))).all()
+            for _, lo, hi, positive in profile.sign_pieces():
+                if not positive and hi <= f.t_end:
+                    on_f = f.ts[(f.ts >= lo) & (f.ts <= hi)]
+                    on_m = m.ts[(m.ts >= lo) & (m.ts <= hi)]
+                    assert on_f.tobytes() == on_m.tobytes() and len(on_f) > 2
+
+    @pytest.mark.parametrize("tol", [1e-6, 1e-10])
+    @pytest.mark.parametrize("name", ["abresch_tail", "moment_boundary", "sign_changing_beta_ln2",
+                                      "sign_changing_beta_neg_ln2"])
+    def test_dense_output_within_the_grid_bound(self, name, tol):
+        # the dense output at the middle of 40 steps against the oracle
+        # from the step's left node: within tol a at f and tol omega a at
+        # f', a = |f| + |f'|/omega, with omega bounded below by the scale
+        # of the step itself and above by x/h, plus rounding
+        profile = entry_by_name(name).profile
+        sol = rg.solve(profile, 60.0, tol)
+        x = jacobi._taylor_rule(tol, None)[0]
+        ts, fs, fps = sol.ts.tolist(), sol.fs.tolist(), sol.fps.tolist()
+        for j in np.linspace(0, len(ts) - 2, 40).astype(int).tolist():
+            h, mid = ts[j + 1] - ts[j], 0.5 * (ts[j] + ts[j + 1])
+            piece = profile.piece_at(ts[j])[0]
+            kind = jacobi._kind(piece)[0]
+            low = kind.scales((), np.array([ts[j]]), np.array([h])).item()
+            rf, rfp = taylor_oracle.state(profile, mid, ts[j], (fs[j], fps[j]))
+            rounding = 512 * _EPS * (abs(fs[j]) + abs(fs[j + 1]) + h * (abs(fps[j]) + abs(fps[j + 1])))
+            assert abs(sol.f(mid) - rf) <= tol * (abs(fs[j]) + abs(fps[j]) / low) + rounding, j
+            assert abs(sol.fp(mid) - rfp) <= tol * (x / h * abs(fs[j]) + abs(fps[j])) + rounding / h, j
+
+    def test_slope_bar_holds(self):
+        # K = -0.97839/(1 - 0.2 t + 0.011142 t^2) on [0, 56.774), then a
+        # zero tail: the slope is f'(56.774), which the stepper's solve
+        # missed by 2.94 of its bar at tol 1e-8
+        profile = rg.CurvatureProfile((Segment(0.0, 56.774, (-0.97839,),
+                                               (1.0, -0.2, 0.011142)),), rg.ZeroTail())
+        exact = taylor_oracle.state(profile, 56.774)[1]
+        for tol in (1e-6, 1e-8):
+            s = rg.slope_limit(rg.solve(profile, DEFAULT_T_END, tol))
+            assert abs(s.value - exact) <= s.err, (tol, s.value, s.err, exact)
 
 
 # tol drawn log-uniformly over the supported range, ends included
@@ -663,8 +745,7 @@ def _any_segment(draw, lo, hi, kind=None):
                        [c * lam ** j for j, c in enumerate(seg.den)])
     if kind == "spike":
         # a/(1 + w (t - c)^2) - eps: positive only near c, whose poles
-        # c +- i/sqrt(w) cap the steps that lead up to it, and where the
-        # Sturm cap may set the step
+        # c +- i/sqrt(w) shorten the steps that lead up to it
         c = draw(st.floats(min_value=lo, max_value=hi))
         w = 10.0 ** draw(st.floats(min_value=2.0, max_value=8.0))
         a = 10.0 ** draw(st.floats(min_value=-1.0, max_value=3.0))
@@ -712,7 +793,7 @@ def any_profiles(draw):
 @st.composite
 def spike_profiles(draw):
     """One to three narrow spikes of positive curvature over a small
-    negative K, where the pole cap sets many steps."""
+    negative K, whose poles set the steps near them."""
     knots = [0.0]
     for _ in range(draw(st.integers(min_value=1, max_value=3))):
         knots.append(knots[-1] + draw(st.floats(min_value=1.0, max_value=20.0)))
@@ -720,57 +801,89 @@ def spike_profiles(draw):
                                      for lo, hi in zip(knots, knots[1:])), rg.ZeroTail())
 
 
-class TestBitsOfReferenceStepper:
-    """solve and solve_m read each step's curvature in one call; up to the
-    first constant or polynomial piece they enter they give the bits of the
-    stepper that called ``evaluate`` at every stage point and ``max_on`` at
-    every step of a piece where K can be positive, on the negative part
-    built of fresh segments (``reference_stepper``).  Past it they agree
-    with DOP853.  Rational segments and power tails stay on the stepper, so
-    the spike profiles, where the pole cap and the Sturm cap bind, are
-    compared bit for bit."""
+class TestScales:
+    """The local scale of a rational or power-tail cell bounds K's Taylor
+    coefficients for every j: |K_j| <= omega^(j+2) at its ends and middle,
+    with K_j in 50 digits (``taylor_oracle``), for j up to 60."""
+
+    @staticmethod
+    def check(kind, exact_kind, exact, a, w):
+        omega = kind.scales((), np.array([a]), np.array([w])).item()
+        if omega == math.inf:
+            return False  # a cell the scale does not certify
+        with localcontext() as ctx:
+            ctx.prec = taylor_oracle.DIGITS
+            for t in (a, a + 0.5 * w, a + w):
+                series = taylor_oracle._Series(exact_kind, exact, Decimal(t))
+                for j in range(61):
+                    assert abs(series[j]) <= Decimal(omega) ** (j + 2) * Decimal(1 + 1e-12), (t, j)
+        return True
+
+    @given(data=st.data(), family=st.sampled_from(("beta", "spike", "rational")))
+    @settings(max_examples=150, deadline=None)
+    def test_rational_cells(self, data, family):
+        lo = data.draw(st.floats(min_value=0.0, max_value=20.0))
+        hi = lo + data.draw(st.floats(min_value=0.05, max_value=20.0))
+        try:
+            seg = data.draw(_any_segment(lo, hi, family))
+        except ProfileError:
+            assume(False)
+        kind = jacobi._kind(seg)[0]
+        assume(isinstance(kind, jacobi._Rational))
+        a = data.draw(st.floats(min_value=lo, max_value=hi))
+        w = (hi - a) * data.draw(st.floats(min_value=0.0, max_value=1.0))
+        assume(w > 0.0)
+        exact = (tuple(map(Decimal, seg.num)), tuple(map(Decimal, seg.den)))
+        self.check(kind, "rational", exact, a, w)
+
+    def test_far_out_cells(self):
+        # at t = 1e34 a degree-8 denominator's powers of t leave float
+        # range, so its coefficients are shifted by Horner's rule
+        seg = Segment(1e34, 2e34, (1.0, -1e-34), (1.0,) + (0.0,) * 7 + (1e-272,))
+        kind = jacobi._kind(seg)[0]
+        assert kind.wide
+        exact = (tuple(map(Decimal, seg.num)), tuple(map(Decimal, seg.den)))
+        for a, w in ((1e34, 1e33), (1.5e34, 1e30)):
+            assert self.check(kind, "rational", exact, a, w)
+
+    @given(coef=st.floats(min_value=-10.0, max_value=10.0).filter(bool),
+           p=st.one_of(st.sampled_from([0.5, 1.0, 2.0, 4.0]), st.floats(min_value=0.1, max_value=8.0)),
+           a=st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=1e4)))
+    @settings(max_examples=150, deadline=None)
+    def test_tail_cells(self, coef, p, a):
+        self.check(jacobi._kind(rg.PowerDecayTail(coef, p))[0], "power",
+                   (Decimal(coef), Decimal(p)), a, 1.0 + a)
+
+
+class TestAgainstOracle:
+    """solve and solve_m on every kind of piece, gallery entries, Sturm
+    cap profiles, slivers and drawn profiles, against the 50-digit Taylor
+    oracle (``assert_matches_oracle``)."""
 
     @pytest.mark.parametrize("name", sorted(GALLERY_TRACE))
     def test_gallery(self, name):
-        assert_bits_of_reference(entry_by_name(name).profile, DEFAULT_T_END, DEFAULT_TOL)
+        assert_matches_oracle(entry_by_name(name).profile, 200.0, DEFAULT_TOL)
 
     @pytest.mark.parametrize("tol", [1e-3, 1e-8])
     @pytest.mark.parametrize("name", sorted(STURM_CAP_PROFILES))
     def test_sturm_cap_profiles(self, name, tol):
-        assert_bits_of_reference(STURM_CAP_PROFILES[name](), 60.0, tol)
-
-    def test_spike_where_cap_binds(self):
-        # the Sturm cap sets an accepted step here (TestSturmCap), so the
-        # stage values are read again at the capped length
-        profile = _origin_spike_profile()
-        ratios = TestSturmCap.cap_ratios(profile, rg.solve(profile, 60.0, 1e-3))
-        assert max(ratios) == pytest.approx(1.0, rel=1e-12)
-        assert_bits_of_reference(profile, 60.0, 1e-3)
-        # the pole cap sets steps on the spike inside its segment
-        assert_bits_of_reference(_spike_profile(), 60.0, 1e-3)
+        assert_matches_oracle(STURM_CAP_PROFILES[name](), 60.0, tol)
 
     @pytest.mark.parametrize("profile", [_sliver_segments, _sliver_sign_pieces])
     def test_slivers(self, profile):
-        assert_bits_of_reference(profile(), 10.0, 1e-8)
+        assert_matches_oracle(profile(), 10.0, 1e-8)
 
     @given(profile=any_profiles(), span=st.floats(min_value=0.1, max_value=8.0),
            tol=_TOLS)
-    # two zero slivers, then the spike 1/(1 + 1e7 (t - 1)^2), which the
-    # stepper passed over before steps were capped at its poles
-    @example(profile=rg.CurvatureProfile(
-        (Segment(0.0, 2.0 ** -52, (0.0,)), Segment(2.0 ** -52, 2.0 ** -51, (0.0,)),
-         Segment(2.0 ** -51, 2.0 + 2.0 ** -51, (1.0, 0.0, -0.0),
-                 (10000001.0, -20000000.0, 10000000.0))), rg.ZeroTail()),
-        span=1.0, tol=1e-7)
     @settings(max_examples=150, deadline=None)
     def test_drawn_profiles(self, profile, span, tol):
-        assert_bits_of_reference(profile, profile.t_tail + span, tol)
+        assert_matches_oracle(profile, profile.t_tail + span, tol)
 
     @given(profile=spike_profiles(),
            tol=st.floats(min_value=-6.0, max_value=-3.0).map(lambda e: min(10.0 ** e, 1e-3)))
     @settings(max_examples=60, deadline=None)
     def test_drawn_spikes(self, profile, tol):
-        assert_bits_of_reference(profile, profile.t_tail + 5.0, tol)
+        assert_matches_oracle(profile, profile.t_tail + 5.0, tol)
 
 
 _EPS = 2.0 ** -53
@@ -1214,16 +1327,140 @@ def plan_profiles():
 
 
 def spy_taylor_steps(monkeypatch):
-    """Route ``jacobi._taylor_steps`` through a spy; returns the list that
+    """Route ``jacobi._Polynomial.kappa``, with which each ``_taylor_steps``
+    pass on polynomial pieces starts, through a spy; returns the list that
     collects the left nodes of each pass."""
     passes = []
-    taylor_steps = jacobi._taylor_steps
+    kappa = jacobi._Polynomial.kappa
 
-    def spy(num, left, h, order):
+    def spy(params, left, h, terms):
         passes.append(left.tolist())
-        return taylor_steps(num, left, h, order)
-    monkeypatch.setattr(jacobi, "_taylor_steps", spy)
+        return kappa(params, left, h, terms)
+    monkeypatch.setattr(jacobi._Polynomial, "kappa", staticmethod(spy))
     return passes
+
+
+def _walk_matrices(num, left, h, order):
+    """The transfer matrices of steps h from the nodes ``left`` on the
+    polynomial num, by the Taylor recurrence with its terms summed in
+    order, as (m00, m01, m10, m11) arrays: this test's own copy of the
+    term sum."""
+    kappa, power = [], h * h
+    for c in _taylor_shift(num, left):
+        kappa.append(c * power)
+        power = power * h
+    d = len(kappa) - 1
+    b = [np.array([np.ones_like(h), np.zeros_like(h)]), np.array([np.zeros_like(h), np.ones_like(h)])]
+    for k in range(order - 2):
+        new = kappa[0] * b[k]
+        for j in range(1, min(d, k) + 1):
+            new += kappa[j] * b[k - j]
+        new *= -1.0 / ((k + 2) * (k + 1))
+        b.append(new)
+    value, slope = b[0].copy(), b[0] * 0.0
+    for k in range(1, order):
+        value += b[k]
+        slope += k * b[k]
+    return value[0], h * value[1], slope[0] / h, slope[1]
+
+
+def _walk_grid(num, lo, hi, tol):
+    """The nodes of a polynomial sign piece [lo, hi), span by span: a span
+    whose scale allows more than _SPAN_NODES nodes is halved, leftmost
+    first, and a leaf is cut into cells with a uniform grid each."""
+    degree = len(num) - 1
+    xu = jacobi._taylor_rule(tol, degree)[0]
+    nodes, todo = [], [(lo, hi)]
+    while todo:
+        a, b = todo.pop()
+        n = (b - a) * jacobi._local_scales(tuple(np.array([c]) for c in num), np.array([a]),
+                                           np.array([b - a]), scalar_roots=True).item() / xu
+        mid = 0.5 * (a + b)
+        if n > jacobi._SPAN_NODES and a < mid < b:
+            todo += [(mid, b), (a, mid)]
+            continue
+        cells = jacobi._cells(n)
+        step = (b - a) / cells
+        left = np.arange(float(cells)) * step + a
+        right = (np.arange(float(cells)) + 1.0) * step + a
+        right[-1] = b
+        width = right - left
+        if cells == 1:
+            counts = [max(math.ceil(n), 1)]
+        else:
+            counts = np.maximum(np.ceil(width * jacobi._local_scales(
+                tuple(np.full(cells, c) for c in num), left, width) / xu), 1.0).astype(int).tolist()
+        for l, r, w, count in zip(left.tolist(), right.tolist(), width.tolist(), counts):
+            grid = l + (w / count) * np.arange(1.0, count + 1.0)
+            grid[-1] = r
+            nodes.append(grid)
+    return np.concatenate(nodes)
+
+
+def _walk(profile, t_end, tol):
+    """``_outcome`` of a solve of ``profile`` that takes constant pieces in
+    closed form and walks each polynomial sign piece on its own grid with
+    ``_walk_matrices``, piece after piece, with no plan."""
+    t, f, fp, n_steps = 0.0, 0.0, 1.0, 0
+    ts, fs, fps, d2_left, d2_right = [0.0], [0.0], [1.0], [], []
+    zero = truncated = False
+    guard = jacobi.GROWTH_GUARD
+    while t < t_end and not (zero or truncated):
+        piece, piece_end = profile.piece_at(t)
+        bound, ev = min(piece_end, t_end), piece.evaluate
+        k_t = ev(t)
+        d2_left.append(-k_t * f)
+        if piece._constant:
+            new_t, new_f, new_fp, new_d2, zero = jacobi._constant_piece(t, f, fp, k_t, bound, tol)
+            new = list(zip(*(list(map(float, x)) for x in (new_t, new_f, new_fp, new_d2))))
+        else:
+            new, last = [], (t, f, fp, -k_t * f)
+            for lo, hi, _ in piece.sign_pieces:
+                if zero or truncated or lo >= bound:
+                    break
+                nodes = _walk_grid(piece.num, lo, min(hi, t_end), tol)
+                left = np.concatenate(([lo], nodes[:-1]))
+                order = jacobi._taylor_rule(tol, len(piece.num) - 1)[1]
+                negk = -ev(nodes)
+                for tn, nk, c00, c01, c10, c11 in zip(nodes.tolist(), negk.tolist(), *(
+                        m.tolist() for m in _walk_matrices(piece.num, left, nodes - left, order))):
+                    f, fp = c00 * f + c01 * fp, c10 * f + c11 * fp
+                    if f <= 0.0:
+                        t0, f0, fp0, d0 = last
+                        tz, fz, fpz = jacobi._locate_zero(t0, tn - t0, f0, fp0, d0, f, fp, nk * f)
+                        new.append((tz, fz, fpz, -ev(tz) * fz))
+                        zero = True
+                        break
+                    last = (tn, f, fp, nk * f)
+                    new.append(last)
+                    if not (f < guard and -guard < fp < guard):
+                        truncated = True
+                        break
+        n_steps += len(new)
+        for tn, fn, fpn, d2 in new:
+            ts.append(tn)
+            fs.append(fn)
+            fps.append(fpn)
+            d2_right.append(d2)
+        d2_left += [d2 for *_, d2 in new[:-1]]
+        t, f, fp = ts[-1], fs[-1], fps[-1]
+        truncated = truncated or max(abs(f), abs(fp)) >= guard
+    arrays = [list(map(float.hex, a)) for a in (ts, fs, fps, d2_left, d2_right)]
+    return arrays, n_steps, 0, ts[-1].hex() if zero else None, truncated and not zero
+
+
+class TestPolynomialBits:
+    """solve and solve_m on polynomial profiles give the bits of a walk
+    span by span with this test's own term sum (``_walk``), on the three
+    polynomial profiles of tools/report_digest.py and its first 50 sweep
+    profiles: the plan's batched rounds and shared matrices move no bit."""
+
+    @pytest.mark.parametrize("tol", [1e-3, 1e-8, 1e-14])
+    def test_plan_keeps_the_bits_of_a_walk(self, tol):
+        for profile, t_end in plan_profiles():
+            assert _outcome(rg.solve(profile, t_end, tol)) == _walk(profile, t_end, tol)
+            assert _outcome(rg.solve_m(profile, t_end, tol)) == _walk(
+                rg.negative_part(profile), t_end, tol)
 
 
 class TestPolynomialPlan:

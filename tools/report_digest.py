@@ -22,7 +22,13 @@ constant pieces: the sha256 of the same text of ``solve`` on
 -1e-6, 0, 1e-6, 1, 4}, at tol 1e-8 and 1e-12.  Last, one line for
 polynomial pieces: the same text of ``solve`` and ``solve_m`` on
 [0, 20] on three fixed profiles with sign-changing polynomial segments of
-degree 1, 2 and 5, at tol 1e-6, 1e-8 and 1e-12.  It imports radialgeo from
+degree 1, 2 and 5, at tol 1e-6, 1e-8 and 1e-12.  Last, one line for
+rational segments and power tails: the same text of ``solve`` and
+``solve_m`` on the gallery's abresch_tail, moment_boundary and both beta
+entries on [0, DEFAULT_T_END], and on the first 20 profiles of the family
+K = (k0 - c t)/(1 + d t^2) on [0, t1), then -k2/(1 + d t^2) up to t2, then
+a zero tail (``default_rng(3)``) on [0, 50], at tol 1e-6, 1e-8 and 1e-12.
+It imports radialgeo from
 the ``src`` directory of its own checkout, and the inputs from its ``bench``
 directory, so running a copy of it in another checkout digests that
 checkout's reports, sign pieces and solver bits.
@@ -80,6 +86,28 @@ POLYNOMIAL_PROFILES = (
 )
 POLYNOMIAL_T_END = 20.0
 POLYNOMIAL_TOLS = (1e-6, 1e-8, 1e-12)
+RATIONAL_ENTRIES = ("abresch_tail", "moment_boundary", "sign_changing_beta_ln2",
+                    "sign_changing_beta_neg_ln2")
+RATIONAL_SEED = 3
+RATIONAL_COUNT = 20
+RATIONAL_T_END = 50.0
+RATIONAL_TOLS = (1e-6, 1e-8, 1e-12)
+
+
+def rational_family(rng: np.random.Generator, count: int) -> list:
+    """``count`` profiles K = (k0 - c t)/(1 + d t^2) on [0, t1), then
+    -k2/(1 + d t^2) up to t2, then a zero tail, with k0 = 10^U[-5, -3],
+    c ~ U[0.3, 1], d = 10^U[-3, -1], t1 ~ U[5, 20], k2 ~ U[0.05, 1] and
+    t2 - t1 ~ U[1, 30], drawn in that order."""
+    profiles = []
+    for _ in range(count):
+        k0, c, d = 10.0 ** rng.uniform(-5, -3), rng.uniform(0.3, 1.0), 10.0 ** rng.uniform(-3, -1)
+        t1, k2 = rng.uniform(5, 20), rng.uniform(0.05, 1.0)
+        t2 = t1 + rng.uniform(1, 30)
+        den = (1.0, 0.0, d)
+        profiles.append(CurvatureProfile((Segment(0.0, t1, (k0, -c), den),
+                                          Segment(t1, t2, (-k2,), den)), ZeroTail()))
+    return profiles
 
 
 def _sha(text: str) -> str:
@@ -143,6 +171,13 @@ def digest_lines() -> list[str]:
     degrees = ",".join(str(degree) for degree, *_ in POLYNOMIAL_PROFILES)
     lines.append(f"{_sha(text)}  polynomial pieces degree={degrees} "
                  f"tol={','.join(map(format, POLYNOMIAL_TOLS))}")
+    cases = [(entry_by_name(name).profile, DEFAULT_T_END) for name in RATIONAL_ENTRIES]
+    cases += [(profile, RATIONAL_T_END) for profile in
+              rational_family(np.random.default_rng(RATIONAL_SEED), RATIONAL_COUNT)]
+    text = "".join(_solution_text(solver(profile, t_end, tol)) for profile, t_end in cases
+                   for tol in RATIONAL_TOLS for solver in (solve, solve_m))
+    lines.append(f"{_sha(text)}  rational and tail pieces seed={RATIONAL_SEED} "
+                 f"count={RATIONAL_COUNT} tol={','.join(map(format, RATIONAL_TOLS))}")
     return lines
 
 
