@@ -262,21 +262,6 @@ class Segment:
         return state
 
     @cached_property
-    def _critical_points(self) -> tuple[float, ...]:
-        # stationary points of num/den on the segment: roots of
-        # num'*den - num*den', one bisected from each of its root intervals;
-        # a constant has the same value everywhere, so it needs none
-        if len(self.num) == len(self.den) == 1:
-            return ()
-        p = npoly.polyder(self.num)
-        if not self.is_polynomial:
-            p = npoly.polysub(npoly.polymul(p, self.den),
-                              npoly.polymul(self.num, npoly.polyder(self.den)))
-        coeffs = tuple(p.tolist())
-        return tuple(_bisect(_polynomial(coeffs), lo, hi)
-                     for lo, hi in _root_intervals(coeffs, self.t_start, self.t_end))
-
-    @cached_property
     def _poles(self) -> tuple[tuple[complex, float, int], ...]:
         """Discs that hold every root of the denominator, as (center,
         radius, count) triples, each disc with as many roots as its count;
@@ -315,32 +300,16 @@ class Segment:
         # merge discs that touch into one that covers both, until none do
         merged: list[list] = []
         for disc in discs:
-            while touching := [m for m in merged if abs(m[0] - disc[0]) <= m[1] + disc[1]]:
+            while True:
+                touching = [m for m in merged if abs(m[0] - disc[0]) <= m[1] + disc[1]]
+                if not touching:
+                    break
                 for other in touching:
                     merged.remove(other)
                     reach = max(other[1] + abs(other[0] - disc[0]), disc[1])
                     disc = [disc[0], reach, disc[2] + other[2]]
             merged.append(disc)
         return tuple((z, r, count) for z, r, count in merged)
-
-    def max_on(self, a: float, b: float) -> float:
-        """Exact maximum of the segment expression over [a, b], a
-        subinterval of the segment: the largest value at its ends and at
-        the critical points inside it.
-
-        The critical points come from the root intervals of the
-        derivative's numerator on the whole segment (``_root_intervals``),
-        one bisected from each, whatever the spread of the coefficients.
-        An interval holds several of them only where that numerator is at
-        rounding level, so K is flat there up to rounding and one point
-        stands for them.
-        """
-        ev = self.evaluate
-        best = max(ev(a), ev(b))
-        for r in self._critical_points:
-            if a < r < b:
-                best = max(best, ev(r))
-        return best
 
 
 @dataclass(frozen=True)
@@ -354,8 +323,6 @@ class ZeroTail:
     def evaluate(self, t: float) -> float:
         return 0.0
 
-    def max_on(self, a: float, b: float) -> float:
-        return 0.0
 
 
 @dataclass(frozen=True)
@@ -379,8 +346,6 @@ class ConstantTail:
     def evaluate(self, t: float) -> float:
         return self.kappa
 
-    def max_on(self, a: float, b: float) -> float:
-        return self.kappa
 
 
 @dataclass(frozen=True)
@@ -409,11 +374,6 @@ class PowerDecayTail:
 
     def evaluate(self, t: float) -> float:
         return self.a / (1.0 + t) ** self.p
-
-    def max_on(self, a: float, b: float) -> float:
-        # |a/(1+t)^p| is decreasing, so the max of a positive tail sits at
-        # the left end; a nonpositive tail never exceeds 0.
-        return self.evaluate(a) if self.a > 0 else self.evaluate(b)
 
 
 TailModel = Union[ZeroTail, ConstantTail, PowerDecayTail]

@@ -42,11 +42,16 @@ grid of omega h <= x.
 * Rational: Cauchy's estimate |K_j| <= M rho^-j, with rho below the
   cell's distance to the discs that hold the denominator's roots
   (``Segment._poles``, widened by Smith's radii) and M a bound on
-  |num/den| within rho of the cell, gives omega = max(sqrt M, 1/rho)
+  |num/den| within rho of the cell, for a few rho at once; omega is the
+  sup over j of the (j + 2)th root of the least of them
   (``_rational_scales``).
 * Power tail: |K_j| <= |a| C(p + j - 1, j) x^(-p-j) falls with x, so its
   value at the cell's left end holds on the cell; omega is its sup over
   every j, whose limit is 1/x (``_tail_scales``).
+
+A rational or tail cell's scale depends on the cell alone, never on tol,
+so such a kind finds the scales of a set of cells once (``_Series``), as
+a segment finds its poles once.
 
 x follows from tol and a polynomial's degree, or any degree for the other
 pieces (``_taylor_rule``): the quintic Hermite remainder of ``_grid_u``,
@@ -128,9 +133,12 @@ _OMEGA_FLOOR = 2.0 ** -600
 _ROUND_NODES = 16384
 _CHUNK_NODES = 256
 # rational pieces: the radii rho of Cauchy's estimate tried on a cell, as
-# fractions of its distance to the nearest pole disc and of its width
-_POLE_FRACTIONS = np.array([0.25, 0.4, 0.5, 0.6, 0.7, 0.78, 0.85, 0.92]).reshape(-1, 1)
-_WIDTH_FRACTIONS = np.array([0.25]).reshape(-1, 1)
+# fractions of its distance to the nearest pole disc, and one more as a
+# fraction of its width; the terms j < _SCALE_TERMS of a cell's sup over j
+# taken one by one
+_POLE_FRACTIONS = np.array([0.3, 0.65, 0.92]).reshape(-1, 1)
+_WIDTH_FRACTION = 0.25
+_SCALE_TERMS = 8
 # the most spans a rational sign piece or a tail starts with
 _SPAN_CUTS = 256
 # power tails: the terms j < _TAIL_TERMS of the sup over j taken one by
@@ -500,40 +508,49 @@ def _rational_scales(kind: _Rational, a, w) -> np.ndarray:
 
     K is analytic within rho of the cell when rho lies below the cell's
     distance to each disc that holds roots of den (``Segment._poles``).
-    With M a bound on |K| there, Cauchy's estimate |K_j| <= M rho^-j gives
-    omega = max(sqrt M, 1/rho).  |num| is bounded on the disc of radius
+    With M a bound on |K| there, Cauchy's estimate gives |K_j| <= M rho^-j
+    for every such rho, so omega is the sup over j of the (j + 2)th root of
+    the least of them: for j < _SCALE_TERMS one by one, and past them by
+    the least over rho of each rho's own sup, whose terms
+    exp((log M + 2 log rho)/(j + 2) - log rho) fall with j toward 1/rho
+    where M rho^2 > 1 and rise toward it otherwise.  |num| is bounded on the disc of radius
     R = w/2 + rho about the cell's middle c by sum_j |num_j| R^j over its
     coefficients in powers of t - c, and |den| from below by |a_n| times
     each disc's distance less rho, to the power of its root count, or else
     by |den_0| - sum_(j >= 1) |den_j| R^j, whichever is larger.  The
     rounding of the shifted coefficients is at
     most (d + 1) 2^-50 sum_i |a_i| (c + R)^i, as in
-    ``curvature_profile._bernstein``.  Each cell takes the least omega
-    over rho at the fractions _POLE_FRACTIONS of its distance to the
-    nearest disc and _WIDTH_FRACTIONS of its width; a cell where no rho
-    is certified gets inf.
+    ``curvature_profile._bernstein``.  The rho tried are the fractions
+    _POLE_FRACTIONS of the cell's distance to the nearest disc and
+    _WIDTH_FRACTION of its width; a cell where no rho is certified gets
+    inf.
     """
     dx = np.maximum(np.maximum(a - kind.pole_re, kind.pole_re - (a + w)), 0.0)
     dist = np.maximum(np.hypot(dx, kind.pole_im) - kind.pole_r, 0.0)
-    rho = np.concatenate((_POLE_FRACTIONS * dist.min(axis=0), _WIDTH_FRACTIONS * w))
+    rho = np.concatenate((_POLE_FRACTIONS * dist.min(axis=0), [_WIDTH_FRACTION * w]))
     radius = 0.5 * w + rho
     c = a + 0.5 * w
     shifted = np.abs(kind.shifted(c))
     # sum_j |p_j| R^j of num and of den, and their rounding bounds
     sums = np.einsum("pjn,jkn->pkn", shifted, _powers(radius.ravel(), kind.terms)
                      .reshape(-1, *radius.shape))
-    err = kind.terms * 2.0 ** -50 * kind.magnitudes(c + radius.max(axis=0))
+    err = kind.terms * 2.0 ** -50 * (kind.mags @ _powers(c + radius.max(axis=0), kind.terms))
     upper, low = sums[0] + err[0], 2.0 * shifted[1, 0] - sums[1] - err[1]
-    with np.errstate(divide="ignore", over="ignore"):
-        # in logs, where every factor stays in range
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        # in logs, where every factor stays in range; a rho of 0 gives inf
         smith = kind.log_lead + (kind.counts * np.log(np.maximum(dist[:, None] - rho, 0.0))).sum(0)
         log_m = np.log(upper) - np.maximum(smith, np.log(np.maximum(low, 0.0)))
-        omega = np.maximum(np.exp(0.5 * log_m), 1.0 / rho)
-    return np.maximum(omega.min(axis=0), _OMEGA_FLOOR) * _SCALE_MARGIN
+        log_rho = np.log(rho)
+        j = np.arange(1.0, _SCALE_TERMS).reshape(-1, 1, 1)
+        head = np.maximum(log_m.min(axis=0) / 2.0,
+                          ((log_m - j * log_rho).min(axis=1) / (j[:, 0] + 2.0)).max(axis=0))
+        tail = (np.fmax(log_m + 2.0 * log_rho, 0.0) / (_SCALE_TERMS + 2.0) - log_rho).min(axis=0)
+        omega = np.exp(np.maximum(head, tail))
+    return np.maximum(omega, _OMEGA_FLOOR) * _SCALE_MARGIN
 
 
-def _tail_scales(coef: float, p: float, a) -> np.ndarray:
-    """omega on each cell of a power tail coef/(1 + t)^p that starts at a,
+def _tail_scales(kind: _Tail, a, w) -> np.ndarray:
+    """omega on each cell [a, a + w] of a power tail coef/(1 + t)^p,
     so that |K_j| <= omega^(j+2) on the cell for every j, floored at
     _OMEGA_FLOOR.
 
@@ -549,6 +566,7 @@ def _tail_scales(coef: float, p: float, a) -> np.ndarray:
     sup_(v >= v0) (c + (p - 1) log v)/v over kappa, a sup found in closed
     form; for p <= 1 it is at most the positive part of D/(_TAIL_TERMS + 2).
     """
+    coef, p = kind.a, kind.p
     log_x = np.log1p(a)
     j = np.arange(float(_TAIL_TERMS)).reshape(-1, 1)
     log_a = math.log(abs(coef))
@@ -632,8 +650,12 @@ class _Polynomial:
 
 
 def _powers(x: np.ndarray, n: int) -> np.ndarray:
-    """x^0, ..., x^(n-1) as the rows of an (n, len(x)) array."""
-    return np.vander(x, n, increasing=True).T
+    """x^0, ..., x^(n-1) as the rows of an (n, len(x)) array, each row the
+    last times x, as ``np.vander`` builds them."""
+    out = np.ones((n, len(x)))
+    for i in range(1, n):
+        np.multiply(out[i - 1], x, out=out[i])
+    return out
 
 
 def _spans(lo: float, hi: float, near, fraction: float) -> list:
@@ -650,12 +672,33 @@ def _spans(lo: float, hi: float, near, fraction: float) -> list:
     return out
 
 
-class _Rational:
+class _Series:
+    """A kind whose K has Taylor coefficients of every order: the sign
+    pieces of a rational segment, or a power tail.  Its pieces share a
+    round.  A cell's scale depends on the cell alone, never on tol, so the
+    scales of a set of cells are found once per kind (``_known``)."""
+
+    degree = None
+
+    def __init__(self):
+        self.key = self
+
+    def scales(self, params, a, w, scalar_roots: bool = False) -> np.ndarray:
+        return self._known(a.tobytes(), w.tobytes())
+
+    @functools.lru_cache(maxsize=256)
+    def _known(self, a: bytes, w: bytes) -> np.ndarray:
+        return self._scales(np.frombuffer(a), np.frombuffer(w))
+
+
+class _Rational(_Series):
     """The kind of the sign pieces of a rational segment, whose
-    denominator is not a constant; they share a round."""
+    denominator is not a constant."""
+
+    _scales = _rational_scales
 
     def __init__(self, seg: Segment):
-        self.key, self.degree = self, None
+        super().__init__()
         # without their trailing zeros, the first coefficient kept
         num, den = (c[:max((i for i, x in enumerate(c) if x), default=0) + 1]
                     for c in (seg.num, seg.den))
@@ -670,10 +713,11 @@ class _Rational:
         self.terms = d + 1
         # where c^d could leave float range, Horner's shift instead
         self.wide = d * math.log2(max(seg.t_end, 1.0)) > 900.0
-        self.sizes, self.log_lead, self.poles = (len(num), len(den)), math.log(abs(den[-1])), seg._poles
-        self.pole_re, self.pole_im, self.pole_r = (np.array([[z.real, abs(z.imag), r]
-                                                             for z, r, _ in self.poles]).T
-                                                   .reshape(3, -1, 1))
+        self.sizes = (len(num), len(den))
+        self.log_lead = math.log(abs(den[-1]))
+        self.poles = seg._poles
+        discs = np.array([[z.real, abs(z.imag), r] for z, r, _ in self.poles])
+        self.pole_re, self.pole_im, self.pole_r = discs.T.reshape(3, -1, 1)
         self.counts = np.array([count for *_, count in self.poles], dtype=float).reshape(-1, 1, 1)
 
     @functools.lru_cache(maxsize=64)
@@ -690,40 +734,35 @@ class _Rational:
             return np.array(np.broadcast_arrays(*_taylor_shift(self.columns, c))).swapaxes(0, 1)
         return (self.shift @ _powers(c, self.terms)).reshape(2, -1, len(c))
 
-    def magnitudes(self, x) -> np.ndarray:
-        """sum_i |a_i| x^i of num and of den, for an array of x >= 0."""
-        return self.mags @ _powers(x, self.terms)
-
-    def scales(self, params, a, w, scalar_roots: bool = False) -> np.ndarray:
-        return _rational_scales(self, a, w)
-
     def kappa(self, params, left, h, terms: int) -> np.ndarray:
-        """kappa_j for j < terms: h^2 times the series num/den in s of
-        K(t + s h), from the shifted coefficients scaled by h^i."""
+        """kappa_j for j < terms: the series num/den in s of h^2 K(t + s h),
+        from the shifted coefficients scaled by h^i, both divided by den's
+        first."""
         num, den = self.shifted(left) * _powers(h, self.terms)
-        num, den = num[:self.sizes[0]], den[:self.sizes[1]]
-        q = np.empty((terms, len(h)))
-        for j in range(terms):
-            m = min(j, len(den) - 1)
-            q[j] = ((num[j] if j < len(num) else 0.0)
-                    - np.einsum("in,in->n", den[1:m + 1], q[j - 1::-1][:m])) / den[0]
-        return q * (h * h)
+        n = min(self.sizes[0], terms)
+        q = np.zeros((terms, len(h)))
+        np.multiply(num[:n], h * h / den[0], out=q[:n])
+        den = den[1:self.sizes[1]] / den[0]
+        for j in range(1, terms):
+            m = min(j, len(den))
+            q[j] -= np.einsum("in,in->n", den[:m], q[j - 1::-1][:m])
+        return q
 
 
-class _Tail:
+class _Tail(_Series):
     """The kind of a power tail a/(1 + t)^p with a != 0."""
 
+    _scales = _tail_scales
+
     def __init__(self, tail: PowerDecayTail):
-        self.key, self.degree, self.a, self.p = self, None, tail.a, tail.p
+        super().__init__()
+        self.a, self.p = tail.a, tail.p
 
     @staticmethod
     @functools.lru_cache(maxsize=64)
     def spans(lo: float, hi: float) -> tuple:
         """Spans each a quarter of 1 + t at their left end wide."""
         return tuple(_spans(lo, hi, lambda t: 1.0 + t, 0.25))
-
-    def scales(self, params, a, w, scalar_roots: bool = False) -> np.ndarray:
-        return _tail_scales(self.a, self.p, a)
 
     def kappa(self, params, left, h, terms: int) -> np.ndarray:
         """kappa_j for j < terms, from kappa_0 = a x^-p h^2 and
@@ -845,10 +884,11 @@ class _Plan:
         then build the leaves (``_build_leaves``).  Each piece is halved
         depth first, leftmost span first, as far as a walk can reach within
         the limit: a span whose scale allows more than _SPAN_NODES nodes is
-        halved, else it is a leaf.  A pass takes every span of every piece
-        at once, in one scale call, and keeps each piece's leaves up to its
-        first span to halve, whose halves and later spans wait for the next
-        pass."""
+        halved, else it is a leaf.  A pass takes, in one scale call, the
+        leftmost span of every polynomial piece, or every span of a rational
+        or tail piece, whose spans come cut to its singularities; such a
+        piece keeps its leaves up to its first span to halve, whose halves
+        and later spans wait for the next pass."""
         kind = pieces[0].kind
         xu = _taylor_rule(self.tol, kind.degree)[0]
         limit = min(_ROUND_NODES, budget)
@@ -872,27 +912,27 @@ class _Plan:
                     tops.append(k)
             if not tops:
                 break
-            spans = [(k, span) for k in tops for span in stacks[k][::-1]]
-            a = np.array([span[0] for _, span in spans])
-            w = np.array([span[1] for _, span in spans]) - a
-            params = tuple(np.array([pieces[k].params[i] for k, _ in spans])
-                           for i in range(len(pieces[0].params)))
+            take = [1 if kind.degree is not None else len(stacks[k]) for k in tops]
+            spans = [span for k, n in zip(tops, take) for span in stacks[k][:-n - 1:-1]]
+            a = np.array([span[0] for span in spans])
+            w = np.array([span[1] for span in spans]) - a
+            params = tuple(np.array([pieces[k].params[i] for k, n in zip(tops, take)
+                                     for _ in range(n)]) for i in range(len(pieces[0].params)))
             # as the Python floats of a single span's scale, which never warn
             with np.errstate(all="ignore"):
                 nodes = (w * kind.scales(params, a, w, scalar_roots=True) / xu).tolist()
             start = 0
-            for k in tops:
+            for k, n in zip(tops, take):
                 stack = stacks[k]
-                for n in nodes[start:start + len(stack)]:
+                for count in nodes[start:start + n]:
                     lo, hi = stack.pop()
                     mid = 0.5 * (lo + hi)
-                    if n > _SPAN_NODES and lo < mid < hi:
-                        start += len(stack) + 1
+                    if count > _SPAN_NODES and lo < mid < hi:
                         stack += [(mid, hi), (lo, mid)]
                         break
-                    leaves[k].append([pieces[k], lo, hi, n])
-                    least[k] += _cells(n) if kind.degree is not None else 1
-                    start += 1
+                    leaves[k].append([pieces[k], lo, hi, count])
+                    least[k] += _cells(count) if kind.degree is not None else 1
+                start += n
         closed = self._build_leaves([leaf for group in leaves for leaf in group],
                                     xu, limit, budget)
         for p, stack in zip(pieces, stacks):
@@ -906,28 +946,33 @@ class _Plan:
         leaves past the limit go back to their pieces' spans.  Returns the
         pieces that end at a leaf whose grid underflows."""
         kind = leaves[0][0].kind
-        cells = [_cells(it[3]) if kind.degree is not None else 1 for it in leaves]
-        n = np.array(cells)
-        first = np.cumsum(n) - n
         a, b, nodes = np.array([it[1:] for it in leaves]).T
-        # cell i of a leaf spans edges i and i + 1 of linspace(a, b, cells + 1),
-        # i (b - a)/cells + a, the last one b; the cells take their leaf's
-        # a, step, first cell and params
-        base, step, start, *params = np.repeat(
-            [a, (b - a) / n, first, *([it[0].params[i] for it in leaves]
-                                      for i in range(len(leaves[0][0].params)))], n, axis=1)
-        index = np.arange(float(len(base))) - start
-        left = index * step + base
-        right = (index + 1.0) * step + base
-        right[first + n - 1] = b
-        width = right - left
         # a one-cell leaf takes its count from its span's scale
-        counts = np.repeat(np.maximum(np.ceil(nodes), 1.0), n)
-        multi = np.repeat(n > 1, n)
-        if multi.any():
-            counts[multi] = np.maximum(np.ceil(width[multi] * kind.scales(
-                tuple(c[multi] for c in params), left[multi], width[multi]) / xu), 1.0)
-        spacing = width / counts
+        counts = np.maximum(np.ceil(nodes), 1.0)
+        if kind.degree is None:
+            # a rational or tail leaf is one cell
+            n, left, right = np.ones(len(leaves), dtype=np.int64), a, b
+            first = np.arange(len(leaves))
+        else:
+            n = np.array([_cells(it[3]) for it in leaves])
+            first = np.cumsum(n) - n
+            # cell i of a leaf spans edges i and i + 1 of linspace(a, b, cells + 1),
+            # i (b - a)/cells + a, the last one b; the cells take their leaf's
+            # a, step, first cell and params
+            base, step, start, *params = np.repeat(
+                [a, (b - a) / n, first, *([it[0].params[i] for it in leaves]
+                                          for i in range(len(leaves[0][0].params)))], n, axis=1)
+            index = np.arange(float(len(base))) - start
+            left = index * step + base
+            right = (index + 1.0) * step + base
+            right[first + n - 1] = b
+            counts = np.repeat(counts, n)
+            multi = np.repeat(n > 1, n)
+            if multi.any():
+                width = right[multi] - left[multi]
+                counts[multi] = np.maximum(np.ceil(width * kind.scales(
+                    tuple(c[multi] for c in params), left[multi], width) / xu), 1.0)
+        spacing = (right - left) / counts
         under = (counts > 1.0) & (spacing <= 1e-14 * np.maximum(right, 1.0))
         leaf_counts = np.add.reduceat(counts, first).tolist()
         leaf_under = np.logical_or.reduceat(under, first).tolist()
@@ -963,7 +1008,8 @@ class _Plan:
         grid = cell_left + cell_step * (np.arange(1.0, ends[-1] + 1.0) - cell_start)
         grid[ends - 1] = right[keep_cells]
         grid.flags.writeable = False
-        # each piece's kept leaves are one run of the grid: K in one call
+        # each piece's kept leaves are one run of the grid: K in one call,
+        # one for the whole grid where the pieces share K (a series kind)
         runs: dict[_Piece, list] = {}
         start = 0
         for (p, a_k, _, _), count, kept in zip(leaves, leaf_counts, keep):
@@ -973,9 +1019,10 @@ class _Plan:
                 i = len(p.t) + run[1] - run[0]
                 p.leaves.append((a_k, i, i + count))
                 start = run[1] = start + count
+        negk_all = -leaves[0][0].evaluate(grid) if kind.degree is None else None
         for p, (lo, hi) in runs.items():
             nodes = grid[lo:hi]
-            negk = -p.evaluate(nodes)
+            negk = -p.evaluate(nodes) if negk_all is None else negk_all[lo:hi]
             if len(p.t):
                 nodes, negk = np.concatenate((p.t, nodes)), np.concatenate((p.negk, negk))
             p.t, p.negk = nodes, negk
@@ -1111,16 +1158,15 @@ def _taylor_piece(source, t: float, f: float, fp: float, bound: float,
                     if not (0.0 < f < guard and -guard < fp < guard):
                         break
                 n = len(new_fs)
+                node_f, node_fp = np.array(new_fs), np.array(new_fps)
                 walked += n
-                node_f = np.array(new_fs)
                 # Python floats past the guard may overflow K f
                 with np.errstate(over="ignore"):
-                    part = (piece.t[i:i + n], node_f, np.array(new_fps),
-                            piece.negk[i:i + n] * node_f)
+                    part = (piece.t[i:i + n], node_f, node_fp, piece.negk[i:i + n] * node_f)
                 parts.append(part)
                 if f <= 0.0:
                     if n > 1:
-                        last = (part[0][-2].item(), new_fs[-2], new_fps[-2], part[3][-2].item())
+                        last = tuple(x.item(-2) for x in part)
                     t0, f0, fp0, d0 = last
                     tz, fz, fpz = _locate_zero(t0, part[0][-1].item() - t0, f0, fp0, d0,
                                                f, fp, part[3][-1].item())

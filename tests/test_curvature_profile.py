@@ -14,6 +14,7 @@ from radialgeo import curvature_profile
 from radialgeo.curvature_profile import Segment, _sign_pieces, tail_moment_finite
 from radialgeo.errors import ProfileError
 from radialgeo.gallery import entry_by_name
+from sturm_oracle import critical_points, max_on
 
 
 def linear_1mt_profile():
@@ -219,7 +220,7 @@ class TestValidation:
             for t in (0.0, 0.5, 1.0):
                 assert seg.evaluate(t) == 1.0
             assert seg.sign_pieces == ((0.0, 1.0, True),)
-            assert seg.max_on(0.0, 1.0) == 1.0
+            assert max_on(seg, 0.0, 1.0) == 1.0
 
     # a polynomial whose values leave float range on its segment is refused,
     # the numerator's as well as the denominator's
@@ -293,7 +294,7 @@ class TestRootPolish:
         # K' = 100 - 100 t - 1e-15 t^2 has roots near 1 and -1e17; the
         # maximum 50 sits at t = 1
         seg = Segment(0.0, 2.0, (0.0, 100.0, -50.0, -1e-15 / 3))
-        assert seg.max_on(0.0, 2.0) == pytest.approx(50.0, rel=1e-15)
+        assert max_on(seg, 0.0, 2.0) == pytest.approx(50.0, rel=1e-15)
 
     # K' of each spreads its coefficients over hundreds of decades, down
     # to subnormal ones
@@ -312,7 +313,7 @@ class TestRootPolish:
     ])
     def test_spread_maximum_found(self, num, den, t_end, expected):
         seg = Segment(0.0, t_end, num, den)
-        assert seg.max_on(0.0, t_end) == pytest.approx(expected, rel=1e-12)
+        assert max_on(seg, 0.0, t_end) == pytest.approx(expected, rel=1e-12)
 
 
 def _exact_poly(coeffs):
@@ -543,7 +544,8 @@ class TestRootIntervals:
         seg = entry_by_name(name).profile.segments[0]
         curvature_profile._root_intervals.cache_clear()
         calls = self.count_conversions(monkeypatch)
-        points = seg._critical_points
+        critical_points.cache_clear()
+        points = critical_points(seg)
         assert points[0] == 0.0 and len(points) == 2
         assert 0 < len(calls) <= 30
 
@@ -587,8 +589,8 @@ def spread_segments_and_times(draw):
 
 
 class TestMaxOn:
-    """``max_on`` caps the solver's step where K > 0, so it must reach the
-    true maximum: it is checked against a dense grid, up to rounding."""
+    """The tests' Sturm oracle ``max_on`` must reach the true maximum: it
+    is checked against a dense grid, up to rounding."""
 
     @given(case=st.one_of(segments_and_times(), spread_segments_and_times()))
     @settings(max_examples=500, deadline=None)
@@ -601,14 +603,14 @@ class TestMaxOn:
             # a bound on |num(t)/den(t)|, for the rounding: den >= 0.5 on
             # t >= 0 (see segments_and_times)
             scale = 2.0 * _horner([abs(c) for c in seg.num], b)
-            assert seg.max_on(a, b) >= float(grid.max()) - 1e-12 * scale
+            assert max_on(seg, a, b) >= float(grid.max()) - 1e-12 * scale
 
     def test_critical_points_far_below_a_long_segment_end(self):
         # K = -t^3/3 + 2 t^2 - 3 t has K' = -(t - 1)(t - 3): on [1/2, 1e20)
         # its maximum 0 sits at t = 3, where no end of the interval is
         seg = Segment(0.0, 1e20, (0.0, -3.0, 2.0, -1.0 / 3.0))
-        assert seg._critical_points == pytest.approx((1.0, 3.0), rel=1e-15)
-        assert seg.max_on(0.5, 1e20) == pytest.approx(0.0, abs=1e-14)
+        assert critical_points(seg) == pytest.approx((1.0, 3.0), rel=1e-15)
+        assert max_on(seg, 0.5, 1e20) == pytest.approx(0.0, abs=1e-14)
 
 
 class TestSignPiecesCache:
