@@ -62,8 +62,8 @@ class LimitEstimate:
     build no bound from value and err by hand; reports serialize value
     and err.
 
-    A divergent estimate keeps its last value (a probe, or the slope at the
-    window end) and has err = inf.  A limit that did not settle, or whose
+    A divergent estimate keeps its last value (the slope at the window
+    end, or the growth coefficient it maps to) and has err = inf.  A limit that did not settle, or whose
     value, err or an end is not finite, has err = inf and the enclosure
     [-inf, inf], but is not marked divergent.
     """

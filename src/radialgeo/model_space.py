@@ -11,27 +11,26 @@ a quintic on each solver step, so the integrand is a polynomial of degree
 rounding.  Ball volumes are computed as logarithms, which stay in float
 range in every dimension: each step is integrated as
 F**(n-1) * integral (f/F)**(n-1), with F the step's largest node value,
-and the steps are summed with ``numpy.logaddexp``.  The whole steps
-are summed once per model space, into a table of prefix sums that every
-set of radii shares; a radius adds the part of its own step.  The first
-set of radii on a model space builds the table in the same pass as its
-own partial steps, so every call makes one pass.  Each integral
+and the steps are summed with ``numpy.logaddexp``: the whole steps
+are summed into prefix sums, and a radius adds the part of its own step,
+all in one pass per set of radii.  Each integral
 evaluates the dense output at a block of Gauss nodes across all steps at
 once; blocks are bounded in size, so memory does not grow with
 the dimension, which sets the number of nodes.  Whatever leaves log
-space (a volume, a probe vol B_t / t^n, a volume ratio) goes through
-:func:`saturating_exp`.
+space (a volume, a volume ratio) goes through :func:`saturating_exp`.
 
-The asymptotic growth coefficient lim vol B_t / t^n is computed two
-independent ways: the closed form (omega_{n-1}/n) (1 - c/(2 pi))**(n-1)
-from the total curvature c of the underlying surface, which is the route
-that certifies: the map is nonincreasing in c, so the ends of c's
-enclosure (whose tail part comes from the closed-form bracket of the
-tail, see ``asymptotics``) map to the ends of its enclosure; and direct
-Richardson extrapolation of ball-volume probes, an independent check
-whose disagreement is reported.  The closed form goes through :func:`power`.  Both saturate to
-inf past float range (high dimension, fast growth), and a limit built
-from such a value did not settle (err = inf, see ``LimitEstimate``).
+The asymptotic growth coefficient lim vol B_t / t^n is, by l'Hopital's
+rule on vol B_t = omega_{n-1} * integral_0^t f**(n-1), the number
+(omega_{n-1}/n) s**(n-1) with s = lim f'.  It is mapped two ways through
+that one function, which is nondecreasing in s >= 0 (s <= 0 goes to 0),
+so the ends of an enclosure map to the ends of its image: ``direct``
+maps the enclosure of s from ``slope_limit``, and the closed form maps
+s = 1 - c/(2 pi), from the total curvature c of the underlying surface
+(whose tail part comes from the closed-form bracket of the tail, see
+``asymptotics``); the closed form is the route that certifies.  The map
+goes through :func:`power`, which saturates to inf past float range
+(high dimension, fast growth), and a limit built from such a value did
+not settle (err = inf, see ``LimitEstimate``).
 """
 
 from __future__ import annotations
@@ -42,8 +41,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from ._extrapolation import richardson_limit
-from .asymptotics import CurvatureClass, LimitEstimate, TotalCurvatureResult
+from .asymptotics import LimitEstimate, TotalCurvatureResult, slope_limit
 from .jacobi import WarpingSolution, _hermite
 
 __all__ = ["ModelSpace", "GrowthCoefficient", "check_dimension", "power",
@@ -108,26 +106,6 @@ class ModelSpace:
     @cached_property
     def omega(self) -> float:
         return unit_sphere_volume(self.n)
-
-    def _log_volumes(self, j, u) -> np.ndarray:
-        """log of the integral of f**(n-1) over [0, t] at the times t in
-        step j at fraction u (as ``WarpingSolution._locate`` gives them):
-        a prefix-table entry plus the part of t's own step, in one
-        ``_log_integrals`` pass.
-
-        The table holds the integral over [0, t_i] at every solver node t_i
-        (-inf at t = 0).  The first call builds it from the whole steps,
-        in the same pass as its own partial steps, and keeps it for every
-        later call on this model space.
-        """
-        prefix = getattr(self, "_log_prefix", None)
-        if prefix is not None:
-            return np.logaddexp(prefix[j], _log_integrals(self.f, self.n, [(j, u)]))
-        steps = len(self.f.ts) - 1
-        logs = _log_integrals(self.f, self.n, [(slice(None), 1.0), (j, u)])
-        prefix = np.logaddexp.accumulate(np.concatenate(([-np.inf], logs[:steps])))
-        object.__setattr__(self, "_log_prefix", prefix)
-        return np.logaddexp(prefix[j], logs[steps:])
 
 
 @lru_cache(maxsize=16)
@@ -194,12 +172,19 @@ def log_ball_volumes(ms: ModelSpace, ts) -> list[float]:
 
     The radii are read into one float array, whose order is checked with
     one array comparison; a list, a tuple or an array gives the same
-    values.
+    values.  A radius in step j at fraction u (as
+    ``WarpingSolution._locate`` gives them) takes the prefix sum over the
+    whole steps before j plus the part of step j, from one
+    ``_log_integrals`` pass over both.
     """
     radii = np.asarray(ts, dtype=float)
     if (radii[1:] < radii[:-1]).any():
         raise ValueError("radii must be nondecreasing")
-    return (_log_omega(ms.n) + ms._log_volumes(*ms.f._locate(radii))).tolist()
+    j, u = ms.f._locate(radii)
+    steps = len(ms.f.ts) - 1
+    logs = _log_integrals(ms.f, ms.n, [(slice(None), 1.0), (j, u)])
+    prefix = np.logaddexp.accumulate(np.concatenate(([-np.inf], logs[:steps])))
+    return (_log_omega(ms.n) + np.logaddexp(prefix[j], logs[steps:])).tolist()
 
 
 def ball_volumes(ms: ModelSpace, ts) -> list[float]:
@@ -215,12 +200,12 @@ def ball_volume(ms: ModelSpace, t: float) -> float:
 
 @dataclass(frozen=True)
 class GrowthCoefficient:
-    """lim vol B_t / t^n by two routes.
+    """lim vol B_t / t^n as the image of two enclosures of lim f'.
 
-    ``closed_form`` converts the total curvature; ``direct`` extrapolates
-    ball-volume probes.  ``discrepancy`` is their absolute difference
-    when the direct route was extrapolated and the closed form is finite
-    (not finite when either is past float range), else None.
+    ``direct`` maps the slope limit s of the solve, ``closed_form`` maps
+    1 - c/(2 pi) from the total curvature c.  ``discrepancy`` is their
+    absolute difference when the closed form is not divergent (not
+    finite when either is past float range), else None.
     """
 
     direct: LimitEstimate
@@ -228,16 +213,22 @@ class GrowthCoefficient:
     discrepancy: float | None
 
 
+def _growth(ms: ModelSpace, x: float) -> float:
+    """(omega/n) x**(n-1), the growth coefficient of a slope limit x;
+    x <= 0 goes to 0 (Cohn-Vossen keeps lim f' >= 0 on a genuine model,
+    so this clamps numerical overshoot)."""
+    return ms.omega / ms.n * power(max(x, 0.0), ms.n - 1)
+
+
 def _closed_form(ms: ModelSpace, c: TotalCurvatureResult) -> LimitEstimate:
-    """(omega/n) (1 - c/(2 pi))**(n-1), at c.value and, for the enclosure,
-    at both ends of c's error bar: the map is nonincreasing in c."""
+    """The growth coefficient at s = 1 - c/(2 pi), at c.value and, for the
+    enclosure, at both ends of c's error bar: the map is nonincreasing in
+    c."""
     if not c.is_finite:
         return LimitEstimate(value=math.inf, err=math.inf, divergent=True)
 
     def at(ci: float) -> float:
-        # Cohn-Vossen keeps c <= 2 pi for genuine model surfaces; clamp
-        # numerical overshoot so the base never goes negative
-        return ms.omega / ms.n * power(max(1.0 - ci / _TWO_PI, 0.0), ms.n - 1)
+        return _growth(ms, 1.0 - ci / _TWO_PI)
 
     return LimitEstimate.of_bounds(at(c.value), at(c.hi), at(c.lo))
 
@@ -246,25 +237,16 @@ def growth_coefficient(ms: ModelSpace,
                        c: TotalCurvatureResult) -> GrowthCoefficient:
     """Asymptotic volume growth coefficient of the model space.
 
-    The direct route Richardson-extrapolates vol B_t / t^n at t = T/2^k,
-    k = 6..0.  The spread of that extrapolation is no error bound for
-    these probes, so when the closed form is finite the direct error is
-    max(spread, discrepancy + closed-form error).  The direct route is
-    divergent, keeping the last probe, when the negative part of c
-    diverges; a probe past float range leaves it unsettled.
+    The direct route maps the enclosure of s = ``slope_limit(ms.f)``: it
+    settles when s settles, and it is divergent, keeping the image of
+    f' at the window end, when s is.
     """
-    T = ms.f.t_end
-    radii = [T / 2.0 ** k for k in range(6, -1, -1)]
-    probes = [saturating_exp(v - ms.n * math.log(t))
-              for v, t in zip(log_ball_volumes(ms, radii), radii)]
+    s = slope_limit(ms.f)
+    if s.divergent:
+        direct = LimitEstimate.of_divergent(_growth(ms, s.value))
+    else:
+        direct = LimitEstimate.of_bounds(_growth(ms, s.value),
+                                         _growth(ms, s.lo), _growth(ms, s.hi))
     closed = _closed_form(ms, c)
-    if c.classification is CurvatureClass.NEGATIVE_DIVERGENT:
-        return GrowthCoefficient(LimitEstimate.of_divergent(probes[-1]),
-                                 closed, None)
-    value, err = richardson_limit(probes)
-    if not closed.is_finite:
-        return GrowthCoefficient(LimitEstimate(value, err), closed, None)
-    # nan first: max keeps it, so a closed form past float range unsettles
-    disc = abs(value - closed.value)
-    return GrowthCoefficient(LimitEstimate(value, max(disc + closed.err, err)),
-                             closed, disc)
+    disc = abs(direct.value - closed.value) if closed.is_finite else None
+    return GrowthCoefficient(direct, closed, disc)

@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import radialgeo as rg
-from radialgeo._extrapolation import richardson_limit
 from radialgeo.asymptotics import CurvatureClass, LimitEstimate, _solve_err
 from radialgeo.errors import ConfigurationError
 from radialgeo.gallery import entry_by_name
@@ -19,24 +18,6 @@ SINH_SQRT6_OVER = math.sinh(math.sqrt(6.0)) / math.sqrt(6.0)
 # DOP853 references at rtol 1e-13, solved to t = 1e6
 BETA_LN2_MP_INF = 1.1214340585525671
 BETA_NEG_LN2_MP_INF = 2.1273491144304177
-
-
-class TestRichardsonHelper:
-    def test_constant_sequence_is_exact(self):
-        value, err = richardson_limit([3.0, 3.0, 3.0, 3.0])
-        assert value == 3.0
-        assert err == 0.0
-
-    def test_accelerates_inverse_square_error(self):
-        ts = [16.0 * 2.0 ** k for k in range(7)]
-        probes = [1.0 + 1.0 / t ** 2 for t in ts]
-        value, err = richardson_limit(probes)
-        assert abs(value - 1.0) < 1e-12
-        assert abs(probes[-1] - 1.0) > 1e-9  # acceleration actually helped
-
-    def test_needs_values(self):
-        with pytest.raises(ValueError):
-            richardson_limit([])
 
 
 class TestLimitEstimate:

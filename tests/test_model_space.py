@@ -1,3 +1,4 @@
+import json
 import math
 import sys
 from fractions import Fraction
@@ -20,9 +21,10 @@ from radialgeo.model_space import (
     _log_omega,
     log_ball_volumes,
 )
-from radialgeo.pipeline import VolumeSamples, evaluate_theorem
+from radialgeo.pipeline import VolumeSamples, evaluate_theorem, report_to_json
 
 PI = math.pi
+DEEP_WELL = rg.CurvatureProfile((Segment(0.0, 100.0, (-1.0,)),), rg.ZeroTail())
 
 
 class TestUnitSphereVolume:
@@ -234,6 +236,8 @@ def log_ball_volumes_by_node(ms, radii):
 
 
 NONCOMPACT = [e.name for e in list_gallery() if "first_zero" not in e.oracle]
+FINITE = ["flat", "abresch_tail", "sign_changing_beta_ln2",
+          "sign_changing_beta_neg_ln2"]
 
 
 @lru_cache(maxsize=None)
@@ -275,7 +279,7 @@ class TestLogBallVolumesBitIdentity:
         assert (hexes(log_ball_volumes(ms, radii))
                 == hexes(log_ball_volumes_by_node(ms, radii)))
 
-    def test_prefix_table_built_once_per_model_space(self, monkeypatch):
+    def test_one_pass_per_call(self, monkeypatch):
         # one _log_integrals call per log_ball_volumes call, recorded as
         # which of its parts are whole steps
         calls = []
@@ -289,25 +293,34 @@ class TestLogBallVolumesBitIdentity:
         sol = gallery_solution("abresch_tail")
         ms = rg.ModelSpace(n=3, f=sol)
         first = log_ball_volumes(ms, [1.0, 2.0])
-        table = ms._log_prefix
         assert log_ball_volumes(ms, [1.0, 2.0]) == first
-        rg.growth_coefficient(ms, rg.total_curvature(sol))
-        # the first call sums the whole steps in the pass of its own radii
-        assert calls == [(True, False), (False,), (False,)]
-        assert ms._log_prefix is table
-        # a fresh model space builds its own table, with the same bits,
-        # whatever radii come first
+        # each call sums the whole steps in the pass of its own radii
+        assert calls == [(True, False), (True, False)]
+        # the same bits whatever radii come with them, on any model space
         other = rg.ModelSpace(n=3, f=sol)
-        radii = [0.0, 0.5, 3.0, sol.t_end]
-        assert hexes(log_ball_volumes(other, radii)) == hexes(log_ball_volumes(ms, radii))
-        assert other._log_prefix.tobytes() == table.tobytes()
-        assert calls[3:] == [(True, False), (False,)]
-        # growth_coefficient and bg_ratio_check share one table
+        radii = [0.0, 0.5, 1.0, 2.0, 3.0, sol.t_end]
+        both = log_ball_volumes(other, radii)
+        assert hexes(both) == hexes(log_ball_volumes(ms, radii))
+        assert hexes(both[2:4]) == hexes(first)
+        # a report without samples reads no volume, one with samples one pass
         calls.clear()
+        evaluate_theorem(rg.zero_profile(), 2)
+        assert calls == []
         ts = (1.0, 2.0, 3.0)
         evaluate_theorem(rg.zero_profile(), 2, samples=VolumeSamples(
             t=ts, vol=tuple(math.pi * t * t for t in ts), n=2))
-        assert calls == [(True, False), (False,)]
+        assert calls == [(True, False)]
+
+
+def richardson(values):
+    """Richardson extrapolation of probes at radii doubling from one to the
+    next, for error terms in successive integer powers of 1/t: the last
+    diagonal entry of the table."""
+    row = list(values)
+    for m in range(1, len(values)):
+        factor = 2.0 ** m
+        row = [(factor * b - a) / (factor - 1.0) for a, b in zip(row, row[1:])]
+    return row[-1]
 
 
 class TestGrowthCoefficient:
@@ -361,22 +374,57 @@ class TestGrowthCoefficient:
         tc = rg.total_curvature(sol)
         g = rg.growth_coefficient(rg.ModelSpace(n=2, f=sol), tc)
         assert g.closed_form.divergent
-        assert g.direct.divergent  # exponential growth probes keep rising
+        assert g.direct.divergent  # lim f' diverges with c's negative part
         assert g.discrepancy is None
 
-    @pytest.mark.parametrize("n", [2, 3])
-    @pytest.mark.parametrize("name", ["flat", "abresch_tail",
-                                      "sign_changing_beta_ln2",
-                                      "sign_changing_beta_neg_ln2"])
+    @pytest.mark.parametrize("n", [2, 3, 5, 8])
+    @pytest.mark.parametrize("name", FINITE)
     def test_direct_error_covers_oracle(self, name, n):
         # the exact coefficient is omega/n (lim f')^(n-1), with the slope
         # limit from the gallery's closed form
         entry = entry_by_name(name)
-        sol = rg.solve(entry.profile, 4096.0, 1e-8)
+        sol = gallery_solution(name)
         g = rg.growth_coefficient(rg.ModelSpace(n=n, f=sol),
                                   rg.total_curvature(sol))
         exact = (rg.unit_sphere_volume(n) / n
                  * entry.oracle["slope_limit"] ** (n - 1))
+        assert abs(g.direct.value - exact) <= g.direct.err
+        assert abs(g.closed_form.value - exact) <= g.closed_form.err
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("name", FINITE)
+    def test_direct_agrees_with_volume_probes(self, name, n):
+        # an oracle for log_ball_volumes that the direct route no longer
+        # reads: vol B_t / t^n at t = T/2^k, k = 6..0, extrapolated
+        sol = gallery_solution(name)
+        ms = rg.ModelSpace(n=n, f=sol)
+        radii = [sol.t_end / 2.0 ** k for k in range(6, -1, -1)]
+        probes = [math.exp(v - n * math.log(t))
+                  for v, t in zip(log_ball_volumes(ms, radii), radii)]
+        g = rg.growth_coefficient(ms, rg.total_curvature(sol))
+        assert richardson(probes) == pytest.approx(g.direct.value, rel=1e-5)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("a", [0.1, 0.2])
+    def test_p2_tail_did_not_settle(self, a, n):
+        # at p = 2 the slope bracket cannot settle, so neither can the
+        # direct route; the closed form is divergent (the moment diverges)
+        rep = evaluate_theorem(rg.power_tail_profile(a, 2.0), n)
+        g = rep.growth.direct
+        assert not g.divergent and g.err == math.inf
+        assert json.loads(report_to_json(rep))["growth"]["direct"]["err"] is None
+
+    def test_slow_tail_growth_nonnegative(self):
+        rep = evaluate_theorem(rg.power_tail_profile(0.5, 2.1), 3)
+        assert rep.growth.direct.value >= 0.0
+
+    @pytest.mark.parametrize("n", [2, 3, 8])
+    def test_deep_well(self, n):
+        # K = -1 on [0, 100), then zero: f = sinh t, so lim f' = cosh 100
+        sol = rg.solve(DEEP_WELL, 4096.0, 1e-8)
+        g = rg.growth_coefficient(rg.ModelSpace(n=n, f=sol),
+                                  rg.total_curvature(sol))
+        exact = rg.unit_sphere_volume(n) / n * math.cosh(100.0) ** (n - 1)
         assert abs(g.direct.value - exact) <= g.direct.err
         assert abs(g.closed_form.value - exact) <= g.closed_form.err
 

@@ -707,17 +707,18 @@ class TestHighDimension:
         assert data["growth"]["closed_form"]["value"] == pytest.approx(
             exact, rel=1e-12)
 
-    def test_probe_radius_power_underflows(self):
-        # the first probe radius is 1/64, and (1/64)**200 underflows to 0,
-        # which vol B_t / t^n in logs never forms
+    def test_flat_n200_on_unit_window(self):
+        # the coefficient is (omega/n) s^(n-1) with s = f'(1) = 1, and its
+        # bar the image of s's: at most n s.err / s times the value
         rep = evaluate_theorem(rg.zero_profile(), 200, AnalysisOptions(t_end=1.0))
         data = json.loads(report_to_json(rep))
         exact = math.exp(log_omega(200) - math.log(200.0))
         direct = data["growth"]["direct"]
         assert direct["value"] == pytest.approx(exact, rel=1e-10)
         # err bounds the estimate; the report rounds both to 12 digits
-        estimate = rep.growth.direct
-        assert abs(estimate.value - exact) <= estimate.err <= 1e-10 * exact
+        estimate, s = rep.growth.direct, rep.slope_limit
+        assert (abs(estimate.value - exact) <= estimate.err
+                <= 200 * s.err / s.value * estimate.value)
         assert direct["err"] == float(f"{estimate.err:.12g}")
         assert data["growth"]["closed_form"]["value"] == pytest.approx(
             exact, rel=1e-12)
