@@ -67,8 +67,10 @@ where f <= 0, whose zero is located by bisection on the dense output to
 1e-12 in t, and at the first node past the growth guard.
 
 Since nothing of the grid or the matrices depends on the state, they
-form a plan per profile, t_end and tol (``_Plan``), held in a one-entry
-memo that ``solve`` and ``solve_m`` share.  The plan finds the grids of
+form a plan per profile, t_end and tol (``_Plan``), held in a memo of
+recent plans that ``solve`` and ``solve_m`` share (``_Memo``): the newest
+always, and older ones, most recently used first, while their built
+nodes sum to at most _MEMO_NODES.  The plan finds the grids of
 the profile's sign pieces together, in batched array passes, and builds
 their matrices as the walks reach them: every nonpositive piece of a
 kind in one pass, which f and m both walk, and a positive polynomial
@@ -87,6 +89,7 @@ from __future__ import annotations
 import bisect
 import functools
 import math
+from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -1072,21 +1075,76 @@ class _Plan:
             start += size
 
 
-# the plan of the last profile solved (``_plan``)
-_memo: _Plan | None = None
+# the built nodes that the plans of ``_Memo`` other than the newest hold
+# at most, about 0.2 MB at 48 bytes a node (t, -K and a transfer matrix).
+# The gallery's four Taylor plans count 1307; kept plans slow a sweep of
+# profiles each solved once, the more the larger the budget (CHANGES.md)
+_MEMO_NODES = 1 << 12
+
+
+class _Memo:
+    """The plans of recent solves (``_plan``): the newest, and older ones
+    in ``older``, least recently used first, with the built nodes each
+    held when it stopped being the newest, at least _CHUNK_NODES, so
+    that plans with no built nodes cannot pile up.  The older plans hold
+    at most _MEMO_NODES nodes in all (``nodes``); past that the least
+    recently used go.
+
+    Only the newest plan grows or takes a negative part, so an older
+    plan's count stays exact.  ``keys`` finds each older plan by the
+    identity of its profile and of its negative part, with t_end and tol;
+    the plan holds both objects, so no id is reused while its key lives.
+    """
+
+    def __init__(self):
+        self.newest: _Plan | None = None
+        self.older: OrderedDict[_Plan, int] = OrderedDict()
+        self.keys: dict[tuple, _Plan] = {}
+        self.nodes = 0
+
+    def plan(self, profile: CurvatureProfile, t_end: float, tol: float) -> _Plan:
+        newest = self.newest
+        if (newest is not None and newest.t_end == t_end and newest.tol == tol
+                and (newest.profile is profile or newest.negative is profile)):
+            return newest
+        plan = self.keys.get((id(profile), t_end, tol))
+        if plan is None:
+            plan = _Plan(profile, t_end, tol)
+        else:
+            self._drop(plan)
+        if newest is not None:
+            size = max(sum(len(p.t) for p in newest.pieces), _CHUNK_NODES)
+            self.older[newest] = size
+            self.nodes += size
+            for key in self._keys_of(newest):
+                self.keys[key] = newest
+            while self.nodes > _MEMO_NODES:
+                self._drop(next(iter(self.older)))
+        self.newest = plan
+        return plan
+
+    def _drop(self, plan: _Plan) -> None:
+        """Take an older plan out of the memo."""
+        self.nodes -= self.older.pop(plan)
+        for key in self._keys_of(plan):
+            self.keys.pop(key, None)
+
+    @staticmethod
+    def _keys_of(plan: _Plan) -> set:
+        return {(id(who), plan.t_end, plan.tol) for who in (plan.profile, plan.negative)
+                if who is not None}
+
+
+_memo = _Memo()
 
 
 def _plan(profile: CurvatureProfile, t_end: float, tol: float) -> _Plan:
-    """The plan of ``profile`` on [0, t_end) at tol, from a one-entry memo
-    keyed on the profile object's identity, t_end and tol; a new plan
-    replaces the memo's.  The plan of a profile also serves its negative
-    part, once ``solve_m`` has named it (``_Plan.negative``)."""
-    global _memo
-    plan = _memo
-    if (plan is None or plan.t_end != t_end or plan.tol != tol
-            or (plan.profile is not profile and plan.negative is not profile)):
-        plan = _memo = _Plan(profile, t_end, tol)
-    return plan
+    """The plan of ``profile`` on [0, t_end) at tol, from the memo of
+    recent plans (``_Memo``), keyed on the profile object's identity,
+    t_end and tol; a plan not held there is built, and either becomes the
+    newest.  The plan of a profile also serves its negative part, once
+    ``solve_m`` has named it (``_Plan.negative``)."""
+    return _memo.plan(profile, t_end, tol)
 
 
 def _taylor_piece(source, t: float, f: float, fp: float, bound: float,
@@ -1197,12 +1255,13 @@ def solve(profile: CurvatureProfile, t_end: float, tol: float) -> WarpingSolutio
     piece checks the step budget before it walks the nodes of a span.
 
     The Taylor pieces are walked over the plan of ``profile`` on
-    [0, t_end) at tol (``_Plan``), from a one-entry memo: the first
-    Taylor piece fetches it, and a solve of another profile object,
-    t_end or tol replaces it.  The plan finds grids and builds transfer
-    matrices only as far as the walks over it go, and a span whose grid
-    underflows or would pass the step budget raises only when a walk
-    reaches it, as the walk over a fresh grid would.
+    [0, t_end) at tol (``_Plan``), from the memo of recent plans: the
+    first Taylor piece fetches it, and a solve of the same profile
+    object, t_end and tol while the memo holds it walks it again.  The
+    plan finds grids and builds transfer matrices only as far as the
+    walks over it go, and a span whose grid underflows or would pass the
+    step budget raises only when a walk reaches it, as the walk over a
+    fresh grid would.
     """
     if not (0.0 < t_end < math.inf):
         raise ValueError(f"t_end must be positive and finite, got {t_end}")
@@ -1284,13 +1343,15 @@ def solve_m(profile: CurvatureProfile, t_end: float, tol: float) -> WarpingSolut
     ``solve`` walks ``negative_part(profile)``, which the solution
     carries, over the plan of ``profile`` itself: its nonpositive
     non-constant sign pieces, and a negative power tail, are the negative
-    part's, with the same nodes and matrices.  After
-    ``solve(profile, t_end, tol)`` the memo holds that plan, so m builds no
-    matrix that f built; either way the nodes are the same bits.  Errors
-    are raised where m's walk meets them.
+    part's, with the same nodes and matrices.  A negative part with no
+    such piece needs no plan, and names none.  While the memo holds the
+    plan of ``solve(profile, t_end, tol)``, m builds no matrix that f
+    built; either way the nodes are the same bits.  Errors are raised
+    where m's walk meets them.
     """
     negative = negative_part(profile)
-    _plan(profile, t_end, tol).negative = negative
+    if not (negative.tail._constant and all(seg._constant for seg in negative.segments)):
+        _plan(profile, t_end, tol).negative = negative
     sol = solve(negative, t_end, tol)
     if sol.first_zero is not None:
         raise IntegrationError(

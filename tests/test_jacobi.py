@@ -1,6 +1,8 @@
 import functools
+import gc
 import importlib.util
 import math
+import weakref
 from decimal import Decimal, localcontext
 from pathlib import Path
 
@@ -1258,11 +1260,9 @@ class TestPolynomialPieces:
         # test_step_size_underflow.  The plan finds that grid with the
         # line's, and f returns its zero, with the nodes of a window that
         # ends before that piece; m, whose K is 0 up to it, raises there
-        profile = rg.CurvatureProfile((Segment(0.0, 10.0, (1.0, 0.1)),
-                                       Segment(10.0, 1e6, (0.0,)),
-                                       Segment(1e6, 1e6 + 1.0, (-1e16, -1.0))), rg.ZeroTail())
+        profile = _underflow_profile()
         f = rg.solve(profile, 2e6, 1e-8)
-        assert jacobi._memo.pieces[-1].underflow == 1e6
+        assert jacobi._plan(profile, 2e6, 1e-8).pieces[-1].underflow == 1e6
         assert f.first_zero is not None
         assert _outcome(f) == _outcome(rg.solve(profile, 20.0, 1e-8))
         with pytest.raises(IntegrationError, match="step size underflow") as exc:
@@ -1300,6 +1300,14 @@ class TestPolynomialPieces:
         assert (fv <= mv + 1e-9 * np.maximum(1.0, np.abs(mv))).all()
 
 
+def _underflow_profile():
+    """A positive line, then K = 0 up to t = 1e6, then K about -1e16 on
+    [1e6, 1e6 + 1), whose grid underflows."""
+    return rg.CurvatureProfile((Segment(0.0, 10.0, (1.0, 0.1)),
+                                Segment(10.0, 1e6, (0.0,)),
+                                Segment(1e6, 1e6 + 1.0, (-1e16, -1.0))), rg.ZeroTail())
+
+
 def _report_digest():
     """tools/report_digest.py as a module: its polynomial profiles, and the
     bench inputs (``inputs``) that it imports."""
@@ -1328,17 +1336,26 @@ def plan_profiles():
 
 
 def spy_taylor_steps(monkeypatch):
-    """Route ``jacobi._Polynomial.kappa``, with which each ``_taylor_steps``
-    pass on polynomial pieces starts, through a spy; returns the list that
-    collects the left nodes of each pass."""
+    """Route the ``kappa`` of every kind (``_Polynomial``, ``_Rational``
+    and ``_Tail``), with which each ``_taylor_steps`` pass starts, through
+    a spy; returns the list that collects the left nodes of each pass."""
     passes = []
-    kappa = jacobi._Polynomial.kappa
 
-    def spy(params, left, h, terms):
-        passes.append(left.tolist())
-        return kappa(params, left, h, terms)
-    monkeypatch.setattr(jacobi._Polynomial, "kappa", staticmethod(spy))
+    def spy(kappa):
+        def run(*args):  # (self,) params, left, h, terms
+            passes.append(args[-3].tolist())
+            return kappa(*args)
+        return run
+    monkeypatch.setattr(jacobi._Polynomial, "kappa", staticmethod(spy(jacobi._Polynomial.kappa)))
+    for kind in (jacobi._Rational, jacobi._Tail):
+        monkeypatch.setattr(kind, "kappa", spy(kind.kappa))
     return passes
+
+
+def empty_memo(monkeypatch):
+    """Give ``jacobi`` an empty memo of plans, so that the next solve of
+    any profile builds its plan cold."""
+    monkeypatch.setattr(jacobi, "_memo", jacobi._Memo())
 
 
 def _walk_matrices(num, left, h, order):
@@ -1473,10 +1490,10 @@ class TestPolynomialPlan:
     @pytest.mark.parametrize("tol", [1e-3, 1e-8, 1e-14])
     def test_sharing_changes_no_bits(self, tol, monkeypatch):
         for profile, t_end in plan_profiles():
-            monkeypatch.setattr(jacobi, "_memo", None)
+            empty_memo(monkeypatch)
             m_cold = _outcome(_run(rg.solve_m, profile, t_end, tol))
             f_after_m = _outcome(_run(rg.solve, profile, t_end, tol))
-            monkeypatch.setattr(jacobi, "_memo", None)
+            empty_memo(monkeypatch)
             assert _outcome(_run(rg.solve, profile, t_end, tol)) == f_after_m
             assert _outcome(_run(rg.solve_m, profile, t_end, tol)) == m_cold
 
@@ -1485,10 +1502,10 @@ class TestPolynomialPlan:
         # gets its own plan: its solves equal cold ones
         for profile, t_end in plan_profiles()[:6]:
             for window, tol in ((t_end, 1e-6), (0.6 * t_end, 1e-6), (0.6 * t_end, 1e-9)):
-                monkeypatch.setattr(jacobi, "_memo", None)
+                empty_memo(monkeypatch)
                 cold = [_outcome(_run(solver, profile, window, tol))
                         for solver in (rg.solve, rg.solve_m)]
-                monkeypatch.setattr(jacobi, "_memo", None)
+                empty_memo(monkeypatch)
                 rg.solve(profile, t_end, 1e-8)
                 rg.solve_m(profile, t_end, 1e-8)
                 assert [_outcome(_run(solver, profile, window, tol))
@@ -1499,7 +1516,7 @@ class TestPolynomialPlan:
         passes = spy_taylor_steps(monkeypatch)
         zeros = 0
         for profile, t_end in plan_profiles():
-            monkeypatch.setattr(jacobi, "_memo", None)
+            empty_memo(monkeypatch)
             passes.clear()
             f = rg.solve(profile, t_end, tol)
             by_f = list(passes)
@@ -1523,10 +1540,111 @@ class TestPolynomialPlan:
                         built = sum(lo <= t < hi for left in by_f for t in left)
                         walked = int(((f.ts >= lo) & (f.ts <= f.first_zero)).sum())
                         assert built <= 2 * walked + jacobi._CHUNK_NODES
-            for piece in jacobi._memo.pieces:
+            for piece in jacobi._plan(profile, t_end, tol).pieces:
                 for array in (piece.t, piece.negk, *piece.chunks):
                     assert not array.flags.writeable
         assert zeros > 10
+
+
+class TestPlanMemo:
+    """The memo keeps the plans of recent profiles: a profile solved again
+    after others walks the plan its first solves built, with the bits of a
+    cold solve, and the plans other than the newest hold at most
+    _MEMO_NODES built nodes."""
+
+    TAYLOR_ENTRIES = ("abresch_tail", "sign_changing_beta_ln2", "sign_changing_beta_neg_ln2",
+                      "moment_boundary")
+
+    def test_a_plan_outlives_the_solves_of_another_profile(self, monkeypatch):
+        passes = spy_taylor_steps(monkeypatch)
+        cases = [(entry_by_name(name).profile, DEFAULT_T_END) for name in self.TAYLOR_ENTRIES]
+        cases += plan_profiles()
+        solvers = (rg.solve, rg.solve_m)
+        for (a, a_end), (b, b_end) in zip(cases, cases[1:]):
+            empty_memo(monkeypatch)
+            passes.clear()
+            cold = [_outcome(_run(solver, a, a_end, 1e-8)) for solver in solvers]
+            assert passes
+            for solver in solvers:
+                _run(solver, b, b_end, 1e-8)
+            passes.clear()
+            assert [_outcome(_run(solver, a, a_end, 1e-8)) for solver in solvers] == cold
+            assert not passes
+
+    def test_gallery_reports_keep_their_bytes_in_any_order(self, monkeypatch):
+        entries = rg.list_gallery()
+
+        def report(entry, n):
+            try:
+                return rg.report_to_json(rg.evaluate_theorem(entry.profile, n))
+            except rg.ModelCompactnessError as exc:
+                return f"refused: {exc}"
+        pairs = [(entry, n) for entry in entries for n in (2, 3)]
+        entry_major = {(entry.name, n): report(entry, n) for entry, n in pairs}
+        n_major = {(entry.name, n): report(entry, n) for n in (2, 3) for entry in entries}
+        cold = {}
+        for entry, n in pairs:
+            empty_memo(monkeypatch)
+            cold[entry.name, n] = report(entry, n)
+        assert entry_major == n_major == cold
+
+    def test_older_plans_hold_at_most_the_budget(self, monkeypatch):
+        empty_memo(monkeypatch)
+        memo = jacobi._memo
+        digest = _report_digest()
+        sweep = digest.inputs.sweep_profiles(np.random.default_rng(digest.SWEEP_SEED),
+                                             digest.SWEEP_COUNT, digest.SWEEP_BLOCK)
+        profiles = [rg.CurvatureProfile(tuple(Segment(lo, hi, (c0, c1))
+                                              for lo, hi, c0, c1 in segments), rg.ZeroTail())
+                    for segments in sweep[:digest.SOLVE_COUNT]]
+        early = weakref.ref(profiles[0])
+        for profile in profiles:
+            for solver in (rg.solve, rg.solve_m):
+                solver(profile, digest.SOLVE_T_END, digest.SOLVE_TOL)
+                sizes = [sum(len(piece.t) for piece in plan.pieces) for plan in memo.older]
+                counted = sum(max(size, jacobi._CHUNK_NODES) for size in sizes)
+                assert sum(sizes) <= counted == memo.nodes <= jacobi._MEMO_NODES
+        # the memo let the early plans go, and with them their profiles
+        assert len(memo.older) < len(profiles) - 1
+        del profile, profiles
+        gc.collect()
+        assert early() is None
+        # a plan with no built nodes counts as _CHUNK_NODES of them
+        lines = [rg.CurvatureProfile((Segment(0.0, 1.0, (1.0, -1.0)),)) for _ in range(100)]
+        for line in lines:
+            assert not jacobi._plan(line, 1.0, 1e-8).pieces[0].built
+        assert len(memo.older) == jacobi._MEMO_NODES // jacobi._CHUNK_NODES
+
+    def test_plan_errors_raise_again_after_other_solves(self):
+        profile = _underflow_profile()
+        f = rg.solve(profile, 2e6, 1e-8)
+        plan = jacobi._plan(profile, 2e6, 1e-8)
+        with pytest.raises(IntegrationError, match="step size underflow") as first:
+            rg.solve_m(profile, 2e6, 1e-8)
+        for other, t_end in plan_profiles()[:5]:
+            rg.solve(other, t_end, 1e-8)
+            rg.solve_m(other, t_end, 1e-8)
+        assert _outcome(rg.solve(profile, 2e6, 1e-8)) == _outcome(f)
+        assert jacobi._plan(profile, 2e6, 1e-8) is plan
+        with pytest.raises(IntegrationError, match="step size underflow") as again:
+            rg.solve_m(profile, 2e6, 1e-8)
+        assert str(again.value) == str(first.value)
+        assert again.value.t_reached == first.value.t_reached == 1e6
+
+    def test_solve_m_of_constant_pieces_names_no_plan(self, monkeypatch):
+        # a negative part with no Taylor piece walks no plan, so it takes
+        # no slot of the memo and leaves the newest plan where it was
+        passes = spy_taylor_steps(monkeypatch)
+        empty_memo(monkeypatch)
+        profile = entry_by_name("abresch_tail").profile
+        rg.solve(profile, DEFAULT_T_END, DEFAULT_TOL)
+        rg.solve_m(rg.constant_profile(-1.0), DEFAULT_T_END, DEFAULT_TOL)
+        rg.solve_m(rg.CurvatureProfile((Segment(0.0, 1.0, (0.5,)), Segment(1.0, 2.0, (-0.5,))),
+                                       rg.ConstantTail(-0.25)), DEFAULT_T_END, DEFAULT_TOL)
+        passes.clear()
+        rg.solve(profile, DEFAULT_T_END, DEFAULT_TOL)
+        assert not passes
+        assert jacobi._memo.newest.profile is profile and not jacobi._memo.older
 
 
 class TestConvergence:

@@ -115,7 +115,7 @@ class TestIngest:
         samples = ingest_samples(str(path), 2)
         assert (samples.t, samples.vol) == ((1.5,), (2.5,))
 
-    # the second file has a quoted field, so the row reader reads it
+    # the second file has fields quoted whole, which the C pass reads
     @pytest.mark.parametrize("body", ["1,2\r\n3,4\r\n", '1,2\r\n"3","4"\r\n'])
     def test_byte_order_mark(self, tmp_path, body):
         path = tmp_path / "v.csv"
@@ -287,6 +287,67 @@ class TestIngestMatchesRowByRow:
         path.write_text("t,vol\n1,1\n2,abc\n1,-1\n")
         with pytest.raises(IngestError, match="row 3: could not convert"):
             ingest_samples(str(path), 2)
+
+
+# every way a field may hold a quote: quoted whole, spaces around the
+# quotes, a doubled quote, a quoted comma or line break, a quote inside
+# the field, an unbalanced quote, text after the closing quote
+_WHOLE = ("{}", '"{}"')
+_ANY_QUOTES = _WHOLE + (' "{}"', '"{}" ', '" {} "', '"{}""0"', '"{},5"', '"{}\n"', '"\n{}"',
+                        '{}"', '"{}', '"{}"x', '""', '"')
+
+
+@st.composite
+def quoted_bodies(draw):
+    """A samples CSV, header included, whose fields are quoted in one of
+    the ways of _ANY_QUOTES each, or, in half the files, only quoted
+    whole; a third field, quoted or not, may follow."""
+    count = draw(st.integers(1, 8))
+    ts = itertools.accumulate(draw(st.lists(st.floats(1e-3, 10.0), min_size=count,
+                                            max_size=count)))
+    vols = draw(st.lists(st.floats(1e-3, 1e3), min_size=count, max_size=count))
+    forms = draw(st.sampled_from([_WHOLE, _ANY_QUOTES]))
+    field = st.sampled_from(forms)
+    header = draw(field).format("t") + "," + draw(field).format("vol")
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    rows = [draw(field).format(repr(t)) + "," + draw(field).format(repr(v))
+            + draw(st.sampled_from(["", ",", ',""', ',"a,b"', ',"x\ny"'])) for t, v in zip(ts, vols)]
+    return "".join(row + end for row in [header, *rows])
+
+
+class TestQuotedSamples:
+    @settings(max_examples=400, deadline=None)
+    @given(body=quoted_bodies())
+    def test_same_values_or_error_as_row_reader(self, body, tmp_path_factory):
+        path = tmp_path_factory.getbasetemp() / "quoted.csv"
+        path.write_bytes(body.encode())
+        try:
+            expected = pipeline._read_rows(str(path))
+        except IngestError as exc:
+            with pytest.raises(IngestError) as got:
+                ingest_samples(str(path), 2)
+            assert str(got.value) == str(exc)
+        else:
+            samples = ingest_samples(str(path), 2)
+            assert (samples.t, samples.vol) == expected
+
+    @pytest.mark.parametrize("body, whole", [
+        ('"1.5","2.5"\n', True), ('1.5,"2.5","ab"\r\n', True), ('"","2"\n', True),
+        (' "1.5",2\n', False), ('"1.5" ,2\n', False), ('"1""5",2\n', False),
+        ('"1,5",2\n', False), ('"1\n5",2\n', False), ('1"5,2\n', False), ('"1.5,2\n', False),
+        ('"1.5,2.5"\n', False), ('1,2,"a,b"\n', False), ('"1.5"x,2\n', False)])
+    def test_quotes_whole_fields(self, body, whole):
+        assert pipeline._quotes_whole_fields(body) is whole
+
+    def test_fields_quoted_whole_skip_the_row_reader(self, tmp_path, monkeypatch):
+        path = tmp_path / "v.csv"
+        path.write_text('"t","vol"\n"1.5","2.5"\n"3","4e2"\n')
+
+        def refuse(path):
+            raise AssertionError("read row by row")
+        monkeypatch.setattr(pipeline, "_read_rows", refuse)
+        samples = ingest_samples(str(path), 2)
+        assert (samples.t, samples.vol) == ((1.5, 3.0), (2.5, 400.0))
 
 
 class TestVolumeSamples:
