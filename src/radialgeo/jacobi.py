@@ -1087,52 +1087,38 @@ class _Memo:
     in ``older``, least recently used first, with the built nodes each
     held when it stopped being the newest, at least _CHUNK_NODES, so
     that plans with no built nodes cannot pile up.  The older plans hold
-    at most _MEMO_NODES nodes in all (``nodes``); past that the least
-    recently used go.
-
-    Only the newest plan grows or takes a negative part, so an older
-    plan's count stays exact.  ``keys`` finds each older plan by the
-    identity of its profile and of its negative part, with t_end and tol;
-    the plan holds both objects, so no id is reused while its key lives.
+    at most _MEMO_NODES nodes in all (``nodes``), so at most
+    _MEMO_NODES // _CHUNK_NODES of them; past that the least recently
+    used go.  Only the newest plan grows or takes a negative part, so an
+    older plan's count stays exact.
     """
 
     def __init__(self):
         self.newest: _Plan | None = None
         self.older: OrderedDict[_Plan, int] = OrderedDict()
-        self.keys: dict[tuple, _Plan] = {}
         self.nodes = 0
 
     def plan(self, profile: CurvatureProfile, t_end: float, tol: float) -> _Plan:
+        def serves(p):
+            return (p.t_end == t_end and p.tol == tol
+                    and (p.profile is profile or p.negative is profile))
+
         newest = self.newest
-        if (newest is not None and newest.t_end == t_end and newest.tol == tol
-                and (newest.profile is profile or newest.negative is profile)):
+        if newest is not None and serves(newest):
             return newest
-        plan = self.keys.get((id(profile), t_end, tol))
+        plan = next((p for p in reversed(self.older) if serves(p)), None)
         if plan is None:
             plan = _Plan(profile, t_end, tol)
         else:
-            self._drop(plan)
+            self.nodes -= self.older.pop(plan)
         if newest is not None:
             size = max(sum(len(p.t) for p in newest.pieces), _CHUNK_NODES)
             self.older[newest] = size
             self.nodes += size
-            for key in self._keys_of(newest):
-                self.keys[key] = newest
             while self.nodes > _MEMO_NODES:
-                self._drop(next(iter(self.older)))
+                self.nodes -= self.older.popitem(last=False)[1]
         self.newest = plan
         return plan
-
-    def _drop(self, plan: _Plan) -> None:
-        """Take an older plan out of the memo."""
-        self.nodes -= self.older.pop(plan)
-        for key in self._keys_of(plan):
-            self.keys.pop(key, None)
-
-    @staticmethod
-    def _keys_of(plan: _Plan) -> set:
-        return {(id(who), plan.t_end, plan.tol) for who in (plan.profile, plan.negative)
-                if who is not None}
 
 
 _memo = _Memo()

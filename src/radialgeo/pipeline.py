@@ -163,25 +163,6 @@ def _open_samples(path: str, errors: str = "strict"):
         raise IngestError(f"{path}: cannot open: {exc}") from exc
 
 
-def _quotes_whole_fields(body: str) -> bool:
-    """Whether every double quote in ``body`` opens or closes a whole
-    field: the quotes pair up in order, each pair from just after a
-    separator (a comma or a line break, or the start of the body) to just
-    before one, with no separator between them.  numpy's
-    ``loadtxt(quotechar='"')`` splits such a body into the rows and
-    fields that ``csv`` finds."""
-    # UTF-8 bytes, where a quote, a comma or a line break is one byte,
-    # padded with a line break at each end
-    b = np.frombuffer(b"\n" + body.encode() + b"\n", np.uint8)
-    quotes = np.flatnonzero(b == ord('"'))
-    is_sep = (b == ord(",")) | (b == ord("\n")) | (b == ord("\r"))
-    # the separators before each quote: as many before a pair's closer
-    # as before its opener
-    before = np.searchsorted(np.flatnonzero(is_sep), quotes)
-    return bool(len(quotes) % 2 == 0 and is_sep[quotes[0::2] - 1].all()
-                and is_sep[quotes[1::2] + 1].all() and (before[0::2] == before[1::2]).all())
-
-
 def _is_header(row: list[str]) -> bool:
     return [h.strip().lower() for h in row[:2]] == ["t", "vol"]
 
@@ -256,11 +237,10 @@ def ingest_samples(path: str, n: int) -> VolumeSamples:
     rounds as float() does, and validated once, by ``VolumeSamples``.
     Only a file that this pass refuses, or whose values fail that
     validation, is read again row by row with ``csv``, which names the
-    row at fault.  A separator U+001C..U+001F, which numpy strips as
-    whitespace and float() refuses, or a double quote that does not open
-    or close a whole field (``_quotes_whole_fields``), sends a file to the
-    row reader before the C pass, since there the two could read
-    different values; a field quoted whole is read in the C pass.
+    row at fault.  The C pass reads double quotes as ``csv`` does
+    (``quotechar='"'``).  A separator U+001C..U+001F, which numpy strips
+    as whitespace and float() refuses, sends a file to the row reader
+    before the C pass, since there the two could read different values.
     """
     try:
         with _open_samples(path) as fh:
@@ -268,8 +248,7 @@ def ingest_samples(path: str, n: int) -> VolumeSamples:
             body = fh.read()
         # a body with no data rows goes to the row reader: numpy warns on it
         if (header is not None and _is_header(header) and body.strip()
-                and not any(c in body for c in _ROW_READER_ONLY)
-                and ('"' not in body or _quotes_whole_fields(body))):
+                and not any(c in body for c in _ROW_READER_ONLY)):
             data = np.loadtxt(io.StringIO(body), delimiter=",", usecols=(0, 1),
                               comments=None, ndmin=2, quotechar='"')
             return VolumeSamples(t=tuple(data[:, 0].tolist()),

@@ -331,13 +331,24 @@ class TestQuotedSamples:
             samples = ingest_samples(str(path), 2)
             assert (samples.t, samples.vol) == expected
 
-    @pytest.mark.parametrize("body, whole", [
-        ('"1.5","2.5"\n', True), ('1.5,"2.5","ab"\r\n', True), ('"","2"\n', True),
-        (' "1.5",2\n', False), ('"1.5" ,2\n', False), ('"1""5",2\n', False),
-        ('"1,5",2\n', False), ('"1\n5",2\n', False), ('1"5,2\n', False), ('"1.5,2\n', False),
-        ('"1.5,2.5"\n', False), ('1,2,"a,b"\n', False), ('"1.5"x,2\n', False)])
-    def test_quotes_whole_fields(self, body, whole):
-        assert pipeline._quotes_whole_fields(body) is whole
+    def test_every_short_quoted_body_reads_as_row_reader(self, tmp_path):
+        # every body of up to five characters from a quote, a digit, a
+        # comma, a space and a line break that holds a quote
+        path = tmp_path / "v.csv"
+        for k in range(1, 6):
+            for chars in itertools.product('"1, \n', repeat=k):
+                if '"' not in chars:
+                    continue
+                path.write_bytes(("t,vol\n" + "".join(chars)).encode())
+                try:
+                    expected = pipeline._read_rows(str(path))
+                except IngestError as exc:
+                    with pytest.raises(IngestError) as got:
+                        ingest_samples(str(path), 2)
+                    assert str(got.value) == str(exc)
+                else:
+                    samples = ingest_samples(str(path), 2)
+                    assert (samples.t, samples.vol) == expected
 
     def test_fields_quoted_whole_skip_the_row_reader(self, tmp_path, monkeypatch):
         path = tmp_path / "v.csv"
