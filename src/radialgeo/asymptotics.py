@@ -26,6 +26,14 @@ goes to the side of that sign.  The tail regime [t_tail, oo) adds
 f'(t_tail) - s to the side of the tail's own sign, unless its first
 moment diverges (a nonzero constant tail, or a power tail with exponent
 <= 2), which makes that side and the classification divergent.
+
+The sides are kept for the report and the classification, but a finite c
+is taken from the one enclosure of s: the integral of K f over [0, oo)
+is f'(0) - s = 1 - s (Gauss-Bonnet on the model surface), so
+c = 2 pi (1 - s) with err 2 pi s.err, which equals c_plus + c_minus up
+to rounding.  The result carries s in every class
+(``TotalCurvatureResult.slope``), so the growth coefficient and the
+report read it without solving for it again.
 """
 
 from __future__ import annotations
@@ -33,7 +41,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import reduce
 
 from .curvature_profile import tail_moment_finite
 from .errors import ConfigurationError
@@ -114,8 +121,10 @@ class TotalCurvatureResult:
     """Total curvature of the model surface, or its divergence class.
 
     ``c_plus``/``c_minus`` are the split contributions (divergent sides
-    are +-inf); when finite, ``value = c_plus + c_minus`` and
-    Cohn-Vossen bounds it by 2 pi.
+    are +-inf).  ``slope`` is the enclosure of s = lim f' from
+    ``slope_limit``, in every class; when finite, ``value`` is
+    2 pi (1 - s), which equals c_plus + c_minus up to rounding, ``err``
+    is 2 pi s.err, and Cohn-Vossen bounds the value by 2 pi.
     """
 
     classification: CurvatureClass
@@ -123,6 +132,7 @@ class TotalCurvatureResult:
     err: float | None
     c_plus: float
     c_minus: float
+    slope: LimitEstimate
 
     @property
     def is_finite(self) -> bool:
@@ -139,14 +149,10 @@ class TotalCurvatureResult:
         return self.value + self.err
 
 
-def _solve_err(f: WarpingSolution, *slopes: float) -> float:
-    """The error assumed of a solve at nodes with slopes f': f.tol times
-    (1 + |f'|) summed over the nodes, as f.tol * (k + |s1| + ... + |sk|).
-
-    The terms are added left to right: ``sum`` compensates float sums
-    from Python 3.12, which would change the bits.
-    """
-    return f.tol * reduce(lambda err, s: err + abs(s), slopes, float(len(slopes)))
+def _solve_err(f: WarpingSolution, slope: float) -> float:
+    """The error assumed of a solve at a node with slope f':
+    f.tol * (1 + |f'|)."""
+    return f.tol * (1.0 + abs(slope))
 
 
 def slope_limit(f: WarpingSolution) -> LimitEstimate:
@@ -203,9 +209,11 @@ def total_curvature(f: WarpingSolution) -> TotalCurvatureResult:
 
     ``f`` must be first-zero free and reach the tail regime (f.t_end >=
     the tail start).  Each sign piece [lo, hi] of K adds f'(lo) - f'(hi)
-    to its side, with the solve's error scale f.tol * (2 + |f'(lo)| +
-    |f'(hi)|); the tail adds f'(t_tail) - lim f' to its side, with the
-    error scale at t_tail plus the error of the limit slope.
+    to its side, and the tail adds f'(t_tail) - s to its side, with
+    s = ``slope_limit(f)``.  A finite c is 2 pi (1 - s) with err
+    2 pi s.err: the sides telescope to it up to rounding, f'(0) = 1 is
+    exact, and the solve's error at every inner end cancels, so only s's
+    error remains.
     """
     if f.first_zero is not None:
         raise ValueError(
@@ -219,27 +227,22 @@ def total_curvature(f: WarpingSolution) -> TotalCurvatureResult:
             f"solution window ends at t = {T:.6g}, before the tail regime "
             f"starting at t = {profile.t_tail:.6g}"
         )
-    # sums and error sums per side, indexed by "positive": [c_minus, c_plus]
-    q, q_err = [0.0, 0.0], [0.0, 0.0]
+    s = slope_limit(f)
+    # sums per side, indexed by "positive": [c_minus, c_plus]
+    q = [0.0, 0.0]
     for seg, lo, hi, positive in profile.sign_pieces():
         if not seg.is_zero:
-            fpa, fpb = f.fp(lo), f.fp(hi)
-            q[positive] += fpa - fpb
-            q_err[positive] += _solve_err(f, fpa, fpb)
+            q[positive] += f.fp(lo) - f.fp(hi)
     tail = profile.tail
     finite = tail_moment_finite(tail)
     if finite and tail.sign:
-        side = tail.sign > 0
-        fpa, s = f.fp(profile.t_tail), slope_limit(f)
-        q[side] += fpa - s.value
-        q_err[side] += _solve_err(f, fpa) + s.err
+        q[tail.sign > 0] += f.fp(profile.t_tail) - s.value
     c_minus, c_plus = _TWO_PI * q[0], _TWO_PI * q[1]
     if finite:
-        return TotalCurvatureResult(CurvatureClass.FINITE, c_plus + c_minus,
-                                    _TWO_PI * q_err[1] + _TWO_PI * q_err[0],
-                                    c_plus, c_minus)
+        return TotalCurvatureResult(CurvatureClass.FINITE, _TWO_PI * (1.0 - s.value),
+                                    _TWO_PI * s.err, c_plus, c_minus, s)
     if tail.sign < 0:
         return TotalCurvatureResult(CurvatureClass.NEGATIVE_DIVERGENT,
-                                    None, None, c_plus, -math.inf)
+                                    None, None, c_plus, -math.inf, s)
     return TotalCurvatureResult(CurvatureClass.POSITIVE_DIVERGENT,
-                                None, None, math.inf, c_minus)
+                                None, None, math.inf, c_minus, s)

@@ -49,9 +49,7 @@ grid of omega h <= x.
   value at the cell's left end holds on the cell; omega is its sup over
   every j, whose limit is 1/x (``_tail_scales``).
 
-A rational or tail cell's scale depends on the cell alone, never on tol,
-so such a kind finds the scales of a set of cells once (``_Series``), as
-a segment finds its poles once.
+A rational or tail cell's scale depends on the cell alone, never on tol.
 
 x follows from tol and a polynomial's degree, or any degree for the other
 pieces (``_taylor_rule``): the quintic Hermite remainder of ``_grid_u``,
@@ -112,9 +110,9 @@ __all__ = ["WarpingSolution", "solve", "solve_m", "GROWTH_GUARD"]
 # guard stays in float range, or a grid node of a constant piece, whose
 # pass is bounded beforehand so that no node overflows (a zero piece ends
 # where f reaches twice the guard).  Ball volumes are integrated in logs,
-# so f**(n-1) never leaves float range; the closed-form growth
-# coefficient and the ends cap go through model_space.power, which
-# saturates to inf.
+# so f**(n-1) never leaves float range; the growth coefficient is taken
+# in logs too, and only the ends cap goes through model_space.power,
+# which saturates to inf.
 GROWTH_GUARD = 1e60
 
 # nodes after which a solve gives up
@@ -580,7 +578,8 @@ def _tail_scales(kind: _Tail, a, w) -> np.ndarray:
         c = log_a + (2.0 - p) * log_x - math.lgamma(p)
         v0 = _TAIL_TERMS + p
         v = np.exp(np.minimum(1.0 - c / b, 700.0))  # where (c + b log v)/v peaks
-        sup = np.where(v >= v0, b / v, (c + b * math.log(v0)) / v0)
+        # b / v only where v >= v0: a v that underflows would overflow it
+        sup = np.where(v >= v0, b / np.maximum(v, v0), (c + b * math.log(v0)) / v0)
         tail = np.maximum(sup, 0.0) / min(1.0, 1.0 + (2.0 - p) / v0)
     else:
         tail = np.maximum(log_a + (2.0 - p) * log_x, 0.0) / (_TAIL_TERMS + 2.0)
@@ -678,8 +677,7 @@ def _spans(lo: float, hi: float, near, fraction: float) -> list:
 class _Series:
     """A kind whose K has Taylor coefficients of every order: the sign
     pieces of a rational segment, or a power tail.  Its pieces share a
-    round.  A cell's scale depends on the cell alone, never on tol, so the
-    scales of a set of cells are found once per kind (``_known``)."""
+    round."""
 
     degree = None
 
@@ -687,11 +685,7 @@ class _Series:
         self.key = self
 
     def scales(self, params, a, w, scalar_roots: bool = False) -> np.ndarray:
-        return self._known(a.tobytes(), w.tobytes())
-
-    @functools.lru_cache(maxsize=256)
-    def _known(self, a: bytes, w: bytes) -> np.ndarray:
-        return self._scales(np.frombuffer(a), np.frombuffer(w))
+        return self._scales(a, w)
 
 
 class _Rational(_Series):
@@ -723,10 +717,9 @@ class _Rational(_Series):
         self.pole_re, self.pole_im, self.pole_r = discs.T.reshape(3, -1, 1)
         self.counts = np.array([count for *_, count in self.poles], dtype=float).reshape(-1, 1, 1)
 
-    @functools.lru_cache(maxsize=64)
     def spans(self, lo: float, hi: float) -> tuple:
         """Spans a quarter as wide as their distance to the nearest pole
-        disc, found once per sign piece."""
+        disc."""
         return tuple(_spans(lo, hi, lambda t: min(math.hypot(t - z.real, z.imag) - r
                                                   for z, r, _ in self.poles), 0.25))
 
@@ -762,7 +755,6 @@ class _Tail(_Series):
         self.a, self.p = tail.a, tail.p
 
     @staticmethod
-    @functools.lru_cache(maxsize=64)
     def spans(lo: float, hi: float) -> tuple:
         """Spans each a quarter of 1 + t at their left end wide."""
         return tuple(_spans(lo, hi, lambda t: 1.0 + t, 0.25))
@@ -779,13 +771,11 @@ class _Tail(_Series):
         return kappa
 
 
-@functools.lru_cache(maxsize=64)
 def _kind(seg: Segment | PowerDecayTail) -> tuple:
     """The kind of a non-constant segment's pieces or of a power tail, and
     their params: a polynomial's coefficients, divided by a constant
     denominator (a zero numerator over any denominator is the zero
-    polynomial).  Memoized by the segment's or the tail's fields, so a
-    profile solved again builds no kind twice."""
+    polynomial)."""
     if isinstance(seg, PowerDecayTail):
         return _Tail(seg), ()
     if any(seg.den[1:]) and any(seg.num):

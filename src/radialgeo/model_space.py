@@ -21,16 +21,17 @@ space (a volume, a volume ratio) goes through :func:`saturating_exp`.
 
 The asymptotic growth coefficient lim vol B_t / t^n is, by l'Hopital's
 rule on vol B_t = omega_{n-1} * integral_0^t f**(n-1), the number
-(omega_{n-1}/n) s**(n-1) with s = lim f'.  It is mapped two ways through
-that one function, which is nondecreasing in s >= 0 (s <= 0 goes to 0),
-so the ends of an enclosure map to the ends of its image: ``direct``
-maps the enclosure of s from ``slope_limit``, and the closed form maps
-s = 1 - c/(2 pi), from the total curvature c of the underlying surface
-(whose tail part comes from the closed-form bracket of the tail, see
-``asymptotics``); the closed form is the route that certifies.  The map
-goes through :func:`power`, which saturates to inf past float range
-(high dimension, fast growth), and a limit built from such a value did
-not settle (err = inf, see ``LimitEstimate``).
+(omega_{n-1}/n) s**(n-1) with s = lim f'.  By Gauss-Bonnet the total
+curvature of the underlying surface is c = 2 pi (1 - s), so both are
+images of the one enclosure of s that ``total_curvature`` carries
+(``TotalCurvatureResult.slope``), and the growth coefficient maps it
+once.  The map is nondecreasing in s >= 0 (s <= 0 goes to 0), so the
+ends of the enclosure map to the ends of its image.  It is taken in
+logs, exp((n-1) log s + log(omega/n)), through :func:`saturating_exp`,
+so it neither overflows nor underflows on the way: a value past float
+range reads inf, and a limit built from it did not settle (err = inf,
+see ``LimitEstimate``); a value below float range reads 0.  Each end is
+rounded outward by more than the rounding of the exponent.
 """
 
 from __future__ import annotations
@@ -41,15 +42,17 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .asymptotics import LimitEstimate, TotalCurvatureResult, slope_limit
+from .asymptotics import LimitEstimate, TotalCurvatureResult
 from .jacobi import WarpingSolution, _hermite
 
 __all__ = ["ModelSpace", "GrowthCoefficient", "check_dimension", "power",
            "saturating_exp", "unit_sphere_volume", "log_ball_volumes",
            "ball_volume", "ball_volumes", "growth_coefficient"]
 
-_TWO_PI = 2.0 * math.pi
 _TINY = np.finfo(float).tiny
+# two units of the least positive float, a subnormal: more than exp
+# rounds by below float range
+_EXP_SLACK = 2.0 * math.ulp(0.0)
 # values (Gauss nodes x steps) that _log_integrals evaluates at once, or
 # one node's worth when there are more steps: its memory stays flat in
 # the dimension n, which sets the node count ceil((5n - 4)/2)
@@ -200,12 +203,13 @@ def ball_volume(ms: ModelSpace, t: float) -> float:
 
 @dataclass(frozen=True)
 class GrowthCoefficient:
-    """lim vol B_t / t^n as the image of two enclosures of lim f'.
+    """lim vol B_t / t^n as the image of the enclosure of s = lim f'.
 
-    ``direct`` maps the slope limit s of the solve, ``closed_form`` maps
-    1 - c/(2 pi) from the total curvature c.  ``discrepancy`` is their
-    absolute difference when the closed form is not divergent (not
-    finite when either is past float range), else None.
+    ``direct`` maps s; ``closed_form`` is that same enclosure when the
+    total curvature c = 2 pi (1 - s) is finite, and the divergence
+    marker otherwise.  ``discrepancy`` is their absolute difference when
+    c is finite, so it reads 0 (not finite when the value is past float
+    range), else None.
     """
 
     direct: LimitEstimate
@@ -213,40 +217,46 @@ class GrowthCoefficient:
     discrepancy: float | None
 
 
-def _growth(ms: ModelSpace, x: float) -> float:
-    """(omega/n) x**(n-1), the growth coefficient of a slope limit x;
-    x <= 0 goes to 0 (Cohn-Vossen keeps lim f' >= 0 on a genuine model,
-    so this clamps numerical overshoot)."""
-    return ms.omega / ms.n * power(max(x, 0.0), ms.n - 1)
+def _growth(ms: ModelSpace, x: float, side: int = 0) -> float:
+    """(omega/n) x**(n-1), the growth coefficient of a slope limit x,
+    taken in logs; x <= 0 goes to 0 (Cohn-Vossen keeps lim f' >= 0 on a
+    genuine model, so this clamps numerical overshoot).
 
-
-def _closed_form(ms: ModelSpace, c: TotalCurvatureResult) -> LimitEstimate:
-    """The growth coefficient at s = 1 - c/(2 pi), at c.value and, for the
-    enclosure, at both ends of c's error bar: the map is nonincreasing in
-    c."""
-    if not c.is_finite:
-        return LimitEstimate(value=math.inf, err=math.inf, divergent=True)
-
-    def at(ci: float) -> float:
-        return _growth(ms, 1.0 - ci / _TWO_PI)
-
-    return LimitEstimate.of_bounds(at(c.value), at(c.hi), at(c.lo))
+    ``side`` -1 or 1 rounds the value outward, down or up, by
+    2^-50 (1 + S + (n-1) |log x|) relative, S the sum of the magnitudes
+    of the terms of log(omega/n), which bounds the rounding of the
+    exponent, and by two subnormal units, which bound that of exp below
+    float range; so an upper end stays positive and a lower end is at
+    least 0.
+    """
+    if x <= 0.0:
+        return 0.0
+    n, log_x = ms.n, math.log(x)
+    value = saturating_exp((n - 1) * log_x + (_log_omega(n) - math.log(n)))
+    if not side:
+        return value
+    size = math.log(2.0 * n) + n / 2.0 * math.log(math.pi) + abs(math.lgamma(n / 2.0))
+    r = 2.0 ** -50 * (1.0 + size + (n - 1) * abs(log_x))
+    return max(value * (1.0 + side * r) + side * _EXP_SLACK, 0.0)
 
 
 def growth_coefficient(ms: ModelSpace,
                        c: TotalCurvatureResult) -> GrowthCoefficient:
-    """Asymptotic volume growth coefficient of the model space.
+    """Asymptotic volume growth coefficient of the model space; c must be
+    ``total_curvature(ms.f)``.
 
-    The direct route maps the enclosure of s = ``slope_limit(ms.f)``: it
-    settles when s settles, and it is divergent, keeping the image of
-    f' at the window end, when s is.
+    Both routes map the one enclosure s = ``c.slope``, once: ``direct``
+    settles when s settles, and it is divergent, keeping the image of f'
+    at the window end, when s is; ``closed_form`` is ``direct`` when c
+    is finite.
     """
-    s = slope_limit(ms.f)
+    s = c.slope
     if s.divergent:
         direct = LimitEstimate.of_divergent(_growth(ms, s.value))
     else:
         direct = LimitEstimate.of_bounds(_growth(ms, s.value),
-                                         _growth(ms, s.lo), _growth(ms, s.hi))
-    closed = _closed_form(ms, c)
-    disc = abs(direct.value - closed.value) if closed.is_finite else None
+                                         _growth(ms, s.lo, -1), _growth(ms, s.hi, 1))
+    closed = (direct if c.is_finite
+              else LimitEstimate(value=math.inf, err=math.inf, divergent=True))
+    disc = abs(direct.value - closed.value) if c.is_finite else None
     return GrowthCoefficient(direct, closed, disc)

@@ -95,6 +95,9 @@ _MONOTONE_SLACK = 1e-9
 # samples at the end whose ratios or probes average to a tail limit
 _TAIL_WINDOW = 5
 
+# rows that `tabulate` writes at most
+_TABLE_ROWS = 10 ** 7
+
 # a samples file holding any of these is read by the csv row reader alone
 # (see ingest_samples)
 _ROW_READER_ONLY = '\x1c\x1d\x1e\x1f'
@@ -373,7 +376,6 @@ def evaluate_theorem(profile: CurvatureProfile, n: int,
         )
 
     tc = total_curvature(f)
-    sl = slope_limit(f)
     m = _comparison_solution(f, opts.t_end)
     ml = slope_limit(m)
     if not (ml.divergent or math.isfinite(ml.err)):
@@ -483,7 +485,7 @@ def evaluate_theorem(profile: CurvatureProfile, n: int,
     return TheoremReport(
         inputs=inputs,
         total_curvature=tc,
-        slope_limit=sl,
+        slope_limit=tc.slope,
         m_prime_limit=ml,
         growth=growth,
         ends=eb,
@@ -698,6 +700,9 @@ def _cmd_tabulate(args) -> int:
     if not (0 < args.t_max < math.inf and args.step > 0):
         raise ConfigurationError("--t-max must be positive and finite, "
                                  "--step positive")
+    if args.t_max / args.step >= _TABLE_ROWS:
+        raise ConfigurationError(f"--t-max / --step asks for more than "
+                                 f"{_TABLE_ROWS} rows")
     f = solve(profile, args.t_max, opts.tol)
     m = _comparison_solution(f, args.t_max)
     t_stop = min(f.t_end, m.t_end)

@@ -70,14 +70,12 @@ _SLOPE = st.floats(min_value=-1e12, max_value=1e12)
 
 
 class TestSolveErr:
-    # the scales slope_limit and total_curvature wrote out before, bit for bit
-    @given(tol=st.floats(min_value=1e-14, max_value=1e-3), a=_SLOPE, b=_SLOPE)
+    # the scale slope_limit wrote out before, bit for bit
+    @given(tol=st.floats(min_value=1e-14, max_value=1e-3), a=_SLOPE)
     @settings(max_examples=300, deadline=None)
-    def test_bits_equal_written_scales(self, tol, a, b):
+    def test_bits_equal_written_scales(self, tol, a):
         f = SimpleNamespace(tol=tol)
         assert _solve_err(f, a).hex() == (tol * (1.0 + abs(a))).hex()
-        assert (_solve_err(f, a, b).hex()
-                == (tol * (2.0 + abs(a) + abs(b))).hex())
 
 
 class TestSlopeLimit:
@@ -142,6 +140,14 @@ class TestTotalCurvature:
         assert tc.value == pytest.approx(TWO_PI * (1.0 - SINH_SQRT6_OVER), abs=1e-6)
         assert tc.c_plus == 0.0
 
+    @pytest.mark.parametrize("profile, t_end", [
+        (rg.zero_profile(), 100.0), (rg.constant_profile(-1.0), 20.0),
+        (rg.power_tail_profile(0.1, 2.0), 200.0),
+        (rg.power_tail_profile(-6.0, 4.0), 4096.0)])
+    def test_slope_in_every_class(self, profile, t_end):
+        sol = rg.solve(profile, t_end, 1e-10)
+        assert rg.total_curvature(sol).slope == rg.slope_limit(sol)
+
     def test_first_zero_rejected(self):
         prof = rg.constant_profile(1.0)
         sol = rg.solve(prof, 4.0, 1e-10)
@@ -201,6 +207,15 @@ class TestTotalCurvatureOracles:
         for value, part in ((tc.c_plus, rg.positive_part(prof)),
                             (tc.c_minus, rg.negative_part(prof))):
             assert abs(value - _quad_part(part, sol, slope)) <= tc.err, name
+
+    @pytest.mark.parametrize("name", FINITE_GALLERY)
+    def test_telescoped_parts_within_bar(self, name):
+        # c is 2 pi (1 - s); the telescoped sides are a second route to it
+        sol = rg.solve(entry_by_name(name).profile, 4096.0, 1e-8)
+        tc = rg.total_curvature(sol)
+        assert tc.value == TWO_PI * (1.0 - tc.slope.value)
+        assert tc.err == TWO_PI * tc.slope.err
+        assert abs(tc.c_plus + tc.c_minus - tc.value) <= tc.err, name
 
     @pytest.mark.parametrize("name", FINITE_GALLERY)
     def test_error_bar_covers_closed_form(self, name):

@@ -1,7 +1,7 @@
 import json
 import math
 import sys
-from fractions import Fraction
+from decimal import Decimal, localcontext
 from functools import lru_cache, reduce
 
 import numpy as np
@@ -13,10 +13,9 @@ from radialgeo import model_space
 from radialgeo.curvature_profile import Segment
 from radialgeo.gallery import entry_by_name, list_gallery
 from radialgeo.jacobi import _hermite
-from radialgeo.asymptotics import CurvatureClass, TotalCurvatureResult
+from radialgeo.asymptotics import CurvatureClass, LimitEstimate, TotalCurvatureResult
 from radialgeo.model_space import (
     _BLOCK_VALUES,
-    _closed_form,
     _gauss_rule,
     _log_omega,
     log_ball_volumes,
@@ -391,6 +390,16 @@ class TestGrowthCoefficient:
         assert abs(g.direct.value - exact) <= g.direct.err
         assert abs(g.closed_form.value - exact) <= g.closed_form.err
 
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    @pytest.mark.parametrize("name", FINITE)
+    def test_closed_form_is_direct(self, name, n):
+        # one enclosure of lim f' carries c and both routes
+        sol = gallery_solution(name)
+        tc = rg.total_curvature(sol)
+        g = rg.growth_coefficient(rg.ModelSpace(n=n, f=sol), tc)
+        assert g.closed_form == g.direct and g.discrepancy == 0.0
+        assert abs(tc.value - entry_by_name(name).oracle["c"]) <= tc.err
+
     @pytest.mark.parametrize("n", [2, 3])
     @pytest.mark.parametrize("name", FINITE)
     def test_direct_agrees_with_volume_probes(self, name, n):
@@ -429,40 +438,92 @@ class TestGrowthCoefficient:
         assert abs(g.closed_form.value - exact) <= g.closed_form.err
 
 
-def total_curvature_of(c, err):
-    return TotalCurvatureResult(CurvatureClass.FINITE, c, err,
-                                max(c, 0.0), min(c, 0.0))
+_PI_50 = Decimal("3.14159265358979323846264338327950288419716939937510582097494")
 
 
-class TestClosedFormEnclosure:
-    """The closed form's bar covers the exact image of c's bar."""
+def exact_growth(n: int, s: Decimal) -> Decimal:
+    """(omega_{n-1}/n) s^(n-1) at 50 digits, 0 for s <= 0; omega_{n-1} =
+    2 pi^(n/2)/Gamma(n/2) with Gamma of an integer or a half-integer in
+    closed form."""
+    with localcontext() as ctx:
+        ctx.prec = 50
+        if s <= 0:
+            return Decimal(0)
+        k = (n - 1) // 2
+        if n % 2:
+            # Gamma(k + 1/2) = (2k)! sqrt(pi) / (4^k k!)
+            gamma = Decimal(math.factorial(2 * k)) / (4 ** k * math.factorial(k)) * _PI_50.sqrt()
+            half = _PI_50 ** k * _PI_50.sqrt()
+        else:
+            gamma, half = Decimal(math.factorial(n // 2 - 1)), _PI_50 ** (n // 2)
+        return 2 * half / gamma / n * s ** (n - 1)
 
-    @pytest.mark.parametrize("n", [2, 3, 5, 10, 30])
-    @pytest.mark.parametrize("c, err", [(PI, 0.5), (-3.0, 1.0), (1.0, 1e-3),
-                                        (0.0, 0.2)])
-    def test_covers_exact_image_of_c_bar(self, flat_sol, n, c, err):
-        ms = rg.ModelSpace(n=n, f=flat_sol)
-        closed = _closed_form(ms, total_curvature_of(c, err))
-        two_pi = 2 * Fraction(PI)
-        for end in (Fraction(c) - Fraction(err), Fraction(c) + Fraction(err)):
-            # exact rational arithmetic on the float omega and pi
-            exact = Fraction(ms.omega) / n * (1 - end / two_pi) ** (n - 1)
-            # slack for float rounding
-            slack = Fraction(closed.err) / 10 ** 12
-            assert abs(exact - Fraction(closed.value)) <= Fraction(closed.err) + slack
-            assert Fraction(closed.lo) - slack <= exact <= Fraction(closed.hi) + slack
 
-    @pytest.mark.parametrize("n", [2, 3, 10])
-    def test_value_at_central_c(self, flat_sol, n):
-        ms = rg.ModelSpace(n=n, f=flat_sol)
-        closed = _closed_form(ms, total_curvature_of(1.0, 0.5))
-        assert closed.value == ms.omega / n * (1.0 - 1.0 / (2 * PI)) ** (n - 1)
+def abresch_slope_50() -> Decimal:
+    """sinh(sqrt 6)/sqrt 6, abresch_tail's lim f', at 50 digits."""
+    with localcontext() as ctx:
+        ctx.prec = 50
+        x = Decimal(6).sqrt()
+        return (x.exp() - (-x).exp()) / 2 / x
 
-    def test_unsettled_c_did_not_settle(self, flat_sol):
-        closed = _closed_form(rg.ModelSpace(n=3, f=flat_sol),
-                              total_curvature_of(1.0, math.inf))
-        assert closed.err == math.inf and not closed.divergent
-        assert math.isfinite(closed.value)
+
+def finite_curvature(slope: LimitEstimate) -> TotalCurvatureResult:
+    """A finite total curvature 2 pi (1 - s) that carries the slope s."""
+    c = 2 * PI * (1.0 - slope.value)
+    return TotalCurvatureResult(CurvatureClass.FINITE, c, 2 * PI * slope.err,
+                                max(c, 0.0), min(c, 0.0), slope)
+
+
+class TestGrowthMapOracle:
+    """The growth coefficient's enclosure against (omega/n) s^(n-1) at 50
+    digits."""
+
+    @pytest.mark.parametrize("tol", [1e-14, 1e-8])
+    @pytest.mark.parametrize("s", [1e-3, 0.5, 1.0, math.sinh(math.sqrt(6.0)) / math.sqrt(6.0),
+                                   1e6])
+    # at n = 13 log(omega/n) = -0.094 is a sum of terms up to 7.4, whose
+    # rounding 2^-50 (1 + |log(omega/n)|) would not cover
+    @pytest.mark.parametrize("n", [2, 3, 10, 13, 450, 500, 700, 1000])
+    def test_covers_exact_image_of_slope_bar(self, flat_sol, n, s, tol):
+        slope = LimitEstimate(s, tol * (1.0 + s))
+        g = rg.growth_coefficient(rg.ModelSpace(n=n, f=flat_sol), finite_curvature(slope))
+        assert g.closed_form == g.direct
+        g = g.direct
+        lo, hi = (exact_growth(n, Decimal(end)) for end in (slope.lo, slope.hi))
+        assert Decimal(g.lo) <= lo and hi <= Decimal(g.hi)
+        assert g.lo <= g.value <= g.hi
+        if Decimal(sys.float_info.min) <= lo and hi <= Decimal(sys.float_info.max):
+            # the value is the image of s's, and the outward rounding far
+            # below the width of the image of s's bar
+            center = exact_growth(n, Decimal(s))
+            assert abs(Decimal(g.value) - center) <= Decimal(1e-11) * center
+            assert Decimal(g.hi) - Decimal(g.lo) <= hi - lo + Decimal(1e-10) * hi
+        if hi < Decimal(sys.float_info.min) * Decimal(2.0 ** -52):
+            # below float range: 0, with an upper end that stays positive
+            assert (g.value, g.lo) == (0.0, 0.0) and g.hi > 0.0
+
+    def test_nonpositive_slope_goes_to_zero(self, flat_sol):
+        g = rg.growth_coefficient(rg.ModelSpace(n=3, f=flat_sol),
+                                  finite_curvature(LimitEstimate(-1e-9, 2e-9)))
+        assert (g.direct.value, g.direct.lo) == (0.0, 0.0)
+        assert Decimal(g.direct.hi) >= exact_growth(3, Decimal(1e-9))
+
+    def test_unsettled_slope_did_not_settle(self, flat_sol):
+        g = rg.growth_coefficient(rg.ModelSpace(n=3, f=flat_sol),
+                                  finite_curvature(LimitEstimate(1.0, math.inf)))
+        assert g.closed_form.err == math.inf and not g.closed_form.divergent
+        assert math.isfinite(g.closed_form.value)
+
+    @pytest.mark.parametrize("n", [450, 500, 700])
+    def test_abresch_high_dimension(self, n):
+        # omega_{n-1} leaves float range from n = 460 on while s^(n-1)
+        # grows, so only their product in logs stays in it
+        rep = evaluate_theorem(entry_by_name("abresch_tail").profile, n)
+        exact = exact_growth(n, abresch_slope_50())
+        assert rep.growth.closed_form == rep.growth.direct
+        g = rep.growth.direct
+        assert g.value > 0.0 and g.err < 1e-4 * g.value
+        assert Decimal(g.lo) <= exact <= Decimal(g.hi)
 
 
 class TestBishopDirection:

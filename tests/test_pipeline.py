@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import radialgeo as rg
-from radialgeo import curvature_profile, jacobi, pipeline
+from radialgeo import asymptotics, curvature_profile, jacobi, pipeline
 from radialgeo.errors import ConfigurationError, IngestError
 from radialgeo.gallery import entry_by_name, list_gallery
 from radialgeo.model_space import log_ball_volumes, saturating_exp
@@ -622,6 +622,28 @@ class TestComparisonSolve:
         assert len(calls) == (1 if nonpositive else 2)
         assert len(built) == (0 if nonpositive else 1)
 
+    @pytest.mark.parametrize("name", ["flat", "hyperbolic", "abresch_tail",
+                                      "sign_changing_beta_ln2"])
+    def test_one_slope_limit_per_solution(self, name, monkeypatch):
+        # c, both growth routes and the report's slope read one enclosure
+        # of lim f'; lim m' takes one more
+        calls = []
+
+        def counting(sol):
+            calls.append(sol)
+            return rg.slope_limit(sol)
+
+        monkeypatch.setattr(asymptotics, "slope_limit", counting)
+        monkeypatch.setattr(pipeline, "slope_limit", counting)
+        profile = entry_by_name(name).profile
+        report = evaluate_theorem(profile, 3)
+        assert len(calls) == 2
+        f, m = calls
+        assert f.profile is profile
+        assert (m is f) == (name in NONPOSITIVE_ENTRIES)
+        assert report.slope_limit == report.total_curvature.slope == rg.slope_limit(f)
+        assert report.m_prime_limit == rg.slope_limit(m)
+
     def test_tabulate_nonpositive_matches_solve_m(self, tmp_path, monkeypatch):
         profile = rg.CurvatureProfile(
             (rg.Segment(0.0, 2.0, (-0.5, -0.25)),
@@ -760,7 +782,21 @@ class TestHighDimension:
                       - math.lgamma(n / 2.0) - math.log(n))
         closed = data["growth"]["closed_form"]
         assert closed["value"] == pytest.approx(math.exp(log_oracle), rel=1e-9)
-        assert closed["err"] == 0
+        # c = 2 pi (1 - s) is finite: the closed form is the direct route
+        assert closed == data["growth"]["direct"]
+        assert abs(closed["value"] - math.exp(log_oracle)) <= closed["err"]
+
+    @pytest.mark.parametrize("n", [450, 500, 700, 900, 1000])
+    def test_abresch_growth_in_logs(self, n):
+        # omega_{n-1} underflows and s^(n-1) overflows, but their product
+        # in logs is finite, and 0 only below float range
+        rep = evaluate_theorem(entry_by_name("abresch_tail").profile, n)
+        assert not any(math.isnan(x) for x in report_floats(report_to_dict(rep)))
+        g = rep.growth.direct
+        if n >= 900:  # (omega/n) s^(n-1) is below 1e-330 here
+            assert g.value == 0.0 and g.hi > 0.0
+        else:
+            assert g.value > 0.0
 
     def test_module_entry_point_flat_n90(self):
         proc = subprocess.run(
@@ -1148,6 +1184,23 @@ class TestCli:
         assert proc.returncode == 2
         assert proc.stderr == ("error: --t-max must be positive and finite, "
                                "--step positive\n")
+
+    @pytest.mark.parametrize("t_max, step", [("4096", "1e-9"), ("4096", "4e-4")])
+    def test_tabulate_refuses_grid_past_row_cap(self, flat_config, tmp_path, t_max, step):
+        # about 4e12 and 1.02e7 rows, against a cap of 1e7; in a child
+        # process with bounded memory and time, so a regression fails
+        # instead of exhausting the host
+        out = tmp_path / "table.csv"
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30)); "
+             "from radialgeo.pipeline import cli_main; sys.exit(cli_main(sys.argv[1:]))",
+             "tabulate", "--config", flat_config, "--t-max", t_max, "--step", step,
+             "--out", str(out)],
+            env=module_env(), capture_output=True, text=True, timeout=30)
+        assert proc.returncode == 2
+        assert "--t-max" in proc.stderr and "--step" in proc.stderr
+        assert not out.exists()
 
     def test_analyze_crossing_at_segment_end(self, tmp_path, capsys):
         # K = k0 - (k0/t1) t crosses zero at t1 itself, then a well: the
