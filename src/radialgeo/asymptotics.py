@@ -138,16 +138,6 @@ class TotalCurvatureResult:
     def is_finite(self) -> bool:
         return self.classification is CurvatureClass.FINITE
 
-    @property
-    def lo(self) -> float:
-        """Lower end of a finite total curvature's enclosure, value - err."""
-        return self.value - self.err
-
-    @property
-    def hi(self) -> float:
-        """Upper end of a finite total curvature's enclosure, value + err."""
-        return self.value + self.err
-
 
 def _solve_err(f: WarpingSolution, slope: float) -> float:
     """The error assumed of a solve at a node with slope f':

@@ -160,15 +160,10 @@ def _root_intervals(coeffs: tuple[float, ...], a: float,
 def _polynomial(coeffs: tuple[float, ...]) -> Callable[[float], float]:
     """The polynomial with ascending ``coeffs`` as a closure: Horner's
     rule from acc = 0.0, acc = acc * t + c over the coefficients from the
-    highest.  It also takes an array of times.
-
-    Lines, the segments of piecewise-linear sweeps, skip the loop: for
-    finite t, 0.0 * t + c is c unless c is a zero, so a nonzero slope
-    starts the chain itself.
+    highest.  It also takes an array of times.  For finite t, 0.0 * t + c
+    is c unless c is a zero, so a line c0 + c1 t with c1 != 0 gets the
+    bits of c1 * t + c0.
     """
-    if len(coeffs) == 2 and coeffs[1] != 0.0:
-        c0, c1 = coeffs
-        return lambda t: c1 * t + c0
     rc = coeffs[::-1]
 
     def horner(t):
@@ -434,10 +429,6 @@ class CurvatureProfile:
     def _seg_ends(self) -> list[float]:
         return [s.t_end for s in self.segments]
 
-    @property
-    def is_zero(self) -> bool:
-        return all(s.is_zero for s in self.segments) and self.tail == ZeroTail()
-
     def piece_at(self, t: float):
         """Return (piece, piece_end) for the piece active at time t.
 
@@ -534,8 +525,9 @@ def power_tail_profile(a: float, p: float) -> CurvatureProfile:
 
 def _bisect(p: Callable[[float], float], lo: float, hi: float) -> float:
     """A point of [lo, hi] where p changes sign, or a zero of p met on the
-    way, found by plain bisection to floating point resolution.  Without a
-    sign change it ends next to hi.
+    way, found by plain bisection to floating point resolution.  A zero
+    p(lo) counts as the positive side.  Without a sign change it ends next
+    to hi.
     """
     plo = p(lo)
     while lo < (mid := 0.5 * (lo + hi)) < hi:

@@ -8,10 +8,14 @@ to distinct ends; a packing count of disjoint lambda-balls in the unit
 
 The cap is taken at the upper end of the enclosure of lim m',
 2 max(hi, 1)**(n-1) (the limit is never below 1), so an error in lim m'
-can never count too few ends.  A divergent m' limit, one
-that did not settle (err = inf), or a cap past float range (``power``
-saturates to inf in a high dimension) certifies nothing: the bound is
-reported as inconclusive, never as "infinitely many ends".
+can never count too few ends.  It goes through the growth coefficient's
+map in logs, exp((n-1) log max(hi, 1) + log 2) (``model_space._power_map``),
+rounded up by more than the rounding of the exponent and of exp before
+its floor, so the integer cap is sound by construction, not by the
+accuracy of a power.  A divergent m' limit, one that did not settle
+(err = inf), or a cap past float range (the map saturates to inf in a
+high dimension) certifies nothing: the bound is reported as
+inconclusive, never as "infinitely many ends".
 """
 
 from __future__ import annotations
@@ -20,9 +24,11 @@ import math
 from dataclasses import dataclass
 
 from .asymptotics import LimitEstimate
-from .model_space import check_dimension, power
+from .model_space import _power_map, check_dimension
 
 __all__ = ["EndsBound", "angle_bound", "packing_bound", "ends_bound"]
+
+_LOG_TWO = math.log(2.0)
 
 
 @dataclass(frozen=True)
@@ -31,8 +37,8 @@ class EndsBound:
 
     ``raw_bound`` is the real-valued bound 2 (lim m')**(n-1) at the
     central estimate; ``integer_bound`` floors the same bound at the
-    upper end max(hi, 1) of lim m', which is sound since end counts are
-    integers.
+    upper end max(hi, 1) of lim m', rounded up, which is sound since end
+    counts are integers.
     When that upper end is not finite, ``conclusive`` is False and no
     integer bound is given; a divergent limit also reports the angle as 0.
     """
@@ -63,10 +69,12 @@ def angle_bound(m_prime_inf: LimitEstimate) -> float | None:
 
 def packing_bound(two_lambda: float, n: int) -> float:
     """Max number of disjoint lambda-balls in the unit (n-1)-sphere of
-    directions: 2 (pi / 2 lambda)**(n-1), inf past float range."""
+    directions: 2 (pi / 2 lambda)**(n-1), taken in logs by
+    ``model_space._power_map``, inf past float range; exactly 2.0 at
+    2 lambda = pi, since exp(log 2) is 2.0."""
     if not (two_lambda > 0.0):
         raise ValueError(f"separation angle must be positive, got {two_lambda}")
-    return 2.0 * power(math.pi / two_lambda, check_dimension(n) - 1)
+    return _power_map(math.pi / two_lambda, check_dimension(n) - 1, _LOG_TWO)
 
 
 def ends_bound(m_prime_inf: LimitEstimate, n: int) -> EndsBound:
@@ -83,7 +91,7 @@ def ends_bound(m_prime_inf: LimitEstimate, n: int) -> EndsBound:
                          raw_bound=math.inf, integer_bound=None,
                          conclusive=False)
     angle = angle_bound(ml)
-    upper = 2.0 * power(max(ml.hi, 1.0), n - 1)
+    upper = _power_map(max(ml.hi, 1.0), n - 1, _LOG_TWO, 1, _LOG_TWO)
     conclusive = math.isfinite(upper)
     return EndsBound(m_prime_inf=ml, two_lambda=angle,
                      raw_bound=packing_bound(angle, n),

@@ -62,7 +62,7 @@ the same nodes and the same matrices, and m - f is carried by the same
 linear maps.  Since x < pi and omega >= sqrt(max K), no step holds two
 zeros of f (Sturm), without a test.  The walk stops at the first node
 where f <= 0, whose zero is located by bisection on the dense output to
-1e-12 in t, and at the first node past the growth guard.
+float resolution, and at the first node past the growth guard.
 
 Since nothing of the grid or the matrices depends on the state, they
 form a plan per profile, t_end and tol (``_Plan``), held in a memo of
@@ -87,6 +87,7 @@ from __future__ import annotations
 import bisect
 import functools
 import math
+import sys
 from collections import OrderedDict
 from dataclasses import dataclass
 
@@ -96,6 +97,7 @@ from .curvature_profile import (
     CurvatureProfile,
     PowerDecayTail,
     Segment,
+    _bisect,
     _shifted_to_bernstein,
     _taylor_shift,
     negative_part,
@@ -110,8 +112,8 @@ __all__ = ["WarpingSolution", "solve", "solve_m", "GROWTH_GUARD"]
 # guard stays in float range, or a grid node of a constant piece, whose
 # pass is bounded beforehand so that no node overflows (a zero piece ends
 # where f reaches twice the guard).  Ball volumes are integrated in logs,
-# so f**(n-1) never leaves float range; the growth coefficient is taken
-# in logs too, and only the ends cap goes through model_space.power,
+# so f**(n-1) never leaves float range; the growth coefficient and the
+# ends cap are taken in logs too, through model_space.saturating_exp,
 # which saturates to inf.
 GROWTH_GUARD = 1e60
 
@@ -266,22 +268,12 @@ def _hermite(h, y0, d0, a0, y1, d1, a1, s, derivative: bool):
 
 
 def _locate_zero(t0, h, y0, d0, a0, y1, d1, a1):
-    """Bisect the dense quintic for f = 0 on a step with a sign change."""
-    lo, hi = 0.0, 1.0
-    # f is positive just right of t = 0, so a zero left node still marks
-    # the positive side of the bracket
-    flo = y0 if y0 > 0.0 else 1e-300
-    while (hi - lo) * h > 1e-12:
-        mid = 0.5 * (lo + hi)
-        fmid = _hermite(h, y0, d0, a0, y1, d1, a1, mid, False)
-        if fmid == 0.0:
-            lo = hi = mid
-            break
-        if (flo > 0.0) == (fmid > 0.0):
-            lo, flo = mid, fmid
-        else:
-            hi = mid
-    s = 0.5 * (lo + hi)
+    """The zero of the dense quintic on a step from f > 0 to f <= 0, as
+    (t, f, f'), found in the local coordinate by
+    ``curvature_profile._bisect`` to float resolution.  A zero left node,
+    f(0) = 0, counts as the positive side: f is positive just right of
+    it."""
+    s = _bisect(lambda s: _hermite(h, y0, d0, a0, y1, d1, a1, s, False), 0.0, 1.0)
     return (t0 + s * h, _hermite(h, y0, d0, a0, y1, d1, a1, s, False),
             _hermite(h, y0, d0, a0, y1, d1, a1, s, True))
 
@@ -470,7 +462,7 @@ def _taylor_rule(tol: float, degree: int | None) -> tuple[float, int]:
     return lo, order
 
 
-def _local_scales(num, a, w, scalar_roots: bool = False) -> np.ndarray:
+def _local_scales(num, a, w) -> np.ndarray:
     """omega on each cell [a, a + w] of a polynomial piece: the largest of
     (max |K^(j)/j!|)^(1/(j + 2)) over j, floored at _OMEGA_FLOOR.  ``num``
     holds K's coefficients, as floats or as arrays with one entry per cell.
@@ -480,9 +472,7 @@ def _local_scales(num, a, w, scalar_roots: bool = False) -> np.ndarray:
     Taylor shift to a gives every K^(j)(a)/j! at once, and K^(j)/j! has
     the coefficients C(i + j, j) K^(i+j)(a)/(i + j)! in powers of t - a.
     Subdivision only shrinks Bernstein bounds, so a cell's omega is at
-    most its span's.  With ``scalar_roots`` each root is a float's ``**``
-    (libm's pow), as a float a and w give it; numpy's array power rounds
-    some of them differently.
+    most its span's.
     """
     d = len(num) - 1
     taylor = _taylor_shift(num, a)
@@ -494,11 +484,7 @@ def _local_scales(num, a, w, scalar_roots: bool = False) -> np.ndarray:
         bound = np.abs(bern[0])
         for x in bern[1:]:
             bound = np.maximum(bound, np.abs(x))
-        root = 1.0 / (j + 2)
-        if scalar_roots:
-            omega = np.maximum(omega, [x ** root for x in bound.tolist()])
-        else:
-            omega = np.maximum(omega, bound ** root)
+        omega = np.maximum(omega, bound ** (1.0 / (j + 2)))
     return omega
 
 
@@ -638,8 +624,8 @@ class _Polynomial:
         return ((lo, hi),)
 
     @staticmethod
-    def scales(params, a, w, scalar_roots: bool = False) -> np.ndarray:
-        return _local_scales(params, a, w, scalar_roots)
+    def scales(params, a, w) -> np.ndarray:
+        return _local_scales(params, a, w)
 
     @staticmethod
     def kappa(params, left, h, terms: int) -> list:
@@ -684,7 +670,7 @@ class _Series:
     def __init__(self):
         self.key = self
 
-    def scales(self, params, a, w, scalar_roots: bool = False) -> np.ndarray:
+    def scales(self, params, a, w) -> np.ndarray:
         return self._scales(a, w)
 
 
@@ -911,9 +897,9 @@ class _Plan:
             w = np.array([span[1] for span in spans]) - a
             params = tuple(np.array([pieces[k].params[i] for k, n in zip(tops, take)
                                      for _ in range(n)]) for i in range(len(pieces[0].params)))
-            # as the Python floats of a single span's scale, which never warn
+            # a count past float range reads inf, and its span is halved
             with np.errstate(all="ignore"):
-                nodes = (w * kind.scales(params, a, w, scalar_roots=True) / xu).tolist()
+                nodes = (w * kind.scales(params, a, w) / xu).tolist()
             start = 0
             for k, n in zip(tops, take):
                 stack = stacks[k]
@@ -1217,7 +1203,10 @@ def _taylor_piece(source, t: float, f: float, fp: float, bound: float,
 def solve(profile: CurvatureProfile, t_end: float, tol: float) -> WarpingSolution:
     """Integrate f'' + K f = 0 with f(0) = 0, f'(0) = 1 on [0, t_end].
 
-    ``t_end`` must be finite.  ``tol`` is the requested relative error of
+    ``t_end`` must be finite and at least the least normal float,
+    ``sys.float_info.min``: below it the nodes would be subnormal, whose
+    absolute quantum the dense output's error bound does not count.
+    ``tol`` is the requested relative error of
     the dense output, which sets the grids (see the module docstring); it
     must lie in [1e-14, 1e-3].  Constant pieces are taken in closed form,
     every other piece, a polynomial or rational segment or a power tail,
@@ -1241,6 +1230,8 @@ def solve(profile: CurvatureProfile, t_end: float, tol: float) -> WarpingSolutio
     """
     if not (0.0 < t_end < math.inf):
         raise ValueError(f"t_end must be positive and finite, got {t_end}")
+    if t_end < sys.float_info.min:
+        raise ValueError(f"t_end must be at least the least normal float, got {t_end}")
     if not (_MIN_TOL <= tol <= _MAX_TOL):
         raise ValueError(f"tol must lie in [{_MIN_TOL}, {_MAX_TOL}], got {tol}")
 

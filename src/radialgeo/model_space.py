@@ -31,7 +31,9 @@ logs, exp((n-1) log s + log(omega/n)), through :func:`saturating_exp`,
 so it neither overflows nor underflows on the way: a value past float
 range reads inf, and a limit built from it did not settle (err = inf,
 see ``LimitEstimate``); a value below float range reads 0.  Each end is
-rounded outward by more than the rounding of the exponent.
+rounded outward by more than the rounding of the exponent.  The ends
+cap 2 (lim m')**(n-1) of :mod:`radialgeo.ends` goes through the same
+map, ``_power_map``, rounded up before its floor.
 """
 
 from __future__ import annotations
@@ -45,9 +47,9 @@ import numpy as np
 from .asymptotics import LimitEstimate, TotalCurvatureResult
 from .jacobi import WarpingSolution, _hermite
 
-__all__ = ["ModelSpace", "GrowthCoefficient", "check_dimension", "power",
-           "saturating_exp", "unit_sphere_volume", "log_ball_volumes",
-           "ball_volume", "ball_volumes", "growth_coefficient"]
+__all__ = ["ModelSpace", "GrowthCoefficient", "check_dimension", "saturating_exp",
+           "unit_sphere_volume", "log_ball_volumes", "ball_volume", "ball_volumes",
+           "growth_coefficient"]
 
 _TINY = np.finfo(float).tiny
 # two units of the least positive float, a subnormal: more than exp
@@ -64,14 +66,6 @@ def check_dimension(n) -> int:
     if not (n >= 2 and n % 1 == 0):
         raise ValueError(f"dimension must be an integer >= 2, got {n}")
     return int(n)
-
-
-def power(x: float, k: int) -> float:
-    """x**k, or inf past float range."""
-    try:
-        return x ** k
-    except OverflowError:
-        return math.inf
 
 
 def saturating_exp(x: float) -> float:
@@ -207,9 +201,8 @@ class GrowthCoefficient:
 
     ``direct`` maps s; ``closed_form`` is that same enclosure when the
     total curvature c = 2 pi (1 - s) is finite, and the divergence
-    marker otherwise.  ``discrepancy`` is their absolute difference when
-    c is finite, so it reads 0 (not finite when the value is past float
-    range), else None.
+    marker otherwise.  ``discrepancy`` is their difference, 0.0 when c is
+    finite (the two are one enclosure, even past float range), else None.
     """
 
     direct: LimitEstimate
@@ -217,27 +210,39 @@ class GrowthCoefficient:
     discrepancy: float | None
 
 
-def _growth(ms: ModelSpace, x: float, side: int = 0) -> float:
-    """(omega/n) x**(n-1), the growth coefficient of a slope limit x,
-    taken in logs; x <= 0 goes to 0 (Cohn-Vossen keeps lim f' >= 0 on a
-    genuine model, so this clamps numerical overshoot).
+def _power_map(x: float, k: int, log_c: float, side: int = 0,
+               size: float = 0.0) -> float:
+    """c x**k, taken in logs as exp(k log x + log c) through
+    :func:`saturating_exp`, so it neither overflows nor underflows on the
+    way; x <= 0 goes to 0.
 
     ``side`` -1 or 1 rounds the value outward, down or up, by
-    2^-50 (1 + S + (n-1) |log x|) relative, S the sum of the magnitudes
-    of the terms of log(omega/n), which bounds the rounding of the
+    2^-50 (1 + size + k |log x|) relative, with ``size`` the sum of the
+    magnitudes of the terms of log c, which bounds the rounding of the
     exponent, and by two subnormal units, which bound that of exp below
     float range; so an upper end stays positive and a lower end is at
     least 0.
     """
     if x <= 0.0:
         return 0.0
-    n, log_x = ms.n, math.log(x)
-    value = saturating_exp((n - 1) * log_x + (_log_omega(n) - math.log(n)))
+    log_x = math.log(x)
+    value = saturating_exp(k * log_x + log_c)
     if not side:
         return value
-    size = math.log(2.0 * n) + n / 2.0 * math.log(math.pi) + abs(math.lgamma(n / 2.0))
-    r = 2.0 ** -50 * (1.0 + size + (n - 1) * abs(log_x))
+    r = 2.0 ** -50 * (1.0 + size + k * abs(log_x))
     return max(value * (1.0 + side * r) + side * _EXP_SLACK, 0.0)
+
+
+def _growth(ms: ModelSpace, x: float, side: int = 0) -> float:
+    """(omega/n) x**(n-1), the growth coefficient of a slope limit x, by
+    ``_power_map``, which takes x <= 0 to 0 (Cohn-Vossen keeps lim f' >= 0
+    on a genuine model, so this clamps numerical overshoot) and rounds
+    toward ``side``; the terms of log(omega/n) are log 2n,
+    (n/2) log pi and lgamma(n/2).
+    """
+    n = ms.n
+    size = math.log(2.0 * n) + n / 2.0 * math.log(math.pi) + abs(math.lgamma(n / 2.0))
+    return _power_map(x, n - 1, _log_omega(n) - math.log(n), side, size)
 
 
 def growth_coefficient(ms: ModelSpace,
@@ -258,5 +263,4 @@ def growth_coefficient(ms: ModelSpace,
                                          _growth(ms, s.lo, -1), _growth(ms, s.hi, 1))
     closed = (direct if c.is_finite
               else LimitEstimate(value=math.inf, err=math.inf, divergent=True))
-    disc = abs(direct.value - closed.value) if c.is_finite else None
-    return GrowthCoefficient(direct, closed, disc)
+    return GrowthCoefficient(direct, closed, 0.0 if c.is_finite else None)

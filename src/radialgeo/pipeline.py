@@ -377,7 +377,7 @@ def evaluate_theorem(profile: CurvatureProfile, n: int,
 
     tc = total_curvature(f)
     m = _comparison_solution(f, opts.t_end)
-    ml = slope_limit(m)
+    ml = tc.slope if m is f else slope_limit(m)
     if not (ml.divergent or math.isfinite(ml.err)):
         warnings.append(
             f"m' limit did not settle: the tail bracket at t = {m.t_end:.6g} "
@@ -503,18 +503,12 @@ def evaluate_theorem(profile: CurvatureProfile, n: int,
 # deterministic JSON
 
 
-def _fin(x: float | None) -> float | None:
-    if x is None or not math.isfinite(x):
-        return None
-    return float(x)
-
-
 def _limit_dict(le: LimitEstimate | None) -> dict | None:
     if le is None:
         return None
     if le.divergent:
-        return {"divergent": True, "last_probe": _fin(le.value)}
-    return {"divergent": False, "value": _fin(le.value), "err": _fin(le.err)}
+        return {"divergent": True, "last_probe": le.value}
+    return {"divergent": False, "value": le.value, "err": le.err}
 
 
 def report_to_dict(report: TheoremReport) -> dict:
@@ -524,17 +518,17 @@ def report_to_dict(report: TheoremReport) -> dict:
         "inputs": report.inputs,
         "total_curvature": {
             "classification": tc.classification.value,
-            "value": _fin(tc.value),
-            "err": _fin(tc.err),
-            "c_plus": _fin(tc.c_plus),
-            "c_minus": _fin(tc.c_minus),
+            "value": tc.value,
+            "err": tc.err,
+            "c_plus": tc.c_plus,
+            "c_minus": tc.c_minus,
         },
         "slope_limit": _limit_dict(report.slope_limit),
         "m_prime_limit": _limit_dict(report.m_prime_limit),
         "growth": {
             "direct": _limit_dict(report.growth.direct),
             "closed_form": _limit_dict(report.growth.closed_form),
-            "discrepancy": _fin(report.growth.discrepancy),
+            "discrepancy": report.growth.discrepancy,
         },
         "ratio_limit": _limit_dict(report.ratio_limit),
         "bg_ratios": report.bg_ratios,
@@ -542,8 +536,8 @@ def report_to_dict(report: TheoremReport) -> dict:
         "manifold_growth_limit": _limit_dict(report.manifold_growth_limit),
         "ends_bound": {
             "m_prime_inf": _limit_dict(eb.m_prime_inf),
-            "two_lambda": _fin(eb.two_lambda),
-            "raw_bound": _fin(eb.raw_bound),
+            "two_lambda": eb.two_lambda,
+            "raw_bound": eb.raw_bound,
             "integer_bound": eb.integer_bound,
             "conclusive": eb.conclusive,
         },

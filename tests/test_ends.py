@@ -1,4 +1,6 @@
 import math
+import sys
+from decimal import Decimal, localcontext
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -13,6 +15,28 @@ PI = math.pi
 
 def finite(x: float) -> LimitEstimate:
     return LimitEstimate(value=x, err=0.0)
+
+
+def check_cap(eb, hi: float, n: int) -> None:
+    """``eb.integer_bound`` against the exact cap 2 max(hi, 1)^(n-1) at 50
+    digits: at least its floor, and above it by at most the margin of the
+    map's rounding up, 3 * 2^-50 (1 + log 2 + (n-1) |log max(hi, 1)|)
+    relative, so by at most one where that margin is below one; equal to
+    it wherever the cap lies farther below the next integer than the
+    margin.  Past float range it is inconclusive."""
+    x = max(hi, 1.0)
+    with localcontext() as ctx:
+        ctx.prec = 50
+        exact = 2 * Decimal(x) ** (n - 1)
+        margin = exact * Decimal(3.0 * 2.0 ** -50 * (1.0 + math.log(2.0)
+                                                     + (n - 1) * math.log(x)))
+    if eb.integer_bound is None:
+        assert not eb.conclusive and exact + margin >= Decimal(sys.float_info.max), n
+        return
+    floor = int(exact)
+    assert floor <= eb.integer_bound <= int(exact + margin), n
+    if floor + 1 - exact > margin:
+        assert eb.integer_bound == floor, n
 
 
 class TestAngleBound:
@@ -137,8 +161,18 @@ class TestEndsBound:
            st.integers(2, 8))
     def test_cap_floors_upper_end(self, value, below, above, n):
         ml = LimitEstimate.of_bounds(value, value - below, value + above)
-        eb = rg.ends_bound(ml, n)
-        assert eb.integer_bound == math.floor(2.0 * max(ml.hi, 1.0) ** (n - 1))
+        check_cap(rg.ends_bound(ml, n), ml.hi, n)
+
+    @pytest.mark.parametrize("hi", [1.0, 1.0 + 2.0 ** -52, 1.5, 2.0 - 2.0 ** -52, 2.0,
+                                    math.sinh(math.sqrt(6.0)) / math.sqrt(6.0), 10.0])
+    def test_cap_against_exact(self, hi):
+        # in logs without the rounding up, x = 2 at n = 4 floors to 15,
+        # where the cap is 16; 2 x**(n-1) can round below a cap past 2^53
+        # (x = sinh(sqrt 6)/sqrt 6 at n = 47)
+        for n in [*range(2, 51), 450, 1000]:
+            eb = rg.ends_bound(LimitEstimate.of_bounds(1.0, 1.0, hi), n)
+            check_cap(eb, hi, n)
+            assert eb.raw_bound == 2.0
 
     def test_cap_reads_hi_of_asymmetric_limit(self):
         # err = 0.4 would give 2 (1.4 + 0.4)^2 = 6.48; hi gives 2 (1.42)^2

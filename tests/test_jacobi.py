@@ -2,6 +2,7 @@ import functools
 import gc
 import importlib.util
 import math
+import sys
 import weakref
 from decimal import Decimal, localcontext
 from pathlib import Path
@@ -128,6 +129,17 @@ class TestPreconditions:
         for solver in (rg.solve, rg.solve_m):
             with pytest.raises(ValueError, match="t_end must be positive and finite"):
                 solver(rg.zero_profile(), t_end, 1e-8)
+
+    @pytest.mark.parametrize("t_end", [2.2250738585e-313, 1e-310, 5e-324])
+    def test_subnormal_t_end_refused(self, t_end):
+        # a zero segment on [0, 1) to t_end = 2.2250738585e-313 at tol 1e-14
+        # gave dense f' 1.0000000000222: subnormal nodes carry an absolute
+        # quantum, 2.2e-11 of f there, which the dense bound does not count
+        profile = rg.CurvatureProfile((Segment(0.0, 1.0, (0.0,)),), rg.ZeroTail())
+        for solver in (rg.solve, rg.solve_m):
+            with pytest.raises(ValueError, match="least normal float"):
+                solver(profile, t_end, 1e-14)
+        assert rg.solve(profile, sys.float_info.min, 1e-14).t_end == sys.float_info.min
 
     def test_tol_range(self):
         with pytest.raises(ValueError):
@@ -1110,6 +1122,12 @@ class TestPolynomialPieces:
     @settings(max_examples=150, deadline=None)
     def test_against_reference(self, case):
         profile, start, end, t_end, tol = case
+        if t_end < sys.float_info.min:
+            # subnormal nodes carry an absolute quantum the dense bound
+            # does not count: such a window is refused
+            with pytest.raises(ValueError, match="least normal float"):
+                rg.solve(profile, t_end, tol)
+            return
         sol = rg.solve(profile, t_end, tol)
         assume(start < sol.t_end)  # a zero on the line segment ends the solve first
         seg = profile.piece_at(start)[0]
@@ -1227,9 +1245,9 @@ class TestPolynomialPieces:
         profile = rg.CurvatureProfile((Segment(0.0, 10.0, (0.0, 1.0)),), rg.ZeroTail())
         for tol in (1e-3, 1e-8, 1e-14):
             # dense f errs by at most tol (|f| + |f'|/omega) < 2 tol |f'|
-            # there, and the bisection stops at 1e-12
+            # there, and the bisection runs to float resolution
             sol = rg.solve(profile, 10.0, tol)
-            assert sol.first_zero == pytest.approx(tz, abs=2.0 * tol + 2e-12)
+            assert abs(sol.first_zero - tz) <= 2.0 * tol + 4 * math.ulp(tz)
 
     def test_budget_exhausted(self, monkeypatch):
         monkeypatch.setattr(jacobi, "_MAX_STEPS", 100)
@@ -1392,7 +1410,7 @@ def _walk_grid(num, lo, hi, tol):
     while todo:
         a, b = todo.pop()
         n = (b - a) * jacobi._local_scales(tuple(np.array([c]) for c in num), np.array([a]),
-                                           np.array([b - a]), scalar_roots=True).item() / xu
+                                           np.array([b - a])).item() / xu
         mid = 0.5 * (a + b)
         if n > jacobi._SPAN_NODES and a < mid < b:
             todo += [(mid, b), (a, mid)]

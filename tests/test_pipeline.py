@@ -623,10 +623,11 @@ class TestComparisonSolve:
         assert len(built) == (0 if nonpositive else 1)
 
     @pytest.mark.parametrize("name", ["flat", "hyperbolic", "abresch_tail",
-                                      "sign_changing_beta_ln2"])
+                                      "sign_changing_beta_ln2", "moment_boundary",
+                                      "sign_changing_beta_neg_ln2"])
     def test_one_slope_limit_per_solution(self, name, monkeypatch):
         # c, both growth routes and the report's slope read one enclosure
-        # of lim f'; lim m' takes one more
+        # of lim f'; lim m' takes one more, unless m is f (K <= 0)
         calls = []
 
         def counting(sol):
@@ -637,10 +638,11 @@ class TestComparisonSolve:
         monkeypatch.setattr(pipeline, "slope_limit", counting)
         profile = entry_by_name(name).profile
         report = evaluate_theorem(profile, 3)
-        assert len(calls) == 2
-        f, m = calls
+        nonpositive = name in NONPOSITIVE_ENTRIES
+        assert len(calls) == (1 if nonpositive else 2)
+        f, m = calls[0], calls[-1]
         assert f.profile is profile
-        assert (m is f) == (name in NONPOSITIVE_ENTRIES)
+        assert (m is f) == nonpositive
         assert report.slope_limit == report.total_curvature.slope == rg.slope_limit(f)
         assert report.m_prime_limit == rg.slope_limit(m)
 
