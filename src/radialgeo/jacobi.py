@@ -67,15 +67,21 @@ float resolution, and at the first node past the growth guard.
 Since nothing of the grid or the matrices depends on the state, they
 form a plan per profile, t_end and tol (``_Plan``), held in a memo of
 recent plans that ``solve`` and ``solve_m`` share (``_Memo``): the newest
-always, and older ones, most recently used first, while their built
-nodes sum to at most _MEMO_NODES.  The plan finds the grids of
-the profile's sign pieces together, in batched array passes, and builds
-their matrices as the walks reach them: every nonpositive piece of a
-kind in one pass, which f and m both walk, and a positive polynomial
-piece in chunks that double in size, so a solve that stops at its first zero
-does not pay for the rest of the piece.  The chain over them keeps the
-bits of a grid built span by span, and an underflowing grid or an
-exhausted step budget is raised where the walk meets it.
+always, and older ones, most recently used first, while their nodes sum
+to at most _MEMO_NODES.  A plan also keeps the walks that finished over
+it, f and m, and its nodes count both its built grid nodes and the nodes
+of those walks: a solve that repeats a finished one returns that
+solution, walks nothing, and where K <= 0 m is f's own object.  Every
+profile goes through the memo, one with only constant pieces too, whose
+plan holds its walks alone.  A walk that raises keeps nothing, so its
+error is raised again by every solve that meets it.  The plan finds the
+grids of the profile's sign pieces together, in batched array passes,
+and builds their matrices as the walks reach them: every nonpositive
+piece of a kind in one pass, which f and m both walk, and a positive
+polynomial piece in chunks that double in size, so a solve that stops at
+its first zero does not pay for the rest of the piece.  The chain over
+them keeps the bits of a grid built span by span, and an underflowing
+grid or an exhausted step budget is raised where the walk meets it.
 
 Dense output stores f, f' and f'' = -K f at the nodes and evaluates a
 quintic Hermite interpolant per step, with the error bounds above; a
@@ -151,7 +157,7 @@ _TAIL_TERMS = 8
 _SCALE_MARGIN = 1.0 + 2.0 ** -40
 
 
-@dataclass
+@dataclass(frozen=True)
 class WarpingSolution:
     """Dense-output solution of a Jacobi initial value problem.
 
@@ -163,6 +169,10 @@ class WarpingSolution:
     requested end, the first zero, or the growth-guard truncation point.
     ``n_steps`` counts the steps; ``n_rejected`` is always 0, since no
     step is ever rejected, and stays for the readers of solver statistics.
+
+    A solution is shared: the memo of ``solve`` returns the same object to
+    every solve of its profile, window and tol.  So it is frozen, and
+    ``solve`` makes its five arrays read-only.
     """
 
     profile: CurvatureProfile
@@ -816,7 +826,9 @@ class _Piece:
 class _Plan:
     """The state-independent part of the non-constant pieces of a profile
     on [0, t_end) at tol: every sign piece's grid and transfer matrices,
-    filled as far as the walks over them go.
+    filled as far as the walks over them go, and the walks that finished
+    (``f`` and ``m``).  A profile with only constant pieces has a plan with
+    no pieces, which holds its walks alone.
 
     ``resolve`` finds the grids in rounds, each over the pieces of one key
     (a polynomial degree, a rational segment or the tail), by batched
@@ -837,6 +849,11 @@ class _Plan:
         # the negative part of the profile, whose non-constant sign pieces
         # are the profile's nonpositive ones
         self.negative: CurvatureProfile | None = None
+        # the finished walks over the plan: f, the solve of the profile,
+        # and m, the solve of its negative part where that is another
+        # profile (where it is the profile itself, m is f)
+        self.f: WarpingSolution | None = None
+        self.m: WarpingSolution | None = None
         self.pieces = []
         for seg in profile.segments:
             if seg.t_start < t_end and not seg._constant:
@@ -849,6 +866,12 @@ class _Plan:
                                       tail.a > 0.0))
         # each piece by its start, which the negative part's cut shares
         self.at = {piece.lo: piece for piece in self.pieces}
+
+    def nodes(self) -> int:
+        """The nodes the plan holds: the grid nodes built so far and the
+        nodes of its kept walks."""
+        return (sum(len(p.t) for p in self.pieces)
+                + sum(len(w.ts) for w in (self.f, self.m) if w is not None))
 
     def resolve(self, piece: _Piece, budget: int) -> None:
         """Resolve the spans left from ``piece`` on, a round per key, each
@@ -1051,22 +1074,24 @@ class _Plan:
             start += size
 
 
-# the built nodes that the plans of ``_Memo`` other than the newest hold
-# at most, about 0.2 MB at 48 bytes a node (t, -K and a transfer matrix).
-# The gallery's four Taylor plans count 1307; kept plans slow a sweep of
+# the nodes that the plans of ``_Memo`` other than the newest hold at
+# most, built grid nodes and kept walk nodes together: about 0.2 MB, at 48
+# bytes a grid node (t, -K and a transfer matrix) and 40 a walk node (t, f,
+# f' and f'' at both ends of a step).  The gallery's seven plans count
+# 1307 grid nodes and 2491 walk nodes; kept plans slow a sweep of
 # profiles each solved once, the more the larger the budget (CHANGES.md)
 _MEMO_NODES = 1 << 12
 
 
 class _Memo:
-    """The plans of recent solves (``_plan``): the newest, and older ones
-    in ``older``, least recently used first, with the built nodes each
-    held when it stopped being the newest, at least _CHUNK_NODES, so
-    that plans with no built nodes cannot pile up.  The older plans hold
-    at most _MEMO_NODES nodes in all (``nodes``), so at most
-    _MEMO_NODES // _CHUNK_NODES of them; past that the least recently
-    used go.  Only the newest plan grows or takes a negative part, so an
-    older plan's count stays exact.
+    """The plans of recent solves (``_plan``), with their finished walks:
+    the newest, and older ones in ``older``, least recently used first,
+    with the nodes each held (``_Plan.nodes``) when it stopped being the
+    newest, at least _CHUNK_NODES, so that plans with few nodes cannot
+    pile up.  The older plans hold at most _MEMO_NODES nodes in all
+    (``nodes``), so at most _MEMO_NODES // _CHUNK_NODES of them; past that
+    the least recently used go.  Only the newest plan grows, keeps a walk
+    or takes a negative part, so an older plan's count stays exact.
     """
 
     def __init__(self):
@@ -1088,7 +1113,7 @@ class _Memo:
         else:
             self.nodes -= self.older.pop(plan)
         if newest is not None:
-            size = max(sum(len(p.t) for p in newest.pieces), _CHUNK_NODES)
+            size = max(newest.nodes(), _CHUNK_NODES)
             self.older[newest] = size
             self.nodes += size
             while self.nodes > _MEMO_NODES:
@@ -1101,12 +1126,19 @@ _memo = _Memo()
 
 
 def _plan(profile: CurvatureProfile, t_end: float, tol: float) -> _Plan:
-    """The plan of ``profile`` on [0, t_end) at tol, from the memo of
-    recent plans (``_Memo``), keyed on the profile object's identity,
-    t_end and tol; a plan not held there is built, and either becomes the
-    newest.  The plan of a profile also serves its negative part, once
-    ``solve_m`` has named it (``_Plan.negative``)."""
+    """The plan of ``profile`` on [0, t_end) at tol, with its finished
+    walks, from the memo of recent plans (``_Memo``), keyed on the profile
+    object's identity, t_end and tol; a plan not held there is built, and
+    either becomes the newest.  The plan of a profile also serves its
+    negative part, once ``solve_m`` has named it (``_Plan.negative``)."""
     return _memo.plan(profile, t_end, tol)
+
+
+def _subnormal_end(end: float) -> ValueError:
+    """The refusal of a segment or sign piece that ends at a subnormal
+    time: its nodes would carry the absolute quantum of subnormal floats,
+    which the dense output's error bound does not count."""
+    return ValueError(f"breakpoint {end!r} lies below the least normal float")
 
 
 def _taylor_piece(source, t: float, f: float, fp: float, bound: float,
@@ -1132,7 +1164,9 @@ def _taylor_piece(source, t: float, f: float, fp: float, bound: float,
     has more than one step at or below the underflow floor
     1e-14 max(t, 1), or whose nodes would take the solve past _MAX_STEPS
     steps, it raises IntegrationError; the plan records both and builds
-    neither, so only a walk that reaches them raises.
+    neither, so only a walk that reaches them raises.  A sign piece that
+    ends below the least normal float raises ValueError (``_subnormal_end``)
+    before it is walked.
     """
     ev = source.evaluate
     guard, max_steps = GROWTH_GUARD, _MAX_STEPS
@@ -1146,6 +1180,8 @@ def _taylor_piece(source, t: float, f: float, fp: float, bound: float,
     while lo < bound:
         piece = plan.at[lo]
         lo = piece.hi
+        if lo < sys.float_info.min:
+            raise _subnormal_end(lo)
         k = 0
         while True:
             if k == len(piece.leaves):
@@ -1205,7 +1241,9 @@ def solve(profile: CurvatureProfile, t_end: float, tol: float) -> WarpingSolutio
 
     ``t_end`` must be finite and at least the least normal float,
     ``sys.float_info.min``: below it the nodes would be subnormal, whose
-    absolute quantum the dense output's error bound does not count.
+    absolute quantum the dense output's error bound does not count.  For
+    the same reason a segment or sign piece that ends below it raises
+    ValueError, naming that end, where the walk reaches it.
     ``tol`` is the requested relative error of
     the dense output, which sets the grids (see the module docstring); it
     must lie in [1e-14, 1e-3].  Constant pieces are taken in closed form,
@@ -1219,15 +1257,32 @@ def solve(profile: CurvatureProfile, t_end: float, tol: float) -> WarpingSolutio
     one step finer than that floor raises IntegrationError.  A Taylor
     piece checks the step budget before it walks the nodes of a span.
 
-    The Taylor pieces are walked over the plan of ``profile`` on
-    [0, t_end) at tol (``_Plan``), from the memo of recent plans: the
-    first Taylor piece fetches it, and a solve of the same profile
-    object, t_end and tol while the memo holds it walks it again.  The
-    plan finds grids and builds transfer matrices only as far as the
-    walks over it go, and a span whose grid underflows or would pass the
-    step budget raises only when a walk reaches it, as the walk over a
-    fresh grid would.
+    The solve goes through the plan of ``profile`` on [0, t_end) at tol
+    (``_Plan``), from the memo of recent plans, which keeps the walks that
+    finished over it: a solve of the same profile object, t_end and tol
+    while the memo holds the plan returns the very solution of the first
+    one, and walks nothing.  Otherwise the Taylor pieces are walked over
+    the plan, which finds grids and builds transfer matrices only as far
+    as the walks over it go.  A span whose grid underflows or would pass
+    the step budget raises only when a walk reaches it, as the walk over
+    a fresh grid would; an error keeps no walk, so it is raised again by
+    every solve that meets it.
     """
+    _check_args(t_end, tol)
+    plan = _plan(profile, t_end, tol)
+    if plan.profile is profile:
+        if plan.f is None:
+            plan.f = _walk(profile, t_end, tol, plan)
+        return plan.f
+    # the negative part that the plan serves (``solve_m``)
+    if plan.m is None:
+        plan.m = _walk(profile, t_end, tol, plan)
+    return plan.m
+
+
+def _check_args(t_end: float, tol: float) -> None:
+    """ValueError unless t_end and tol are a window and tol that ``solve``
+    takes."""
     if not (0.0 < t_end < math.inf):
         raise ValueError(f"t_end must be positive and finite, got {t_end}")
     if t_end < sys.float_info.min:
@@ -1235,6 +1290,10 @@ def solve(profile: CurvatureProfile, t_end: float, tol: float) -> WarpingSolutio
     if not (_MIN_TOL <= tol <= _MAX_TOL):
         raise ValueError(f"tol must lie in [{_MIN_TOL}, {_MAX_TOL}], got {tol}")
 
+
+def _walk(profile: CurvatureProfile, t_end: float, tol: float, plan: _Plan) -> WarpingSolution:
+    """The solution of ``solve``, walked piece by piece: constant pieces
+    in closed form, the others over ``plan``.  Its arrays are read-only."""
     t, f, fp = 0.0, 0.0, 1.0
     # the nodes of zero pieces, in Python floats, since the last piece
     # whose nodes come as arrays: both go to ``blocks`` in order
@@ -1245,21 +1304,20 @@ def solve(profile: CurvatureProfile, t_end: float, tol: float) -> WarpingSolutio
     first_zero: float | None = None
     truncated = False
     n_steps = 0
-    plan = None  # the first Taylor piece fetches it
 
     while t < t_end:
         if n_steps > _MAX_STEPS:
             raise IntegrationError("step budget exhausted", t)
         piece, piece_end = profile.piece_at(t)
         bound = min(piece_end, t_end)
+        if bound < sys.float_info.min:
+            raise _subnormal_end(bound)
         k_t = piece.evaluate(t)
         if piece._constant:
             # a constant pass may stop short of its bound: the next pass
             # enters the piece again there
             new_ts, new_fs, new_fps, new_d2, zero = _constant_piece(t, f, fp, k_t, bound, tol)
         else:
-            if plan is None:
-                plan = _plan(profile, t_end, tol)
             new_ts, new_fs, new_fps, new_d2, zero = _taylor_piece(
                 piece, t, f, fp, bound, n_steps, plan)
         n_steps += len(new_ts)
@@ -1284,8 +1342,11 @@ def solve(profile: CurvatureProfile, t_end: float, tol: float) -> WarpingSolutio
             break
 
     blocks.append((ts, fs, fps, d2_left, d2_right))
-    ts, fs, fps, d2_left, d2_right = (np.concatenate(field) if len(field) > 1
-                                      else np.asarray(field[0]) for field in zip(*blocks))
+    arrays = [np.concatenate(field) if len(field) > 1 else np.asarray(field[0])
+              for field in zip(*blocks)]
+    for array in arrays:
+        array.flags.writeable = False
+    ts, fs, fps, d2_left, d2_right = arrays
     return WarpingSolution(
         profile=profile,
         tol=tol,
@@ -1305,20 +1366,29 @@ def solve_m(profile: CurvatureProfile, t_end: float, tol: float) -> WarpingSolut
 
     m is convex while positive and starts with slope 1, so it can never
     return to zero; a detected zero would mean the integrator broke and
-    is reported as such.
+    is reported as such, by every call.
 
     ``solve`` walks ``negative_part(profile)``, which the solution
     carries, over the plan of ``profile`` itself: its nonpositive
     non-constant sign pieces, and a negative power tail, are the negative
-    part's, with the same nodes and matrices.  A negative part with no
-    such piece needs no plan, and names none.  While the memo holds the
-    plan of ``solve(profile, t_end, tol)``, m builds no matrix that f
-    built; either way the nodes are the same bits.  Errors are raised
-    where m's walk meets them.
+    part's, with the same nodes and matrices.  The plan names the negative
+    part once and keeps m's walk, so a solve_m of the same profile object,
+    t_end and tol while the memo holds the plan builds no negative part
+    and returns the very solution of the first one.  Where K <= 0 the
+    negative part is the profile itself, and m is f's own object.  While
+    the memo holds the plan of ``solve(profile, t_end, tol)``, m builds no
+    matrix that f built; either way the nodes are the same bits.  Errors
+    are raised where m's walk meets them.
     """
-    negative = negative_part(profile)
-    if not (negative.tail._constant and all(seg._constant for seg in negative.segments)):
-        _plan(profile, t_end, tol).negative = negative
+    _check_args(t_end, tol)
+    plan = _plan(profile, t_end, tol)
+    if plan.profile is profile:
+        if plan.negative is None:
+            plan.negative = negative_part(profile)
+        negative = plan.negative
+    else:
+        # ``profile`` is the negative part that the plan serves
+        negative = negative_part(profile)
     sol = solve(negative, t_end, tol)
     if sol.first_zero is not None:
         raise IntegrationError(

@@ -54,7 +54,7 @@ from .errors import (
     RadialGeoError,
 )
 from .gallery import entry_by_name, list_gallery
-from .jacobi import WarpingSolution, solve, solve_m
+from .jacobi import solve, solve_m
 from .model_space import (
     GrowthCoefficient,
     ModelSpace,
@@ -339,20 +339,6 @@ class TheoremReport:
     hypothesis_ok: bool
 
 
-def _comparison_solution(f: WarpingSolution, t_end: float) -> WarpingSolution:
-    """m, the solve of m'' + min(K, 0) m = 0 on [0, t_end], given the solve
-    f of K itself on the same window at the same tolerance.
-
-    Where K <= 0 the negative part is the profile itself, so ``solve_m``
-    would integrate the very same profile: f is returned, bit for bit what
-    that solve gives, truncation included.  Such a model has no first
-    zero, so the zero check of ``solve_m`` could not fire either.
-    """
-    if f.profile.is_nonpositive:
-        return f
-    return solve_m(f.profile, t_end, f.tol)
-
-
 def evaluate_theorem(profile: CurvatureProfile, n: int,
                      opts: AnalysisOptions | None = None,
                      samples: VolumeSamples | None = None) -> TheoremReport:
@@ -376,7 +362,8 @@ def evaluate_theorem(profile: CurvatureProfile, n: int,
         )
 
     tc = total_curvature(f)
-    m = _comparison_solution(f, opts.t_end)
+    # where K <= 0, m is f's own solution object (``solve_m``)
+    m = solve_m(profile, opts.t_end, opts.tol)
     ml = tc.slope if m is f else slope_limit(m)
     if not (ml.divergent or math.isfinite(ml.err)):
         warnings.append(
@@ -698,7 +685,7 @@ def _cmd_tabulate(args) -> int:
         raise ConfigurationError(f"--t-max / --step asks for more than "
                                  f"{_TABLE_ROWS} rows")
     f = solve(profile, args.t_max, opts.tol)
-    m = _comparison_solution(f, args.t_max)
+    m = solve_m(profile, args.t_max, opts.tol)
     t_stop = min(f.t_end, m.t_end)
     if t_stop < args.t_max:
         sys.stderr.write(

@@ -1,7 +1,9 @@
+import dataclasses
 import functools
 import gc
 import importlib.util
 import math
+import re
 import sys
 import weakref
 from decimal import Decimal, localcontext
@@ -140,6 +142,23 @@ class TestPreconditions:
             with pytest.raises(ValueError, match="least normal float"):
                 solver(profile, t_end, 1e-14)
         assert rg.solve(profile, sys.float_info.min, 1e-14).t_end == sys.float_info.min
+
+    @pytest.mark.parametrize("profile", [
+        # K = 0 on [0, 1e-310), then K = 0 on [1e-310, 1): a segment end
+        rg.CurvatureProfile((Segment(0.0, 1e-310, (0.0,)), Segment(1e-310, 1.0, (0.0,)))),
+        # K = t - 1e-310 on [0, 1): a sign-piece end, and a segment end of
+        # the negative part
+        rg.CurvatureProfile((Segment(0.0, 1.0, (-1e-310, 1.0)),)),
+    ], ids=["zero_segments", "sign_pieces"])
+    def test_subnormal_breakpoint_refused(self, profile):
+        # the first of these solved to t_end = 1 at tol 1e-14 had the node
+        # f(1e-310) subnormal, and dense f' and f 5e-14 off relative on
+        # (0, 1e-310]; no walk is kept, so every call refuses it
+        assert subnormal_end(profile, 1.0) == 1e-310
+        for solver in (rg.solve, rg.solve_m):
+            for _ in range(2):
+                with pytest.raises(ValueError, match="breakpoint 1e-310 lies below the least normal"):
+                    solver(profile, 1.0, 1e-14)
 
     def test_tol_range(self):
         with pytest.raises(ValueError):
@@ -544,6 +563,27 @@ def _rounding_of_k(profile, ts):
     return bound
 
 
+def subnormal_end(profile, t_end):
+    """The first segment or sign-piece end of ``profile`` in
+    (0, sys.float_info.min) and below t_end, which a solve refuses, or
+    None."""
+    return next((hi for _, _, hi, _ in profile.sign_pieces()
+                 if 0.0 < hi < sys.float_info.min and hi < t_end), None)
+
+
+def assert_refused_if_subnormal_end(profile, t_end, tol):
+    """Whether ``profile`` has a segment or sign-piece end below the least
+    normal float before t_end, after checking that solve and solve_m
+    refuse it, naming that end."""
+    end = subnormal_end(profile, t_end)
+    if end is not None:
+        for solver in (rg.solve, rg.solve_m):
+            with pytest.raises(ValueError, match=re.escape(
+                    f"breakpoint {end!r} lies below the least normal float")):
+                solver(profile, t_end, tol)
+    return end is not None
+
+
 def assert_matches_oracle(profile, t_end, tol):
     """solve and solve_m reach their end and agree there with the 50-digit
     Taylor oracle (``taylor_oracle``) on the profile and on its negative
@@ -551,7 +591,10 @@ def assert_matches_oracle(profile, t_end, tol):
     most 2^-16 tol of the state and some ulps of rounding, and the effect
     of K's own rounding over the step, summed over the nodes and amplified
     by the flow, which the largest |f| and |f'| stand for; at a first zero
-    also the dense output's error."""
+    also the dense output's error.  A profile with a breakpoint below the
+    least normal float must be refused instead."""
+    if assert_refused_if_subnormal_end(profile, t_end, tol):
+        return
     for solver, pieces in ((rg.solve, profile), (rg.solve_m, rg.negative_part(profile))):
         sol = solver(profile, t_end, tol)
         assert sol.t_end == t_end or sol.first_zero is not None or sol.truncated
@@ -1002,6 +1045,8 @@ class TestConstantPieceClosedForm:
     @settings(max_examples=150, deadline=None)
     def test_against_closed_form(self, case):
         profile, start, end, t_end, tol = case
+        if assert_refused_if_subnormal_end(profile, t_end, tol):
+            return  # a drawn line with a root below the least normal float
         sol = rg.solve(profile, t_end, tol)
         assume(start < sol.t_end)  # a zero on the line segment ends the solve first
         kappa = profile.piece_at(start)[0].evaluate(start)
@@ -1119,6 +1164,9 @@ class TestPolynomialPieces:
     guard and the errors it raises."""
 
     @given(case=polynomial_piece_cases())
+    # a line whose first zero lies on it, so the zero checks always run
+    @example(case=(rg.CurvatureProfile((Segment(0.0, 10.0, (1.0, 0.1)),), rg.ZeroTail()),
+                   0.0, 10.0, 11.0, 1e-8))
     @settings(max_examples=150, deadline=None)
     def test_against_reference(self, case):
         profile, start, end, t_end, tol = case
@@ -1128,6 +1176,8 @@ class TestPolynomialPieces:
             with pytest.raises(ValueError, match="least normal float"):
                 rg.solve(profile, t_end, tol)
             return
+        if assert_refused_if_subnormal_end(profile, t_end, tol):
+            return  # a drawn root or segment end below the least normal float
         sol = rg.solve(profile, t_end, tol)
         assume(start < sol.t_end)  # a zero on the line segment ends the solve first
         seg = profile.piece_at(start)[0]
@@ -1190,14 +1240,16 @@ class TestPolynomialPieces:
             # the exact f, from the zero step's left node, is within the
             # dense bound of 0 at the first zero, and every node before it
             # is positive
+            # the zero is bisected to float resolution, so the dense f
+            # there is the quintic's rounding at the zero step
             tz, j = sol.first_zero, len(ts) - 2
-            assert abs(fs[-1]) <= 1e-12 * abs(fps[-1]) + 1e-300
-            assert all(x > 0.0 for x in fs[k0 + 1:-1])
             h = ts[-1] - ts[j]
+            rounding = 512 * _EPS * (abs(fs[j]) + h * abs(fps[j]))
+            assert abs(fs[-1]) <= rounding
+            assert all(x > 0.0 for x in fs[k0 + 1:-1])
             omega = jacobi._local_scales(seg.num, ts[j], h).item()
             rz = _local_state(seg, ts[j], (fs[j], fps[j]), tz)[0]
-            assert abs(rz) <= (tol * (abs(fs[j]) + abs(fps[j]) / omega) + 1e-12 * abs(fps[-1])
-                               + 512 * _EPS * (abs(fs[j]) + h * abs(fps[j])))
+            assert abs(rz) <= tol * (abs(fs[j]) + abs(fps[j]) / omega) + rounding
 
     @pytest.mark.parametrize("tol", [1e-3, 1e-8, 1e-14])
     def test_sign_pieces_share_nodes_with_m(self, tol):
@@ -1368,6 +1420,22 @@ def spy_taylor_steps(monkeypatch):
     for kind in (jacobi._Rational, jacobi._Tail):
         monkeypatch.setattr(kind, "kappa", spy(kind.kappa))
     return passes
+
+
+def spy_walks(monkeypatch):
+    """Route every piece a solve walks, ``_taylor_piece`` and
+    ``_constant_piece``, through a spy; returns the list that collects the
+    name of each."""
+    walks = []
+
+    def spy(name, walk):
+        def run(*args):
+            walks.append(name)
+            return walk(*args)
+        return run
+    for name in ("_taylor_piece", "_constant_piece"):
+        monkeypatch.setattr(jacobi, name, spy(name, getattr(jacobi, name)))
+    return walks
 
 
 def empty_memo(monkeypatch):
@@ -1565,10 +1633,11 @@ class TestPolynomialPlan:
 
 
 class TestPlanMemo:
-    """The memo keeps the plans of recent profiles: a profile solved again
-    after others walks the plan its first solves built, with the bits of a
-    cold solve, and the plans other than the newest hold at most
-    _MEMO_NODES built nodes."""
+    """The memo keeps the plans of recent profiles with their finished
+    walks: a profile solved again after others walks the plan its first
+    solves built, or returns the solution they finished, with the bits of
+    a cold solve, and the plans other than the newest hold at most
+    _MEMO_NODES grid and walk nodes."""
 
     TAYLOR_ENTRIES = ("abresch_tail", "sign_changing_beta_ln2", "sign_changing_beta_neg_ln2",
                       "moment_boundary")
@@ -1583,11 +1652,14 @@ class TestPlanMemo:
             passes.clear()
             cold = [_outcome(_run(solver, a, a_end, 1e-8)) for solver in solvers]
             assert passes
+            nodes = jacobi._memo.newest.nodes()
             for solver in solvers:
                 _run(solver, b, b_end, 1e-8)
             passes.clear()
             assert [_outcome(_run(solver, a, a_end, 1e-8)) for solver in solvers] == cold
-            assert not passes
+            # a plan whose grid and walks pass the budget goes as soon as
+            # another plan is the newest, and is built again cold
+            assert bool(passes) == (nodes > jacobi._MEMO_NODES)
 
     def test_gallery_reports_keep_their_bytes_in_any_order(self, monkeypatch):
         entries = rg.list_gallery()
@@ -1619,7 +1691,11 @@ class TestPlanMemo:
         for profile in profiles:
             for solver in (rg.solve, rg.solve_m):
                 solver(profile, digest.SOLVE_T_END, digest.SOLVE_TOL)
-                sizes = [sum(len(piece.t) for piece in plan.pieces) for plan in memo.older]
+                # the built grid nodes and the nodes of the kept walks
+                sizes = [sum(len(piece.t) for piece in plan.pieces)
+                         + sum(len(w.ts) for w in (plan.f, plan.m) if w is not None)
+                         for plan in memo.older]
+                assert all(plan.f is not None for plan in memo.older)
                 counted = sum(max(size, jacobi._CHUNK_NODES) for size in sizes)
                 assert sum(sizes) <= counted == memo.nodes <= jacobi._MEMO_NODES
         # the memo let the early plans go, and with them their profiles
@@ -1649,20 +1725,83 @@ class TestPlanMemo:
         assert str(again.value) == str(first.value)
         assert again.value.t_reached == first.value.t_reached == 1e6
 
-    def test_solve_m_of_constant_pieces_names_no_plan(self, monkeypatch):
-        # a negative part with no Taylor piece walks no plan, so it takes
-        # no slot of the memo and leaves the newest plan where it was
+    def test_solve_m_of_constant_pieces_keeps_its_walk(self, monkeypatch):
+        # a negative part with no Taylor piece goes through the memo too:
+        # its plan has no pieces and holds its walk, which a solve again
+        # returns; the Taylor plan before it is not rebuilt either
         passes = spy_taylor_steps(monkeypatch)
         empty_memo(monkeypatch)
         profile = entry_by_name("abresch_tail").profile
-        rg.solve(profile, DEFAULT_T_END, DEFAULT_TOL)
-        rg.solve_m(rg.constant_profile(-1.0), DEFAULT_T_END, DEFAULT_TOL)
-        rg.solve_m(rg.CurvatureProfile((Segment(0.0, 1.0, (0.5,)), Segment(1.0, 2.0, (-0.5,))),
-                                       rg.ConstantTail(-0.25)), DEFAULT_T_END, DEFAULT_TOL)
+        f = rg.solve(profile, DEFAULT_T_END, DEFAULT_TOL)
+        constant = [rg.constant_profile(-1.0),
+                    rg.CurvatureProfile((Segment(0.0, 1.0, (0.5,)), Segment(1.0, 2.0, (-0.5,))),
+                                        rg.ConstantTail(-0.25))]
+        first = [rg.solve_m(p, DEFAULT_T_END, DEFAULT_TOL) for p in constant]
+        for p in constant:
+            assert not jacobi._plan(p, DEFAULT_T_END, DEFAULT_TOL).pieces
+        walks = spy_walks(monkeypatch)
         passes.clear()
-        rg.solve(profile, DEFAULT_T_END, DEFAULT_TOL)
-        assert not passes
-        assert jacobi._memo.newest.profile is profile and not jacobi._memo.older
+        assert all(rg.solve_m(p, DEFAULT_T_END, DEFAULT_TOL) is m for p, m in zip(constant, first))
+        assert rg.solve(profile, DEFAULT_T_END, DEFAULT_TOL) is f
+        assert not passes and not walks
+
+    def test_a_solve_again_returns_its_solution(self, monkeypatch):
+        cases = [(entry.profile, DEFAULT_T_END) for entry in rg.list_gallery()]
+        cases += plan_profiles()[:10]
+        for profile, t_end in cases:
+            empty_memo(monkeypatch)
+            first = [_run(solver, profile, t_end, DEFAULT_TOL) for solver in (rg.solve, rg.solve_m)]
+            walks = spy_walks(monkeypatch)
+            again = [_run(solver, profile, t_end, DEFAULT_TOL) for solver in (rg.solve, rg.solve_m)]
+            for a, b in zip(first, again):
+                if isinstance(a, IntegrationError):
+                    # the zero check of m raises again, from m's kept walk
+                    assert str(a) == str(b)
+                else:
+                    assert a is b
+            assert not walks
+            monkeypatch.undo()
+
+    def test_a_second_gallery_pass_walks_nothing(self, monkeypatch):
+        # the gallery's plans and walks fit the budget together, so a pass
+        # over every entry at n = 2 and 3 leaves every solve of the next
+        # pass over the same profile objects a hit
+        empty_memo(monkeypatch)
+        entries = rg.list_gallery()
+
+        def gallery_pass():
+            out = []
+            for entry in entries:
+                for n in (2, 3):
+                    try:
+                        out.append(rg.report_to_json(rg.evaluate_theorem(entry.profile, n)))
+                    except rg.ModelCompactnessError as exc:
+                        out.append(f"refused: {exc}")
+            return out
+        first = gallery_pass()
+        walks = spy_walks(monkeypatch)
+        assert gallery_pass() == first
+        assert not walks
+
+    @pytest.mark.parametrize("name", ["flat", "hyperbolic", "abresch_tail", "moment_boundary"])
+    def test_solve_m_of_a_nonpositive_profile_is_its_solve(self, name, monkeypatch):
+        # min(K, 0) is K itself, so m is f's own object, either first
+        profile = entry_by_name(name).profile
+        empty_memo(monkeypatch)
+        f = rg.solve(profile, DEFAULT_T_END, DEFAULT_TOL)
+        assert rg.solve_m(profile, DEFAULT_T_END, DEFAULT_TOL) is f
+        empty_memo(monkeypatch)
+        m = rg.solve_m(profile, DEFAULT_T_END, DEFAULT_TOL)
+        assert rg.solve(profile, DEFAULT_T_END, DEFAULT_TOL) is m
+        assert jacobi._plan(profile, DEFAULT_T_END, DEFAULT_TOL).m is None
+
+    def test_solutions_are_frozen(self):
+        sol = rg.solve(entry_by_name("sign_changing_beta_ln2").profile, DEFAULT_T_END, DEFAULT_TOL)
+        for name in ("ts", "fs", "fps", "d2_left", "d2_right"):
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(sol, name)[0] = 1.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            sol.first_zero = 1.0
 
 
 class TestConvergence:

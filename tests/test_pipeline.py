@@ -589,6 +589,21 @@ def count_solves(monkeypatch):
     return calls
 
 
+def count_walks(monkeypatch):
+    """Give ``jacobi`` an empty memo and route every walk of a solve
+    through a counter; returns the list of the profiles walked."""
+    walks = []
+    walk = jacobi._walk
+
+    def counting(profile, *args):
+        walks.append(profile)
+        return walk(profile, *args)
+
+    monkeypatch.setattr(jacobi, "_memo", jacobi._Memo())
+    monkeypatch.setattr(jacobi, "_walk", counting)
+    return walks
+
+
 # the entries with K <= 0, where min(K, 0) = K and m is f
 NONPOSITIVE_ENTRIES = {"flat", "hyperbolic", "abresch_tail", "moment_boundary"}
 
@@ -606,6 +621,7 @@ class TestComparisonSolve:
     def test_m_prime_limit_is_solve_m(self, name, n, monkeypatch):
         expected = reference_m_prime_limit(name)
         calls = count_solves(monkeypatch)
+        walks = count_walks(monkeypatch)
         built = []
         signed_part = curvature_profile._signed_part
 
@@ -614,13 +630,20 @@ class TestComparisonSolve:
             return signed_part(profile, keep_negative)
 
         monkeypatch.setattr(curvature_profile, "_signed_part", counting_signed_part)
-        report = evaluate_theorem(entry_by_name(name).profile, n)
+        profile = entry_by_name(name).profile
+        report = evaluate_theorem(profile, n)
         assert report.m_prime_limit == expected
-        # the K <= 0 test builds no profile: min(K, 0) is built once, by
-        # solve_m, and only where it differs from K
+        # f and m are two solves; solve_m names min(K, 0) once, which is
+        # the profile itself where K <= 0, so m is walked only where it
+        # differs from K
         nonpositive = name in NONPOSITIVE_ENTRIES
-        assert len(calls) == (1 if nonpositive else 2)
-        assert len(built) == (0 if nonpositive else 1)
+        assert len(calls) == 2 and len(built) == 1
+        assert [w is profile for w in walks] == ([True] if nonpositive else [True, False])
+        # evaluated again, the profile's solves walk nothing and name no
+        # negative part
+        assert report_to_json(evaluate_theorem(profile, n)) == report_to_json(report)
+        assert len(calls) == 4 and len(built) == 1
+        assert len(walks) == (1 if nonpositive else 2)
 
     @pytest.mark.parametrize("name", ["flat", "hyperbolic", "abresch_tail",
                                       "sign_changing_beta_ln2", "moment_boundary",
@@ -647,6 +670,8 @@ class TestComparisonSolve:
         assert report.m_prime_limit == rg.slope_limit(m)
 
     def test_tabulate_nonpositive_matches_solve_m(self, tmp_path, monkeypatch):
+        # K <= 0: m is f's own solution, one walk, and the table has the
+        # bytes of one whose m is walked on its own, from an empty memo
         profile = rg.CurvatureProfile(
             (rg.Segment(0.0, 2.0, (-0.5, -0.25)),
              rg.Segment(2.0, 3.0, (-4.5, 3.0, -0.5))),  # touches 0 at t = 3
@@ -654,12 +679,17 @@ class TestComparisonSolve:
         cfg = write_config(tmp_path / "model.json", profile, 3)
         args = ["tabulate", "--config", cfg, "--t-max", "20", "--step", "0.25"]
         calls = count_solves(monkeypatch)
+        walks = count_walks(monkeypatch)
         assert cli_main([*args, "--out", str(tmp_path / "a.csv")]) == 0
-        assert len(calls) == 1
-        monkeypatch.setattr(pipeline, "_comparison_solution",
-                            lambda f, t_end: rg.solve_m(f.profile, t_end, f.tol))
+        assert len(calls) == 2 and len(walks) == 1
+
+        def solve_m_cold(*args):
+            monkeypatch.setattr(jacobi, "_memo", jacobi._Memo())
+            return rg.solve_m(*args)
+
+        monkeypatch.setattr(pipeline, "solve_m", solve_m_cold)
         assert cli_main([*args, "--out", str(tmp_path / "b.csv")]) == 0
-        assert len(calls) == 3
+        assert len(calls) == 4 and len(walks) == 3
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
 
@@ -1011,7 +1041,7 @@ def tabulate_by_row(profile, n, tol, t_max, step):
     """Reference for the tabulate table: f, f', m and m' evaluated row by
     row, as scalars."""
     f = rg.solve(profile, t_max, tol)
-    m = pipeline._comparison_solution(f, t_max)
+    m = rg.solve_m(profile, t_max, tol)
     t_stop = min(f.t_end, m.t_end)
     grid = []
     k = 0
