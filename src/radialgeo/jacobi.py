@@ -71,17 +71,19 @@ always, and older ones, most recently used first, while their nodes sum
 to at most _MEMO_NODES.  A plan also keeps the walks that finished over
 it, f and m, and its nodes count both its built grid nodes and the nodes
 of those walks: a solve that repeats a finished one returns that
-solution, walks nothing, and where K <= 0 m is f's own object.  Every
-profile goes through the memo, one with only constant pieces too, whose
-plan holds its walks alone.  A walk that raises keeps nothing, so its
-error is raised again by every solve that meets it.  The plan finds the
-grids of the profile's sign pieces together, in batched array passes,
-and builds their matrices as the walks reach them: every nonpositive
-piece of a kind in one pass, which f and m both walk, and a positive
-polynomial piece in chunks that double in size, so a solve that stops at
-its first zero does not pay for the rest of the piece.  The chain over
-them keeps the bits of a grid built span by span, and an underflowing
-grid or an exhausted step budget is raised where the walk meets it.
+solution, walks nothing, and where K <= 0 m is f's own object; a plan
+whose grid and walks pass the budget on their own keeps its grid alone
+once it is no longer the newest.  Every profile goes through the memo,
+one with only constant pieces too, whose plan holds its walks alone.  A
+walk that raises keeps nothing, so its error is raised again by every
+solve that meets it.  The plan finds the grids of the profile's sign
+pieces together, in batched array passes, and builds their matrices as
+the walks reach them: every nonpositive piece of a kind in one pass,
+which f and m both walk, and a positive polynomial piece in chunks that
+double in size, so a solve that stops at its first zero does not pay for
+the rest of the piece.  The chain over them keeps the bits of a grid
+built span by span, and an underflowing grid or an exhausted step budget
+is raised where the walk meets it.
 
 Dense output stores f, f' and f'' = -K f at the nodes and evaluates a
 quintic Hermite interpolant per step, with the error bounds above; a
@@ -1088,10 +1090,12 @@ class _Memo:
     the newest, and older ones in ``older``, least recently used first,
     with the nodes each held (``_Plan.nodes``) when it stopped being the
     newest, at least _CHUNK_NODES, so that plans with few nodes cannot
-    pile up.  The older plans hold at most _MEMO_NODES nodes in all
-    (``nodes``), so at most _MEMO_NODES // _CHUNK_NODES of them; past that
-    the least recently used go.  Only the newest plan grows, keeps a walk
-    or takes a negative part, so an older plan's count stays exact.
+    pile up.  A plan whose grid and walks pass _MEMO_NODES on their own
+    drops its walks then, and is kept as long as its grid fits.  The older
+    plans hold at most _MEMO_NODES nodes in all (``nodes``), so at most
+    _MEMO_NODES // _CHUNK_NODES of them; past that the least recently used
+    go.  Only the newest plan grows, keeps a walk or takes a negative part,
+    so an older plan's count stays exact.
     """
 
     def __init__(self):
@@ -1113,7 +1117,13 @@ class _Memo:
         else:
             self.nodes -= self.older.pop(plan)
         if newest is not None:
-            size = max(newest.nodes(), _CHUNK_NODES)
+            size = newest.nodes()
+            if size > _MEMO_NODES:
+                # the walks alone go, so that the plan stays as long as
+                # its grid fits
+                newest.f = newest.m = None
+                size = newest.nodes()
+            size = max(size, _CHUNK_NODES)
             self.older[newest] = size
             self.nodes += size
             while self.nodes > _MEMO_NODES:
@@ -1164,9 +1174,7 @@ def _taylor_piece(source, t: float, f: float, fp: float, bound: float,
     has more than one step at or below the underflow floor
     1e-14 max(t, 1), or whose nodes would take the solve past _MAX_STEPS
     steps, it raises IntegrationError; the plan records both and builds
-    neither, so only a walk that reaches them raises.  A sign piece that
-    ends below the least normal float raises ValueError (``_subnormal_end``)
-    before it is walked.
+    neither, so only a walk that reaches them raises.
     """
     ev = source.evaluate
     guard, max_steps = GROWTH_GUARD, _MAX_STEPS
@@ -1180,8 +1188,6 @@ def _taylor_piece(source, t: float, f: float, fp: float, bound: float,
     while lo < bound:
         piece = plan.at[lo]
         lo = piece.hi
-        if lo < sys.float_info.min:
-            raise _subnormal_end(lo)
         k = 0
         while True:
             if k == len(piece.leaves):
@@ -1293,7 +1299,15 @@ def _check_args(t_end: float, tol: float) -> None:
 
 def _walk(profile: CurvatureProfile, t_end: float, tol: float, plan: _Plan) -> WarpingSolution:
     """The solution of ``solve``, walked piece by piece: constant pieces
-    in closed form, the others over ``plan``.  Its arrays are read-only."""
+    in closed form, the others over ``plan``.  Its arrays are read-only.
+
+    Sign pieces run in order from 0, and each segment end is a sign-piece
+    end, so only the first sign piece can end below the least normal
+    float, where the walk meets it first: it raises ValueError
+    (``_subnormal_end``)."""
+    first = next(profile.sign_pieces(), None)
+    if first is not None and first[2] < sys.float_info.min:
+        raise _subnormal_end(first[2])
     t, f, fp = 0.0, 0.0, 1.0
     # the nodes of zero pieces, in Python floats, since the last piece
     # whose nodes come as arrays: both go to ``blocks`` in order
@@ -1310,8 +1324,6 @@ def _walk(profile: CurvatureProfile, t_end: float, tol: float, plan: _Plan) -> W
             raise IntegrationError("step budget exhausted", t)
         piece, piece_end = profile.piece_at(t)
         bound = min(piece_end, t_end)
-        if bound < sys.float_info.min:
-            raise _subnormal_end(bound)
         k_t = piece.evaluate(t)
         if piece._constant:
             # a constant pass may stop short of its bound: the next pass
@@ -1382,14 +1394,10 @@ def solve_m(profile: CurvatureProfile, t_end: float, tol: float) -> WarpingSolut
     """
     _check_args(t_end, tol)
     plan = _plan(profile, t_end, tol)
-    if plan.profile is profile:
-        if plan.negative is None:
-            plan.negative = negative_part(profile)
-        negative = plan.negative
-    else:
-        # ``profile`` is the negative part that the plan serves
-        negative = negative_part(profile)
-    sol = solve(negative, t_end, tol)
+    # a plan that serves ``profile`` as a negative part names it already
+    if plan.negative is None:
+        plan.negative = negative_part(profile)
+    sol = solve(plan.negative, t_end, tol)
     if sol.first_zero is not None:
         raise IntegrationError(
             "convex comparison function crossed zero; integrator inconsistency",

@@ -1652,14 +1652,11 @@ class TestPlanMemo:
             passes.clear()
             cold = [_outcome(_run(solver, a, a_end, 1e-8)) for solver in solvers]
             assert passes
-            nodes = jacobi._memo.newest.nodes()
             for solver in solvers:
                 _run(solver, b, b_end, 1e-8)
             passes.clear()
             assert [_outcome(_run(solver, a, a_end, 1e-8)) for solver in solvers] == cold
-            # a plan whose grid and walks pass the budget goes as soon as
-            # another plan is the newest, and is built again cold
-            assert bool(passes) == (nodes > jacobi._MEMO_NODES)
+            assert not passes
 
     def test_gallery_reports_keep_their_bytes_in_any_order(self, monkeypatch):
         entries = rg.list_gallery()
@@ -1688,14 +1685,22 @@ class TestPlanMemo:
                                               for lo, hi, c0, c1 in segments), rg.ZeroTail())
                     for segments in sweep[:digest.SOLVE_COUNT]]
         early = weakref.ref(profiles[0])
+        # the nodes of each profile's finished walks, f and m
+        walked = {}
         for profile in profiles:
             for solver in (rg.solve, rg.solve_m):
-                solver(profile, digest.SOLVE_T_END, digest.SOLVE_TOL)
+                sol = solver(profile, digest.SOLVE_T_END, digest.SOLVE_TOL)
+                walked.setdefault(id(profile), {})[id(sol)] = len(sol.ts)
                 # the built grid nodes and the nodes of the kept walks
-                sizes = [sum(len(piece.t) for piece in plan.pieces)
-                         + sum(len(w.ts) for w in (plan.f, plan.m) if w is not None)
-                         for plan in memo.older]
-                assert all(plan.f is not None for plan in memo.older)
+                grids = [sum(len(piece.t) for piece in plan.pieces) for plan in memo.older]
+                sizes = [grid + sum(len(w.ts) for w in (plan.f, plan.m) if w is not None)
+                         for grid, plan in zip(grids, memo.older)]
+                # a plan keeps its walks unless they and its grid pass the
+                # budget on their own
+                for grid, plan in zip(grids, memo.older):
+                    whole = grid + sum(walked[id(plan.profile)].values())
+                    assert (plan.f is not None) == (whole <= jacobi._MEMO_NODES)
+                    assert plan.f is not None or plan.m is None
                 counted = sum(max(size, jacobi._CHUNK_NODES) for size in sizes)
                 assert sum(sizes) <= counted == memo.nodes <= jacobi._MEMO_NODES
         # the memo let the early plans go, and with them their profiles
