@@ -87,7 +87,15 @@ is raised where the walk meets it.
 
 Dense output stores f, f' and f'' = -K f at the nodes and evaluates a
 quintic Hermite interpolant per step, with the error bounds above; a
-cubic on (f, f') alone would need far more nodes.
+cubic on (f, f') alone would need far more nodes.  An array of times is
+read in blocks of at most _DENSE_POINTS points, so memory stays flat in
+their number: a block locates its steps, gathers their data once and
+scales them once (``WarpingSolution._gather``: y, d h and ((a h) h) 0.5 at
+both ends), and one stacked kernel (``_quintic``) builds the six basis
+rows from one coefficient table (``_BASIS``) and adds the terms in the
+order of the scalar expression, so an array read has the bits of a read
+point by point in Python floats (``_hermite``).  Ball volumes read the
+quintic through the same kernel.
 """
 
 from __future__ import annotations
@@ -203,40 +211,71 @@ class WarpingSolution:
     def _locate(self, t) -> tuple[np.ndarray, np.ndarray]:
         """Step indices j and local coordinates s in [0, 1] of times t;
         ValueError where a time is nan or lies outside the solution
-        window."""
+        window.  j counts the inner nodes at or before t, which is the
+        last step that starts there, and s = (t - t_j)/h_j, capped at 1
+        past the window's end: the steps of the scalar read."""
         ts = self.ts
-        t_arr = np.asarray(t, dtype=float)
-        if t_arr.size:
-            self._check_window(float(t_arr.min()), float(t_arr.max()))
-        j = np.clip(np.searchsorted(ts, t_arr, side="right") - 1, 0, len(ts) - 2)
-        return j, np.clip((t_arr - ts[j]) / (ts[j + 1] - ts[j]), 0.0, 1.0)
+        t = np.asarray(t, dtype=float)
+        if t.size:
+            self._check_window(float(t.min()), float(t.max()))
+        j = ts[1:-1].searchsorted(t, side="right")
+        s = t - ts[j]
+        s /= ts[j + 1] - ts[j]
+        return j, np.minimum(s, 1.0, out=s)
+
+    def _gather(self, j) -> np.ndarray:
+        """The data of the steps j (an array of step indices), gathered
+        once and scaled once, as the rows of an (8, m) array: the left end
+        t0 and the length h, then the coefficients of the quintic's basis
+        rows (``_quintic``): y at both ends, d h at both ends, and
+        ((a h) h) 0.5 at both ends."""
+        steps = np.empty((8, len(j)))
+        ends = j + _ENDS
+        self.ts.take(ends, out=steps[:2])
+        self.fs.take(ends, out=steps[2:4])
+        self.fps.take(ends, out=steps[4:6])
+        self.d2_left.take(j, out=steps[6])
+        self.d2_right.take(j, out=steps[7])
+        h = np.subtract(steps[1], steps[0], out=steps[1])
+        # d and a times h, then a times h again and by 0.5, in place
+        d_and_a, a = steps[4:], steps[6:]
+        d_and_a *= h
+        a *= h
+        a *= 0.5
+        return steps
 
     def _interp(self, t, derivative: bool):
         # np.ndim builds an array from a float: a quarter of a scalar read
         if not isinstance(t, float) and np.ndim(t) > 0:
-            j, s = self._locate(t)
-            return _hermite(*self._steps(j), s, derivative)
+            t = np.asarray(t, dtype=float)
+            if t.size:
+                self._check_window(float(t.min()), float(t.max()))
+            out = np.empty(t.shape)
+            flat, flat_out = t.reshape(-1), out.reshape(-1)
+            inner = self.ts[1:-1]
+            for k in range(0, flat.size, _DENSE_POINTS):
+                block = flat[k:k + _DENSE_POINTS]
+                # the steps of _locate, with t0 and h from the gathered steps
+                steps = self._gather(inner.searchsorted(block, side="right"))
+                s = block - steps[0]
+                s /= steps[1]
+                np.minimum(s, 1.0, out=s)
+                _quintic(steps, s, derivative, out=flat_out[k:k + _DENSE_POINTS])
+            return out
         # one time: the steps of _locate in Python floats, which round as
         # numpy's do, so the result has the bits of the array path
         t = float(t)
         self._check_window(t, t)
         ts = self.ts
         j = min(max(int(ts.searchsorted(t, side="right")) - 1, 0), len(ts) - 2)
-        t0, t1 = ts.item(j), ts.item(j + 1)
-        s = (t - t0) / (t1 - t0)
+        t0 = ts.item(j)
+        h = ts.item(j + 1) - t0
+        s = (t - t0) / h
         s = 0.0 if s < 0.0 else 1.0 if s > 1.0 else s
         fs, fps = self.fs, self.fps
-        return _hermite(t1 - t0, fs.item(j), fps.item(j), self.d2_left.item(j),
-                        fs.item(j + 1), fps.item(j + 1), self.d2_right.item(j),
+        return _hermite(h, fs.item(j), fps.item(j) * h, self.d2_left.item(j) * h * h * 0.5,
+                        fs.item(j + 1), fps.item(j + 1) * h, self.d2_right.item(j) * h * h * 0.5,
                         s, derivative)
-
-    def _steps(self, j) -> tuple[np.ndarray, ...]:
-        """The arguments of ``_hermite`` before s for the steps j (step
-        indices or a slice of them): length h, then f, f' and f'' at the
-        left end and at the right end."""
-        ts, fs, fps = self.ts, self.fs, self.fps
-        return (ts[1:][j] - ts[:-1][j], fs[:-1][j], fps[:-1][j],
-                self.d2_left[j], fs[1:][j], fps[1:][j], self.d2_right[j])
 
     def f(self, t):
         """f at time t, from the dense output: a float for a scalar t, an
@@ -251,15 +290,102 @@ class WarpingSolution:
         return self._interp(t, derivative=True)
 
 
-def _hermite(h, y0, d0, a0, y1, d1, a1, s, derivative: bool):
-    """Quintic Hermite interpolant of one step, or its derivative, at the
-    local coordinate s in [0, 1].
+# the left and the right end of a step, added to its index
+_ENDS = np.array([[0], [1]])
+# the quintic Hermite basis of a step in powers s^0, ..., s^5 of the local
+# coordinate: row r multiplies the rth coefficient of a gathered step
+# (``WarpingSolution._gather``), y0, y1, d0 h, d1 h, ((a0 h) h) 0.5 and
+# ((a1 h) h) 0.5, in the value, and in h times the derivative; the scalar
+# expression adds those terms in the order _SUM_ORDER
+_BASIS = {
+    False: ((1.0, 0.0, 0.0, -10.0, 15.0, -6.0),
+            (0.0, 0.0, 0.0, 10.0, -15.0, 6.0),
+            (0.0, 1.0, 0.0, -6.0, 8.0, -3.0),
+            (0.0, 0.0, 0.0, -4.0, 7.0, -3.0),
+            (0.0, 0.0, 1.0, -3.0, 3.0, -1.0),
+            (0.0, 0.0, 0.0, 1.0, -2.0, 1.0)),
+    True: ((0.0, 0.0, -30.0, 60.0, -30.0, 0.0),
+           (0.0, 0.0, 30.0, -60.0, 30.0, 0.0),
+           (1.0, 0.0, -18.0, 32.0, -15.0, 0.0),
+           (0.0, 0.0, -12.0, 28.0, -15.0, 0.0),
+           (0.0, 2.0, -9.0, 12.0, -5.0, 0.0),
+           (0.0, 0.0, 3.0, -8.0, 5.0, 0.0)),
+}
+_SUM_ORDER = (0, 2, 4, 1, 3, 5)
 
-    The step has length h and carries value y, slope d and second
-    derivative a at both ends; works on scalars and on arrays alike.
+
+def _basis_terms(table) -> list[tuple[int, slice | np.ndarray, bool, np.ndarray]]:
+    """The terms of the basis rows of ``table``, power by power, as
+    (power k, the rows, whether the term is each row's first, their
+    coefficients), the rows a slice where they are evenly spaced.  Each
+    row's terms come in its own order, from its first term on, so its sum
+    rounds as the scalar expression's."""
+    terms = []
+    for k in range(6):
+        for first in (True, False):
+            rows = [r for r, row in enumerate(table) if row[k] and first == (not any(row[:k]))]
+            if rows:
+                step = rows[1] - rows[0] if len(rows) > 1 else 1
+                spaced = rows == list(range(rows[0], rows[-1] + 1, step))
+                terms.append((k, slice(rows[0], rows[-1] + 1, step) if spaced else np.array(rows),
+                              first, np.array([table[r][k] for r in rows]).reshape(-1, 1)))
+    return terms
+
+
+_TERMS = {derivative: _basis_terms(table) for derivative, table in _BASIS.items()}
+# points that the array read evaluates at once: its memory stays flat in
+# the number of points
+_DENSE_POINTS = 1 << 12
+
+
+def _quintic(steps: np.ndarray, s, derivative: bool, out=None) -> np.ndarray:
+    """The quintic Hermite interpolant of steps, or its derivative, at the
+    local coordinates s in [0, 1], with the bits of ``_hermite``.
+
+    ``steps`` is an (8, m) array of ``WarpingSolution._gather``, and s is
+    an array of the shape (..., m) or one that broadcasts to it.  The six
+    basis rows are built from ``_BASIS``, each from its own first term on
+    and in the scalar expression's order (a term c s^k with c < 0 is added
+    as (-c) s^k, which rounds as its subtraction), then scaled by their
+    coefficients and added in the scalar expression's order
+    (_SUM_ORDER), the first term first, so that signed zeros match too:
+    t = -0.0 is a valid time, with s = -0.0.
     """
-    d0, d1 = d0 * h, d1 * h
-    a0, a1 = a0 * h * h, a1 * h * h
+    shape = s.shape or (1,)
+    s = s.reshape(-1)
+    terms = _TERMS[derivative]
+    powers = [None, s]
+    for _ in range(terms[-1][0] - 1):
+        powers.append(powers[-1] * s)
+    basis = np.empty((6, len(s)))
+    for k, rows, first, c in terms:
+        if first:
+            basis[rows] = c * powers[k] if k else c
+        else:
+            basis[rows] += c * powers[k]
+    basis = basis.reshape(6, *shape)
+    coef = steps[2:].reshape(6, *(1,) * (len(shape) - 1), -1)
+    # in place, unless s is one column for many steps
+    prod = np.multiply(basis, coef, out=basis if shape[-1] == coef.shape[-1] else None)
+    first, second, *rest = _SUM_ORDER
+    total = np.add(prod[first], prod[second], out=out)
+    for r in rest:
+        total += prod[r]
+    if derivative:
+        total /= steps[1]
+    return total
+
+
+def _hermite(h: float, y0: float, d0: float, a0: float, y1: float, d1: float, a1: float,
+             s: float, derivative: bool) -> float:
+    """Quintic Hermite interpolant of one step, or its derivative, at the
+    local coordinate s in [0, 1], in Python floats: the scalar read and
+    ``_locate_zero``.  The step has length h, and y0 ... a1 are the
+    coefficients of its basis rows, scaled as ``WarpingSolution._gather``
+    scales them: y, d h and ((a h) h) 0.5 at the left end and at the right
+    end, for value y, slope d and second derivative a.  Arrays of points
+    go through ``_quintic``, whose bits these are.
+    """
     s2 = s * s
     s3 = s2 * s
     s4 = s3 * s
@@ -267,16 +393,16 @@ def _hermite(h, y0, d0, a0, y1, d1, a1, s, derivative: bool):
     if not derivative:
         return (y0 * (1.0 - 10.0 * s3 + 15.0 * s4 - 6.0 * s5)
                 + d0 * (s - 6.0 * s3 + 8.0 * s4 - 3.0 * s5)
-                + a0 * 0.5 * (s2 - 3.0 * s3 + 3.0 * s4 - s5)
+                + a0 * (s2 - 3.0 * s3 + 3.0 * s4 - s5)
                 + y1 * (10.0 * s3 - 15.0 * s4 + 6.0 * s5)
                 + d1 * (-4.0 * s3 + 7.0 * s4 - 3.0 * s5)
-                + a1 * 0.5 * (s3 - 2.0 * s4 + s5))
+                + a1 * (s3 - 2.0 * s4 + s5))
     return (y0 * (-30.0 * s2 + 60.0 * s3 - 30.0 * s4)
             + d0 * (1.0 - 18.0 * s2 + 32.0 * s3 - 15.0 * s4)
-            + a0 * 0.5 * (2.0 * s - 9.0 * s2 + 12.0 * s3 - 5.0 * s4)
+            + a0 * (2.0 * s - 9.0 * s2 + 12.0 * s3 - 5.0 * s4)
             + y1 * (30.0 * s2 - 60.0 * s3 + 30.0 * s4)
             + d1 * (-12.0 * s2 + 28.0 * s3 - 15.0 * s4)
-            + a1 * 0.5 * (3.0 * s2 - 8.0 * s3 + 5.0 * s4)) / h
+            + a1 * (3.0 * s2 - 8.0 * s3 + 5.0 * s4)) / h
 
 
 def _locate_zero(t0, h, y0, d0, a0, y1, d1, a1):
@@ -284,10 +410,10 @@ def _locate_zero(t0, h, y0, d0, a0, y1, d1, a1):
     (t, f, f'), found in the local coordinate by
     ``curvature_profile._bisect`` to float resolution.  A zero left node,
     f(0) = 0, counts as the positive side: f is positive just right of
-    it."""
-    s = _bisect(lambda s: _hermite(h, y0, d0, a0, y1, d1, a1, s, False), 0.0, 1.0)
-    return (t0 + s * h, _hermite(h, y0, d0, a0, y1, d1, a1, s, False),
-            _hermite(h, y0, d0, a0, y1, d1, a1, s, True))
+    it.  The step's coefficients are scaled once, before the bisection."""
+    c = (y0, d0 * h, a0 * h * h * 0.5, y1, d1 * h, a1 * h * h * 0.5)
+    s = _bisect(lambda s: _hermite(h, *c, s, False), 0.0, 1.0)
+    return t0 + s * h, _hermite(h, *c, s, False), _hermite(h, *c, s, True)
 
 
 def _grid_u(tol: float) -> float:
@@ -917,14 +1043,13 @@ class _Plan:
             if not tops:
                 break
             take = [1 if kind.degree is not None else len(stacks[k]) for k in tops]
-            spans = [span for k, n in zip(tops, take) for span in stacks[k][:-n - 1:-1]]
-            a = np.array([span[0] for span in spans])
-            w = np.array([span[1] for span in spans]) - a
-            params = tuple(np.array([pieces[k].params[i] for k, n in zip(tops, take)
-                                     for _ in range(n)]) for i in range(len(pieces[0].params)))
+            # the spans' ends and their pieces' params, from one array
+            a, b, *params = np.array([(*span, *pieces[k].params) for k, n in zip(tops, take)
+                                      for span in stacks[k][:-n - 1:-1]]).T
+            w = b - a
             # a count past float range reads inf, and its span is halved
             with np.errstate(all="ignore"):
-                nodes = (w * kind.scales(params, a, w) / xu).tolist()
+                nodes = (w * kind.scales(tuple(params), a, w) / xu).tolist()
             start = 0
             for k, n in zip(tops, take):
                 stack = stacks[k]
@@ -950,48 +1075,50 @@ class _Plan:
         leaves past the limit go back to their pieces' spans.  Returns the
         pieces that end at a leaf whose grid underflows."""
         kind = leaves[0][0].kind
-        a, b, nodes = np.array([it[1:] for it in leaves]).T
+        # a rational or tail leaf is one cell
+        n = [1 if kind.degree is None else _cells(count) for *_, count in leaves]
+        first = [0]
+        for k in n[:-1]:
+            first.append(first[-1] + k)
+        # every cell as a row of its leaf's ends, cell width, first cell,
+        # count from its span's scale and params, from one array
+        a, b, step, start, nodes, *params = np.repeat(np.array(
+            [(lo, hi, (hi - lo) / k, i, count, *p.params)
+             for (p, lo, hi, count), k, i in zip(leaves, n, first)]), n, axis=0).T
         # a one-cell leaf takes its count from its span's scale
         counts = np.maximum(np.ceil(nodes), 1.0)
         if kind.degree is None:
-            # a rational or tail leaf is one cell
-            n, left, right = np.ones(len(leaves), dtype=np.int64), a, b
-            first = np.arange(len(leaves))
+            left, right = a, b
         else:
-            n = np.array([_cells(it[3]) for it in leaves])
-            first = np.cumsum(n) - n
             # cell i of a leaf spans edges i and i + 1 of linspace(a, b, cells + 1),
-            # i (b - a)/cells + a, the last one b; the cells take their leaf's
-            # a, step, first cell and params
-            base, step, start, *params = np.repeat(
-                [a, (b - a) / n, first, *([it[0].params[i] for it in leaves]
-                                          for i in range(len(leaves[0][0].params)))], n, axis=1)
-            index = np.arange(float(len(base))) - start
-            left = index * step + base
-            right = (index + 1.0) * step + base
-            right[first + n - 1] = b
-            counts = np.repeat(counts, n)
-            multi = np.repeat(n > 1, n)
-            if multi.any():
+            # i (b - a)/cells + a, the last one b
+            index = np.arange(float(len(a))) - start
+            left = index * step + a
+            right = (index + 1.0) * step + a
+            last = [i + k - 1 for i, k in zip(first, n)]
+            right[last] = b[last]
+            multi = [k > 1 for k in n]
+            if any(multi):
+                multi = slice(None) if all(multi) else np.repeat(multi, n)
                 width = right[multi] - left[multi]
                 counts[multi] = np.maximum(np.ceil(width * kind.scales(
                     tuple(c[multi] for c in params), left[multi], width) / xu), 1.0)
         spacing = (right - left) / counts
         under = (counts > 1.0) & (spacing <= 1e-14 * np.maximum(right, 1.0))
-        leaf_counts = np.add.reduceat(counts, first).tolist()
-        leaf_under = np.logical_or.reduceat(under, first).tolist()
+        cell_counts, cell_under = counts.tolist(), under.tolist()
         # the leaves to build, in order, until one passes the limit: it and
         # every later leaf go back to the spans
-        keep, done, cut, closed = [], 0, False, set()
-        for (p, a_k, b_k, _), count, i, under_k in zip(leaves, leaf_counts, first.tolist(),
-                                                       leaf_under):
+        leaf_counts, keep, done, cut, closed = [], [], 0, False, set()
+        for (p, a_k, b_k, _), i, k in zip(leaves, first, n):
+            count = sum(cell_counts[i:i + k])
+            leaf_counts.append(count)
             kept = False
             if p in closed:
                 pass
             elif cut:
                 p.todo.append((a_k, b_k))
-            elif under_k:
-                p.underflow = left[i:][under[i:]].item(0)
+            elif any(cell_under[i:i + k]):
+                p.underflow = left.item(cell_under.index(True, i))
                 p.todo = []
                 closed.add(p)
             elif done + count <= limit or (done == 0 and count <= budget):
@@ -1004,12 +1131,12 @@ class _Plan:
             keep.append(kept)
         if not done:
             return closed
-        keep_cells = np.repeat(keep, n)
+        keep_cells = slice(None) if all(keep) else np.repeat(keep, n)
         counts = counts[keep_cells].astype(np.int64)
         ends = np.cumsum(counts)
         cell_left, cell_step, cell_start = np.repeat(
             [left[keep_cells], spacing[keep_cells], ends - counts], counts, axis=1)
-        grid = cell_left + cell_step * (np.arange(1.0, ends[-1] + 1.0) - cell_start)
+        grid = cell_left + cell_step * (np.arange(1.0, ends.item(-1) + 1.0) - cell_start)
         grid[ends - 1] = right[keep_cells]
         grid.flags.writeable = False
         # each piece's kept leaves are one run of the grid: K in one call,
@@ -1179,11 +1306,21 @@ def _taylor_piece(source, t: float, f: float, fp: float, bound: float,
     ev = source.evaluate
     guard, max_steps = GROWTH_GUARD, _MAX_STEPS
     walked = steps
-    # the nodes walked, as arrays per chunk: times, f, f' and f''; ``last``
-    # is the node before the next chunk, the entry at first, which
-    # brackets a zero at the chunk's first node
-    parts = []
+    # the nodes walked: f and f' in Python floats, their times and -K as
+    # slices of the plan's arrays, one per chunk; ``last`` is the node
+    # before the next chunk, the entry at first, which brackets a zero at
+    # the chunk's first node
+    fs, fps, times, negks = [], [], [], []
+    push_f, push_fp = fs.append, fps.append
     last = (t, f, fp, -ev(t) * f)
+
+    def nodes(zero: bool) -> tuple:
+        node_f = np.fromiter(fs, float, len(fs))
+        # Python floats past the guard may overflow K f
+        with np.errstate(over="ignore"):
+            return (np.concatenate(times), node_f, np.fromiter(fps, float, len(fps)),
+                    np.concatenate(negks) * node_f, zero)
+
     lo = t
     while lo < bound:
         piece = plan.at[lo]
@@ -1210,36 +1347,35 @@ def _taylor_piece(source, t: float, f: float, fp: float, bound: float,
             while i < end:
                 first, mats = plan.chunk(piece, i)
                 j = min(end, first + mats.shape[1])
-                m00, m01, m10, m11 = mats[:, i - first:j - first].tolist()
-                new_fs, new_fps = [], []
-                push_f, push_fp = new_fs.append, new_fps.append
-                for c00, c01, c10, c11 in zip(m00, m01, m10, m11):
+                n = len(fs)
+                # the rows of the matrices as Python floats, read one by one
+                for c00, c01, c10, c11 in zip(*map(memoryview, mats[:, i - first:j - first])):
                     f, fp = c00 * f + c01 * fp, c10 * f + c11 * fp
                     push_f(f)
                     push_fp(fp)
                     if not (0.0 < f < guard and -guard < fp < guard):
                         break
-                n = len(new_fs)
-                node_f, node_fp = np.array(new_fs), np.array(new_fps)
+                n = len(fs) - n
                 walked += n
-                # Python floats past the guard may overflow K f
-                with np.errstate(over="ignore"):
-                    part = (piece.t[i:i + n], node_f, node_fp, piece.negk[i:i + n] * node_f)
-                parts.append(part)
+                times.append(piece.t[i:i + n])
+                negks.append(piece.negk[i:i + n])
+                i += n - 1
                 if f <= 0.0:
                     if n > 1:
-                        last = tuple(x.item(-2) for x in part)
+                        last = (piece.t.item(i - 1), fs[-2], fps[-2],
+                                piece.negk.item(i - 1) * fs[-2])
                     t0, f0, fp0, d0 = last
-                    tz, fz, fpz = _locate_zero(t0, part[0][-1].item() - t0, f0, fp0, d0,
-                                               f, fp, part[3][-1].item())
-                    ts, fs, fps, d2 = (np.concatenate(x) for x in zip(*parts))
-                    ts[-1], fs[-1], fps[-1], d2[-1] = tz, fz, fpz, -ev(tz) * fz
-                    return ts, fs, fps, d2, True
+                    tz, fz, fpz = _locate_zero(t0, piece.t.item(i) - t0, f0, fp0, d0,
+                                               f, fp, piece.negk.item(i) * f)
+                    fs[-1], fps[-1] = fz, fpz
+                    out = nodes(True)
+                    out[0][-1], out[3][-1] = tz, -ev(tz) * fz
+                    return out
                 if not (f < guard and -guard < fp < guard):
-                    return (*(np.concatenate(x) for x in zip(*parts)), False)
-                last = (part[0][-1].item(), f, fp, part[3][-1].item())
+                    return nodes(False)
+                last = (piece.t.item(i), f, fp, piece.negk.item(i) * f)
                 i = j
-    return (*(np.concatenate(x) for x in zip(*parts)), False)
+    return nodes(False)
 
 
 def solve(profile: CurvatureProfile, t_end: float, tol: float) -> WarpingSolution:
@@ -1354,11 +1490,12 @@ def _walk(profile: CurvatureProfile, t_end: float, tol: float, plan: _Plan) -> W
             break
 
     blocks.append((ts, fs, fps, d2_left, d2_right))
-    arrays = [np.concatenate(field) if len(field) > 1 else np.asarray(field[0])
-              for field in zip(*blocks)]
-    for array in arrays:
-        array.flags.writeable = False
-    ts, fs, fps, d2_left, d2_right = arrays
+    # the five arrays as read-only views of one buffer, filled in one call
+    flat = np.concatenate([part for field in zip(*blocks) for part in field])
+    flat.flags.writeable = False
+    n = n_steps + 1
+    ts, fs, fps = flat[:n], flat[n:2 * n], flat[2 * n:3 * n]
+    d2_left, d2_right = flat[3 * n:4 * n - 1], flat[4 * n - 1:]
     return WarpingSolution(
         profile=profile,
         tol=tol,

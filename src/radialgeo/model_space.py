@@ -14,9 +14,11 @@ F**(n-1) * integral (f/F)**(n-1), with F the step's largest node value,
 and the steps are summed with ``numpy.logaddexp``: the whole steps
 are summed into prefix sums, and a radius adds the part of its own step,
 all in one pass per set of radii.  Each integral
-evaluates the dense output at a block of Gauss nodes across all steps at
-once; blocks are bounded in size, so memory does not grow with
-the dimension, which sets the number of nodes.  Whatever leaves log
+evaluates the dense output, through the stacked kernel of the solver's
+array reads (``jacobi._quintic``), at a block of Gauss nodes across a
+block of steps at once; blocks are bounded in size, so memory does not
+grow with the dimension, which sets the number of nodes, or with the
+number of radii.  Whatever leaves log
 space (a volume, a volume ratio) goes through :func:`saturating_exp`.
 
 The asymptotic growth coefficient lim vol B_t / t^n is, by l'Hopital's
@@ -45,7 +47,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .asymptotics import LimitEstimate, TotalCurvatureResult
-from .jacobi import WarpingSolution, _hermite
+from .jacobi import WarpingSolution, _quintic
 
 __all__ = ["ModelSpace", "GrowthCoefficient", "check_dimension", "saturating_exp",
            "unit_sphere_volume", "log_ball_volumes", "ball_volume", "ball_volumes",
@@ -56,9 +58,10 @@ _TINY = np.finfo(float).tiny
 # rounds by below float range
 _EXP_SLACK = 2.0 * math.ulp(0.0)
 # values (Gauss nodes x steps) that _log_integrals evaluates at once, or
-# one node's worth when there are more steps: its memory stays flat in
-# the dimension n, which sets the node count ceil((5n - 4)/2)
-_BLOCK_VALUES = 1 << 16
+# one node's worth when there are more steps, and the most steps it takes
+# at once: its memory stays flat in the dimension n, which sets the node
+# count ceil((5n - 4)/2), and in the number of radii
+_BLOCK_VALUES = 1 << 14
 
 
 def check_dimension(n) -> int:
@@ -126,22 +129,44 @@ def _log_integrals(f: WarpingSolution, n: int, parts) -> np.ndarray:
 
     A step's integral is F**(n-1) * integral (f/F)**(n-1), with F its
     largest Gauss-node value, so neither factor leaves float range.  The
-    steps' data are gathered once; the dense quintic is evaluated at a
-    block of nodes across all steps at a time, in two passes (F, then the
-    weighted sum).  A scalar u keeps the local coordinates of its part in
-    one column.  Each step's value depends on its own column alone: the
+    parts are cut into chunks of at most _BLOCK_VALUES steps, and the
+    chunks taken in batches of at most _BLOCK_VALUES steps in all
+    (``_log_block``), so memory stays flat in the number of steps and
+    radii too.  Each step's value depends on its own column alone: the
     max is exact, and the sum adds its terms in node order, as Python's
     ``sum`` adds them, so the result does not depend on the blocking or
     on the other parts, and a fraction of 1.0 scales exactly.
     """
     x, w = _gauss_rule(n)
-    steps = [(f._steps(j), u) for j, u in parts]
-    uh = _joined([u * st[0] for st, u in steps])  # the parts' widths
+    steps = np.arange(len(f.ts) - 1)
+    batches, size = [[]], 0
+    for j, u in parts:
+        j = steps[j] if isinstance(j, slice) else j
+        for k in range(0, len(j), _BLOCK_VALUES):
+            chunk = j[k:k + _BLOCK_VALUES]
+            if size + len(chunk) > _BLOCK_VALUES:
+                batches.append([])
+                size = 0
+            batches[-1].append((chunk, u if np.ndim(u) == 0 else u[k:k + _BLOCK_VALUES]))
+            size += len(chunk)
+    return _joined([_log_block(f, batch, n, x, w) for batch in batches])
+
+
+def _log_block(f: WarpingSolution, batch: list, n: int, x: np.ndarray,
+               w: np.ndarray) -> np.ndarray:
+    """``_log_integrals`` on one batch of chunks (step indices j, fractions
+    u), side by side.  The chunks' steps are gathered once
+    (``WarpingSolution._gather``), and the dense quintic
+    (``jacobi._quintic``) is evaluated at a block of nodes across all of
+    them at a time, in two passes (F, then the weighted sum).  A scalar u
+    keeps the local coordinates of its chunk in one column."""
+    chunks = [(f._gather(j), u) for j, u in batch]
+    uh = _joined([u * steps[1] for steps, u in chunks])  # the chunks' widths
     rows = max(1, _BLOCK_VALUES // max(1, uh.size))
     blocks = [slice(k, k + rows) for k in range(0, len(x), rows)]
 
     def on_nodes(b):
-        return _joined([_hermite(*st, u * x[b, None], False) for st, u in steps])
+        return _joined([_quintic(steps, u * x[b, None], False) for steps, u in chunks])
 
     # the max is exact in any order: taking the blocks last first leaves
     # the first block's values for the sum, which must run first to last
@@ -167,14 +192,16 @@ def log_ball_volumes(ms: ModelSpace, ts) -> list[float]:
     """log vol B_t at a nondecreasing sequence of radii in the solution
     window (one pass); -inf at t = 0.
 
-    The radii are read into one float array, whose order is checked with
-    one array comparison; a list, a tuple or an array gives the same
-    values.  A radius in step j at fraction u (as
-    ``WarpingSolution._locate`` gives them) takes the prefix sum over the
-    whole steps before j plus the part of step j, from one
-    ``_log_integrals`` pass over both.
+    The radii are read into one float array, which must be
+    one-dimensional, and whose order is checked with one array
+    comparison; a list, a tuple or an array gives the same values.  A
+    radius in step j at fraction u (as ``WarpingSolution._locate`` gives
+    them) takes the prefix sum over the whole steps before j plus the part
+    of step j, from one ``_log_integrals`` pass over both.
     """
     radii = np.asarray(ts, dtype=float)
+    if radii.ndim != 1:
+        raise ValueError(f"radii must be a one-dimensional sequence, got shape {radii.shape}")
     if (radii[1:] < radii[:-1]).any():
         raise ValueError("radii must be nondecreasing")
     j, u = ms.f._locate(radii)

@@ -1,3 +1,4 @@
+import bisect
 import dataclasses
 import functools
 import gc
@@ -16,7 +17,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 import radialgeo as rg
 import taylor_oracle
 from sturm_oracle import max_on
-from radialgeo import jacobi
+from radialgeo import jacobi, model_space
 from radialgeo.curvature_profile import Segment, _taylor_shift
 from radialgeo.errors import IntegrationError, ProfileError
 from radialgeo.gallery import abresch_f, abresch_fp, beta_profile, entry_by_name
@@ -385,6 +386,131 @@ class TestScalarPath:
                 with pytest.raises(ValueError) as scalar:
                     fn(x)
                 assert str(scalar.value) == str(array.value)
+
+
+def _quintic_terms(h, y0, d0, a0, y1, d1, a1, s, derivative):
+    """The quintic Hermite interpolant of one step, or its derivative, at
+    the local coordinate s, written out term by term in Python floats:
+    the reference that the array kernel ``jacobi._quintic`` must match bit
+    for bit."""
+    d0, d1 = d0 * h, d1 * h
+    a0, a1 = a0 * h * h, a1 * h * h
+    s2 = s * s
+    s3 = s2 * s
+    s4 = s3 * s
+    s5 = s4 * s
+    if not derivative:
+        return (y0 * (1.0 - 10.0 * s3 + 15.0 * s4 - 6.0 * s5)
+                + d0 * (s - 6.0 * s3 + 8.0 * s4 - 3.0 * s5)
+                + a0 * 0.5 * (s2 - 3.0 * s3 + 3.0 * s4 - s5)
+                + y1 * (10.0 * s3 - 15.0 * s4 + 6.0 * s5)
+                + d1 * (-4.0 * s3 + 7.0 * s4 - 3.0 * s5)
+                + a1 * 0.5 * (s3 - 2.0 * s4 + s5))
+    return (y0 * (-30.0 * s2 + 60.0 * s3 - 30.0 * s4)
+            + d0 * (1.0 - 18.0 * s2 + 32.0 * s3 - 15.0 * s4)
+            + a0 * 0.5 * (2.0 * s - 9.0 * s2 + 12.0 * s3 - 5.0 * s4)
+            + y1 * (30.0 * s2 - 60.0 * s3 + 30.0 * s4)
+            + d1 * (-12.0 * s2 + 28.0 * s3 - 15.0 * s4)
+            + a1 * 0.5 * (3.0 * s2 - 8.0 * s3 + 5.0 * s4)) / h
+
+
+def _step_args(sol, j):
+    """h, then f, f' and f'' at the left end and at the right end of step j,
+    in Python floats."""
+    ts, fs, fps = sol.ts, sol.fs, sol.fps
+    return (ts.item(j + 1) - ts.item(j), fs.item(j), fps.item(j), sol.d2_left.item(j),
+            fs.item(j + 1), fps.item(j + 1), sol.d2_right.item(j))
+
+
+def _dense_reference(sol, t, derivative):
+    """The dense output at one time t: its step located by bisect, as the
+    last step that starts at or before t, and the local coordinate capped
+    to [0, 1], then ``_quintic_terms``."""
+    ts = sol.ts.tolist()
+    j = min(max(bisect.bisect_right(ts, t) - 1, 0), len(ts) - 2)
+    s = (t - ts[j]) / (ts[j + 1] - ts[j])
+    s = 0.0 if s < 0.0 else 1.0 if s > 1.0 else s
+    return _quintic_terms(*_step_args(sol, j), s, derivative)
+
+
+def _kernel_cases():
+    """(name, solution): polynomial, rational and tail pieces, closed-form
+    constant pieces, a first zero, a hyperbolic solve cut at the growth
+    guard, and nodes of signed zeros, where only the order of the terms
+    decides the sign of a zero."""
+    lines = rg.CurvatureProfile((Segment(0.0, 7.0, (0.4, -0.15)), Segment(7.0, 30.0, (-0.2, 0.01))),
+                                rg.ZeroTail())
+    hyperbolic = rg.solve(rg.constant_profile(-4.0), 1e4, 1e-8)
+    assert hyperbolic.truncated
+    return [("lines f", rg.solve(lines, 50.0, 1e-8)),
+            ("lines m", rg.solve_m(lines, 50.0, 1e-8)),
+            ("spherical", rg.solve(rg.constant_profile(1.0), 10.0, 1e-10)),
+            ("hyperbolic guard", hyperbolic),
+            *((name, _gallery_solution(name, False)) for name in
+              ("abresch_tail", "sign_changing_beta_ln2", "moment_boundary")),
+            # at t = -0.0 every product is -0.0 times a basis row of signed
+            # zeros; inside the second step every product is -0.0
+            ("signed zeros", jacobi.WarpingSolution(
+                rg.zero_profile(), 1e-8, np.array([0.0, 0.5, 1.0]), np.array([-0.0, -0.0, -0.0]),
+                np.array([-0.0, -0.0, 0.0]), np.array([-0.0, -0.0]), np.array([-0.0, -0.0])))]
+
+
+KERNEL_CASES = _kernel_cases()
+
+
+class TestDenseKernel:
+    """The array read (``jacobi._quintic`` on ``WarpingSolution._gather``)
+    gives, point for point, the bits of the quintic written out term by
+    term, at every kind of time and in every shape of input."""
+
+    @staticmethod
+    def times(sol):
+        # t = -0.0 is in the window and reads s = -0.0 on the first step
+        end = sol.t_end
+        rng = np.random.default_rng(len(sol.ts))
+        return [0.0, -0.0, end, end * (1 + 1e-15), *sol.ts.tolist(),
+                *rng.uniform(0.0, end, 300).tolist(),
+                # just past and just before nodes, s near 0 and near 1
+                *(math.nextafter(t, math.inf) for t in sol.ts[:-1].tolist()),
+                *(math.nextafter(t, -math.inf) for t in sol.ts[1:].tolist())]
+
+    @pytest.mark.parametrize("name, sol", KERNEL_CASES, ids=[c[0] for c in KERNEL_CASES])
+    @pytest.mark.parametrize("derivative", [False, True], ids=["f", "fp"])
+    def test_points_of_every_shape(self, name, sol, derivative):
+        read = sol.fp if derivative else sol.f
+        times = self.times(sol)
+        expected = [float.hex(_dense_reference(sol, t, derivative)) for t in times]
+        assert [float.hex(x) for x in read(np.array(times)).tolist()] == expected
+        assert [float.hex(x) for x in read(times).tolist()] == expected
+        assert [float.hex(read(t)) for t in times] == expected
+        # a 2-D array keeps its shape, and so does a block of points past
+        # the kernel's block size
+        k = len(times) // 2 * 2
+        grid = read(np.array(times[:k]).reshape(2, -1))
+        assert grid.shape == (2, k // 2)
+        assert [float.hex(x) for x in grid.ravel().tolist()] == expected[:k]
+        many = np.resize(np.array(times), 2 * jacobi._DENSE_POINTS + 7)
+        assert ([float.hex(x) for x in read(many).tolist()]
+                == [expected[i % len(times)] for i in range(len(many))])
+
+    @pytest.mark.parametrize("name, sol", KERNEL_CASES, ids=[c[0] for c in KERNEL_CASES])
+    def test_local_coordinates_in_two_dimensions(self, name, sol):
+        # as _log_integrals reads the dense output: the local coordinates
+        # of Gauss nodes times fractions u of the steps, one row per node,
+        # and one column for a scalar u
+        x = model_space._gauss_rule(5)[0]
+        steps = len(sol.ts) - 1
+        j = np.arange(steps)
+        u = np.concatenate(([-0.0, 0.0, 1.0],
+                            np.random.default_rng(steps).uniform(0.0, 1.0, steps)))[:steps]
+        gathered = sol._gather(j)
+        for s in (u * x[:, None], 1.0 * x[:, None]):
+            got = jacobi._quintic(gathered, s, False)
+            assert got.shape == (len(x), steps)
+            cols = np.broadcast_to(s, got.shape)
+            expected = [[float.hex(_quintic_terms(*_step_args(sol, i), cols[r, i].item(), False))
+                         for i in range(steps)] for r in range(len(x))]
+            assert [[float.hex(v) for v in row] for row in got.tolist()] == expected
 
 
 def _sliver_segments():

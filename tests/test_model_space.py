@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import sys
 from decimal import Decimal, localcontext
 from functools import lru_cache, reduce
@@ -12,7 +13,7 @@ import radialgeo as rg
 from radialgeo import model_space
 from radialgeo.curvature_profile import Segment
 from radialgeo.gallery import entry_by_name, list_gallery
-from radialgeo.jacobi import _hermite
+from radialgeo.jacobi import _quintic
 from radialgeo.asymptotics import CurvatureClass, LimitEstimate, TotalCurvatureResult
 from radialgeo.model_space import (
     _BLOCK_VALUES,
@@ -190,6 +191,16 @@ class TestLogBallVolumes:
         with pytest.raises(ValueError, match="outside solution window"):
             log_ball_volumes(ms, [1.0, math.nan])
 
+    @pytest.mark.parametrize("radii", [[[1.0, 2.0], [3.0, 4.0]], np.ones((2, 3)), 2.0,
+                                       np.array(2.0)])
+    def test_radii_not_one_dimensional_refused(self, flat_sol, radii):
+        ms = rg.ModelSpace(n=3, f=flat_sol)
+        shape = re.escape(str(np.shape(radii)))
+        for volumes in (log_ball_volumes, rg.ball_volumes):
+            with pytest.raises(ValueError, match=f"radii must be a one-dimensional "
+                                                 f"sequence, got shape {shape}"):
+                volumes(ms, radii)
+
     def test_volumes_saturate_to_inf_past_float_range(self):
         # at n = 400 the flat volume leaves float range at t ~ 28.8
         n = 400
@@ -210,9 +221,11 @@ def log_integrals_by_node(f, n, j, u):
     steps at a time, each node a dense-output call of its own, the terms
     added by Python's sum."""
     x, w = _gauss_rule(n)
+    if isinstance(j, slice):
+        j = np.arange(len(f.ts) - 1)[j]
 
     def on_steps(s):
-        return _hermite(*f._steps(j), s, False)
+        return _quintic(f._gather(j), s, False)
 
     top = reduce(np.maximum, (on_steps(u * xk) for xk in x),
                  np.finfo(float).tiny)
@@ -260,6 +273,17 @@ class TestLogBallVolumesBitIdentity:
                         *sol.ts[::7].tolist(), sol.t_end])
         assert (hexes(log_ball_volumes(ms, radii))
                 == hexes(log_ball_volumes_by_node(ms, radii)))
+
+    @pytest.mark.parametrize("block", [1, 5, 64])
+    def test_blocks_of_steps(self, monkeypatch, block):
+        # the steps and radii are taken in blocks of _BLOCK_VALUES
+        # columns, which give the bits of one block
+        sol = gallery_solution("sign_changing_beta_ln2")
+        ms = rg.ModelSpace(n=3, f=sol)
+        radii = np.linspace(0.0, sol.t_end, 301).tolist()
+        expected = hexes(log_ball_volumes(ms, radii))
+        monkeypatch.setattr(model_space, "_BLOCK_VALUES", block)
+        assert hexes(log_ball_volumes(ms, radii)) == expected
 
     def test_hyperbolic_n1000_spans_blocks(self):
         # the whole-step pass of this case runs in more than one block

@@ -1,6 +1,7 @@
 """Print the sha256 of every gallery report, of three reports with volume
-samples, of a sweep's sign split and of solver nodes, to tell whether
-report bytes, sign pieces or solver bits moved between two checkouts.
+samples, of a sweep's sign split, of solver nodes and of dense reads, to
+tell whether report bytes, sign pieces or solver bits moved between two
+checkouts.
 
     python3 tools/report_digest.py
 
@@ -28,7 +29,11 @@ rational segments and power tails: the same text of ``solve`` and
 entries on [0, DEFAULT_T_END], and on the first 20 profiles of the family
 K = (k0 - c t)/(1 + d t^2) on [0, t1), then -k2/(1 + d t^2) up to t2, then
 a zero tail (``default_rng(3)``) on [0, 50], at tol 1e-6, 1e-8 and 1e-12.
-It imports radialgeo from
+Last, one line for the dense output: the sha256 of f, f', m and m', every
+float as ``float.hex``, at 33 evenly spaced points of [0, min(f's end,
+m's end)] on each of the first 200 sweep profiles of the solver line, each
+read once by the array path and once point by point.  It imports
+radialgeo from
 the ``src`` directory of its own checkout, and the inputs from its ``bench``
 directory, so running a copy of it in another checkout digests that
 checkout's reports, sign pieces and solver bits.
@@ -76,6 +81,7 @@ SWEEP_BLOCK = 100
 SOLVE_COUNT = 200
 SOLVE_T_END = 50.0
 SOLVE_TOL = 1e-8
+DENSE_POINTS = 33
 CONSTANT_KAPPAS = (-4.0, -1.0, -1e-6, 0.0, 1e-6, 1.0, 4.0)
 CONSTANT_TOLS = (1e-8, 1e-12)
 # (degree, segments, tail): each K changes sign on its polynomial segment
@@ -151,12 +157,16 @@ def digest_lines() -> list[str]:
     text = "".join(f"{Segment(lo, hi, (c0, c1)).sign_pieces!r}\n"
                    for segments in profiles for lo, hi, c0, c1 in segments)
     lines.append(f"{_sha(text)}  sweep sign pieces seed={SWEEP_SEED}")
-    text = ""
+    text = dense = ""
     for segments in profiles[:SOLVE_COUNT]:
         profile = CurvatureProfile(tuple(Segment(lo, hi, (c0, c1))
                                          for lo, hi, c0, c1 in segments), ZeroTail())
-        text += "".join(_solution_text(solver(profile, SOLVE_T_END, SOLVE_TOL))
-                        for solver in (solve, solve_m))
+        f, m = (solver(profile, SOLVE_T_END, SOLVE_TOL) for solver in (solve, solve_m))
+        text += _solution_text(f) + _solution_text(m)
+        grid = np.linspace(0.0, min(f.t_end, m.t_end), DENSE_POINTS)
+        for read in (f.f, f.fp, m.f, m.fp):
+            dense += (" ".join(map(float.hex, read(grid).tolist())) + "\n"
+                      + " ".join(float.hex(read(t)) for t in grid.tolist()) + "\n")
     lines.append(f"{_sha(text)}  sweep solves seed={SWEEP_SEED} "
                  f"count={SOLVE_COUNT} tol={SOLVE_TOL:g}")
     text = "".join(_solution_text(solve(constant_profile(kappa), DEFAULT_T_END, tol))
@@ -178,6 +188,8 @@ def digest_lines() -> list[str]:
                    for tol in RATIONAL_TOLS for solver in (solve, solve_m))
     lines.append(f"{_sha(text)}  rational and tail pieces seed={RATIONAL_SEED} "
                  f"count={RATIONAL_COUNT} tol={','.join(map(format, RATIONAL_TOLS))}")
+    lines.append(f"{_sha(dense)}  dense reads seed={SWEEP_SEED} count={SOLVE_COUNT} "
+                 f"points={DENSE_POINTS}")
     return lines
 
 
