@@ -87,15 +87,17 @@ is raised where the walk meets it.
 
 Dense output stores f, f' and f'' = -K f at the nodes and evaluates a
 quintic Hermite interpolant per step, with the error bounds above; a
-cubic on (f, f') alone would need far more nodes.  An array of times is
-read in blocks of at most _DENSE_POINTS points, so memory stays flat in
-their number: a block locates its steps, gathers their data once and
-scales them once (``WarpingSolution._gather``: y, d h and ((a h) h) 0.5 at
-both ends), and one stacked kernel (``_quintic``) builds the six basis
-rows from one coefficient table (``_BASIS``) and adds the terms in the
-order of the scalar expression, so an array read has the bits of a read
-point by point in Python floats (``_hermite``).  Ball volumes read the
-quintic through the same kernel.
+cubic on (f, f') alone would need far more nodes.  Every array read
+goes one way: one rule turns times into steps and local coordinates
+(``WarpingSolution._locate``), the steps' data are gathered and scaled
+once (``WarpingSolution._gather``: y, d h and ((a h) h) 0.5 at both
+ends), and one stacked kernel (``_quintic``) builds the six basis rows
+from one coefficient table (``_BASIS``) and adds the terms in the order
+of the scalar expression, so an array read has the bits of a read point
+by point in Python floats (``_hermite``).  Times are read in blocks of
+at most _DENSE_POINTS points, so memory stays flat in their number; ball
+volumes (``model_space.log_ball_volumes``) locate their radii by the same
+rule and read every Gauss node of a block of steps in one kernel call.
 """
 
 from __future__ import annotations
@@ -209,7 +211,8 @@ class WarpingSolution:
             raise ValueError(f"evaluation time outside solution window [0, {end:.6g}]")
 
     def _locate(self, t) -> tuple[np.ndarray, np.ndarray]:
-        """Step indices j and local coordinates s in [0, 1] of times t;
+        """Step indices j and local coordinates s in [0, 1] of times t, the
+        one rule of every array read (``_interp``, ball volumes);
         ValueError where a time is nan or lies outside the solution
         window.  j counts the inner nodes at or before t, which is the
         last step that starts there, and s = (t - t_j)/h_j, capped at 1
@@ -219,8 +222,9 @@ class WarpingSolution:
         if t.size:
             self._check_window(float(t.min()), float(t.max()))
         j = ts[1:-1].searchsorted(t, side="right")
-        s = t - ts[j]
-        s /= ts[j + 1] - ts[j]
+        t0 = ts[j]
+        s = t - t0
+        s /= ts[j + 1] - t0
         return j, np.minimum(s, 1.0, out=s)
 
     def _gather(self, j) -> np.ndarray:
@@ -248,19 +252,11 @@ class WarpingSolution:
         # np.ndim builds an array from a float: a quarter of a scalar read
         if not isinstance(t, float) and np.ndim(t) > 0:
             t = np.asarray(t, dtype=float)
-            if t.size:
-                self._check_window(float(t.min()), float(t.max()))
             out = np.empty(t.shape)
             flat, flat_out = t.reshape(-1), out.reshape(-1)
-            inner = self.ts[1:-1]
             for k in range(0, flat.size, _DENSE_POINTS):
-                block = flat[k:k + _DENSE_POINTS]
-                # the steps of _locate, with t0 and h from the gathered steps
-                steps = self._gather(inner.searchsorted(block, side="right"))
-                s = block - steps[0]
-                s /= steps[1]
-                np.minimum(s, 1.0, out=s)
-                _quintic(steps, s, derivative, out=flat_out[k:k + _DENSE_POINTS])
+                j, s = self._locate(flat[k:k + _DENSE_POINTS])
+                _quintic(self._gather(j), s, derivative, out=flat_out[k:k + _DENSE_POINTS])
             return out
         # one time: the steps of _locate in Python floats, which round as
         # numpy's do, so the result has the bits of the array path
@@ -343,7 +339,9 @@ def _quintic(steps: np.ndarray, s, derivative: bool, out=None) -> np.ndarray:
     local coordinates s in [0, 1], with the bits of ``_hermite``.
 
     ``steps`` is an (8, m) array of ``WarpingSolution._gather``, and s is
-    an array of the shape (..., m) or one that broadcasts to it.  The six
+    an array of the shape (m,) or (k, m): one row of local coordinates
+    (the reads of ``WarpingSolution._interp``), or k of them
+    (``model_space._log_integrals``, a row per Gauss node).  The six
     basis rows are built from ``_BASIS``, each from its own first term on
     and in the scalar expression's order (a term c s^k with c < 0 is added
     as (-c) s^k, which rounds as its subtraction), then scaled by their
@@ -351,22 +349,19 @@ def _quintic(steps: np.ndarray, s, derivative: bool, out=None) -> np.ndarray:
     (_SUM_ORDER), the first term first, so that signed zeros match too:
     t = -0.0 is a valid time, with s = -0.0.
     """
-    shape = s.shape or (1,)
-    s = s.reshape(-1)
     terms = _TERMS[derivative]
-    powers = [None, s]
+    flat = s.reshape(-1)
+    powers = [None, flat]
     for _ in range(terms[-1][0] - 1):
-        powers.append(powers[-1] * s)
-    basis = np.empty((6, len(s)))
+        powers.append(powers[-1] * flat)
+    basis = np.empty((6, flat.size))
     for k, rows, first, c in terms:
         if first:
             basis[rows] = c * powers[k] if k else c
         else:
             basis[rows] += c * powers[k]
-    basis = basis.reshape(6, *shape)
-    coef = steps[2:].reshape(6, *(1,) * (len(shape) - 1), -1)
-    # in place, unless s is one column for many steps
-    prod = np.multiply(basis, coef, out=basis if shape[-1] == coef.shape[-1] else None)
+    prod = basis.reshape(6, *s.shape)
+    prod *= steps[2:].reshape(6, *(1,) * (s.ndim - 1), -1)
     first, second, *rest = _SUM_ORDER
     total = np.add(prod[first], prod[second], out=out)
     for r in rest:
@@ -1435,7 +1430,11 @@ def _check_args(t_end: float, tol: float) -> None:
 
 def _walk(profile: CurvatureProfile, t_end: float, tol: float, plan: _Plan) -> WarpingSolution:
     """The solution of ``solve``, walked piece by piece: constant pieces
-    in closed form, the others over ``plan``.  Its arrays are read-only.
+    in closed form, the others over ``plan``.  Every piece's nodes enter
+    the same way, lists (a zero piece's one step) or arrays: f'' at the
+    piece's entry, under its own K, starts its part of d2_left, and then
+    its block of nodes follows.  The five arrays are read-only views of
+    one buffer, filled by one concatenation.
 
     Sign pieces run in order from 0, and each segment end is a sign-piece
     end, so only the first sign piece can end below the least normal
@@ -1445,12 +1444,12 @@ def _walk(profile: CurvatureProfile, t_end: float, tol: float, plan: _Plan) -> W
     if first is not None and first[2] < sys.float_info.min:
         raise _subnormal_end(first[2])
     t, f, fp = 0.0, 0.0, 1.0
-    # the nodes of zero pieces, in Python floats, since the last piece
-    # whose nodes come as arrays: both go to ``blocks`` in order
-    ts, fs, fps = [0.0], [0.0], [1.0]
-    d2_left: list[float] = []
-    d2_right: list[float] = []
-    blocks: list[tuple] = []
+    # the nodes piece by piece, after the first node, as lists (a zero
+    # piece's one step) or arrays; a piece's d2_left starts with f'' at its
+    # entry, under the piece's own K
+    ts, fs, fps = [[0.0]], [[0.0]], [[1.0]]
+    d2_left: list = []
+    d2_right: list = []
     first_zero: float | None = None
     truncated = False
     n_steps = 0
@@ -1469,18 +1468,11 @@ def _walk(profile: CurvatureProfile, t_end: float, tol: float, plan: _Plan) -> W
             new_ts, new_fs, new_fps, new_d2, zero = _taylor_piece(
                 piece, t, f, fp, bound, n_steps, plan)
         n_steps += len(new_ts)
-        d2_left.append(-k_t * f)
-        if isinstance(new_ts, list):
-            # a zero piece's one step, in Python floats
-            d2_left += new_d2[:-1]
-            d2_right += new_d2
-            ts += new_ts
-            fs += new_fs
-            fps += new_fps
-        else:
-            blocks += [(ts, fs, fps, d2_left, d2_right),
-                       (new_ts, new_fs, new_fps, new_d2[:-1], new_d2)]
-            ts, fs, fps, d2_left, d2_right = [], [], [], [], []
+        ts.append(new_ts)
+        fs.append(new_fs)
+        fps.append(new_fps)
+        d2_left += ([-k_t * f], new_d2[:-1])
+        d2_right.append(new_d2)
         t, f, fp = float(new_ts[-1]), float(new_fs[-1]), float(new_fps[-1])
         if zero:
             first_zero = t
@@ -1489,9 +1481,8 @@ def _walk(profile: CurvatureProfile, t_end: float, tol: float, plan: _Plan) -> W
             truncated = True
             break
 
-    blocks.append((ts, fs, fps, d2_left, d2_right))
     # the five arrays as read-only views of one buffer, filled in one call
-    flat = np.concatenate([part for field in zip(*blocks) for part in field])
+    flat = np.concatenate(ts + fs + fps + d2_left + d2_right)
     flat.flags.writeable = False
     n = n_steps + 1
     ts, fs, fps = flat[:n], flat[n:2 * n], flat[2 * n:3 * n]

@@ -13,13 +13,15 @@ range in every dimension: each step is integrated as
 F**(n-1) * integral (f/F)**(n-1), with F the step's largest node value,
 and the steps are summed with ``numpy.logaddexp``: the whole steps
 are summed into prefix sums, and a radius adds the part of its own step,
-all in one pass per set of radii.  Each integral
-evaluates the dense output, through the stacked kernel of the solver's
-array reads (``jacobi._quintic``), at a block of Gauss nodes across a
-block of steps at once; blocks are bounded in size, so memory does not
-grow with the dimension, which sets the number of nodes, or with the
-number of radii.  Whatever leaves log
-space (a volume, a volume ratio) goes through :func:`saturating_exp`.
+all in one pass per set of radii.  The radii are located by the
+solver's one rule (``WarpingSolution._locate``), and the pass reads the
+dense output through the stacked kernel of the solver's array reads
+(``jacobi._quintic``): every Gauss node across a block of steps in one
+call, each block at most _BLOCK_VALUES values (or one step), so memory
+does not grow with the dimension, which sets the number of nodes, or
+with the number of radii.  A radius below the least normal float, but
+not 0, is refused.  Whatever leaves log space (a volume, a volume ratio)
+goes through :func:`saturating_exp`.
 
 The asymptotic growth coefficient lim vol B_t / t^n is, by l'Hopital's
 rule on vol B_t = omega_{n-1} * integral_0^t f**(n-1), the number
@@ -41,6 +43,7 @@ map, ``_power_map``, rounded up before its floor.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -58,10 +61,12 @@ _TINY = np.finfo(float).tiny
 # rounds by below float range
 _EXP_SLACK = 2.0 * math.ulp(0.0)
 # values (Gauss nodes x steps) that _log_integrals evaluates at once, or
-# one node's worth when there are more steps, and the most steps it takes
-# at once: its memory stays flat in the dimension n, which sets the node
-# count ceil((5n - 4)/2), and in the number of radii
-_BLOCK_VALUES = 1 << 14
+# one step's worth when there are more nodes: its memory stays flat in the
+# dimension n, which sets the node count ceil((5n - 4)/2), and in the
+# number of radii.  At 2^13 values the kernel's temporaries (about 1 MB)
+# stay in a core's L2 cache: on a 2-vCPU Xeon with 2 MB of L2 per core,
+# 2^14 made 1000 radii at n = 5 on 395 or 856 steps about 1.7 times as slow
+_BLOCK_VALUES = 1 << 13
 
 
 def check_dimension(n) -> int:
@@ -122,70 +127,34 @@ def _gauss_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
     return x, w
 
 
-def _log_integrals(f: WarpingSolution, n: int, parts) -> np.ndarray:
-    """log of the integral of f**(n-1) over the first fraction u of each
-    solver step j, for each (j, u) of ``parts`` (step indices or a slice
-    of them, and a fraction or an array of them), concatenated in order.
+def _log_integrals(f: WarpingSolution, n: int, j: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """log of the integral of f**(n-1) over the first fraction u[i] of each
+    solver step j[i].
 
     A step's integral is F**(n-1) * integral (f/F)**(n-1), with F its
     largest Gauss-node value, so neither factor leaves float range.  The
-    parts are cut into chunks of at most _BLOCK_VALUES steps, and the
-    chunks taken in batches of at most _BLOCK_VALUES steps in all
-    (``_log_block``), so memory stays flat in the number of steps and
-    radii too.  Each step's value depends on its own column alone: the
-    max is exact, and the sum adds its terms in node order, as Python's
-    ``sum`` adds them, so the result does not depend on the blocking or
-    on the other parts, and a fraction of 1.0 scales exactly.
+    steps go in blocks of _BLOCK_VALUES // (node count) steps, or one, so
+    memory stays flat in the dimension and in the number of steps: a
+    block's steps are gathered once (``WarpingSolution._gather``) and the
+    dense quintic is read at every Gauss node in one ``jacobi._quintic``
+    call.  Each step's value depends on its own column alone: the max is
+    exact, and the sum adds its terms in node order, as Python's ``sum``
+    adds them, so the result does not depend on the blocking, and a
+    fraction of 1.0 scales exactly.
     """
     x, w = _gauss_rule(n)
-    steps = np.arange(len(f.ts) - 1)
-    batches, size = [[]], 0
-    for j, u in parts:
-        j = steps[j] if isinstance(j, slice) else j
-        for k in range(0, len(j), _BLOCK_VALUES):
-            chunk = j[k:k + _BLOCK_VALUES]
-            if size + len(chunk) > _BLOCK_VALUES:
-                batches.append([])
-                size = 0
-            batches[-1].append((chunk, u if np.ndim(u) == 0 else u[k:k + _BLOCK_VALUES]))
-            size += len(chunk)
-    return _joined([_log_block(f, batch, n, x, w) for batch in batches])
-
-
-def _log_block(f: WarpingSolution, batch: list, n: int, x: np.ndarray,
-               w: np.ndarray) -> np.ndarray:
-    """``_log_integrals`` on one batch of chunks (step indices j, fractions
-    u), side by side.  The chunks' steps are gathered once
-    (``WarpingSolution._gather``), and the dense quintic
-    (``jacobi._quintic``) is evaluated at a block of nodes across all of
-    them at a time, in two passes (F, then the weighted sum).  A scalar u
-    keeps the local coordinates of its chunk in one column."""
-    chunks = [(f._gather(j), u) for j, u in batch]
-    uh = _joined([u * steps[1] for steps, u in chunks])  # the chunks' widths
-    rows = max(1, _BLOCK_VALUES // max(1, uh.size))
-    blocks = [slice(k, k + rows) for k in range(0, len(x), rows)]
-
-    def on_nodes(b):
-        return _joined([_quintic(steps, u * x[b, None], False) for steps, u in chunks])
-
-    # the max is exact in any order: taking the blocks last first leaves
-    # the first block's values for the sum, which must run first to last
-    top = _TINY  # the floor keeps F positive on a part of width zero at t = 0
-    for b in reversed(blocks):
-        values = on_nodes(b)
-        top = np.maximum(top, values.max(axis=0))
-    total = 0
-    for b in blocks:
-        if b is not blocks[0]:
-            values = on_nodes(b)
-        total = sum(w[b, None] * (values / top) ** (n - 1), total)
-    with np.errstate(divide="ignore"):  # a part of width zero has log -inf
-        return np.log(uh * total) + (n - 1) * np.log(top)
-
-
-def _joined(arrays: list[np.ndarray]) -> np.ndarray:
-    """The arrays side by side along their last axis; one array as it is."""
-    return arrays[0] if len(arrays) == 1 else np.concatenate(arrays, axis=-1)
+    x, w = x[:, None], w[:, None]
+    size = max(1, _BLOCK_VALUES // len(x))
+    logs = np.empty(len(j))
+    for k in range(0, len(j), size):
+        steps, uk = f._gather(j[k:k + size]), u[k:k + size]
+        values = _quintic(steps, uk * x, False)
+        # the floor keeps F positive on a part of width zero at t = 0
+        top = np.maximum(values.max(axis=0), _TINY)
+        total = sum(w * (values / top) ** (n - 1))
+        with np.errstate(divide="ignore"):  # a part of width zero has log -inf
+            logs[k:k + size] = np.log(uk * steps[1] * total) + (n - 1) * np.log(top)
+    return logs
 
 
 def log_ball_volumes(ms: ModelSpace, ts) -> list[float]:
@@ -195,18 +164,25 @@ def log_ball_volumes(ms: ModelSpace, ts) -> list[float]:
     The radii are read into one float array, which must be
     one-dimensional, and whose order is checked with one array
     comparison; a list, a tuple or an array gives the same values.  A
-    radius in step j at fraction u (as ``WarpingSolution._locate`` gives
-    them) takes the prefix sum over the whole steps before j plus the part
-    of step j, from one ``_log_integrals`` pass over both.
+    radius in (0, ``sys.float_info.min``) raises ValueError, as such a
+    ``t_end`` does in ``solve``: its fraction of a step would be
+    subnormal, whose absolute quantum no bound counts.  A radius in step
+    j at fraction u (``WarpingSolution._locate``) takes the prefix sum
+    over the whole steps before j plus the part of step j, from one
+    ``_log_integrals`` pass over the whole steps and then the radii.
     """
     radii = np.asarray(ts, dtype=float)
     if radii.ndim != 1:
         raise ValueError(f"radii must be a one-dimensional sequence, got shape {radii.shape}")
     if (radii[1:] < radii[:-1]).any():
         raise ValueError("radii must be nondecreasing")
+    tiny = radii[(radii > 0.0) & (radii < sys.float_info.min)]
+    if tiny.size:
+        raise ValueError(f"radius {tiny.item(0)!r} lies below the least normal float")
     j, u = ms.f._locate(radii)
     steps = len(ms.f.ts) - 1
-    logs = _log_integrals(ms.f, ms.n, [(slice(None), 1.0), (j, u)])
+    logs = _log_integrals(ms.f, ms.n, np.concatenate((np.arange(steps), j)),
+                          np.concatenate((np.ones(steps), u)))
     prefix = np.logaddexp.accumulate(np.concatenate(([-np.inf], logs[:steps])))
     return (_log_omega(ms.n) + np.logaddexp(prefix[j], logs[steps:])).tolist()
 

@@ -26,9 +26,8 @@ import io
 import itertools
 import json
 import math
-import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from json.encoder import encode_basestring
 from typing import NamedTuple
 
@@ -115,13 +114,16 @@ def _sample_fault(t, vol) -> tuple[int, str] | None:
     """The index of the first sample that fails a check, in order, and why;
     None when every sample passes.
 
-    A sample must be finite, have t above the previous sample's t, and
-    have t and vol positive; a sample failing several checks is reported
-    by the first of them in that order.  One numpy pass over all samples.
+    A sample must be finite, have t above the previous sample's t, have
+    t positive and at least the least normal float (whose model volume
+    ``log_ball_volumes`` refuses below it), and have vol positive; a
+    sample failing several checks is reported by the first of them in
+    that order.  One numpy pass over all samples.
     """
     t, vol = np.asarray(t, dtype=float), np.asarray(vol, dtype=float)
     with np.errstate(invalid="ignore"):  # nan compares false, and fails first
-        bad = ~(np.isfinite(t) & np.isfinite(vol)) | (t <= 0.0) | (vol <= 0.0)
+        bad = (~(np.isfinite(t) & np.isfinite(vol)) | (t < sys.float_info.min)
+               | (vol <= 0.0))
         bad[1:] |= t[1:] <= t[:-1]
     if not bad.any():
         return None
@@ -133,14 +135,16 @@ def _sample_fault(t, vol) -> tuple[int, str] | None:
         return i, f"t = {ti:g} does not increase past {float(t[i - 1]):g}"
     if ti <= 0:
         return i, "t must be positive"
+    if ti < sys.float_info.min:
+        return i, f"t = {ti!r} lies below the least normal float"
     return i, "vol must be positive"
 
 
 @dataclass(frozen=True)
 class VolumeSamples:
     """Measured ball volumes (t_i, vol_i) of a manifold, all finite, t
-    strictly increasing and positive, volumes positive, with declared
-    dimension."""
+    strictly increasing and at least the least normal float, volumes
+    positive, with declared dimension."""
 
     t: tuple[float, ...]
     vol: tuple[float, ...]
@@ -609,21 +613,6 @@ def report_to_json(report: TheoremReport) -> str:
 # CLI
 
 
-def _env_tol(opts: AnalysisOptions) -> tuple[AnalysisOptions, str | None]:
-    """Apply the RADIALGEO_TOL override to ``opts``; also returns the
-    report warning that names it, or None when the variable is unset."""
-    raw = os.environ.get("RADIALGEO_TOL")
-    if raw is None:
-        return opts, None
-    try:
-        tol = float(raw)
-    except ValueError as exc:
-        raise ConfigurationError(f"RADIALGEO_TOL is not a float: {raw!r}") from exc
-    return (replace(opts, tol=tol),
-            f"tolerance {tol:g} set by the environment variable "
-            f"RADIALGEO_TOL={raw}")
-
-
 def _load_config(path: str) -> tuple[CurvatureProfile, int, AnalysisOptions]:
     try:
         with open(path, encoding="utf-8") as fh:
@@ -659,11 +648,8 @@ def _emit(text: str, out_path: str | None) -> None:
 
 def _run_analysis(profile: CurvatureProfile, n: int, opts: AnalysisOptions,
                   samples_path: str | None, out_path: str | None) -> int:
-    opts, note = _env_tol(opts)
     samples = ingest_samples(samples_path, n) if samples_path else None
     report = evaluate_theorem(profile, n, opts, samples)
-    if note is not None:
-        report.warnings.append(note)
     _emit(report_to_json(report), out_path)
     return 0 if report.hypothesis_ok else 1
 
@@ -675,7 +661,6 @@ def _cmd_analyze(args) -> int:
 
 def _cmd_tabulate(args) -> int:
     profile, n, opts = _load_config(args.config)
-    opts, _ = _env_tol(opts)
     # written to refuse nan too: with a nan step or an infinite t_max the
     # grid below would never end
     if not (0 < args.t_max < math.inf and args.step > 0):

@@ -496,21 +496,18 @@ class TestDenseKernel:
     @pytest.mark.parametrize("name, sol", KERNEL_CASES, ids=[c[0] for c in KERNEL_CASES])
     def test_local_coordinates_in_two_dimensions(self, name, sol):
         # as _log_integrals reads the dense output: the local coordinates
-        # of Gauss nodes times fractions u of the steps, one row per node,
-        # and one column for a scalar u
+        # of Gauss nodes times fractions u of the steps, one row per node
         x = model_space._gauss_rule(5)[0]
         steps = len(sol.ts) - 1
         j = np.arange(steps)
         u = np.concatenate(([-0.0, 0.0, 1.0],
                             np.random.default_rng(steps).uniform(0.0, 1.0, steps)))[:steps]
-        gathered = sol._gather(j)
-        for s in (u * x[:, None], 1.0 * x[:, None]):
-            got = jacobi._quintic(gathered, s, False)
-            assert got.shape == (len(x), steps)
-            cols = np.broadcast_to(s, got.shape)
-            expected = [[float.hex(_quintic_terms(*_step_args(sol, i), cols[r, i].item(), False))
-                         for i in range(steps)] for r in range(len(x))]
-            assert [[float.hex(v) for v in row] for row in got.tolist()] == expected
+        s = u * x[:, None]
+        got = jacobi._quintic(sol._gather(j), s, False)
+        assert got.shape == (len(x), steps)
+        expected = [[float.hex(_quintic_terms(*_step_args(sol, i), s[r, i].item(), False))
+                     for i in range(steps)] for r in range(len(x))]
+        assert [[float.hex(v) for v in row] for row in got.tolist()] == expected
 
 
 def _sliver_segments():

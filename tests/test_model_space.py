@@ -7,7 +7,7 @@ from functools import lru_cache, reduce
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import radialgeo as rg
 from radialgeo import model_space
@@ -179,6 +179,37 @@ class TestLogBallVolumes:
     def test_zero_radius(self, flat_sol):
         assert log_ball_volumes(rg.ModelSpace(n=3, f=flat_sol), [0.0]) == [-math.inf]
 
+    @pytest.mark.parametrize("t_end", [1.0, 4096.0])
+    def test_flat_from_the_least_normal_float(self, t_end):
+        # log (4 pi/3) r^3 at n = 3, against a 40-digit decimal oracle, from
+        # the least normal float up.  The log carries its own rounding, and
+        # the volume rounds by a few units relative; below t_end times the
+        # least normal float the fraction r/t_end of the one step is
+        # subnormal, and its quantum 2^-1074 bounds the volume's error
+        sol = rg.solve(rg.zero_profile(), t_end, 1e-10)
+        least = sys.float_info.min
+        radii = sorted([least, math.nextafter(least, 1.0), 2.0 * least, 3.3 * least,
+                        t_end * least, 1e5 * least, *np.geomspace(1e-300, t_end, 31).tolist()])
+        got = log_ball_volumes(rg.ModelSpace(n=3, f=sol), radii)
+        for r, lv in zip(radii, got):
+            with localcontext() as ctx:
+                ctx.prec = 40
+                exact = (4 * _PI_50 / 3).ln() + 3 * Decimal(r).ln()
+            bound = 4.0 * math.ulp(float(exact)) + 2.0 ** -48 + 2.0 ** -1071 * t_end / r
+            assert abs(Decimal(lv) - exact) <= Decimal(bound), r
+
+    def test_subnormal_radius_refused(self, flat_4096):
+        ms = rg.ModelSpace(n=3, f=flat_4096)
+        for radii in ([1e-320], [0.0, 5e-324, 1.0], [1e-310, 2.0]):
+            message = f"radius {min(r for r in radii if r)!r} lies below the least normal float"
+            for volumes in (log_ball_volumes, rg.ball_volumes):
+                with pytest.raises(ValueError, match=re.escape(message)):
+                    volumes(ms, radii)
+        with pytest.raises(ValueError, match="lies below the least normal float"):
+            rg.ball_volume(ms, 1e-310)
+        # zero and the least normal float itself are read
+        assert log_ball_volumes(ms, [0.0, sys.float_info.min])[0] == -math.inf
+
     def test_radii_validated(self, flat_sol):
         ms = rg.ModelSpace(n=3, f=flat_sol)
         got = log_ball_volumes(ms, [1.0, 2, 2.0, 3.0])
@@ -217,12 +248,10 @@ class TestLogBallVolumes:
 
 
 def log_integrals_by_node(f, n, j, u):
-    """Reference for model_space._log_integrals: one Gauss node across all
-    steps at a time, each node a dense-output call of its own, the terms
-    added by Python's sum."""
+    """Reference for model_space._log_integrals on steps j at fractions u:
+    one Gauss node across all steps at a time, each node a dense-output
+    call of its own, the terms added by Python's sum."""
     x, w = _gauss_rule(n)
-    if isinstance(j, slice):
-        j = np.arange(len(f.ts) - 1)[j]
 
     def on_steps(s):
         return _quintic(f._gather(j), s, False)
@@ -239,8 +268,9 @@ def log_integrals_by_node(f, n, j, u):
 def log_ball_volumes_by_node(ms, radii):
     """Reference for log_ball_volumes on log_integrals_by_node, with the
     prefix table built on every call."""
+    steps = len(ms.f.ts) - 1
     full = np.logaddexp.accumulate(np.concatenate(
-        ([-np.inf], log_integrals_by_node(ms.f, ms.n, slice(None), 1.0))))
+        ([-np.inf], log_integrals_by_node(ms.f, ms.n, np.arange(steps), np.ones(steps)))))
     j, u = ms.f._locate(radii)
     return (_log_omega(ms.n)
             + np.logaddexp(full[j], log_integrals_by_node(ms.f, ms.n, j, u))
@@ -294,23 +324,33 @@ class TestLogBallVolumesBitIdentity:
     @given(name=st.sampled_from(NONCOMPACT), n=st.sampled_from([2, 3, 8, 40]),
            fractions=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=30),
            nodes=st.lists(st.integers(min_value=0), max_size=5))
+    @example(name="flat", n=3, fractions=[1e-315, 0.5], nodes=[])
     def test_drawn_radii(self, name, n, fractions, nodes):
         sol = gallery_solution(name)
         radii = sorted([*(x * sol.t_end for x in fractions),
                         *(float(sol.ts[i % len(sol.ts)]) for i in nodes)])
         ms = rg.ModelSpace(n=n, f=sol)
+        # a subnormal radius is refused; the others keep the reference bits
+        if any(0.0 < r < sys.float_info.min for r in radii):
+            with pytest.raises(ValueError, match="below the least normal float"):
+                log_ball_volumes(ms, radii)
+            radii = [r for r in radii if not 0.0 < r < sys.float_info.min]
         assert (hexes(log_ball_volumes(ms, radii))
                 == hexes(log_ball_volumes_by_node(ms, radii)))
 
     def test_one_pass_per_call(self, monkeypatch):
         # one _log_integrals call per log_ball_volumes call, recorded as
-        # which of its parts are whole steps
+        # whether it takes every whole step first, and how many parts of
+        # steps come after them
         calls = []
         log_integrals = model_space._log_integrals
 
-        def counting(f, n, parts):
-            calls.append(tuple(isinstance(j, slice) for j, _ in parts))
-            return log_integrals(f, n, parts)
+        def counting(f, n, j, u):
+            steps = len(f.ts) - 1
+            whole = (j[:steps].tolist() == list(range(steps))
+                     and u[:steps].tolist() == [1.0] * steps)
+            calls.append((whole, len(j) - steps))
+            return log_integrals(f, n, j, u)
 
         monkeypatch.setattr(model_space, "_log_integrals", counting)
         sol = gallery_solution("abresch_tail")
@@ -318,7 +358,7 @@ class TestLogBallVolumesBitIdentity:
         first = log_ball_volumes(ms, [1.0, 2.0])
         assert log_ball_volumes(ms, [1.0, 2.0]) == first
         # each call sums the whole steps in the pass of its own radii
-        assert calls == [(True, False), (True, False)]
+        assert calls == [(True, 2), (True, 2)]
         # the same bits whatever radii come with them, on any model space
         other = rg.ModelSpace(n=3, f=sol)
         radii = [0.0, 0.5, 1.0, 2.0, 3.0, sol.t_end]
@@ -332,7 +372,7 @@ class TestLogBallVolumesBitIdentity:
         ts = (1.0, 2.0, 3.0)
         evaluate_theorem(rg.zero_profile(), 2, samples=VolumeSamples(
             t=ts, vol=tuple(math.pi * t * t for t in ts), n=2))
-        assert calls == [(True, False)]
+        assert calls == [(True, 3)]
 
 
 def richardson(values):

@@ -213,6 +213,9 @@ def ingest_row_by_row(path):
                 )
             if t <= 0:
                 raise IngestError(f"{path}: row {i}: t must be positive")
+            if t < sys.float_info.min:
+                raise IngestError(
+                    f"{path}: row {i}: t = {t!r} lies below the least normal float")
             if vol <= 0:
                 raise IngestError(f"{path}: row {i}: vol must be positive")
             ts.append(t)
@@ -229,8 +232,8 @@ _ARABIC_INDIC = str.maketrans("0123456789", "٠١٢٣٤٥٦٧٨٩")
 @st.composite
 def faulty_rows(draw):
     """Data rows of a samples CSV, each with its line end, valid but for
-    faults at random rows: non-finite values, t that repeats, falls or is
-    <= 0, vol <= 0, malformed floats, short rows, blank or
+    faults at random rows: non-finite values, t that repeats, falls, is
+    <= 0 or is subnormal, vol <= 0, malformed floats, short rows, blank or
     whitespace-only rows, and rows that numpy's C parser reads otherwise
     than csv and float() (underscores, non-ASCII digits, quotes, a lone
     CR, '#', NUL, tabs, a trailing comma, the separators U+001C..U+001F),
@@ -248,6 +251,7 @@ def faulty_rows(draw):
             f"nan,{v}", f"{t},inf", f"-inf,{v}", f"{t},nan",
             f"{before!r},{v}", f"{before - 0.5!r},{v}", f"{before - 20.0!r},{v}",
             f"0,{v}", f"-1.5,{v}", f"{t},0", f"{t},-2.5", f"0,-1",
+            f"5e-324,{v}", f"1e-310,{v}", f"2.2250738585072014e-308,{v}",
             f"abc,{v}", f"{t},1..2", f",{v}", f"{t},", t,
             "", "  ,  ", " ", f"{t},{v},extra",
             f"{t}_0,{v}", f"{t.translate(_ARABIC_INDIC)},{v}", f'"{t}","{v}"',
@@ -371,6 +375,11 @@ class TestVolumeSamples:
             VolumeSamples(t=(0.0, 1.0), vol=(1.0, 1.0), n=2)
         with pytest.raises(ValueError, match="sample 1: vol must be positive"):
             VolumeSamples(t=(1.0,), vol=(-1.0,), n=2)
+        # the least normal float is the least radius a sample may have
+        VolumeSamples(t=(sys.float_info.min,), vol=(1.0,), n=2)
+        with pytest.raises(ValueError, match="sample 1: t = 1e-320 lies below the least "
+                                             "normal float"):
+            VolumeSamples(t=(1e-320, 1.0), vol=(-1.0, 1.0), n=2)
         with pytest.raises(ValueError, match="sample 2: values must be finite"):
             VolumeSamples(t=(1.0, math.inf), vol=(1.0, 1.0), n=2)
         with pytest.raises(ValueError, match="sample 1: values must be finite"):
@@ -1180,13 +1189,26 @@ class TestCli:
         assert data["total_curvature"]["classification"] == "finite"
         assert data["inputs"]["profile"]["segments"] == [[0.0, 2.0, 1.0, -1.0]]
 
-    def test_env_tol_override(self, flat_config, capsys, monkeypatch):
-        monkeypatch.setenv("RADIALGEO_TOL", "1e-6")
-        rc = cli_main(["analyze", "--config", flat_config])
-        assert rc == 0
-        data = json.loads(capsys.readouterr().out)
-        assert data["inputs"]["tol"] == 1e-6
-        assert any("RADIALGEO_TOL=1e-6" in w for w in data["warnings"])
+    def test_config_tol_is_the_tol(self, tmp_path, capsys, monkeypatch):
+        # the config's tol reaches the report, and no environment variable
+        # overrides it: the bytes are those of a run without it
+        cfg = tmp_path / "flat.json"
+        cfg.write_text(json.dumps({"profile": {"segments": [], "tail": {"kind": "zero"}},
+                                   "n": 2, "tol": 1e-6, "t_end": 256.0}))
+        assert cli_main(["analyze", "--config", str(cfg)]) == 0
+        plain = capsys.readouterr().out
+        assert json.loads(plain)["inputs"]["tol"] == 1e-6
+        monkeypatch.setenv("RADIALGEO_TOL", "1e-10")
+        assert cli_main(["analyze", "--config", str(cfg)]) == 0
+        assert capsys.readouterr().out == plain
+
+    def test_subnormal_sample_radius_refused(self, tmp_path, flat_config, capsys):
+        samples = tmp_path / "s.csv"
+        write_samples(samples, [(1e-320, 1.0), (1.0, PI)])
+        rc = cli_main(["analyze", "--config", flat_config, "--samples", str(samples)])
+        assert rc == 2
+        assert (f"{samples}: row 2: t = 1e-320 lies below the least normal float"
+                in capsys.readouterr().err)
 
     def test_tabulate(self, tmp_path, flat_config):
         out = tmp_path / "table.csv"

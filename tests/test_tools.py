@@ -37,10 +37,11 @@ def test_counted_lines(source, expected):
 def test_report_digest_is_stable():
     # one line per gallery entry and n in {2, 3, 5}, then three reports
     # with samples, the sweep's sign split and its solves, the constant
-    # pieces, the polynomial pieces, the rational and tail pieces and the
-    # dense reads; a second run, in a fresh process, prints the same
+    # pieces, the polynomial pieces, the rational and tail pieces, the
+    # dense reads and the ball volumes; a second run, in a fresh process,
+    # prints the same
     lines = _load("report_digest").digest_lines()
-    assert len(lines) == 30
+    assert len(lines) == 31
     assert [line.split(None, 1)[1] for line in lines[21:]] == [
         *(f"{name} n=3 samples"
           for name in ("flat", "abresch_tail", "sign_changing_beta_ln2")),
@@ -48,7 +49,7 @@ def test_report_digest_is_stable():
         "constant pieces kappa=-4.0,-1.0,-1e-06,0.0,1e-06,1.0,4.0 tol=1e-08,1e-12",
         "polynomial pieces degree=1,2,5 tol=1e-06,1e-08,1e-12",
         "rational and tail pieces seed=3 count=20 tol=1e-06,1e-08,1e-12",
-        "dense reads seed=1 count=200 points=33"]
+        "dense reads seed=1 count=200 points=33", "ball volumes n=2,3,40"]
     assert all(len(line.split()[0]) == 64 for line in lines)
     out = subprocess.run([sys.executable, str(_TOOLS / "report_digest.py")],
                          capture_output=True, text=True, check=True).stdout

@@ -1,7 +1,7 @@
 """Print the sha256 of every gallery report, of three reports with volume
-samples, of a sweep's sign split, of solver nodes and of dense reads, to
-tell whether report bytes, sign pieces or solver bits moved between two
-checkouts.
+samples, of a sweep's sign split, of solver nodes, of dense reads and of
+ball volumes, to tell whether report bytes, sign pieces, solver bits or
+volume bits moved between two checkouts.
 
     python3 tools/report_digest.py
 
@@ -32,8 +32,12 @@ a zero tail (``default_rng(3)``) on [0, 50], at tol 1e-6, 1e-8 and 1e-12.
 Last, one line for the dense output: the sha256 of f, f', m and m', every
 float as ``float.hex``, at 33 evenly spaced points of [0, min(f's end,
 m's end)] on each of the first 200 sweep profiles of the solver line, each
-read once by the array path and once point by point.  It imports
-radialgeo from
+read once by the array path and once point by point.  Last, one line for
+ball volumes: the sha256 of ``log_ball_volumes``, every float as
+``float.hex``, on the solution of every gallery entry without a first
+zero (``solve`` on [0, DEFAULT_T_END] at DEFAULT_TOL), at n in {2, 3,
+40}, taken at 0, at every node, at every step midpoint and at t_end.  It
+imports radialgeo from
 the ``src`` directory of its own checkout, and the inputs from its ``bench``
 directory, so running a copy of it in another checkout digests that
 checkout's reports, sign pieces and solver bits.
@@ -57,6 +61,7 @@ from radialgeo import (  # noqa: E402
     ConstantTail,
     CurvatureProfile,
     ModelCompactnessError,
+    ModelSpace,
     Segment,
     ZeroTail,
     constant_profile,
@@ -68,7 +73,8 @@ from radialgeo import (  # noqa: E402
     solve,
     solve_m,
 )
-from radialgeo.pipeline import DEFAULT_T_END  # noqa: E402
+from radialgeo.model_space import log_ball_volumes  # noqa: E402
+from radialgeo.pipeline import DEFAULT_T_END, DEFAULT_TOL  # noqa: E402
 
 DIMENSIONS = (2, 3, 5)
 SAMPLE_ENTRIES = ("flat", "abresch_tail", "sign_changing_beta_ln2")
@@ -98,6 +104,7 @@ RATIONAL_SEED = 3
 RATIONAL_COUNT = 20
 RATIONAL_T_END = 50.0
 RATIONAL_TOLS = (1e-6, 1e-8, 1e-12)
+VOLUME_DIMENSIONS = (2, 3, 40)
 
 
 def rational_family(rng: np.random.Generator, count: int) -> list:
@@ -190,6 +197,15 @@ def digest_lines() -> list[str]:
                  f"count={RATIONAL_COUNT} tol={','.join(map(format, RATIONAL_TOLS))}")
     lines.append(f"{_sha(dense)}  dense reads seed={SWEEP_SEED} count={SOLVE_COUNT} "
                  f"points={DENSE_POINTS}")
+    text = ""
+    for entry in list_gallery():
+        f = solve(entry.profile, DEFAULT_T_END, DEFAULT_TOL)
+        if f.first_zero is not None:
+            continue
+        radii = np.sort(np.concatenate(([0.0], f.ts, 0.5 * (f.ts[:-1] + f.ts[1:]), [f.t_end])))
+        text += "".join(" ".join(map(float.hex, log_ball_volumes(ModelSpace(n, f), radii))) + "\n"
+                        for n in VOLUME_DIMENSIONS)
+    lines.append(f"{_sha(text)}  ball volumes n={','.join(map(str, VOLUME_DIMENSIONS))}")
     return lines
 
 
